@@ -2,8 +2,7 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! FeatGraph paper. Shared measurement code lives here; the `fgbench` binary
-//! drives full sweeps and prints paper-style rows, and `benches/` holds
-//! criterion benches (one per experiment) at reduced sizes.
+//! drives full sweeps and prints paper-style rows.
 //!
 //! Graphs are the Table II stand-ins scaled down by `--scale` (vertex count
 //! divided, average degree preserved — see `fg_graph::datasets`); absolute

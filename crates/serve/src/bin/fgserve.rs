@@ -13,7 +13,7 @@
 //! validates that it parses, and (with `--require`) asserts named series
 //! are present with a nonzero value — CI's metrics-smoke job.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -21,9 +21,10 @@ use std::time::{Duration, Instant};
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
+use fg_serve::frame::{self, FrameError, WireReply};
 use fg_serve::stats::LatencyRecorder;
-use fg_serve::{frame, metrics, protocol, Engine, ServeConfig};
-use fg_tensor::{Dense2, FeatureDtype};
+use fg_serve::{metrics, protocol, Engine, ServeConfig};
+use fg_tensor::Dense2;
 
 /// Which wire protocol bench clients speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +40,10 @@ enum WireProto {
 
 struct Opts {
     addr: Option<String>,
+    /// Engine knobs, written straight from their flags (`--batch`,
+    /// `--delay-ms`, `--queue`, … `--slow-ms`); the flag defaults are
+    /// [`ServeConfig::default`]'s.
+    cfg: ServeConfig,
     models: Vec<String>,
     vertices: usize,
     classes: usize,
@@ -46,34 +51,18 @@ struct Opts {
     noise: usize,
     hidden: usize,
     seed: u64,
-    batch: usize,
-    delay_ms: u64,
-    queue: usize,
-    workers: usize,
-    kernel_threads: usize,
-    shards: usize,
-    shard_strategy: String,
-    deadline_ms: u64,
-    exec_delay_ms: u64,
-    plan_cache_bytes: u64,
-    mem_budget: u64,
     clients: usize,
     requests: usize,
     runs: usize,
     seeds_per_request: usize,
-    fanout: Option<String>,
+    fanout: Option<Vec<usize>>,
     sample_seed: u64,
     feat_cols: usize,
     protocol: WireProto,
-    feature_dtype: FeatureDtype,
-    conn_handlers: usize,
-    max_conns: usize,
     expect_no_shed: bool,
     expect_shed: bool,
     expect_plan_hits: bool,
     expect_mem_shed: bool,
-    trace_sample: u64,
-    slow_ms: Option<f64>,
     trace_file: Option<String>,
     require: Vec<String>,
 }
@@ -82,6 +71,7 @@ impl Default for Opts {
     fn default() -> Self {
         Opts {
             addr: None,
+            cfg: ServeConfig::default(),
             models: vec!["gcn".into()],
             vertices: 3000,
             classes: 3,
@@ -89,17 +79,6 @@ impl Default for Opts {
             noise: 4,
             hidden: 16,
             seed: 42,
-            batch: 32,
-            delay_ms: 2,
-            queue: 1024,
-            workers: 2,
-            kernel_threads: 1,
-            shards: 1,
-            shard_strategy: "range".into(),
-            deadline_ms: 500,
-            exec_delay_ms: 0,
-            plan_cache_bytes: 0,
-            mem_budget: 0,
             clients: 8,
             requests: 500,
             runs: 1,
@@ -108,15 +87,10 @@ impl Default for Opts {
             sample_seed: 0,
             feat_cols: 0,
             protocol: WireProto::Text,
-            feature_dtype: FeatureDtype::F32,
-            conn_handlers: 0,
-            max_conns: 256,
             expect_no_shed: false,
             expect_shed: false,
             expect_plan_hits: false,
             expect_mem_shed: false,
-            trace_sample: 0,
-            slow_ms: None,
             trace_file: None,
             require: Vec::new(),
         }
@@ -195,32 +169,37 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--noise" => o.noise = num(arg, &value(arg, &mut it)?)?,
             "--hidden" => o.hidden = num(arg, &value(arg, &mut it)?)?,
             "--seed" => o.seed = num(arg, &value(arg, &mut it)?)? as u64,
-            "--batch" => o.batch = num(arg, &value(arg, &mut it)?)?,
-            "--delay-ms" => o.delay_ms = num(arg, &value(arg, &mut it)?)? as u64,
-            "--queue" => o.queue = num(arg, &value(arg, &mut it)?)?,
-            "--workers" => o.workers = num(arg, &value(arg, &mut it)?)?,
-            "--kernel-threads" => o.kernel_threads = num(arg, &value(arg, &mut it)?)?,
-            "--shards" => o.shards = num(arg, &value(arg, &mut it)?)?,
+            "--batch" => o.cfg.max_batch = num(arg, &value(arg, &mut it)?)?,
+            "--delay-ms" => o.cfg.max_delay = millis(arg, &value(arg, &mut it)?)?,
+            "--queue" => o.cfg.queue_capacity = num(arg, &value(arg, &mut it)?)?,
+            "--workers" => o.cfg.workers = num(arg, &value(arg, &mut it)?)?,
+            "--kernel-threads" => o.cfg.kernel_threads = num(arg, &value(arg, &mut it)?)?,
+            "--shards" => o.cfg.shards = num(arg, &value(arg, &mut it)?)?,
             "--shard-strategy" => {
                 let v = value(arg, &mut it)?;
-                v.parse::<fg_graph::ShardStrategy>()
-                    .map_err(|e| format!("{arg}: {e}"))?;
-                o.shard_strategy = v;
+                o.cfg.shard_strategy = v.parse().map_err(|e| format!("{arg}: {e}"))?;
             }
-            "--deadline-ms" => o.deadline_ms = num(arg, &value(arg, &mut it)?)? as u64,
-            "--exec-delay-ms" => o.exec_delay_ms = num(arg, &value(arg, &mut it)?)? as u64,
-            "--plan-cache-bytes" => o.plan_cache_bytes = num(arg, &value(arg, &mut it)?)? as u64,
-            "--mem-budget" => o.mem_budget = num(arg, &value(arg, &mut it)?)? as u64,
+            "--deadline-ms" => {
+                // 0 disables the default per-request deadline.
+                let d = millis(arg, &value(arg, &mut it)?)?;
+                o.cfg.default_deadline = (!d.is_zero()).then_some(d);
+            }
+            "--exec-delay-ms" => o.cfg.exec_delay = millis(arg, &value(arg, &mut it)?)?,
+            "--plan-cache-bytes" => {
+                o.cfg.plan_cache_bytes = num(arg, &value(arg, &mut it)?)? as u64
+            }
+            "--mem-budget" => o.cfg.mem_budget = num(arg, &value(arg, &mut it)?)? as u64,
             "--clients" => o.clients = num(arg, &value(arg, &mut it)?)?,
             "--requests" => o.requests = num(arg, &value(arg, &mut it)?)?,
             "--runs" => o.runs = num(arg, &value(arg, &mut it)?)?,
             "--seeds-per-request" => o.seeds_per_request = num(arg, &value(arg, &mut it)?)?,
             "--fanout" => {
                 let v = value(arg, &mut it)?;
-                for tok in v.split(',') {
-                    num(arg, tok)?;
-                }
-                o.fanout = Some(v);
+                o.fanout = Some(
+                    v.split(',')
+                        .map(|tok| num(arg, tok))
+                        .collect::<Result<_, _>>()?,
+                );
             }
             "--sample-seed" => o.sample_seed = num(arg, &value(arg, &mut it)?)? as u64,
             "--feat-cols" => o.feat_cols = num(arg, &value(arg, &mut it)?)?,
@@ -234,21 +213,18 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--feature-dtype" => {
                 let v = value(arg, &mut it)?;
-                o.feature_dtype = v.parse().map_err(|e| format!("{arg}: {e}"))?;
+                o.cfg.feature_dtype = v.parse().map_err(|e| format!("{arg}: {e}"))?;
             }
-            "--conn-handlers" => o.conn_handlers = num(arg, &value(arg, &mut it)?)?,
-            "--max-conns" => o.max_conns = num(arg, &value(arg, &mut it)?)?,
+            "--conn-handlers" => o.cfg.conn_handlers = num(arg, &value(arg, &mut it)?)?,
+            "--max-conns" => o.cfg.max_conns = num(arg, &value(arg, &mut it)?)?,
             "--expect-no-shed" => o.expect_no_shed = true,
             "--expect-shed" => o.expect_shed = true,
             "--expect-plan-hits" => o.expect_plan_hits = true,
             "--expect-mem-shed" => o.expect_mem_shed = true,
-            "--trace-sample" => o.trace_sample = num(arg, &value(arg, &mut it)?)? as u64,
+            "--trace-sample" => o.cfg.trace_sample = num(arg, &value(arg, &mut it)?)? as u64,
             "--slow-ms" => {
                 let v = value(arg, &mut it)?;
-                o.slow_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("{arg}: bad number {v:?}"))?,
-                );
+                o.cfg.slow_ms = Some(v.parse().map_err(|_| format!("{arg}: bad number {v:?}"))?);
             }
             "--trace" => o.trace_file = Some(value(arg, &mut it)?),
             "--require" => o.require.push(value(arg, &mut it)?),
@@ -262,28 +238,12 @@ fn num(flag: &str, v: &str) -> Result<usize, String> {
     v.parse().map_err(|_| format!("{flag}: bad number {v:?}"))
 }
 
+fn millis(flag: &str, v: &str) -> Result<Duration, String> {
+    Ok(Duration::from_millis(num(flag, v)? as u64))
+}
+
 fn build_engine(o: &Opts) -> Arc<Engine> {
-    let engine = Arc::new(Engine::new(ServeConfig {
-        max_batch: o.batch,
-        max_delay: Duration::from_millis(o.delay_ms),
-        queue_capacity: o.queue,
-        workers: o.workers,
-        kernel_threads: o.kernel_threads,
-        shards: o.shards,
-        shard_strategy: o
-            .shard_strategy
-            .parse()
-            .expect("strategy validated at flag parse"),
-        default_deadline: (o.deadline_ms > 0).then(|| Duration::from_millis(o.deadline_ms)),
-        exec_delay: Duration::from_millis(o.exec_delay_ms),
-        trace_sample: o.trace_sample,
-        slow_ms: o.slow_ms,
-        plan_cache_bytes: o.plan_cache_bytes,
-        mem_budget: o.mem_budget,
-        feature_dtype: o.feature_dtype,
-        conn_handlers: o.conn_handlers,
-        max_conns: o.max_conns,
-    }));
+    let engine = Arc::new(Engine::new(o.cfg.clone()));
     for name in &o.models {
         // Attribute the dataset build: graph + feature tensors land in the
         // Features component; build_model scopes its own params.
@@ -340,13 +300,13 @@ fn cmd_serve(o: &Opts) -> ExitCode {
         "fgserve: listening on {} models=[{}] shards={} trace_sample={} slow_ms={}",
         handle.addr(),
         o.models.join(","),
-        if o.shards >= 2 {
-            format!("{}({})", o.shards, o.shard_strategy)
+        if o.cfg.shards >= 2 {
+            format!("{}({})", o.cfg.shards, o.cfg.shard_strategy)
         } else {
             "off".into()
         },
-        o.trace_sample,
-        o.slow_ms.map_or("off".into(), |t| format!("{t}")),
+        o.cfg.trace_sample,
+        o.cfg.slow_ms.map_or("off".into(), |t| format!("{t}")),
     );
     let _ = std::io::stdout().flush();
     handle.join();
@@ -364,7 +324,6 @@ struct RunTally {
     timed_out: u64,
     other_err: u64,
     mismatched: u64,
-    lost: u64,
     /// Order-independent digest over completed reply payloads: per-reply
     /// FNV-1a folded with wrapping add, so the digest is identical no matter
     /// how replies interleave across clients. Two bench runs with the same
@@ -404,257 +363,108 @@ fn popular_vertex(client: usize, i: usize, j: usize, vertices: usize) -> usize {
     ((vertices as f64 * u * u) as usize).min(vertices - 1)
 }
 
-/// Knobs for the seeded (`INFER_SEEDS`) bench mode; `None` = plain `INFER`.
-#[derive(Clone)]
-struct SeedsMode {
-    seeds_per_request: usize,
-    fanout: Option<String>,
-    sample_seed: u64,
-    /// Feature columns per client-supplied seed row; `0` = no feature
-    /// payload. This is the feature-heavy workload where the per-scalar
-    /// ASCII parse dominates the text protocol.
-    feat_cols: usize,
-}
-
-/// Deterministic feature scalar in [-1, 1), identical on both protocols
-/// (the text side prints the shortest roundtripping decimal).
-fn feat_value(client: usize, i: usize, row: usize, col: usize) -> f32 {
-    let h = bench_hash(client, i, 1_000_000 + row * 4096 + col);
-    (h as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32
-}
-
-/// Client-supplied feature rows for one request.
-fn feat_rows(client: usize, i: usize, rows: usize, cols: usize) -> Dense2<f32> {
-    Dense2::from_fn(rows, cols, |r, c| feat_value(client, i, r, c))
-}
-
-/// Binary-protocol bench client: same workload and tallies as the text
-/// client, one frame per request. Reply payloads are digested through
-/// their canonical text rendering so binary and text runs over the same
-/// workload print identical digests.
-fn bench_client_binary(
-    addr: &str,
-    model: &str,
-    client: usize,
-    n: usize,
-    vertices: usize,
-    seeds_mode: Option<SeedsMode>,
-) -> std::io::Result<(RunTally, Vec<Duration>)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut tally = RunTally::default();
-    let mut latencies = Vec::with_capacity(n);
-    let tally_err = |code: &str, tally: &mut RunTally| match code {
-        "overloaded" => tally.shed += 1,
-        "over-memory-budget" => tally.mem_shed += 1,
-        "timeout" => tally.timed_out += 1,
-        _ => tally.other_err += 1,
-    };
-    for i in 0..n {
-        let id = format!("c{client}-r{i}");
-        let t0 = Instant::now();
-        let req = if let Some(mode) = &seeds_mode {
-            let seeds: Vec<usize> = (0..mode.seeds_per_request)
-                .map(|j| popular_vertex(client, i, j, vertices))
-                .collect();
-            let fanouts = mode.fanout.as_deref().map(|f| {
-                f.split(',')
-                    .map(|t| t.parse().expect("fanout validated at flag parse"))
-                    .collect()
-            });
-            let feats = (mode.feat_cols > 0)
-                .then(|| feat_rows(client, i, seeds.len(), mode.feat_cols));
-            protocol::Request::InferSeeds {
-                model: model.to_string(),
-                seeds,
-                fanouts,
-                sample_seed: mode.sample_seed.wrapping_add(bench_hash(client, i, 99)),
-                feats,
-                id: Some(id.clone()),
-                deadline_ms: None,
-            }
-        } else {
-            let node = (client
-                .wrapping_mul(2654435761)
-                .wrapping_add(i.wrapping_mul(40503)))
-                % vertices;
-            protocol::Request::Infer {
-                model: model.to_string(),
-                node,
-                id: Some(id.clone()),
-                deadline_ms: None,
-            }
-        };
-        frame::write_frame(&mut writer, &frame::encode_request(&req))?;
-        let reply_frame = match frame::read_frame(&mut reader, false) {
-            Ok(f) => f,
-            Err(frame::FrameError::Io(_)) => {
-                tally.lost += (n - i) as u64;
-                break;
-            }
-            Err(_) => {
-                tally.mismatched += 1;
-                continue;
-            }
-        };
-        let elapsed = t0.elapsed();
-        match frame::decode_reply(&reply_frame) {
-            Ok(frame::WireReply::Ok { id: got, resp }) if got == id => {
-                tally.completed += 1;
-                tally.digest = tally
-                    .digest
-                    .wrapping_add(fnv1a(&protocol::format_ok(Some(&id), &resp)));
-                latencies.push(elapsed);
-            }
-            Ok(frame::WireReply::Seeds {
-                id: got,
-                seeds,
-                resp,
-            }) if got == id => {
-                let expect = seeds_mode.as_ref().map_or(0, |m| m.seeds_per_request);
-                if resp.results.len() == expect {
-                    tally.completed += 1;
-                    // Digest the SEED payload lines only, exactly like the
-                    // text client: header subgraph sizes legitimately vary.
-                    let mut request_digest = 0u64;
-                    for line in protocol::format_seeds_ok(Some(&id), &seeds, &resp)
-                        .iter()
-                        .skip(1)
-                    {
-                        request_digest = request_digest.wrapping_add(fnv1a(&format!("{id} {line}")));
-                    }
-                    tally.digest = tally.digest.wrapping_add(request_digest);
-                    latencies.push(elapsed);
-                } else {
-                    tally.mismatched += 1;
-                }
-            }
-            Ok(frame::WireReply::Err { id: got, code, .. }) if got == id => {
-                tally_err(&code, &mut tally);
-            }
-            _ => tally.mismatched += 1,
-        }
-    }
-    Ok((tally, latencies))
-}
-
-fn bench_client(
-    addr: &str,
-    model: &str,
-    client: usize,
-    n: usize,
-    vertices: usize,
-    seeds_mode: Option<SeedsMode>,
-) -> std::io::Result<(RunTally, Vec<Duration>)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut tally = RunTally::default();
-    let mut latencies = Vec::with_capacity(n);
-    let mut line = String::new();
-    for i in 0..n {
-        let id = format!("c{client}-r{i}");
-        let t0 = Instant::now();
-        if let Some(mode) = &seeds_mode {
-            let seeds: Vec<String> = (0..mode.seeds_per_request)
-                .map(|j| popular_vertex(client, i, j, vertices).to_string())
-                .collect();
-            let fanout = mode
-                .fanout
-                .as_deref()
-                .map_or(String::new(), |f| format!(" fanout={f}"));
-            // Feature-heavy workload: every scalar crosses the wire as
-            // ASCII and is re-parsed server-side — the baseline the binary
-            // protocol removes.
-            let feats = if mode.feat_cols > 0 {
-                let rows: Vec<String> = (0..mode.seeds_per_request)
-                    .map(|r| {
-                        (0..mode.feat_cols)
-                            .map(|c| feat_value(client, i, r, c).to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    })
-                    .collect();
-                format!(" feats={}", rows.join(";"))
-            } else {
-                String::new()
-            };
-            // Fresh sampler seed per request: every request samples a
-            // different subgraph, exercising the shape-bucketed plan keys.
-            let sample_seed = mode.sample_seed.wrapping_add(bench_hash(client, i, 99));
-            writeln!(
-                writer,
-                "INFER_SEEDS {model} {}{fanout}{feats} sample_seed={sample_seed} id={id}",
-                seeds.join(",")
-            )?;
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                tally.lost += (n - i) as u64;
-                break;
-            }
-            if let Ok(header) = protocol::parse_seeds_header(line.trim_end()) {
-                let mut payload_ok = header.id == id;
-                // Digest the SEED payload lines only: the header's
-                // subgraph-size fields legitimately differ between sharded
-                // and single-worker servers, the per-seed logits must not.
-                let mut request_digest = 0u64;
-                for _ in 0..header.count {
-                    line.clear();
-                    if reader.read_line(&mut line)? == 0 {
-                        payload_ok = false;
-                        break;
-                    }
-                    if protocol::parse_seed_line(line.trim_end()).is_err() {
-                        payload_ok = false;
-                    }
-                    request_digest =
-                        request_digest.wrapping_add(fnv1a(&format!("{id} {}", line.trim_end())));
-                }
-                let elapsed = t0.elapsed();
-                if payload_ok && header.count == mode.seeds_per_request {
-                    tally.completed += 1;
-                    tally.digest = tally.digest.wrapping_add(request_digest);
-                    latencies.push(elapsed);
-                } else {
-                    tally.mismatched += 1;
-                }
-            } else {
-                match protocol::parse_reply(line.trim_end()) {
-                    Ok(protocol::Reply::Err { id: got, code }) if got == id => {
-                        match code.as_str() {
-                            "overloaded" => tally.shed += 1,
-                            "over-memory-budget" => tally.mem_shed += 1,
-                            "timeout" => tally.timed_out += 1,
-                            _ => tally.other_err += 1,
-                        }
-                    }
-                    _ => tally.mismatched += 1,
-                }
-            }
-            continue;
-        }
+/// The `i`-th request of bench client `client`: a pure function of the
+/// options and its arguments, so text and binary runs — and runs against
+/// differently sharded servers — issue the same workload.
+/// `--seeds-per-request 0` is plain `INFER`.
+fn bench_request(o: &Opts, client: usize, i: usize, id: &str) -> protocol::Request {
+    let model = o.models[0].clone();
+    if o.seeds_per_request == 0 {
         // Deterministic pseudo-random node pick, distinct stream per client.
         let node = (client
             .wrapping_mul(2654435761)
             .wrapping_add(i.wrapping_mul(40503)))
-            % vertices;
-        writeln!(writer, "INFER {model} {node} id={id}")?;
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            tally.lost += (n - i) as u64;
-            break;
-        }
+            % o.vertices;
+        return protocol::Request::Infer {
+            model,
+            node,
+            id: Some(id.to_string()),
+            deadline_ms: None,
+        };
+    }
+    let seeds: Vec<usize> = (0..o.seeds_per_request)
+        .map(|j| popular_vertex(client, i, j, o.vertices))
+        .collect();
+    // Feature-heavy workload (`--feat-cols` scalars per seed, in [-1, 1),
+    // identical on both protocols): over text every scalar crosses the
+    // wire as ASCII and is re-parsed server-side — the baseline the binary
+    // protocol removes.
+    let feats = (o.feat_cols > 0).then(|| {
+        Dense2::from_fn(seeds.len(), o.feat_cols, |row, col| {
+            let h = bench_hash(client, i, 1_000_000 + row * 4096 + col);
+            (h as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32
+        })
+    });
+    protocol::Request::InferSeeds {
+        model,
+        seeds,
+        fanouts: o.fanout.clone(),
+        // Fresh sampler seed per request: every request samples a
+        // different subgraph, exercising the shape-bucketed plan keys.
+        sample_seed: o.sample_seed.wrapping_add(bench_hash(client, i, 99)),
+        feats,
+        id: Some(id.to_string()),
+        deadline_ms: None,
+    }
+}
+
+/// One closed-loop bench client. The two protocols differ only in how a
+/// request is written and a reply read; replies are tallied — and digested
+/// through their canonical text rendering — as [`WireReply`]s, so binary
+/// and text runs over the same workload print identical digests.
+fn bench_client(
+    addr: &str,
+    o: &Opts,
+    client: usize,
+    n: usize,
+    binary: bool,
+) -> std::io::Result<(RunTally, Vec<Duration>)> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let mut tally = RunTally::default();
+    let mut latencies = Vec::with_capacity(n);
+    let io_error = |e: FrameError| std::io::Error::other(e.to_string());
+    for i in 0..n {
+        let id = format!("c{client}-r{i}");
+        let t0 = Instant::now();
+        let req = bench_request(o, client, i, &id);
+        // A reply that cannot be read or decoded fails the run as a client
+        // I/O error; after a clean hang-up (text only — a binary one is an
+        // I/O error too) cmd_bench counts the unanswered rest as lost.
+        let reply = if binary {
+            frame::write_frame(&mut writer, &frame::encode_request(&req))?;
+            let frame = frame::read_frame(&mut reader, false).map_err(io_error)?;
+            Some(frame::decode_reply(&frame).map_err(io_error)?)
+        } else {
+            writeln!(writer, "{}", protocol::format_request(&req))?;
+            protocol::read_reply(&mut reader)?
+        };
+        let Some(reply) = reply else { break };
         let elapsed = t0.elapsed();
-        match protocol::parse_reply(line.trim_end()) {
-            Ok(protocol::Reply::Ok { id: got, .. }) if got == id => {
+        match reply {
+            WireReply::Ok { id: got, resp } if got == id => {
                 tally.completed += 1;
-                tally.digest = tally.digest.wrapping_add(fnv1a(line.trim_end()));
+                let line = protocol::format_ok(Some(&id), &resp);
+                tally.digest = tally.digest.wrapping_add(fnv1a(&line));
                 latencies.push(elapsed);
             }
-            Ok(protocol::Reply::Err { id: got, code }) if got == id => match code.as_str() {
+            WireReply::Seeds {
+                id: got,
+                seeds,
+                resp,
+            } if got == id && resp.results.len() == o.seeds_per_request => {
+                tally.completed += 1;
+                // Digest the SEED payload lines only: the header's
+                // subgraph-size fields legitimately differ between sharded
+                // and single-worker servers, the per-seed logits must not.
+                for line in &protocol::format_seeds_ok(Some(&id), &seeds, &resp)[1..] {
+                    tally.digest = tally.digest.wrapping_add(fnv1a(&format!("{id} {line}")));
+                }
+                latencies.push(elapsed);
+            }
+            WireReply::Err { id: got, code, .. } if got == id => match code.as_str() {
                 "overloaded" => tally.shed += 1,
                 "over-memory-budget" => tally.mem_shed += 1,
                 "timeout" => tally.timed_out += 1,
@@ -666,53 +476,24 @@ fn bench_client(
     Ok((tally, latencies))
 }
 
-fn fetch_stats(addr: &str) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
+/// Send one text `verb` on a fresh connection and return the body of its
+/// text-blob reply (`STATS` line, `METRICS` exposition up to `# EOF`, …).
+fn fetch_text(addr: &str, verb: &str) -> Option<String> {
+    let mut stream = TcpStream::connect(addr).ok()?;
     let _ = stream.set_nodelay(true);
-    let mut writer = stream.try_clone().ok()?;
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "STATS").ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    Some(line.trim_end().to_string())
-}
-
-/// Pull `key=<u64>` out of a STATS line.
-fn stats_field(stats: &str, key: &str) -> Option<u64> {
-    stats
-        .split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.parse().ok())
-}
-
-/// Pull `key=<f64>` out of a STATS line.
-fn stats_field_f64(stats: &str, key: &str) -> Option<f64> {
-    stats
-        .split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.parse().ok())
-}
-
-/// Scrape one `METRICS` exposition: send the command, read until the
-/// OpenMetrics `# EOF` terminator line.
-fn fetch_metrics(addr: &str) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let _ = stream.set_nodelay(true);
-    let mut writer = stream.try_clone().ok()?;
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "METRICS").ok()?;
-    let mut text = String::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None; // connection dropped before the terminator
-        }
-        text.push_str(&line);
-        if line.trim_end() == "# EOF" {
-            return Some(text);
-        }
+    writeln!(stream, "{verb}").ok()?;
+    match protocol::read_reply(&mut BufReader::new(stream)) {
+        Ok(Some(WireReply::Text(body))) => Some(body),
+        _ => None,
     }
+}
+
+/// Pull `key=<value>` out of a STATS line.
+fn stats_field<T: std::str::FromStr>(stats: &str, key: &str) -> Option<T> {
+    stats
+        .split_ascii_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
 }
 
 /// Per-phase quantile table plus the p99 attribution line, computed from a
@@ -722,18 +503,9 @@ fn phase_report(samples: &[metrics::Sample]) -> Vec<String> {
     let lookup = |series: &str| -> Option<f64> {
         samples.iter().find(|s| s.series == series).map(|s| s.value)
     };
-    let phases = [
-        "queue_wait",
-        "batch_form",
-        "sample",
-        "plan_compile",
-        "execute",
-        "exchange",
-        "serialize",
-    ];
     let mut rows = Vec::new();
     let mut p99s: Vec<(&str, f64)> = Vec::new();
-    for phase in phases {
+    for phase in fg_serve::Phase::ALL.map(fg_serve::Phase::name) {
         let q = |q: &str| {
             lookup(&format!(
                 "fgserve_phase_latency_ms{{phase=\"{phase}\",quantile=\"{q}\"}}"
@@ -777,7 +549,7 @@ fn cmd_metrics(o: &Opts) -> ExitCode {
         eprintln!("fgserve metrics: --addr is required");
         return ExitCode::FAILURE;
     };
-    let Some(text) = fetch_metrics(addr) else {
+    let Some(text) = fetch_text(addr, "METRICS") else {
         eprintln!("fgserve metrics: failed to scrape METRICS from {addr}");
         return ExitCode::FAILURE;
     };
@@ -845,40 +617,30 @@ fn cmd_bench(o: &Opts) -> ExitCode {
         let per_client = o.requests / o.clients.max(1);
         let remainder = o.requests % o.clients.max(1);
         let t0 = Instant::now();
-        let seeds_mode = (o.seeds_per_request > 0).then(|| SeedsMode {
-            seeds_per_request: o.seeds_per_request,
-            fanout: o.fanout.clone(),
-            sample_seed: o.sample_seed,
-            feat_cols: o.feat_cols,
-        });
-        let protocol = o.protocol;
-        let handles: Vec<_> = (0..o.clients.max(1))
-            .map(|c| {
-                let addr = addr.clone();
-                let model = model.clone();
-                let n = per_client + usize::from(c < remainder);
-                let vertices = o.vertices;
-                let seeds_mode = seeds_mode.clone();
-                let binary = match protocol {
-                    WireProto::Text => false,
-                    WireProto::Binary => true,
-                    // Mixed: even-numbered clients speak binary, odd text —
-                    // both protocols active on the same server at once.
-                    WireProto::Mixed => c % 2 == 0,
-                };
-                std::thread::spawn(move || {
-                    if binary {
-                        bench_client_binary(&addr, &model, c, n, vertices, seeds_mode)
-                    } else {
-                        bench_client(&addr, &model, c, n, vertices, seeds_mode)
-                    }
-                })
-            })
-            .collect();
         let mut tally = RunTally::default();
         let recorder = LatencyRecorder::new();
-        for h in handles {
-            match h.join().expect("bench client panicked") {
+        let clients: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..o.clients.max(1))
+                .map(|c| {
+                    let n = per_client + usize::from(c < remainder);
+                    let binary = match o.protocol {
+                        WireProto::Text => false,
+                        WireProto::Binary => true,
+                        // Mixed: even-numbered clients speak binary, odd
+                        // text — both protocols active on one server.
+                        WireProto::Mixed => c % 2 == 0,
+                    };
+                    let addr = addr.as_str();
+                    scope.spawn(move || bench_client(addr, o, c, n, binary))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("bench client panicked"))
+                .collect()
+        });
+        for client in clients {
+            match client {
                 Ok((t, lat)) => {
                     tally.completed += t.completed;
                     tally.shed += t.shed;
@@ -886,7 +648,6 @@ fn cmd_bench(o: &Opts) -> ExitCode {
                     tally.timed_out += t.timed_out;
                     tally.other_err += t.other_err;
                     tally.mismatched += t.mismatched;
-                    tally.lost += t.lost;
                     tally.digest = tally.digest.wrapping_add(t.digest);
                     for d in lat {
                         recorder.record(d);
@@ -902,7 +663,7 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             + tally.timed_out
             + tally.other_err
             + tally.mismatched;
-        tally.lost = (o.requests as u64).saturating_sub(answered);
+        let lost = (o.requests as u64).saturating_sub(answered);
         let lat = recorder.snapshot();
         println!(
             "fgserve bench run {run}/{}: {} clients x {} requests -> {addr} (model {model})",
@@ -913,7 +674,7 @@ fn cmd_bench(o: &Opts) -> ExitCode {
         println!(
             "  completed {}/{}  shed {}  mem_shed {}  timeout {}  failed {}  mismatched {}  lost {}",
             tally.completed, o.requests, tally.shed, tally.mem_shed, tally.timed_out,
-            tally.other_err, tally.mismatched, tally.lost
+            tally.other_err, tally.mismatched, lost
         );
         println!(
             "  wall {wall:.3} s   throughput {:.1} req/s",
@@ -924,18 +685,18 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             "  latency ms  p50 {:.2}  p95 {:.2}  p99 {:.2}  mean {:.2}  max {:.2}",
             lat.p50_ms, lat.p95_ms, lat.p99_ms, lat.mean_ms, lat.max_ms
         );
-        let stats = fetch_stats(&addr);
+        let stats = fetch_text(&addr, "STATS");
         if let Some(stats) = &stats {
-            println!("  server {stats}");
+            println!("  server {}", stats.trim_end());
             // Queue/batch observability (fed by the batcher's observer).
-            let depth_max = stats_field(stats, "queue_depth_max").unwrap_or(0);
-            let batch_p50 = stats_field_f64(stats, "batch_p50").unwrap_or(0.0);
-            let batch_max = stats_field_f64(stats, "batch_max").unwrap_or(0.0);
+            let depth_max: u64 = stats_field(stats, "queue_depth_max").unwrap_or(0);
+            let batch_p50: f64 = stats_field(stats, "batch_p50").unwrap_or(0.0);
+            let batch_max: f64 = stats_field(stats, "batch_max").unwrap_or(0.0);
             println!(
                 "  queue depth max {depth_max}   batch size p50 {batch_p50:.1} max {batch_max:.1}"
             );
         }
-        if let Some(text) = fetch_metrics(&addr) {
+        if let Some(text) = fetch_text(&addr, "METRICS") {
             if let Ok(samples) = metrics::parse_exposition(&text) {
                 for line in phase_report(&samples) {
                     println!("{line}");
@@ -945,17 +706,17 @@ fn cmd_bench(o: &Opts) -> ExitCode {
         total_shed += tally.shed;
         total_mem_shed += tally.mem_shed;
 
-        if tally.lost > 0 || tally.mismatched > 0 {
+        if lost > 0 || tally.mismatched > 0 {
             failures.push(format!(
-                "run {run}: {} lost / {} mismatched responses",
-                tally.lost, tally.mismatched
+                "run {run}: {lost} lost / {} mismatched responses",
+                tally.mismatched
             ));
         }
         if o.expect_no_shed && tally.shed > 0 {
             failures.push(format!("run {run}: expected zero sheds, saw {}", tally.shed));
         }
         if o.expect_plan_hits && run == o.runs.max(1) {
-            let hits = stats.as_deref().and_then(|s| stats_field(s, "plan_hits"));
+            let hits: Option<u64> = stats.as_deref().and_then(|s| stats_field(s, "plan_hits"));
             match hits {
                 Some(h) if h > 0 => {}
                 other => failures.push(format!(

@@ -1,34 +1,55 @@
-//! The serving engine: admission control, request coalescing, a worker
-//! pool executing batched full-graph inference and per-request sampled
-//! inference, and the compiled-plan cache.
+//! The serving engine: one request pipeline from admission to reply.
 //!
-//! Data path: [`Engine::submit`] validates a request, stamps its deadline,
-//! and pushes it into the bounded [`Batcher`]; when the queue is full the
-//! request is **shed** with [`ServeError::Overloaded`] instead of blocking
-//! the caller. Worker threads pull deadline-or-size batches, drop entries
-//! whose deadline already passed ([`ServeError::Timeout`]), group the rest
-//! by model, and answer each group with **one** full-graph forward pass via
-//! [`fg_gnn::infer_batch`] — so the forward cost amortizes over the whole
-//! batch. The [`PlanCache`] keyed by `(graph id, model, options)` keeps the
-//! compiled kernel plans alive across batches: every batch after the first
-//! is a plan-cache hit and skips kernel compilation entirely.
+//! ```text
+//! submit* ─▶ admit ─▶ Job{model, rows, view} ─▶ Batcher ─▶ execute ─▶ complete ─▶ reply
+//! ```
 //!
-//! **Sampled serving** ([`Engine::submit_seeds`]) rides the same queue:
-//! each seeded request expands a fanout-bounded neighborhood of its seed
-//! vertices ([`fg_graph::sample_subgraph`]), gathers the visited feature
-//! rows, and runs the model on the induced subgraph — cost proportional to
-//! the neighborhood, not the graph. Every request samples a different
-//! subgraph, so plans cannot be cached per graph; instead the cache key
-//! buckets the subgraph's `|V|`/`|E|` into powers of two
-//! ([`PlanKey::cpu_sampled`]) and caches the tuned **schedule** (partition
-//! count) for the bucket — repeated seed queries with different seed sets
-//! hit the cache and skip the autotune probe.
+//! **Admission.** Every entry point ([`Engine::submit`],
+//! [`Engine::submit_seeds`], their `_traced` and blocking variants) funnels
+//! into one `admit`: count the request, apply the memory-budget gate,
+//! resolve the model, range-check the requested vertices, stamp the
+//! deadline, and push one job into the bounded [`Batcher`] — a full queue
+//! **sheds** with [`ServeError::Overloaded`] instead of blocking the caller.
+//!
+//! **One job shape.** A job is `(model, rows, view)`: the vertices whose
+//! logits rows are wanted, and the view of the graph that computes them.
+//! `INFER n` is `rows = [n]` over the `Full` view. `INFER_SEEDS` is
+//! `rows = seeds` over the `Sampled` view (a fanout-bounded neighborhood
+//! of the seeds, optionally with client-supplied seed features) — unless
+//! the engine is sharded, every fanout is [`FULL_FANOUT`] and the request
+//! carries no `feats`, when it takes the `Full` view too: every vertex then
+//! keeps all of its in-edges, so its owner shards' rows are bitwise equal
+//! to the sampled answer. Capped fanouts stay `Sampled` (the sampler's RNG
+//! keying makes capped results depend on which vertices share a request,
+//! which shard-splitting would change), and so do requests carrying `feats`
+//! (the override rewrites gathered rows; a full pass reads the registered
+//! matrix in place). Sharding is not a view; it is how a `Full` view is run
+//! when [`ServeConfig::shards`] `>= 2`.
+//!
+//! **Execution.** Workers pull deadline-or-size batches, expire jobs whose
+//! deadline passed in the queue ([`ServeError::Timeout`]) and group the rest
+//! by registered model. Per group, all `Full` jobs are coalesced into **one**
+//! forward pass (`run_full`: [`fg_gnn::infer_batch`], or
+//! [`fg_gnn::infer_sharded`] across the shard workers) whose rows are
+//! scattered back, so the pass amortizes over the batch; every `Sampled` job
+//! then runs `run_sampled` (sample → gather → override → `infer_batch` on
+//! the induced subgraph — cost proportional to the neighborhood, not the
+//! graph). Both go through one [`PlanCache`] lookup: a `Full` view caches
+//! the backends themselves under `(graph id, model, options)`, so every
+//! pass after the first skips kernel compilation; a `Sampled` view caches
+//! the tuned schedule for its subgraph's power-of-two `|V|`/`|E|` bucket
+//! ([`PlanKey::cpu_sampled`]), so differing seed sets still hit.
+//!
+//! **Completion.** Every job — answered, failed or timed out — ends in one
+//! `complete`: phase samples (the rule for which is stated there), latency
+//! and outcome counters, the slow log, and the reply.
 //!
 //! Shutdown is graceful: [`Engine::shutdown`] closes the batcher (new
 //! submits fail with [`ServeError::ShuttingDown`]), lets workers drain the
 //! queue, and joins them. Dropping the engine does the same.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -228,7 +249,8 @@ pub struct InferSeedsRequest {
     /// Seed vertices whose logits are wanted (duplicates allowed; each seed
     /// gets its own reply row, in input order).
     pub seeds: Vec<usize>,
-    /// Per-hop in-neighbor caps, seed-side first. `None` = full fanout over
+    /// Per-hop in-neighbor caps, seed-side first; a list with fewer hops
+    /// than the model has layers is rejected. `None` = full fanout over
     /// [`DEFAULT_SAMPLE_HOPS`] hops, which reproduces full-graph logits for
     /// the seeds bit-for-bit.
     pub fanouts: Option<Vec<usize>>,
@@ -237,8 +259,8 @@ pub struct InferSeedsRequest {
     pub sample_seed: u64,
     /// Client-supplied feature rows overriding the registered features for
     /// the seed vertices only — one row per seed, in seed order, with the
-    /// model's registered feature width. The request runs on the sampled
-    /// path (neighbor rows still come from the registered matrix), with the
+    /// model's registered feature width. The request runs the `Sampled`
+    /// view (neighbor rows still come from the registered matrix), with the
     /// seeds' gathered rows replaced by these before the forward pass.
     pub feats: Option<Dense2<f32>>,
     /// Per-request deadline; falls back to
@@ -258,33 +280,31 @@ pub struct SeedsResponse {
     pub sub_edges: usize,
 }
 
-enum Payload {
-    Node {
-        node: usize,
-        reply: Arc<Oneshot<Result<InferResponse, ServeError>>>,
-    },
-    Seeds {
-        seeds: Vec<usize>,
-        fanouts: Vec<usize>,
-        sample_seed: u64,
+/// How a job's rows are computed.
+enum View {
+    /// Rows of the full-graph forward pass; all `Full` jobs of a model
+    /// group share one pass.
+    Full,
+    /// Rows of the model run on a fanout-bounded neighborhood sampled
+    /// around the job's rows, with `feats` (one row per job row) replacing
+    /// the registered features of those rows.
+    Sampled {
+        cfg: SampleConfig,
         feats: Option<Dense2<f32>>,
-        reply: Arc<Oneshot<Result<SeedsResponse, ServeError>>>,
     },
 }
 
-impl Payload {
-    /// Short description for span details.
-    fn desc(&self) -> String {
-        match self {
-            Payload::Node { node, .. } => format!("node={node}"),
-            Payload::Seeds { seeds, .. } => format!("seeds={}", seeds.len()),
-        }
-    }
-}
+/// The reply channel every job carries: one result per requested row.
+type Reply = Arc<Oneshot<Result<SeedsResponse, ServeError>>>;
 
 struct Job {
-    model: String,
-    payload: Payload,
+    /// The registration the request was validated against at admission; it
+    /// executes on this entry even if the name is re-registered meanwhile.
+    entry: Arc<ModelEntry>,
+    /// Vertices whose logits rows are wanted, in reply order.
+    rows: Vec<usize>,
+    view: View,
+    reply: Reply,
     accepted: Instant,
     /// Wall-clock accept timestamp on the telemetry clock (0 when telemetry
     /// is disabled) — lets the worker emit the cross-thread queue-wait span.
@@ -293,64 +313,67 @@ struct Job {
     trace: TraceContext,
 }
 
-impl Job {
-    /// Answer the request with `err`, whatever its payload shape.
-    fn fail(self, err: ServeError) {
-        match self.payload {
-            Payload::Node { reply, .. } => {
-                reply.send(Err(err));
-            }
-            Payload::Seeds { reply, .. } => {
-                reply.send(Err(err));
+/// Handle to one in-flight request; [`wait`](Self::wait) blocks for the
+/// reply in the shape `R` the submitting call asked for. Every admitted
+/// request is guaranteed a reply — workers answer dequeued jobs
+/// unconditionally and shutdown drains the queue first.
+pub struct Pending<R> {
+    reply: Reply,
+    shape: PhantomData<fn() -> R>,
+}
+
+impl<R: From<SeedsResponse>> Pending<R> {
+    /// Block until the worker pool answers.
+    pub fn wait(self) -> Result<R, ServeError> {
+        self.reply.recv().map(R::from)
+    }
+}
+
+/// Handle to an in-flight [`InferRequest`].
+pub type Ticket = Pending<InferResponse>;
+
+/// Handle to an in-flight [`InferSeedsRequest`].
+pub type SeedsTicket = Pending<SeedsResponse>;
+
+impl From<SeedsResponse> for InferResponse {
+    /// An `INFER` job asks for one row and is answered with one result.
+    fn from(resp: SeedsResponse) -> Self {
+        let mut results = resp.results.into_iter();
+        results.next().expect("INFER job answered with its row")
+    }
+}
+
+/// A compiled-plan cache entry.
+enum CachedPlan {
+    /// A `Full` view caches the backends themselves (their plan tables hold
+    /// the compiled kernels): one, or one per shard — backends key compiled
+    /// plans by matrix shape, two shard-local graphs can share a shape, so
+    /// a shared backend's plan lookups would cross shards.
+    Backends(Vec<FeatgraphBackend>),
+    /// A `Sampled` view caches the tuned schedule for its subgraph shape
+    /// bucket; the backend is rebuilt per request around it (compiling
+    /// against a small subgraph is cheap, the autotune probe is what is
+    /// worth reusing).
+    Schedule { partitions: usize },
+}
+
+impl CachedPlan {
+    /// Run `pass` over the backends this plan executes with: the cached
+    /// ones, or a fresh one built around the cached schedule.
+    fn with_backends<T>(&self, threads: usize, pass: impl FnOnce(&[FeatgraphBackend]) -> T) -> T {
+        match self {
+            CachedPlan::Backends(backends) => pass(backends),
+            CachedPlan::Schedule { partitions } => {
+                pass(&[FeatgraphBackend::cpu_with_partitions(threads, *partitions)])
             }
         }
     }
 }
 
-/// Handle to one in-flight request; [`Ticket::wait`] blocks for the reply.
-/// Every admitted request is guaranteed a reply — workers answer dequeued
-/// jobs unconditionally and shutdown drains the queue first.
-pub struct Ticket {
-    reply: Arc<Oneshot<Result<InferResponse, ServeError>>>,
-}
-
-impl Ticket {
-    /// Block until the worker pool answers.
-    pub fn wait(self) -> Result<InferResponse, ServeError> {
-        self.reply.recv()
-    }
-}
-
-/// Handle to one in-flight seeded request; [`SeedsTicket::wait`] blocks for
-/// the reply. Same reply guarantee as [`Ticket`].
-pub struct SeedsTicket {
-    reply: Arc<Oneshot<Result<SeedsResponse, ServeError>>>,
-}
-
-impl SeedsTicket {
-    /// Block until the worker pool answers.
-    pub fn wait(self) -> Result<SeedsResponse, ServeError> {
-        self.reply.recv()
-    }
-}
-
-/// A compiled-plan cache entry: full-graph workloads cache the backend
-/// itself (its plan table holds the compiled kernels); sampled workloads
-/// cache the tuned schedule for a subgraph shape bucket (the backend is
-/// rebuilt per request around it — plan compilation against a small
-/// subgraph is cheap, the autotune probe is what's worth reusing).
-enum CachedPlan {
-    Full(FeatgraphBackend),
-    Sampled { partitions: usize },
-    /// One backend per shard. Backends cache compiled plans keyed by matrix
-    /// shape, and two shard-local graphs can share a shape — each shard must
-    /// own its backend or plan lookups would cross shards.
-    Sharded(Vec<FeatgraphBackend>),
-}
-
 /// One servable model: the graph it runs on, its input features, and the
 /// trained (or initialized) parameters.
 pub struct ModelEntry {
+    name: String,
     graph_id: u64,
     graph: GnnGraph,
     features: FeatureTensor,
@@ -362,6 +385,27 @@ pub struct ModelEntry {
     /// accountant only sees aligned buffers); credited when the entry drops
     /// — replacement, unregistration, or engine shutdown alike.
     _graph_charge: MemCharge,
+}
+
+impl ModelEntry {
+    /// `(vertices, edges)` of the graph slice a `Full` pass reads to answer
+    /// `rows`: summed over the shards owning at least one of them (the
+    /// sharded analogue of a sampled request's subgraph size), or the whole
+    /// graph when unsharded.
+    fn slice_dims(&self, rows: &[usize]) -> (usize, usize) {
+        let Some(sharded) = &self.sharded else {
+            return (self.graph.num_vertices(), self.graph.num_edges());
+        };
+        let plan = sharded.graph.plan();
+        let (mut vertices, mut edges) = (0, 0);
+        for (s, routed) in sharded.owner_counts(rows).into_iter().enumerate() {
+            if routed > 0 {
+                vertices += plan.shard(s).locals().len();
+                edges += plan.shard(s).num_edges();
+            }
+        }
+        (vertices, edges)
+    }
 }
 
 /// Per-model shard state: the sliced graph plus monotone per-shard traffic
@@ -391,15 +435,20 @@ impl ShardedEntry {
         }
     }
 
-    /// Fold one sharded forward pass into the per-shard counters and the
-    /// seed-routing histogram.
-    fn record_run(&self, nodes: &[usize], run: &ShardRun) {
+    /// How many of `nodes` each shard owns.
+    fn owner_counts(&self, nodes: &[usize]) -> Vec<u64> {
         let plan = self.graph.plan();
         let mut counts = vec![0u64; plan.num_shards()];
         for &node in nodes {
             counts[plan.owner_of(node as VId)] += 1;
         }
-        for (s, &routed) in counts.iter().enumerate() {
+        counts
+    }
+
+    /// Fold one sharded forward pass into the per-shard counters and the
+    /// seed-routing histogram.
+    fn record_run(&self, nodes: &[usize], run: &ShardRun) {
+        for (s, routed) in self.owner_counts(nodes).into_iter().enumerate() {
             if routed > 0 {
                 self.rows_routed[s].fetch_add(routed, Ordering::Relaxed);
                 histogram_record(Histogram::ShardSeeds, routed);
@@ -409,27 +458,6 @@ impl ShardedEntry {
                 self.exchange_bytes[s].fetch_add(bytes, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Summed local-vertex and local-edge counts over the shards owning at
-    /// least one of `nodes` — the sharded analogue of a sampled request's
-    /// subgraph size.
-    fn touched_sizes(&self, nodes: &[usize]) -> (usize, usize) {
-        let plan = self.graph.plan();
-        let mut touched = vec![false; plan.num_shards()];
-        for &node in nodes {
-            touched[plan.owner_of(node as VId)] = true;
-        }
-        let mut vertices = 0;
-        let mut edges = 0;
-        for (s, hit) in touched.iter().enumerate() {
-            if *hit {
-                let shard = plan.shard(s);
-                vertices += shard.locals().len();
-                edges += shard.num_edges();
-            }
-        }
-        (vertices, edges)
     }
 }
 
@@ -482,51 +510,31 @@ impl ShardLine {
 
     /// Parse a line produced by [`to_wire`](Self::to_wire).
     pub fn parse_wire(line: &str) -> Result<ShardLine, String> {
-        let mut model = None;
-        let mut strategy = None;
-        let mut fields = [None::<u64>; 8];
-        const KEYS: [&str; 8] = [
-            "shard",
-            "owned",
-            "locals",
-            "halo",
-            "edges",
-            "rows_routed",
-            "exchange_bytes",
-            "mem_bytes",
-        ];
+        let mut fields = HashMap::new();
         for token in line.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| format!("malformed token {token:?}"))?;
-            match key {
-                "model" => model = Some(value.to_string()),
-                "strategy" => strategy = Some(value.to_string()),
-                _ => {
-                    let slot = KEYS
-                        .iter()
-                        .position(|k| *k == key)
-                        .ok_or_else(|| format!("unknown key {key:?}"))?;
-                    fields[slot] = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad value for {key}: {value:?}"))?,
-                    );
-                }
-            }
+            fields.insert(key, value);
         }
-        let take = |slot: usize| fields[slot].ok_or_else(|| format!("missing {}", KEYS[slot]));
+        let text = |key: &str| fields.get(key).copied().ok_or(format!("missing {key}"));
+        let num = |key: &str| -> Result<u64, String> {
+            let value = text(key)?;
+            value
+                .parse()
+                .map_err(|_| format!("bad value for {key}: {value:?}"))
+        };
         Ok(ShardLine {
-            model: model.ok_or("missing model")?,
-            shard: take(0)? as usize,
-            strategy: strategy.ok_or("missing strategy")?,
-            owned: take(1)?,
-            locals: take(2)?,
-            halo: take(3)?,
-            edges: take(4)?,
-            rows_routed: take(5)?,
-            exchange_bytes: take(6)?,
-            mem_bytes: take(7)?,
+            model: text("model")?.to_string(),
+            shard: num("shard")? as usize,
+            strategy: text("strategy")?.to_string(),
+            owned: num("owned")?,
+            locals: num("locals")?,
+            halo: num("halo")?,
+            edges: num("edges")?,
+            rows_routed: num("rows_routed")?,
+            exchange_bytes: num("exchange_bytes")?,
+            mem_bytes: num("mem_bytes")?,
         })
     }
 }
@@ -601,7 +609,11 @@ impl Engine {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fgserve-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
+                    .spawn(move || {
+                        while let Some(jobs) = shared.batcher.next_batch() {
+                            execute_batch(&shared, jobs);
+                        }
+                    })
                     .expect("spawn worker")
             })
             .collect();
@@ -630,6 +642,7 @@ impl Engine {
         // keeps the caller's buffer untouched (no copy, no rounding).
         let features = FeatureTensor::from_f32(self.shared.cfg.feature_dtype, features);
         let entry = Arc::new(ModelEntry {
+            name: name.to_string(),
             graph_id,
             graph,
             features,
@@ -680,8 +693,7 @@ impl Engine {
     /// Admit a request. Fails fast (without queueing) on unknown model,
     /// out-of-range node, full queue, or shutdown.
     pub fn submit(&self, req: InferRequest) -> Result<Ticket, ServeError> {
-        let trace = self.mint_trace();
-        self.submit_traced(req, trace)
+        self.submit_traced(req, self.mint_trace())
     }
 
     /// [`submit`](Self::submit) with a caller-minted [`TraceContext`]
@@ -692,60 +704,22 @@ impl Engine {
         req: InferRequest,
         trace: TraceContext,
     ) -> Result<Ticket, ServeError> {
-        counter_add(Counter::ServeRequests, 1);
-        // Memory-budget admission gate: shed before this request allocates
-        // anything (no job, no oneshot, no queue slot) while the accounted
-        // footprint is over budget.
-        let budget = self.shared.cfg.mem_budget;
-        if budget > 0 && fg_telemetry::mem_total_current() > budget {
-            counter_add(Counter::ServeMemShed, 1);
-            self.shared.stats.mem_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::OverMemoryBudget);
-        }
-        let entry = self
-            .shared
-            .models
-            .read()
-            .unwrap()
-            .get(&req.model)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel(req.model.clone()))?;
-        let vertices = entry.graph.num_vertices();
-        if req.node >= vertices {
-            return Err(ServeError::BadRequest(format!(
-                "node {} out of range (graph has {vertices} vertices)",
-                req.node
-            )));
-        }
-        let now = Instant::now();
-        let deadline = req
-            .deadline
-            .or(self.shared.cfg.default_deadline)
-            .map(|d| now + d);
-        let reply = Arc::new(Oneshot::new());
-        let job = Job {
-            model: req.model,
-            payload: Payload::Node {
-                node: req.node,
-                reply: Arc::clone(&reply),
-            },
-            accepted: now,
-            accept_ns: if trace.sampled { timestamp_ns() } else { 0 },
-            deadline,
+        self.admit(
+            req.model,
+            vec![req.node],
+            "node",
+            req.deadline,
             trace,
-        };
-        match self.push_job(job) {
-            Ok(()) => Ok(Ticket { reply }),
-            Err(e) => Err(e),
-        }
+            |_| Ok(View::Full),
+        )
     }
 
-    /// Admit a seeded (sampled-subgraph) request. Same admission gates as
+    /// Admit a seeded request. Same admission gates as
     /// [`submit`](Self::submit); additionally rejects empty seed sets,
-    /// out-of-range seeds, and empty fanout lists before queueing.
+    /// fanout lists shorter than the model is deep, and malformed `feats`
+    /// before queueing.
     pub fn submit_seeds(&self, req: InferSeedsRequest) -> Result<SeedsTicket, ServeError> {
-        let trace = self.mint_trace();
-        self.submit_seeds_traced(req, trace)
+        self.submit_seeds_traced(req, self.mint_trace())
     }
 
     /// [`submit_seeds`](Self::submit_seeds) with a caller-minted
@@ -755,94 +729,81 @@ impl Engine {
         req: InferSeedsRequest,
         trace: TraceContext,
     ) -> Result<SeedsTicket, ServeError> {
+        let InferSeedsRequest {
+            model,
+            seeds,
+            fanouts,
+            sample_seed,
+            feats,
+            deadline,
+        } = req;
+        let rows = seeds.len();
+        self.admit(model, seeds, "seed", deadline, trace, move |entry| {
+            seeds_view(entry, rows, fanouts, sample_seed, feats)
+        })
+    }
+
+    /// The one admission path: gate, validate, build the job, queue it.
+    /// `noun` names a row in range errors; `view` validates the
+    /// request-kind-specific half against the resolved model and picks the
+    /// job's view.
+    fn admit<R>(
+        &self,
+        model: String,
+        rows: Vec<usize>,
+        noun: &str,
+        deadline: Option<Duration>,
+        trace: TraceContext,
+        view: impl FnOnce(&ModelEntry) -> Result<View, ServeError>,
+    ) -> Result<Pending<R>, ServeError> {
+        let shared = &self.shared;
         counter_add(Counter::ServeRequests, 1);
-        let budget = self.shared.cfg.mem_budget;
+        // Memory-budget admission gate: shed before this request allocates
+        // anything (no job, no oneshot, no queue slot) while the accounted
+        // footprint is over budget.
+        let budget = shared.cfg.mem_budget;
         if budget > 0 && fg_telemetry::mem_total_current() > budget {
             counter_add(Counter::ServeMemShed, 1);
-            self.shared.stats.mem_shed.fetch_add(1, Ordering::Relaxed);
+            shared.stats.mem_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::OverMemoryBudget);
         }
-        let entry = self
-            .shared
-            .models
-            .read()
-            .unwrap()
-            .get(&req.model)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel(req.model.clone()))?;
-        if req.seeds.is_empty() {
+        let entry = shared.models.read().unwrap().get(&model).cloned();
+        let Some(entry) = entry else {
+            return Err(ServeError::UnknownModel(model));
+        };
+        if rows.is_empty() {
             return Err(ServeError::BadRequest("no seed vertices".into()));
         }
         let vertices = entry.graph.num_vertices();
-        if let Some(&node) = req.seeds.iter().find(|&&s| s >= vertices) {
+        if let Some(&v) = rows.iter().find(|&&v| v >= vertices) {
             return Err(ServeError::BadRequest(format!(
-                "seed {node} out of range (graph has {vertices} vertices)"
+                "{noun} {v} out of range (graph has {vertices} vertices)"
             )));
         }
-        let fanouts = match req.fanouts {
-            Some(f) if f.is_empty() => {
-                return Err(ServeError::BadRequest("empty fanout list".into()));
-            }
-            Some(f) => f,
-            None => vec![FULL_FANOUT; DEFAULT_SAMPLE_HOPS],
-        };
-        if let Some(feats) = &req.feats {
-            if feats.rows() != req.seeds.len() {
-                return Err(ServeError::BadRequest(format!(
-                    "feats has {} rows for {} seeds",
-                    feats.rows(),
-                    req.seeds.len()
-                )));
-            }
-            if feats.cols() != entry.features.cols() {
-                return Err(ServeError::BadRequest(format!(
-                    "feats width {} does not match model feature width {}",
-                    feats.cols(),
-                    entry.features.cols()
-                )));
-            }
-            if let Some(bad) = feats.as_slice().iter().find(|v| !v.is_finite()) {
-                return Err(ServeError::BadRequest(format!(
-                    "non-finite feature value {bad}"
-                )));
-            }
-        }
+        let view = view(&entry)?;
         let now = Instant::now();
-        let deadline = req
-            .deadline
-            .or(self.shared.cfg.default_deadline)
-            .map(|d| now + d);
         let reply = Arc::new(Oneshot::new());
         let job = Job {
-            model: req.model,
-            payload: Payload::Seeds {
-                seeds: req.seeds,
-                fanouts,
-                sample_seed: req.sample_seed,
-                feats: req.feats,
-                reply: Arc::clone(&reply),
-            },
+            entry,
+            rows,
+            view,
+            reply: Arc::clone(&reply),
             accepted: now,
             accept_ns: if trace.sampled { timestamp_ns() } else { 0 },
-            deadline,
+            deadline: deadline.or(shared.cfg.default_deadline).map(|d| now + d),
             trace,
         };
-        match self.push_job(job) {
-            Ok(()) => Ok(SeedsTicket { reply }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Queue one validated job, updating accept/shed accounting.
-    fn push_job(&self, job: Job) -> Result<(), ServeError> {
-        match self.shared.batcher.push(job) {
+        match shared.batcher.push(job) {
             Ok(()) => {
-                self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                Ok(Pending {
+                    reply,
+                    shape: PhantomData,
+                })
             }
             Err(PushError::Overloaded(_)) => {
                 counter_add(Counter::ServeShed, 1);
-                self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+                shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::Overloaded)
             }
             Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
@@ -1077,22 +1038,82 @@ impl MemoryReport {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>) {
-    while let Some(jobs) = shared.batcher.next_batch() {
-        execute_batch(&shared, jobs);
+/// Validate the sampling half of a seeds request against its model and
+/// pick the view that answers it (the routing rule of the
+/// [module docs](self)).
+fn seeds_view(
+    entry: &ModelEntry,
+    seeds: usize,
+    fanouts: Option<Vec<usize>>,
+    sample_seed: u64,
+    feats: Option<Dense2<f32>>,
+) -> Result<View, ServeError> {
+    // Fewer hops than layers would starve the deeper aggregations: the
+    // reply would be computed, silently, from a truncated neighborhood.
+    let layers = entry.model.num_layers().max(1);
+    let fanouts = match fanouts {
+        Some(f) if f.len() < layers => {
+            return Err(ServeError::BadRequest(format!(
+                "fanout list covers {} hops, model has {layers} layers",
+                f.len()
+            )));
+        }
+        Some(f) => f,
+        None => vec![FULL_FANOUT; DEFAULT_SAMPLE_HOPS.max(layers)],
+    };
+    if let Some(feats) = &feats {
+        if feats.rows() != seeds {
+            return Err(ServeError::BadRequest(format!(
+                "feats has {} rows for {seeds} seeds",
+                feats.rows()
+            )));
+        }
+        if feats.cols() != entry.features.cols() {
+            return Err(ServeError::BadRequest(format!(
+                "feats width {} does not match model feature width {}",
+                feats.cols(),
+                entry.features.cols()
+            )));
+        }
+        if let Some(bad) = feats.as_slice().iter().find(|v| !v.is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "non-finite feature value {bad}"
+            )));
+        }
+    }
+    if entry.sharded.is_some() && feats.is_none() && fanouts.iter().all(|&f| f == FULL_FANOUT) {
+        Ok(View::Full)
+    } else {
+        let cfg = SampleConfig::new(fanouts, sample_seed);
+        Ok(View::Sampled { cfg, feats })
     }
 }
+
+/// Engine-side durations of one pass. `sample` and `exchange` are `Some`
+/// exactly when that step ran — the phase rule in [`complete`] keys on it.
+#[derive(Clone, Copy)]
+struct Timings {
+    sample: Option<Duration>,
+    compile: Duration,
+    execute: Duration,
+    exchange: Option<Duration>,
+}
+
+/// What a pass hands [`complete`] for one job: its logits rows, the pass's
+/// timings, and the `(vertices, edges)` of the graph slice behind them.
+type Outcome = Result<(Vec<Vec<f32>>, Timings, (usize, usize)), ServeError>;
 
 fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     let pulled = Instant::now();
     let pulled_ns = timestamp_ns();
-    // A batch may mix jobs from several traces; parent the batch span under
-    // the first sampled one so at least one trace tree shows batch context.
-    let batch_trace = jobs
-        .iter()
-        .find(|j| j.trace.sampled)
-        .map_or(TraceContext::NONE, |j| j.trace);
-    let _batch_scope = TraceScope::enter(batch_trace);
+    // A batch (and a model group) may mix jobs from several traces; parent
+    // its spans under the first sampled one so at least one trace tree
+    // shows batch context.
+    let lead_trace = |jobs: &[Job]| {
+        let sampled = jobs.iter().find(|j| j.trace.sampled);
+        sampled.map_or(TraceContext::NONE, |j| j.trace)
+    };
+    let _batch_scope = TraceScope::enter(lead_trace(&jobs));
     let _span = span!("serve/batch", "jobs={}", jobs.len());
     counter_add(Counter::ServeBatches, 1);
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -1102,7 +1123,7 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
         if job.trace.sampled && job.accept_ns != 0 && pulled_ns > job.accept_ns {
             emit_span(
                 "serve/queue_wait",
-                Some(job.payload.desc()),
+                Some(format!("rows={}", job.rows.len())),
                 job.accept_ns,
                 pulled_ns - job.accept_ns,
                 job.trace.trace_id,
@@ -1118,109 +1139,136 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     let (live, expired): (Vec<Job>, Vec<Job>) = jobs
         .into_iter()
         .partition(|j| j.deadline.is_none_or(|d| now < d));
-    for job in expired {
-        counter_add(Counter::ServeTimeouts, 1);
-        shared.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-        // A timed-out request still gets its terminal phase on the books:
-        // everything it did was wait in the queue. Without this, shed-by-
-        // deadline traffic was invisible to per-phase attribution (the
-        // timeout counter moved but no queue_wait samples arrived with it).
-        shared
-            .stats
-            .record_phase(Phase::QueueWait, now.duration_since(job.accepted));
-        job.fail(ServeError::Timeout);
+    for job in &expired {
+        complete(
+            shared,
+            job,
+            pulled,
+            Duration::ZERO,
+            Err(ServeError::Timeout),
+        );
     }
 
-    // Group by model so full-graph requests of a group share one forward
-    // pass (seeded requests in the group run per-request on their own
-    // subgraph afterwards).
-    let mut groups: HashMap<String, Vec<Job>> = HashMap::new();
+    // Group by registration: the `Full` jobs of a group share one forward
+    // pass, its `Sampled` jobs run per request on their own subgraph
+    // afterwards.
+    let mut groups: HashMap<u64, Vec<Job>> = HashMap::new();
     for job in live {
-        groups.entry(job.model.clone()).or_default().push(job);
+        groups.entry(job.entry.graph_id).or_default().push(job);
     }
-    for (model_name, group) in groups {
-        let group_start = Instant::now();
+    for group in groups.into_values() {
         // Phase accounting sees the group through this batch's clock:
         // batch_form covers pull → this group's start (deadline filtering,
         // grouping, earlier groups in the same batch).
-        let batch_form = group_start.duration_since(pulled);
-        let group_trace = group
+        let batch_form = pulled.elapsed();
+        let _group_scope = TraceScope::enter(lead_trace(&group));
+        let entry = &*group[0].entry;
+        let full: Vec<&Job> = group
             .iter()
-            .find(|j| j.trace.sampled)
-            .map_or(TraceContext::NONE, |j| j.trace);
-        let _group_scope = TraceScope::enter(group_trace);
-        let entry = shared.models.read().unwrap().get(&model_name).cloned();
-        let Some(entry) = entry else {
-            // Model was unregistered between submit and execution.
-            for job in group {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                job.fail(ServeError::UnknownModel(model_name.clone()));
+            .filter(|j| matches!(j.view, View::Full))
+            .collect();
+        if !full.is_empty() {
+            let rows: Vec<usize> = full.iter().flat_map(|j| j.rows.iter().copied()).collect();
+            match run_full(shared, entry, &rows) {
+                // Scatter: each job takes its rows off the front of the
+                // pass's output, in concatenation order. Every job waited
+                // through the whole compile and pass, so each gets the full
+                // durations: per-request phases then sum to its own latency.
+                Ok((out, timings)) => {
+                    let mut out = out.into_iter();
+                    for job in full {
+                        let mine = out.by_ref().take(job.rows.len()).collect();
+                        let dims = entry.slice_dims(&job.rows);
+                        complete(shared, job, pulled, batch_form, Ok((mine, timings, dims)));
+                    }
+                }
+                Err(err) => {
+                    for job in full {
+                        complete(shared, job, pulled, batch_form, Err(err.clone()));
+                    }
+                }
             }
-            continue;
-        };
-        let (node_jobs, seed_jobs): (Vec<Job>, Vec<Job>) = group
-            .into_iter()
-            .partition(|j| matches!(j.payload, Payload::Node { .. }));
-        if !node_jobs.is_empty() {
-            execute_node_group(shared, &model_name, &entry, node_jobs, pulled, batch_form);
         }
-        for job in seed_jobs {
-            execute_seeds_job(shared, &model_name, &entry, job, pulled, batch_form);
+        for job in &group {
+            if let View::Sampled { cfg, feats } = &job.view {
+                let outcome = run_sampled(shared, entry, &job.rows, cfg, feats.as_ref());
+                complete(shared, job, pulled, batch_form, outcome);
+            }
         }
     }
 }
 
-/// One batched full-graph forward pass answering every node job in the
-/// group.
-fn execute_node_group(
+/// The one plan-cache lookup: owns the hit/miss counters and the
+/// `serve/plan_compile` span. Returns the plan and how long a miss spent
+/// building it (zero on a hit).
+fn lookup_plan(
     shared: &Shared,
-    model_name: &str,
-    entry: &ModelEntry,
-    group: Vec<Job>,
-    pulled: Instant,
-    batch_form: Duration,
-) {
-    let nodes: Vec<usize> = group
-        .iter()
-        .map(|j| match j.payload {
-            Payload::Node { node, .. } => node,
-            Payload::Seeds { .. } => unreachable!("seeds job in node group"),
-        })
-        .collect();
+    key: &PlanKey,
+    build: impl FnOnce() -> (CachedPlan, u64),
+) -> (Arc<CachedPlan>, Duration) {
     let mut compile = Duration::ZERO;
-    let (result, execute, exchange) = if let Some(sharded) = entry.sharded.as_ref() {
-        run_sharded_rows(shared, model_name, entry, sharded, &nodes, &mut compile)
+    let (plan, hit) = shared.plans.get_or_insert(key, || {
+        let _compile_span = span!("serve/plan_compile", "model={} {}", key.model, key.options);
+        let t0 = Instant::now();
+        let built = build();
+        compile = t0.elapsed();
+        built
+    });
+    let slot = if hit {
+        &shared.stats.plan_hits
     } else {
-        let key = PlanKey::cpu(entry.graph_id, model_name, shared.cfg.kernel_threads)
-            .with_dtype(entry.features.dtype());
-        let (plan, hit) = shared.plans.get_or_insert(&key, || {
-            let _compile_span = span!("serve/plan_compile", "model={model_name}");
-            let t0 = Instant::now();
-            let backend = FeatgraphBackend::cpu(shared.cfg.kernel_threads);
-            compile = t0.elapsed();
-            // Plans compile lazily per feature dim; the real cost lands via
-            // note_cost after each batch.
-            (CachedPlan::Full(backend), 0)
-        });
-        let slot = if hit {
-            &shared.stats.plan_hits
-        } else {
-            &shared.stats.plan_misses
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-        let CachedPlan::Full(backend) = &*plan else {
-            // Full-graph, sampled, and sharded keys live in disjoint options
-            // namespaces.
-            unreachable!("full-graph plan key resolved to a non-full plan");
-        };
+        &shared.stats.plan_misses
+    };
+    slot.fetch_add(1, Ordering::Relaxed);
+    (plan, compile)
+}
 
+/// The one forward pass behind every `Full` view of a model group: the
+/// logits rows of `rows`, in order. Sharding is a property of how the pass
+/// runs — with [`ModelEntry::sharded`] set it is a scatter-gather across
+/// the shard workers ([`infer_sharded`]) and its wall time is split into
+/// compute (wall − exchange) and halo exchange so the two phases stay
+/// additive; otherwise it is one [`infer_batch`].
+fn run_full(
+    shared: &Shared,
+    entry: &ModelEntry,
+    rows: &[usize],
+) -> Result<(Vec<Vec<f32>>, Timings), ServeError> {
+    let threads = shared.cfg.kernel_threads;
+    let model_name = entry.name.as_str();
+    let sharded = entry.sharded.as_ref();
+    let num_backends = sharded.map_or(1, |s| s.graph.num_shards());
+    let key = match sharded {
+        Some(s) => PlanKey::cpu_sharded(
+            entry.graph_id,
+            model_name,
+            threads,
+            num_backends,
+            s.graph.plan().strategy(),
+        ),
+        None => PlanKey::cpu(entry.graph_id, model_name, threads),
+    }
+    .with_dtype(entry.features.dtype());
+    let (plan, compile) = lookup_plan(shared, &key, || {
+        let backends = (0..num_backends)
+            .map(|_| FeatgraphBackend::cpu(threads))
+            .collect();
+        // Plans compile lazily per feature dim; the real cost lands via
+        // note_cost after each pass.
+        (CachedPlan::Backends(backends), 0)
+    });
+    let (run, wall) = plan.with_backends(threads, |backends| {
         let exec_start = Instant::now();
-        let result = {
-            let _infer_span = span!("serve/infer", "model={model_name} nodes={}", nodes.len());
-            // Attribute the batch's tape/scratch allocations to the serve path.
+        let run = {
+            let _infer_span = span!(
+                "serve/infer",
+                "model={model_name} rows={} backends={num_backends}",
+                rows.len()
+            );
+            // Attribute the pass's tape/scratch allocations to the serve path.
             let _mem = MemScope::enter(MemComponent::ServeBatch);
             // F32 storage borrows the registered buffer directly; half
-            // storage widens once per batch group (the materialized copy is
+            // storage widens once per pass (the materialized copy is
             // scratch, charged to the serve batch).
             let widened;
             let features: &Dense2<f32> = match entry.features.as_f32() {
@@ -1230,257 +1278,62 @@ fn execute_node_group(
                     &widened
                 }
             };
-            infer_batch(entry.model.as_ref(), &entry.graph, features, backend, &nodes)
+            let model = entry.model.as_ref();
+            match sharded {
+                Some(s) => infer_sharded(model, &s.graph, features, backends, rows)
+                    .map(|mut run| (std::mem::take(&mut run.results), Some(run))),
+                None => infer_batch(model, &entry.graph, features, &backends[0], rows)
+                    .map(|out| (out, None)),
+            }
         };
-        let execute = exec_start.elapsed();
-        // Plans compile lazily per feature dim, so re-report the backend's
-        // plan bytes after every batch; this also drives LRU eviction.
-        shared.plans.note_cost(&key, backend.plan_mem_bytes());
-        (result, execute, Duration::ZERO)
-    };
-    match result {
-        Ok(rows) => {
-            for (job, logits) in group.into_iter().zip(rows) {
-                let class = argmax(&logits);
-                let total = job.accepted.elapsed();
-                // Every job in the group waited through the whole
-                // compile and forward pass, so each gets the full
-                // durations: per-request phases then sum to its own
-                // end-to-end latency.
-                let queue_wait = pulled.duration_since(job.accepted);
-                shared.stats.record_phase(Phase::QueueWait, queue_wait);
-                shared.stats.record_phase(Phase::BatchForm, batch_form);
-                shared.stats.record_phase(Phase::PlanCompile, compile);
-                shared.stats.record_phase(Phase::Execute, execute);
-                shared.stats.record_phase(Phase::Exchange, exchange);
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                shared.stats.latency.record(total);
-                let total_ms = total.as_secs_f64() * 1e3;
-                if shared.cfg.slow_ms.is_some_and(|t| total_ms >= t) {
-                    shared.slow_log.push(SlowEntry {
-                        seq: 0,
-                        trace_id: job.trace.trace_id,
-                        sampled: job.trace.sampled,
-                        model: model_name.to_string(),
-                        node: nodes_first(&job),
-                        total_ms,
-                        queue_ms: queue_wait.as_secs_f64() * 1e3,
-                        batch_ms: batch_form.as_secs_f64() * 1e3,
-                        sample_ms: 0.0,
-                        compile_ms: compile.as_secs_f64() * 1e3,
-                        execute_ms: (execute + exchange).as_secs_f64() * 1e3,
-                    });
-                }
-                match job.payload {
-                    Payload::Node { reply, .. } => {
-                        reply.send(Ok(InferResponse { class, logits }));
-                    }
-                    Payload::Seeds { .. } => unreachable!("seeds job in node group"),
-                }
-            }
-        }
-        Err(err) => {
-            let msg = err.to_string();
-            for job in group {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                job.fail(ServeError::Infer(msg.clone()));
-            }
-        }
-    }
-}
-
-/// Scatter-gather coordination for one sharded forward pass: fetch (or
-/// build) the per-shard backend set, run [`infer_sharded`] across the shard
-/// workers, and fold the run into the entry's per-shard counters. Returns
-/// the row results plus the execute time split into compute
-/// (wall − exchange) and halo-exchange components so the two phases stay
-/// additive in latency attribution.
-fn run_sharded_rows(
-    shared: &Shared,
-    model_name: &str,
-    entry: &ModelEntry,
-    sharded: &ShardedEntry,
-    nodes: &[usize],
-    compile: &mut Duration,
-) -> (
-    Result<Vec<Vec<f32>>, fg_gnn::InferError>,
-    Duration,
-    Duration,
-) {
-    let num_shards = sharded.graph.num_shards();
-    let key = PlanKey::cpu_sharded(
-        entry.graph_id,
-        model_name,
-        shared.cfg.kernel_threads,
-        num_shards,
-        sharded.graph.plan().strategy(),
-    )
-    .with_dtype(entry.features.dtype());
-    let (plan, hit) = shared.plans.get_or_insert(&key, || {
-        let _compile_span = span!("serve/plan_compile", "model={model_name} shards={num_shards}");
-        let t0 = Instant::now();
-        let backends: Vec<FeatgraphBackend> = (0..num_shards)
-            .map(|_| FeatgraphBackend::cpu(shared.cfg.kernel_threads))
-            .collect();
-        *compile = t0.elapsed();
-        // Plans compile lazily per feature dim; the real cost lands via
-        // note_cost after each batch.
-        (CachedPlan::Sharded(backends), 0)
+        let wall = exec_start.elapsed();
+        // Plans compile lazily per feature dim, so re-report the backends'
+        // plan bytes after every pass; this also drives LRU eviction.
+        let plan_bytes = backends.iter().map(|b| b.plan_mem_bytes()).sum();
+        shared.plans.note_cost(&key, plan_bytes);
+        (run, wall)
     });
-    let slot = if hit {
-        &shared.stats.plan_hits
-    } else {
-        &shared.stats.plan_misses
+    let (out, shard_run) = run.map_err(|e| ServeError::Infer(e.to_string()))?;
+    let exchange = sharded.zip(shard_run).map(|(s, run)| {
+        s.record_run(rows, &run);
+        // The slowest shard's exchange wait bounds the pass's exchange
+        // cost; subtracting it keeps Execute + Exchange additive.
+        Duration::from_nanos(run.exchange_ns_max())
+    });
+    let timings = Timings {
+        sample: None,
+        compile,
+        execute: wall.saturating_sub(exchange.unwrap_or_default()),
+        exchange,
     };
-    slot.fetch_add(1, Ordering::Relaxed);
-    let CachedPlan::Sharded(backends) = &*plan else {
-        // Full-graph, sampled, and sharded keys live in disjoint options
-        // namespaces.
-        unreachable!("sharded plan key resolved to a non-sharded plan");
-    };
-
-    let exec_start = Instant::now();
-    let run = {
-        let _infer_span = span!(
-            "serve/infer",
-            "model={model_name} nodes={} shards={num_shards}",
-            nodes.len()
-        );
-        // Attribute the batch's tape/scratch allocations to the serve path.
-        let _mem = MemScope::enter(MemComponent::ServeBatch);
-        let widened;
-        let features: &Dense2<f32> = match entry.features.as_f32() {
-            Some(f) => f,
-            None => {
-                widened = entry.features.to_f32();
-                &widened
-            }
-        };
-        infer_sharded(entry.model.as_ref(), &sharded.graph, features, backends, nodes)
-    };
-    let execute = exec_start.elapsed();
-    shared
-        .plans
-        .note_cost(&key, backends.iter().map(|b| b.plan_mem_bytes()).sum());
-    match run {
-        Ok(run) => {
-            // The slowest shard's exchange wait bounds the pass's exchange
-            // cost; subtracting it keeps Execute + Exchange additive.
-            let exchange = Duration::from_nanos(run.exchange_ns_max());
-            sharded.record_run(nodes, &run);
-            (Ok(run.results), execute.saturating_sub(exchange), exchange)
-        }
-        Err(err) => (Err(err), execute, Duration::ZERO),
-    }
+    Ok((out, timings))
 }
 
-/// One seeded request: sample the neighborhood, gather features, run the
-/// model on the induced subgraph, and scatter only the seed rows back.
-fn execute_seeds_job(
+/// One `Sampled` view: sample the neighborhood of `seeds`, gather its
+/// feature rows (with `feats` replacing the seeds' own), run the model on
+/// the induced subgraph under the shape bucket's cached schedule, and
+/// return only the seed rows.
+fn run_sampled(
     shared: &Shared,
-    model_name: &str,
     entry: &ModelEntry,
-    job: Job,
-    pulled: Instant,
-    batch_form: Duration,
-) {
-    let Payload::Seeds {
-        seeds,
-        fanouts,
-        sample_seed,
-        feats,
-        reply,
-    } = job.payload
-    else {
-        unreachable!("node job in seeds path");
-    };
-
-    // Sharded routing: under full fanout every vertex keeps all of its
-    // in-edges, so answering seeds from their owner shards is bitwise
-    // identical to the single-worker path. Capped fanouts stay on the
-    // sampled path — the sampler's RNG keying makes capped results depend
-    // on which vertices share a request, which shard-splitting would change.
-    // Requests carrying their own seed features also stay on the sampled
-    // path: the override rewrites gathered rows, which the sharded pass
-    // (reading the registered matrix in place) cannot do.
-    if let Some(sharded) = entry.sharded.as_ref() {
-        if feats.is_none() && fanouts.iter().all(|&f| f == FULL_FANOUT) {
-            let mut compile = Duration::ZERO;
-            let (result, execute, exchange) =
-                run_sharded_rows(shared, model_name, entry, sharded, &seeds, &mut compile);
-            match result {
-                Ok(rows) => {
-                    let results: Vec<InferResponse> = rows
-                        .into_iter()
-                        .map(|logits| InferResponse {
-                            class: argmax(&logits),
-                            logits,
-                        })
-                        .collect();
-                    let (sub_vertices, sub_edges) = sharded.touched_sizes(&seeds);
-                    let total = job.accepted.elapsed();
-                    let queue_wait = pulled.duration_since(job.accepted);
-                    shared.stats.record_phase(Phase::QueueWait, queue_wait);
-                    shared.stats.record_phase(Phase::BatchForm, batch_form);
-                    shared.stats.record_phase(Phase::PlanCompile, compile);
-                    shared.stats.record_phase(Phase::Execute, execute);
-                    shared.stats.record_phase(Phase::Exchange, exchange);
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.latency.record(total);
-                    let total_ms = total.as_secs_f64() * 1e3;
-                    if shared.cfg.slow_ms.is_some_and(|t| total_ms >= t) {
-                        shared.slow_log.push(SlowEntry {
-                            seq: 0,
-                            trace_id: job.trace.trace_id,
-                            sampled: job.trace.sampled,
-                            model: model_name.to_string(),
-                            node: seeds.first().copied().unwrap_or(0),
-                            total_ms,
-                            queue_ms: queue_wait.as_secs_f64() * 1e3,
-                            batch_ms: batch_form.as_secs_f64() * 1e3,
-                            sample_ms: 0.0,
-                            compile_ms: compile.as_secs_f64() * 1e3,
-                            execute_ms: (execute + exchange).as_secs_f64() * 1e3,
-                        });
-                    }
-                    reply.send(Ok(SeedsResponse {
-                        results,
-                        sub_vertices,
-                        sub_edges,
-                    }));
-                }
-                Err(err) => {
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    reply.send(Err(ServeError::Infer(err.to_string())));
-                }
-            }
-            return;
-        }
-    }
-
-    let cfg = SampleConfig::new(fanouts, sample_seed);
-
+    seeds: &[usize],
+    cfg: &SampleConfig,
+    feats: Option<&Dense2<f32>>,
+) -> Outcome {
+    let model_name = entry.name.as_str();
     // Sample phase: neighborhood expansion + reindex + feature gather.
     let sample_start = Instant::now();
-    let prepared = {
+    let (sub, sub_gnn) = {
         let _sample_span = span!("serve/sample", "model={model_name} seeds={}", seeds.len());
-        prepare_seeds(&entry.graph, &seeds, &cfg)
+        prepare_seeds(&entry.graph, seeds, cfg).map_err(|e| ServeError::Infer(e.to_string()))?
     };
-    let (sub, sub_gnn) = match prepared {
-        Ok(p) => p,
-        Err(err) => {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            reply.send(Err(ServeError::Infer(err.to_string())));
-            return;
-        }
-    };
-    // The subgraph and its index maps live until the reply is built;
+    // The subgraph and its index maps live until the rows are returned;
     // account them so MEMORY answers show per-request sampling footprint.
     let _sampling_charge = MemCharge::new(MemComponent::Sampling, sub.mem_bytes());
     // Gather widens half-precision storage to f32 in the same pass that
     // materializes the subgraph's rows — no second conversion sweep.
     let mut gathered = entry.features.gather_rows_f32(sub.locals());
-    if let Some(feats) = &feats {
+    if let Some(feats) = feats {
         // Client-supplied rows replace the registered features for the
         // seeds only; sampled neighbors keep the stored rows.
         for (i, &local) in sub.seed_locals().iter().enumerate() {
@@ -1492,102 +1345,117 @@ fn execute_seeds_job(
     // Schedule lookup: subgraphs of similar size share a tuned partition
     // count via the shape-bucketed key; only bucket-cold requests pay the
     // autotune probe.
-    let key = PlanKey::cpu_sampled(
-        entry.graph_id,
-        model_name,
-        shared.cfg.kernel_threads,
-        sub.num_vertices(),
-        sub.num_edges(),
-    )
-    .with_dtype(entry.features.dtype());
-    let mut compile = Duration::ZERO;
-    let (plan, hit) = shared.plans.get_or_insert(&key, || {
-        let _compile_span = span!("serve/plan_compile", "model={model_name} sampled");
-        let t0 = Instant::now();
-        let partitions =
-            FeatgraphBackend::auto_partitions(sub_gnn.fwd(), entry.features.cols());
-        compile = t0.elapsed();
-        (CachedPlan::Sampled { partitions }, SAMPLED_SCHEDULE_COST)
+    let threads = shared.cfg.kernel_threads;
+    let dims = (sub.num_vertices(), sub.num_edges());
+    let key = PlanKey::cpu_sampled(entry.graph_id, model_name, threads, dims.0, dims.1)
+        .with_dtype(entry.features.dtype());
+    let (plan, compile) = lookup_plan(shared, &key, || {
+        let partitions = FeatgraphBackend::auto_partitions(sub_gnn.fwd(), entry.features.cols());
+        (CachedPlan::Schedule { partitions }, SAMPLED_SCHEDULE_COST)
     });
-    let slot = if hit {
-        &shared.stats.plan_hits
-    } else {
-        &shared.stats.plan_misses
-    };
-    slot.fetch_add(1, Ordering::Relaxed);
-    let partitions = match &*plan {
-        CachedPlan::Sampled { partitions } => *partitions,
-        // Full-graph, sampled, and sharded keys live in disjoint options
-        // namespaces.
-        _ => unreachable!("sampled plan key resolved to a non-sampled plan"),
-    };
-    let backend = FeatgraphBackend::cpu_with_partitions(shared.cfg.kernel_threads, partitions);
 
     let seed_locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
     let exec_start = Instant::now();
-    let result = {
+    let out = plan.with_backends(threads, |backends| {
         let _infer_span = span!(
             "serve/infer",
             "model={model_name} seeds={} sub_v={} sub_e={}",
             seeds.len(),
-            sub.num_vertices(),
-            sub.num_edges()
+            dims.0,
+            dims.1
         );
         let _mem = MemScope::enter(MemComponent::ServeBatch);
         infer_batch(
             entry.model.as_ref(),
             &sub_gnn,
             &gathered,
-            &backend,
+            &backends[0],
             &seed_locals,
         )
+    });
+    let timings = Timings {
+        sample: Some(sample),
+        compile,
+        execute: exec_start.elapsed(),
+        exchange: None,
     };
-    let execute = exec_start.elapsed();
-    match result {
-        Ok(rows) => {
-            let results: Vec<InferResponse> = rows
-                .into_iter()
-                .map(|logits| InferResponse {
-                    class: argmax(&logits),
-                    logits,
-                })
-                .collect();
-            let total = job.accepted.elapsed();
-            let queue_wait = pulled.duration_since(job.accepted);
-            shared.stats.record_phase(Phase::QueueWait, queue_wait);
-            shared.stats.record_phase(Phase::BatchForm, batch_form);
-            shared.stats.record_phase(Phase::Sample, sample);
-            shared.stats.record_phase(Phase::PlanCompile, compile);
-            shared.stats.record_phase(Phase::Execute, execute);
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.latency.record(total);
-            let total_ms = total.as_secs_f64() * 1e3;
-            if shared.cfg.slow_ms.is_some_and(|t| total_ms >= t) {
-                shared.slow_log.push(SlowEntry {
-                    seq: 0,
-                    trace_id: job.trace.trace_id,
-                    sampled: job.trace.sampled,
-                    model: model_name.to_string(),
-                    node: seeds.first().copied().unwrap_or(0),
-                    total_ms,
-                    queue_ms: queue_wait.as_secs_f64() * 1e3,
-                    batch_ms: batch_form.as_secs_f64() * 1e3,
-                    sample_ms: sample.as_secs_f64() * 1e3,
-                    compile_ms: compile.as_secs_f64() * 1e3,
-                    execute_ms: execute.as_secs_f64() * 1e3,
-                });
-            }
-            reply.send(Ok(SeedsResponse {
-                results,
-                sub_vertices: sub.num_vertices(),
-                sub_edges: sub.num_edges(),
-            }));
-        }
+    let out = out.map_err(|e| ServeError::Infer(e.to_string()))?;
+    Ok((out, timings, dims))
+}
+
+/// The one place a job ends: phase samples, latency and outcome counters,
+/// the slow log, and the reply.
+///
+/// Phase rule — a completed request records `queue_wait`, `batch_form`,
+/// `plan_compile` and `execute` always; `sample` iff it ran a `Sampled`
+/// view; `exchange` iff its pass was sharded (so the `exchange` series of
+/// an unsharded engine, and the `sample` series of one that only answers
+/// `INFER`, stay empty rather than filling with zeros). A timed-out request
+/// records its terminal `queue_wait` only — everything it did was wait —
+/// so the timeout counter and the phase series move together. A failed
+/// request records no phases. `serialize` belongs to the front-end
+/// ([`Engine::record_serialize`]).
+fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, outcome: Outcome) {
+    let stats = &shared.stats;
+    let (out, t, (sub_vertices, sub_edges)) = match outcome {
+        Ok(done) => done,
         Err(err) => {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            reply.send(Err(ServeError::Infer(err.to_string())));
+            if err == ServeError::Timeout {
+                counter_add(Counter::ServeTimeouts, 1);
+                stats.timed_out.fetch_add(1, Ordering::Relaxed);
+                stats.record_phase(Phase::QueueWait, job.accepted.elapsed());
+            } else {
+                stats.failed.fetch_add(1, Ordering::Relaxed);
+            }
+            job.reply.send(Err(err));
+            return;
+        }
+    };
+    let total = job.accepted.elapsed();
+    let queue_wait = pulled.duration_since(job.accepted);
+    let phases = [
+        (Phase::QueueWait, Some(queue_wait)),
+        (Phase::BatchForm, Some(batch_form)),
+        (Phase::Sample, t.sample),
+        (Phase::PlanCompile, Some(t.compile)),
+        (Phase::Execute, Some(t.execute)),
+        (Phase::Exchange, t.exchange),
+    ];
+    for (phase, dur) in phases {
+        if let Some(dur) = dur {
+            stats.record_phase(phase, dur);
         }
     }
+    stats.completed.fetch_add(1, Ordering::Relaxed);
+    stats.latency.record(total);
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    if shared.cfg.slow_ms.is_some_and(|slow| ms(total) >= slow) {
+        shared.slow_log.push(SlowEntry {
+            seq: 0,
+            trace_id: job.trace.trace_id,
+            sampled: job.trace.sampled,
+            model: job.entry.name.clone(),
+            node: job.rows[0],
+            total_ms: ms(total),
+            queue_ms: ms(queue_wait),
+            batch_ms: ms(batch_form),
+            sample_ms: ms(t.sample.unwrap_or_default()),
+            compile_ms: ms(t.compile),
+            execute_ms: ms(t.execute + t.exchange.unwrap_or_default()),
+        });
+    }
+    let results = out
+        .into_iter()
+        .map(|logits| InferResponse {
+            class: argmax(&logits),
+            logits,
+        })
+        .collect();
+    job.reply.send(Ok(SeedsResponse {
+        results,
+        sub_vertices,
+        sub_edges,
+    }));
 }
 
 /// Index of the largest logit (ties break low, matching training's argmax).
@@ -1597,12 +1465,4 @@ fn argmax(logits: &[f32]) -> usize {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map_or(0, |(i, _)| i)
-}
-
-/// The node a slow-log entry should name for a node job.
-fn nodes_first(job: &Job) -> usize {
-    match &job.payload {
-        Payload::Node { node, .. } => *node,
-        Payload::Seeds { seeds, .. } => seeds.first().copied().unwrap_or(0),
-    }
 }

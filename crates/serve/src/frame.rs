@@ -143,28 +143,34 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// Validate a frame header (a frame's first [`HEADER_LEN`] bytes): its type
+/// byte and payload length. Shared by [`read_frame`] and the server's
+/// buffered extraction.
+pub fn parse_header(header: &[u8]) -> Result<(u8, usize), FrameError> {
+    if header[..4] != MAGIC {
+        return Err(FrameError::BadMagic([
+            header[0], header[1], header[2], header[3],
+        ]));
+    }
+    if header[5..8] != [0; 3] {
+        return Err(FrameError::Malformed("non-zero reserved header bytes".into()));
+    }
+    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    if len > MAX_PAYLOAD {
+        return Err(FrameError::Oversized(len));
+    }
+    Ok((header[4], len as usize))
+}
+
 /// Read one frame. `magic_consumed` says the caller already read (and
 /// verified) the four magic bytes — the negotiation sniff does this for a
 /// connection's first frame.
 pub fn read_frame(r: &mut impl Read, magic_consumed: bool) -> Result<Frame, FrameError> {
-    if !magic_consumed {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-    }
-    let mut rest = [0u8; HEADER_LEN - 4];
-    r.read_exact(&mut rest)?;
-    let ty = rest[0];
-    if rest[1] != 0 || rest[2] != 0 || rest[3] != 0 {
-        return Err(FrameError::Malformed("non-zero reserved header bytes".into()));
-    }
-    let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    r.read_exact(&mut header[if magic_consumed { 4 } else { 0 }..])?;
+    let (ty, len) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Frame { ty, payload })
 }

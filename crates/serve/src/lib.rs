@@ -1,42 +1,48 @@
 //! # fg-serve — batched, backpressured GNN inference serving
 //!
-//! An embedded inference engine over the `fg-gnn` stack: concurrent
-//! single-node requests are coalesced into batches on a
-//! **deadline-or-size** trigger, answered by **one** full-graph forward
-//! pass per batch, and executed against a **compiled-plan cache** so every
-//! batch after the first skips kernel compilation. No async runtime — the
-//! batching queue, reply channels, and worker pool are hand-rolled on
-//! `std::sync` primitives, matching the workspace's no-external-deps rule.
+//! An embedded inference engine over the `fg-gnn` stack with **one request
+//! path**: `INFER` or `INFER_SEEDS`, text or binary, sharded engine or not,
+//! a request becomes one job shape, runs through one executor and ends in
+//! one completion. No async runtime — the queue, reply channels and worker
+//! pool are hand-rolled on `std::sync` (the workspace's no-external-deps rule).
 //!
 //! ```text
-//!  clients ──INFER──▶ admission ──▶ [bounded queue] ──▶ worker pool
-//!                        │shed           │deadline-or-size   │
-//!                        ▼               ▼ batches           ▼
-//!                  ERR overloaded   Batcher<Job>     infer_batch (1 fwd pass)
-//!                                                        │
-//!                                   PlanCache(graph,model,opts) ─▶ kernels
+//!  text line ─┐                                     ┌─▶ format_reply ─▶ text
+//!             ├─▶ Request ─▶ dispatch ─▶ WireReply ─┤
+//!  FGB1 frame ┘                │                    └─▶ encode_reply ─▶ frame
+//!                              ▼ INFER / INFER_SEEDS
+//!   admit ─▶ Job{model, rows, view} ─▶ Batcher ─▶ execute ─▶ complete
+//!     │ shed: ERR overloaded             │ deadline-or-size batches
 //! ```
+//!
+//! `execute` answers all `Full`-view jobs of a model group with **one**
+//! forward pass (one backend, or N shard workers with a halo exchange) and
+//! each `Sampled`-view job on its own sampled subgraph, both against the
+//! compiled-plan cache. The job shape, the rule that routes a seeds request
+//! to a view, and the rule for which latency phases a request records are
+//! stated once, in [`engine`].
 //!
 //! Layers:
 //!
+//! * [`protocol`] / [`frame`] — the two wire codecs. Both decode to one
+//!   [`protocol::Request`] and encode one [`frame::WireReply`]; a
+//!   connection's first four bytes pick its codec.
+//! * [`server`] — TCP front-end: a readiness-polled acceptor with a fixed
+//!   handler pool, and the single verb dispatcher both codecs share.
+//! * [`engine`] — admission control, per-request deadlines, the worker
+//!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
 //! * [`batcher`] — bounded MPSC queue with deadline-or-size dispatch and
 //!   overload shedding.
-//! * [`engine`] — admission control, per-request deadlines, worker pool,
-//!   graceful drain, typed [`engine::ServeError`]s.
-//! * [`plan_cache`] — `(graph id, model, options)` → compiled backend,
-//!   optionally **byte-bounded** with LRU eviction
-//!   ([`engine::ServeConfig::plan_cache_bytes`]).
-//! * [`stats`] — always-on p50/p95/p99 latency, **per-phase**
-//!   (queue-wait / batch-form / sample / plan-compile / execute /
-//!   exchange / serialize) quantiles, queue-depth/batch-size
-//!   distributions, event counters, and
-//!   the slow-request log (`fg-telemetry` counters/gauges/histograms ride
+//! * [`plan_cache`] — `(graph id, model, options)` → compiled backends or
+//!   a tuned sampled-subgraph schedule, optionally **byte-bounded** with
+//!   LRU eviction ([`engine::ServeConfig::plan_cache_bytes`]).
+//! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
+//!   queue-depth/batch-size distributions, event counters, and the
+//!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
 //!   along when the `telemetry` feature is on).
 //! * [`metrics`] — Prometheus-style text exposition behind the `METRICS`
 //!   wire command (always-on `fgserve_*` series plus the telemetry
 //!   registry).
-//! * [`protocol`] / [`server`] — line-oriented TCP front-end for the
-//!   `fgserve` binary.
 //!
 //! Observability: every request gets a trace id from a 1-in-N
 //! [`fg_telemetry::TraceSampler`] ([`engine::ServeConfig::trace_sample`]);
@@ -67,7 +73,7 @@ pub mod stats;
 
 pub use batcher::{Batcher, BatcherConfig, PushError, QueueObserver};
 pub use engine::{
-    Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, SeedsResponse,
+    Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, Pending, SeedsResponse,
     SeedsTicket, ServeConfig, ServeError, ShardLine, ShardsReport, Ticket, DEFAULT_SAMPLE_HOPS,
 };
 pub use plan_cache::{PlanCache, PlanKey};

@@ -1,4 +1,7 @@
-//! Line-oriented wire protocol for the `fgserve` TCP front-end.
+//! Line-oriented wire protocol for the `fgserve` TCP front-end, and the
+//! [`Request`] both wire codecs decode to. [`parse_request`] /
+//! [`format_request`] and [`format_reply`] / [`read_reply`] are inverse
+//! pairs; the server uses the first of each, clients the second.
 //!
 //! Requests (one per line, space-separated, UTF-8):
 //!
@@ -43,8 +46,9 @@
 //!
 //! `INFER_SEEDS` answers its seed list by sampling a fanout-bounded
 //! neighborhood and running the model on the induced subgraph; `fanout`
-//! names per-hop in-neighbor caps (seed-side first) and defaults to full
-//! fanout over two hops, which reproduces full-graph logits bit-for-bit.
+//! names per-hop in-neighbor caps (seed-side first, at least one per model
+//! layer or the request is a `bad-request`) and defaults to full fanout
+//! over two hops, which reproduces full-graph logits bit-for-bit.
 //! One `SEED` line comes back per requested seed, in request order; the
 //! header carries the sampled subgraph's vertex/edge counts. A failed
 //! seeded request answers with a single ordinary `ERR` line.
@@ -63,11 +67,14 @@
 //! `over-memory-budget`, `timeout`, `unknown-model`, `bad-request`,
 //! `shutting-down`, `infer-failed`.
 
+use std::fmt::Write as _;
+use std::io::{self, BufRead};
 use std::time::Duration;
 
 use fg_tensor::Dense2;
 
 use crate::engine::{InferResponse, SeedsResponse, ServeError};
+use crate::frame::WireReply;
 
 /// Placeholder ID echoed when the client supplied none.
 pub const NO_ID: &str = "-";
@@ -125,6 +132,12 @@ pub enum Request {
 }
 
 impl Request {
+    /// Whether this verb runs inference (`INFER` / `INFER_SEEDS`): the
+    /// verbs whose reply write the front-end times as the `serialize` phase.
+    pub fn is_inference(&self) -> bool {
+        matches!(self, Request::Infer { .. } | Request::InferSeeds { .. })
+    }
+
     /// The deadline as a `Duration`, if any.
     pub fn deadline(&self) -> Option<Duration> {
         match self {
@@ -155,87 +168,69 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Ok(Request::SlowLog { limit })
         }
         "SHUTDOWN" => Ok(Request::Shutdown),
-        "INFER" => {
-            let model = parts
-                .next()
-                .ok_or("INFER needs: INFER <model> <node>")?
-                .to_string();
-            let node_tok = parts.next().ok_or("INFER needs: INFER <model> <node>")?;
-            let node: usize = node_tok
-                .parse()
-                .map_err(|_| format!("bad node {node_tok:?}"))?;
-            let mut id = None;
-            let mut deadline_ms = None;
+        // One shape for both inference verbs: a model, the rows wanted, and
+        // `key=value` options — `INFER` takes a single row and only the
+        // options every inference request takes.
+        "INFER" | "INFER_SEEDS" => {
+            let seeded = verb == "INFER_SEEDS";
+            let usage = if seeded {
+                "INFER_SEEDS needs: INFER_SEEDS <model> <s0,s1,...>"
+            } else {
+                "INFER needs: INFER <model> <node>"
+            };
+            let model = parts.next().ok_or(usage)?.to_string();
+            let rows_tok = parts.next().ok_or(usage)?;
+            let rows = if seeded {
+                parse_usize_list(rows_tok).map_err(|t| format!("bad seed {t:?}"))?
+            } else {
+                vec![rows_tok
+                    .parse()
+                    .map_err(|_| format!("bad node {rows_tok:?}"))?]
+            };
+            let (mut fanouts, mut sample_seed, mut feats) = (None, 0, None);
+            let (mut id, mut deadline_ms) = (None, None);
             for opt in parts {
-                if let Some(tok) = opt.strip_prefix("id=") {
-                    if tok.is_empty() {
-                        return Err("empty id=".into());
+                let unknown = || format!("unknown option {opt:?}");
+                let (key, tok) = opt.split_once('=').ok_or_else(unknown)?;
+                match key {
+                    "id" if tok.is_empty() => return Err("empty id=".into()),
+                    "id" => id = Some(tok.to_string()),
+                    "deadline_ms" => {
+                        let ms = tok
+                            .parse()
+                            .map_err(|_| format!("bad deadline_ms {tok:?}"))?;
+                        deadline_ms = Some(ms);
                     }
-                    id = Some(tok.to_string());
-                } else if let Some(ms) = opt.strip_prefix("deadline_ms=") {
-                    deadline_ms =
-                        Some(ms.parse().map_err(|_| format!("bad deadline_ms {ms:?}"))?);
-                } else {
-                    return Err(format!("unknown option {opt:?}"));
+                    "fanout" if seeded => {
+                        let f = parse_usize_list(tok).map_err(|t| format!("bad fanout {t:?}"))?;
+                        fanouts = Some(f);
+                    }
+                    "feats" if seeded => feats = Some(parse_feats(tok)?),
+                    "sample_seed" if seeded => {
+                        sample_seed = tok
+                            .parse()
+                            .map_err(|_| format!("bad sample_seed {tok:?}"))?;
+                    }
+                    _ => return Err(unknown()),
                 }
             }
-            Ok(Request::Infer {
-                model,
-                node,
-                id,
-                deadline_ms,
-            })
-        }
-        "INFER_SEEDS" => {
-            let model = parts
-                .next()
-                .ok_or("INFER_SEEDS needs: INFER_SEEDS <model> <s0,s1,...>")?
-                .to_string();
-            let seeds_tok = parts
-                .next()
-                .ok_or("INFER_SEEDS needs: INFER_SEEDS <model> <s0,s1,...>")?;
-            let seeds = parse_usize_list(seeds_tok).map_err(|t| format!("bad seed {t:?}"))?;
-            if seeds.is_empty() {
-                return Err("empty seed list".into());
-            }
-            let mut fanouts = None;
-            let mut sample_seed = 0;
-            let mut feats = None;
-            let mut id = None;
-            let mut deadline_ms = None;
-            for opt in parts {
-                if let Some(tok) = opt.strip_prefix("fanout=") {
-                    let f = parse_usize_list(tok).map_err(|t| format!("bad fanout {t:?}"))?;
-                    if f.is_empty() {
-                        return Err("empty fanout=".into());
-                    }
-                    fanouts = Some(f);
-                } else if let Some(tok) = opt.strip_prefix("feats=") {
-                    feats = Some(parse_feats(tok)?);
-                } else if let Some(tok) = opt.strip_prefix("sample_seed=") {
-                    sample_seed = tok
-                        .parse()
-                        .map_err(|_| format!("bad sample_seed {tok:?}"))?;
-                } else if let Some(tok) = opt.strip_prefix("id=") {
-                    if tok.is_empty() {
-                        return Err("empty id=".into());
-                    }
-                    id = Some(tok.to_string());
-                } else if let Some(ms) = opt.strip_prefix("deadline_ms=") {
-                    deadline_ms =
-                        Some(ms.parse().map_err(|_| format!("bad deadline_ms {ms:?}"))?);
-                } else {
-                    return Err(format!("unknown option {opt:?}"));
+            Ok(if seeded {
+                Request::InferSeeds {
+                    model,
+                    seeds: rows,
+                    fanouts,
+                    sample_seed,
+                    feats,
+                    id,
+                    deadline_ms,
                 }
-            }
-            Ok(Request::InferSeeds {
-                model,
-                seeds,
-                fanouts,
-                sample_seed,
-                feats,
-                id,
-                deadline_ms,
+            } else {
+                Request::Infer {
+                    model,
+                    node: rows[0],
+                    id,
+                    deadline_ms,
+                }
             })
         }
         other => Err(format!("unknown verb {other:?}")),
@@ -285,14 +280,78 @@ fn parse_feats(tok: &str) -> Result<Dense2<f32>, String> {
         .map_err(|e| format!("bad feats shape: {e}"))
 }
 
-/// Render a successful inference reply.
-pub fn format_ok(id: Option<&str>, resp: &InferResponse) -> String {
-    let mut line = format!("OK {} {}", id.unwrap_or(NO_ID), resp.class);
-    for logit in &resp.logits {
-        line.push(' ');
-        line.push_str(&format!("{logit}"));
+fn join<T: ToString>(items: &[T], sep: &str) -> String {
+    items.iter().map(T::to_string).collect::<Vec<_>>().join(sep)
+}
+
+/// Render a request as its text line (no trailing newline) — the inverse
+/// of [`parse_request`]. Floats print as their shortest round-tripping
+/// decimal, so `feats` survive bit-for-bit. An `id` must be one
+/// whitespace-free token, the text protocol's one limit the binary one
+/// lacks.
+pub fn format_request(req: &Request) -> String {
+    let mut line = match req {
+        Request::Ping => "PING".to_string(),
+        Request::Stats => "STATS".to_string(),
+        Request::Metrics => "METRICS".to_string(),
+        Request::Memory => "MEMORY".to_string(),
+        Request::Shards => "SHARDS".to_string(),
+        Request::SlowLog { limit: None } => "SLOWLOG".to_string(),
+        Request::SlowLog { limit: Some(n) } => format!("SLOWLOG {n}"),
+        Request::Shutdown => "SHUTDOWN".to_string(),
+        Request::Infer { model, node, .. } => format!("INFER {model} {node}"),
+        Request::InferSeeds {
+            model,
+            seeds,
+            fanouts,
+            sample_seed,
+            feats,
+            ..
+        } => {
+            let mut line = format!("INFER_SEEDS {model} {}", join(seeds, ","));
+            if let Some(fanouts) = fanouts {
+                let _ = write!(line, " fanout={}", join(fanouts, ","));
+            }
+            if let Some(feats) = feats {
+                let rows: Vec<String> =
+                    (0..feats.rows()).map(|r| join(feats.row(r), ",")).collect();
+                let _ = write!(line, " feats={}", rows.join(";"));
+            }
+            let _ = write!(line, " sample_seed={sample_seed}");
+            line
+        }
+    };
+    if let Request::Infer {
+        id, deadline_ms, ..
+    }
+    | Request::InferSeeds {
+        id, deadline_ms, ..
+    } = req
+    {
+        if let Some(id) = id {
+            let _ = write!(line, " id={id}");
+        }
+        if let Some(ms) = deadline_ms {
+            let _ = write!(line, " deadline_ms={ms}");
+        }
     }
     line
+}
+
+/// Render a successful inference reply.
+pub fn format_ok(id: Option<&str>, resp: &InferResponse) -> String {
+    let mut line = format!("OK {}", id.unwrap_or(NO_ID));
+    push_class_logits(&mut line, resp);
+    line
+}
+
+/// Append the ` <class> <logit0> <logit1> ...` tail of an `OK` or `SEED`
+/// line (the inverse of `parse_class_logits`).
+fn push_class_logits(line: &mut String, resp: &InferResponse) {
+    let _ = write!(line, " {}", resp.class);
+    for logit in &resp.logits {
+        let _ = write!(line, " {logit}");
+    }
 }
 
 /// Render a successful seeded reply as its multi-line wire form: the
@@ -311,11 +370,8 @@ pub fn format_seeds_ok(id: Option<&str>, seeds: &[usize], resp: &SeedsResponse) 
         resp.sub_edges,
     ));
     for (node, r) in seeds.iter().zip(&resp.results) {
-        let mut line = format!("SEED {node} {}", r.class);
-        for logit in &r.logits {
-            line.push(' ');
-            line.push_str(&format!("{logit}"));
-        }
+        let mut line = format!("SEED {node}");
+        push_class_logits(&mut line, r);
         lines.push(line);
     }
     lines
@@ -367,25 +423,130 @@ pub fn parse_seed_line(line: &str) -> Result<(usize, InferResponse), String> {
         .ok_or("SEED missing node")?
         .parse()
         .map_err(|_| "bad SEED node")?;
-    let class: usize = parts
-        .next()
-        .ok_or("SEED missing class")?
-        .parse()
-        .map_err(|_| "bad SEED class")?;
+    Ok((node, parse_class_logits(parts, "SEED")?))
+}
+
+/// Parse the `<class> <logit0> <logit1> ...` tail of an `OK` or `SEED` line.
+fn parse_class_logits<'a>(
+    mut parts: impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<InferResponse, String> {
+    let class = parts.next().ok_or(format!("{what} missing class"))?;
+    let class = class.parse().map_err(|_| format!("bad {what} class"))?;
     let logits = parts
         .map(|t| t.parse::<f32>().map_err(|_| format!("bad logit {t:?}")))
         .collect::<Result<Vec<f32>, String>>()?;
-    Ok((node, InferResponse { class, logits }))
+    Ok(InferResponse { class, logits })
 }
 
 /// Render a typed serving error.
 pub fn format_err(id: Option<&str>, err: &ServeError) -> String {
-    format!("ERR {} {} {err}", id.unwrap_or(NO_ID), err.code())
+    err_line(id.unwrap_or(NO_ID), err.code(), &err.to_string())
 }
 
-/// Render a malformed-line rejection.
-pub fn format_bad_request(msg: &str) -> String {
-    format!("ERR {NO_ID} bad-request {msg}")
+fn err_line(id: &str, code: &str, detail: &str) -> String {
+    format!("ERR {id} {code} {detail}")
+}
+
+/// Render any reply as the exact bytes a text connection receives, final
+/// newline included — the text counterpart of
+/// [`encode_reply`](crate::frame::encode_reply), so one
+/// [`WireReply`] serves both protocols.
+pub fn format_reply(reply: &WireReply) -> String {
+    let mut out = match reply {
+        WireReply::Ok { id, resp } => format_ok(Some(id), resp),
+        WireReply::Err { id, code, detail } => err_line(id, code, detail),
+        // Declared-count multi-line reply, MEMORY-style.
+        WireReply::Seeds { id, seeds, resp } => format_seeds_ok(Some(id), seeds, resp).join("\n"),
+        // Text bodies already carry their line breaks (METRICS ends with
+        // the "# EOF" terminator line clients read up to).
+        WireReply::Text(body) => return body.clone(),
+        WireReply::Pong => "PONG".to_string(),
+        WireReply::Bye => "BYE".to_string(),
+    };
+    out.push('\n');
+    out
+}
+
+/// Read `n` more lines of a multi-line reply, line endings kept.
+fn read_lines(reader: &mut impl BufRead, n: usize) -> io::Result<Vec<String>> {
+    let mut lines = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let mut line = String::new();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        lines.push(line);
+    }
+    Ok(lines)
+}
+
+/// Read one reply off a text connection (client side) — the inverse of
+/// [`format_reply`]. `Ok(None)` is a clean end of stream before the reply's
+/// first byte; a reply that does not parse is `InvalidData`.
+pub fn read_reply(reader: &mut impl BufRead) -> io::Result<Option<WireReply>> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut body = String::new();
+    if reader.read_line(&mut body)? == 0 {
+        return Ok(None);
+    }
+    let head = body.trim_end();
+    let reply = match head.split(' ').next().unwrap_or_default() {
+        "PONG" => WireReply::Pong,
+        "BYE" => WireReply::Bye,
+        "OK" | "ERR" => match parse_reply(head).map_err(bad)? {
+            Reply::Ok { id, class, logits } => WireReply::Ok {
+                id,
+                resp: InferResponse { class, logits },
+            },
+            // The detail is whatever follows `ERR <id> <code> `.
+            Reply::Err { id, code } => WireReply::Err {
+                detail: head.splitn(4, ' ').nth(3).unwrap_or_default().to_string(),
+                id,
+                code,
+            },
+        },
+        "SEEDS" => {
+            let header = parse_seeds_header(head).map_err(bad)?;
+            let mut seeds = Vec::with_capacity(header.count.min(1 << 16));
+            let mut results = Vec::with_capacity(header.count.min(1 << 16));
+            for line in read_lines(reader, header.count)? {
+                let (node, resp) = parse_seed_line(line.trim_end()).map_err(bad)?;
+                seeds.push(node);
+                results.push(resp);
+            }
+            WireReply::Seeds {
+                id: header.id,
+                seeds,
+                resp: SeedsResponse {
+                    results,
+                    sub_vertices: header.sub_vertices,
+                    sub_edges: header.sub_edges,
+                },
+            }
+        }
+        "STATS" => WireReply::Text(body),
+        // Declared-count bodies: `<VERB> <n>`, then n lines.
+        "MEMORY" | "SHARDS" | "SLOWLOG" => {
+            let count = head.split(' ').nth(1).and_then(|n| n.parse().ok());
+            let count = count.ok_or_else(|| bad(format!("bad line count in {head:?}")))?;
+            body.extend(read_lines(reader, count)?);
+            WireReply::Text(body)
+        }
+        // METRICS declares no count: it runs to its terminator line.
+        _ => {
+            let mut line = body.clone();
+            while line.trim_end() != "# EOF" {
+                line.clear();
+                if reader.read_line(&mut line)? == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                body.push_str(&line);
+            }
+            WireReply::Text(body)
+        }
+    };
+    Ok(Some(reply))
 }
 
 /// A parsed `OK`/`ERR` server reply, as seen by the bench client.
@@ -415,14 +576,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
     match parts.next() {
         Some("OK") => {
             let id = parts.next().ok_or("OK missing id")?.to_string();
-            let class: usize = parts
-                .next()
-                .ok_or("OK missing class")?
-                .parse()
-                .map_err(|_| "bad class")?;
-            let logits = parts
-                .map(|t| t.parse::<f32>().map_err(|_| format!("bad logit {t:?}")))
-                .collect::<Result<Vec<f32>, String>>()?;
+            let InferResponse { class, logits } = parse_class_logits(parts, "OK")?;
             Ok(Reply::Ok { id, class, logits })
         }
         Some("ERR") => {
@@ -615,6 +769,53 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn every_reply_round_trips_through_text() {
+        let row = |class, logits: &[f32]| InferResponse {
+            class,
+            logits: logits.to_vec(),
+        };
+        let replies = [
+            WireReply::Pong,
+            WireReply::Bye,
+            WireReply::Ok {
+                id: "c0".into(),
+                resp: row(2, &[-0.5, 0.25, 1.75e-7]),
+            },
+            WireReply::Err {
+                id: NO_ID.into(),
+                code: "bad-request".into(),
+                detail: "bad request: node 9 out of range (graph has 4 vertices)".into(),
+            },
+            WireReply::Seeds {
+                id: "c2".into(),
+                seeds: vec![9, 4],
+                resp: SeedsResponse {
+                    results: vec![row(1, &[0.5, 2.0]), row(0, &[3.25, -1.0])],
+                    sub_vertices: 17,
+                    sub_edges: 40,
+                },
+            },
+            WireReply::Text("STATS accepted=3 completed=3\n".into()),
+            WireReply::Text("MEMORY 2\nMEM component=features current=1 peak=2\nMEM total current=1\n".into()),
+            WireReply::Text("SHARDS 0\n".into()),
+            WireReply::Text("SLOWLOG 1\nSLOW seq=1 model=gcn\n".into()),
+            WireReply::Text("# TYPE fgserve_batches counter\nfgserve_batches_total 3\n# EOF\n".into()),
+        ];
+        // Back to back on one stream: each read stops at its reply's end.
+        let wire: String = replies.iter().map(format_reply).collect();
+        let mut reader = wire.as_bytes();
+        for reply in &replies {
+            assert_eq!(read_reply(&mut reader).unwrap().as_ref(), Some(reply));
+        }
+        assert_eq!(read_reply(&mut reader).unwrap(), None, "clean EOF");
+        // A reply cut short is an error, not a silent partial answer.
+        let cut = &wire.as_bytes()[..wire.find("SEED 4").unwrap()];
+        let mut reader = cut;
+        let outcome = std::iter::from_fn(|| read_reply(&mut reader).transpose()).last();
+        assert!(matches!(outcome, Some(Err(_))), "{outcome:?}");
     }
 
     #[test]

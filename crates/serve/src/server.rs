@@ -16,8 +16,11 @@
 //! onto the handler pool. Off Linux the same per-connection state machine
 //! runs on a blocking thread-per-connection fallback.
 //!
-//! Both wire protocols share the front-end. A connection's first bytes
-//! pick its mode: the [`crate::frame::MAGIC`] prefix selects the binary
+//! Both wire protocols share the front-end and everything behind the
+//! codec: a message decodes to a [`Request`], one `dispatch` implements each
+//! verb once, and its [`WireReply`] is encoded by the connection's codec.
+//! A connection's first bytes pick its mode: the [`crate::frame::MAGIC`]
+//! prefix selects the binary
 //! frame protocol for the connection's lifetime, anything else is parsed
 //! as text lines ([`crate::protocol`]). Replies always use the requesting
 //! connection's protocol. Malformed input — unparsable text line,
@@ -35,9 +38,9 @@ use std::time::Instant;
 
 use fg_telemetry::{span, TraceScope};
 
-use crate::engine::{Engine, InferRequest, InferSeedsRequest};
+use crate::engine::{Engine, InferRequest, InferSeedsRequest, ServeError};
 use crate::frame::{self, Frame, FrameError, WireReply, HEADER_LEN, MAGIC, MAX_PAYLOAD};
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Request, NO_ID};
 use crate::stats::ConnStats;
 
 /// Read chunk size for the handler drain loop.
@@ -131,19 +134,18 @@ fn handler_pool_size(configured: usize) -> usize {
 /// Wire mode, fixed by the connection's first bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Proto {
-    /// Not enough bytes seen yet to sniff.
-    Unknown,
-    /// Line-oriented text protocol.
+    /// Text lines ([`crate::protocol`]).
     Text,
-    /// Length-prefixed binary frame protocol.
+    /// Length-prefixed binary frames ([`crate::frame`]).
     Binary,
 }
 
-/// One live connection: its socket, negotiated protocol, and any bytes
-/// read but not yet forming a complete message.
+/// One live connection: its socket, negotiated protocol (`None` until
+/// enough bytes arrived to sniff it), and any bytes read but not yet
+/// forming a complete message.
 struct ConnState {
     stream: TcpStream,
-    proto: Proto,
+    proto: Option<Proto>,
     buf: Vec<u8>,
 }
 
@@ -158,10 +160,9 @@ enum ConnAction {
     Shutdown,
 }
 
-/// Drain readable bytes without blocking, process every complete message,
-/// and say what to do with the connection. Shared by the epoll handlers
-/// and the fallback threads (which call it after a blocking read instead
-/// of the nonblocking drain).
+/// One epoll service pass: drain readable bytes without blocking, process
+/// every complete message, and say what to do with the connection. (The
+/// fallback threads block in `read` and call [`process_buffer`] directly.)
 fn service_conn(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats) -> ConnAction {
     let mut saw_eof = false;
     if conn.stream.set_nonblocking(true).is_err() {
@@ -200,54 +201,78 @@ fn service_conn(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats) -
     }
 }
 
-/// Consume every complete message currently buffered. Partial trailing
-/// input stays in `conn.buf` for the next readiness event.
+/// Pick the protocol from a connection's first bytes, once there are
+/// enough of them: the frame magic selects binary, anything else — or a
+/// complete line shorter than the magic — is text.
+fn sniff(buf: &[u8]) -> Option<Proto> {
+    if buf.len() >= MAGIC.len() && buf[..MAGIC.len()] == MAGIC {
+        return Some(Proto::Binary);
+    }
+    (buf.len() >= MAGIC.len() || buf.contains(&b'\n')).then_some(Proto::Text)
+}
+
+/// Consume every complete message currently buffered: decode → [`dispatch`]
+/// → encode → write, per message. Partial trailing input stays in
+/// `conn.buf` for the next readiness event. Malformed input inside intact
+/// framing is answered with a typed `bad-request` and the connection
+/// lives on.
 fn process_buffer(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats) -> ConnAction {
     loop {
-        if conn.proto == Proto::Unknown {
-            if conn.buf.len() >= MAGIC.len() {
-                if conn.buf[..MAGIC.len()] == MAGIC {
-                    conn.proto = Proto::Binary;
-                    conn_stats.binary_conns.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    conn.proto = Proto::Text;
-                    conn_stats.text_conns.fetch_add(1, Ordering::Relaxed);
-                }
-            } else if conn.buf.contains(&b'\n') {
-                // A complete line shorter than the magic is necessarily
-                // text.
-                conn.proto = Proto::Text;
-                conn_stats.text_conns.fetch_add(1, Ordering::Relaxed);
-            } else {
-                return ConnAction::Keep;
+        let proto = match conn.proto {
+            Some(proto) => proto,
+            None => {
+                let Some(proto) = sniff(&conn.buf) else {
+                    return ConnAction::Keep;
+                };
+                let seen = match proto {
+                    Proto::Text => &conn_stats.text_conns,
+                    Proto::Binary => &conn_stats.binary_conns,
+                };
+                seen.fetch_add(1, Ordering::Relaxed);
+                *conn.proto.insert(proto)
             }
-        }
-        let action = match conn.proto {
+        };
+        let decoded = match proto {
             Proto::Text => match next_line(&mut conn.buf) {
                 None => return ConnAction::Keep,
-                Some(line) => handle_text_line(engine, &line, &mut conn.stream, conn_stats),
+                Some(line) if line.trim().is_empty() => continue,
+                Some(line) => protocol::parse_request(&line).inspect_err(|_| {
+                    conn_stats.bad_lines.fetch_add(1, Ordering::Relaxed);
+                }),
             },
             Proto::Binary => match next_frame(&mut conn.buf) {
-                FrameStep::Incomplete => return ConnAction::Keep,
-                FrameStep::Frame(frame) => {
-                    handle_frame(engine, frame, &mut conn.stream, conn_stats)
-                }
-                FrameStep::Broken(err) => {
+                Ok(None) => return ConnAction::Keep,
+                Ok(Some(frame)) => frame::decode_request(&frame).map_err(|err| {
+                    conn_stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    err.to_string()
+                }),
+                Err(err) => {
                     // Framing is unrecoverable: answer once, then close.
                     conn_stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    let reply = WireReply::Err {
-                        id: "-".into(),
-                        code: "bad-frame".into(),
-                        detail: err.to_string(),
-                    };
-                    let _ = frame::write_frame(&mut conn.stream, &frame::encode_reply(&reply));
-                    ConnAction::Close
+                    let reply = bad_input("bad-frame", err.to_string());
+                    let _ = write_reply(&mut conn.stream, proto, &reply);
+                    return ConnAction::Close;
                 }
             },
-            Proto::Unknown => unreachable!("sniffed above"),
         };
-        if action != ConnAction::Keep {
-            return action;
+        // Serialize phase: reply encoding plus the socket write, recorded
+        // for the inference verbs only so health checks and scrapes do not
+        // dilute it.
+        let timed = decoded.as_ref().is_ok_and(Request::is_inference);
+        let (reply, action) = match decoded {
+            Ok(req) => dispatch(engine, req),
+            Err(detail) => (bad_input("bad-request", detail), ConnAction::Keep),
+        };
+        let ser_start = Instant::now();
+        let written = write_reply(&mut conn.stream, proto, &reply);
+        if timed {
+            engine.record_serialize(ser_start.elapsed());
+        }
+        match action {
+            ConnAction::Keep if written.is_ok() => {}
+            // A shutdown request stands even if its sender hung up early.
+            ConnAction::Shutdown => return ConnAction::Shutdown,
+            _ => return ConnAction::Close,
         }
     }
 }
@@ -264,281 +289,107 @@ fn next_line(buf: &mut Vec<u8>) -> Option<String> {
     Some(String::from_utf8_lossy(&line).into_owned())
 }
 
-/// One step of binary frame extraction from a byte buffer.
-enum FrameStep {
-    /// Header or payload not fully buffered yet.
-    Incomplete,
-    /// A complete frame, consumed from the buffer.
-    Frame(Frame),
-    /// Framing damage — the stream cannot be resynchronized.
-    Broken(FrameError),
-}
-
 /// Pop one complete frame off the front of `buf`, validating the header.
-fn next_frame(buf: &mut Vec<u8>) -> FrameStep {
+/// `Ok(None)` = header or payload not fully buffered yet; `Err` = framing
+/// damage, after which the stream cannot be resynchronized.
+fn next_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, FrameError> {
     if buf.len() < HEADER_LEN {
-        return FrameStep::Incomplete;
+        return Ok(None);
     }
-    if buf[..4] != MAGIC {
-        return FrameStep::Broken(FrameError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
+    let (ty, len) = frame::parse_header(&buf[..HEADER_LEN])?;
+    if buf.len() < HEADER_LEN + len {
+        return Ok(None);
     }
-    if buf[5] != 0 || buf[6] != 0 || buf[7] != 0 {
-        return FrameStep::Broken(FrameError::Malformed(
-            "non-zero reserved header bytes".into(),
-        ));
-    }
-    let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-    if len > MAX_PAYLOAD {
-        return FrameStep::Broken(FrameError::Oversized(len));
-    }
-    let total = HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return FrameStep::Incomplete;
-    }
-    let ty = buf[4];
-    let rest = buf.split_off(total);
-    let mut frame_bytes = std::mem::replace(buf, rest);
-    frame_bytes.drain(..HEADER_LEN);
-    FrameStep::Frame(Frame {
-        ty,
-        payload: frame_bytes,
-    })
+    let rest = buf.split_off(HEADER_LEN + len);
+    let mut payload = std::mem::replace(buf, rest);
+    payload.drain(..HEADER_LEN);
+    Ok(Some(Frame { ty, payload }))
 }
 
 // ---- request dispatch ---------------------------------------------------
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writeln!(writer, "{line}")?;
+/// The reply to input that never became a [`Request`].
+fn bad_input(code: &str, detail: String) -> WireReply {
+    WireReply::Err {
+        id: NO_ID.into(),
+        code: code.into(),
+        detail,
+    }
+}
+
+/// Encode `reply` for the connection's protocol and write it out.
+fn write_reply(writer: &mut TcpStream, proto: Proto, reply: &WireReply) -> std::io::Result<()> {
+    match proto {
+        Proto::Text => writer.write_all(protocol::format_reply(reply).as_bytes())?,
+        Proto::Binary => writer.write_all(&frame::encode_reply(reply))?,
+    }
     writer.flush()
 }
 
-/// Multi-line declared-count body shared by MEMORY/SHARDS (text bytes are
-/// identical on both protocols).
+/// Multi-line declared-count body: a `<header> <n>` line, then each of
+/// `lines` behind `tag`.
 fn counted_body(header: &str, tag: &str, lines: &[String]) -> String {
     let mut out = format!("{header} {}\n", lines.len());
     for line in lines {
         out.push_str(tag);
-        out.push(' ');
         out.push_str(line);
         out.push('\n');
     }
     out
 }
 
-fn slowlog_body(engine: &Engine, limit: Option<usize>) -> String {
-    let entries = engine.slow_requests(limit);
-    let mut out = format!("SLOWLOG {}\n", entries.len());
-    for entry in &entries {
-        out.push_str(&entry.to_wire_line());
-        out.push('\n');
-    }
-    out
-}
-
-/// Serve one parsed text line, writing the reply in text form.
-fn handle_text_line(
-    engine: &Engine,
-    line: &str,
-    writer: &mut TcpStream,
-    conn_stats: &ConnStats,
-) -> ConnAction {
-    if line.trim().is_empty() {
-        return ConnAction::Keep;
-    }
-    let written = match protocol::parse_request(line) {
-        Err(msg) => {
-            conn_stats.bad_lines.fetch_add(1, Ordering::Relaxed);
-            write_line(writer, &protocol::format_bad_request(&msg))
-        }
-        Ok(Request::Shutdown) => {
-            let _ = write_line(writer, "BYE");
-            return ConnAction::Shutdown;
-        }
-        Ok(Request::Ping) => write_line(writer, "PONG"),
-        Ok(Request::Stats) => {
-            let _span = span!("serve/request", "verb=STATS");
-            write_line(writer, &format!("STATS {}", engine.stats().to_wire_line()))
-        }
-        Ok(Request::Metrics) => {
-            // Multi-line reply; the exposition already ends with the
-            // "# EOF" terminator line clients read up to.
-            let text = engine.metrics_text();
-            writer.write_all(text.as_bytes()).and_then(|_| writer.flush())
-        }
-        Ok(Request::Memory) => {
-            let _span = span!("serve/request", "verb=MEMORY");
-            let body = counted_body("MEMORY", "MEM", &engine.memory_report().to_wire_lines());
-            writer.write_all(body.as_bytes()).and_then(|_| writer.flush())
-        }
-        Ok(Request::Shards) => {
-            let _span = span!("serve/request", "verb=SHARDS");
-            let body = counted_body("SHARDS", "SHARD", &engine.shards_report().to_wire_lines());
-            writer.write_all(body.as_bytes()).and_then(|_| writer.flush())
-        }
-        Ok(Request::SlowLog { limit }) => {
-            let body = slowlog_body(engine, limit);
-            writer.write_all(body.as_bytes()).and_then(|_| writer.flush())
-        }
-        Ok(req @ Request::Infer { .. }) => {
-            let deadline = req.deadline();
-            let Request::Infer { model, node, id, .. } = req else {
-                unreachable!()
-            };
-            // Mint the trace before submitting so this front-end span
-            // and every engine/kernel span below it share one trace id.
-            let trace = engine.mint_trace();
-            let _scope = TraceScope::enter(trace);
-            let _span = span!(
-                "serve/request",
-                "model={model} node={node} trace={:#x}",
-                trace.trace_id
-            );
-            let result = engine
-                .submit_traced(
-                    InferRequest {
-                        model,
-                        node,
-                        deadline,
-                    },
-                    trace,
-                )
-                .and_then(|ticket| ticket.wait());
-            // Serialize phase: reply formatting plus the socket write.
-            let ser_start = Instant::now();
-            let reply = match result {
-                Ok(resp) => protocol::format_ok(id.as_deref(), &resp),
-                Err(err) => protocol::format_err(id.as_deref(), &err),
-            };
-            let written = write_line(writer, &reply);
-            engine.record_serialize(ser_start.elapsed());
-            written
-        }
-        Ok(req @ Request::InferSeeds { .. }) => {
-            let deadline = req.deadline();
-            let Request::InferSeeds {
-                model,
-                seeds,
-                fanouts,
-                sample_seed,
-                feats,
-                id,
-                ..
-            } = req
-            else {
-                unreachable!()
-            };
-            let trace = engine.mint_trace();
-            let _scope = TraceScope::enter(trace);
-            let _span = span!(
-                "serve/request",
-                "model={model} seeds={} trace={:#x}",
-                seeds.len(),
-                trace.trace_id
-            );
-            let result = engine
-                .submit_seeds_traced(
-                    InferSeedsRequest {
-                        model,
-                        seeds: seeds.clone(),
-                        fanouts,
-                        sample_seed,
-                        feats,
-                        deadline,
-                    },
-                    trace,
-                )
-                .and_then(|ticket| ticket.wait());
-            // Serialize phase: reply formatting plus the socket write.
-            let ser_start = Instant::now();
-            let out = match result {
-                Ok(resp) => {
-                    // Declared-count multi-line reply, MEMORY-style.
-                    let mut out = String::new();
-                    for line in protocol::format_seeds_ok(id.as_deref(), &seeds, &resp) {
-                        out.push_str(&line);
-                        out.push('\n');
-                    }
-                    out
-                }
-                Err(err) => format!("{}\n", protocol::format_err(id.as_deref(), &err)),
-            };
-            let written = writer.write_all(out.as_bytes()).and_then(|_| writer.flush());
-            engine.record_serialize(ser_start.elapsed());
-            written
-        }
-    };
-    if written.is_err() {
-        ConnAction::Close
-    } else {
-        ConnAction::Keep
+/// Turn an inference outcome into its reply, echoing the client's `id`.
+fn infer_reply<R>(
+    id: Option<String>,
+    result: Result<R, ServeError>,
+    ok: impl FnOnce(String, R) -> WireReply,
+) -> WireReply {
+    let id = id.unwrap_or_else(|| NO_ID.into());
+    match result {
+        Ok(resp) => ok(id, resp),
+        Err(err) => WireReply::Err {
+            id,
+            code: err.code().into(),
+            detail: err.to_string(),
+        },
     }
 }
 
-/// Serve one binary frame, writing the reply as a frame.
-fn handle_frame(
-    engine: &Engine,
-    frame: Frame,
-    writer: &mut TcpStream,
-    conn_stats: &ConnStats,
-) -> ConnAction {
-    let req = match frame::decode_request(&frame) {
-        Ok(req) => req,
-        Err(err) => {
-            // Structurally bad payload inside an intact frame: typed error,
-            // connection stays alive.
-            conn_stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-            let reply = WireReply::Err {
-                id: "-".into(),
-                code: "bad-request".into(),
-                detail: err.to_string(),
-            };
-            return write_reply(writer, &reply, ConnAction::Keep);
-        }
-    };
-    let (reply, action) = match req {
-        Request::Shutdown => (WireReply::Bye, ConnAction::Shutdown),
-        Request::Ping => (WireReply::Pong, ConnAction::Keep),
+/// Serve one request, whatever protocol carried it: every verb is
+/// implemented here, once, and answers with a protocol-independent
+/// [`WireReply`].
+fn dispatch(engine: &Engine, req: Request) -> (WireReply, ConnAction) {
+    let deadline = req.deadline();
+    let reply = match req {
+        Request::Shutdown => return (WireReply::Bye, ConnAction::Shutdown),
+        Request::Ping => WireReply::Pong,
         Request::Stats => {
             let _span = span!("serve/request", "verb=STATS");
-            (
-                WireReply::Text(format!("STATS {}\n", engine.stats().to_wire_line())),
-                ConnAction::Keep,
-            )
+            WireReply::Text(format!("STATS {}\n", engine.stats().to_wire_line()))
         }
-        Request::Metrics => (WireReply::Text(engine.metrics_text()), ConnAction::Keep),
+        // Multi-line; the exposition ends with the "# EOF" terminator line
+        // text clients read up to.
+        Request::Metrics => WireReply::Text(engine.metrics_text()),
         Request::Memory => {
             let _span = span!("serve/request", "verb=MEMORY");
-            (
-                WireReply::Text(counted_body(
-                    "MEMORY",
-                    "MEM",
-                    &engine.memory_report().to_wire_lines(),
-                )),
-                ConnAction::Keep,
-            )
+            let lines = engine.memory_report().to_wire_lines();
+            WireReply::Text(counted_body("MEMORY", "MEM ", &lines))
         }
         Request::Shards => {
             let _span = span!("serve/request", "verb=SHARDS");
-            (
-                WireReply::Text(counted_body(
-                    "SHARDS",
-                    "SHARD",
-                    &engine.shards_report().to_wire_lines(),
-                )),
-                ConnAction::Keep,
-            )
+            let lines = engine.shards_report().to_wire_lines();
+            WireReply::Text(counted_body("SHARDS", "SHARD ", &lines))
         }
-        Request::SlowLog { limit } => (
-            WireReply::Text(slowlog_body(engine, limit)),
-            ConnAction::Keep,
-        ),
+        Request::SlowLog { limit } => {
+            let entries = engine.slow_requests(limit);
+            let lines: Vec<String> = entries.iter().map(|e| e.to_wire_line()).collect();
+            WireReply::Text(counted_body("SLOWLOG", "", &lines))
+        }
         Request::Infer {
-            model,
-            node,
-            id,
-            deadline_ms,
+            model, node, id, ..
         } => {
-            let deadline = deadline_ms.map(std::time::Duration::from_millis);
+            // Mint the trace before submitting so this front-end span and
+            // every engine/kernel span below it share one trace id.
             let trace = engine.mint_trace();
             let _scope = TraceScope::enter(trace);
             let _span = span!(
@@ -546,26 +397,13 @@ fn handle_frame(
                 "model={model} node={node} trace={:#x}",
                 trace.trace_id
             );
-            let result = engine
-                .submit_traced(
-                    InferRequest {
-                        model,
-                        node,
-                        deadline,
-                    },
-                    trace,
-                )
-                .and_then(|ticket| ticket.wait());
-            let id = id.unwrap_or_else(|| "-".into());
-            let reply = match result {
-                Ok(resp) => WireReply::Ok { id, resp },
-                Err(err) => WireReply::Err {
-                    id,
-                    code: err.code().into(),
-                    detail: err.to_string(),
-                },
+            let req = InferRequest {
+                model,
+                node,
+                deadline,
             };
-            (reply, ConnAction::Keep)
+            let result = engine.submit_traced(req, trace).and_then(|t| t.wait());
+            infer_reply(id, result, |id, resp| WireReply::Ok { id, resp })
         }
         Request::InferSeeds {
             model,
@@ -574,9 +412,8 @@ fn handle_frame(
             sample_seed,
             feats,
             id,
-            deadline_ms,
+            ..
         } => {
-            let deadline = deadline_ms.map(std::time::Duration::from_millis);
             let trace = engine.mint_trace();
             let _scope = TraceScope::enter(trace);
             let _span = span!(
@@ -585,43 +422,50 @@ fn handle_frame(
                 seeds.len(),
                 trace.trace_id
             );
-            let result = engine
-                .submit_seeds_traced(
-                    InferSeedsRequest {
-                        model,
-                        seeds: seeds.clone(),
-                        fanouts,
-                        sample_seed,
-                        feats,
-                        deadline,
-                    },
-                    trace,
-                )
-                .and_then(|ticket| ticket.wait());
-            let id = id.unwrap_or_else(|| "-".into());
-            let reply = match result {
-                Ok(resp) => WireReply::Seeds { id, seeds, resp },
-                Err(err) => WireReply::Err {
-                    id,
-                    code: err.code().into(),
-                    detail: err.to_string(),
-                },
+            let req = InferSeedsRequest {
+                model,
+                seeds: seeds.clone(),
+                fanouts,
+                sample_seed,
+                feats,
+                deadline,
             };
-            (reply, ConnAction::Keep)
+            let result = engine
+                .submit_seeds_traced(req, trace)
+                .and_then(|t| t.wait());
+            infer_reply(id, result, |id, resp| WireReply::Seeds { id, seeds, resp })
         }
     };
-    // Serialize phase: frame encode plus the socket write.
-    let ser_start = Instant::now();
-    let action = write_reply(writer, &reply, action);
-    engine.record_serialize(ser_start.elapsed());
-    action
+    (reply, ConnAction::Keep)
 }
 
-fn write_reply(writer: &mut TcpStream, reply: &WireReply, on_ok: ConnAction) -> ConnAction {
-    match frame::write_frame(writer, &frame::encode_reply(reply)) {
-        Ok(()) => on_ok,
-        Err(_) => ConnAction::Close,
+// ---- connection admission, shared by both front-ends --------------------
+
+/// Admit one accepted socket: beyond [`crate::engine::ServeConfig::max_conns`]
+/// live connections it is shed (counted, closed by the drop) before any
+/// handler sees it; otherwise it is counted and wrapped.
+fn admit_conn(engine: &Engine, conn_stats: &ConnStats, stream: TcpStream) -> Option<ConnState> {
+    let max = engine.config().max_conns;
+    if max > 0 && conn_stats.active.load(Ordering::Relaxed) >= max as u64 {
+        conn_stats.admission_shed.fetch_add(1, Ordering::Relaxed);
+        return None;
     }
+    // Request/reply messages are small; Nagle + delayed ACK would add tens
+    // of milliseconds per round trip.
+    let _ = stream.set_nodelay(true);
+    conn_stats.accepted.fetch_add(1, Ordering::Relaxed);
+    conn_stats.active.fetch_add(1, Ordering::Relaxed);
+    Some(ConnState {
+        stream,
+        proto: None,
+        buf: Vec::new(),
+    })
+}
+
+/// Account one admitted connection as closed.
+fn note_closed(conn_stats: &ConnStats) {
+    conn_stats.active.fetch_sub(1, Ordering::Relaxed);
+    conn_stats.closed.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---- Linux: epoll acceptor + fixed handler pool -------------------------
@@ -725,32 +569,13 @@ mod epoll_front {
                     if fe.stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    let max = fe.engine.config().max_conns;
-                    if max > 0 && fe.conn_stats.active.load(Ordering::Relaxed) >= max as u64 {
-                        // Admission shed: close before the handler pool ever
-                        // sees the connection.
-                        fe.conn_stats
-                            .admission_shed
-                            .fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
+                    let Some(conn) = admit_conn(&fe.engine, &fe.conn_stats, stream) else {
                         continue;
-                    }
-                    // Request/reply messages are small; Nagle + delayed ACK
-                    // would add tens of milliseconds per round trip.
-                    let _ = stream.set_nodelay(true);
+                    };
                     let token = *next_token;
                     *next_token += 1;
-                    let fd = stream.as_raw_fd();
-                    fe.conn_stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    fe.conn_stats.active.fetch_add(1, Ordering::Relaxed);
-                    fe.conns.lock().unwrap().insert(
-                        token,
-                        ConnState {
-                            stream,
-                            proto: Proto::Unknown,
-                            buf: Vec::new(),
-                        },
-                    );
+                    let fd = conn.stream.as_raw_fd();
+                    fe.conns.lock().unwrap().insert(token, conn);
                     if fe.poller.add(fd, token, true).is_err() {
                         close_conn(fe, token);
                     }
@@ -766,8 +591,7 @@ mod epoll_front {
         if let Some(conn) = fe.conns.lock().unwrap().remove(&token) {
             fe.poller.delete(conn.stream.as_raw_fd());
         }
-        fe.conn_stats.active.fetch_sub(1, Ordering::Relaxed);
-        fe.conn_stats.closed.fetch_add(1, Ordering::Relaxed);
+        note_closed(&fe.conn_stats);
     }
 
     fn handler_loop(fe: &Arc<FrontEnd>) {
@@ -805,19 +629,14 @@ mod epoll_front {
                         close_conn(fe, token);
                     }
                 }
-                ConnAction::Close => {
+                action => {
                     fe.poller.delete(conn.stream.as_raw_fd());
                     drop(conn);
-                    fe.conn_stats.active.fetch_sub(1, Ordering::Relaxed);
-                    fe.conn_stats.closed.fetch_add(1, Ordering::Relaxed);
-                }
-                ConnAction::Shutdown => {
-                    fe.poller.delete(conn.stream.as_raw_fd());
-                    drop(conn);
-                    fe.conn_stats.active.fetch_sub(1, Ordering::Relaxed);
-                    fe.conn_stats.closed.fetch_add(1, Ordering::Relaxed);
-                    request_stop(&fe.stop, fe.addr);
-                    fe.queue_cv.notify_all();
+                    note_closed(&fe.conn_stats);
+                    if action == ConnAction::Shutdown {
+                        request_stop(&fe.stop, fe.addr);
+                        fe.queue_cv.notify_all();
+                    }
                 }
             }
         }
@@ -839,26 +658,15 @@ mod fallback_front {
                 break;
             }
             let Ok(stream) = conn else { continue };
-            let max = engine.config().max_conns;
-            if max > 0 && conn_stats.active.load(Ordering::Relaxed) >= max as u64 {
-                conn_stats.admission_shed.fetch_add(1, Ordering::Relaxed);
-                drop(stream);
+            let Some(mut conn) = admit_conn(&engine, &conn_stats, stream) else {
                 continue;
-            }
-            let _ = stream.set_nodelay(true);
-            conn_stats.accepted.fetch_add(1, Ordering::Relaxed);
-            conn_stats.active.fetch_add(1, Ordering::Relaxed);
+            };
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
             let conn_stats = Arc::clone(&conn_stats);
             let _ = std::thread::Builder::new()
                 .name("fgserve-conn".into())
                 .spawn(move || {
-                    let mut conn = ConnState {
-                        stream,
-                        proto: Proto::Unknown,
-                        buf: Vec::new(),
-                    };
                     let mut chunk = [0u8; READ_CHUNK];
                     let outcome = loop {
                         match conn.stream.read(&mut chunk) {
@@ -880,8 +688,7 @@ mod fallback_front {
                             break ConnAction::Close;
                         }
                     };
-                    conn_stats.active.fetch_sub(1, Ordering::Relaxed);
-                    conn_stats.closed.fetch_add(1, Ordering::Relaxed);
+                    note_closed(&conn_stats);
                     if outcome == ConnAction::Shutdown {
                         request_stop(&stop, addr);
                     }

@@ -121,9 +121,11 @@ impl LatencyRecorder {
     }
 }
 
-/// One serve-side phase of a request's life. Every completed request
-/// contributes one sample per phase (serialize is recorded by the TCP
-/// front-end; embedded callers that never serialize leave it empty).
+/// One serve-side phase of a request's life. Which phases a request
+/// records is the engine's phase rule (`complete` in [`crate::engine`]):
+/// queue-wait, batch-form, plan-compile and execute always, sample and
+/// exchange only when that step ran; serialize is recorded by the TCP
+/// front-end for inference replies (embedded callers leave it empty).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Accepted into the queue → the worker pulled its batch.
@@ -131,8 +133,8 @@ pub enum Phase {
     /// Batch pulled → this request's model group started executing
     /// (deadline filtering, grouping, and earlier groups in the batch).
     BatchForm,
-    /// Neighbor sampling + feature gather for seeded requests (zero for
-    /// full-graph requests).
+    /// Neighbor sampling + feature gather of a `Sampled`-view request (no
+    /// sample for `Full`-view requests).
     Sample,
     /// Compiling a backend on a plan-cache miss (zero on a hit).
     PlanCompile,
@@ -141,8 +143,8 @@ pub enum Phase {
     /// stay additive.
     Execute,
     /// Halo-exchange critical path of a sharded forward pass: the slowest
-    /// shard's time rebuilding halo rows between layers (zero on
-    /// single-shard engines).
+    /// shard's time rebuilding halo rows between layers (no sample on
+    /// single-worker engines).
     Exchange,
     /// Formatting and writing the reply line (front-end only).
     Serialize,

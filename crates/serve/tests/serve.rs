@@ -199,8 +199,82 @@ fn unknown_model_and_bad_node_fail_fast() {
         })
         .unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)));
-    // Neither consumed queue capacity.
+    // A fanout list with fewer hops than the model has layers would be
+    // answered, silently, from a truncated neighborhood.
+    let err = engine
+        .infer_seeds(InferSeedsRequest {
+            model: "gcn".into(),
+            seeds: vec![1, 2],
+            fanouts: Some(vec![4]),
+            sample_seed: 0,
+            feats: None,
+            deadline: None,
+        })
+        .unwrap_err();
+    assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+    // None of them consumed queue capacity.
     assert_eq!(engine.stats().accepted, 0);
+}
+
+/// The phase rule: `queue_wait`, `batch_form`, `plan_compile`, `execute`
+/// for every completed request; `sample` iff it ran a sampled view;
+/// `exchange` iff its pass was sharded — absent phases stay empty rather
+/// than filling with zero-valued samples.
+#[test]
+fn recorded_phases_follow_the_view_and_the_pass() {
+    use fg_serve::Phase;
+    let counts = |engine: &Engine| {
+        let stats = engine.stats();
+        [
+            Phase::QueueWait,
+            Phase::BatchForm,
+            Phase::PlanCompile,
+            Phase::Execute,
+            Phase::Sample,
+            Phase::Exchange,
+        ]
+        .map(|p| stats.phase(p).count)
+    };
+    let infer = |engine: &Engine, node| {
+        let req = InferRequest {
+            model: "gcn".into(),
+            node,
+            deadline: None,
+        };
+        engine.infer(req).expect("infer");
+    };
+    let capped_seeds = |engine: &Engine| {
+        let req = InferSeedsRequest {
+            model: "gcn".into(),
+            seeds: vec![5, 6],
+            fanouts: Some(vec![3, 3]),
+            sample_seed: 1,
+            feats: None,
+            deadline: None,
+        };
+        engine.infer_seeds(req).expect("capped seeds");
+    };
+
+    let (single, _task) = make_engine(ServeConfig::default());
+    for node in 0..3 {
+        infer(&single, node);
+    }
+    assert_eq!(counts(&single), [3, 3, 3, 3, 0, 0], "unsharded full view");
+    capped_seeds(&single);
+    assert_eq!(counts(&single), [4, 4, 4, 4, 1, 0], "sampled view");
+    single.shutdown();
+
+    let (sharded, _task) = make_engine(ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    });
+    for node in 0..3 {
+        infer(&sharded, node);
+    }
+    assert_eq!(counts(&sharded), [3, 3, 3, 3, 0, 3], "sharded full view");
+    capped_seeds(&sharded);
+    assert_eq!(counts(&sharded), [4, 4, 4, 4, 1, 3], "sampled view, sharded engine");
+    sharded.shutdown();
 }
 
 #[test]

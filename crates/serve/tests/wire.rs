@@ -2,7 +2,7 @@
 //! (property-based), malformed-input robustness over live TCP (truncated
 //! frames, oversized lengths, bad magic, NaN/inf features), typed-ERR
 //! recovery on the text protocol, and mixed text+binary clients against
-//! one server.
+//! one server — every verb, both protocols, one oracle.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -100,11 +100,14 @@ fn arb_request() -> impl Strategy<Value = protocol::Request> {
                 }
             },
         );
-    let plain = (0usize..5).prop_map(|k| match k {
+    let plain = (0usize..8, 0usize..500).prop_map(|(k, limit)| match k {
         0 => protocol::Request::Stats,
         1 => protocol::Request::Metrics,
         2 => protocol::Request::Memory,
         3 => protocol::Request::Ping,
+        4 => protocol::Request::Shards,
+        5 => protocol::Request::SlowLog { limit: None },
+        6 => protocol::Request::SlowLog { limit: Some(limit) },
         _ => protocol::Request::Shutdown,
     });
     prop_oneof![infer, infer_seeds, plain]
@@ -122,6 +125,16 @@ fn request_id(kind: usize) -> Option<String> {
         // binary one must carry them verbatim.
         _ => Some("id with spaces \u{00e9}".to_string()),
     }
+}
+
+/// The text protocol splits on whitespace, so an id must be one token; the
+/// binary protocol carries anything.
+fn text_safe(mut req: protocol::Request) -> protocol::Request {
+    if let protocol::Request::Infer { id, .. } | protocol::Request::InferSeeds { id, .. } = &mut req
+    {
+        *id = id.take().map(|id| id.replace(' ', "_"));
+    }
+    req
 }
 
 fn arb_reply() -> impl Strategy<Value = WireReply> {
@@ -183,6 +196,15 @@ proptest! {
         prop_assert!(cursor.is_empty(), "no trailing bytes");
         let decoded = decode_request(&f).expect("decode");
         prop_assert_eq!(decoded, req);
+    }
+
+    /// The text twin of the binary round-trip: `format_request` is the
+    /// inverse of `parse_request` (for ids the text protocol can carry).
+    #[test]
+    fn request_roundtrips_through_text_lines(req in arb_request().prop_map(text_safe)) {
+        let line = protocol::format_request(&req);
+        prop_assert!(!line.contains('\n'), "one request, one line");
+        prop_assert_eq!(protocol::parse_request(&line), Ok(req));
     }
 
     #[test]
@@ -312,6 +334,7 @@ fn text_malformed_lines_keep_connection_alive() {
         "INFER_SEEDS gcn 1 feats=NaN",    // non-finite feats
         "INFER_SEEDS gcn 1 feats=inf",    // non-finite feats
         "INFER_SEEDS gcn 1,2 feats=0.5",  // feats rows != seeds
+        "INFER_SEEDS gcn 1,2 fanout=4",   // fewer hops than the model has layers
         "BOGUS_VERB 1 2 3",               // unknown verb
     ] {
         writeln!(s, "{bad}").unwrap();
@@ -390,6 +413,22 @@ fn binary_malformed_payloads_keep_connection_alive() {
     let f = read_frame(&mut s, false).expect("reply frame");
     assert!(matches!(decode_reply(&f).unwrap(), WireReply::Err { .. }));
 
+    // A fanout list with fewer hops than the model has layers would answer
+    // from a truncated neighborhood: rejected at admission, id echoed.
+    let req = protocol::Request::InferSeeds {
+        model: "gcn".into(),
+        seeds: vec![3],
+        fanouts: Some(vec![4]),
+        sample_seed: 0,
+        feats: None,
+        id: Some("short".into()),
+        deadline_ms: None,
+    };
+    match binary_call(&mut s, &encode_request(&req)).expect("reply to short fanout") {
+        WireReply::Err { id, code, .. } => assert_eq!((id.as_str(), code.as_str()), ("short", "bad-request")),
+        other => panic!("short fanout list must be rejected, got {other:?}"),
+    }
+
     // The same connection still answers a good request.
     let req = protocol::Request::Infer {
         model: "gcn".into(),
@@ -460,46 +499,173 @@ fn binary_framing_breaks_close_connection() {
     h.shutdown();
 }
 
-/// Text and binary clients interleave against one server; replies agree.
+/// One request over a text connection and over a binary one.
+fn ask_both(
+    text: &mut TcpStream,
+    text_reader: &mut BufReader<TcpStream>,
+    bin: &mut TcpStream,
+    req: &protocol::Request,
+) -> (WireReply, WireReply) {
+    writeln!(text, "{}", protocol::format_request(req)).unwrap();
+    let over_text = protocol::read_reply(text_reader)
+        .expect("text reply parses")
+        .expect("text reply before EOF");
+    let over_binary = binary_call(bin, &encode_request(req)).expect("binary reply");
+    (over_text, over_binary)
+}
+
+/// A text-blob body with every number masked: what two scrapes taken a
+/// moment apart (RSS, uptime, latency quantiles move) must still share.
+fn masked(reply: &WireReply) -> String {
+    let WireReply::Text(body) = reply else {
+        panic!("expected a text body, got {reply:?}");
+    };
+    let mut out = String::new();
+    for c in body.chars() {
+        let c = if c.is_ascii_digit() || c == '.' { '#' } else { c };
+        if !(c == '#' && out.ends_with('#')) {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Every verb, both protocols, one oracle: a text and a binary connection
+/// to the same server yield equal `WireReply`s for every `Request` shape —
+/// successes, every admission error, the report verbs — and `INFER n` equals
+/// full-fanout `INFER_SEEDS n` bitwise, on a single-worker and on a 4-shard
+/// engine (whose full-fanout seeds take the `Full` view).
 #[test]
 fn mixed_text_and_binary_clients_agree() {
-    let h = spawn_server(ServeConfig::default());
-
-    // Text client.
-    let mut text = connect(&h);
-    let mut reader = BufReader::new(text.try_clone().unwrap());
-    writeln!(text, "INFER gcn 11 id=t").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let text_reply = line.trim_end().to_string();
-    assert!(text_reply.starts_with("OK t "), "got {text_reply:?}");
-
-    // Binary client, same node: the canonical text rendering of the binary
-    // reply must equal the text reply byte-for-byte.
-    let mut bin = connect(&h);
-    let req = protocol::Request::Infer {
-        model: "gcn".into(),
-        node: 11,
-        id: Some("t".into()),
+    use protocol::Request;
+    let infer = |model: &str, node: usize, id: &str| Request::Infer {
+        model: model.into(),
+        node,
+        id: Some(id.into()),
         deadline_ms: None,
     };
-    bin.write_all(&encode_request(&req)).unwrap();
-    let f = read_frame(&mut bin, false).unwrap();
-    match decode_reply(&f).unwrap() {
-        WireReply::Ok { id, resp } => {
-            assert_eq!(protocol::format_ok(Some(&id), &resp), text_reply);
+    let seeds = |seeds: &[usize], fanouts: Option<Vec<usize>>, feats: Option<Dense2<f32>>, id: &str| {
+        Request::InferSeeds {
+            model: "gcn".into(),
+            seeds: seeds.to_vec(),
+            fanouts,
+            sample_seed: 5,
+            feats,
+            id: Some(id.into()),
+            deadline_ms: Some(10_000),
         }
-        other => panic!("expected OK, got {other:?}"),
-    }
+    };
+    // Feature width of `spawn_server`'s task (classes + noise dims).
+    let width = SbmTask::generate(200, 3, 6, 2, 7).in_dim();
+    let mut shutdown_replies = Vec::new();
+    for shards in [1, 4] {
+        let h = spawn_server(ServeConfig {
+            shards,
+            slow_ms: Some(0.0),
+            ..ServeConfig::default()
+        });
+        let mut text = connect(&h);
+        let mut text_reader = BufReader::new(text.try_clone().unwrap());
+        let mut bin = connect(&h);
+        let mut both = |req: &Request| ask_both(&mut text, &mut text_reader, &mut bin, req);
 
-    // Both connections remain live afterwards.
-    writeln!(text, "PING").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "PONG");
-    bin.write_all(&encode_request(&protocol::Request::Ping)).unwrap();
-    let f = read_frame(&mut bin, false).unwrap();
-    assert!(matches!(decode_reply(&f).unwrap(), WireReply::Pong));
+        // Replies that must be equal down to the last bit.
+        let exact = [
+            infer("gcn", 11, "ok"),
+            Request::Infer {
+                model: "gcn".into(),
+                node: 11,
+                id: None,
+                deadline_ms: Some(10_000),
+            },
+            seeds(&[3, 7, 150], None, None, "full"),
+            seeds(&[3, 3], Some(vec![2, 2]), None, "capped"),
+            seeds(&[9, 4], Some(vec![3, 3]), Some(Dense2::from_fn(2, width, |r, c| (r * 3 + c) as f32 * 0.125 - 1.0)), "feats"),
+            infer("nope", 0, "unknown-model"),
+            infer("gcn", 999_999, "node-range"),
+            seeds(&[1, 999_999], None, None, "seed-range"),
+            seeds(&[1, 2], None, Some(Dense2::from_fn(2, width + 1, |_, _| 0.5)), "feats-width"),
+            seeds(&[1], Some(vec![4]), None, "short-fanout"),
+            Request::Ping,
+            Request::Shards,
+            Request::SlowLog { limit: Some(2) },
+            Request::SlowLog { limit: None },
+        ];
+        for req in &exact {
+            let (over_text, over_binary) = both(req);
+            assert_eq!(over_text, over_binary, "{shards} shard(s): {req:?}");
+            // The error cases really are errors, with the id echoed.
+            if let Request::Infer { id: Some(id), .. } | Request::InferSeeds { id: Some(id), .. } = req {
+                let want_err = id.contains('-');
+                match &over_text {
+                    WireReply::Err { id: got, code, .. } => {
+                        assert!(want_err, "{id}: unexpected ERR {code}");
+                        assert_eq!(got, id);
+                        assert!(code == "bad-request" || code == "unknown-model", "{id}: {code}");
+                    }
+                    other => assert!(!want_err, "{id}: expected ERR, got {other:?}"),
+                }
+            }
+        }
+        // Report bodies carry clocks and gauges: same lines, same keys.
+        for req in [Request::Stats, Request::Metrics, Request::Memory] {
+            let (over_text, over_binary) = both(&req);
+            assert_eq!(masked(&over_text), masked(&over_binary), "{shards} shard(s): {req:?}");
+        }
+
+        // Cross-route: INFER n == full-fanout INFER_SEEDS n, bitwise.
+        for node in [0usize, 11, 199] {
+            let (single, _) = both(&infer("gcn", node, "n"));
+            let (seeded, _) = both(&seeds(&[node], None, None, "s"));
+            match (single, seeded) {
+                (WireReply::Ok { resp, .. }, WireReply::Seeds { seeds, resp: seeded, .. }) => {
+                    assert_eq!(seeds, [node]);
+                    assert_eq!(seeded.results, [resp], "{shards} shard(s): node {node}");
+                }
+                other => panic!("{shards} shard(s): node {node}: {other:?}"),
+            }
+        }
+
+        // SHUTDOWN ends the server: text on one engine, binary on the other.
+        let bye = if shards == 1 {
+            writeln!(text, "SHUTDOWN").unwrap();
+            protocol::read_reply(&mut text_reader).unwrap().unwrap()
+        } else {
+            binary_call(&mut bin, &encode_request(&Request::Shutdown)).unwrap()
+        };
+        shutdown_replies.push(bye);
+        h.join();
+    }
+    assert_eq!(shutdown_replies, [WireReply::Bye, WireReply::Bye]);
+}
+
+/// The serialize phase means the same thing on both protocols: the reply
+/// write of an inference verb. Health checks and scrapes do not feed it.
+#[test]
+fn serialize_phase_counts_inference_replies_only() {
+    let h = spawn_server(ServeConfig::default());
+    let serialized = || h.engine().stats().phase(fg_serve::Phase::Serialize).count;
+    let mut bin = connect(&h);
+    for _ in 0..5 {
+        let pong = binary_call(&mut bin, &encode_request(&protocol::Request::Ping)).unwrap();
+        assert_eq!(pong, WireReply::Pong);
+    }
+    let stats = binary_call(&mut bin, &encode_request(&protocol::Request::Stats)).unwrap();
+    assert!(matches!(stats, WireReply::Text(_)));
+    assert_eq!(serialized(), 0, "PING/STATS must not record serialize samples");
+
+    let req = protocol::Request::Infer {
+        model: "gcn".into(),
+        node: 3,
+        id: None,
+        deadline_ms: None,
+    };
+    let reply = binary_call(&mut bin, &encode_request(&req)).unwrap();
+    assert!(matches!(reply, WireReply::Ok { .. }));
+    // The sample lands after the reply is written; the next round trip on
+    // the same connection orders this read after it.
+    binary_call(&mut bin, &encode_request(&protocol::Request::Ping)).unwrap();
+    assert_eq!(serialized(), 1, "one binary INFER, one serialize sample");
     h.shutdown();
 }
 

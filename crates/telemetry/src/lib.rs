@@ -32,7 +32,7 @@
 //!    compiled in but [`enabled()`] false, `span!` performs one relaxed
 //!    atomic load and returns an inert guard; **no clock is read, no
 //!    format string is evaluated, no lock is taken**. `counter_add` is the
-//!    same single relaxed load. This keeps `cargo bench` numbers honest
+//!    same single relaxed load. This keeps `fgbench` numbers honest
 //!    while letting `fgbench --trace` flip instrumentation on without a
 //!    rebuild.
 //!
