@@ -1285,7 +1285,7 @@ fn wire_bench(args: &Args, rep: &mut Report) {
 
 /// Half-precision feature-storage rows: the GCN aggregation SpMM on the
 /// same graph/width as the serving path, with vertex features stored as
-/// f32 (`run`) vs f16/bf16 (`run_typed` — half load, f32 accumulate).
+/// f32 vs f16/bf16 (`run` over half storage — half load, f32 accumulate).
 /// Reported next to the serve rows because `--feature-dtype` is a serving
 /// knob: these rows isolate its kernel-level cost/benefit.
 fn dtype_rows(args: &Args, rep: &mut Report) {
@@ -1310,22 +1310,19 @@ fn dtype_rows(args: &Args, rep: &mut Report) {
     let x16: fg_tensor::Dense2<F16> = quantize(&x);
     let xb16: fg_tensor::Dense2<Bf16> = quantize(&x);
     let mut out = fg_tensor::Dense2::zeros(n, d);
-    let inputs = GraphTensors {
-        vertex: &x,
-        vertex_dst: None,
-        edge: None,
-        params: &[],
-    };
     let f32s = time_samples(args.cfg.runs, || {
-        k.run(&inputs, &mut out).expect("f32 run");
+        k.run(&GraphTensors::vertex_only(&x), &mut out)
+            .expect("f32 run");
         std::hint::black_box(&out);
     });
     let f16s = time_samples(args.cfg.runs, || {
-        k.run_typed(&x16, None, &mut out).expect("f16 run");
+        k.run(&GraphTensors::vertex_only(&x16), &mut out)
+            .expect("f16 run");
         std::hint::black_box(&out);
     });
     let bf16s = time_samples(args.cfg.runs, || {
-        k.run_typed(&xb16, None, &mut out).expect("bf16 run");
+        k.run(&GraphTensors::vertex_only(&xb16), &mut out)
+            .expect("bf16 run");
         std::hint::black_box(&out);
     });
     println!(

@@ -22,10 +22,9 @@
 //! parity with single-worker inference), shrinking failures by shard
 //! count first, then graph size.
 //!
-//! `--dtype` sweeps the half-precision storage family: the typed kernel
-//! paths on f16/bf16-quantized features must track the full-precision
-//! kernel on the dequantized values within a widened tolerance, and
-//! `run_typed::<f32>` must stay bitwise identical to `run`.
+//! `--dtype` sweeps the half-precision storage family: the CPU kernels on
+//! f16/bf16-quantized vertex features must track their own f32
+//! instantiation on the dequantized values within a widened tolerance.
 //!
 //! Replay mode (`--case`) re-runs one descriptor (as printed by a failing
 //! sweep) with per-executor detail; descriptors starting with `sampler;`,
@@ -100,10 +99,9 @@ fn parse_args() -> Args {
                      invariants, exactly-once halo exchange, and bitwise parity of\n\
                      sharded vs single-worker inference across shard counts and\n\
                      placement strategies; shard descriptors replay via --case too.\n\
-                     --dtype sweeps half-precision feature storage: typed kernels on\n\
-                     f16/bf16-quantized features must track the f32 kernel on the\n\
-                     dequantized values within a widened tolerance, and the f32 typed\n\
-                     path must stay bitwise identical to the untyped one; dtype\n\
+                     --dtype sweeps half-precision feature storage: the CPU kernels on\n\
+                     f16/bf16-quantized features must track their f32 instantiation on\n\
+                     the dequantized values within a widened tolerance; dtype\n\
                      descriptors replay via --case too."
                 );
                 std::process::exit(0);

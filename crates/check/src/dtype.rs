@@ -1,26 +1,29 @@
 //! Property checks for half-precision feature storage (f16 / bf16).
 //!
-//! The serve path can hold vertex features in `f16` or `bf16`
-//! ([`fg_tensor::FeatureTensor`]) and run the CPU kernels' typed paths
-//! ([`featgraph::cpu::spmm::CpuSpmm::run_typed`],
-//! [`featgraph::cpu::sddmm::CpuSddmm::run_typed`]), which widen each
-//! element to `f32` at load time and accumulate in `f32`. Two contracts
-//! make that safe, and this family sweeps both on seeded random
-//! `(graph × kernel × udf × dtype)` cases:
+//! The serving tier can hold vertex features in `f16` or `bf16`
+//! ([`fg_tensor::FeatureTensor`]), and the CPU kernels
+//! ([`featgraph::cpu::spmm::CpuSpmm::run`],
+//! [`featgraph::cpu::sddmm::CpuSddmm::run`]) are generic over the vertex
+//! storage type: they widen each row to `f32` as it is read and accumulate
+//! in `f32`. One contract makes that safe, and this family sweeps it on
+//! seeded random `(graph × kernel × udf × dtype)` cases:
 //!
-//! 1. **Half tracks the dequantized reference** — the typed kernel on
-//!    quantized storage must agree with the full-precision kernel run on
-//!    the *dequantized* values, under a widened tolerance (the only
-//!    legitimate divergence is f32 rounding in a different association
-//!    order; the storage rounding itself is identical on both sides by
-//!    construction).
-//! 2. **f32 is the identity** — `run_typed::<f32>` is bitwise identical
-//!    to `run` on the same inputs: enabling the dtype machinery must not
-//!    perturb full-precision serving at all.
+//! **Half tracks the dequantized run** — the kernel on quantized storage
+//! must agree with the same kernel's `f32` instantiation run on the
+//! *dequantized* values, under a widened tolerance (the only legitimate
+//! divergence is f32 rounding in a different association order; the storage
+//! rounding itself is identical on both sides by construction). For an
+//! explicit `t=f32` case both sides are the same instantiation and the
+//! tolerance is zero, so the case checks run-to-run determinism.
+//!
+//! The kernels have one entry point and one loop nest for every storage
+//! type, so there is no separate "typed path equals untyped path" property
+//! to check; the f32 bits themselves are pinned by
+//! `crates/core/tests/golden_bits.rs`.
 //!
 //! Inputs are drawn *off* the half-precision grids on purpose (uniform in
 //! `[-2, 2]`, not the exec fuzzer's quarter-integer lattice): quantization
-//! must actually round for property 1 to mean anything.
+//! must actually round for the property to mean anything.
 //!
 //! Cases round-trip through descriptors (`dtype;t=f16;spmm;g=...`) that
 //! embed the kernel fuzzer's grammar, so CI failures replay with
@@ -45,10 +48,10 @@ use crate::tolerance::{compare_slices, Tolerance};
 /// storage dtype under test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DtypeCase {
-    /// Storage dtype the typed path reads from.
+    /// Storage dtype the kernel reads its vertex rows from.
     pub dtype: FeatureDtype,
-    /// Embedded kernel case (SpMM or SDDMM; parameterless UDFs only —
-    /// `run_typed` rejects UDFs that declare parameter matrices).
+    /// Embedded kernel case (SpMM or SDDMM over the parameterless UDFs the
+    /// generator draws; [`materialize`] builds no parameter matrices).
     pub case: Case,
 }
 
@@ -77,10 +80,14 @@ impl FromStr for DtypeCase {
             .map_err(|e| bad(&e))?;
         let case: Case = case_desc.parse()?;
         if case.kernel == KernelKind::Fused {
-            return Err(bad("fused kernels have no typed storage path"));
+            return Err(bad(
+                "the dtype family covers the SpMM and SDDMM templates only",
+            ));
         }
         if matches!(case.udf, UdfKind::Mlp { .. }) {
-            return Err(bad("mlp declares parameter matrices; run_typed rejects it"));
+            return Err(bad(
+                "mlp declares parameter matrices, which dtype cases do not materialize",
+            ));
         }
         Ok(DtypeCase { dtype, case })
     }
@@ -113,7 +120,7 @@ pub fn half_tolerance(dtype: FeatureDtype) -> Tolerance {
     }
 }
 
-/// Parameterless UDFs `run_typed` supports, by kernel.
+/// Parameterless SpMM UDFs the generator draws.
 const SPMM_UDFS: usize = 5;
 
 fn spmm_udf(k: usize, d: usize) -> UdfKind {
@@ -216,6 +223,20 @@ fn materialize(case: &Case) -> DtypeData {
     DtypeData { graph, udf, x, xe }
 }
 
+/// The operand bundle of a dtype case: `V`-stored vertex rows plus the
+/// (always `f32`) edge tensor.
+fn tensors<'a, V: FeatElem>(
+    vertex: &'a Dense2<V>,
+    edge: Option<&'a Dense2<f32>>,
+) -> GraphTensors<'a, f32, V> {
+    GraphTensors {
+        vertex,
+        vertex_dst: None,
+        edge,
+        params: &[],
+    }
+}
+
 fn check_spmm<E: FeatElem>(case: &DtypeCase, data: &DtypeData, fails: &mut Vec<String>) {
     let opts = CpuSpmmOptions::with_threads(case.case.plan.partitions, case.case.plan.threads);
     let fds = case.case.plan.fds();
@@ -230,16 +251,11 @@ fn check_spmm<E: FeatElem>(case: &DtypeCase, data: &DtypeData, fails: &mut Vec<S
     let wide = dequantize(&xq);
     let edge = data.xe.as_ref();
     let mut got = Dense2::zeros(data.graph.num_vertices(), data.udf.out_len);
-    if let Err(e) = k.run_typed(&xq, edge, &mut got) {
-        fails.push(format!("run_typed::<{}> failed: {e}", E::DTYPE));
+    if let Err(e) = k.run(&tensors(&xq, edge), &mut got) {
+        fails.push(format!("run on {} storage failed: {e}", E::DTYPE));
         return;
     }
-    let inputs = GraphTensors {
-        vertex: &wide,
-        vertex_dst: None,
-        edge,
-        params: &[],
-    };
+    let inputs = tensors(&wide, edge);
     let mut want = Dense2::zeros(data.graph.num_vertices(), data.udf.out_len);
     if let Err(e) = k.run(&inputs, &mut want) {
         fails.push(format!("f32 reference on dequantized values failed: {e}"));
@@ -270,16 +286,11 @@ fn check_sddmm<E: FeatElem>(case: &DtypeCase, data: &DtypeData, fails: &mut Vec<
     let wide = dequantize(&xq);
     let edge = data.xe.as_ref();
     let mut got = Dense2::zeros(data.graph.num_edges(), data.udf.out_len);
-    if let Err(e) = k.run_typed(&xq, edge, &mut got) {
-        fails.push(format!("run_typed::<{}> failed: {e}", E::DTYPE));
+    if let Err(e) = k.run(&tensors(&xq, edge), &mut got) {
+        fails.push(format!("run on {} storage failed: {e}", E::DTYPE));
         return;
     }
-    let inputs = GraphTensors {
-        vertex: &wide,
-        vertex_dst: None,
-        edge,
-        params: &[],
-    };
+    let inputs = tensors(&wide, edge);
     let mut want = Dense2::zeros(data.graph.num_edges(), data.udf.out_len);
     if let Err(e) = k.run(&inputs, &mut want) {
         fails.push(format!("f32 reference on dequantized values failed: {e}"));
@@ -290,74 +301,6 @@ fn check_sddmm<E: FeatElem>(case: &DtypeCase, data: &DtypeData, fails: &mut Vec<
             "{} sddmm diverged from dequantized reference: {m}",
             case.dtype.name()
         ));
-    }
-}
-
-/// f32 identity: `run_typed::<f32>` on the *original* (unquantized) inputs
-/// must match `run` bit for bit.
-fn check_f32_identity(case: &DtypeCase, data: &DtypeData, fails: &mut Vec<String>) {
-    let edge = data.xe.as_ref();
-    let inputs = GraphTensors {
-        vertex: &data.x,
-        vertex_dst: None,
-        edge,
-        params: &[],
-    };
-    let fds = case.case.plan.fds();
-    let (typed, plain) = match case.case.kernel {
-        KernelKind::Spmm => {
-            let opts =
-                CpuSpmmOptions::with_threads(case.case.plan.partitions, case.case.plan.threads);
-            let k = match CpuSpmm::compile(&data.graph, &data.udf, case.case.reducer, &fds, &opts) {
-                Ok(k) => k,
-                Err(e) => {
-                    fails.push(format!("compile failed: {e}"));
-                    return;
-                }
-            };
-            let mut typed = Dense2::zeros(data.graph.num_vertices(), data.udf.out_len);
-            let mut plain = typed.clone();
-            if let Err(e) = k
-                .run_typed(&data.x, edge, &mut typed)
-                .and(k.run(&inputs, &mut plain))
-            {
-                fails.push(format!("f32 identity run failed: {e}"));
-                return;
-            }
-            (typed, plain)
-        }
-        KernelKind::Sddmm => {
-            let opts = CpuSddmmOptions {
-                traversal: case.case.plan.traversal(),
-                threads: case.case.plan.threads,
-            };
-            let k = match CpuSddmm::compile(&data.graph, &data.udf, &fds, &opts) {
-                Ok(k) => k,
-                Err(e) => {
-                    fails.push(format!("compile failed: {e}"));
-                    return;
-                }
-            };
-            let mut typed = Dense2::zeros(data.graph.num_edges(), data.udf.out_len);
-            let mut plain = typed.clone();
-            if let Err(e) = k
-                .run_typed(&data.x, edge, &mut typed)
-                .and(k.run(&inputs, &mut plain))
-            {
-                fails.push(format!("f32 identity run failed: {e}"));
-                return;
-            }
-            (typed, plain)
-        }
-        KernelKind::Fused => return,
-    };
-    let bitwise = typed
-        .as_slice()
-        .iter()
-        .zip(plain.as_slice())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
-    if !bitwise {
-        fails.push("f32 run_typed is not bitwise identical to run".into());
     }
 }
 
@@ -373,12 +316,8 @@ pub fn run_dtype_case(case: &DtypeCase) -> Vec<String> {
         (KernelKind::Sddmm, FeatureDtype::F16) => check_sddmm::<F16>(case, &data, &mut fails),
         (KernelKind::Sddmm, FeatureDtype::Bf16) => check_sddmm::<Bf16>(case, &data, &mut fails),
         (KernelKind::Sddmm, FeatureDtype::F32) => check_sddmm::<f32>(case, &data, &mut fails),
-        (KernelKind::Fused, _) => {
-            fails.push("fused kernels have no typed storage path".into());
-            return fails;
-        }
+        (KernelKind::Fused, _) => fails.push("dtype cases cover SpMM and SDDMM only".into()),
     }
-    check_f32_identity(case, &data, &mut fails);
     fails
 }
 
@@ -481,8 +420,8 @@ mod tests {
 
     #[test]
     fn f32_cases_are_bitwise() {
-        // An explicit f32 case exercises the identity check with a
-        // zero-width tolerance end to end.
+        // An explicit f32 case runs the same instantiation twice under a
+        // zero-width tolerance.
         let case: DtypeCase =
             "dtype;t=f32;spmm;g=uniform:50:4:9;u=copy-src:8;r=mean;p=t2.p3.ft2.rt1.tr0.hil0.rpb1.epb256.hyb0.tpb32.bindn;s=5"
                 .parse()

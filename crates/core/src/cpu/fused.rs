@@ -13,28 +13,23 @@
 //! `1 / sum[dst]`. One `exp` per edge; peak intermediate state is two
 //! `|V|`-length f32 vectors — never the `|E| × d` normalized-score tensor.
 
-use fg_graph::{Graph, PartitionedCsr};
-use fg_ir::interp::{eval_expr, eval_udf, EdgeCtx};
-use fg_ir::{FusedOp, FusedPattern, KernelPattern, Reducer};
-use fg_tensor::Dense2;
-use fg_telemetry::{counter_add, histogram_record, span, Counter, Histogram};
-use rayon::prelude::*;
+use fg_graph::Graph;
+use fg_ir::{FusedOp, FusedPattern, KernelPattern};
+use fg_telemetry::{counter_add, span, Counter};
+use fg_tensor::{Dense2, FeatElem};
 
-use crate::cpu::spmm::{band_rows, band_slice, CpuSpmmOptions};
+use crate::cpu::ops::{self, CopySrc, Edge, Interp, MessageOp, ReduceOp, Sink};
+use crate::cpu::skeleton::{DstMajor, InEdges};
+use crate::cpu::spmm::CpuSpmmOptions;
 use crate::error::KernelError;
 use crate::inputs::FusedInputs;
-use crate::util;
 use crate::RunStats;
 
 /// A compiled CPU fused-attention kernel.
 pub struct CpuFused {
     op: FusedOp,
     pattern: FusedPattern,
-    parts: PartitionedCsr,
-    degrees: Vec<u32>,
-    num_vertices: usize,
-    num_edges: usize,
-    pool: rayon::ThreadPool,
+    plan: DstMajor,
 }
 
 impl CpuFused {
@@ -47,27 +42,14 @@ impl CpuFused {
         opts: &CpuSpmmOptions,
     ) -> Result<Self, KernelError> {
         op.validate()?;
-        if opts.graph_partitions == 0 {
-            return Err(KernelError::BadSchedule(
-                "graph_partitions must be >= 1".into(),
-            ));
-        }
-        let parts = PartitionedCsr::build(graph, opts.graph_partitions);
-        counter_add(Counter::KernelCompiles, 1);
         Ok(Self {
             op: op.clone(),
             pattern: FusedPattern::of(op),
-            parts,
-            degrees: (0..graph.num_vertices() as u32)
-                .map(|v| graph.in_degree(v) as u32)
-                .collect(),
-            num_vertices: graph.num_vertices(),
-            num_edges: graph.num_edges(),
-            pool: util::pool(opts.threads),
+            plan: DstMajor::build(graph, opts)?,
         })
     }
 
-    /// The recognized fused pattern (which fast path will run).
+    /// The recognized fused pattern (which score op will run).
     pub fn pattern(&self) -> FusedPattern {
         self.pattern
     }
@@ -75,396 +57,188 @@ impl CpuFused {
     /// Heap bytes held by the compiled plan (partitioned CSR + degree
     /// array).
     pub fn mem_bytes(&self) -> u64 {
-        self.parts.mem_bytes() + (self.degrees.len() * std::mem::size_of::<u32>()) as u64
+        self.plan.mem_bytes()
     }
 
-    /// Execute the kernel.
-    pub fn run(
+    /// Execute the kernel. As in the SpMM template, vertex operands of both
+    /// UDFs may be stored as `f32`, `bf16` or `f16` (`V`).
+    pub fn run<V: FeatElem>(
         &self,
-        inputs: &FusedInputs<'_, f32>,
+        inputs: &FusedInputs<'_, f32, V>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.op, self.num_vertices, self.num_edges, out)?;
+        inputs.validate(&self.op, self.plan.num_vertices, self.plan.num_edges, out)?;
         let _run_span = span!(
             "fused/run",
-            "pattern={} d={} parts={} softmax={}",
+            "pattern={} dtype={} d={} parts={} softmax={}",
             self.pattern.name(),
+            V::DTYPE,
             self.op.out_len(),
-            self.parts.num_partitions(),
+            self.plan.parts.num_partitions(),
             self.op.softmax
         );
-        counter_add(Counter::Partitions, self.parts.num_partitions() as u64);
-        if self.op.softmax {
-            self.run_softmax(inputs, out);
-        } else {
-            self.run_plain(inputs, out);
+        counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
+        let rows = inputs.message.vertex;
+        match self.pattern {
+            // Recognized only over a copy-src message.
+            FusedPattern::GatAttention { slope } => {
+                let (sl, sr) = (inputs.score.vertex, inputs.score.dst_tensor());
+                let slope = slope as f32;
+                self.exec(&GatScore { sl, sr, slope }, &CopySrc { rows }, out)
+            }
+            FusedPattern::Generic => {
+                let score = UdfScore(Interp::new(&self.op.score, &inputs.score));
+                if KernelPattern::of(&self.op.message) == KernelPattern::CopySrc {
+                    self.exec(&score, &CopySrc { rows }, out)
+                } else {
+                    self.exec(&score, &Interp::new(&self.op.message, &inputs.message), out)
+                }
+            }
         }
         Ok(RunStats::default())
+    }
+
+    fn exec<S: ScoreOp, M: MessageOp>(&self, score: &S, msg: &M, out: &mut Dense2<f32>) {
+        if self.op.softmax {
+            self.softmax(score, msg, out)
+        } else {
+            // One pass, `out[v] = agg of score · message`: the SpMM template
+            // over a score-weighted message.
+            let (op, agg) = (Weighted { score, msg }, self.op.agg);
+            self.plan.aggregate("fused/aggregate", agg, 1, &op, out)
+        }
     }
 
     /// Softmax path: (A) stream a per-destination running max (exp-free),
     /// (B) combine `exp(s - max) · message` unnormalized while accumulating
     /// the per-destination exp-sum, (C) scale each output row by `1 / sum`.
-    fn run_softmax(&self, inputs: &FusedInputs<'_, f32>, out: &mut Dense2<f32>) {
-        let n = self.num_vertices;
-        let d = self.op.out_len();
-        let score = ScoreEval::new(&self.op, self.pattern, inputs);
-        let band = band_rows(n, self.pool.current_num_threads());
+    fn softmax<S: ScoreOp, M: MessageOp>(&self, score: &S, msg: &M, out: &mut Dense2<f32>) {
+        let (n, d) = (self.plan.num_vertices, self.op.out_len());
 
-        // O(|V|) accumulators: running score max and (in pass B) exp-sum.
-        let mut maxes = vec![f32::NEG_INFINITY; n];
-
-        for (pi, seg, eids, _) in self.parts.iter() {
-            let _span = span!("fused/max", "part={pi} edges={}", eids.len());
-            counter_add(Counter::EdgesProcessed, eids.len() as u64);
-            histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-            // Per edge: the source-side score operand plus the running-max
-            // read/update (the destination operand is hoisted per row).
-            counter_add(Counter::BytesMoved, (eids.len() * 3 * 4) as u64);
-            let ne = self.parts.nonempty(pi);
-            self.pool.install(|| {
-                maxes.par_chunks_mut(band).enumerate().for_each(|(b, chunk)| {
-                    let dst0 = b * band;
-                    for &dst in band_slice(ne, dst0, chunk.len()) {
-                        let local = dst as usize - dst0;
-                        let t = score.dst_term(dst);
-                        let srcs = seg.row(dst);
-                        let base = seg.row_start(dst);
-                        if score.is_gat() {
-                            // leaky-relu is monotonic, so the segment's max
-                            // score is leaky(max sl[src] + t): the per-edge
-                            // work collapses to one load + compare.
-                            let mut z = f32::NEG_INFINITY;
-                            for &src in srcs {
-                                z = z.max(score.src_operand(src));
-                            }
-                            if z > f32::NEG_INFINITY {
-                                let v = score.leaky(z + t);
-                                if v > chunk[local] {
-                                    chunk[local] = v;
-                                }
-                            }
-                        } else {
-                            let mut mv = chunk[local];
-                            for (i, &src) in srcs.iter().enumerate() {
-                                let v = score.eval_with(src, dst, eids[base + i], t);
-                                if v > mv {
-                                    mv = v;
-                                }
-                            }
-                            chunk[local] = mv;
-                        }
-                    }
-                });
-            });
-        }
+        // Pass A. Per edge: the source-side score operand plus the
+        // running-max read/update (the destination operand is hoisted).
+        let mut maxes = Dense2::full(n, 1, f32::NEG_INFINITY);
+        let no_aux = &mut vec![(); n][..];
+        let plan = &self.plan;
+        let row_max = |edges: InEdges<'_>, max: &mut Sink<'_>, _: &mut ()| {
+            let m = score.row_max(&edges);
+            if m > max.out[0] {
+                max.out[0] = m;
+            }
+        };
+        plan.sweep("fused/max", 3 * 4, &mut maxes, 0..1, no_aux, row_max);
 
         // Pass B: every weight is exp(s - max) ∈ (0, 1]; the row with the
         // max contributes exactly 1, so any destination with an edge ends
-        // with sum >= 1 and the accumulation cannot overflow.
+        // with sum >= 1 and the accumulation cannot overflow. Per edge: the
+        // score recompute, the message, the output combine and the exp-sum.
         out.fill(0.0);
         let mut sums = vec![0f32; n];
-        for (pi, seg, eids, _) in self.parts.iter() {
-            let _span = span!("fused/aggregate", "part={pi} edges={}", eids.len());
-            counter_add(Counter::EdgesProcessed, eids.len() as u64);
-            histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-            // Per edge: score recompute + message row read + output combine
-            // + exp-sum update.
-            counter_add(Counter::BytesMoved, (eids.len() * (2 * d + 3) * 4) as u64);
-            let ne = self.parts.nonempty(pi);
-            let maxes = maxes.as_slice();
-            self.pool.install(|| {
-                out.as_mut_slice()
-                    .par_chunks_mut(band * d)
-                    .zip(sums.par_chunks_mut(band))
-                    .enumerate()
-                    .for_each(|(b, (chunk, schunk))| {
-                        let dst0 = b * band;
-                        let mut msg = MessageEval::new(&self.op, self.pattern, inputs);
-                        for &dst in band_slice(ne, dst0, schunk.len()) {
-                            let local = dst as usize - dst0;
-                            let mv = maxes[dst as usize];
-                            let t = score.dst_term(dst);
-                            let orow = &mut chunk[local * d..(local + 1) * d];
-                            let srcs = seg.row(dst);
-                            let base = seg.row_start(dst);
-                            let mut lsum = 0f32;
-                            for (i, &src) in srcs.iter().enumerate() {
-                                let eid = eids[base + i];
-                                let w = (score.eval_with(src, dst, eid, t) - mv).exp();
-                                lsum += w;
-                                // softmax implies Sum aggregation (validated)
-                                msg.combine_scaled(orow, src, dst, eid, w);
-                            }
-                            schunk[local] += lsum;
-                        }
-                    });
-            });
-        }
+        let bytes = msg.bytes_per_edge(d) + 4 * d + 3 * 4;
+        let row = |edges: InEdges<'_>, to: &mut Sink<'_>, sum: &mut f32| {
+            let max = maxes.at(edges.dst as usize, 0);
+            let score = score.for_dst(edges.dst);
+            let mut local = 0f32;
+            for e in edges.iter() {
+                let w = (score(e) - max).exp();
+                local += w;
+                // softmax implies Sum aggregation (validated)
+                msg.edge(ops::scaled(w, ops::sum), to, e);
+            }
+            *sum += local;
+        };
+        plan.sweep("fused/aggregate", bytes, out, 0..d, &mut sums, row);
 
         // Pass C: one O(|V|·d) row-scale closes the softmax normalization.
         let _span = span!("fused/normalize", "rows={n}");
-        let sums = sums.as_slice();
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(d)
-                .enumerate()
-                .for_each(|(v, row)| {
-                    let s = sums[v];
-                    if s > 0.0 {
-                        let inv = 1.0 / s;
-                        for o in row {
-                            *o *= inv;
-                        }
-                    }
-                });
-        });
-    }
-
-    /// Non-softmax path: one pass, `out[v] = agg of score · message`.
-    fn run_plain(&self, inputs: &FusedInputs<'_, f32>, out: &mut Dense2<f32>) {
-        let d = self.op.out_len();
-        let agg = self.op.agg;
-        let score = ScoreEval::new(&self.op, self.pattern, inputs);
-        let band = band_rows(self.num_vertices, self.pool.current_num_threads());
-
-        out.fill(agg.identity());
-        for (pi, seg, eids, _) in self.parts.iter() {
-            let _span = span!("fused/aggregate", "part={pi} edges={}", eids.len());
-            counter_add(Counter::EdgesProcessed, eids.len() as u64);
-            histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-            counter_add(Counter::BytesMoved, (eids.len() * (2 * d + 4) * 4) as u64);
-            let ne = self.parts.nonempty(pi);
-            self.pool.install(|| {
-                out.as_mut_slice()
-                    .par_chunks_mut(band * d)
-                    .enumerate()
-                    .for_each(|(b, chunk)| {
-                        let dst0 = b * band;
-                        let mut msg = MessageEval::new(&self.op, self.pattern, inputs);
-                        for &dst in band_slice(ne, dst0, chunk.len() / d) {
-                            let local = dst as usize - dst0;
-                            let t = score.dst_term(dst);
-                            let orow = &mut chunk[local * d..(local + 1) * d];
-                            let srcs = seg.row(dst);
-                            let base = seg.row_start(dst);
-                            for (i, &src) in srcs.iter().enumerate() {
-                                let eid = eids[base + i];
-                                let w = score.eval_with(src, dst, eid, t);
-                                msg.combine_agg(agg, orow, src, dst, eid, w);
-                            }
-                        }
-                    });
-            });
-        }
-
-        let degrees = &self.degrees;
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(d)
-                .enumerate()
-                .for_each(|(v, row)| {
-                    let deg = degrees[v] as usize;
-                    for o in row {
-                        *o = agg.finalize(*o, deg);
-                    }
-                });
+        plan.for_each_row(out, |v, row| {
+            if sums[v] > 0.0 {
+                let inv = 1.0 / sums[v];
+                for o in row {
+                    *o *= inv;
+                }
+            }
         });
     }
 }
 
-/// Per-edge scalar score evaluation: monomorphized leaky-relu(sl+sr) for the
-/// GAT pattern, interpreter otherwise.
-struct ScoreEval<'a> {
-    op: &'a FusedOp,
-    inputs: &'a FusedInputs<'a, f32>,
-    /// `Some(slope)` enables the GAT fast path.
-    gat_slope: Option<f32>,
+/// A per-edge scalar score (the SDDMM half of the fused operator).
+trait ScoreOp: Sync {
+    /// The score of `dst`'s in-edges, with the destination-side operand
+    /// hoisted out of the row's edge loop.
+    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_;
+
+    /// The largest score among `edges` (−∞ if there are none).
+    fn row_max(&self, edges: &InEdges<'_>) -> f32 {
+        let score = self.for_dst(edges.dst);
+        edges.iter().map(score).fold(f32::NEG_INFINITY, f32::max)
+    }
 }
 
-impl<'a> ScoreEval<'a> {
-    fn new(op: &'a FusedOp, pattern: FusedPattern, inputs: &'a FusedInputs<'a, f32>) -> Self {
-        let gat_slope = match pattern {
-            FusedPattern::GatAttention { slope } => Some(slope as f32),
-            FusedPattern::Generic => None,
-        };
-        Self {
-            op,
-            inputs,
-            gat_slope,
-        }
+/// GAT additive attention, `leaky_relu(sl[src] + sr[dst])`.
+struct GatScore<'a, V> {
+    sl: &'a Dense2<V>,
+    sr: &'a Dense2<V>,
+    slope: f32,
+}
+
+#[inline(always)]
+fn leaky_relu(v: f32, slope: f32) -> f32 {
+    if v > 0.0 { v } else { slope * v }
+}
+
+impl<V: FeatElem> ScoreOp for GatScore<'_, V> {
+    #[inline(always)]
+    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_ {
+        let sr = self.sr.at(dst as usize, 0).load();
+        move |e| leaky_relu(self.sl.at(e.src as usize, 0).load() + sr, self.slope)
     }
 
-    /// Whether the monomorphized GAT fast path is active.
-    #[inline]
-    fn is_gat(&self) -> bool {
-        self.gat_slope.is_some()
-    }
-
-    /// Source-side GAT score operand (`sl[src]`); only meaningful when
-    /// [`Self::is_gat`] holds.
-    #[inline]
-    fn src_operand(&self, src: u32) -> f32 {
-        self.inputs.score.vertex.at(src as usize, 0)
-    }
-
-    /// The GAT leaky-relu; only meaningful when [`Self::is_gat`] holds.
-    #[inline]
-    fn leaky(&self, v: f32) -> f32 {
-        let slope = self.gat_slope.unwrap_or(1.0);
-        if v > 0.0 { v } else { slope * v }
-    }
-
-    /// Loop-invariant destination-side score operand, hoisted out of the
-    /// per-edge loop on the GAT fast path (0.0 on the interpreter path,
-    /// where [`Self::eval_with`] ignores it).
-    #[inline]
-    fn dst_term(&self, dst: u32) -> f32 {
-        if self.gat_slope.is_some() {
-            self.inputs.score.dst_tensor().at(dst as usize, 0)
+    /// Leaky-relu is monotonic, so the row's max score is
+    /// `leaky(max sl[src] + sr[dst])`: the per-edge work collapses to one
+    /// load + compare.
+    #[inline(always)]
+    fn row_max(&self, edges: &InEdges<'_>) -> f32 {
+        let sl = |&src: &u32| self.sl.at(src as usize, 0).load();
+        let z = edges.srcs.iter().map(sl).fold(f32::NEG_INFINITY, f32::max);
+        if z > f32::NEG_INFINITY {
+            leaky_relu(z + self.sr.at(edges.dst as usize, 0).load(), self.slope)
         } else {
-            0.0
-        }
-    }
-
-    /// Score with the destination operand pre-fetched by [`Self::dst_term`].
-    #[inline]
-    fn eval_with(&self, src: u32, dst: u32, eid: u32, dst_term: f32) -> f32 {
-        if let Some(slope) = self.gat_slope {
-            let v = self.inputs.score.vertex.at(src as usize, 0) + dst_term;
-            return if v > 0.0 { v } else { slope * v };
-        }
-        self.eval_generic(src, dst, eid)
-    }
-
-    #[inline]
-    fn eval_generic(&self, src: u32, dst: u32, eid: u32) -> f32 {
-        let udf = &self.op.score;
-        let empty: [f32; 0] = [];
-        let ctx = EdgeCtx {
-            src: if udf.src_len > 0 { self.inputs.score.vertex.row(src as usize) } else { &empty },
-            dst: if udf.dst_len > 0 {
-                self.inputs.score.dst_tensor().row(dst as usize)
-            } else {
-                &empty
-            },
-            edge: match self.inputs.score.edge {
-                Some(e) if udf.edge_len > 0 => e.row(eid as usize),
-                _ => &empty,
-            },
-        };
-        match udf.reduce {
-            None => {
-                let mut v = eval_expr(&udf.body, &ctx, self.inputs.score.params, 0, 0);
-                if udf.post_relu {
-                    v = v.max(0.0);
-                }
-                v
-            }
-            Some(r) => {
-                let mut acc = r.op.identity::<f32>();
-                for k in 0..r.len {
-                    acc = r
-                        .op
-                        .combine(acc, eval_expr(&udf.body, &ctx, self.inputs.score.params, 0, k));
-                }
-                let mut v = r.op.finalize(acc, r.len);
-                if udf.post_relu {
-                    v = v.max(0.0);
-                }
-                v
-            }
+            z
         }
     }
 }
 
-/// Per-edge message evaluation and combine: direct source-row reads for the
-/// CopySrc message, interpreter (with per-band scratch) otherwise.
-struct MessageEval<'a> {
-    op: &'a FusedOp,
-    inputs: &'a FusedInputs<'a, f32>,
-    copy_src: bool,
-    scratch: Vec<f32>,
+/// Any scalar score UDF, through the interpreter.
+struct UdfScore<'a>(Interp<'a>);
+
+impl ScoreOp for UdfScore<'_> {
+    #[inline(always)]
+    fn for_dst(&self, _: u32) -> impl Fn(Edge) -> f32 + '_ {
+        move |e| {
+            let mut s = [0f32];
+            self.0.eval(ops::store, &mut s, e);
+            s[0]
+        }
+    }
 }
 
-impl<'a> MessageEval<'a> {
-    fn new(op: &'a FusedOp, pattern: FusedPattern, inputs: &'a FusedInputs<'a, f32>) -> Self {
-        let copy_src = matches!(pattern, FusedPattern::GatAttention { .. })
-            || KernelPattern::of(&op.message) == KernelPattern::CopySrc;
-        Self {
-            op,
-            inputs,
-            copy_src,
-            scratch: vec![0f32; op.message.out_len],
-        }
+/// `score(e) · msg(e)`: the non-softmax fused operator as a message op.
+struct Weighted<'a, S, M> {
+    score: &'a S,
+    msg: &'a M,
+}
+
+impl<S: ScoreOp, M: MessageOp> MessageOp for Weighted<'_, S, M> {
+    /// The message's operands plus the score's.
+    fn bytes_per_edge(&self, w: usize) -> usize {
+        self.msg.bytes_per_edge(w) + 4 * 4
     }
 
-    fn eval_into_scratch(&mut self, src: u32, dst: u32, eid: u32) {
-        let udf = &self.op.message;
-        let empty: [f32; 0] = [];
-        let ctx = EdgeCtx {
-            src: if udf.src_len > 0 { self.inputs.message.vertex.row(src as usize) } else { &empty },
-            dst: if udf.dst_len > 0 {
-                self.inputs.message.dst_tensor().row(dst as usize)
-            } else {
-                &empty
-            },
-            edge: match self.inputs.message.edge {
-                Some(e) if udf.edge_len > 0 => e.row(eid as usize),
-                _ => &empty,
-            },
-        };
-        eval_udf(udf, &ctx, self.inputs.message.params, &mut self.scratch, |slot, v| *slot = v);
-    }
-
-    /// `out += w · message` (Sum aggregation; the softmax path).
-    #[inline]
-    fn combine_scaled(&mut self, out: &mut [f32], src: u32, dst: u32, eid: u32, w: f32) {
-        if self.copy_src {
-            let srow = self.inputs.message.vertex.row(src as usize);
-            for (o, &v) in out.iter_mut().zip(srow) {
-                *o += w * v;
-            }
-        } else {
-            self.eval_into_scratch(src, dst, eid);
-            for (o, &v) in out.iter_mut().zip(&self.scratch) {
-                *o += w * v;
-            }
-        }
-    }
-
-    /// `out = agg.combine(out, w · message)` (the non-softmax path).
-    #[inline]
-    fn combine_agg(&mut self, agg: Reducer, out: &mut [f32], src: u32, dst: u32, eid: u32, w: f32) {
-        let apply = |out: &mut [f32], msg: &[f32]| match agg {
-            Reducer::Sum | Reducer::Mean => {
-                for (o, &v) in out.iter_mut().zip(msg) {
-                    *o += w * v;
-                }
-            }
-            Reducer::Max => {
-                for (o, &v) in out.iter_mut().zip(msg) {
-                    let m = w * v;
-                    if m > *o {
-                        *o = m;
-                    }
-                }
-            }
-            Reducer::Min => {
-                for (o, &v) in out.iter_mut().zip(msg) {
-                    let m = w * v;
-                    if m < *o {
-                        *o = m;
-                    }
-                }
-            }
-        };
-        if self.copy_src {
-            apply(out, self.inputs.message.vertex.row(src as usize));
-        } else {
-            self.eval_into_scratch(src, dst, eid);
-            apply(out, &self.scratch);
-        }
+    #[inline(always)]
+    fn edge<R: ReduceOp>(&self, r: R, to: &mut Sink<'_>, e: Edge) {
+        let w = self.score.for_dst(e.dst)(e);
+        self.msg.edge(ops::scaled(w, r), to, e);
     }
 }
 
@@ -474,7 +248,7 @@ mod tests {
     use crate::inputs::GraphTensors;
     use crate::reference::fused_reference;
     use fg_graph::generators;
-    use fg_ir::Udf;
+    use fg_ir::{Reducer, Udf};
 
     fn features(n: usize, d: usize, salt: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| {
@@ -631,7 +405,7 @@ mod tests {
         let g = generators::uniform(10, 2, 1);
         let op = FusedOp::gat_attention(8, 0.2);
         let k = CpuFused::compile(&g, &op, &CpuSpmmOptions::single_thread(1)).unwrap();
-        let x = Dense2::zeros(10, 4); // message wants 8 cols
+        let x = Dense2::<f32>::zeros(10, 4); // message wants 8 cols
         let sl = Dense2::zeros(10, 1);
         let inputs = FusedInputs {
             score: GraphTensors::src_dst(&sl, &sl),

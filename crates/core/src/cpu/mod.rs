@@ -1,4 +1,6 @@
-//! CPU kernel templates.
+//! CPU kernel templates: one loop-nest skeleton per traversal (`skeleton`, and
+//! the SDDMM template's edge-order nest) over storage × message-op ×
+//! reduce-op slots (`ops`).
 //!
 //! Template-level optimizations (§III-C1):
 //! * **1D graph partitioning** — source vertices are split into contiguous
@@ -12,5 +14,7 @@
 //!   feature sets.
 
 pub mod fused;
+mod ops;
 pub mod sddmm;
+mod skeleton;
 pub mod spmm;

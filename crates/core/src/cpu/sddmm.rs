@@ -2,14 +2,18 @@
 
 use fg_graph::hilbert::EdgeOrder;
 use fg_graph::Graph;
-use fg_ir::interp::{eval_udf, EdgeCtx};
 use fg_ir::{Fds, KernelPattern, Udf};
-use fg_tensor::half::WIDEN_CHUNK;
-use fg_tensor::tile::{ColTile, ColTiles};
-use fg_tensor::{Dense2, FeatElem};
 use fg_telemetry::{counter_add, histogram_record, span, Counter, Histogram};
+use fg_tensor::tile::ColTiles;
+use fg_tensor::{Dense2, FeatElem};
 use rayon::prelude::*;
+use std::ops::Range;
 
+use crate::cpu::ops::{
+    self, with_elem_op, CopyEdge, CopySrc, Dot, Edge, Interp, MessageOp, MultiHeadDot, ReduceOp,
+    Sink, SrcDst, SrcEdge, SrcScalar,
+};
+use crate::cpu::skeleton::band_rows;
 use crate::error::KernelError;
 use crate::inputs::GraphTensors;
 use crate::util::{self, SharedRows};
@@ -104,244 +108,103 @@ impl CpuSddmm {
     }
 
     /// Execute the kernel: `out[eid] = udf(src, dst, eid)` for every edge.
-    pub fn run(
+    /// Vertex features may be stored as `f32`, `bf16` or `f16` (`V`); rows
+    /// are widened as they are read and dots accumulate in `f32`.
+    pub fn run<V: FeatElem>(
         &self,
-        inputs: &GraphTensors<'_, f32>,
+        inputs: &GraphTensors<'_, f32, V>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.udf, self.num_vertices, self.num_edges, out, self.num_edges)?;
+        let (nv, ne) = (self.num_vertices, self.num_edges);
+        inputs.validate(&self.udf, nv, ne, out, ne)?;
         let _run_span = span!(
             "sddmm/run",
-            "pattern={:?} edges={} tiles={}",
+            "pattern={:?} dtype={} edges={} tiles={}",
             self.pattern,
-            self.num_edges,
+            V::DTYPE,
+            ne,
             self.fds.feature_tiles.max(1)
         );
+        let (x, xd) = (inputs.vertex, inputs.dst_tensor());
+        // Present whenever the pattern reads it: `validate` checked.
+        let xe = || inputs.edge.expect("validated");
         match self.pattern {
-            KernelPattern::Dot => self.run_dot_t(inputs.vertex, inputs.dst_tensor(), out),
+            // The reduce axis is tiled per the FDS: each k-tile traverses
+            // the edges once, adding its partial dot to the edge's scalar —
+            // the edge-wise analogue of Fig. 6b.
+            KernelPattern::Dot => {
+                out.fill_zero();
+                let d = self.udf.red_len();
+                let ktiles = ColTiles::new(d, self.fds.feature_tiles);
+                counter_add(Counter::FeatureTiles, ktiles.num_tiles() as u64);
+                let op = Dot { x, xd, d };
+                for kt in ktiles {
+                    self.pass("sddmm/ktile", ops::sum, &op, kt.range(), out);
+                }
+            }
             KernelPattern::MultiHeadDot { d } => {
-                self.run_multi_head_t(inputs.vertex, inputs.dst_tensor(), out, d)
+                let (op, dims) = (MultiHeadDot { x, xd, d }, 0..self.udf.src_len);
+                self.pass("sddmm/multi_head", ops::store, &op, dims, out)
             }
-            _ => self.run_generic(inputs, out),
+            // The element-wise UDFs are the SpMM template's message ops,
+            // stored to the edge row instead of reduced into the vertex row.
+            KernelPattern::CopySrc => self.store(&CopySrc { rows: x }, out),
+            KernelPattern::CopyEdge => self.store(&CopyEdge { rows: xe() }, out),
+            KernelPattern::SrcOpEdge(op) => {
+                with_elem_op!(op, |f| self.store(&SrcEdge { x, b: xe(), f }, out))
+            }
+            KernelPattern::SrcOpDst(op) => {
+                with_elem_op!(op, |f| self.store(&SrcDst { x, b: xd, f }, out))
+            }
+            KernelPattern::SrcMulEdgeScalar => self.store(&SrcScalar { x, w: xe() }, out),
+            _ => self.store(&Interp::new(&self.udf, inputs), out),
         }
         Ok(RunStats::default())
     }
 
-    /// Execute the kernel reading vertex features from half-precision (or
-    /// any [`FeatElem`]) storage; partial dots accumulate in `f32`. The
-    /// fused dot patterns get true typed inner loops; other parameterless
-    /// patterns widen once and run the interpreter. With `E = f32` this is
-    /// bitwise identical to [`run`](Self::run).
-    pub fn run_typed<E: FeatElem>(
-        &self,
-        vertex: &Dense2<E>,
-        edge: Option<&Dense2<f32>>,
-        out: &mut Dense2<f32>,
-    ) -> Result<RunStats, KernelError> {
-        let needs_src = self.udf.src_len > 0 && self.udf.body.reads_src();
-        let needs_dst = self.udf.dst_len > 0 && self.udf.body.reads_dst();
-        if needs_src || needs_dst {
-            let want_cols = if needs_src { self.udf.src_len } else { self.udf.dst_len };
-            if vertex.rows() != self.num_vertices || vertex.cols() < want_cols {
-                return Err(KernelError::Shape {
-                    what: "vertex".into(),
-                    expected: (self.num_vertices, want_cols),
-                    got: vertex.shape(),
-                });
-            }
-        }
-        if self.udf.edge_len > 0 && self.udf.body.reads_edge() {
-            let Some(e) = edge else {
-                return Err(KernelError::MissingInput { what: "edge" });
-            };
-            if e.rows() != self.num_edges || e.cols() < self.udf.edge_len {
-                return Err(KernelError::Shape {
-                    what: "edge".into(),
-                    expected: (self.num_edges, self.udf.edge_len),
-                    got: e.shape(),
-                });
-            }
-        }
-        if !self.udf.params.is_empty() {
-            return Err(KernelError::ParamCount {
-                expected: self.udf.params.len(),
-                got: 0,
-            });
-        }
-        if out.shape() != (self.num_edges, self.udf.out_len) {
-            return Err(KernelError::Shape {
-                what: "out".into(),
-                expected: (self.num_edges, self.udf.out_len),
-                got: out.shape(),
-            });
-        }
-        let _run_span = span!(
-            "sddmm/run_typed",
-            "pattern={:?} dtype={} edges={}",
-            self.pattern,
-            E::DTYPE,
-            self.num_edges
-        );
-        match self.pattern {
-            KernelPattern::Dot => self.run_dot_t(vertex, vertex, out),
-            KernelPattern::MultiHeadDot { d } => self.run_multi_head_t(vertex, vertex, out, d),
-            _ => {
-                let wide = fg_tensor::half::dequantize(vertex);
-                let inputs = match edge {
-                    Some(e) => GraphTensors::with_edge(&wide, e),
-                    None => GraphTensors::vertex_only(&wide),
-                };
-                self.run_generic(&inputs, out);
-            }
-        }
-        Ok(RunStats::default())
+    /// One pass writing each edge's whole output row.
+    fn store<M: MessageOp>(&self, op: &M, out: &mut Dense2<f32>) {
+        self.pass("sddmm/store", ops::store, op, 0..self.udf.out_len, out);
     }
 
-    /// Fused dot-product attention with the reduce axis tiled per the FDS:
-    /// each k-tile traverses the edges once, accumulating partial dots —
-    /// the edge-wise analogue of Fig. 6b. Generic over feature storage:
-    /// operands widen per element, partials accumulate in `f32`.
-    fn run_dot_t<E: FeatElem>(&self, x: &Dense2<E>, xd: &Dense2<E>, out: &mut Dense2<f32>) {
-        let d = self.udf.red_len();
-        let visits = &self.order.visits;
-        let chunk = visits.len().div_ceil(self.pool.current_num_threads().max(1) * 4).max(1);
-        let ktiles: Vec<ColTile> = ColTiles::new(d, self.fds.feature_tiles).collect();
-
-        out.fill_zero();
-        counter_add(Counter::FeatureTiles, ktiles.len() as u64);
-        let writer = SharedRows::new(out.as_mut_slice(), 1);
-        for (ti, kt) in ktiles.iter().enumerate() {
-            let _span = span!("sddmm/ktile", "tile={ti} width={}", kt.len());
-            counter_add(Counter::EdgesProcessed, visits.len() as u64);
-            // Per edge and k-tile pass: read a src and a dst slice, combine
-            // into the edge's scalar output.
-            let elem = std::mem::size_of::<E>();
-            counter_add(
-                Counter::BytesMoved,
-                (visits.len() * (2 * kt.len() * elem + 4)) as u64,
-            );
-            self.pool.install(|| {
-                visits.par_chunks(chunk).for_each(|edges| {
-                    histogram_record(Histogram::SddmmChunkEdges, edges.len() as u64);
-                    for &(src, dst, eid) in edges {
-                        let a = &x.row(src as usize)[kt.range()];
-                        let b = &xd.row(dst as usize)[kt.range()];
-                        let partial = dot_t(a, b);
-                        // Safety: each eid appears exactly once per k-tile
-                        // pass, and chunks are disjoint.
-                        unsafe {
-                            writer.row_mut(eid as usize)[0] += partial;
-                        }
-                    }
-                });
-            });
-        }
-    }
-
-    /// Fused multi-head dot product: `out[eid][h] = Σ_k src[h·d+k]·dst[h·d+k]`.
-    /// Generic over feature storage like [`run_dot_t`](Self::run_dot_t).
-    fn run_multi_head_t<E: FeatElem>(
+    /// The edge-order loop nest: one traversal of the (Hilbert or canonical)
+    /// visit list in parallel chunks, folding `op`'s message for columns
+    /// `cols` into each edge's output row with `r`.
+    fn pass<R: ReduceOp, M: MessageOp>(
         &self,
-        x: &Dense2<E>,
-        xd: &Dense2<E>,
+        name: &'static str,
+        r: R,
+        op: &M,
+        cols: Range<usize>,
         out: &mut Dense2<f32>,
-        d: usize,
     ) {
-        let h = self.udf.out_len;
         let visits = &self.order.visits;
-        let chunk = visits.len().div_ceil(self.pool.current_num_threads().max(1) * 4).max(1);
-
-        let _span = span!("sddmm/multi_head", "heads={h} d={d}");
+        let width = out.cols();
+        let chunk = band_rows(visits.len(), self.pool.current_num_threads());
+        let _span = span!(name, "cols={cols:?} edges={}", visits.len());
         counter_add(Counter::EdgesProcessed, visits.len() as u64);
-        let elem = std::mem::size_of::<E>();
-        counter_add(
-            Counter::BytesMoved,
-            (visits.len() * (2 * h * d * elem + h * 4)) as u64,
-        );
-        let writer = SharedRows::new(out.as_mut_slice(), h);
+        let bytes_per_edge = op.bytes_per_edge(cols.len()) + 4 * width;
+        counter_add(Counter::BytesMoved, (visits.len() * bytes_per_edge) as u64);
+        let writer = SharedRows::new(out.as_mut_slice(), width);
         self.pool.install(|| {
             visits.par_chunks(chunk).for_each(|edges| {
                 histogram_record(Histogram::SddmmChunkEdges, edges.len() as u64);
+                let mut scratch = Vec::new();
                 for &(src, dst, eid) in edges {
-                    let srow = x.row(src as usize);
-                    let drow = xd.row(dst as usize);
-                    // Safety: eids unique across disjoint chunks.
+                    // SAFETY: the visit list is a permutation of the edge
+                    // ids and the chunks partition it, so no other thread
+                    // touches row `eid` during this pass.
                     let orow = unsafe { writer.row_mut(eid as usize) };
-                    for (head, o) in orow.iter_mut().enumerate() {
-                        let a = &srow[head * d..(head + 1) * d];
-                        let b = &drow[head * d..(head + 1) * d];
-                        *o = dot_t(a, b);
-                    }
-                }
-            });
-        });
-    }
-
-    /// Interpreter fallback for arbitrary edge functions.
-    fn run_generic(&self, inputs: &GraphTensors<'_, f32>, out: &mut Dense2<f32>) {
-        let x = inputs.vertex;
-        let xd = inputs.dst_tensor();
-        let xe = inputs.edge;
-        let params = inputs.params;
-        let udf = &self.udf;
-        let visits = &self.order.visits;
-        let chunk = visits.len().div_ceil(self.pool.current_num_threads().max(1) * 4).max(1);
-        let empty: [f32; 0] = [];
-
-        let cols = udf.out_len;
-        let _span = span!("sddmm/generic", "edges={}", visits.len());
-        counter_add(Counter::EdgesProcessed, visits.len() as u64);
-        counter_add(
-            Counter::BytesMoved,
-            (visits.len() * (udf.src_len + udf.dst_len + udf.edge_len + cols) * 4) as u64,
-        );
-        let writer = SharedRows::new(out.as_mut_slice(), cols);
-        self.pool.install(|| {
-            visits.par_chunks(chunk).for_each(|edges| {
-                histogram_record(Histogram::SddmmChunkEdges, edges.len() as u64);
-                for &(src, dst, eid) in edges {
-                    let ctx = EdgeCtx {
-                        src: if udf.src_len > 0 { x.row(src as usize) } else { &empty },
-                        dst: if udf.dst_len > 0 { xd.row(dst as usize) } else { &empty },
-                        edge: match xe {
-                            Some(e) if udf.edge_len > 0 => e.row(eid as usize),
-                            _ => &empty,
-                        },
+                    let mut to = Sink {
+                        out: orow,
+                        cols: cols.clone(),
+                        scratch: &mut scratch,
                     };
-                    // Safety: eids unique across disjoint chunks.
-                    let orow = unsafe { writer.row_mut(eid as usize) };
-                    eval_udf(udf, &ctx, params, orow, |slot, v| *slot = v);
+                    op.edge(r, &mut to, Edge { src, dst, eid });
                 }
             });
         });
     }
-}
-
-/// Dot product over typed storage. `f32` operands dot in place via
-/// [`FeatElem::as_f32`] — the exact pre-existing expression, bit for bit.
-/// Half operands stage through stack buffers via [`FeatElem::widen`]
-/// (8-wide F16C decode or an auto-vectorizable loop) so the decode never
-/// sits inside the multiply-accumulate loop.
-#[inline(always)]
-fn dot_t<E: FeatElem>(a: &[E], b: &[E]) -> f32 {
-    if let (Some(a), Some(b)) = (E::as_f32(a), E::as_f32(b)) {
-        return a.iter().zip(b).map(|(&p, &q)| p * q).sum();
-    }
-    if !E::STAGED_WIDEN {
-        // Trivial decode (bf16: one shift): dot in place, vectorized.
-        return a.iter().zip(b).map(|(&p, &q)| p.load() * q.load()).sum();
-    }
-    let mut ba = [0.0f32; WIDEN_CHUNK];
-    let mut bb = [0.0f32; WIDEN_CHUNK];
-    let mut acc = 0.0f32;
-    for (ac, bc) in a.chunks(WIDEN_CHUNK).zip(b.chunks(WIDEN_CHUNK)) {
-        let af = &mut ba[..ac.len()];
-        E::widen(ac, af);
-        let bf = &mut bb[..bc.len()];
-        E::widen(bc, bf);
-        acc += af.iter().zip(bf.iter()).map(|(&p, &q)| p * q).sum::<f32>();
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -448,35 +311,46 @@ mod tests {
     }
 
     #[test]
-    fn run_typed_f32_is_bitwise_identical_to_run() {
-        let g = generators::uniform(130, 5, 19);
-        let x = features(130, 24);
-        let inputs = GraphTensors::vertex_only(&x);
-        for udf in [Udf::dot(24), Udf::multi_head_dot(3, 8)] {
+    fn message_ops_match_reference() {
+        // The element-wise UDFs run the SpMM template's message ops with a
+        // store sink instead of the interpreter.
+        let g = generators::uniform(90, 4, 13);
+        let x = features(90, 8);
+        let y = features(90, 8);
+        let xe = features(g.num_edges(), 8);
+        let with_edge = GraphTensors::with_edge(&x, &xe);
+        for (udf, inputs) in [
+            (Udf::copy_src(8), GraphTensors::vertex_only(&x)),
+            (Udf::src_add_dst(8), GraphTensors::src_dst(&x, &y)),
+            (Udf::copy_edge(8), with_edge),
+            (Udf::src_mul_edge(8), with_edge),
+            (Udf::src_mul_edge_scalar(8), with_edge),
+        ] {
+            let k = CpuSddmm::compile(
+                &g,
+                &udf,
+                &Fds::default(),
+                &CpuSddmmOptions::single_thread(Traversal::Hilbert),
+            )
+            .unwrap();
+            assert_ne!(k.pattern(), KernelPattern::Generic);
             for traversal in [Traversal::Canonical, Traversal::Hilbert] {
-                let k = CpuSddmm::compile(
+                check(
                     &g,
                     &udf,
+                    &inputs,
                     &Fds::cpu_tiled(2),
-                    &CpuSddmmOptions { traversal, threads: 3 },
-                )
-                .unwrap();
-                let mut legacy = Dense2::zeros(g.num_edges(), udf.out_len);
-                k.run(&inputs, &mut legacy).unwrap();
-                let mut typed = Dense2::zeros(g.num_edges(), udf.out_len);
-                k.run_typed::<f32>(&x, None, &mut typed).unwrap();
-                assert_eq!(
-                    legacy.as_slice(),
-                    typed.as_slice(),
-                    "f32 run_typed diverged bitwise ({:?}, {traversal:?})",
-                    k.pattern()
+                    &CpuSddmmOptions {
+                        traversal,
+                        threads: 3,
+                    },
                 );
             }
         }
     }
 
     #[test]
-    fn run_typed_half_tracks_dequantized_reference() {
+    fn half_storage_tracks_the_dequantized_run() {
         use fg_tensor::half::{dequantize, quantize};
         use fg_tensor::{Bf16, F16};
         let g = generators::uniform(110, 4, 23);
@@ -494,21 +368,71 @@ mod tests {
             .unwrap();
             let xh: Dense2<E> = quantize(x);
             let mut got = Dense2::zeros(g.num_edges(), udf.out_len);
-            k.run_typed(&xh, None, &mut got).unwrap();
+            k.run(&GraphTensors::vertex_only(&xh), &mut got).unwrap();
             let wide = dequantize(&xh);
             let mut want = Dense2::zeros(g.num_edges(), udf.out_len);
             k.run(&GraphTensors::vertex_only(&wide), &mut want).unwrap();
             assert!(
                 got.approx_eq(&want, 1e-6),
-                "{} path drifted from dequantized reference: max diff {}",
+                "{} storage drifted from the dequantized run ({:?}): max diff {}",
                 E::DTYPE,
+                k.pattern(),
                 got.max_abs_diff(&want)
             );
         }
-        for udf in [Udf::dot(16), Udf::multi_head_dot(2, 8)] {
+        for udf in [
+            Udf::dot(16),
+            Udf::multi_head_dot(2, 8),
+            Udf::src_add_dst(16),
+        ] {
             check_half::<F16>(&g, &x, &udf);
             check_half::<Bf16>(&g, &x, &udf);
         }
+    }
+
+    #[test]
+    fn narrow_dst_operand_is_a_shape_error_on_every_storage() {
+        // `src[i] * dst[7]` with `src_len = 4`, `dst_len = 8` on a 4-column
+        // tensor: the typed twin checked the width against `src_len` only and
+        // panicked in the interpreter (index 7 of a 4-wide row).
+        use fg_ir::{IdxExpr, ScalarExpr};
+        use fg_tensor::half::quantize;
+        use fg_tensor::Bf16;
+        let g = generators::uniform(20, 3, 2);
+        let udf = Udf {
+            out_len: 4,
+            src_len: 4,
+            dst_len: 8,
+            edge_len: 0,
+            reduce: None,
+            params: vec![],
+            body: ScalarExpr::src_i().mul(ScalarExpr::Dst(IdxExpr::Const(7))),
+            post_relu: false,
+        };
+        let k = CpuSddmm::compile(
+            &g,
+            &udf,
+            &Fds::default(),
+            &CpuSddmmOptions::single_thread(Traversal::Canonical),
+        )
+        .unwrap();
+        let x = features(20, 4);
+        let xb: Dense2<Bf16> = quantize(&x);
+        let mut out = Dense2::zeros(g.num_edges(), 4);
+        let want = KernelError::Shape {
+            what: "vertex_dst".into(),
+            expected: (20, 8),
+            got: (20, 4),
+        };
+        assert_eq!(
+            k.run(&GraphTensors::vertex_only(&x), &mut out).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            k.run(&GraphTensors::vertex_only(&xb), &mut out)
+                .unwrap_err(),
+            want
+        );
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! CPU generalized SpMM template.
 
-use fg_graph::{Graph, PartitionedCsr};
-use fg_ir::interp::{eval_udf, EdgeCtx};
-use fg_ir::pattern::ElemOp;
+use fg_graph::Graph;
 use fg_ir::{Fds, KernelPattern, Reducer, Udf};
-use fg_tensor::half::WIDEN_CHUNK;
-use fg_tensor::tile::{ColTile, ColTiles};
+use fg_telemetry::{counter_add, span, Counter};
 use fg_tensor::{Dense2, FeatElem};
-use fg_telemetry::{counter_add, histogram_record, span, Counter, Histogram};
-use rayon::prelude::*;
 
+use crate::cpu::ops::{
+    with_elem_op, CopyEdge, CopySrc, Interp, MessageOp, Mlp, SrcDst, SrcEdge, SrcScalar,
+};
+use crate::cpu::skeleton::DstMajor;
 use crate::error::KernelError;
 use crate::inputs::GraphTensors;
 use crate::util;
@@ -44,20 +43,12 @@ impl CpuSpmmOptions {
             std::mem::size_of::<f32>(),
             DEFAULT_LLC_BYTES,
         );
-        Self {
-            graph_partitions: parts,
-            threads: util::detected_threads(),
-            llc_bytes: DEFAULT_LLC_BYTES,
-        }
+        Self::with_threads(parts, util::detected_threads())
     }
 
     /// Single-threaded, explicit partition count (kernel benchmarks).
     pub fn single_thread(graph_partitions: usize) -> Self {
-        Self {
-            graph_partitions: graph_partitions.max(1),
-            threads: 1,
-            llc_bytes: DEFAULT_LLC_BYTES,
-        }
+        Self::with_threads(graph_partitions, 1)
     }
 
     /// Explicit thread and partition counts.
@@ -76,17 +67,11 @@ pub struct CpuSpmm {
     agg: Reducer,
     fds: Fds,
     pattern: KernelPattern,
-    parts: PartitionedCsr,
-    degrees: Vec<u32>,
-    num_vertices: usize,
-    num_edges: usize,
-    pool: rayon::ThreadPool,
+    plan: DstMajor,
 }
 
 impl CpuSpmm {
     /// Validate and build the execution plan (partitioned CSR, thread pool).
-    /// Plans are reused across runs, amortizing this cost over training
-    /// epochs exactly as the paper amortizes compilation (§IV-B).
     pub fn compile(
         graph: &Graph,
         udf: &Udf,
@@ -95,30 +80,16 @@ impl CpuSpmm {
         opts: &CpuSpmmOptions,
     ) -> Result<Self, KernelError> {
         udf.validate()?;
-        if opts.graph_partitions == 0 {
-            return Err(KernelError::BadSchedule(
-                "graph_partitions must be >= 1".into(),
-            ));
-        }
-        let parts = PartitionedCsr::build(graph, opts.graph_partitions);
-        let degrees = (0..graph.num_vertices() as u32)
-            .map(|v| graph.in_degree(v) as u32)
-            .collect();
-        counter_add(Counter::KernelCompiles, 1);
         Ok(Self {
             udf: udf.clone(),
             agg,
             fds: *fds,
             pattern: KernelPattern::of(udf),
-            parts,
-            degrees,
-            num_vertices: graph.num_vertices(),
-            num_edges: graph.num_edges(),
-            pool: util::pool(opts.threads),
+            plan: DstMajor::build(graph, opts)?,
         })
     }
 
-    /// The recognized kernel pattern (which fused fast path will run).
+    /// The recognized kernel pattern (which message op will run).
     pub fn pattern(&self) -> KernelPattern {
         self.pattern
     }
@@ -126,672 +97,58 @@ impl CpuSpmm {
     /// Heap bytes held by the compiled plan (partitioned CSR + degree
     /// array); feeds the serve engine's byte-bounded plan cache.
     pub fn mem_bytes(&self) -> u64 {
-        self.parts.mem_bytes() + (self.degrees.len() * std::mem::size_of::<u32>()) as u64
+        self.plan.mem_bytes()
     }
 
-    /// Execute the kernel.
-    pub fn run(
+    /// Execute the kernel. Vertex features may be stored as `f32`, `bf16` or
+    /// `f16` (`V`): rows are widened as they are read, so half storage
+    /// halves the bytes the kernel streams, and everything accumulates in
+    /// `f32`. With `V = f32` every load is the identity.
+    pub fn run<V: FeatElem>(
         &self,
-        inputs: &GraphTensors<'_, f32>,
+        inputs: &GraphTensors<'_, f32, V>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.udf, self.num_vertices, self.num_edges, out, self.num_vertices)?;
+        let (nv, ne) = (self.plan.num_vertices, self.plan.num_edges);
+        inputs.validate(&self.udf, nv, ne, out, nv)?;
+        let tiles = self.fds.feature_tiles.max(1);
         let _run_span = span!(
             "spmm/run",
-            "pattern={:?} d={} parts={} tiles={}",
+            "pattern={:?} dtype={} d={} parts={} tiles={tiles}",
             self.pattern,
+            V::DTYPE,
             self.udf.out_len,
-            self.parts.num_partitions(),
-            self.fds.feature_tiles.max(1)
+            self.plan.parts.num_partitions()
         );
-        counter_add(Counter::Partitions, self.parts.num_partitions() as u64);
-        counter_add(Counter::FeatureTiles, self.fds.feature_tiles.max(1) as u64);
-        out.fill(self.agg.identity());
+        counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
+        counter_add(Counter::FeatureTiles, tiles as u64);
 
+        let (x, xd) = (inputs.vertex, inputs.dst_tensor());
+        // Present whenever the pattern reads it: `validate` checked.
+        let xe = || inputs.edge.expect("validated");
         match self.pattern {
-            KernelPattern::CopySrc => self.run_elementwise(inputs, out, MsgKind::CopySrc),
-            KernelPattern::CopyEdge => self.run_elementwise(inputs, out, MsgKind::CopyEdge),
+            KernelPattern::CopySrc => self.exec(tiles, &CopySrc { rows: x }, out),
+            KernelPattern::CopyEdge => self.exec(tiles, &CopyEdge { rows: xe() }, out),
             KernelPattern::SrcOpEdge(op) => {
-                self.run_elementwise(inputs, out, MsgKind::SrcOpEdge(op))
+                with_elem_op!(op, |f| self.exec(tiles, &SrcEdge { x, b: xe(), f }, out))
             }
             KernelPattern::SrcOpDst(op) => {
-                self.run_elementwise(inputs, out, MsgKind::SrcOpDst(op))
+                with_elem_op!(op, |f| self.exec(tiles, &SrcDst { x, b: xd, f }, out))
             }
-            KernelPattern::SrcMulEdgeScalar => {
-                self.run_elementwise(inputs, out, MsgKind::SrcMulEdgeScalar)
+            KernelPattern::SrcMulEdgeScalar => self.exec(tiles, &SrcScalar { x, w: xe() }, out),
+            KernelPattern::MlpSrcDst => {
+                let w = inputs.params[0];
+                self.exec(tiles, &Mlp { x, xd, w }, out)
             }
-            KernelPattern::MlpSrcDst => self.run_mlp(inputs, out),
-            _ => self.run_generic(inputs, out),
+            _ => self.exec(1, &Interp::new(&self.udf, inputs), out),
         }
-
-        // Finalize: mean division / zero-degree normalization.
-        let agg = self.agg;
-        let degrees = &self.degrees;
-        let cols = out.cols();
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(cols)
-                .enumerate()
-                .for_each(|(v, row)| {
-                    let deg = degrees[v] as usize;
-                    for o in row {
-                        *o = agg.finalize(*o, deg);
-                    }
-                });
-        });
         Ok(RunStats::default())
     }
 
-    /// Execute the kernel reading vertex features from half-precision (or
-    /// any [`FeatElem`]) storage, accumulating in `f32`. Supports the
-    /// element-wise message patterns directly — loads widen per element in
-    /// the inner loop, so half storage halves the bytes the kernel streams.
-    /// Other parameterless patterns fall back to a one-off `f32`
-    /// materialization; UDFs that declare parameter matrices are rejected
-    /// (pass them through [`run`](Self::run) instead).
-    ///
-    /// With `E = f32` this is the exact code path of [`run`](Self::run):
-    /// the conversions monomorphize to the identity, so results stay
-    /// bitwise identical to the full-precision kernel.
-    pub fn run_typed<E: FeatElem>(
-        &self,
-        vertex: &Dense2<E>,
-        edge: Option<&Dense2<f32>>,
-        out: &mut Dense2<f32>,
-    ) -> Result<RunStats, KernelError> {
-        let needs_src = self.udf.src_len > 0 && self.udf.body.reads_src();
-        let needs_dst = self.udf.dst_len > 0 && self.udf.body.reads_dst();
-        if needs_src || needs_dst {
-            let want_cols = if needs_src { self.udf.src_len } else { self.udf.dst_len };
-            if vertex.rows() != self.num_vertices || vertex.cols() < want_cols {
-                return Err(KernelError::Shape {
-                    what: "vertex".into(),
-                    expected: (self.num_vertices, want_cols),
-                    got: vertex.shape(),
-                });
-            }
-        }
-        if self.udf.edge_len > 0 && self.udf.body.reads_edge() {
-            let Some(e) = edge else {
-                return Err(KernelError::MissingInput { what: "edge" });
-            };
-            if e.rows() != self.num_edges || e.cols() < self.udf.edge_len {
-                return Err(KernelError::Shape {
-                    what: "edge".into(),
-                    expected: (self.num_edges, self.udf.edge_len),
-                    got: e.shape(),
-                });
-            }
-        }
-        if !self.udf.params.is_empty() {
-            return Err(KernelError::ParamCount {
-                expected: self.udf.params.len(),
-                got: 0,
-            });
-        }
-        if out.shape() != (self.num_vertices, self.udf.out_len) {
-            return Err(KernelError::Shape {
-                what: "out".into(),
-                expected: (self.num_vertices, self.udf.out_len),
-                got: out.shape(),
-            });
-        }
-        let _run_span = span!(
-            "spmm/run_typed",
-            "pattern={:?} dtype={} d={}",
-            self.pattern,
-            E::DTYPE,
-            self.udf.out_len
-        );
-        counter_add(Counter::Partitions, self.parts.num_partitions() as u64);
-        counter_add(Counter::FeatureTiles, self.fds.feature_tiles.max(1) as u64);
-        out.fill(self.agg.identity());
-
-        match self.pattern {
-            KernelPattern::CopySrc => self.run_elementwise_t(vertex, vertex, edge, out, MsgKind::CopySrc),
-            KernelPattern::CopyEdge => self.run_elementwise_t(vertex, vertex, edge, out, MsgKind::CopyEdge),
-            KernelPattern::SrcOpEdge(op) => {
-                self.run_elementwise_t(vertex, vertex, edge, out, MsgKind::SrcOpEdge(op))
-            }
-            KernelPattern::SrcOpDst(op) => {
-                self.run_elementwise_t(vertex, vertex, edge, out, MsgKind::SrcOpDst(op))
-            }
-            KernelPattern::SrcMulEdgeScalar => {
-                self.run_elementwise_t(vertex, vertex, edge, out, MsgKind::SrcMulEdgeScalar)
-            }
-            // Patterns without a typed inner loop: widen once and let the
-            // interpreter run on the f32 copy (parameterless UDFs only,
-            // enforced above).
-            _ => {
-                let wide = fg_tensor::half::dequantize(vertex);
-                let inputs = match edge {
-                    Some(e) => GraphTensors::with_edge(&wide, e),
-                    None => GraphTensors::vertex_only(&wide),
-                };
-                self.run_generic(&inputs, out);
-            }
-        }
-
-        let agg = self.agg;
-        let degrees = &self.degrees;
-        let cols = out.cols();
-        self.pool.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(cols)
-                .enumerate()
-                .for_each(|(v, row)| {
-                    let deg = degrees[v] as usize;
-                    for o in row {
-                        *o = agg.finalize(*o, deg);
-                    }
-                });
-        });
-        Ok(RunStats::default())
+    fn exec<M: MessageOp>(&self, tiles: usize, op: &M, out: &mut Dense2<f32>) {
+        self.plan
+            .aggregate("spmm/partition", self.agg, tiles, op, out);
     }
-
-    /// Fused element-wise message kernels (copy/add/mul/sub of per-edge
-    /// operands) under graph partitioning + feature tiling.
-    fn run_elementwise(&self, inputs: &GraphTensors<'_, f32>, out: &mut Dense2<f32>, kind: MsgKind) {
-        self.run_elementwise_t(inputs.vertex, inputs.dst_tensor(), inputs.edge, out, kind);
-    }
-
-    /// The element-wise inner loops, generic over the vertex-feature storage
-    /// type: loads widen to `f32` ([`FeatElem::load`]), accumulation stays
-    /// `f32`. `E = f32` monomorphizes to the identity load — the historical
-    /// full-precision kernel, op for op.
-    fn run_elementwise_t<E: FeatElem>(
-        &self,
-        x: &Dense2<E>,
-        xd: &Dense2<E>,
-        xe: Option<&Dense2<f32>>,
-        out: &mut Dense2<f32>,
-        kind: MsgKind,
-    ) {
-        let d = self.udf.out_len;
-        let agg = self.agg;
-        let band_rows = band_rows(self.num_vertices, self.pool.current_num_threads());
-
-        for (ti, tile) in ColTiles::new(d, self.fds.feature_tiles).enumerate() {
-            // Partitions are processed one at a time; every thread works on
-            // the same partition to keep its source rows hot in shared LLC.
-            for (pi, seg, eids, _) in self.parts.iter() {
-                let _span = span!("spmm/partition", "tile={ti} part={pi} edges={}", eids.len());
-                counter_add(Counter::EdgesProcessed, eids.len() as u64);
-                histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-                // Estimate: one source-row read (at the storage width) +
-                // one output combine (f32) per edge, tile-width elements
-                // each — except the scalar-weight kernel, whose edge
-                // operand is one f32, not a tile-width row.
-                let elem = std::mem::size_of::<E>();
-                let per_edge_bytes = match kind {
-                    MsgKind::SrcMulEdgeScalar => tile.len() * (elem + 4) + 4,
-                    _ => tile.len() * (elem + 4),
-                };
-                counter_add(Counter::BytesMoved, (eids.len() * per_edge_bytes) as u64);
-                let ne = self.parts.nonempty(pi);
-                self.pool.install(|| {
-                    out.as_mut_slice()
-                        .par_chunks_mut(band_rows * d)
-                        .enumerate()
-                        .for_each(|(band, chunk)| {
-                            let dst0 = band * band_rows;
-                            for &dst in band_slice(ne, dst0, chunk.len() / d) {
-                                let local = dst as usize - dst0;
-                                let orow = &mut chunk[local * d..(local + 1) * d];
-                                let srcs = seg.row(dst);
-                                let base = seg.row_start(dst);
-                                let ot = &mut orow[tile.range()];
-                                match kind {
-                                    MsgKind::CopySrc => {
-                                        for &src in srcs {
-                                            combine_rows(agg, ot, &x.row(src as usize)[tile.range()]);
-                                        }
-                                    }
-                                    MsgKind::CopyEdge => {
-                                        let xe = xe.expect("validated");
-                                        for i in 0..srcs.len() {
-                                            let eid = eids[base + i];
-                                            combine_rows(agg, ot, &xe.row(eid as usize)[tile.range()]);
-                                        }
-                                    }
-                                    MsgKind::SrcOpEdge(op) => {
-                                        let xe = xe.expect("validated");
-                                        for (i, &src) in srcs.iter().enumerate() {
-                                            let eid = eids[base + i];
-                                            combine_rows2(
-                                                agg,
-                                                op,
-                                                ot,
-                                                &x.row(src as usize)[tile.range()],
-                                                &xe.row(eid as usize)[tile.range()],
-                                            );
-                                        }
-                                    }
-                                    MsgKind::SrcMulEdgeScalar => {
-                                        let xe = xe.expect("validated");
-                                        for (i, &src) in srcs.iter().enumerate() {
-                                            let eid = eids[base + i];
-                                            let wscalar = xe.at(eid as usize, 0);
-                                            combine_scaled(
-                                                agg,
-                                                ot,
-                                                &x.row(src as usize)[tile.range()],
-                                                wscalar,
-                                            );
-                                        }
-                                    }
-                                    MsgKind::SrcOpDst(op) => {
-                                        let drow = &xd.row(dst as usize)[tile.range()];
-                                        for &src in srcs {
-                                            combine_rows2(
-                                                agg,
-                                                op,
-                                                ot,
-                                                &x.row(src as usize)[tile.range()],
-                                                drow,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                });
-            }
-        }
-    }
-
-    /// Fused MLP-aggregation kernel: `agg over edges of
-    /// relu((x[src] + x[dst]) × W)`, with both W axes tiled per the FDS
-    /// (Fig. 8).
-    fn run_mlp(&self, inputs: &GraphTensors<'_, f32>, out: &mut Dense2<f32>) {
-        let d1 = self.udf.red_len();
-        let d2 = self.udf.out_len;
-        let x = inputs.vertex;
-        let xd = inputs.dst_tensor();
-        let w = inputs.params[0];
-        let agg = self.agg;
-        let ktiles: Vec<ColTile> = ColTiles::new(d1, self.fds.reduce_tiles).collect();
-        let band_rows = band_rows(self.num_vertices, self.pool.current_num_threads());
-
-        for (ti, tile) in ColTiles::new(d2, self.fds.feature_tiles).enumerate() {
-            for (pi, seg, eids, _) in self.parts.iter() {
-                let _span = span!("spmm/partition", "tile={ti} part={pi} edges={}", eids.len());
-                counter_add(Counter::EdgesProcessed, eids.len() as u64);
-                histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-                // Estimate per edge: read src+dst rows (d1 each), stream the
-                // weight tile, and combine into the output tile.
-                counter_add(
-                    Counter::BytesMoved,
-                    (eids.len() * (2 * d1 + d1 * tile.len() + tile.len()) * 4) as u64,
-                );
-                let ne = self.parts.nonempty(pi);
-                self.pool.install(|| {
-                    out.as_mut_slice()
-                        .par_chunks_mut(band_rows * d2)
-                        .enumerate()
-                        .for_each(|(band, chunk)| {
-                            let dst0 = band * band_rows;
-                            // Per-thread scratch, reused across the band.
-                            let mut tmp = vec![0.0f32; d1];
-                            let mut acc = vec![0.0f32; tile.len()];
-                            for &dst in band_slice(ne, dst0, chunk.len() / d2) {
-                                let local = dst as usize - dst0;
-                                let orow = &mut chunk[local * d2..(local + 1) * d2];
-                                let srcs = seg.row(dst);
-                                let drow = xd.row(dst as usize);
-                                let ot = &mut orow[tile.range()];
-                                for &src in srcs {
-                                    let srow = x.row(src as usize);
-                                    for ((t, &a), &b) in
-                                        tmp.iter_mut().zip(srow).zip(drow)
-                                    {
-                                        *t = a + b;
-                                    }
-                                    acc.fill(0.0);
-                                    // k-tiled dense inner product into acc
-                                    for kt in &ktiles {
-                                        for k in kt.range() {
-                                            let tv = tmp[k];
-                                            let wrow = &w.row(k)[tile.range()];
-                                            for (a, &wv) in acc.iter_mut().zip(wrow) {
-                                                *a += tv * wv;
-                                            }
-                                        }
-                                    }
-                                    for (o, &a) in ot.iter_mut().zip(&acc) {
-                                        *o = agg.combine(*o, a.max(0.0));
-                                    }
-                                }
-                            }
-                        });
-                });
-            }
-        }
-    }
-
-    /// Interpreter fallback: correct for every expressible UDF. Runs
-    /// untiled (the interpreter evaluates whole output rows), but still
-    /// benefits from graph partitioning and parallel destination bands.
-    fn run_generic(&self, inputs: &GraphTensors<'_, f32>, out: &mut Dense2<f32>) {
-        let d = self.udf.out_len;
-        let x = inputs.vertex;
-        let xd = inputs.dst_tensor();
-        let xe = inputs.edge;
-        let params = inputs.params;
-        let udf = &self.udf;
-        let agg = self.agg;
-        let empty: [f32; 0] = [];
-        let band_rows = band_rows(self.num_vertices, self.pool.current_num_threads());
-
-        for (pi, seg, eids, _) in self.parts.iter() {
-            let _span = span!("spmm/partition", "part={pi} edges={}", eids.len());
-            counter_add(Counter::EdgesProcessed, eids.len() as u64);
-            histogram_record(Histogram::SpmmPartitionEdges, eids.len() as u64);
-            counter_add(Counter::BytesMoved, (eids.len() * d * 2 * 4) as u64);
-            let ne = self.parts.nonempty(pi);
-            self.pool.install(|| {
-                out.as_mut_slice()
-                    .par_chunks_mut(band_rows * d)
-                    .enumerate()
-                    .for_each(|(band, chunk)| {
-                        let dst0 = band * band_rows;
-                        for &dst in band_slice(ne, dst0, chunk.len() / d) {
-                            let local = dst as usize - dst0;
-                            let orow = &mut chunk[local * d..(local + 1) * d];
-                            let srcs = seg.row(dst);
-                            let base = seg.row_start(dst);
-                            for (i, &src) in srcs.iter().enumerate() {
-                                let eid = eids[base + i];
-                                let ctx = EdgeCtx {
-                                    src: if udf.src_len > 0 { x.row(src as usize) } else { &empty },
-                                    dst: if udf.dst_len > 0 { xd.row(dst as usize) } else { &empty },
-                                    edge: match xe {
-                                        Some(e) if udf.edge_len > 0 => e.row(eid as usize),
-                                        _ => &empty,
-                                    },
-                                };
-                                eval_udf(udf, &ctx, params, orow, |slot, v| {
-                                    *slot = agg.combine(*slot, v)
-                                });
-                            }
-                        }
-                    });
-            });
-        }
-    }
-}
-
-/// Message kinds handled by the fused element-wise path.
-#[derive(Clone, Copy)]
-enum MsgKind {
-    CopySrc,
-    CopyEdge,
-    SrcOpEdge(ElemOp),
-    SrcOpDst(ElemOp),
-    SrcMulEdgeScalar,
-}
-
-// The combine helpers are generic over feature storage: operands widen to
-// `f32` per element ([`FeatElem::load`], the identity for `f32`), and the
-// accumulator is always `f32`.
-
-#[inline(always)]
-fn combine_scaled<E: FeatElem>(agg: Reducer, out: &mut [f32], src: &[E], w: f32) {
-    if let Some(src) = E::as_f32(src) {
-        return combine_scaled_f32(agg, out, src, w);
-    }
-    if !E::STAGED_WIDEN {
-        // Trivial decode (bf16: one shift): combine in place, vectorized.
-        match agg {
-            Reducer::Sum | Reducer::Mean => {
-                for (o, &v) in out.iter_mut().zip(src) {
-                    *o += v.load() * w;
-                }
-            }
-            Reducer::Max => {
-                for (o, &v) in out.iter_mut().zip(src) {
-                    let m = v.load() * w;
-                    if m > *o {
-                        *o = m;
-                    }
-                }
-            }
-            Reducer::Min => {
-                for (o, &v) in out.iter_mut().zip(src) {
-                    let m = v.load() * w;
-                    if m < *o {
-                        *o = m;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let mut buf = [0.0f32; WIDEN_CHUNK];
-    for (oc, sc) in out.chunks_mut(WIDEN_CHUNK).zip(src.chunks(WIDEN_CHUNK)) {
-        let b = &mut buf[..sc.len()];
-        E::widen(sc, b);
-        combine_scaled_f32(agg, oc, b, w);
-    }
-}
-
-#[inline(always)]
-fn combine_scaled_f32(agg: Reducer, out: &mut [f32], src: &[f32], w: f32) {
-    match agg {
-        Reducer::Sum | Reducer::Mean => {
-            for (o, &v) in out.iter_mut().zip(src) {
-                *o += v * w;
-            }
-        }
-        Reducer::Max => {
-            for (o, &v) in out.iter_mut().zip(src) {
-                let m = v * w;
-                if m > *o {
-                    *o = m;
-                }
-            }
-        }
-        Reducer::Min => {
-            for (o, &v) in out.iter_mut().zip(src) {
-                let m = v * w;
-                if m < *o {
-                    *o = m;
-                }
-            }
-        }
-    }
-}
-
-/// Combine one message row into the output. Half-storage rows stage
-/// through a stack buffer via [`FeatElem::widen`] (8-wide F16C decode or
-/// an auto-vectorizable loop); `f32` rows combine in place via
-/// [`FeatElem::as_f32`], so the full-precision instantiation is the
-/// pre-existing loop, bit for bit.
-#[inline(always)]
-fn combine_rows<E: FeatElem>(agg: Reducer, out: &mut [f32], msg: &[E]) {
-    if let Some(msg) = E::as_f32(msg) {
-        return combine_rows_f32(agg, out, msg);
-    }
-    if !E::STAGED_WIDEN {
-        // Trivial decode (bf16: one shift): combine in place, vectorized.
-        match agg {
-            Reducer::Sum | Reducer::Mean => {
-                for (o, &m) in out.iter_mut().zip(msg) {
-                    *o += m.load();
-                }
-            }
-            Reducer::Max => {
-                for (o, &m) in out.iter_mut().zip(msg) {
-                    let m = m.load();
-                    if m > *o {
-                        *o = m;
-                    }
-                }
-            }
-            Reducer::Min => {
-                for (o, &m) in out.iter_mut().zip(msg) {
-                    let m = m.load();
-                    if m < *o {
-                        *o = m;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let mut buf = [0.0f32; WIDEN_CHUNK];
-    for (oc, mc) in out.chunks_mut(WIDEN_CHUNK).zip(msg.chunks(WIDEN_CHUNK)) {
-        let b = &mut buf[..mc.len()];
-        E::widen(mc, b);
-        combine_rows_f32(agg, oc, b);
-    }
-}
-
-#[inline(always)]
-fn combine_rows_f32(agg: Reducer, out: &mut [f32], msg: &[f32]) {
-    match agg {
-        Reducer::Sum | Reducer::Mean => {
-            for (o, &m) in out.iter_mut().zip(msg) {
-                *o += m;
-            }
-        }
-        Reducer::Max => {
-            for (o, &m) in out.iter_mut().zip(msg) {
-                if m > *o {
-                    *o = m;
-                }
-            }
-        }
-        Reducer::Min => {
-            for (o, &m) in out.iter_mut().zip(msg) {
-                if m < *o {
-                    *o = m;
-                }
-            }
-        }
-    }
-}
-
-#[inline(always)]
-fn combine_rows2<A: FeatElem, B: FeatElem>(
-    agg: Reducer,
-    op: ElemOp,
-    out: &mut [f32],
-    a: &[A],
-    b: &[B],
-) {
-    if let (Some(a), Some(b)) = (A::as_f32(a), B::as_f32(b)) {
-        return combine_rows2_f32(agg, op, out, a, b);
-    }
-    if !A::STAGED_WIDEN && !B::STAGED_WIDEN {
-        // Trivial decodes only: combine in place, vectorized.
-        macro_rules! go {
-            ($apply:expr) => {
-                match agg {
-                    Reducer::Sum | Reducer::Mean => {
-                        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                            *o += $apply(x.load(), y.load());
-                        }
-                    }
-                    Reducer::Max => {
-                        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                            let m = $apply(x.load(), y.load());
-                            if m > *o {
-                                *o = m;
-                            }
-                        }
-                    }
-                    Reducer::Min => {
-                        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                            let m = $apply(x.load(), y.load());
-                            if m < *o {
-                                *o = m;
-                            }
-                        }
-                    }
-                }
-            };
-        }
-        match op {
-            ElemOp::Add => go!(|x: f32, y: f32| x + y),
-            ElemOp::Mul => go!(|x: f32, y: f32| x * y),
-            ElemOp::Sub => go!(|x: f32, y: f32| x - y),
-        }
-        return;
-    }
-    let mut ba = [0.0f32; WIDEN_CHUNK];
-    let mut bb = [0.0f32; WIDEN_CHUNK];
-    for ((oc, ac), bc) in out
-        .chunks_mut(WIDEN_CHUNK)
-        .zip(a.chunks(WIDEN_CHUNK))
-        .zip(b.chunks(WIDEN_CHUNK))
-    {
-        let af: &[f32] = match A::as_f32(ac) {
-            Some(s) => s,
-            None => {
-                A::widen(ac, &mut ba[..ac.len()]);
-                &ba[..ac.len()]
-            }
-        };
-        let bf: &[f32] = match B::as_f32(bc) {
-            Some(s) => s,
-            None => {
-                B::widen(bc, &mut bb[..bc.len()]);
-                &bb[..bc.len()]
-            }
-        };
-        combine_rows2_f32(agg, op, oc, af, bf);
-    }
-}
-
-#[inline(always)]
-fn combine_rows2_f32(agg: Reducer, op: ElemOp, out: &mut [f32], a: &[f32], b: &[f32]) {
-    macro_rules! go {
-        ($apply:expr) => {
-            match agg {
-                Reducer::Sum | Reducer::Mean => {
-                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                        *o += $apply(x, y);
-                    }
-                }
-                Reducer::Max => {
-                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                        let m = $apply(x, y);
-                        if m > *o {
-                            *o = m;
-                        }
-                    }
-                }
-                Reducer::Min => {
-                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                        let m = $apply(x, y);
-                        if m < *o {
-                            *o = m;
-                        }
-                    }
-                }
-            }
-        };
-    }
-    match op {
-        ElemOp::Add => go!(|x: f32, y: f32| x + y),
-        ElemOp::Mul => go!(|x: f32, y: f32| x * y),
-        ElemOp::Sub => go!(|x: f32, y: f32| x - y),
-    }
-}
-
-/// Rows per parallel band: a few bands per thread for load balance.
-pub(crate) fn band_rows(n: usize, threads: usize) -> usize {
-    n.div_ceil(threads.max(1) * 4).max(1)
-}
-
-/// Sub-slice of a sorted nonempty-destination list falling inside the band
-/// `[dst0, dst0 + rows)`.
-#[inline]
-pub(crate) fn band_slice(nonempty: &[u32], dst0: usize, rows: usize) -> &[u32] {
-    let lo = nonempty.partition_point(|&v| (v as usize) < dst0);
-    let hi = lo + nonempty[lo..].partition_point(|&v| (v as usize) < dst0 + rows);
-    &nonempty[lo..hi]
 }
 
 #[cfg(test)]
@@ -956,21 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn band_slice_selects_the_band() {
-        let ne = [1u32, 4, 5, 9, 10];
-        assert_eq!(band_slice(&ne, 0, 5), &[1, 4]);
-        assert_eq!(band_slice(&ne, 5, 5), &[5, 9]);
-        assert_eq!(band_slice(&ne, 10, 5), &[10]);
-        assert!(band_slice(&ne, 11, 5).is_empty());
-        assert!(band_slice(&[], 0, 5).is_empty());
-    }
-
-    #[test]
     fn rejects_bad_inputs_at_run_time() {
         let g = generators::uniform(10, 2, 1);
         let udf = Udf::copy_src(8);
         let k = CpuSpmm::compile(&g, &udf, Reducer::Sum, &Fds::default(), &CpuSpmmOptions::single_thread(1)).unwrap();
-        let x = Dense2::zeros(10, 4); // too narrow
+        let x = Dense2::<f32>::zeros(10, 4); // too narrow
         let mut out = Dense2::zeros(10, 8);
         assert!(k.run(&GraphTensors::vertex_only(&x), &mut out).is_err());
     }
@@ -990,120 +337,137 @@ mod tests {
         ));
     }
 
+    /// Half-precision vertex storage must track the same kernel run on the
+    /// dequantized values: both sides see identical operand values and fold
+    /// them in the same order, so they agree to f32 rounding.
+    fn check_half<E: FeatElem>(
+        g: &Graph,
+        udf: &Udf,
+        agg: Reducer,
+        x: &Dense2<f32>,
+        edge: Option<&Dense2<f32>>,
+        params: &[&Dense2<f32>],
+    ) {
+        use fg_tensor::half::{dequantize, quantize};
+        let k = CpuSpmm::compile(
+            g,
+            udf,
+            agg,
+            &Fds::cpu_tiled(2),
+            &CpuSpmmOptions::with_threads(3, 2),
+        )
+        .unwrap();
+        let xh: Dense2<E> = quantize(x);
+        let half = GraphTensors {
+            vertex: &xh,
+            vertex_dst: None,
+            edge,
+            params,
+        };
+        let mut got = Dense2::zeros(g.num_vertices(), udf.out_len);
+        k.run(&half, &mut got).unwrap();
+        let wide = dequantize(&xh);
+        let full = GraphTensors {
+            vertex: &wide,
+            vertex_dst: None,
+            edge,
+            params,
+        };
+        let mut want = Dense2::zeros(g.num_vertices(), udf.out_len);
+        k.run(&full, &mut want).unwrap();
+        assert!(
+            got.approx_eq(&want, 1e-6),
+            "{} storage drifted from the dequantized run ({:?}, {agg:?}): max diff {}",
+            E::DTYPE,
+            k.pattern(),
+            got.max_abs_diff(&want)
+        );
+    }
+
     #[test]
-    fn run_typed_f32_is_bitwise_identical_to_run() {
-        let g = generators::uniform(160, 5, 11);
-        let x = features(160, 24);
-        let xe = features(g.num_edges(), 24);
+    fn half_storage_tracks_the_dequantized_run() {
+        use fg_tensor::{Bf16, F16};
+        let g = generators::uniform(140, 5, 17);
+        let x = features(140, 16);
+        let xe = features(g.num_edges(), 16);
         for (udf, edge) in [
-            (Udf::copy_src(24), None),
-            (Udf::src_add_dst(24), None),
-            (Udf::src_mul_edge(24), Some(&xe)),
-            (Udf::copy_edge(24), Some(&xe)),
+            (Udf::copy_src(16), None),
+            (Udf::src_add_dst(16), None),
+            (Udf::src_mul_edge(16), Some(&xe)),
+            (Udf::copy_edge(16), Some(&xe)),
+            (Udf::src_mul_edge_scalar(16), Some(&xe)),
         ] {
             for agg in [Reducer::Sum, Reducer::Max, Reducer::Mean] {
-                let k = CpuSpmm::compile(
-                    &g,
-                    &udf,
-                    agg,
-                    &Fds::cpu_tiled(3),
-                    &CpuSpmmOptions::with_threads(4, 2),
-                )
-                .unwrap();
-                let inputs = GraphTensors {
-                    vertex: &x,
-                    vertex_dst: None,
-                    edge,
-                    params: &[],
-                };
-                let mut legacy = Dense2::zeros(160, 24);
-                k.run(&inputs, &mut legacy).unwrap();
-                let mut typed = Dense2::zeros(160, 24);
-                k.run_typed::<f32>(&x, edge, &mut typed).unwrap();
-                assert_eq!(
-                    legacy.as_slice(),
-                    typed.as_slice(),
-                    "f32 run_typed diverged bitwise (udf out_len {}, agg {agg:?})",
-                    udf.out_len
-                );
+                check_half::<F16>(&g, &udf, agg, &x, edge, &[]);
+                check_half::<Bf16>(&g, &udf, agg, &x, edge, &[]);
             }
         }
     }
 
     #[test]
-    fn run_typed_half_tracks_reference_within_tolerance() {
-        use fg_tensor::half::quantize;
+    fn half_storage_reaches_parameterized_and_interpreted_udfs() {
+        // The former typed twin rejected parameter matrices and knew no
+        // interpreter path; the one `run` takes every UDF on every storage.
         use fg_tensor::{Bf16, F16};
-        let g = generators::uniform(140, 5, 17);
-        let x = features(140, 16);
-        let xe = features(g.num_edges(), 16);
-        fn check_half<E: FeatElem>(
-            g: &Graph,
-            x: &Dense2<f32>,
-            xe: &Dense2<f32>,
-            udf: &Udf,
-            edge: bool,
-            tol: f64,
-        ) {
-            let k = CpuSpmm::compile(
-                g,
-                udf,
-                Reducer::Sum,
-                &Fds::cpu_tiled(2),
-                &CpuSpmmOptions::with_threads(3, 2),
-            )
-            .unwrap();
-            let xh: Dense2<E> = quantize(x);
-            let edge = edge.then_some(xe);
-            let mut got = Dense2::zeros(g.num_vertices(), udf.out_len);
-            k.run_typed(&xh, edge, &mut got).unwrap();
-            // Reference: run the full-precision kernel on the dequantized
-            // features — the half path should only differ by f32 rounding in
-            // a different association order (none for these kernels).
-            let wide = fg_tensor::half::dequantize(&xh);
-            let inputs = GraphTensors {
-                vertex: &wide,
-                vertex_dst: None,
-                edge,
-                params: &[],
-            };
-            let mut want = Dense2::zeros(g.num_vertices(), udf.out_len);
-            k.run(&inputs, &mut want).unwrap();
-            assert!(
-                got.approx_eq(&want, tol),
-                "{} path drifted from dequantized reference: max diff {}",
-                E::DTYPE,
-                got.max_abs_diff(&want)
-            );
+        let g = generators::uniform(60, 4, 3);
+        let x = features(60, 8);
+        let w = Dense2::from_fn(8, 12, |r, c| ((r * 5 + c * 3) % 11) as f32 * 0.1 - 0.5);
+        for udf in [Udf::mlp(8, 12), Udf::dot(8)] {
+            let params: &[&Dense2<f32>] = if udf.params.is_empty() { &[] } else { &[&w] };
+            check_half::<F16>(&g, &udf, Reducer::Max, &x, None, params);
+            check_half::<Bf16>(&g, &udf, Reducer::Sum, &x, None, params);
         }
-        for (udf, edge) in [
-            (Udf::copy_src(16), false),
-            (Udf::src_add_dst(16), false),
-            (Udf::src_mul_edge(16), true),
-        ] {
-            check_half::<F16>(&g, &x, &xe, &udf, edge, 1e-6);
-            check_half::<Bf16>(&g, &x, &xe, &udf, edge, 1e-6);
+    }
+
+    /// A UDF whose destination operand is wider than its source operand:
+    /// `src[i] * dst[7]` with `src_len = 4`, `dst_len = 8`.
+    fn wide_dst_udf() -> Udf {
+        use fg_ir::{IdxExpr, ScalarExpr};
+        Udf {
+            out_len: 4,
+            src_len: 4,
+            dst_len: 8,
+            edge_len: 0,
+            reduce: None,
+            params: vec![],
+            body: ScalarExpr::src_i().mul(ScalarExpr::Dst(IdxExpr::Const(7))),
+            post_relu: false,
         }
     }
 
     #[test]
-    fn run_typed_rejects_param_udfs() {
-        let g = generators::uniform(30, 3, 1);
-        let udf = Udf::mlp(8, 4);
+    fn narrow_dst_operand_is_a_shape_error_on_every_storage() {
+        // The typed twin validated the vertex width against `src_len` only
+        // and indexed column 7 of a 4-column row (a panic in the
+        // interpreter); one validation routine reports it for all storage.
+        use fg_tensor::half::quantize;
+        use fg_tensor::Bf16;
+        let g = generators::uniform(20, 3, 2);
         let k = CpuSpmm::compile(
             &g,
-            &udf,
+            &wide_dst_udf(),
             Reducer::Sum,
             &Fds::default(),
             &CpuSpmmOptions::single_thread(1),
         )
         .unwrap();
-        let x = features(30, 8);
-        let mut out = Dense2::zeros(30, 4);
-        assert!(matches!(
-            k.run_typed::<f32>(&x, None, &mut out),
-            Err(KernelError::ParamCount { .. })
-        ));
+        let x = features(20, 4);
+        let xb: Dense2<Bf16> = quantize(&x);
+        let mut out = Dense2::zeros(20, 4);
+        let want = KernelError::Shape {
+            what: "vertex_dst".into(),
+            expected: (20, 8),
+            got: (20, 4),
+        };
+        assert_eq!(
+            k.run(&GraphTensors::vertex_only(&x), &mut out).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            k.run(&GraphTensors::vertex_only(&xb), &mut out)
+                .unwrap_err(),
+            want
+        );
     }
 
     #[test]

@@ -8,23 +8,27 @@ use crate::error::KernelError;
 /// The tensors a kernel reads: the vertex feature matrix `X_V`, an optional
 /// edge feature matrix `X_E` (row `eid` is the edge's feature), and the UDF's
 /// parameter matrices (e.g. MLP weights), in declaration order.
+///
+/// Vertex features may be *stored* in a narrower type `V` (default `S`) than
+/// the kernel computes in: the CPU templates read `f16` / `bf16` vertex rows
+/// and accumulate in `f32`. Edge tensors, parameters and outputs are `S`.
 #[derive(Clone, Copy)]
-pub struct GraphTensors<'a, S> {
+pub struct GraphTensors<'a, S, V = S> {
     /// Vertex features read by `Src(...)` leaves, `|V| × d_v`.
-    pub vertex: &'a Dense2<S>,
+    pub vertex: &'a Dense2<V>,
     /// Vertex features read by `Dst(...)` leaves. `None` means destination
     /// reads come from `vertex` too (the paper's single-`X_V` interface);
     /// gradient kernels set it to a different tensor (e.g. `∂L/∂H`).
-    pub vertex_dst: Option<&'a Dense2<S>>,
+    pub vertex_dst: Option<&'a Dense2<V>>,
     /// Edge features, `|E| × d_e` (canonical edge order).
     pub edge: Option<&'a Dense2<S>>,
     /// Parameter matrices in UDF declaration order.
     pub params: &'a [&'a Dense2<S>],
 }
 
-impl<'a, S: Scalar> GraphTensors<'a, S> {
+impl<'a, S: Scalar, V: Copy + Default> GraphTensors<'a, S, V> {
     /// Inputs with vertex features only (most kernels).
-    pub fn vertex_only(vertex: &'a Dense2<S>) -> Self {
+    pub fn vertex_only(vertex: &'a Dense2<V>) -> Self {
         Self {
             vertex,
             vertex_dst: None,
@@ -34,38 +38,32 @@ impl<'a, S: Scalar> GraphTensors<'a, S> {
     }
 
     /// Inputs with vertex features and parameters.
-    pub fn with_params(vertex: &'a Dense2<S>, params: &'a [&'a Dense2<S>]) -> Self {
+    pub fn with_params(vertex: &'a Dense2<V>, params: &'a [&'a Dense2<S>]) -> Self {
         Self {
-            vertex,
-            vertex_dst: None,
-            edge: None,
             params,
+            ..Self::vertex_only(vertex)
         }
     }
 
     /// Inputs with vertex and edge features.
-    pub fn with_edge(vertex: &'a Dense2<S>, edge: &'a Dense2<S>) -> Self {
+    pub fn with_edge(vertex: &'a Dense2<V>, edge: &'a Dense2<S>) -> Self {
         Self {
-            vertex,
-            vertex_dst: None,
             edge: Some(edge),
-            params: &[],
+            ..Self::vertex_only(vertex)
         }
     }
 
     /// Inputs with distinct source-side and destination-side vertex tensors
     /// (gradient kernels: grad(SpMM) is an SDDMM over `x` and `∂L/∂H`).
-    pub fn src_dst(vertex: &'a Dense2<S>, vertex_dst: &'a Dense2<S>) -> Self {
+    pub fn src_dst(vertex: &'a Dense2<V>, vertex_dst: &'a Dense2<V>) -> Self {
         Self {
-            vertex,
             vertex_dst: Some(vertex_dst),
-            edge: None,
-            params: &[],
+            ..Self::vertex_only(vertex)
         }
     }
 
     /// The tensor `Dst(...)` leaves read.
-    pub fn dst_tensor(&self) -> &'a Dense2<S> {
+    pub fn dst_tensor(&self) -> &'a Dense2<V> {
         self.vertex_dst.unwrap_or(self.vertex)
     }
 
@@ -80,19 +78,13 @@ impl<'a, S: Scalar> GraphTensors<'a, S> {
         out_rows: usize,
     ) -> Result<(), KernelError> {
         self.validate_operands(udf, num_vertices, num_edges)?;
-        if out.shape() != (out_rows, udf.out_len) {
-            return Err(KernelError::Shape {
-                what: "out".into(),
-                expected: (out_rows, udf.out_len),
-                got: out.shape(),
-            });
-        }
-        Ok(())
+        check_shape("out", out, out_rows, udf.out_len, true)
     }
 
     /// Operand-shape validation without an output tensor — used for UDFs
     /// whose output is never materialized (the score half of a fused
-    /// operator).
+    /// operator). Vertex and edge tensors may be wider than the UDF reads;
+    /// parameter matrices must match their declared shape exactly.
     pub fn validate_operands(
         &self,
         udf: &Udf,
@@ -103,35 +95,17 @@ impl<'a, S: Scalar> GraphTensors<'a, S> {
         let needs_dst = udf.dst_len > 0 && udf.body.reads_dst();
         if needs_src || (needs_dst && self.vertex_dst.is_none()) {
             let want_cols = if needs_src { udf.src_len } else { udf.dst_len };
-            if self.vertex.rows() != num_vertices || self.vertex.cols() < want_cols {
-                return Err(KernelError::Shape {
-                    what: "vertex".into(),
-                    expected: (num_vertices, want_cols),
-                    got: self.vertex.shape(),
-                });
-            }
+            check_shape("vertex", self.vertex, num_vertices, want_cols, false)?;
         }
         if needs_dst {
             let xd = self.dst_tensor();
-            if xd.rows() != num_vertices || xd.cols() < udf.dst_len {
-                return Err(KernelError::Shape {
-                    what: "vertex_dst".into(),
-                    expected: (num_vertices, udf.dst_len),
-                    got: xd.shape(),
-                });
-            }
+            check_shape("vertex_dst", xd, num_vertices, udf.dst_len, false)?;
         }
         if udf.edge_len > 0 && udf.body.reads_edge() {
-            let Some(e) = self.edge else {
-                return Err(KernelError::MissingInput { what: "edge" });
-            };
-            if e.rows() != num_edges || e.cols() < udf.edge_len {
-                return Err(KernelError::Shape {
-                    what: "edge".into(),
-                    expected: (num_edges, udf.edge_len),
-                    got: e.shape(),
-                });
-            }
+            let edge = self
+                .edge
+                .ok_or(KernelError::MissingInput { what: "edge" })?;
+            check_shape("edge", edge, num_edges, udf.edge_len, false)?;
         }
         if self.params.len() != udf.params.len() {
             return Err(KernelError::ParamCount {
@@ -140,30 +114,43 @@ impl<'a, S: Scalar> GraphTensors<'a, S> {
             });
         }
         for (k, (&p, shape)) in self.params.iter().zip(&udf.params).enumerate() {
-            if p.shape() != (shape.rows, shape.cols) {
-                return Err(KernelError::Shape {
-                    what: format!("param {k}"),
-                    expected: (shape.rows, shape.cols),
-                    got: p.shape(),
-                });
-            }
+            check_shape(format!("param {k}"), p, shape.rows, shape.cols, true)?;
         }
         Ok(())
     }
+}
+
+/// `t` must have `rows` rows and `cols` columns (at least `cols` unless
+/// `exact`).
+fn check_shape<T: Copy + Default>(
+    what: impl Into<String>,
+    t: &Dense2<T>,
+    rows: usize,
+    cols: usize,
+    exact: bool,
+) -> Result<(), KernelError> {
+    if t.rows() == rows && (t.cols() == cols || (!exact && t.cols() > cols)) {
+        return Ok(());
+    }
+    Err(KernelError::Shape {
+        what: what.into(),
+        expected: (rows, cols),
+        got: t.shape(),
+    })
 }
 
 /// Inputs to a fused SDDMM → (softmax) → SpMM kernel: the score and message
 /// UDFs read *separate* operand bundles (a GAT score reads `|V| × 1`
 /// projections while the message reads the `|V| × d` features).
 #[derive(Clone, Copy)]
-pub struct FusedInputs<'a, S> {
+pub struct FusedInputs<'a, S, V = S> {
     /// Operands of the score UDF.
-    pub score: GraphTensors<'a, S>,
+    pub score: GraphTensors<'a, S, V>,
     /// Operands of the message UDF.
-    pub message: GraphTensors<'a, S>,
+    pub message: GraphTensors<'a, S, V>,
 }
 
-impl<S: Scalar> FusedInputs<'_, S> {
+impl<S: Scalar, V: Copy + Default> FusedInputs<'_, S, V> {
     /// Validate both operand bundles and the output (`|V| × message.out_len`).
     pub fn validate(
         &self,

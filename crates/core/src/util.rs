@@ -38,13 +38,6 @@ impl<'a, S: Scalar> SharedRows<'a, S> {
         Self { data, cols }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        // Length of a slice pointer can be read without forming a reference.
-        let ptr: *mut [S] = self.data.get();
-        ptr.len() / self.cols
-    }
-
     /// Mutable access to row `r`.
     ///
     /// # Safety
@@ -101,7 +94,6 @@ mod tests {
         let mut buf = vec![0.0f32; 100 * 8];
         {
             let shared = SharedRows::new(&mut buf, 8);
-            assert_eq!(shared.rows(), 100);
             (0..100usize).into_par_iter().for_each(|r| {
                 // Safety: each r visited exactly once.
                 let row = unsafe { shared.row_mut(r) };

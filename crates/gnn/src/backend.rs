@@ -6,8 +6,8 @@ use std::sync::Mutex;
 use featgraph::cpu::sddmm::CpuSddmmOptions;
 use featgraph::cpu::spmm::CpuSpmmOptions;
 use featgraph::{
-    Fds, FusedInputs, FusedKernel, FusedOp, GraphTensors, Reducer, SddmmKernel, SpmmKernel,
-    Target, Udf,
+    Fds, FusedInputs, FusedKernel, FusedOp, GraphTensors, KernelError, Reducer, RunStats,
+    SddmmKernel, SpmmKernel, Target, Udf,
 };
 use fg_gpusim::DeviceConfig;
 use fg_tensor::Dense2;
@@ -290,33 +290,37 @@ impl GraphBackend for NaiveBackend {
 // FeatGraph backend: fused kernels
 // ---------------------------------------------------------------------------
 
-/// Kinds of cached kernel plans.
+/// Cached SpMM plans, by operation, direction and feature length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PlanKey {
+enum SpmmKey {
     CopySum { dir: Dir, d: usize },
     WeightedSum { dir: Dir, d: usize },
     Mean { d: usize },
     CopyEdgeSum { dir: Dir, d: usize },
+}
+
+/// Cached SDDMM plans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum SddmmKey {
     Dot { d: usize },
     AddEdge { d: usize },
-    // slope stored as bits so the key stays Eq + Hash
-    FusedAttn { d: usize, slope_bits: u32 },
 }
 
-enum Plan {
-    Spmm(SpmmKernel),
-    Sddmm(SddmmKernel),
-    Fused(FusedKernel),
+/// Cached fused-attention plans; the slope is stored as bits so the key
+/// stays `Eq + Hash`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct FusedKey {
+    d: usize,
+    slope_bits: u32,
 }
 
-impl Plan {
-    fn mem_bytes(&self) -> u64 {
-        match self {
-            Plan::Spmm(k) => k.mem_bytes(),
-            Plan::Sddmm(k) => k.mem_bytes(),
-            Plan::Fused(k) => k.mem_bytes(),
-        }
-    }
+/// The compiled plans, one map per template: a key can only ever name a
+/// kernel of its own kind.
+#[derive(Default)]
+struct Plans {
+    spmm: HashMap<SpmmKey, SpmmKernel>,
+    sddmm: HashMap<SddmmKey, SddmmKernel>,
+    fused: HashMap<FusedKey, FusedKernel>,
 }
 
 /// The fused backend: every op is one generalized SpMM or SDDMM kernel from
@@ -331,7 +335,7 @@ pub struct FeatgraphBackend {
     /// reuses a schedule tuned once per subgraph shape bucket, so each
     /// per-request backend compiles without re-running the cost model.
     partitions_hint: Option<usize>,
-    plans: Mutex<HashMap<PlanKey, Plan>>,
+    plans: Mutex<Plans>,
     gpu_ms: Mutex<f64>,
 }
 
@@ -342,7 +346,7 @@ impl FeatgraphBackend {
             target: Target::Cpu,
             threads: threads.max(1),
             partitions_hint: None,
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::default(),
             gpu_ms: Mutex::new(0.0),
         }
     }
@@ -364,7 +368,7 @@ impl FeatgraphBackend {
             target: Target::Gpu,
             threads: 1,
             partitions_hint: None,
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::default(),
             gpu_ms: Mutex::new(0.0),
         }
     }
@@ -373,12 +377,11 @@ impl FeatgraphBackend {
     /// (partitioned CSRs, edge orders, degree arrays). This is the cost
     /// figure the serve engine's byte-bounded plan cache charges per entry.
     pub fn plan_mem_bytes(&self) -> u64 {
-        self.plans
-            .lock()
-            .expect("plan cache")
-            .values()
-            .map(Plan::mem_bytes)
-            .sum()
+        let plans = self.plans.lock().expect("plan cache");
+        let spmm = plans.spmm.values().map(SpmmKernel::mem_bytes);
+        let sddmm = plans.sddmm.values().map(SddmmKernel::mem_bytes);
+        let fused = plans.fused.values().map(FusedKernel::mem_bytes);
+        spmm.chain(sddmm).chain(fused).sum()
     }
 
     fn fds(&self, d: usize) -> Fds {
@@ -405,60 +408,60 @@ impl FeatgraphBackend {
         CpuSpmmOptions::auto(graph, &udf, &fds).graph_partitions
     }
 
+    /// Run the plan cached under `key` in the map `select` picks, compiling
+    /// it on first use, and book its simulated GPU time. The cache lock is
+    /// held across the run, as it always was.
+    fn with_plan<K: Eq + std::hash::Hash, P>(
+        &self,
+        select: impl FnOnce(&mut Plans) -> &mut HashMap<K, P>,
+        key: K,
+        compile: impl FnOnce() -> Result<P, KernelError>,
+        run: impl FnOnce(&P) -> Result<RunStats, KernelError>,
+    ) {
+        let mut plans = self.plans.lock().expect("plan cache");
+        let plan = select(&mut plans)
+            .entry(key)
+            .or_insert_with(|| compile().expect("kernel compile"));
+        if let Some(ms) = run(plan).expect("kernel run").gpu_time_ms {
+            *self.gpu_ms.lock().expect("gpu ms") += ms;
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run_spmm(
         &self,
         g: &GnnGraph,
         dir: Dir,
-        key: PlanKey,
+        key: SpmmKey,
         udf: &Udf,
         agg: Reducer,
         inputs: &GraphTensors<'_, f32>,
         out_cols: usize,
     ) -> Dense2<f32> {
         let graph = Self::graph_for(g, dir);
-        let mut plans = self.plans.lock().expect("plan cache");
-        let plan = plans.entry(key).or_insert_with(|| {
+        let compile = || {
             let fds = self.fds(out_cols);
             let partitions = self
                 .partitions_hint
                 .unwrap_or_else(|| CpuSpmmOptions::auto(graph, udf, &fds).graph_partitions);
             let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
-            Plan::Spmm(
-                featgraph::spmm_with_options(
-                    graph,
-                    udf,
-                    agg,
-                    &fds,
-                    self.target,
-                    Some(&cpu_opts),
-                    None,
-                )
-                .expect("spmm compile"),
-            )
-        });
-        let Plan::Spmm(kernel) = plan else {
-            unreachable!("plan kind mismatch")
+            featgraph::spmm_with_options(graph, udf, agg, &fds, self.target, Some(&cpu_opts), None)
         };
         let mut out = Dense2::zeros(graph.num_vertices(), out_cols);
-        let stats = kernel.run(inputs, &mut out).expect("spmm run");
-        if let Some(ms) = stats.gpu_time_ms {
-            *self.gpu_ms.lock().expect("gpu ms") += ms;
-        }
+        self.with_plan(|p| &mut p.spmm, key, compile, |k| k.run(inputs, &mut out));
         out
     }
 
     fn run_sddmm(
         &self,
         g: &GnnGraph,
-        key: PlanKey,
+        key: SddmmKey,
         udf: &Udf,
         inputs: &GraphTensors<'_, f32>,
         out_cols: usize,
     ) -> Dense2<f32> {
         let graph = g.fwd();
-        let mut plans = self.plans.lock().expect("plan cache");
-        let plan = plans.entry(key).or_insert_with(|| {
+        let compile = || {
             let fds = match self.target {
                 Target::Cpu => Fds::cpu_tiled(1),
                 Target::Gpu => Fds::gpu_tree_reduce(256),
@@ -467,19 +470,10 @@ impl FeatgraphBackend {
                 traversal: featgraph::cpu::sddmm::Traversal::Hilbert,
                 threads: self.threads,
             };
-            Plan::Sddmm(
-                featgraph::sddmm_with_options(graph, udf, &fds, self.target, Some(&cpu_opts), None)
-                    .expect("sddmm compile"),
-            )
-        });
-        let Plan::Sddmm(kernel) = plan else {
-            unreachable!("plan kind mismatch")
+            featgraph::sddmm_with_options(graph, udf, &fds, self.target, Some(&cpu_opts), None)
         };
         let mut out = Dense2::zeros(graph.num_edges(), out_cols);
-        let stats = kernel.run(inputs, &mut out).expect("sddmm run");
-        if let Some(ms) = stats.gpu_time_ms {
-            *self.gpu_ms.lock().expect("gpu ms") += ms;
-        }
+        self.with_plan(|p| &mut p.sddmm, key, compile, |k| k.run(inputs, &mut out));
         out
     }
 }
@@ -506,7 +500,7 @@ impl GraphBackend for FeatgraphBackend {
                 self.run_spmm(
                     g,
                     dir,
-                    PlanKey::CopySum { dir, d },
+                    SpmmKey::CopySum { dir, d },
                     &udf,
                     Reducer::Sum,
                     &GraphTensors::vertex_only(x),
@@ -527,7 +521,7 @@ impl GraphBackend for FeatgraphBackend {
                 self.run_spmm(
                     g,
                     dir,
-                    PlanKey::WeightedSum { dir, d },
+                    SpmmKey::WeightedSum { dir, d },
                     &udf,
                     Reducer::Sum,
                     &GraphTensors::with_edge(x, w_ref),
@@ -543,7 +537,7 @@ impl GraphBackend for FeatgraphBackend {
         self.run_spmm(
             g,
             Dir::Fwd,
-            PlanKey::Mean { d },
+            SpmmKey::Mean { d },
             &udf,
             Reducer::Mean,
             &GraphTensors::vertex_only(x),
@@ -555,14 +549,14 @@ impl GraphBackend for FeatgraphBackend {
         let d = a.cols();
         assert_eq!(b.cols(), d, "dot operand widths");
         let udf = Udf::dot(d);
-        self.run_sddmm(g, PlanKey::Dot { d }, &udf, &GraphTensors::src_dst(a, b), 1)
+        self.run_sddmm(g, SddmmKey::Dot { d }, &udf, &GraphTensors::src_dst(a, b), 1)
     }
 
     fn sddmm_add(&self, g: &GnnGraph, a: &Dense2<f32>, b: &Dense2<f32>) -> Dense2<f32> {
         let d = a.cols();
         assert_eq!(b.cols(), d, "add operand widths");
         let udf = Udf::src_add_dst(d);
-        self.run_sddmm(g, PlanKey::AddEdge { d }, &udf, &GraphTensors::src_dst(a, b), d)
+        self.run_sddmm(g, SddmmKey::AddEdge { d }, &udf, &GraphTensors::src_dst(a, b), d)
     }
 
     fn edge_sum(&self, g: &GnnGraph, dir: Dir, e: &Dense2<f32>) -> Dense2<f32> {
@@ -584,7 +578,7 @@ impl GraphBackend for FeatgraphBackend {
             edge: Some(e_ref),
             params: &[],
         };
-        self.run_spmm(g, dir, PlanKey::CopyEdgeSum { dir, d }, &udf, Reducer::Sum, &inputs, d)
+        self.run_spmm(g, dir, SpmmKey::CopyEdgeSum { dir, d }, &udf, Reducer::Sum, &inputs, d)
     }
 
     fn fused_attention(
@@ -597,31 +591,22 @@ impl GraphBackend for FeatgraphBackend {
     ) -> Dense2<f32> {
         let d = x.cols();
         let graph = g.fwd();
-        let mut plans = self.plans.lock().expect("plan cache");
-        let key = PlanKey::FusedAttn { d, slope_bits: slope.to_bits() };
-        let plan = plans.entry(key).or_insert_with(|| {
+        let slope_bits = slope.to_bits();
+        let key = FusedKey { d, slope_bits };
+        let compile = || {
             let op = FusedOp::gat_attention(d, slope as f64);
             let partitions = self.partitions_hint.unwrap_or_else(|| {
                 CpuSpmmOptions::auto(graph, &op.message, &self.fds(d)).graph_partitions
             });
             let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
-            Plan::Fused(
-                featgraph::fused_with_options(graph, &op, self.target, Some(&cpu_opts), None)
-                    .expect("fused compile"),
-            )
-        });
-        let Plan::Fused(kernel) = plan else {
-            unreachable!("plan kind mismatch")
+            featgraph::fused_with_options(graph, &op, self.target, Some(&cpu_opts), None)
         };
         let inputs = FusedInputs {
             score: GraphTensors::src_dst(sl, sr),
             message: GraphTensors::vertex_only(x),
         };
         let mut out = Dense2::zeros(graph.num_vertices(), d);
-        let stats = kernel.run(&inputs, &mut out).expect("fused run");
-        if let Some(ms) = stats.gpu_time_ms {
-            *self.gpu_ms.lock().expect("gpu ms") += ms;
-        }
+        self.with_plan(|p| &mut p.fused, key, compile, |k| k.run(&inputs, &mut out));
         out
     }
 

@@ -281,10 +281,9 @@ pub trait FeatElem: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
     /// in place.
     const STAGED_WIDEN: bool = false;
 
-    /// The slice itself when storage already *is* `f32`. Generic kernel
-    /// loops check this first so the full-precision instantiation skips
-    /// the widening copy entirely — keeping `run_typed::<f32>` bitwise
-    /// identical to the untyped path and exactly as fast.
+    /// The slice itself when storage already *is* `f32`. Kernels that stage
+    /// operands check this first, so an `f32` operand is read in place and
+    /// never copied into a staging buffer.
     #[inline(always)]
     fn as_f32(src: &[Self]) -> Option<&[f32]> {
         let _ = src;
