@@ -315,9 +315,12 @@ struct FusedKey {
 }
 
 /// The compiled plans, one map per template: a key can only ever name a
-/// kernel of its own kind.
+/// kernel of its own kind. Keys carry no graph identity — a compiled plan
+/// *holds* the partitioned CSR it was built on — so `bound` remembers the
+/// `(vertices, edges)` of the graph the first plan was compiled for.
 #[derive(Default)]
 struct Plans {
+    bound: Option<(usize, usize)>,
     spmm: HashMap<SpmmKey, SpmmKernel>,
     sddmm: HashMap<SddmmKey, SddmmKernel>,
     fused: HashMap<FusedKey, FusedKernel>,
@@ -327,6 +330,13 @@ struct Plans {
 /// the `featgraph` crate, no `|E| × d` intermediates. Kernel plans (graph
 /// partitioning, Hilbert orders, thread pools) are compiled once per
 /// (operation, feature-length) and cached, amortized over epochs (§IV-B).
+///
+/// A backend is **bound to the first graph it runs on**: its plans are keyed
+/// by operation and feature length only and hold that graph's partitioned
+/// CSR, so a second graph with the same feature width would silently run
+/// the first graph's plan. Calling it with a graph of another shape panics.
+/// This is why sampled serving builds one backend per subgraph and sharded
+/// inference takes one per shard.
 pub struct FeatgraphBackend {
     target: Target,
     threads: usize,
@@ -409,16 +419,32 @@ impl FeatgraphBackend {
     }
 
     /// Run the plan cached under `key` in the map `select` picks, compiling
-    /// it on first use, and book its simulated GPU time. The cache lock is
-    /// held across the run, as it always was.
+    /// it for `graph` on first use, and book its simulated GPU time. The
+    /// cache lock is held across the run, as it always was.
+    ///
+    /// # Panics
+    /// If `graph` is not the shape this backend's plans were compiled for
+    /// (a graph and its reverse share a shape).
     fn with_plan<K: Eq + std::hash::Hash, P>(
         &self,
+        graph: &fg_graph::Graph,
         select: impl FnOnce(&mut Plans) -> &mut HashMap<K, P>,
         key: K,
         compile: impl FnOnce() -> Result<P, KernelError>,
         run: impl FnOnce(&P) -> Result<RunStats, KernelError>,
     ) {
         let mut plans = self.plans.lock().expect("plan cache");
+        let shape = (graph.num_vertices(), graph.num_edges());
+        let bound = *plans.bound.get_or_insert(shape);
+        assert!(
+            bound == shape,
+            "FeatgraphBackend is bound to the graph it first ran on ({} vertices, {} edges) \
+             but was called with a graph of {} vertices, {} edges; build one backend per graph",
+            bound.0,
+            bound.1,
+            shape.0,
+            shape.1
+        );
         let plan = select(&mut plans)
             .entry(key)
             .or_insert_with(|| compile().expect("kernel compile"));
@@ -448,7 +474,13 @@ impl FeatgraphBackend {
             featgraph::spmm_with_options(graph, udf, agg, &fds, self.target, Some(&cpu_opts), None)
         };
         let mut out = Dense2::zeros(graph.num_vertices(), out_cols);
-        self.with_plan(|p| &mut p.spmm, key, compile, |k| k.run(inputs, &mut out));
+        self.with_plan(
+            graph,
+            |p| &mut p.spmm,
+            key,
+            compile,
+            |k| k.run(inputs, &mut out),
+        );
         out
     }
 
@@ -473,7 +505,13 @@ impl FeatgraphBackend {
             featgraph::sddmm_with_options(graph, udf, &fds, self.target, Some(&cpu_opts), None)
         };
         let mut out = Dense2::zeros(graph.num_edges(), out_cols);
-        self.with_plan(|p| &mut p.sddmm, key, compile, |k| k.run(inputs, &mut out));
+        self.with_plan(
+            graph,
+            |p| &mut p.sddmm,
+            key,
+            compile,
+            |k| k.run(inputs, &mut out),
+        );
         out
     }
 }
@@ -606,7 +644,13 @@ impl GraphBackend for FeatgraphBackend {
             message: GraphTensors::vertex_only(x),
         };
         let mut out = Dense2::zeros(graph.num_vertices(), d);
-        self.with_plan(|p| &mut p.fused, key, compile, |k| k.run(&inputs, &mut out));
+        self.with_plan(
+            graph,
+            |p| &mut p.fused,
+            key,
+            compile,
+            |k| k.run(&inputs, &mut out),
+        );
         out
     }
 
@@ -815,6 +859,23 @@ mod tests {
                 grad_w.at(e, 0)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "bound to the graph it first ran on (4 vertices, 3 edges) but was called \
+                    with a graph of 3 vertices, 2 edges"
+    )]
+    fn a_backend_reused_on_a_second_graph_fails_loudly() {
+        // Same feature width, so the plan key matches: without the guard the
+        // second graph would run the first graph's compiled plan.
+        let b = FeatgraphBackend::cpu(1);
+        let first = GnnGraph::new(fg_graph::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let _ = b.weighted_spmm(&first, Dir::Fwd, &feats(4, 8, 0), None);
+        // The reverse orientation is the same shape and stays allowed.
+        let _ = b.weighted_spmm(&first, Dir::Rev, &feats(4, 8, 0), None);
+        let second = GnnGraph::new(fg_graph::Graph::from_edges(3, &[(0, 1), (1, 2)]));
+        let _ = b.weighted_spmm(&second, Dir::Fwd, &feats(3, 8, 0), None);
     }
 
     #[test]

@@ -1,42 +1,37 @@
 //! Graph wrapper with the reverse orientation and edge-ID mappings that
 //! backpropagation through message passing needs.
 
+use std::sync::OnceLock;
+
 use fg_graph::{EId, Graph};
 use fg_tensor::Dense2;
 
-/// A graph prepared for GNN training: the forward graph, its reverse (every
-/// edge flipped), and the mapping between their canonical edge IDs.
+/// A graph prepared for GNN message passing: the forward graph, its reverse
+/// (every edge flipped), and the mapping between their canonical edge IDs.
 ///
 /// Backward passes aggregate along reversed edges (e.g. `∂L/∂x[u] = Σ_{u→v}
 /// w_e · ∂L/∂h[v]`), which is exactly a forward aggregation on the reverse
 /// graph with edge features permuted into its canonical order.
+///
+/// Only the backward pass reads the reverse orientation, so it is built on
+/// the first [`rev`](Self::rev) call: inference (full, sampled or sharded)
+/// never pays for the transpose, training pays once.
 #[derive(Debug, Clone)]
 pub struct GnnGraph {
     fwd: Graph,
-    rev: Graph,
-    /// `rev_eids[k]` = forward edge ID of the reverse graph's edge `k`.
-    rev_eids: Vec<EId>,
+    rev: OnceLock<Graph>,
     in_degrees: Vec<u32>,
 }
 
 impl GnnGraph {
-    /// Prepare a graph for training.
+    /// Wrap a graph for message passing.
     pub fn new(fwd: Graph) -> Self {
-        // The reverse graph's canonical (dst-major) order sorts by
-        // (rev dst, rev src) = (fwd src, fwd dst) — exactly the forward
-        // graph's out-CSR order, whose positions map to forward edge IDs
-        // via `out_eids`.
-        let rev_edges: Vec<(u32, u32)> = fwd.edge_list().iter().map(|&(s, d)| (d, s)).collect();
-        let rev = Graph::from_edges(fwd.num_vertices(), &rev_edges);
-        let rev_eids = fwd.out_eids().to_vec();
-        debug_assert_eq!(rev.num_edges(), fwd.num_edges());
         let in_degrees = (0..fwd.num_vertices() as u32)
             .map(|v| fwd.in_degree(v) as u32)
             .collect();
         Self {
             fwd,
-            rev,
-            rev_eids,
+            rev: OnceLock::new(),
             in_degrees,
         }
     }
@@ -46,9 +41,15 @@ impl GnnGraph {
         &self.fwd
     }
 
-    /// The reverse graph.
+    /// The reverse graph, built on first use (concurrent first callers
+    /// block on one build and see the same graph).
     pub fn rev(&self) -> &Graph {
-        &self.rev
+        self.rev.get_or_init(|| {
+            let rev_edges: Vec<(u32, u32)> = self.fwd.edges().map(|(s, d, _)| (d, s)).collect();
+            let rev = Graph::from_edges(self.fwd.num_vertices(), &rev_edges);
+            debug_assert_eq!(rev.num_edges(), self.fwd.num_edges());
+            rev
+        })
     }
 
     /// Number of vertices.
@@ -66,17 +67,21 @@ impl GnnGraph {
         &self.in_degrees
     }
 
-    /// Map of reverse canonical edge IDs to forward edge IDs.
+    /// Map of reverse canonical edge IDs to forward edge IDs:
+    /// `rev_eids()[k]` is the forward edge ID of the reverse graph's edge
+    /// `k`. The reverse graph's canonical (dst-major) order sorts by
+    /// (rev dst, rev src) = (fwd src, fwd dst) — exactly the forward graph's
+    /// out-CSR order, whose positions map to forward edge IDs via `out_eids`.
     pub fn rev_eids(&self) -> &[EId] {
-        &self.rev_eids
+        self.fwd.out_eids()
     }
 
-    /// Total heap footprint of the topology in bytes: both orientations,
-    /// the edge-ID map, and the degree array.
+    /// Heap footprint of the topology in bytes as of now: the forward
+    /// graph (which owns the edge-ID map), the degree array, and the reverse
+    /// graph once [`rev`](Self::rev) has built it.
     pub fn mem_bytes(&self) -> u64 {
         self.fwd.mem_bytes()
-            + self.rev.mem_bytes()
-            + (self.rev_eids.len() * std::mem::size_of::<EId>()) as u64
+            + self.rev.get().map_or(0, Graph::mem_bytes)
             + (self.in_degrees.len() * std::mem::size_of::<u32>()) as u64
     }
 
@@ -84,7 +89,7 @@ impl GnnGraph {
     pub fn edge_rows_to_rev(&self, fwd_rows: &Dense2<f32>) -> Dense2<f32> {
         assert_eq!(fwd_rows.rows(), self.num_edges(), "edge tensor rows");
         let mut out = Dense2::zeros(fwd_rows.rows(), fwd_rows.cols());
-        for (k, &fid) in self.rev_eids.iter().enumerate() {
+        for (k, &fid) in self.rev_eids().iter().enumerate() {
             out.row_mut(k).copy_from_slice(fwd_rows.row(fid as usize));
         }
         out
@@ -94,7 +99,7 @@ impl GnnGraph {
     pub fn edge_rows_to_fwd(&self, rev_rows: &Dense2<f32>) -> Dense2<f32> {
         assert_eq!(rev_rows.rows(), self.num_edges(), "edge tensor rows");
         let mut out = Dense2::zeros(rev_rows.rows(), rev_rows.cols());
-        for (k, &fid) in self.rev_eids.iter().enumerate() {
+        for (k, &fid) in self.rev_eids().iter().enumerate() {
             out.row_mut(fid as usize).copy_from_slice(rev_rows.row(k));
         }
         out
@@ -105,6 +110,39 @@ impl GnnGraph {
 mod tests {
     use super::*;
     use fg_graph::generators;
+
+    #[test]
+    fn reverse_graph_is_built_on_first_use_and_counted_from_then_on() {
+        let fwd = generators::uniform(60, 4, 7);
+        let forward_only = fwd.mem_bytes() + 60 * 4;
+        let g = GnnGraph::new(fwd);
+        assert_eq!(g.mem_bytes(), forward_only, "new() builds no reverse graph");
+        // The edge-ID map is the forward graph's; reading it builds nothing.
+        assert_eq!(g.rev_eids().len(), g.num_edges());
+        assert_eq!(g.mem_bytes(), forward_only);
+        let rev_bytes = g.rev().mem_bytes();
+        assert_eq!(g.mem_bytes(), forward_only + rev_bytes);
+        // A clone taken after the build carries the built graph.
+        assert_eq!(g.clone().mem_bytes(), forward_only + rev_bytes);
+    }
+
+    #[test]
+    fn concurrent_first_calls_build_one_reverse_graph() {
+        let g = GnnGraph::new(generators::uniform(200, 6, 11));
+        let start = std::sync::Barrier::new(2);
+        let first_call = || {
+            start.wait();
+            g.rev() as *const Graph as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(first_call);
+            let b = s.spawn(first_call);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "both callers see the one graph the OnceLock holds");
+        assert_eq!(a, g.rev() as *const Graph as usize);
+        assert_eq!(g.rev().num_edges(), g.num_edges());
+    }
 
     #[test]
     fn reverse_graph_flips_edges() {

@@ -46,7 +46,8 @@ pub fn sample_error_to_infer(e: SampleError, vertices: usize) -> InferError {
 
 /// Sample the neighborhood of `seeds` and wrap it for message passing.
 /// Returns the subgraph (local→global map, frontier boundaries) plus its
-/// [`GnnGraph`] with both orientations materialized.
+/// [`GnnGraph`]: the forward orientation and in-degrees the forward pass
+/// reads — the reverse orientation is built only if a backward pass asks.
 pub fn prepare_seeds(
     graph: &GnnGraph,
     seeds: &[usize],

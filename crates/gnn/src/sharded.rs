@@ -35,8 +35,8 @@ use crate::tape::Tape;
 use crate::trainer::InferError;
 
 /// A graph prepared for shard-parallel inference: the [`ShardPlan`] plus
-/// one [`GnnGraph`] per shard-local graph (the tape needs the reverse
-/// orientation even for inference-only runs).
+/// one [`GnnGraph`] per shard-local graph (what the tape runs on; inference
+/// never builds their reverse orientation).
 #[derive(Debug, Clone)]
 pub struct ShardedGraph {
     plan: ShardPlan,

@@ -315,6 +315,54 @@ mod tests {
     }
 
     #[test]
+    fn only_the_backward_pass_builds_the_reverse_graph() {
+        use crate::sampled::infer_seeds;
+        use crate::sharded::{infer_sharded, ShardedGraph};
+        use fg_graph::{SampleConfig, ShardStrategy};
+
+        let task = small_task();
+        let forward_only = task.graph.mem_bytes();
+        let sharded = ShardedGraph::build(task.graph.fwd(), 3, ShardStrategy::Range);
+        let sharded_forward_only = sharded.mem_bytes();
+        let nodes = [0usize, 5, 299];
+        for name in ["gcn", "graphsage", "gat"] {
+            let model = build_model(name, task.in_dim(), 8, task.num_classes, 2);
+            let model = model.as_ref();
+            let backend = FeatgraphBackend::cpu(1);
+            infer_batch(model, &task.graph, &task.features, &backend, &nodes).unwrap();
+            let backend = FeatgraphBackend::cpu(1);
+            let cfg = SampleConfig::new(vec![4, 4], 3);
+            infer_seeds(model, &task.graph, &task.features, &backend, &nodes, &cfg).unwrap();
+            let backends: Vec<_> = (0..3).map(|_| FeatgraphBackend::cpu(1)).collect();
+            infer_sharded(model, &sharded, &task.features, &backends, &nodes).unwrap();
+        }
+        assert_eq!(
+            task.graph.mem_bytes(),
+            forward_only,
+            "inference built rev()"
+        );
+        assert_eq!(
+            sharded.mem_bytes(),
+            sharded_forward_only,
+            "a shard built rev()"
+        );
+
+        let backend = FeatgraphBackend::cpu(1);
+        let mut model = build_model("gcn", task.in_dim(), 8, task.num_classes, 2);
+        train(
+            model.as_mut(),
+            &task,
+            &backend,
+            None,
+            Optimizer::adam(0.02),
+            1,
+        );
+        let trained = task.graph.mem_bytes();
+        assert!(trained > forward_only, "one training step builds rev()");
+        assert_eq!(trained, forward_only + task.graph.rev().mem_bytes());
+    }
+
+    #[test]
     fn gat_inference_fused_path_matches_training_forward() {
         let task = small_task();
         let backend = FeatgraphBackend::cpu(2);

@@ -26,19 +26,30 @@
 //! matrix in place). Sharding is not a view; it is how a `Full` view is run
 //! when [`ServeConfig::shards`] `>= 2`.
 //!
-//! **Execution.** Workers pull deadline-or-size batches, expire jobs whose
-//! deadline passed in the queue ([`ServeError::Timeout`]) and group the rest
-//! by registered model. Per group, all `Full` jobs are coalesced into **one**
-//! forward pass (`run_full`: [`fg_gnn::infer_batch`], or
-//! [`fg_gnn::infer_sharded`] across the shard workers) whose rows are
-//! scattered back, so the pass amortizes over the batch; every `Sampled` job
-//! then runs `run_sampled` (sample → gather → override → `infer_batch` on
-//! the induced subgraph — cost proportional to the neighborhood, not the
-//! graph). Both go through one [`PlanCache`] lookup: a `Full` view caches
-//! the backends themselves under `(graph id, model, options)`, so every
-//! pass after the first skips kernel compilation; a `Sampled` view caches
-//! the tuned schedule for its subgraph's power-of-two `|V|`/`|E|` bucket
-//! ([`PlanKey::cpu_sampled`]), so differing seed sets still hit.
+//! **Waiting.** The view also decides whether a job waits in the queue. A
+//! `Full` job *coalesces*: it lingers for the [`Batcher`]'s size
+//! ([`ServeConfig::max_batch`]) or deadline ([`ServeConfig::max_delay`])
+//! trigger, because every `Full` job pulled with it shares one forward pass.
+//! A `Sampled` job shares nothing with its queue neighbours — its subgraph,
+//! gathered rows and backend are its own — so it is pushed as
+//! non-coalescing: ripe at once, dispatched to the next free worker as a
+//! batch of one, never riding in a `Full` batch or cutting its wait short.
+//! Two sampled requests therefore run on two workers concurrently.
+//!
+//! **Execution.** Workers pull batches — *n* `Full` jobs or one `Sampled`
+//! job — expire jobs whose deadline passed in the queue
+//! ([`ServeError::Timeout`]) and group the rest by registered model. Per
+//! group, all `Full` jobs are coalesced into **one** forward pass
+//! (`run_full`: [`fg_gnn::infer_batch`], or [`fg_gnn::infer_sharded`] across
+//! the shard workers) whose rows are scattered back, so the pass amortizes
+//! over the batch; a `Sampled` job runs `run_sampled` (sample → gather →
+//! override → `infer_batch` on the induced subgraph — cost proportional to
+//! the neighborhood, not the graph). Both go through one [`PlanCache`]
+//! lookup: a `Full` view caches the backends themselves under `(graph id,
+//! model, options)`, so every pass after the first skips kernel compilation;
+//! a `Sampled` view caches the tuned schedule for its subgraph's
+//! power-of-two `|V|`/`|E|` bucket ([`PlanKey::cpu_sampled`]), so differing
+//! seed sets still hit.
 //!
 //! **Completion.** Every job — answered, failed or timed out — ends in one
 //! `complete`: phase samples (the rule for which is stated there), latency
@@ -85,9 +96,11 @@ const SAMPLED_SCHEDULE_COST: u64 = 64;
 /// Engine configuration. Defaults suit an interactive low-latency setup.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Dispatch a batch once this many requests are queued.
+    /// Dispatch a batch once this many pass-sharing (`Full`-view) requests
+    /// are queued.
     pub max_batch: usize,
-    /// Dispatch a partial batch once the oldest request waited this long.
+    /// Dispatch a partial batch once the oldest pass-sharing request waited
+    /// this long. Sampled requests share no pass and never wait for it.
     pub max_delay: Duration,
     /// Admission queue bound; beyond it requests are shed.
     pub queue_capacity: usize,
@@ -793,7 +806,11 @@ impl Engine {
             deadline: deadline.or(shared.cfg.default_deadline).map(|d| now + d),
             trace,
         };
-        match shared.batcher.push(job) {
+        // The view decides waiting as well as routing: `Full` jobs linger so
+        // the batch shares one pass, a `Sampled` job shares nothing and is
+        // handed to the next free worker on its own.
+        let coalesces = matches!(job.view, View::Full);
+        match shared.batcher.push(job, coalesces) {
             Ok(()) => {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 Ok(Pending {
@@ -1150,8 +1167,8 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     }
 
     // Group by registration: the `Full` jobs of a group share one forward
-    // pass, its `Sampled` jobs run per request on their own subgraph
-    // afterwards.
+    // pass; a `Sampled` job arrives as a batch of its own (the batcher never
+    // coalesces it) and runs on its own subgraph.
     let mut groups: HashMap<u64, Vec<Job>> = HashMap::new();
     for job in live {
         groups.entry(job.entry.graph_id).or_default().push(job);
@@ -1465,4 +1482,57 @@ fn argmax(logits: &[f32]) -> usize {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map_or(0, |(i, _)| i)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fg_gnn::data::SbmTask;
+    use fg_gnn::models::build_model;
+
+    /// What a serve process holds for a registered graph is what it charged
+    /// at registration — the forward orientation only: no view ever builds
+    /// the reverse graph, on the registered graph or on a shard's.
+    #[test]
+    fn graph_charge_is_the_forward_graph_and_serving_never_grows_it() {
+        for shards in [1, 2] {
+            let engine = Engine::new(ServeConfig {
+                shards,
+                ..ServeConfig::default()
+            });
+            let task = SbmTask::generate(300, 3, 8, 2, 7);
+            let forward_only = task.graph.fwd().mem_bytes() + 300 * 4;
+            let model = build_model("gat", task.in_dim(), 8, task.num_classes, 3);
+            engine.register_model("gat", model, task.graph, task.features);
+
+            let infer = InferRequest {
+                model: "gat".into(),
+                node: 5,
+                deadline: None,
+            };
+            engine.infer(infer).expect("full view");
+            for fanouts in [Some(vec![3, 3]), None] {
+                let seeds = InferSeedsRequest {
+                    model: "gat".into(),
+                    seeds: vec![5, 200],
+                    fanouts,
+                    sample_seed: 1,
+                    feats: None,
+                    deadline: None,
+                };
+                engine.infer_seeds(seeds).expect("seeds");
+            }
+
+            let entry = Arc::clone(&engine.shared.models.read().unwrap()["gat"]);
+            assert_eq!(
+                entry._graph_charge.bytes(),
+                forward_only,
+                "{shards} shard(s)"
+            );
+            assert_eq!(entry.graph.mem_bytes(), forward_only, "{shards} shard(s)");
+            if let Some(sharded) = &entry.sharded {
+                assert_eq!(sharded._charge.bytes(), sharded.graph.mem_bytes());
+            }
+        }
+    }
 }

@@ -277,6 +277,67 @@ fn recorded_phases_follow_the_view_and_the_pass() {
     sharded.shutdown();
 }
 
+/// The view decides waiting: a `Sampled` job shares no pass, so it is
+/// dispatched alone and at once, while `Full` jobs keep lingering for their
+/// trigger. With an hour-long window and no deadline only shutdown's drain
+/// can release a `Full` job, so nothing here depends on the clock.
+#[test]
+fn sampled_jobs_never_wait_for_the_batch_window() {
+    use fg_serve::Phase;
+    const SAMPLED: u64 = 5;
+    let (engine, task) = make_engine(ServeConfig {
+        max_batch: 64,
+        max_delay: Duration::from_secs(3600),
+        default_deadline: None,
+        ..ServeConfig::default()
+    });
+    let expected = reference_logits(&task);
+    let full = |node| {
+        let req = InferRequest {
+            model: "gcn".into(),
+            node,
+            deadline: None,
+        };
+        engine.submit(req).expect("admitted")
+    };
+
+    let first = full(7);
+    for i in 0..SAMPLED {
+        let req = InferSeedsRequest {
+            model: "gcn".into(),
+            seeds: vec![5, 6],
+            fanouts: Some(vec![3, 3]),
+            sample_seed: i,
+            feats: None,
+            deadline: None,
+        };
+        let resp = engine
+            .infer_seeds(req)
+            .expect("answered behind a lingering Full job");
+        assert_eq!(resp.results.len(), 2);
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        stats.completed, SAMPLED,
+        "the Full ticket is still unanswered"
+    );
+    assert_eq!(stats.queue_depth, 1, "and still queued");
+    assert_eq!(stats.batches, SAMPLED, "one batch per sampled request");
+    assert_eq!(stats.avg_batch, 1.0);
+    assert_eq!(stats.phase(Phase::QueueWait).count, SAMPLED);
+    assert_eq!(stats.phase(Phase::Sample).count, SAMPLED);
+
+    // Full jobs still coalesce: the drain hands both to one worker as one
+    // batch, answered by one pass.
+    let second = full(9);
+    engine.shutdown();
+    assert_eq!(first.wait().expect("drained").logits, expected[7]);
+    assert_eq!(second.wait().expect("drained").logits, expected[9]);
+    let stats = engine.stats();
+    assert_eq!(stats.batches, SAMPLED + 1, "two Full jobs, one batch");
+    assert_eq!(stats.completed, SAMPLED + 2);
+}
+
 #[test]
 fn submit_after_shutdown_is_rejected() {
     let (engine, _task) = make_engine(ServeConfig::default());
