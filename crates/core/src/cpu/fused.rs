@@ -12,6 +12,9 @@
 //! per-destination exp-sum, and closes with one `O(|V|·d)` row-scale by
 //! `1 / sum[dst]`. One `exp` per edge; peak intermediate state is two
 //! `|V|`-length f32 vectors — never the `|E| × d` normalized-score tensor.
+//! Those two vectors are handed back ([`SoftmaxStats`]): they are all a
+//! backward pass needs to recompute every edge's weight, which is what
+//! [`CpuFused::attention_backward`] does in one more sweep.
 
 use fg_graph::Graph;
 use fg_ir::{FusedOp, FusedPattern, KernelPattern};
@@ -23,7 +26,8 @@ use crate::cpu::skeleton::{DstMajor, InEdges};
 use crate::cpu::spmm::CpuSpmmOptions;
 use crate::error::KernelError;
 use crate::inputs::FusedInputs;
-use crate::RunStats;
+use crate::util::SharedRows;
+use crate::{AttentionBackward, RunStats, SoftmaxStats};
 
 /// A compiled CPU fused-attention kernel.
 pub struct CpuFused {
@@ -79,7 +83,7 @@ impl CpuFused {
         );
         counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
         let rows = inputs.message.vertex;
-        match self.pattern {
+        let softmax = match self.pattern {
             // Recognized only over a copy-src message.
             FusedPattern::GatAttention { slope } => {
                 let (sl, sr) = (inputs.score.vertex, inputs.score.dst_tensor());
@@ -94,25 +98,39 @@ impl CpuFused {
                     self.exec(&score, &Interp::new(&self.op.message, &inputs.message), out)
                 }
             }
-        }
-        Ok(RunStats::default())
+        };
+        Ok(RunStats {
+            softmax,
+            ..RunStats::default()
+        })
     }
 
-    fn exec<S: ScoreOp, M: MessageOp>(&self, score: &S, msg: &M, out: &mut Dense2<f32>) {
+    fn exec<S: ScoreOp, M: MessageOp>(
+        &self,
+        score: &S,
+        msg: &M,
+        out: &mut Dense2<f32>,
+    ) -> Option<SoftmaxStats> {
         if self.op.softmax {
-            self.softmax(score, msg, out)
-        } else {
-            // One pass, `out[v] = agg of score · message`: the SpMM template
-            // over a score-weighted message.
-            let (op, agg) = (Weighted { score, msg }, self.op.agg);
-            self.plan.aggregate("fused/aggregate", agg, 1, &op, out)
+            return Some(self.softmax(score, msg, out));
         }
+        // One pass, `out[v] = agg of score · message`: the SpMM template
+        // over a score-weighted message.
+        let (op, agg) = (Weighted { score, msg }, self.op.agg);
+        self.plan.aggregate("fused/aggregate", agg, 1, &op, out);
+        None
     }
 
     /// Softmax path: (A) stream a per-destination running max (exp-free),
     /// (B) combine `exp(s - max) · message` unnormalized while accumulating
     /// the per-destination exp-sum, (C) scale each output row by `1 / sum`.
-    fn softmax<S: ScoreOp, M: MessageOp>(&self, score: &S, msg: &M, out: &mut Dense2<f32>) {
+    /// Returns the max and exp-sum vectors of (A) and (B).
+    fn softmax<S: ScoreOp, M: MessageOp>(
+        &self,
+        score: &S,
+        msg: &M,
+        out: &mut Dense2<f32>,
+    ) -> SoftmaxStats {
         let (n, d) = (self.plan.num_vertices, self.op.out_len());
 
         // Pass A. Per edge: the source-side score operand plus the
@@ -159,6 +177,102 @@ impl CpuFused {
                 }
             }
         });
+        SoftmaxStats {
+            max: maxes.as_slice().to_vec(),
+            sum: sums,
+        }
+    }
+
+    /// Backward of the GAT attention forward `out[v] = Σ_{u→v} α_e · hw[u]`,
+    /// `α = softmax_v(leaky_relu(sl[u] + sr[v]))`, from the forward's saved
+    /// [`SoftmaxStats`] and the upstream gradient `grad = ∂L/∂out`.
+    ///
+    /// With `t_e = hw[u] · grad[v]`, the softmax Jacobian gives
+    /// `∂L/∂s_e = α_e (t_e − Σ_{e'→v} α_e' t_e')`, and the subtracted sum is
+    /// `out[v] · grad[v]` because `out[v]` *is* `Σ α_e' hw[u']` — one row dot
+    /// per destination instead of a pass over the edges. So one sweep
+    /// recomputes each `α_e` from the saved max / exp-sum, takes `t_e`, and
+    /// writes `α_e` and `∂L/∂z_e` (through the leaky-ReLU) per edge while
+    /// summing the latter per destination. The source-side reductions
+    /// (`∂L/∂hw = Σ_out α_e grad[v]`, `∂L/∂sl = Σ_out ∂L/∂z_e`) run over the
+    /// reverse graph and are the caller's: see [`AttentionBackward`].
+    pub fn attention_backward(
+        &self,
+        inputs: &FusedInputs<'_, f32>,
+        out: &Dense2<f32>,
+        stats: &SoftmaxStats,
+        grad: &Dense2<f32>,
+    ) -> Result<AttentionBackward, KernelError> {
+        let FusedPattern::GatAttention { slope } = self.pattern else {
+            return Err(KernelError::Unsupported(
+                "fused backward is implemented for the GAT attention pattern only",
+            ));
+        };
+        let (n, m, d) = (
+            self.plan.num_vertices,
+            self.plan.num_edges,
+            self.op.out_len(),
+        );
+        inputs.validate(&self.op, n, m, out)?;
+        for (what, got, expected) in [
+            ("grad", grad.shape(), (n, d)),
+            ("softmax max", (stats.max.len(), 1), (n, 1)),
+            ("softmax sum", (stats.sum.len(), 1), (n, 1)),
+        ] {
+            if got != expected {
+                let what = what.into();
+                return Err(KernelError::Shape {
+                    what,
+                    expected,
+                    got,
+                });
+            }
+        }
+        let _span = span!(
+            "fused/backward",
+            "d={d} parts={}",
+            self.plan.parts.num_partitions()
+        );
+        let (hw, sl, sr) = (
+            inputs.message.vertex,
+            inputs.score.vertex,
+            inputs.score.dst_tensor(),
+        );
+        let slope = slope as f32;
+        let plan = &self.plan;
+
+        let mut c = Dense2::zeros(n, 1);
+        plan.for_each_row(&mut c, |v, c| c[0] = ops::dot(out.row(v), grad.row(v)));
+
+        let (mut alpha, mut gz) = (Dense2::zeros(m, 1), Dense2::zeros(m, 1));
+        let mut g_dst = Dense2::zeros(n, 1);
+        let alpha_rows = SharedRows::new(alpha.as_mut_slice(), 1);
+        let gz_rows = SharedRows::new(gz.as_mut_slice(), 1);
+        let no_aux = &mut vec![(); n][..];
+        // Per edge: the source's `hw` row and score operand, two edge writes.
+        let bytes = 4 * d + 3 * 4;
+        let row = |edges: InEdges<'_>, to: &mut Sink<'_>, _: &mut ()| {
+            let v = edges.dst as usize;
+            let (max, inv, cv) = (stats.max[v], 1.0 / stats.sum[v], c.at(v, 0));
+            let (sr, gv) = (sr.at(v, 0), grad.row(v));
+            for e in edges.iter() {
+                let z = sl.at(e.src as usize, 0) + sr;
+                let a = (leaky_relu(z, slope) - max).exp() * inv;
+                let gs = a * (ops::dot(hw.row(e.src as usize), gv) - cv);
+                let g = if z > 0.0 { gs } else { slope * gs };
+                // SAFETY: an edge id lies in exactly one (partition,
+                // destination) segment and a destination in exactly one
+                // band, so no other thread touches row `eid` of either
+                // buffer during this sweep.
+                unsafe {
+                    alpha_rows.row_mut(e.eid as usize)[0] = a;
+                    gz_rows.row_mut(e.eid as usize)[0] = g;
+                }
+                to.out[0] += g;
+            }
+        };
+        plan.sweep("fused/backward_edges", bytes, &mut g_dst, 0..1, no_aux, row);
+        Ok(AttentionBackward { alpha, gz, g_dst })
     }
 }
 
@@ -378,6 +492,92 @@ mod tests {
         let mut want = Dense2::zeros(2, 4);
         fused_reference(&g, &op, &inputs, &mut want).unwrap();
         assert!(out.approx_eq(&want, 1e-4));
+    }
+
+    #[test]
+    fn softmax_run_hands_back_max_and_exp_sum_and_backward_rebuilds_the_weights() {
+        // vertex 0 has no in-edges, vertex 1 one, vertex 3 three
+        let g = Graph::from_edges(4, &[(0, 1), (0, 3), (1, 3), (2, 3), (3, 2)]);
+        let (x, sl, sr) = (features(4, 6, 0), features(4, 1, 1), features(4, 1, 2));
+        let op = FusedOp::gat_attention(6, 0.2);
+        let inputs = FusedInputs {
+            score: GraphTensors::src_dst(&sl, &sr),
+            message: GraphTensors::vertex_only(&x),
+        };
+        for parts in [1, 3] {
+            let k = CpuFused::compile(&g, &op, &CpuSpmmOptions::with_threads(parts, 2)).unwrap();
+            let mut out = Dense2::zeros(4, 6);
+            let stats = k
+                .run(&inputs, &mut out)
+                .unwrap()
+                .softmax
+                .expect("softmax run");
+            assert_eq!(stats.max[0], f32::NEG_INFINITY);
+            assert_eq!(stats.sum[0], 0.0);
+            assert_eq!(stats.sum[1], 1.0, "a lone edge is its own max");
+            let score = |u: usize, v: usize| leaky_relu(sl.at(u, 0) + sr.at(v, 0), 0.2);
+            let max3 = (0..3).map(|u| score(u, 3)).fold(f32::MIN, f32::max);
+            assert_eq!(stats.max[3], max3);
+            assert!(stats.sum[3] >= 1.0 && stats.sum[3] <= 3.0);
+
+            let grad = features(4, 6, 3);
+            let b = k.attention_backward(&inputs, &out, &stats, &grad).unwrap();
+            let (indptr, srcs) = (g.in_csr().indptr(), g.in_csr().indices());
+            for v in 0..4 {
+                let seg = indptr[v]..indptr[v + 1];
+                if seg.is_empty() {
+                    assert_eq!(b.g_dst.at(v, 0), 0.0);
+                    continue;
+                }
+                let total: f32 = seg.clone().map(|e| b.alpha.at(e, 0)).sum();
+                assert!((total - 1.0).abs() < 1e-6, "weights of {v} sum to {total}");
+                let gz: f32 = seg.clone().map(|e| b.gz.at(e, 0)).sum();
+                assert!((gz - b.g_dst.at(v, 0)).abs() < 1e-5);
+                // out[v] is the α-weighted sum of the source rows
+                for c in 0..6 {
+                    let want: f32 = seg
+                        .clone()
+                        .map(|e| b.alpha.at(e, 0) * x.at(srcs[e] as usize, c))
+                        .sum();
+                    assert!((out.at(v, c) - want).abs() < 1e-5);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_rejects_other_patterns_and_mis_shaped_operands() {
+        let g = generators::uniform(10, 2, 1);
+        let (x, s) = (features(10, 4, 0), features(10, 1, 1));
+        let inputs = FusedInputs {
+            score: GraphTensors::src_dst(&s, &s),
+            message: GraphTensors::vertex_only(&x),
+        };
+        let opts = CpuSpmmOptions::single_thread(1);
+        let gat = CpuFused::compile(&g, &FusedOp::gat_attention(4, 0.2), &opts).unwrap();
+        let mut out = Dense2::zeros(10, 4);
+        let stats = gat.run(&inputs, &mut out).unwrap().softmax.unwrap();
+        let short = Dense2::<f32>::zeros(9, 4);
+        assert!(matches!(
+            gat.attention_backward(&inputs, &out, &stats, &short),
+            Err(KernelError::Shape { .. })
+        ));
+        let truncated = SoftmaxStats {
+            max: stats.max[..9].to_vec(),
+            sum: stats.sum.clone(),
+        };
+        assert!(matches!(
+            gat.attention_backward(&inputs, &out, &truncated, &out),
+            Err(KernelError::Shape { .. })
+        ));
+        // a softmax whose score is not the additive GAT form
+        let mut op = FusedOp::gat_attention(4, 0.2);
+        op.score = Udf::dot(4);
+        let generic = CpuFused::compile(&g, &op, &opts).unwrap();
+        assert!(matches!(
+            generic.attention_backward(&inputs, &out, &stats, &out),
+            Err(KernelError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -132,18 +132,36 @@ pub(crate) fn combine2<R: ReduceOp, A: FeatElem, B: FeatElem>(
     }
 }
 
-/// `Σ a[i] · b[i]`, accumulated in `f32` in index order.
+/// Independent partial sums [`dot`] keeps, so its loop vectorizes instead of
+/// waiting on one add chain.
+const DOT_LANES: usize = 8;
+
+/// `Σ a[i] · b[i]` in `f32`. Product `i` goes to lane `i % DOT_LANES`, each
+/// lane sums in index order and the lanes meet in one fixed tree — the value
+/// depends on the operands only, never on the schedule or the target ISA.
 #[inline(always)]
 pub(crate) fn dot<A: FeatElem, B: FeatElem>(a: &[A], b: &[B]) -> f32 {
-    if !(A::STAGED_WIDEN || B::STAGED_WIDEN) {
-        return a.iter().zip(b).map(|(&p, &q)| p.load() * q.load()).sum();
+    if A::STAGED_WIDEN || B::STAGED_WIDEN {
+        let (mut ba, mut bb) = ([0.0; WIDEN_CHUNK], [0.0; WIDEN_CHUNK]);
+        let mut acc = 0.0;
+        for (ac, bc) in a.chunks(WIDEN_CHUNK).zip(b.chunks(WIDEN_CHUNK)) {
+            acc += dot(staged(ac, &mut ba), staged(bc, &mut bb));
+        }
+        return acc;
     }
-    let (mut ba, mut bb) = ([0.0; WIDEN_CHUNK], [0.0; WIDEN_CHUNK]);
-    let mut acc = 0.0;
-    for (ac, bc) in a.chunks(WIDEN_CHUNK).zip(b.chunks(WIDEN_CHUNK)) {
-        acc += dot(staged(ac, &mut ba), staged(bc, &mut bb));
+    let mut lanes = [0f32; DOT_LANES];
+    let (ac, bc) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
+    let tail = ac.remainder().iter().zip(bc.remainder());
+    for (x, y) in ac.zip(bc) {
+        for ((l, &p), &q) in lanes.iter_mut().zip(x).zip(y) {
+            *l += p.load() * q.load();
+        }
     }
-    acc
+    for (l, (&p, &q)) in lanes.iter_mut().zip(tail) {
+        *l += p.load() * q.load();
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
 }
 
 /// A per-edge message function, evaluated straight into a sink row.
@@ -154,6 +172,20 @@ pub(crate) trait MessageOp: Sync {
 
     /// Fold the message of edge `e` into the sink `to`.
     fn edge<R: ReduceOp>(&self, r: R, to: &mut Sink<'_>, e: Edge);
+}
+
+/// A borrowed op is an op, so a template that takes its op by value (the
+/// recognized ops are a few references wide and `Copy`) can still be handed
+/// the interpreter, which owns widened operands, by reference.
+impl<M: MessageOp> MessageOp for &M {
+    fn bytes_per_edge(&self, w: usize) -> usize {
+        (**self).bytes_per_edge(w)
+    }
+
+    #[inline(always)]
+    fn edge<R: ReduceOp>(&self, r: R, to: &mut Sink<'_>, e: Edge) {
+        (**self).edge(r, to, e)
+    }
 }
 
 /// One edge `eid = (src → dst)`.
@@ -189,6 +221,7 @@ pub(crate) use with_elem_op;
 
 /// `msg[i] = rows[k][i]` with `k` the edge's source vertex or, `BY_EDGE`,
 /// its edge id.
+#[derive(Clone, Copy)]
 pub(crate) struct CopyRow<'a, V, const BY_EDGE: bool> {
     pub rows: &'a Dense2<V>,
 }
@@ -211,6 +244,7 @@ impl<V: FeatElem, const BY_EDGE: bool> MessageOp for CopyRow<'_, V, BY_EDGE> {
 
 /// `msg[i] = f(src[i], other[i])` with `other` the destination's row of `b`
 /// or, `BY_EDGE`, the edge's.
+#[derive(Clone, Copy)]
 pub(crate) struct SrcZip<'a, V, B, F, const BY_EDGE: bool> {
     pub x: &'a Dense2<V>,
     pub b: &'a Dense2<B>,
@@ -240,6 +274,7 @@ where
 }
 
 /// `msg[i] = src[i] · edge[0]` (attention-weighted aggregation).
+#[derive(Clone, Copy)]
 pub(crate) struct SrcScalar<'a, V> {
     pub x: &'a Dense2<V>,
     pub w: &'a Dense2<f32>,
@@ -353,6 +388,7 @@ impl MessageOp for Interp<'_> {
 /// `out[h] = Σ_k src[h·d+k] · dst[h·d+k]`: multi-head dot (Fig. 4b) over
 /// whole heads or, `ONE_HEAD`, dot-product attention (Fig. 4a) over the tile
 /// `cols` of its *reduce* axis, so that a pass folds a partial dot.
+#[derive(Clone, Copy)]
 pub(crate) struct HeadDot<'a, V, const ONE_HEAD: bool> {
     pub x: &'a Dense2<V>,
     pub xd: &'a Dense2<V>,

@@ -139,42 +139,45 @@ impl CpuSddmm {
                 counter_add(Counter::FeatureTiles, ktiles.num_tiles() as u64);
                 let op = Dot { x, xd, d };
                 for kt in ktiles {
-                    self.pass("sddmm/ktile", ops::sum, &op, kt.range(), out);
+                    self.pass("sddmm/ktile", ops::sum, op, kt.range(), out);
                 }
             }
             KernelPattern::MultiHeadDot { d } => {
                 let (op, dims) = (MultiHeadDot { x, xd, d }, 0..self.udf.src_len);
-                self.pass("sddmm/multi_head", ops::store, &op, dims, out)
+                self.pass("sddmm/multi_head", ops::store, op, dims, out)
             }
             // The element-wise UDFs are the SpMM template's message ops,
             // stored to the edge row instead of reduced into the vertex row.
-            KernelPattern::CopySrc => self.store(&CopySrc { rows: x }, out),
-            KernelPattern::CopyEdge => self.store(&CopyEdge { rows: xe() }, out),
+            KernelPattern::CopySrc => self.store(CopySrc { rows: x }, out),
+            KernelPattern::CopyEdge => self.store(CopyEdge { rows: xe() }, out),
             KernelPattern::SrcOpEdge(op) => {
-                with_elem_op!(op, |f| self.store(&SrcEdge { x, b: xe(), f }, out))
+                with_elem_op!(op, |f| self.store(SrcEdge { x, b: xe(), f }, out))
             }
             KernelPattern::SrcOpDst(op) => {
-                with_elem_op!(op, |f| self.store(&SrcDst { x, b: xd, f }, out))
+                with_elem_op!(op, |f| self.store(SrcDst { x, b: xd, f }, out))
             }
-            KernelPattern::SrcMulEdgeScalar => self.store(&SrcScalar { x, w: xe() }, out),
+            KernelPattern::SrcMulEdgeScalar => self.store(SrcScalar { x, w: xe() }, out),
             _ => self.store(&Interp::new(&self.udf, inputs), out),
         }
         Ok(RunStats::default())
     }
 
     /// One pass writing each edge's whole output row.
-    fn store<M: MessageOp>(&self, op: &M, out: &mut Dense2<f32>) {
+    fn store<M: MessageOp + Copy>(&self, op: M, out: &mut Dense2<f32>) {
         self.pass("sddmm/store", ops::store, op, 0..self.udf.out_len, out);
     }
 
     /// The edge-order loop nest: one traversal of the (Hilbert or canonical)
     /// visit list in parallel chunks, folding `op`'s message for columns
-    /// `cols` into each edge's output row with `r`.
-    fn pass<R: ReduceOp, M: MessageOp>(
+    /// `cols` into each edge's output row with `r`. Each chunk works on its
+    /// own copy of `op`: the rows are written through a raw pointer, and a
+    /// local whose address never escapes is what lets the compiler keep the
+    /// op's operand pointers in registers across those writes.
+    fn pass<R: ReduceOp, M: MessageOp + Copy>(
         &self,
         name: &'static str,
         r: R,
-        op: &M,
+        op: M,
         cols: Range<usize>,
         out: &mut Dense2<f32>,
     ) {
@@ -189,6 +192,7 @@ impl CpuSddmm {
         self.pool.install(|| {
             visits.par_chunks(chunk).for_each(|edges| {
                 histogram_record(Histogram::SddmmChunkEdges, edges.len() as u64);
+                let chunk_op = op;
                 let mut scratch = Vec::new();
                 for &(src, dst, eid) in edges {
                     // SAFETY: the visit list is a permutation of the edge
@@ -200,7 +204,7 @@ impl CpuSddmm {
                         cols: cols.clone(),
                         scratch: &mut scratch,
                     };
-                    op.edge(r, &mut to, Edge { src, dst, eid });
+                    chunk_op.edge(r, &mut to, Edge { src, dst, eid });
                 }
             });
         });

@@ -35,6 +35,8 @@ pub enum KernelError {
     BadSchedule(String),
     /// A tensor-level error bubbled up.
     Tensor(ShapeError),
+    /// The compiled kernel does not implement the requested operation.
+    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for KernelError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for KernelError {
             }
             KernelError::BadSchedule(msg) => write!(f, "invalid schedule: {msg}"),
             KernelError::Tensor(e) => write!(f, "tensor error: {e}"),
+            KernelError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }

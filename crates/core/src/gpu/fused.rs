@@ -128,6 +128,7 @@ impl GpuFused {
         Ok(RunStats {
             gpu_time_ms: Some(launches.iter().map(|r| r.time_ms).sum()),
             gpu_launches: launches,
+            softmax: None,
         })
     }
 

@@ -129,6 +129,7 @@ impl GpuSddmm {
         Ok(RunStats {
             gpu_time_ms: Some(report.time_ms),
             gpu_launches: vec![report],
+            softmax: None,
         })
     }
 

@@ -195,6 +195,7 @@ impl GpuSpmm {
         Ok(RunStats {
             gpu_time_ms: Some(report.time_ms),
             gpu_launches: vec![report],
+            softmax: None,
         })
     }
 

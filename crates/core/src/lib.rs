@@ -154,6 +154,24 @@ impl FusedKernel {
         }
     }
 
+    /// Backward of a GAT attention run; see
+    /// [`cpu::fused::CpuFused::attention_backward`]. The simulated-GPU plan
+    /// has no backward kernel and reports [`KernelError::Unsupported`].
+    pub fn attention_backward(
+        &self,
+        inputs: &FusedInputs<'_, f32>,
+        out: &Dense2<f32>,
+        stats: &SoftmaxStats,
+        grad: &Dense2<f32>,
+    ) -> Result<AttentionBackward, KernelError> {
+        match self {
+            FusedKernel::Cpu(k) => k.attention_backward(inputs, out, stats, grad),
+            FusedKernel::Gpu(_) => Err(KernelError::Unsupported(
+                "the simulated-GPU fused kernel has no backward",
+            )),
+        }
+    }
+
     /// The recognized fused pattern.
     pub fn pattern(&self) -> FusedPattern {
         match self {
@@ -179,6 +197,37 @@ pub struct RunStats {
     pub gpu_time_ms: Option<f64>,
     /// The GPU launch reports, one per simulated kernel launch.
     pub gpu_launches: Vec<fg_gpusim::LaunchReport>,
+    /// What a CPU fused softmax run saved for a backward pass (`None` for
+    /// every other kernel).
+    pub softmax: Option<SoftmaxStats>,
+}
+
+/// The `O(|V|)` state of a fused softmax run: per destination, the largest
+/// in-edge score and `Σ exp(score − max)` over its in-edges (0 where there
+/// are none). Every edge's normalized weight can be recomputed from its
+/// score and these two numbers, so a backward pass needs no `|E|`-sized
+/// tensor from the forward.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SoftmaxStats {
+    /// Per-destination maximum score.
+    pub max: Vec<f32>,
+    /// Per-destination exp-sum.
+    pub sum: Vec<f32>,
+}
+
+/// The destination-major half of the GAT attention backward (one sweep of
+/// the fused plan). Edge tensors are indexed by edge id, like every edge
+/// tensor of the templates; the caller closes the gradient with two
+/// reductions over the reverse graph:
+/// `∂L/∂hw[u] = Σ_{u→v} alpha_e · grad[v]` and `∂L/∂sl[u] = Σ_{u→v} gz_e`.
+#[derive(Debug, Clone)]
+pub struct AttentionBackward {
+    /// The recomputed attention weights `α_e`, `|E| × 1`.
+    pub alpha: Dense2<f32>,
+    /// `∂L/∂z_e` for the raw score `z_e = sl[u] + sr[v]`, `|E| × 1`.
+    pub gz: Dense2<f32>,
+    /// `∂L/∂sr[v] = Σ_{u→v} gz_e`, `|V| × 1`.
+    pub g_dst: Dense2<f32>,
 }
 
 impl RunStats {

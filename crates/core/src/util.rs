@@ -10,11 +10,13 @@ use std::cell::UnsafeCell;
 ///
 /// `row_mut` hands out `&mut` slices derived from a shared reference; the
 /// caller must guarantee that no two concurrent calls use the same row index.
-/// Both call sites in this crate satisfy that by construction:
+/// The call sites in this crate satisfy that by construction:
 ///
 /// * CPU SDDMM writes row `eid`, and the edge visit order is a permutation
 ///   of edge IDs partitioned into disjoint chunks;
-/// * CPU SpMM partitions destination rows into disjoint bands.
+/// * the fused attention backward writes row `eid` from the destination-
+///   major sweep, where an edge belongs to one (partition, destination)
+///   segment and a destination to one band.
 pub struct SharedRows<'a, S> {
     data: &'a UnsafeCell<[S]>,
     cols: usize,

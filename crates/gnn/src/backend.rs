@@ -7,7 +7,7 @@ use featgraph::cpu::sddmm::CpuSddmmOptions;
 use featgraph::cpu::spmm::CpuSpmmOptions;
 use featgraph::{
     Fds, FusedInputs, FusedKernel, FusedOp, GraphTensors, KernelError, Reducer, RunStats,
-    SddmmKernel, SpmmKernel, Target, Udf,
+    SddmmKernel, SoftmaxStats, SpmmKernel, Target, Udf,
 };
 use fg_gpusim::DeviceConfig;
 use fg_tensor::Dense2;
@@ -21,6 +21,34 @@ pub enum Dir {
     Fwd,
     /// Aggregate into sources (gradient flow).
     Rev,
+}
+
+/// One GAT attention forward, as its backward sees it: the three inputs of
+/// [`GraphBackend::attention_forward`], the output it produced, and the
+/// softmax state it saved (`None` from backends whose forward keeps none).
+pub struct AttentionForward<'a> {
+    /// Transformed features `hw`, `|V| × d`.
+    pub x: &'a Dense2<f32>,
+    /// Source-side scores, `|V| × 1`.
+    pub sl: &'a Dense2<f32>,
+    /// Destination-side scores, `|V| × 1`.
+    pub sr: &'a Dense2<f32>,
+    /// Leaky-ReLU negative slope.
+    pub slope: f32,
+    /// The forward's output, `|V| × d`.
+    pub out: &'a Dense2<f32>,
+    /// Per-destination score max and exp-sum, if the forward saved them.
+    pub stats: Option<&'a SoftmaxStats>,
+}
+
+/// Gradients of GAT attention with respect to its three inputs.
+pub struct AttentionGrads {
+    /// `∂L/∂x`, `|V| × d`.
+    pub x: Dense2<f32>,
+    /// `∂L/∂sl`, `|V| × 1`.
+    pub sl: Dense2<f32>,
+    /// `∂L/∂sr`, `|V| × 1`.
+    pub sr: Dense2<f32>,
 }
 
 /// The message-passing operations a GNN layer (and its gradients) needs.
@@ -90,10 +118,8 @@ pub trait GraphBackend: Send + Sync {
 
     /// The whole GAT attention chain in one call:
     /// `out[v] = Σ_{u→v} softmax_v(LeakyReLU(sl[u] + sr[v])) · x[u]`
-    /// with the softmax normalized per destination.
-    ///
-    /// Defaults to [`Self::unfused_attention`]. Backends may override it
-    /// with a fused kernel that keeps only `O(|V|)` accumulators live.
+    /// with the softmax normalized per destination. This is
+    /// [`Self::attention_forward`] without the saved state.
     fn fused_attention(
         &self,
         g: &GnnGraph,
@@ -102,13 +128,85 @@ pub trait GraphBackend: Send + Sync {
         sr: &Dense2<f32>,
         slope: f32,
     ) -> Dense2<f32> {
-        self.unfused_attention(g, x, sl, sr, slope)
+        self.attention_forward(g, x, sl, sr, slope).0
+    }
+
+    /// GAT attention plus whatever the backend's
+    /// [`Self::attention_backward`] wants kept from it — the one attention
+    /// node of every tape, training or inference.
+    ///
+    /// Defaults to [`Self::unfused_attention`], saving nothing. Backends may
+    /// override it with a fused kernel that keeps only `O(|V|)`
+    /// accumulators live and hands them back.
+    fn attention_forward(
+        &self,
+        g: &GnnGraph,
+        x: &Dense2<f32>,
+        sl: &Dense2<f32>,
+        sr: &Dense2<f32>,
+        slope: f32,
+    ) -> (Dense2<f32>, Option<SoftmaxStats>) {
+        (self.unfused_attention(g, x, sl, sr, slope), None)
+    }
+
+    /// Gradients of [`Self::attention_forward`] given `grad = ∂L/∂out`.
+    ///
+    /// Defaults to [`unfused_attention_backward`], which recomputes the
+    /// unfused chain through this backend's own ops and differentiates it
+    /// stage by stage — the oracle a fused override is tested against.
+    fn attention_backward(
+        &self,
+        g: &GnnGraph,
+        fwd: &AttentionForward<'_>,
+        grad: &Dense2<f32>,
+    ) -> AttentionGrads {
+        unfused_attention_backward(self, g, fwd, grad)
     }
 
     /// Simulated GPU milliseconds accumulated since the last call (0 for
     /// CPU backends).
     fn take_gpu_ms(&self) -> f64 {
         0.0
+    }
+}
+
+/// The attention backward as the chain rule over the unfused composition:
+/// recompute the `|E|` score and weight tensors with `b`'s own SDDMM, then
+/// weighted-SpMM backward (reverse aggregation + SDDMM dot, the §II-A
+/// duality), edge-softmax Jacobian, leaky-ReLU mask, and the two edge sums
+/// of the additive score. Seven edge passes and four `|E|` tensors; reads
+/// nothing of `fwd.out` / `fwd.stats`.
+pub fn unfused_attention_backward<B: GraphBackend + ?Sized>(
+    b: &B,
+    g: &GnnGraph,
+    fwd: &AttentionForward<'_>,
+    grad: &Dense2<f32>,
+) -> AttentionGrads {
+    let m = g.fwd().num_edges() as u64;
+    let z = b.sddmm_add(g, fwd.sl, fwd.sr);
+    let mut e = z.clone();
+    for v in e.as_mut_slice() {
+        if *v < 0.0 {
+            *v *= fwd.slope;
+        }
+    }
+    let alpha = crate::tape::edge_softmax_forward(g, &e);
+    // the forward's leaky-relu and edge-softmax sweeps, run again
+    b.charge_edgewise(4 * m, 7 * m * 4);
+    let x = b.weighted_spmm(g, Dir::Rev, grad, Some(&alpha));
+    let g_alpha = b.sddmm_dot(g, fwd.x, grad);
+    let mut gz = crate::tape::edge_softmax_backward(g, &alpha, &g_alpha);
+    for (gv, &zv) in gz.as_mut_slice().iter_mut().zip(z.as_slice()) {
+        if zv <= 0.0 {
+            *gv *= fwd.slope;
+        }
+    }
+    // softmax Jacobian (dot + scale sweeps) and the leaky-relu mask
+    b.charge_edgewise(5 * m, 7 * m * 4);
+    AttentionGrads {
+        x,
+        sl: b.edge_sum(g, Dir::Rev, &gz),
+        sr: b.edge_sum(g, Dir::Fwd, &gz),
     }
 }
 
@@ -514,6 +612,38 @@ impl FeatgraphBackend {
         );
         out
     }
+
+    /// Run `f` on the fused GAT attention plan for `(x.cols(), slope)` and
+    /// its operand bundle.
+    fn run_fused(
+        &self,
+        g: &GnnGraph,
+        x: &Dense2<f32>,
+        sl: &Dense2<f32>,
+        sr: &Dense2<f32>,
+        slope: f32,
+        f: impl FnOnce(&FusedKernel, &FusedInputs<'_, f32>) -> Result<RunStats, KernelError>,
+    ) {
+        let d = x.cols();
+        let graph = g.fwd();
+        let key = FusedKey {
+            d,
+            slope_bits: slope.to_bits(),
+        };
+        let compile = || {
+            let op = FusedOp::gat_attention(d, slope as f64);
+            let partitions = self.partitions_hint.unwrap_or_else(|| {
+                CpuSpmmOptions::auto(graph, &op.message, &self.fds(d)).graph_partitions
+            });
+            let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
+            featgraph::fused_with_options(graph, &op, self.target, Some(&cpu_opts), None)
+        };
+        let inputs = FusedInputs {
+            score: GraphTensors::src_dst(sl, sr),
+            message: GraphTensors::vertex_only(x),
+        };
+        self.with_plan(graph, |p| &mut p.fused, key, compile, |k| f(k, &inputs));
+    }
 }
 
 impl GraphBackend for FeatgraphBackend {
@@ -619,39 +749,49 @@ impl GraphBackend for FeatgraphBackend {
         self.run_spmm(g, dir, SpmmKey::CopyEdgeSum { dir, d }, &udf, Reducer::Sum, &inputs, d)
     }
 
-    fn fused_attention(
+    fn attention_forward(
         &self,
         g: &GnnGraph,
         x: &Dense2<f32>,
         sl: &Dense2<f32>,
         sr: &Dense2<f32>,
         slope: f32,
-    ) -> Dense2<f32> {
-        let d = x.cols();
-        let graph = g.fwd();
-        let slope_bits = slope.to_bits();
-        let key = FusedKey { d, slope_bits };
-        let compile = || {
-            let op = FusedOp::gat_attention(d, slope as f64);
-            let partitions = self.partitions_hint.unwrap_or_else(|| {
-                CpuSpmmOptions::auto(graph, &op.message, &self.fds(d)).graph_partitions
-            });
-            let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
-            featgraph::fused_with_options(graph, &op, self.target, Some(&cpu_opts), None)
+    ) -> (Dense2<f32>, Option<SoftmaxStats>) {
+        let mut out = Dense2::zeros(g.num_vertices(), x.cols());
+        let mut stats = None;
+        self.run_fused(g, x, sl, sr, slope, |k, inputs| {
+            let mut run = k.run(inputs, &mut out)?;
+            stats = run.softmax.take();
+            Ok(run)
+        });
+        (out, stats)
+    }
+
+    /// One destination-major sweep of the fused plan recomputes every edge's
+    /// weight from the saved softmax state; the two source-side sums are the
+    /// reverse-graph kernels the other gradients already use. Three edge
+    /// passes, two `|E| × 1` tensors. Without saved state (the simulated GPU
+    /// plan keeps none) this is the trait's unfused recompute.
+    fn attention_backward(
+        &self,
+        g: &GnnGraph,
+        fwd: &AttentionForward<'_>,
+        grad: &Dense2<f32>,
+    ) -> AttentionGrads {
+        let Some(stats) = fwd.stats else {
+            return unfused_attention_backward(self, g, fwd, grad);
         };
-        let inputs = FusedInputs {
-            score: GraphTensors::src_dst(sl, sr),
-            message: GraphTensors::vertex_only(x),
-        };
-        let mut out = Dense2::zeros(graph.num_vertices(), d);
-        self.with_plan(
-            graph,
-            |p| &mut p.fused,
-            key,
-            compile,
-            |k| k.run(&inputs, &mut out),
-        );
-        out
+        let mut edges = None;
+        self.run_fused(g, fwd.x, fwd.sl, fwd.sr, fwd.slope, |k, inputs| {
+            edges = Some(k.attention_backward(inputs, fwd.out, stats, grad)?);
+            Ok(RunStats::default())
+        });
+        let edges = edges.expect("kernel run");
+        AttentionGrads {
+            x: self.weighted_spmm(g, Dir::Rev, grad, Some(&edges.alpha)),
+            sl: self.edge_sum(g, Dir::Rev, &edges.gz),
+            sr: edges.g_dst,
+        }
     }
 
     fn charge_edgewise(&self, flops: u64, bytes: u64) {
@@ -828,6 +968,69 @@ mod tests {
         // a different slope is a different plan, not a stale cache hit
         let other = b.fused_attention(&g, &x, &sl, &sr, 0.5);
         assert!(other.max_abs_diff(&first) > 0.0);
+    }
+
+    #[test]
+    fn fused_attention_backward_matches_the_unfused_recompute() {
+        // vertices 0..4 have no in-edges, 5..9 exactly one, vertex 10 is a
+        // hub (every vertex points at it and it points at 11..40), and the
+        // rest get a few pseudo-random in-edges
+        let n = 60u32;
+        let mut edges: Vec<(u32, u32)> = (5..10).map(|v| (v - 5, v)).collect();
+        edges.extend((0..n).filter(|&u| u != 10).map(|u| (u, 10)));
+        edges.extend((11..40).map(|v| (10, v)));
+        edges.extend((11..n).flat_map(|v| (1..4).map(move |k| ((v * 7 + k * 13) % n, v))));
+        let g = GnnGraph::new(fg_graph::Graph::from_edges(n as usize, &edges));
+        assert_eq!(g.in_degrees()[0], 0);
+        assert_eq!(g.in_degrees()[5], 1);
+        assert!(g.in_degrees()[10] >= n - 1);
+
+        let n = n as usize;
+        let (x, sl, sr) = (feats(n, 12, 0), feats(n, 1, 4), feats(n, 1, 6));
+        let grad = feats(n, 12, 9);
+        let run = |b: &dyn GraphBackend| {
+            let (out, stats) = b.attention_forward(&g, &x, &sl, &sr, 0.2);
+            let fwd = AttentionForward {
+                x: &x,
+                sl: &sl,
+                sr: &sr,
+                slope: 0.2,
+                out: &out,
+                stats: stats.as_ref(),
+            };
+            let grads = b.attention_backward(&g, &fwd, &grad);
+            (stats.is_some(), [out, grads.x, grads.sl, grads.sr])
+        };
+        // the naive backend keeps the trait defaults: the oracle
+        let (saved, want) = run(&NaiveBackend::cpu());
+        assert!(!saved);
+        let fused: [FeatgraphBackend; 3] = [
+            FeatgraphBackend::cpu_with_partitions(1, 4),
+            FeatgraphBackend::cpu(3),
+            FeatgraphBackend::cpu_with_partitions(3, 7),
+        ];
+        for b in &fused {
+            let (saved, got) = run(b);
+            assert!(saved, "the CPU fused forward hands its softmax state back");
+            for (what, (a, w)) in ["out", "g_x", "g_sl", "g_sr"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                assert!(a.approx_eq(w, 1e-4), "{what}: diff {}", a.max_abs_diff(w));
+            }
+            // no in-edges: no attention output, no destination-side gradient
+            assert_eq!(got[3].at(0, 0), 0.0);
+            // a single-edge segment has weight exactly 1, whose score
+            // gradient vanishes: out[v] = hw[u] whatever the scores are
+            assert_eq!(got[0].row(5), x.row(0));
+            assert_eq!(got[3].at(5, 0), 0.0);
+        }
+        // the simulated GPU plan saves nothing and takes the default backward
+        let (saved, got) = run(&FeatgraphBackend::gpu());
+        assert!(!saved);
+        for (a, w) in got.iter().zip(&want) {
+            assert!(a.approx_eq(w, 1e-4), "gpu: diff {}", a.max_abs_diff(w));
+        }
     }
 
     #[test]

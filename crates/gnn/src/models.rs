@@ -27,7 +27,9 @@ pub trait Model: Send + Sync {
     /// layer's graph aggregation, dense transform, and (for every layer
     /// but the last) its activation function. Returns the layer output and
     /// the tape vars of the layer's parameters, in [`Model::params`] order
-    /// restricted to this layer. Each layer output is a pure row-wise +
+    /// restricted to this layer. Parameters enter the tape through
+    /// [`Tape::param`] — they are what [`Tape::backward`] differentiates
+    /// for; `h` may be a constant. Each layer output is a pure row-wise +
     /// aggregation function of `h`, which is what lets the sharded runner
     /// exchange activations between layers without changing any value.
     fn forward_layer(&self, tape: &mut Tape<'_>, h: Var, layer: usize) -> (Var, Vec<Var>);
@@ -91,8 +93,8 @@ impl Model for Gcn {
             1 => (&self.w2, &self.b2),
             other => panic!("GCN has 2 layers, asked for layer {other}"),
         };
-        let w = tape.leaf(w.value.clone());
-        let b = tape.leaf(b.value.clone());
+        let w = tape.param(w.value.clone());
+        let b = tape.param(b.value.clone());
         // aggregate then transform (generalized SpMM is the hot op)
         let _span = span!("model/layer", "model=GCN layer={}", layer + 1);
         let agg = tape.mean_spmm(h);
@@ -154,9 +156,9 @@ impl Model for GraphSage {
             1 => (&self.ws2, &self.wn2, &self.b2),
             other => panic!("GraphSage has 2 layers, asked for layer {other}"),
         };
-        let ws = tape.leaf(ws.value.clone());
-        let wn = tape.leaf(wn.value.clone());
-        let b = tape.leaf(b.value.clone());
+        let ws = tape.param(ws.value.clone());
+        let wn = tape.param(wn.value.clone());
+        let b = tape.param(b.value.clone());
         let pre = {
             let _span = span!("model/layer", "model=GraphSage layer={}", layer + 1);
             let selfpart = tape.matmul(h, ws);
@@ -252,15 +254,15 @@ impl Model for Gat {
             );
             let mut acc: Option<Var> = None;
             for (w, al, ar) in heads {
-                let w = tape.leaf(w.value.clone());
-                let al = tape.leaf(al.value.clone());
-                let ar = tape.leaf(ar.value.clone());
+                let w = tape.param(w.value.clone());
+                let al = tape.param(al.value.clone());
+                let ar = tape.param(ar.value.clone());
                 pvars.extend([w, al, ar]);
                 let hw = tape.matmul(h, w);
                 let sl = tape.matmul(hw, al); // n×1 source scores
                 let sr = tape.matmul(hw, ar); // n×1 destination scores
-                // SDDMM score → edge softmax → attention-weighted SpMM;
-                // inference tapes run this as one fused kernel
+                                              // SDDMM score → edge softmax → attention-weighted SpMM,
+                                              // one fused node forward and backward
                 let out = tape.gat_attention(hw, sl, sr, 0.2);
                 acc = Some(match acc {
                     None => out,

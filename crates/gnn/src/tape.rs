@@ -6,11 +6,22 @@
 //! edge computations is an SpMM-style aggregation. Every graph op dispatches
 //! through the active [`GraphBackend`], so the same model trains on the
 //! naive or the FeatGraph backend bit-for-bit identically.
+//!
+//! A tape has two kinds of leaves. [`Tape::param`] inserts a tensor the
+//! caller will read a gradient for; [`Tape::leaf`] inserts a constant
+//! (input features, fixed edge weights). Every other node *requires a
+//! gradient* iff one of its inputs does, and [`Tape::backward`] computes
+//! exactly the gradients of nodes that require one: a constant's branch of
+//! each op's backward — the `g × Wᵀ` of a first-layer matmul, the reverse
+//! aggregation under a first-layer SpMM — is never run. No value on a path
+//! to a parameter depends on those branches, so parameter gradients are
+//! bitwise what a differentiate-everything pass gives.
 
+use featgraph::SoftmaxStats;
 use fg_tensor::ops as dops;
 use fg_tensor::Dense2;
 
-use crate::backend::{Dir, GpuCostModel, GraphBackend};
+use crate::backend::{AttentionForward, Dir, GpuCostModel, GraphBackend};
 use crate::ggraph::GnnGraph;
 
 /// A handle to a tape node.
@@ -38,14 +49,23 @@ enum Op {
     SddmmAdd(Var, Var),
     /// Per-destination softmax over incoming-edge rows.
     EdgeSoftmax(Var),
-    /// Fused SDDMM→softmax→SpMM attention (inference tapes only; the
-    /// backward pass uses the unfused chain).
-    FusedAttention,
+    /// GAT attention as one backend call (fused SDDMM → softmax → SpMM on
+    /// the FeatGraph backend), with the softmax state its backward reads.
+    Attention {
+        hw: Var,
+        sl: Var,
+        sr: Var,
+        slope: f32,
+        stats: Option<SoftmaxStats>,
+    },
 }
 
 struct Node {
     value: Dense2<f32>,
     grad: Option<Dense2<f32>>,
+    /// Whether [`Tape::backward`] computes this node's gradient: set on a
+    /// [`Tape::param`], and on an op with such a node among its inputs.
+    requires_grad: bool,
     op: Op,
 }
 
@@ -56,7 +76,6 @@ pub struct Tape<'g> {
     backend: &'g dyn GraphBackend,
     dense_gpu: Option<&'g GpuCostModel>,
     nodes: Vec<Node>,
-    inference: bool,
 }
 
 impl<'g> Tape<'g> {
@@ -72,32 +91,38 @@ impl<'g> Tape<'g> {
             backend,
             dense_gpu,
             nodes: Vec::new(),
-            inference: false,
         }
     }
 
-    /// New inference-only tape: [`Tape::gat_attention`] dispatches to the
-    /// backend's fused kernel (no `|E|`-sized intermediates), and calling
-    /// [`Tape::backward`] through such a node panics. Training tapes built
-    /// with [`Tape::new`] keep the unfused, differentiable chain.
+    /// [`Tape::new`], named for call sites that only run the forward pass.
+    /// There is one kind of tape: a forward-only caller simply never calls
+    /// [`Tape::backward`].
     pub fn for_inference(
         graph: &'g GnnGraph,
         backend: &'g dyn GraphBackend,
         dense_gpu: Option<&'g GpuCostModel>,
     ) -> Self {
-        Self {
-            inference: true,
-            ..Self::new(graph, backend, dense_gpu)
-        }
+        Self::new(graph, backend, dense_gpu)
     }
 
-    fn push(&mut self, value: Dense2<f32>, op: Op) -> Var {
+    fn push_node(&mut self, value: Dense2<f32>, requires_grad: bool, op: Op) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
+            requires_grad,
             op,
         });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Push the result of an op over `inputs`.
+    fn push<const N: usize>(&mut self, value: Dense2<f32>, inputs: [Var; N], op: Op) -> Var {
+        let requires_grad = inputs.iter().any(|&v| self.needs(v));
+        self.push_node(value, requires_grad, op)
+    }
+
+    fn needs(&self, v: Var) -> bool {
+        self.nodes[v.0].requires_grad
     }
 
     fn charge(&self, flops: u64, bytes: u64) {
@@ -106,9 +131,16 @@ impl<'g> Tape<'g> {
         }
     }
 
-    /// Insert an input/parameter tensor.
+    /// Insert a constant input (features, fixed edge weights). The backward
+    /// pass computes nothing for it, so its [`Tape::grad`] is zeros.
     pub fn leaf(&mut self, value: Dense2<f32>) -> Var {
-        self.push(value, Op::Leaf)
+        self.push_node(value, false, Op::Leaf)
+    }
+
+    /// Insert a differentiable leaf: a tensor whose gradient the caller
+    /// reads after [`Tape::backward`].
+    pub fn param(&mut self, value: Dense2<f32>) -> Var {
+        self.push_node(value, true, Op::Leaf)
     }
 
     /// Value of a node.
@@ -116,7 +148,10 @@ impl<'g> Tape<'g> {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of a node (zeros-shaped if backward never reached it).
+    /// Gradient of a [`Tape::param`] after [`Tape::backward`] (zeros-shaped
+    /// if backward never reached it — always, for a constant [`Tape::leaf`]).
+    /// Interior nodes hand their gradient on during the reverse pass and
+    /// read as zeros too.
     pub fn grad(&self, v: Var) -> Dense2<f32> {
         let n = &self.nodes[v.0];
         n.grad
@@ -127,13 +162,19 @@ impl<'g> Tape<'g> {
     /// `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = dops::matmul(self.value(a), self.value(b)).expect("matmul shapes");
+        self.charge_matmul(a, b);
+        self.push(value, [a, b], Op::Matmul(a, b))
+    }
+
+    /// One `m × k × n` GEMM on the dense roofline: `a × b` itself, or either
+    /// of its two gradients (same FLOPs, same three operands).
+    fn charge_matmul(&self, a: Var, b: Var) {
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
         self.charge(
             (2 * m * k * n) as u64,
             ((m * k + k * n + m * n) * 4) as u64,
         );
-        self.push(value, Op::Matmul(a, b))
     }
 
     /// `a + b` (same shape).
@@ -141,7 +182,7 @@ impl<'g> Tape<'g> {
         let value = dops::add(self.value(a), self.value(b)).expect("add shapes");
         let len = value.as_slice().len();
         self.charge(len as u64, (3 * len * 4) as u64);
-        self.push(value, Op::Add(a, b))
+        self.push(value, [a, b], Op::Add(a, b))
     }
 
     /// `x + bias` broadcast over rows (`bias` is `1 × d`).
@@ -149,7 +190,7 @@ impl<'g> Tape<'g> {
         let value = dops::add_bias(self.value(x), self.value(bias).row(0)).expect("bias shapes");
         let len = value.as_slice().len();
         self.charge(len as u64, (2 * len * 4) as u64);
-        self.push(value, Op::AddBias(x, bias))
+        self.push(value, [x, bias], Op::AddBias(x, bias))
     }
 
     /// Element-wise ReLU.
@@ -157,7 +198,7 @@ impl<'g> Tape<'g> {
         let value = dops::relu(self.value(x));
         let len = value.as_slice().len();
         self.charge(len as u64, (2 * len * 4) as u64);
-        self.push(value, Op::Relu(x))
+        self.push(value, [x], Op::Relu(x))
     }
 
     /// `x * alpha` (element-wise constant scale; head averaging in
@@ -166,7 +207,7 @@ impl<'g> Tape<'g> {
         let value = dops::scale(self.value(x), alpha);
         let len = value.as_slice().len();
         self.charge(len as u64, (2 * len * 4) as u64);
-        self.push(value, Op::Scale(x, alpha))
+        self.push(value, [x], Op::Scale(x, alpha))
     }
 
     /// Element-wise leaky ReLU.
@@ -174,7 +215,7 @@ impl<'g> Tape<'g> {
         let value = dops::leaky_relu(self.value(x), slope);
         let len = value.as_slice().len();
         self.charge(len as u64, (2 * len * 4) as u64);
-        self.push(value, Op::LeakyRelu(x, slope))
+        self.push(value, [x], Op::LeakyRelu(x, slope))
     }
 
     /// Sum aggregation `out[v] = Σ_{u→v} w_e · x[u]`; `w` (if given) is an
@@ -186,13 +227,14 @@ impl<'g> Tape<'g> {
             self.value(x),
             w.map(|wv| self.value(wv)),
         );
-        self.push(value, Op::Spmm { x, w })
+        let requires_grad = self.needs(x) || w.is_some_and(|wv| self.needs(wv));
+        self.push_node(value, requires_grad, Op::Spmm { x, w })
     }
 
     /// Mean aggregation.
     pub fn mean_spmm(&mut self, x: Var) -> Var {
         let value = self.backend.mean_spmm(self.graph, self.value(x));
-        self.push(value, Op::MeanSpmm { x })
+        self.push(value, [x], Op::MeanSpmm { x })
     }
 
     /// `out[e] = a[src_e] + b[dst_e]`.
@@ -200,7 +242,7 @@ impl<'g> Tape<'g> {
         let value = self
             .backend
             .sddmm_add(self.graph, self.value(a), self.value(b));
-        self.push(value, Op::SddmmAdd(a, b))
+        self.push(value, [a, b], Op::SddmmAdd(a, b))
     }
 
     /// Per-destination softmax over incoming-edge rows (DGL's
@@ -209,34 +251,44 @@ impl<'g> Tape<'g> {
         let value = edge_softmax_forward(self.graph, self.value(e));
         let len = value.as_slice().len();
         self.charge((4 * len) as u64, (4 * len * 4) as u64);
-        self.push(value, Op::EdgeSoftmax(e))
+        self.push(value, [e], Op::EdgeSoftmax(e))
     }
 
     /// The GAT attention chain: per-destination
     /// `softmax(LeakyReLU(sl[src] + sr[dst]))`-weighted aggregation of
-    /// `hw`. On an inference tape this is one fused backend call; on a
-    /// training tape it builds the unfused SDDMM → leaky-ReLU →
-    /// edge-softmax → SpMM chain so every stage has a backward.
+    /// `hw`, as one node over [`GraphBackend::attention_forward`] whose
+    /// backward is [`GraphBackend::attention_backward`]. The same chain
+    /// spelled out stage by stage is [`Tape::sddmm_add`] →
+    /// [`Tape::leaky_relu`] → [`Tape::edge_softmax`] → [`Tape::spmm`].
     pub fn gat_attention(&mut self, hw: Var, sl: Var, sr: Var, slope: f32) -> Var {
-        if self.inference {
-            let value = self.backend.fused_attention(
-                self.graph,
-                self.value(hw),
-                self.value(sl),
-                self.value(sr),
-                slope,
-            );
-            self.push(value, Op::FusedAttention)
-        } else {
-            let e = self.sddmm_add(sl, sr);
-            let e = self.leaky_relu(e, slope);
-            let alpha = self.edge_softmax(e);
-            self.spmm(hw, Some(alpha))
-        }
+        let (value, stats) = self.backend.attention_forward(
+            self.graph,
+            self.value(hw),
+            self.value(sl),
+            self.value(sr),
+            slope,
+        );
+        let op = Op::Attention {
+            hw,
+            sl,
+            sr,
+            slope,
+            stats,
+        };
+        self.push(value, [hw, sl, sr], op)
     }
 
+    /// Add `g` into `v`'s gradient; a constant never holds one.
     fn accumulate(&mut self, v: Var, g: Dense2<f32>) {
         let node = &mut self.nodes[v.0];
+        assert_eq!(
+            g.shape(),
+            node.value.shape(),
+            "a gradient's shape (left) must equal its node's value shape (right)"
+        );
+        if !node.requires_grad {
+            return;
+        }
         match &mut node.grad {
             Some(existing) => {
                 for (e, &x) in existing.as_mut_slice().iter_mut().zip(g.as_slice()) {
@@ -247,81 +299,88 @@ impl<'g> Tape<'g> {
         }
     }
 
-    /// Reverse pass from `seed_var` with gradient `seed_grad`.
+    /// Reverse pass from `seed_var` with gradient `seed_grad`: afterwards
+    /// every [`Tape::param`] that `seed_var` depends on holds its gradient.
+    /// Each op computes the gradient of those inputs that require one and
+    /// nothing else.
     pub fn backward(&mut self, seed_var: Var, seed_grad: Dense2<f32>) {
-        assert_eq!(
-            self.nodes[seed_var.0].value.shape(),
-            seed_grad.shape(),
-            "seed gradient shape"
-        );
         self.accumulate(seed_var, seed_grad);
         for i in (0..self.nodes.len()).rev() {
-            let Some(g) = self.nodes[i].grad.clone() else {
+            // An interior node's gradient is moved out of its slot and on
+            // into its inputs; only a leaf's is put back, to be read.
+            let Some(mut g) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Dispatch on a shallow copy of the op metadata to appease the
-            // borrow checker.
             match self.nodes[i].op {
-                Op::Leaf => {}
+                Op::Leaf => self.nodes[i].grad = Some(g),
                 Op::Matmul(a, b) => {
-                    let ga = dops::matmul_bt(&g, self.value(b)).expect("grad a");
-                    let gb = dops::matmul_at(self.value(a), &g).expect("grad b");
-                    let (m, k) = self.value(a).shape();
-                    let n = self.value(b).cols();
-                    self.charge((4 * m * k * n) as u64, (2 * (m * k + k * n + m * n) * 4) as u64);
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if self.needs(a) {
+                        let ga = dops::matmul_bt(&g, self.value(b)).expect("grad a");
+                        self.charge_matmul(a, b);
+                        self.accumulate(a, ga);
+                    }
+                    if self.needs(b) {
+                        let gb = dops::matmul_at(self.value(a), &g).expect("grad b");
+                        self.charge_matmul(a, b);
+                        self.accumulate(b, gb);
+                    }
                 }
                 Op::Add(a, b) => {
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g);
+                    if self.needs(a) && self.needs(b) {
+                        self.accumulate(a, g.clone());
+                    }
+                    let last = if self.needs(b) { b } else { a };
+                    self.accumulate(last, g);
                 }
                 Op::AddBias(x, bias) => {
-                    // bias grad: column sums
-                    let d = g.cols();
-                    let mut gb = Dense2::zeros(1, d);
-                    for r in 0..g.rows() {
-                        for (o, &v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += v;
+                    if self.needs(bias) {
+                        // bias grad: column sums
+                        let mut gb = Dense2::zeros(1, g.cols());
+                        for r in 0..g.rows() {
+                            for (o, &v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
+                                *o += v;
+                            }
                         }
+                        self.accumulate(bias, gb);
                     }
                     self.accumulate(x, g);
-                    self.accumulate(bias, gb);
                 }
                 Op::Relu(x) => {
                     let y = &self.nodes[i].value;
-                    let mut gx = g.clone();
-                    for (gv, &yv) in gx.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                    for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
                         if yv <= 0.0 {
                             *gv = 0.0;
                         }
                     }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::Scale(x, alpha) => {
-                    let gx = dops::scale(&g, alpha);
-                    self.accumulate(x, gx);
+                    for gv in g.as_mut_slice() {
+                        *gv *= alpha;
+                    }
+                    self.accumulate(x, g);
                 }
                 Op::LeakyRelu(x, slope) => {
                     let xv = &self.nodes[x.0].value;
-                    let mut gx = g.clone();
-                    for (gv, &v) in gx.as_mut_slice().iter_mut().zip(xv.as_slice()) {
+                    for (gv, &v) in g.as_mut_slice().iter_mut().zip(xv.as_slice()) {
                         if v <= 0.0 {
                             *gv *= slope;
                         }
                     }
-                    self.accumulate(x, gx);
+                    self.accumulate(x, g);
                 }
                 Op::Spmm { x, w } => {
-                    // ∂L/∂x[u] = Σ_{u→v} w_e ∂L/∂h[v]  (reverse aggregation)
-                    let gx = self.backend.weighted_spmm(
-                        self.graph,
-                        Dir::Rev,
-                        &g,
-                        w.map(|wv| self.value(wv)),
-                    );
-                    self.accumulate(x, gx);
-                    if let Some(wv) = w {
+                    if self.needs(x) {
+                        // ∂L/∂x[u] = Σ_{u→v} w_e ∂L/∂h[v]  (reverse aggregation)
+                        let gx = self.backend.weighted_spmm(
+                            self.graph,
+                            Dir::Rev,
+                            &g,
+                            w.map(|wv| self.value(wv)),
+                        );
+                        self.accumulate(x, gx);
+                    }
+                    if let Some(wv) = w.filter(|&wv| self.needs(wv)) {
                         // ∂L/∂w_e = x[src_e] · ∂L/∂h[dst_e] — an SDDMM,
                         // exactly the paper's §II-A gradient duality.
                         let gw = self.backend.sddmm_dot(self.graph, self.value(x), &g);
@@ -330,34 +389,51 @@ impl<'g> Tape<'g> {
                 }
                 Op::MeanSpmm { x } => {
                     // divide incoming grads by destination degree, then
-                    // reverse-aggregate
-                    let mut gd = g.clone();
-                    for v in 0..gd.rows() {
+                    // reverse-aggregate (`x` requires a gradient: it is the
+                    // only input, and this node got one)
+                    for v in 0..g.rows() {
                         let deg = self.graph.in_degrees()[v].max(1) as f32;
-                        for o in gd.row_mut(v) {
+                        for o in g.row_mut(v) {
                             *o /= deg;
                         }
                     }
-                    let gx = self.backend.weighted_spmm(self.graph, Dir::Rev, &gd, None);
+                    let gx = self.backend.weighted_spmm(self.graph, Dir::Rev, &g, None);
                     self.accumulate(x, gx);
                 }
                 Op::SddmmAdd(a, b) => {
                     // ∂L/∂a[u] = Σ_{e out of u} g_e ; ∂L/∂b[v] = Σ_{e into v} g_e
-                    let ga = self.backend.edge_sum(self.graph, Dir::Rev, &g);
-                    let gb = self.backend.edge_sum(self.graph, Dir::Fwd, &g);
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if self.needs(a) {
+                        let ga = self.backend.edge_sum(self.graph, Dir::Rev, &g);
+                        self.accumulate(a, ga);
+                    }
+                    if self.needs(b) {
+                        let gb = self.backend.edge_sum(self.graph, Dir::Fwd, &g);
+                        self.accumulate(b, gb);
+                    }
                 }
                 Op::EdgeSoftmax(e) => {
-                    let y = self.nodes[i].value.clone();
-                    let gx = edge_softmax_backward(self.graph, &y, &g);
+                    let gx = edge_softmax_backward(self.graph, &self.nodes[i].value, &g);
                     self.accumulate(e, gx);
                 }
-                Op::FusedAttention => {
-                    panic!(
-                        "fused attention has no backward; build training tapes \
-                         with Tape::new, not Tape::for_inference"
-                    );
+                Op::Attention {
+                    hw,
+                    sl,
+                    sr,
+                    slope,
+                    ref stats,
+                } => {
+                    let fwd = AttentionForward {
+                        x: self.value(hw),
+                        sl: self.value(sl),
+                        sr: self.value(sr),
+                        slope,
+                        out: &self.nodes[i].value,
+                        stats: stats.as_ref(),
+                    };
+                    let grads = self.backend.attention_backward(self.graph, &fwd, &g);
+                    self.accumulate(hw, grads.x);
+                    self.accumulate(sl, grads.sl);
+                    self.accumulate(sr, grads.sr);
                 }
             }
         }
@@ -365,7 +441,7 @@ impl<'g> Tape<'g> {
 }
 
 /// Segment softmax over contiguous per-destination edge ranges. Also the
-/// reference normalization the backends' default `fused_attention` uses.
+/// reference normalization the backends' default attention uses.
 pub(crate) fn edge_softmax_forward(g: &GnnGraph, e: &Dense2<f32>) -> Dense2<f32> {
     let mut out = e.clone();
     let indptr = g.fwd().in_csr().indptr();
@@ -399,7 +475,11 @@ pub(crate) fn edge_softmax_forward(g: &GnnGraph, e: &Dense2<f32>) -> Dense2<f32>
 
 /// Segment softmax Jacobian-vector product:
 /// `gx_e = y_e (g_e - Σ_seg g·y)` per segment and column.
-fn edge_softmax_backward(g: &GnnGraph, y: &Dense2<f32>, grad: &Dense2<f32>) -> Dense2<f32> {
+pub(crate) fn edge_softmax_backward(
+    g: &GnnGraph,
+    y: &Dense2<f32>,
+    grad: &Dense2<f32>,
+) -> Dense2<f32> {
     let mut out = Dense2::zeros(y.rows(), y.cols());
     let indptr = g.fwd().in_csr().indptr();
     let d = y.cols();
@@ -439,7 +519,7 @@ mod tests {
         })
     }
 
-    /// Numerical gradient of `loss(x) = Σ target ⊙ f(x)` w.r.t. one leaf.
+    /// Numerical gradient of `loss(x) = Σ target ⊙ f(x)` w.r.t. one input.
     fn finite_diff(
         build: &dyn Fn(&mut Tape<'_>, Var) -> Var,
         g: &GnnGraph,
@@ -477,14 +557,18 @@ mod tests {
         let x0 = feats(n.min(g.num_vertices()), d, 1);
         // forward once to size the target
         let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.leaf(x0.clone());
+        let x = tape.param(x0.clone());
         let y = build(&mut tape, x);
         let target = feats(tape.value(y).rows(), tape.value(y).cols(), 9);
         tape.backward(y, target.clone());
         let got = tape.grad(x);
         let want = finite_diff(&build, &g, &backend, &x0, &target);
-        // Finite differences are invalid at ReLU kinks; tolerate a small
-        // number of such entries but require the bulk to match tightly.
+        assert_bulk_close(&got, &want);
+    }
+
+    /// Finite differences are invalid at (leaky-)ReLU kinks; tolerate a
+    /// small number of such entries but require the bulk to match tightly.
+    fn assert_bulk_close(got: &Dense2<f32>, want: &Dense2<f32>) {
         let mut mismatches = 0usize;
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             let diff = (a - b).abs();
@@ -497,7 +581,7 @@ mod tests {
             mismatches <= allowed,
             "grad mismatch on {mismatches}/{} entries (max diff {})",
             got.as_slice().len(),
-            got.max_abs_diff(&want)
+            got.max_abs_diff(want)
         );
     }
 
@@ -519,7 +603,7 @@ mod tests {
         let x0 = feats(30, 4, 1);
         let target = feats(30, 4, 9);
         let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.leaf(x0.clone());
+        let x = tape.param(x0.clone());
         let h = tape.spmm(x, None);
         let y = tape.relu(h);
         let hval = tape.value(h).clone();
@@ -537,7 +621,11 @@ mod tests {
             "diff {}",
             tape.grad(x).max_abs_diff(&want)
         );
-        // and the intermediate grad at h is exactly the masked target
+        // and the gradient right below the relu is exactly the masked target
+        let mut tape = Tape::new(&g, &backend, None);
+        let h = tape.param(hval);
+        let y = tape.relu(h);
+        tape.backward(y, target);
         assert!(tape.grad(h).approx_eq(&masked, 0.0));
     }
 
@@ -547,7 +635,7 @@ mod tests {
         let x0 = feats(30, 4, 2);
         let target = feats(30, 4, 7);
         let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.leaf(x0);
+        let x = tape.param(x0);
         let y = tape.scale(x, 2.5);
         tape.backward(y, target.clone());
         let want = dops::scale(&target, 2.5);
@@ -560,8 +648,8 @@ mod tests {
         let x0 = feats(30, 4, 2);
         let w0 = feats(4, 5, 3);
         let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.leaf(x0.clone());
-        let w = tape.leaf(w0.clone());
+        let x = tape.param(x0.clone());
+        let w = tape.param(w0.clone());
         let y = tape.matmul(x, w);
         let target = feats(30, 5, 7);
         tape.backward(y, target.clone());
@@ -580,7 +668,7 @@ mod tests {
         let w0 = Dense2::full(m, 1, 0.7f32);
         let mut tape = Tape::new(&g, &backend, None);
         let x = tape.leaf(x0.clone());
-        let w = tape.leaf(w0.clone());
+        let w = tape.param(w0.clone());
         let y = tape.spmm(x, Some(w));
         let target = feats(30, 4, 5);
         tape.backward(y, target.clone());
@@ -623,7 +711,7 @@ mod tests {
         let e0 = feats(m, 1, 3);
         let target = feats(m, 1, 6);
         let mut tape = Tape::new(&g, &backend, None);
-        let e = tape.leaf(e0.clone());
+        let e = tape.param(e0.clone());
         let y = tape.edge_softmax(e);
         tape.backward(y, target.clone());
         let got = tape.grad(e);
@@ -729,44 +817,158 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inference_tape_gat_attention_matches_training_tape() {
-        let (g, backend) = setup();
-        let hw = feats(30, 4, 1);
-        let sl = feats(30, 1, 2);
-        let sr = feats(30, 1, 3);
-        let run = |inference: bool| -> Dense2<f32> {
-            let mut tape = if inference {
-                Tape::for_inference(&g, &backend, None)
-            } else {
-                Tape::new(&g, &backend, None)
-            };
-            let hwv = tape.leaf(hw.clone());
-            let slv = tape.leaf(sl.clone());
-            let srv = tape.leaf(sr.clone());
-            let out = tape.gat_attention(hwv, slv, srv, 0.2);
-            tape.value(out).clone()
-        };
-        let trained = run(false);
-        let fused = run(true);
-        assert!(
-            fused.approx_eq(&trained, 1e-4),
-            "diff {}",
-            fused.max_abs_diff(&trained)
-        );
+    /// The attention chain spelled out op by op — what `gat_attention` was
+    /// on a training tape before it became one node everywhere.
+    fn unfused_chain(t: &mut Tape<'_>, hw: Var, sl: Var, sr: Var, slope: f32) -> Var {
+        let e = t.sddmm_add(sl, sr);
+        let e = t.leaky_relu(e, slope);
+        let alpha = t.edge_softmax(e);
+        t.spmm(hw, Some(alpha))
     }
 
     #[test]
-    #[should_panic(expected = "fused attention has no backward")]
-    fn backward_through_fused_attention_panics() {
+    fn every_tape_builds_the_same_attention_node() {
         let (g, backend) = setup();
-        let mut tape = Tape::for_inference(&g, &backend, None);
-        let hw = tape.leaf(feats(30, 4, 1));
-        let sl = tape.leaf(feats(30, 1, 2));
-        let sr = tape.leaf(feats(30, 1, 3));
-        let out = tape.gat_attention(hw, sl, sr, 0.2);
-        let seed = Dense2::zeros(30, 4);
-        tape.backward(out, seed);
+        let run = |tape: &mut Tape<'_>| {
+            let hw = tape.param(feats(30, 4, 1));
+            let sl = tape.param(feats(30, 1, 2));
+            let sr = tape.param(feats(30, 1, 3));
+            let out = tape.gat_attention(hw, sl, sr, 0.2);
+            tape.backward(out, feats(30, 4, 5));
+            (
+                tape.value(out).clone(),
+                tape.grad(hw),
+                tape.grad(sl),
+                tape.grad(sr),
+            )
+        };
+        let trained = run(&mut Tape::new(&g, &backend, None));
+        // backward through a tape built for inference: gradients, no panic
+        let inferred = run(&mut Tape::for_inference(&g, &backend, None));
+        assert!(inferred.0.approx_eq(&trained.0, 0.0));
+        assert!(inferred.1.approx_eq(&trained.1, 0.0));
+        assert!(inferred.2.approx_eq(&trained.2, 0.0));
+        assert!(inferred.3.approx_eq(&trained.3, 0.0));
+        assert!(trained.2.as_slice().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn attention_node_matches_the_unfused_chain_forward_and_backward() {
+        let g = GnnGraph::new(generators::uniform(30, 4, 13));
+        let target = feats(30, 4, 5);
+        type Build = fn(&mut Tape<'_>, Var, Var, Var, f32) -> Var;
+        let run = |backend: &dyn GraphBackend, build: Build| {
+            let mut tape = Tape::new(&g, backend, None);
+            let hw = tape.param(feats(30, 4, 1));
+            let sl = tape.param(feats(30, 1, 2));
+            let sr = tape.param(feats(30, 1, 3));
+            let out = build(&mut tape, hw, sl, sr, 0.2);
+            tape.backward(out, target.clone());
+            [
+                tape.value(out).clone(),
+                tape.grad(hw),
+                tape.grad(sl),
+                tape.grad(sr),
+            ]
+        };
+        let want = run(&NaiveBackend::cpu(), unfused_chain);
+        let backends: [&dyn GraphBackend; 3] = [
+            &NaiveBackend::cpu(),
+            &FeatgraphBackend::cpu(1),
+            &FeatgraphBackend::gpu(),
+        ];
+        for backend in backends {
+            let got = run(backend, |t, hw, sl, sr, slope| {
+                t.gat_attention(hw, sl, sr, slope)
+            });
+            for (what, (a, b)) in ["out", "g_hw", "g_sl", "g_sr"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                assert!(
+                    a.approx_eq(b, 1e-4),
+                    "{} {what}: diff {}",
+                    backend.name(),
+                    a.max_abs_diff(b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn attention_gradients_match_finite_differences() {
+        // loss = Σ target ⊙ attention(hw, sl, sr), perturbing one input at a
+        // time; the other two enter as constants
+        let (g, backend) = setup();
+        let inputs = [feats(30, 4, 1), feats(30, 1, 2), feats(30, 1, 3)];
+        let target = feats(30, 4, 5);
+        for which in 0..3 {
+            let build = |t: &mut Tape<'_>, x: Var| {
+                let mut vars = [x; 3];
+                for (k, v) in vars.iter_mut().enumerate() {
+                    if k != which {
+                        *v = t.leaf(inputs[k].clone());
+                    }
+                }
+                t.gat_attention(vars[0], vars[1], vars[2], 0.2)
+            };
+            let mut tape = Tape::new(&g, &backend, None);
+            let x = tape.param(inputs[which].clone());
+            let y = build(&mut tape, x);
+            tape.backward(y, target.clone());
+            let got = tape.grad(x);
+            let want = finite_diff(&build, &g, &backend, &inputs[which], &target);
+            assert_bulk_close(&got, &want);
+        }
+    }
+
+    #[test]
+    fn constants_get_no_gradient_and_cost_no_backward_work() {
+        // x is a constant: matmul's `g × wᵀ` and the reverse aggregation
+        // under it are not run, which the GPU roofline charge shows.
+        let (g, _) = setup();
+        let charged = |x_is_param: bool| {
+            let backend = FeatgraphBackend::gpu();
+            let dense = GpuCostModel::new(fg_gpusim::DeviceConfig::v100());
+            let mut tape = Tape::new(&g, &backend, Some(&dense));
+            let x0 = feats(30, 4, 2);
+            let x = if x_is_param {
+                tape.param(x0)
+            } else {
+                tape.leaf(x0)
+            };
+            let w = tape.param(feats(4, 5, 3));
+            let agg = tape.spmm(x, None);
+            let y = tape.matmul(agg, w);
+            let (_, _) = (dense.take(), backend.take_gpu_ms());
+            tape.backward(y, feats(30, 5, 7));
+            assert_eq!(
+                tape.grad(x).as_slice().iter().any(|&v| v != 0.0),
+                x_is_param
+            );
+            assert!(tape.grad(w).as_slice().iter().any(|&v| v != 0.0));
+            (dense.take(), backend.take_gpu_ms())
+        };
+        let (dense_full, graph_full) = charged(true);
+        let (dense_pruned, graph_pruned) = charged(false);
+        // one GEMM instead of two (same shape, so exactly half) ...
+        assert!((dense_pruned - dense_full / 2.0).abs() < 1e-12 * dense_full);
+        // ... and no reverse SpMM launch at all
+        assert!(graph_full > 0.0);
+        assert_eq!(graph_pruned, 0.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a gradient's shape (left) must equal its node's value shape (right)"
+    )]
+    fn accumulating_a_mis_shaped_gradient_panics() {
+        let (g, backend) = setup();
+        let mut tape = Tape::new(&g, &backend, None);
+        let x = tape.param(feats(30, 4, 1));
+        let y = tape.scale(x, 2.0);
+        // one row short: zip-and-add would silently drop the tail
+        tape.backward(y, feats(29, 4, 2));
     }
 
     #[test]
@@ -775,8 +977,8 @@ mod tests {
         let a0 = feats(30, 1, 1);
         let b0 = feats(30, 1, 2);
         let mut tape = Tape::new(&g, &backend, None);
-        let a = tape.leaf(a0);
-        let b = tape.leaf(b0);
+        let a = tape.param(a0);
+        let b = tape.param(b0);
         let e = tape.sddmm_add(a, b);
         let target = Dense2::full(g.num_edges(), 1, 1.0f32);
         tape.backward(e, target);
@@ -797,7 +999,7 @@ mod tests {
         let fgb = FeatgraphBackend::cpu(1);
         let run = |backend: &dyn GraphBackend| -> Dense2<f32> {
             let mut tape = Tape::new(&g, backend, None);
-            let x = tape.leaf(x0.clone());
+            let x = tape.param(x0.clone());
             let h = tape.spmm(x, None);
             let y = tape.relu(h);
             tape.backward(y, target.clone());

@@ -62,7 +62,7 @@ proptest! {
 
         let grad_for = |s: Dense2<f32>| -> Dense2<f32> {
             let mut tape = Tape::new(&g, &backend, None);
-            let x = tape.leaf(x0.clone());
+            let x = tape.param(x0.clone());
             let h = tape.spmm(x, None);
             let h2 = tape.spmm(h, None); // two-hop aggregation, still linear
             tape.backward(h2, s);

@@ -1,10 +1,11 @@
-//! Reference dense operations.
+//! Dense operations: the GEMMs and element-wise ops of the model layers.
 //!
-//! These are the straightforward, obviously-correct implementations used by
-//! (a) the naive GNN backend (which materializes messages through dense ops,
-//! like DGL without FeatGraph), and (b) tests, as ground truth for the
-//! optimized kernels. Inner loops are written over slices so LLVM can
-//! auto-vectorize, but no cache blocking or parallelism is applied here.
+//! These run on the training and serving paths (the tape's `matmul` and its
+//! two transposed gradients, bias, activations), in the naive GNN backend
+//! (which materializes messages through dense ops, like DGL without
+//! FeatGraph), and in tests as ground truth for the optimized kernels. Inner
+//! loops are axpys over slices so LLVM auto-vectorizes them; there is no
+//! cache blocking or parallelism — the operands are `|V| × d` by `d × d`.
 
 use crate::dense::Dense2;
 use crate::error::{ShapeError, TensorResult};
@@ -35,7 +36,8 @@ pub fn matmul<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>
     Ok(out)
 }
 
-/// `out = a × bᵀ`.
+/// `out = a × bᵀ`, for a tall `a` and a small `b` (the input gradient
+/// `g × Wᵀ` of a dense layer).
 pub fn matmul_bt<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>> {
     if a.cols() != b.cols() {
         return Err(ShapeError::DimMismatch {
@@ -44,15 +46,12 @@ pub fn matmul_bt<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2
             rhs: vec![b.rows(), b.cols()],
         });
     }
-    let (m, n) = (a.rows(), b.rows());
-    let mut out = Dense2::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        for j in 0..n {
-            out.set(i, j, dot(arow, b.row(j)));
-        }
-    }
-    Ok(out)
+    // `b` is the small (weight-sized) operand: transposing it once turns the
+    // per-element row dots, whose sequential sums cannot vectorize, into
+    // `matmul`'s axpy loop. Each output element still accumulates its
+    // products in ascending-k order, so only the sign of an all-zero dot can
+    // differ from the row-dot form.
+    matmul(a, &transpose(b))
 }
 
 /// `out = aᵀ × b`.

@@ -47,6 +47,33 @@ proptest! {
     }
 
     #[test]
+    fn matmul_bt_keeps_the_row_dot_bits(
+        m in 0usize..9, k in 0usize..70, n in 1usize..9, seed in 0u64..500,
+    ) {
+        // The row-dot form `matmul_bt` had before it ran `matmul`'s axpy
+        // loop: the same products, summed in the same ascending-k order.
+        let f = |salt: u64, r: usize, c: usize| {
+            Dense2::<f32>::from_fn(r, c, |i, j| {
+                let h = ((i * 31 + j * 17) as u64 ^ (seed + salt)).wrapping_mul(2654435761) % 2001;
+                h as f32 / 1000.0 - 1.0
+            })
+        };
+        let (a, b) = (f(0, m, k), f(1, n, k));
+        let got = ops::matmul_bt(&a, &b).unwrap();
+        prop_assert_eq!(got.shape(), (m, n));
+        for i in 0..m {
+            for j in 0..n {
+                let want = ops::dot(a.row(i), b.row(j));
+                // equal bits, except that an all-zero dot may differ in sign
+                prop_assert!(
+                    got.at(i, j).to_bits() == want.to_bits() || (got.at(i, j) == 0.0 && want == 0.0),
+                    "({}, {}): {} vs {}", i, j, got.at(i, j), want
+                );
+            }
+        }
+    }
+
+    #[test]
     fn transpose_is_an_involution(a in matrices(12)) {
         let tt = ops::transpose(&ops::transpose(&a));
         prop_assert!(a.approx_eq(&tt, 0.0));
