@@ -104,7 +104,7 @@ const USAGE: &str = "usage:
                   [--kernel-threads N] [--shards N] [--shard-strategy range|degree]
                   [--deadline-ms N] [--exec-delay-ms N]
                   [--plan-cache-bytes N] [--mem-budget N]
-                  [--feature-dtype f32|f16|bf16] [--conn-handlers N] [--max-conns N]
+                  [--feature-dtype f32|f16|bf16] [--max-conns N]
                   [--trace-sample N] [--slow-ms N] [--trace FILE]
   fgserve bench   [--addr HOST:PORT] [--clients N] [--requests N] [--runs N]
                   [--model NAME] [dataset/engine knobs as above when embedded]
@@ -115,9 +115,10 @@ const USAGE: &str = "usage:
   fgserve metrics --addr HOST:PORT [--require SERIES]...
 
 Both subcommands accept [--feature-dtype f32|f16|bf16] (half-precision
-feature storage, f32 accumulate), [--conn-handlers N] (connection handler
-pool; 0 = one per core, capped at 16), and [--max-conns N] (admission
-limit on concurrent connections; 0 = unlimited) when they build a server.
+feature storage, f32 accumulate) and [--max-conns N] (admission limit on
+concurrent connections, each served by its own blocking thread, so also the
+bound on front-end threads and requests in flight; 0 = unlimited) when they
+build a server.
 
 bench without --addr benchmarks an embedded server on an ephemeral port.
 --protocol picks the wire protocol the bench clients speak: text (default),
@@ -215,7 +216,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 let v = value(arg, &mut it)?;
                 o.cfg.feature_dtype = v.parse().map_err(|e| format!("{arg}: {e}"))?;
             }
-            "--conn-handlers" => o.cfg.conn_handlers = num(arg, &value(arg, &mut it)?)?,
             "--max-conns" => o.cfg.max_conns = num(arg, &value(arg, &mut it)?)?,
             "--expect-no-shed" => o.expect_no_shed = true,
             "--expect-shed" => o.expect_shed = true,
@@ -355,9 +355,7 @@ fn bench_hash(client: usize, i: usize, j: usize) -> u64 {
 }
 
 /// Power-law seed popularity: squaring the uniform draw concentrates mass
-/// near vertex 0, so a small head of hot vertices receives most requests —
-/// the regime where bucketed plan keys and repeated-neighborhood sampling
-/// pay off.
+/// near vertex 0, so a small head of hot vertices receives most requests.
 fn popular_vertex(client: usize, i: usize, j: usize, vertices: usize) -> usize {
     let u = bench_hash(client, i, j) as f64 / u64::MAX as f64;
     ((vertices as f64 * u * u) as usize).min(vertices - 1)
@@ -400,7 +398,7 @@ fn bench_request(o: &Opts, client: usize, i: usize, id: &str) -> protocol::Reque
         seeds,
         fanouts: o.fanout.clone(),
         // Fresh sampler seed per request: every request samples a
-        // different subgraph, exercising the shape-bucketed plan keys.
+        // different subgraph.
         sample_seed: o.sample_seed.wrapping_add(bench_hash(client, i, 99)),
         feats,
         id: Some(id.to_string()),

@@ -44,12 +44,12 @@
 //! the shard workers) whose rows are scattered back, so the pass amortizes
 //! over the batch; a `Sampled` job runs `run_sampled` (sample → gather →
 //! override → `infer_batch` on the induced subgraph — cost proportional to
-//! the neighborhood, not the graph). Both go through one [`PlanCache`]
-//! lookup: a `Full` view caches the backends themselves under `(graph id,
-//! model, options)`, so every pass after the first skips kernel compilation;
-//! a `Sampled` view caches the tuned schedule for its subgraph's
-//! power-of-two `|V|`/`|E|` bucket ([`PlanKey::cpu_sampled`]), so differing
-//! seed sets still hit.
+//! the neighborhood, not the graph). A `Full` view caches its backends in
+//! the [`PlanCache`] under `(graph id, model, options)`, so every pass after
+//! the first skips kernel compilation. A `Sampled` view looks nothing up: a
+//! backend's plans embed the partitioned graph they were compiled on, every
+//! request samples a different subgraph, so it builds a fresh backend and
+//! each plan picks its own schedule.
 //!
 //! **Completion.** Every job — answered, failed or timed out — ends in one
 //! `complete`: phase samples (the rule for which is stated there), latency
@@ -87,11 +87,6 @@ const SLOW_LOG_CAPACITY: usize = 128;
 /// Hops sampled when a seeded request names no fanouts: every built-in
 /// model is 2-layer, so a 2-hop neighborhood feeds every aggregation.
 pub const DEFAULT_SAMPLE_HOPS: usize = 2;
-
-/// Nominal byte cost of a cached sampled schedule (the entry is a handful
-/// of words; what matters is that it is charged at insert so the byte bound
-/// sees cold bursts).
-const SAMPLED_SCHEDULE_COST: u64 = 64;
 
 /// Engine configuration. Defaults suit an interactive low-latency setup.
 #[derive(Debug, Clone)]
@@ -145,14 +140,12 @@ pub struct ServeConfig {
     /// this knob); `F16`/`Bf16` quantize at registration, halving feature
     /// bytes — kernels still accumulate in f32, widening on load.
     pub feature_dtype: FeatureDtype,
-    /// Connection-handler threads in the TCP front-end's fixed pool
-    /// (`0` = auto-size from available parallelism). The embedded engine
-    /// ignores this; `fg-serve`'s readiness-polled acceptor consumes it.
-    pub conn_handlers: usize,
     /// Concurrent-connection admission bound for the TCP front-end: accepts
     /// beyond this are shed immediately (counted in
-    /// `fgserve_conn_admission_shed_total`) instead of queueing behind the
-    /// handler pool. `0` = unlimited.
+    /// `fgserve_conn_admission_shed_total`). Every admitted connection is
+    /// served by its own blocking thread, so this bounds the front-end's
+    /// threads as well as its sockets — and with them the requests in
+    /// flight. `0` = unlimited.
     pub max_conns: usize,
 }
 
@@ -173,7 +166,6 @@ impl Default for ServeConfig {
             plan_cache_bytes: 0,
             mem_budget: 0,
             feature_dtype: FeatureDtype::F32,
-            conn_handlers: 0,
             max_conns: 256,
         }
     }
@@ -353,33 +345,6 @@ impl From<SeedsResponse> for InferResponse {
     fn from(resp: SeedsResponse) -> Self {
         let mut results = resp.results.into_iter();
         results.next().expect("INFER job answered with its row")
-    }
-}
-
-/// A compiled-plan cache entry.
-enum CachedPlan {
-    /// A `Full` view caches the backends themselves (their plan tables hold
-    /// the compiled kernels): one, or one per shard — backends key compiled
-    /// plans by matrix shape, two shard-local graphs can share a shape, so
-    /// a shared backend's plan lookups would cross shards.
-    Backends(Vec<FeatgraphBackend>),
-    /// A `Sampled` view caches the tuned schedule for its subgraph shape
-    /// bucket; the backend is rebuilt per request around it (compiling
-    /// against a small subgraph is cheap, the autotune probe is what is
-    /// worth reusing).
-    Schedule { partitions: usize },
-}
-
-impl CachedPlan {
-    /// Run `pass` over the backends this plan executes with: the cached
-    /// ones, or a fresh one built around the cached schedule.
-    fn with_backends<T>(&self, threads: usize, pass: impl FnOnce(&[FeatgraphBackend]) -> T) -> T {
-        match self {
-            CachedPlan::Backends(backends) => pass(backends),
-            CachedPlan::Schedule { partitions } => {
-                pass(&[FeatgraphBackend::cpu_with_partitions(threads, *partitions)])
-            }
-        }
     }
 }
 
@@ -579,7 +544,11 @@ struct Shared {
     cfg: ServeConfig,
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
     batcher: Batcher<Job>,
-    plans: PlanCache<CachedPlan>,
+    /// `Full`-view backends (their plan tables hold the compiled kernels):
+    /// one per entry, or one per shard — backends key compiled plans by
+    /// matrix shape, two shard-local graphs can share a shape, so a shared
+    /// backend's plan lookups would cross shards.
+    plans: PlanCache<Vec<FeatgraphBackend>>,
     stats: Arc<ServeStats>,
     conn: Arc<ConnStats>,
     sampler: TraceSampler,
@@ -875,7 +844,7 @@ impl Engine {
 
     /// Connection counters for the TCP front-end. The engine owns the
     /// struct (so `METRICS` can render it from any front-end, including
-    /// none); the acceptor and handler pool increment it.
+    /// none); the acceptor and connection threads increment it.
     pub fn conn_stats(&self) -> Arc<ConnStats> {
         Arc::clone(&self.shared.conn)
     }
@@ -1215,37 +1184,13 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     }
 }
 
-/// The one plan-cache lookup: owns the hit/miss counters and the
-/// `serve/plan_compile` span. Returns the plan and how long a miss spent
-/// building it (zero on a hit).
-fn lookup_plan(
-    shared: &Shared,
-    key: &PlanKey,
-    build: impl FnOnce() -> (CachedPlan, u64),
-) -> (Arc<CachedPlan>, Duration) {
-    let mut compile = Duration::ZERO;
-    let (plan, hit) = shared.plans.get_or_insert(key, || {
-        let _compile_span = span!("serve/plan_compile", "model={} {}", key.model, key.options);
-        let t0 = Instant::now();
-        let built = build();
-        compile = t0.elapsed();
-        built
-    });
-    let slot = if hit {
-        &shared.stats.plan_hits
-    } else {
-        &shared.stats.plan_misses
-    };
-    slot.fetch_add(1, Ordering::Relaxed);
-    (plan, compile)
-}
-
 /// The one forward pass behind every `Full` view of a model group: the
 /// logits rows of `rows`, in order. Sharding is a property of how the pass
 /// runs — with [`ModelEntry::sharded`] set it is a scatter-gather across
 /// the shard workers ([`infer_sharded`]) and its wall time is split into
 /// compute (wall − exchange) and halo exchange so the two phases stay
-/// additive; otherwise it is one [`infer_batch`].
+/// additive; otherwise it is one [`infer_batch`]. The only plan-cache
+/// lookup: owns the hit/miss counters and the `serve/plan_compile` span.
 fn run_full(
     shared: &Shared,
     entry: &ModelEntry,
@@ -1266,50 +1211,58 @@ fn run_full(
         None => PlanKey::cpu(entry.graph_id, model_name, threads),
     }
     .with_dtype(entry.features.dtype());
-    let (plan, compile) = lookup_plan(shared, &key, || {
-        let backends = (0..num_backends)
+    let mut compile = Duration::ZERO;
+    let (backends, hit) = shared.plans.get_or_insert(&key, || {
+        let _compile_span = span!("serve/plan_compile", "model={} {}", key.model, key.options);
+        let t0 = Instant::now();
+        let backends: Vec<_> = (0..num_backends)
             .map(|_| FeatgraphBackend::cpu(threads))
             .collect();
+        compile = t0.elapsed();
         // Plans compile lazily per feature dim; the real cost lands via
         // note_cost after each pass.
-        (CachedPlan::Backends(backends), 0)
+        (backends, 0)
     });
-    let (run, wall) = plan.with_backends(threads, |backends| {
-        let exec_start = Instant::now();
-        let run = {
-            let _infer_span = span!(
-                "serve/infer",
-                "model={model_name} rows={} backends={num_backends}",
-                rows.len()
-            );
-            // Attribute the pass's tape/scratch allocations to the serve path.
-            let _mem = MemScope::enter(MemComponent::ServeBatch);
-            // F32 storage borrows the registered buffer directly; half
-            // storage widens once per pass (the materialized copy is
-            // scratch, charged to the serve batch).
-            let widened;
-            let features: &Dense2<f32> = match entry.features.as_f32() {
-                Some(f) => f,
-                None => {
-                    widened = entry.features.to_f32();
-                    &widened
-                }
-            };
-            let model = entry.model.as_ref();
-            match sharded {
-                Some(s) => infer_sharded(model, &s.graph, features, backends, rows)
-                    .map(|mut run| (std::mem::take(&mut run.results), Some(run))),
-                None => infer_batch(model, &entry.graph, features, &backends[0], rows)
-                    .map(|out| (out, None)),
+    let slot = if hit {
+        &shared.stats.plan_hits
+    } else {
+        &shared.stats.plan_misses
+    };
+    slot.fetch_add(1, Ordering::Relaxed);
+
+    let exec_start = Instant::now();
+    let run = {
+        let _infer_span = span!(
+            "serve/infer",
+            "model={model_name} rows={} backends={num_backends}",
+            rows.len()
+        );
+        // Attribute the pass's tape/scratch allocations to the serve path.
+        let _mem = MemScope::enter(MemComponent::ServeBatch);
+        // F32 storage borrows the registered buffer directly; half
+        // storage widens once per pass (the materialized copy is
+        // scratch, charged to the serve batch).
+        let widened;
+        let features: &Dense2<f32> = match entry.features.as_f32() {
+            Some(f) => f,
+            None => {
+                widened = entry.features.to_f32();
+                &widened
             }
         };
-        let wall = exec_start.elapsed();
-        // Plans compile lazily per feature dim, so re-report the backends'
-        // plan bytes after every pass; this also drives LRU eviction.
-        let plan_bytes = backends.iter().map(|b| b.plan_mem_bytes()).sum();
-        shared.plans.note_cost(&key, plan_bytes);
-        (run, wall)
-    });
+        let model = entry.model.as_ref();
+        match sharded {
+            Some(s) => infer_sharded(model, &s.graph, features, &backends, rows)
+                .map(|mut run| (std::mem::take(&mut run.results), Some(run))),
+            None => infer_batch(model, &entry.graph, features, &backends[0], rows)
+                .map(|out| (out, None)),
+        }
+    };
+    let wall = exec_start.elapsed();
+    // Plans compile lazily per feature dim, so re-report the backends'
+    // plan bytes after every pass; this also drives LRU eviction.
+    let plan_bytes = backends.iter().map(|b| b.plan_mem_bytes()).sum();
+    shared.plans.note_cost(&key, plan_bytes);
     let (out, shard_run) = run.map_err(|e| ServeError::Infer(e.to_string()))?;
     let exchange = sharded.zip(shard_run).map(|(s, run)| {
         s.record_run(rows, &run);
@@ -1328,8 +1281,11 @@ fn run_full(
 
 /// One `Sampled` view: sample the neighborhood of `seeds`, gather its
 /// feature rows (with `feats` replacing the seeds' own), run the model on
-/// the induced subgraph under the shape bucket's cached schedule, and
-/// return only the seed rows.
+/// the induced subgraph and return only the seed rows. Nothing is cached or
+/// looked up: a backend is bound to the first graph it sees, the subgraph
+/// is this request's alone, and each plan picks its own schedule from it
+/// (`compile` is therefore reported as zero; plan building is part of
+/// `execute`).
 fn run_sampled(
     shared: &Shared,
     entry: &ModelEntry,
@@ -1359,21 +1315,11 @@ fn run_sampled(
     }
     let sample = sample_start.elapsed();
 
-    // Schedule lookup: subgraphs of similar size share a tuned partition
-    // count via the shape-bucketed key; only bucket-cold requests pay the
-    // autotune probe.
-    let threads = shared.cfg.kernel_threads;
     let dims = (sub.num_vertices(), sub.num_edges());
-    let key = PlanKey::cpu_sampled(entry.graph_id, model_name, threads, dims.0, dims.1)
-        .with_dtype(entry.features.dtype());
-    let (plan, compile) = lookup_plan(shared, &key, || {
-        let partitions = FeatgraphBackend::auto_partitions(sub_gnn.fwd(), entry.features.cols());
-        (CachedPlan::Schedule { partitions }, SAMPLED_SCHEDULE_COST)
-    });
-
     let seed_locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
+    let backend = FeatgraphBackend::cpu(shared.cfg.kernel_threads);
     let exec_start = Instant::now();
-    let out = plan.with_backends(threads, |backends| {
+    let out = {
         let _infer_span = span!(
             "serve/infer",
             "model={model_name} seeds={} sub_v={} sub_e={}",
@@ -1386,13 +1332,13 @@ fn run_sampled(
             entry.model.as_ref(),
             &sub_gnn,
             &gathered,
-            &backends[0],
+            &backend,
             &seed_locals,
         )
-    });
+    };
     let timings = Timings {
         sample: Some(sample),
-        compile,
+        compile: Duration::ZERO,
         execute: exec_start.elapsed(),
         exchange: None,
     };

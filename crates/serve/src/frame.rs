@@ -364,7 +364,7 @@ impl<'a> Cur<'a> {
                 {
                     // Wire order is the in-memory order: one copy into the
                     // aligned buffer, no per-scalar handling.
-                    // Safety: `bytes.len() == dst.len() * 4` by
+                    // SAFETY: `bytes.len() == dst.len() * 4` by
                     // construction, and any bit pattern is a valid f32.
                     unsafe {
                         std::ptr::copy_nonoverlapping(

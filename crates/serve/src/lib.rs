@@ -17,25 +17,25 @@
 //!
 //! `execute` answers all `Full`-view jobs of a model group with **one**
 //! forward pass (one backend, or N shard workers with a halo exchange) and
-//! each `Sampled`-view job on its own sampled subgraph, both against the
-//! compiled-plan cache. The job shape, the rule that routes a seeds request
-//! to a view, and the rule for which latency phases a request records are
-//! stated once, in [`engine`].
+//! each `Sampled`-view job on its own sampled subgraph; only the former
+//! goes through the compiled-plan cache. The job shape, the rule that routes
+//! a seeds request to a view, and the rule for which latency phases a
+//! request records are stated once, in [`engine`].
 //!
 //! Layers:
 //!
 //! * [`protocol`] / [`frame`] — the two wire codecs. Both decode to one
 //!   [`protocol::Request`] and encode one [`frame::WireReply`]; a
 //!   connection's first four bytes pick its codec.
-//! * [`server`] — TCP front-end: a readiness-polled acceptor with a fixed
-//!   handler pool, and the single verb dispatcher both codecs share.
+//! * [`server`] — TCP front-end: one blocking thread per admitted
+//!   connection, and the single verb dispatcher both codecs share.
 //! * [`engine`] — admission control, per-request deadlines, the worker
 //!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
 //! * [`batcher`] — bounded MPSC queue with deadline-or-size dispatch and
 //!   overload shedding.
-//! * [`plan_cache`] — `(graph id, model, options)` → compiled backends or
-//!   a tuned sampled-subgraph schedule, optionally **byte-bounded** with
-//!   LRU eviction ([`engine::ServeConfig::plan_cache_bytes`]).
+//! * [`plan_cache`] — `(graph id, model, options)` → the compiled backends
+//!   of a `Full` view, optionally **byte-bounded** with LRU eviction
+//!   ([`engine::ServeConfig::plan_cache_bytes`]).
 //! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
 //!   queue-depth/batch-size distributions, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
@@ -65,8 +65,6 @@ pub mod frame;
 pub mod metrics;
 pub mod oneshot;
 pub mod plan_cache;
-#[cfg(target_os = "linux")]
-pub mod poll;
 pub mod protocol;
 pub mod server;
 pub mod stats;

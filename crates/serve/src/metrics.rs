@@ -153,6 +153,7 @@ pub fn render(
         ("fgserve_conn_closed_total", conn.closed),
         ("fgserve_conn_bad_frames_total", conn.bad_frames),
         ("fgserve_conn_bad_lines_total", conn.bad_lines),
+        ("fgserve_conn_read_timeouts_total", conn.read_timeouts),
     ] {
         let _ = writeln!(out, "# TYPE {} counter", name.trim_end_matches("_total"));
         let _ = writeln!(out, "{name} {value}");
@@ -170,14 +171,8 @@ pub fn render(
             "fgserve_conn_protocol_total{{protocol=\"{proto}\"}} {value}"
         );
     }
-    for (name, value) in [
-        ("fgserve_conn_active", conn.active),
-        ("fgserve_conn_dispatch_depth", conn.dispatch_depth),
-        ("fgserve_conn_dispatch_depth_max", conn.dispatch_depth_max),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    }
+    let _ = writeln!(out, "# TYPE fgserve_conn_active gauge");
+    let _ = writeln!(out, "fgserve_conn_active {}", conn.active);
 
     let _ = writeln!(out, "# TYPE fgserve_request_latency_ms summary");
     write_summary(&mut out, "fgserve_request_latency_ms", "", &stats.latency);

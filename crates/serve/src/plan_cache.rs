@@ -1,20 +1,15 @@
 //! Compiled-plan cache: maps a serving workload key to a long-lived cached
-//! value — a [`FeatgraphBackend`](fg_gnn::FeatgraphBackend) whose internal
-//! plan table holds the compiled SpMM/SDDMM kernels for a (graph, model)
-//! pair, or (for sampled serving) the tuned schedule for a subgraph shape
-//! bucket. The cache is generic over the value so both live in one
-//! byte-bounded LRU.
+//! value — the [`FeatgraphBackend`](fg_gnn::FeatgraphBackend)s whose internal
+//! plan tables hold the compiled SpMM/SDDMM kernels for a (graph, model)
+//! pair. The cache is generic over the value.
 //!
 //! A `FeatgraphBackend` instance caches one compiled plan per
 //! `(op, feature-dim)` it executes, and those plans embed graph-specific
 //! partitioning — so one backend instance is only valid for one graph. The
-//! full-graph cache key is therefore `(graph id, model, options)`: the
-//! options string folds in everything that changes kernel selection
-//! (target, thread count — and through those, the Fds chosen by the
-//! autotuner). Sampled-serving keys additionally fold the subgraph shape in
-//! as **power-of-two buckets** of `|V|`/`|E|` ([`PlanKey::cpu_sampled`]):
-//! every request samples a different subgraph, but same-sized ones share a
-//! schedule, so repeated seed queries hit instead of re-tuning per request.
+//! cache key is therefore `(graph id, model, options)`: the options string
+//! folds in everything that changes kernel selection (target, thread count
+//! — and through those, the Fds chosen by the autotuner). Sampled requests
+//! run on a subgraph of their own and never come here.
 //!
 //! Concurrent misses on one key are **single-flighted**: the first caller
 //! marks the key as building and compiles outside the lock; later callers
@@ -40,13 +35,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use fg_telemetry::{counter_add, mem_charge, mem_credit, Counter, MemComponent};
 
-/// Round `n` up to its power-of-two bucket exponent: the smallest `b` with
-/// `n <= 2^b`. Used to coarsen subgraph dims so plan keys tolerate varying
-/// seed sets.
-pub fn shape_bucket(n: usize) -> u32 {
-    n.max(1).next_power_of_two().trailing_zeros()
-}
-
 /// Identity of a compiled-plan cache entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
@@ -58,7 +46,6 @@ pub struct PlanKey {
     /// Kernel-selection options: target and thread count, e.g. `cpu,t=4`.
     /// Everything the autotuner's Fds choice depends on is a function of
     /// these plus the per-layer feature dim the backend keys on internally.
-    /// Sampled keys append bucketed subgraph dims, e.g. `sub,v=2^7,e=2^9`.
     pub options: String,
 }
 
@@ -69,27 +56,6 @@ impl PlanKey {
             graph_id,
             model: model.to_string(),
             options: format!("cpu,t={threads}"),
-        }
-    }
-
-    /// Key for a sampled-subgraph CPU workload: `sub_vertices`/`sub_edges`
-    /// are rounded up to power-of-two buckets, so subgraphs of similar size
-    /// share one tuned schedule instead of compiling per request.
-    pub fn cpu_sampled(
-        graph_id: u64,
-        model: &str,
-        threads: usize,
-        sub_vertices: usize,
-        sub_edges: usize,
-    ) -> Self {
-        PlanKey {
-            graph_id,
-            model: model.to_string(),
-            options: format!(
-                "cpu,t={threads},sub,v=2^{},e=2^{}",
-                shape_bucket(sub_vertices),
-                shape_bucket(sub_edges)
-            ),
         }
     }
 
@@ -556,26 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_keys_bucket_subgraph_dims() {
-        // Different subgraphs in the same power-of-two bucket share a key…
-        let a = PlanKey::cpu_sampled(1, "gcn", 2, 100, 900);
-        let b = PlanKey::cpu_sampled(1, "gcn", 2, 120, 700);
-        assert_eq!(a, b, "same bucket: {} vs {}", a.options, b.options);
-        // …and crossing a power of two changes it.
-        let c = PlanKey::cpu_sampled(1, "gcn", 2, 130, 900);
-        assert_ne!(a, c);
-        let d = PlanKey::cpu_sampled(1, "gcn", 2, 100, 1100);
-        assert_ne!(a, d);
-        // Sampled and full-graph keys never collide.
-        assert_ne!(a, PlanKey::cpu(1, "gcn", 2));
-        // Bucket math: exact powers stay put, zero is floored to 1.
-        assert_eq!(shape_bucket(1), 0);
-        assert_eq!(shape_bucket(0), 0);
-        assert_eq!(shape_bucket(64), 6);
-        assert_eq!(shape_bucket(65), 7);
-    }
-
-    #[test]
     fn sharded_keys_fold_count_and_strategy() {
         use fg_graph::ShardStrategy;
         let a = PlanKey::cpu_sharded(1, "gcn", 2, 4, ShardStrategy::Range);
@@ -584,8 +530,7 @@ mod tests {
         // miss (the backends are partitioned per shard-local graph).
         assert_ne!(a, PlanKey::cpu_sharded(1, "gcn", 2, 2, ShardStrategy::Range));
         assert_ne!(a, PlanKey::cpu_sharded(1, "gcn", 2, 4, ShardStrategy::Degree));
-        // And sharded keys never collide with full-graph or sampled keys.
+        // And sharded keys never collide with full-graph keys.
         assert_ne!(a, PlanKey::cpu(1, "gcn", 2));
-        assert_ne!(a, PlanKey::cpu_sampled(1, "gcn", 2, 4, 4));
     }
 }

@@ -1,20 +1,26 @@
-//! TCP front-end: a readiness-polled acceptor multiplexing every
-//! connection over one epoll instance, serviced by a **fixed pool** of
-//! connection handlers — no thread-per-connection.
+//! TCP front-end: a blocking acceptor and **one blocking thread per
+//! admitted connection**.
 //!
-//! On Linux the acceptor thread owns a [`crate::poll::Poller`]: the
-//! listener is registered level-triggered, every accepted connection
-//! `EPOLLONESHOT` — a readiness event removes the connection from the
-//! shared map and queues its token for the handler pool, and the oneshot
-//! registration guarantees no second handler can pick the same connection
-//! up until the first one re-arms it. Handlers drain the socket with
-//! nonblocking reads, process every *complete* message in the buffer
-//! (blocking writes for replies), then re-insert the connection and re-arm.
-//! Admission control happens at accept: beyond
-//! [`crate::engine::ServeConfig::max_conns`] live connections, new accepts
-//! are shed immediately (counted, connection closed) instead of piling
-//! onto the handler pool. Off Linux the same per-connection state machine
-//! runs on a blocking thread-per-connection fallback.
+//! A connection thread reads, decodes, calls `dispatch` — which blocks on
+//! the engine until the worker pool answers — writes the reply and reads
+//! again. A thread is parked on its request for the whole engine round
+//! trip, so threads are what bound the requests in flight: a handler pool
+//! smaller than [`crate::engine::ServeConfig::max_batch`] would keep the
+//! batcher's size trigger from ever firing, and would hide overload in a
+//! backlog of ready connections instead of letting the engine queue shed it
+//! as `overloaded`. So there is no pool. Admission control happens at
+//! accept: beyond [`crate::engine::ServeConfig::max_conns`] live
+//! connections, new accepts are shed immediately (counted, connection
+//! closed), which bounds threads and sockets alike.
+//!
+//! A connection's books (`active`/`closed`) are closed when its state
+//! drops, whatever the path — clean close, failed spawn, panic. A connection
+//! with nothing buffered may idle indefinitely; one holding an incomplete
+//! line or frame has [`PARTIAL_MESSAGE_DEADLINE`] to complete it before it
+//! is closed, so half a message cannot pin a `max_conns` slot. The acceptor
+//! keeps a clone of every live socket: on stop it shuts each one down, so
+//! threads blocked in `read` return, and joins them — every client sees EOF
+//! and no connection thread outlives the server.
 //!
 //! Both wire protocols share the front-end and everything behind the
 //! codec: a message decodes to a [`Request`], one `dispatch` implements each
@@ -28,13 +34,12 @@
 //! connection stays usable; only unrecoverable framing damage (wrong
 //! magic mid-stream, oversized declared length) closes it.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fg_telemetry::{span, TraceScope};
 
@@ -43,8 +48,16 @@ use crate::frame::{self, Frame, FrameError, WireReply, HEADER_LEN, MAGIC, MAX_PA
 use crate::protocol::{self, Request, NO_ID};
 use crate::stats::ConnStats;
 
-/// Read chunk size for the handler drain loop.
+/// Read chunk size of a connection thread.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// How long a connection may hold an incomplete line or frame in its
+/// buffer. The clock starts at the read that brought the message's first
+/// bytes and later bytes do not restart it; it is checked when a read
+/// returns, and a read waits at most this long, so a silent peer is closed
+/// this long after its last byte and a trickling one at its first byte past
+/// the deadline — a slot is held for under twice this value either way.
+pub const PARTIAL_MESSAGE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Hard cap on buffered-but-unconsumed bytes per connection: one maximal
 /// frame plus its header, with headroom for a pipelined follow-up header.
@@ -89,7 +102,7 @@ impl ServerHandle {
 }
 
 /// Ask the acceptor to exit: set the flag, then poke the listener with a
-/// throwaway connection so the blocking `accept`/`epoll_wait` wakes up.
+/// throwaway connection so the blocking `accept` wakes up.
 fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(addr);
@@ -117,18 +130,6 @@ pub fn serve<A: ToSocketAddrs>(engine: Arc<Engine>, addr: A) -> std::io::Result<
     })
 }
 
-/// Handler-pool size: configured value, or one handler per available core
-/// (bounded) when the config says auto.
-fn handler_pool_size(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 16)
-}
-
 // ---- per-connection state machine --------------------------------------
 
 /// Wire mode, fixed by the connection's first bytes.
@@ -140,13 +141,59 @@ enum Proto {
     Binary,
 }
 
-/// One live connection: its socket, negotiated protocol (`None` until
+/// One admitted connection: its socket, negotiated protocol (`None` until
 /// enough bytes arrived to sniff it), and any bytes read but not yet
-/// forming a complete message.
+/// forming a complete message. Dropping it — on any path — closes the
+/// connection's books and shuts the socket down (the acceptor holds a clone,
+/// so closing this handle alone would not send the peer EOF).
 struct ConnState {
     stream: TcpStream,
     proto: Option<Proto>,
     buf: Vec<u8>,
+    /// When the incomplete message at the front of `buf` began arriving;
+    /// `None` while `buf` is empty. The socket's read timeout is set exactly
+    /// while this is `Some`.
+    partial_since: Option<Instant>,
+    conn_stats: Arc<ConnStats>,
+}
+
+impl Drop for ConnState {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.conn_stats.active.fetch_sub(1, Ordering::Relaxed);
+        self.conn_stats.closed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl ConnState {
+    /// After a service pass over a buffer that held `buffered` bytes going
+    /// in: start, keep or clear the partial-message clock, and say whether
+    /// the connection is still within [`PARTIAL_MESSAGE_DEADLINE`]. The
+    /// socket option changes only when the buffer goes between empty and
+    /// non-empty, so a message that takes several reads pays nothing per
+    /// chunk.
+    fn within_partial_deadline(&mut self, buffered: usize) -> bool {
+        if self.buf.is_empty() {
+            if self.partial_since.take().is_some() {
+                let _ = self.stream.set_read_timeout(None);
+            }
+            return true;
+        }
+        match self.partial_since {
+            // Nothing was consumed: the same message is still incomplete.
+            Some(since) if self.buf.len() == buffered => since.elapsed() < PARTIAL_MESSAGE_DEADLINE,
+            // A message completed in this read; what is left began in it.
+            Some(_) => {
+                self.partial_since = Some(Instant::now());
+                true
+            }
+            None => {
+                self.partial_since = Some(Instant::now());
+                let _ = self.stream.set_read_timeout(Some(PARTIAL_MESSAGE_DEADLINE));
+                true
+            }
+        }
+    }
 }
 
 /// What servicing decided about the connection's future.
@@ -158,47 +205,6 @@ enum ConnAction {
     Close,
     /// Client asked the whole server to shut down.
     Shutdown,
-}
-
-/// One epoll service pass: drain readable bytes without blocking, process
-/// every complete message, and say what to do with the connection. (The
-/// fallback threads block in `read` and call [`process_buffer`] directly.)
-fn service_conn(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats) -> ConnAction {
-    let mut saw_eof = false;
-    if conn.stream.set_nonblocking(true).is_err() {
-        return ConnAction::Close;
-    }
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                saw_eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                if conn.buf.len() > MAX_BUFFER {
-                    // A message this large can never become valid; drop the
-                    // connection rather than buffering unboundedly.
-                    let _ = conn.stream.set_nonblocking(false);
-                    return ConnAction::Close;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                saw_eof = true;
-                break;
-            }
-        }
-    }
-    if conn.stream.set_nonblocking(false).is_err() {
-        return ConnAction::Close;
-    }
-    match process_buffer(engine, conn, conn_stats) {
-        ConnAction::Keep if saw_eof => ConnAction::Close,
-        other => other,
-    }
 }
 
 /// Pick the protocol from a connection's first bytes, once there are
@@ -213,7 +219,7 @@ fn sniff(buf: &[u8]) -> Option<Proto> {
 
 /// Consume every complete message currently buffered: decode → [`dispatch`]
 /// → encode → write, per message. Partial trailing input stays in
-/// `conn.buf` for the next readiness event. Malformed input inside intact
+/// `conn.buf` for the next read. Malformed input inside intact
 /// framing is answered with a typed `bad-request` and the connection
 /// lives on.
 fn process_buffer(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats) -> ConnAction {
@@ -439,12 +445,14 @@ fn dispatch(engine: &Engine, req: Request) -> (WireReply, ConnAction) {
     (reply, ConnAction::Keep)
 }
 
-// ---- connection admission, shared by both front-ends --------------------
+// ---- the front-end: blocking accept, one thread per connection ----------
 
 /// Admit one accepted socket: beyond [`crate::engine::ServeConfig::max_conns`]
 /// live connections it is shed (counted, closed by the drop) before any
-/// handler sees it; otherwise it is counted and wrapped.
-fn admit_conn(engine: &Engine, conn_stats: &ConnStats, stream: TcpStream) -> Option<ConnState> {
+/// thread sees it; otherwise it is counted and wrapped. The returned state
+/// owns the connection's accounting from here on.
+fn admit_conn(engine: &Engine, stream: TcpStream) -> Option<ConnState> {
+    let conn_stats = engine.conn_stats();
     let max = engine.config().max_conns;
     if max > 0 && conn_stats.active.load(Ordering::Relaxed) >= max as u64 {
         conn_stats.admission_shed.fetch_add(1, Ordering::Relaxed);
@@ -459,251 +467,161 @@ fn admit_conn(engine: &Engine, conn_stats: &ConnStats, stream: TcpStream) -> Opt
         stream,
         proto: None,
         buf: Vec::new(),
+        partial_since: None,
+        conn_stats,
     })
 }
 
-/// Account one admitted connection as closed.
-fn note_closed(conn_stats: &ConnStats) {
-    conn_stats.active.fetch_sub(1, Ordering::Relaxed);
-    conn_stats.closed.fetch_add(1, Ordering::Relaxed);
-}
-
-// ---- Linux: epoll acceptor + fixed handler pool -------------------------
-
-#[cfg(target_os = "linux")]
-mod epoll_front {
-    use super::*;
-    use crate::poll::Poller;
-    use std::collections::VecDeque;
-    use std::os::fd::AsRawFd;
-
-    /// Token 0 is the listener; connections start at 1.
-    const LISTENER_TOKEN: u64 = 0;
-
-    struct FrontEnd {
-        poller: Poller,
-        conns: Mutex<HashMap<u64, ConnState>>,
-        queue: Mutex<VecDeque<u64>>,
-        queue_cv: Condvar,
-        stop: Arc<AtomicBool>,
-        engine: Arc<Engine>,
-        conn_stats: Arc<ConnStats>,
-        addr: SocketAddr,
-    }
-
-    pub(super) fn run(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBool>) {
-        let addr = listener.local_addr().expect("listener addr");
-        let poller = match Poller::new() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("fgserve: epoll unavailable ({e}); falling back to blocking accept");
-                return super::fallback_front::run(listener, engine, stop);
+/// A connection thread's body: read, service every complete message, repeat
+/// until the peer hangs up, the input is beyond repair, a message overstays
+/// [`PARTIAL_MESSAGE_DEADLINE`], or the server stops.
+fn serve_conn(engine: &Engine, mut conn: ConnState, stop: &AtomicBool) -> ConnAction {
+    let conn_stats = Arc::clone(&conn.conn_stats);
+    let timed_out = || {
+        conn_stats.read_timeouts.fetch_add(1, Ordering::Relaxed);
+        ConnAction::Close
+    };
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        match conn.stream.read(&mut chunk) {
+            Ok(0) => return ConnAction::Close,
+            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // Only a read under the partial-message timeout can time out.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return timed_out();
             }
-        };
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        poller
-            .add(listener.as_raw_fd(), LISTENER_TOKEN, false)
-            .expect("register listener");
-        let conn_stats = engine.conn_stats();
-        let fe = Arc::new(FrontEnd {
-            poller,
-            conns: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            stop,
-            engine,
-            conn_stats,
-            addr,
-        });
-        let handlers = handler_pool_size(fe.engine.config().conn_handlers);
-        let mut pool = Vec::with_capacity(handlers);
-        for i in 0..handlers {
-            let fe = Arc::clone(&fe);
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("fgserve-handler-{i}"))
-                    .spawn(move || handler_loop(&fe))
-                    .expect("spawn handler"),
-            );
+            Err(_) => return ConnAction::Close,
         }
-
-        let mut next_token: u64 = 1;
-        let mut events = Vec::with_capacity(64);
-        while !fe.stop.load(Ordering::SeqCst) {
-            events.clear();
-            // Bounded wait so a stop requested between events is noticed
-            // even if the poke connection raced ahead of the flag store.
-            if fe.poller.wait(&mut events, 250).is_err() {
-                break;
-            }
-            for ev in &events {
-                if ev.token == LISTENER_TOKEN {
-                    accept_ready(&fe, &listener, &mut next_token);
-                } else {
-                    // Oneshot registration: this token cannot fire again
-                    // until a handler re-arms it, so each queue entry maps
-                    // to exactly one service pass.
-                    let depth = {
-                        let mut q = fe.queue.lock().unwrap();
-                        q.push_back(ev.token);
-                        q.len()
-                    };
-                    fe.conn_stats.on_dispatch_depth(depth);
-                    fe.queue_cv.notify_one();
-                }
-            }
+        // A message this large can never become valid; drop the connection
+        // rather than buffering unboundedly.
+        if conn.buf.len() > MAX_BUFFER {
+            return ConnAction::Close;
         }
-        // Drain: wake every handler so they observe stop and exit.
-        fe.queue_cv.notify_all();
-        for h in pool {
-            let _ = h.join();
+        let buffered = conn.buf.len();
+        match process_buffer(engine, &mut conn, &conn_stats) {
+            ConnAction::Keep => {}
+            other => return other,
         }
-    }
-
-    fn accept_ready(fe: &Arc<FrontEnd>, listener: &TcpListener, next_token: &mut u64) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if fe.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Some(conn) = admit_conn(&fe.engine, &fe.conn_stats, stream) else {
-                        continue;
-                    };
-                    let token = *next_token;
-                    *next_token += 1;
-                    let fd = conn.stream.as_raw_fd();
-                    fe.conns.lock().unwrap().insert(token, conn);
-                    if fe.poller.add(fd, token, true).is_err() {
-                        close_conn(fe, token);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
+        if stop.load(Ordering::SeqCst) {
+            return ConnAction::Close;
         }
-    }
-
-    fn close_conn(fe: &Arc<FrontEnd>, token: u64) {
-        if let Some(conn) = fe.conns.lock().unwrap().remove(&token) {
-            fe.poller.delete(conn.stream.as_raw_fd());
-        }
-        note_closed(&fe.conn_stats);
-    }
-
-    fn handler_loop(fe: &Arc<FrontEnd>) {
-        loop {
-            let token = {
-                let mut q = fe.queue.lock().unwrap();
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        fe.conn_stats
-                            .dispatch_depth
-                            .store(q.len() as u64, Ordering::Relaxed);
-                        break Some(t);
-                    }
-                    if fe.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    q = fe.queue_cv.wait(q).unwrap();
-                }
-            };
-            let Some(token) = token else { return };
-            // Take ownership: the oneshot registration is spent, so no other
-            // handler can race for this connection.
-            let Some(mut conn) = fe.conns.lock().unwrap().remove(&token) else {
-                continue;
-            };
-            match service_conn(&fe.engine, &mut conn, &fe.conn_stats) {
-                ConnAction::Keep => {
-                    let fd = conn.stream.as_raw_fd();
-                    // Re-insert before re-arming: once the registration is
-                    // live again an event may fire immediately, and the
-                    // dispatching handler must find the connection in the
-                    // map.
-                    fe.conns.lock().unwrap().insert(token, conn);
-                    if fe.poller.rearm(fd, token).is_err() {
-                        close_conn(fe, token);
-                    }
-                }
-                action => {
-                    fe.poller.delete(conn.stream.as_raw_fd());
-                    drop(conn);
-                    note_closed(&fe.conn_stats);
-                    if action == ConnAction::Shutdown {
-                        request_stop(&fe.stop, fe.addr);
-                        fe.queue_cv.notify_all();
-                    }
-                }
-            }
+        if !conn.within_partial_deadline(buffered) {
+            return timed_out();
         }
     }
 }
 
-// ---- fallback: blocking accept, thread-per-connection -------------------
-
-mod fallback_front {
-    use super::*;
-
-    pub(super) fn run(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBool>) {
-        let addr = listener.local_addr().expect("listener addr");
-        // The epoll path may hand over a nonblocking listener.
-        let _ = listener.set_nonblocking(false);
-        let conn_stats = engine.conn_stats();
-        for conn in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let Some(mut conn) = admit_conn(&engine, &conn_stats, stream) else {
-                continue;
-            };
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let conn_stats = Arc::clone(&conn_stats);
-            let _ = std::thread::Builder::new()
-                .name("fgserve-conn".into())
-                .spawn(move || {
-                    let mut chunk = [0u8; READ_CHUNK];
-                    let outcome = loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => break ConnAction::Close,
-                            Ok(n) => {
-                                conn.buf.extend_from_slice(&chunk[..n]);
-                                if conn.buf.len() > MAX_BUFFER {
-                                    break ConnAction::Close;
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => break ConnAction::Close,
-                        }
-                        match process_buffer(&engine, &mut conn, &conn_stats) {
-                            ConnAction::Keep => {}
-                            other => break other,
-                        }
-                        if stop.load(Ordering::SeqCst) {
-                            break ConnAction::Close;
-                        }
-                    };
-                    note_closed(&conn_stats);
-                    if outcome == ConnAction::Shutdown {
-                        request_stop(&stop, addr);
-                    }
-                });
+/// Join the connection threads that have finished and forget their socket
+/// clones. A panic in one is reported here and goes no further: its state
+/// already closed the books while unwinding.
+fn reap(live: &mut Vec<(TcpStream, JoinHandle<()>)>, all: bool) {
+    let (done, running) = std::mem::take(live)
+        .into_iter()
+        .partition(|(_, thread)| all || thread.is_finished());
+    *live = running;
+    for (_, thread) in done {
+        if thread.join().is_err() {
+            eprintln!("fgserve: a connection thread panicked; its connection was closed");
         }
     }
 }
 
 fn run_front_end(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBool>) {
-    #[cfg(target_os = "linux")]
-    {
-        epoll_front::run(listener, engine, stop)
+    let addr = listener.local_addr().expect("listener addr");
+    // A socket clone and the thread of every connection not yet reaped.
+    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        reap(&mut live, false);
+        let Ok(stream) = conn else { continue };
+        let Some(conn) = admit_conn(&engine, stream) else {
+            continue;
+        };
+        // Without the clone the connection could not be woken at stop;
+        // dropping `conn` (here, or with the closure of a failed spawn)
+        // closes its books.
+        let Ok(peer) = conn.stream.try_clone() else {
+            continue;
+        };
+        let engine = Arc::clone(&engine);
+        let stop = Arc::clone(&stop);
+        let spawned = std::thread::Builder::new()
+            .name("fgserve-conn".into())
+            .spawn(move || {
+                if serve_conn(&engine, conn, &stop) == ConnAction::Shutdown {
+                    request_stop(&stop, addr);
+                }
+            });
+        if let Ok(thread) = spawned {
+            live.push((peer, thread));
+        }
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        fallback_front::run(listener, engine, stop)
+    // Stop: wake every thread blocked in `read`, then wait for all of them.
+    for (peer, _) in &live {
+        let _ = peer.shutdown(Shutdown::Both);
+    }
+    reap(&mut live, true);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ServeConfig;
+
+    /// A loopback pair: the client end, and the server end admitted as a
+    /// connection.
+    fn admitted(engine: &Engine) -> (TcpStream, ConnState) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn = admit_conn(engine, stream).expect("under max_conns");
+        (client, conn)
+    }
+
+    fn books(engine: &Engine) -> (u64, u64, u64) {
+        let conn = engine.conn_snapshot();
+        (conn.accepted, conn.active, conn.closed)
+    }
+
+    /// The path a failed `spawn` takes: the connection is admitted, then
+    /// dropped without ever being serviced.
+    #[test]
+    fn dropping_an_admitted_connection_closes_its_books() {
+        let engine = Engine::new(ServeConfig::default());
+        let (mut client, conn) = admitted(&engine);
+        // The acceptor's clone must not keep the peer waiting.
+        let _clone = conn.stream.try_clone().unwrap();
+        assert_eq!(books(&engine), (1, 1, 0));
+        drop(conn);
+        assert_eq!(books(&engine), (1, 0, 1));
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "peer sees EOF");
+    }
+
+    /// A connection thread that panics unwinds through its state: the slot
+    /// is returned, the peer is hung up on, and the join reports it.
+    #[test]
+    fn a_panicking_connection_thread_closes_its_books() {
+        let engine = Engine::new(ServeConfig {
+            max_conns: 1,
+            ..ServeConfig::default()
+        });
+        let (mut client, conn) = admitted(&engine);
+        let clone = conn.stream.try_clone().unwrap();
+        let thread = std::thread::spawn(move || {
+            let _conn = conn;
+            panic!("connection thread bug");
+        });
+        let mut live = vec![(clone, thread)];
+        while !live.is_empty() {
+            reap(&mut live, false);
+        }
+        assert_eq!(books(&engine), (1, 0, 1));
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "peer sees EOF");
+        // The only slot is free again.
+        let (_client, _conn) = admitted(&engine);
+        assert_eq!(books(&engine), (2, 1, 1));
     }
 }

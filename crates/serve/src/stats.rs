@@ -510,9 +510,9 @@ impl StatsSnapshot {
 }
 
 /// Connection-level counters for the TCP front-end: admission, protocol
-/// mix, dispatch-queue depth, and per-frame rejects. Owned by the engine
-/// (so `METRICS` can render them from any front-end), written by the
-/// server's poller and handler threads.
+/// mix, read timeouts and per-frame rejects. Owned by the engine (so
+/// `METRICS` can render them from any front-end), written by the server's
+/// acceptor and connection threads.
 #[derive(Debug, Default)]
 pub struct ConnStats {
     /// Connections accepted (post admission gate).
@@ -524,11 +524,9 @@ pub struct ConnStats {
     /// Connections refused at accept because `max_conns` were already
     /// open.
     pub admission_shed: AtomicU64,
-    /// Ready connections waiting for a handler right now (the accept-side
-    /// queue ahead of the batcher).
-    pub dispatch_depth: AtomicU64,
-    /// High-water mark of `dispatch_depth`.
-    pub dispatch_depth_max: AtomicU64,
+    /// Connections closed because an incomplete message sat in their
+    /// buffer past the partial-message deadline.
+    pub read_timeouts: AtomicU64,
     /// Connections negotiated onto the binary frame protocol.
     pub binary_conns: AtomicU64,
     /// Connections negotiated onto the text protocol.
@@ -549,20 +547,12 @@ impl ConnStats {
             active: self.active.load(Ordering::Relaxed),
             closed: self.closed.load(Ordering::Relaxed),
             admission_shed: self.admission_shed.load(Ordering::Relaxed),
-            dispatch_depth: self.dispatch_depth.load(Ordering::Relaxed),
-            dispatch_depth_max: self.dispatch_depth_max.load(Ordering::Relaxed),
+            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
             binary_conns: self.binary_conns.load(Ordering::Relaxed),
             text_conns: self.text_conns.load(Ordering::Relaxed),
             bad_frames: self.bad_frames.load(Ordering::Relaxed),
             bad_lines: self.bad_lines.load(Ordering::Relaxed),
         }
-    }
-
-    /// Record one ready-connection dispatch-queue depth reading.
-    pub fn on_dispatch_depth(&self, depth: usize) {
-        self.dispatch_depth.store(depth as u64, Ordering::Relaxed);
-        self.dispatch_depth_max
-            .fetch_max(depth as u64, Ordering::Relaxed);
     }
 }
 
@@ -577,10 +567,8 @@ pub struct ConnSnapshot {
     pub closed: u64,
     /// See [`ConnStats::admission_shed`].
     pub admission_shed: u64,
-    /// See [`ConnStats::dispatch_depth`].
-    pub dispatch_depth: u64,
-    /// See [`ConnStats::dispatch_depth_max`].
-    pub dispatch_depth_max: u64,
+    /// See [`ConnStats::read_timeouts`].
+    pub read_timeouts: u64,
     /// See [`ConnStats::binary_conns`].
     pub binary_conns: u64,
     /// See [`ConnStats::text_conns`].

@@ -696,15 +696,16 @@ fn seeded_requests_round_trip_and_match_full_graph_over_wire() {
     handle.shutdown();
 }
 
+/// A sampled request runs on a subgraph of its own with a backend of its
+/// own: it looks nothing up and leaves nothing behind in the plan cache.
 #[test]
-fn repeated_seed_queries_hit_bucketed_plan_cache() {
+fn sampled_requests_touch_no_plan_cache() {
     let (engine, task) = make_engine(ServeConfig::default());
     let vertices = task.graph.num_vertices();
-    // Different seed sets each round sample different subgraphs; the
-    // power-of-two shape buckets must still coalesce them onto a cached
-    // schedule instead of re-tuning per request.
     for round in 0..12u64 {
-        let seeds: Vec<usize> = (0..4).map(|i| ((round * 37 + i * 101) as usize) % vertices).collect();
+        let seeds: Vec<usize> = (0..4)
+            .map(|i| ((round * 37 + i * 101) as usize) % vertices)
+            .collect();
         let resp = engine
             .infer_seeds(InferSeedsRequest {
                 model: "gcn".into(),
@@ -718,17 +719,8 @@ fn repeated_seed_queries_hit_bucketed_plan_cache() {
         assert_eq!(resp.results.len(), seeds.len());
     }
     let stats = engine.stats();
-    assert!(
-        stats.plan_hits > 0,
-        "repeated seed queries must hit the bucketed plan cache (hits={} misses={})",
-        stats.plan_hits,
-        stats.plan_misses
-    );
-    assert!(
-        stats.plan_misses < 12,
-        "shape buckets must coalesce most rounds (misses={})",
-        stats.plan_misses
-    );
+    assert_eq!(engine.plan_cache_len(), 0);
+    assert_eq!(stats.plan_hits + stats.plan_misses, 0);
     // The sample phase got one sample per request, and sampled requests
     // complete like any other.
     assert_eq!(stats.completed, 12);

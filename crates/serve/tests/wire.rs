@@ -6,8 +6,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
@@ -15,6 +15,7 @@ use fg_serve::frame::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, reply_type, req_type,
     write_frame, Frame, FrameError, WireReply, HEADER_LEN, MAGIC, MAX_PAYLOAD,
 };
+use fg_serve::server::PARTIAL_MESSAGE_DEADLINE;
 use fg_serve::{protocol, serve, Engine, ServeConfig, ServerHandle};
 use fg_tensor::Dense2;
 use proptest::prelude::*;
@@ -775,6 +776,174 @@ fn admission_control_sheds_excess_connections() {
         body.contains("fgserve_conn_admission_shed_total{reason=\"max-conns\"} 1"),
         "shed must be counted\n---\n{body}"
     );
+    h.shutdown();
+}
+
+/// Every connection has a thread of its own, so as many requests are in
+/// flight as clients sent: with an hour-long window, no deadline and one
+/// worker, only the size trigger can release a batch, and it takes all 32
+/// requests queued at once to pull it. A front-end that lets fewer through
+/// (a handler pool of 16 at most) leaves them waiting out the hour.
+#[test]
+fn size_trigger_fires_over_the_wire() {
+    const CLIENTS: usize = 32;
+    let h = spawn_server(ServeConfig {
+        max_batch: CLIENTS,
+        max_delay: Duration::from_secs(3600),
+        default_deadline: None,
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = h.addr();
+    let (tx, rx) = mpsc::channel();
+    for c in 0..CLIENTS {
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            writeln!(stream, "INFER gcn {c} id=c{c}").unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            let _ = tx.send(line);
+        });
+    }
+    // A bounded wait, so a capped front-end fails with a message instead of
+    // hanging the suite.
+    for answered in 0..CLIENTS {
+        let line = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{answered} of {CLIENTS} requests answered"));
+        assert!(line.starts_with("OK c"), "{line}");
+    }
+    let mut stream = connect(&h);
+    writeln!(stream, "STATS").unwrap();
+    let mut stats = String::new();
+    BufReader::new(stream).read_line(&mut stats).unwrap();
+    assert!(stats.contains(" batch_max=32.0 "), "{stats}");
+    h.shutdown();
+}
+
+/// Stopping the server ends every connection, whatever it was doing: idle
+/// on either protocol, or part-way through a frame. Each client reads EOF,
+/// and once `shutdown` returns no thread that held the engine is left.
+#[test]
+fn shutdown_ends_idle_and_half_sent_connections() {
+    let h = spawn_server(ServeConfig::default());
+    let engine = Arc::clone(h.engine());
+
+    let mut text = connect(&h);
+    writeln!(text, "PING").unwrap();
+    let mut pong = [0u8; 5];
+    text.read_exact(&mut pong).unwrap();
+    assert_eq!(&pong, b"PONG\n");
+
+    let mut binary = connect(&h);
+    let ping = encode_request(&protocol::Request::Ping);
+    assert!(matches!(
+        binary_call(&mut binary, &ping).unwrap(),
+        WireReply::Pong
+    ));
+
+    let mut half = connect(&h);
+    half.write_all(&ping[..HEADER_LEN / 2]).unwrap();
+    // `half` gets no reply to wait on; its admission shows in the gauge.
+    let admitted = Instant::now();
+    while engine.conn_snapshot().active < 3 {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(10),
+            "third connection never admitted"
+        );
+        std::thread::yield_now();
+    }
+    assert!(engine.metrics_text().contains("fgserve_conn_active 3\n"));
+
+    h.shutdown();
+    for (name, stream) in [
+        ("text", &mut text),
+        ("binary", &mut binary),
+        ("half", &mut half),
+    ] {
+        let mut rest = Vec::new();
+        match stream.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "{name}: {rest:?}"),
+            Err(e) => panic!("{name}: expected EOF, got {e}"),
+        }
+    }
+    let conn = engine.conn_snapshot();
+    assert_eq!((conn.accepted, conn.active, conn.closed), (3, 0, 3));
+    // The acceptor and every connection thread held a clone.
+    assert_eq!(
+        Arc::strong_count(&engine),
+        1,
+        "a front-end thread outlived shutdown"
+    );
+}
+
+/// Half a message does not pin a `--max-conns` slot: a connection that
+/// stops mid-frame, and one that keeps trickling bytes of a frame it never
+/// finishes, are both closed around [`PARTIAL_MESSAGE_DEADLINE`] and
+/// counted, while a connection that sent nothing may idle past it.
+#[test]
+fn incomplete_messages_are_closed_after_the_deadline() {
+    let h = spawn_server(ServeConfig::default());
+    let mut idle = connect(&h);
+    let frame = encode_request(&protocol::Request::Infer {
+        model: "gcn".into(),
+        node: 3,
+        id: Some("never-finished".into()),
+        deadline_ms: None,
+    });
+    assert!(frame.len() > HEADER_LEN + 12);
+
+    let start = Instant::now();
+    let mut silent = connect(&h);
+    silent.write_all(&frame[..HEADER_LEN + 1]).unwrap();
+    let mut trickling = connect(&h);
+    trickling.write_all(&frame[..MAGIC.len()]).unwrap();
+    let mut feeder = trickling.try_clone().unwrap();
+    let trickle = frame.clone();
+    let feeder = std::thread::spawn(move || {
+        // A byte a second never completes the frame; writes fail once the
+        // server has hung up.
+        for byte in &trickle[MAGIC.len()..HEADER_LEN + 4] {
+            std::thread::sleep(Duration::from_secs(1));
+            if feeder.write_all(&[*byte]).is_err() {
+                break;
+            }
+        }
+    });
+    for (name, stream) in [("silent", &mut silent), ("trickling", &mut trickling)] {
+        let mut rest = Vec::new();
+        // EOF, or a reset if a trickled byte raced the close.
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{name}: {rest:?}");
+        let held = start.elapsed();
+        assert!(
+            held >= PARTIAL_MESSAGE_DEADLINE,
+            "{name} closed after {held:?}"
+        );
+        assert!(
+            held < 2 * PARTIAL_MESSAGE_DEADLINE,
+            "{name} held for {held:?}"
+        );
+    }
+    feeder.join().unwrap();
+
+    // The idle connection outlived both and is still served.
+    writeln!(idle, "METRICS").unwrap();
+    let mut reader = BufReader::new(idle);
+    let mut body = String::new();
+    while !body.ends_with("# EOF\n") {
+        assert_ne!(
+            reader.read_line(&mut body).unwrap(),
+            0,
+            "idle connection closed"
+        );
+    }
+    assert!(
+        body.contains("fgserve_conn_read_timeouts_total 2\n"),
+        "{body}"
+    );
+    assert!(body.contains("fgserve_conn_active 1\n"), "{body}");
     h.shutdown();
 }
 
