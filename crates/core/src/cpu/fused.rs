@@ -17,15 +17,15 @@
 //! [`CpuFused::attention_backward`] does in one more sweep.
 
 use fg_graph::Graph;
-use fg_ir::{FusedOp, FusedPattern, KernelPattern};
+use fg_ir::{FusedOp, FusedPattern};
 use fg_telemetry::{counter_add, span, Counter};
 use fg_tensor::{Dense2, FeatElem};
 
-use crate::cpu::ops::{self, CopySrc, Edge, Interp, MessageOp, ReduceOp, Sink};
 use crate::cpu::skeleton::{DstMajor, InEdges};
 use crate::cpu::spmm::CpuSpmmOptions;
 use crate::error::KernelError;
 use crate::inputs::FusedInputs;
+use crate::ops::{self, leaky_relu, Edge, MessageOp, ReduceOp, ScoreOp, Sink, WithFused};
 use crate::util::SharedRows;
 use crate::{AttentionBackward, RunStats, SoftmaxStats};
 
@@ -82,43 +82,12 @@ impl CpuFused {
             self.op.softmax
         );
         counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
-        let rows = inputs.message.vertex;
-        let softmax = match self.pattern {
-            // Recognized only over a copy-src message.
-            FusedPattern::GatAttention { slope } => {
-                let (sl, sr) = (inputs.score.vertex, inputs.score.dst_tensor());
-                let slope = slope as f32;
-                self.exec(&GatScore { sl, sr, slope }, &CopySrc { rows }, out)
-            }
-            FusedPattern::Generic => {
-                let score = UdfScore(Interp::new(&self.op.score, &inputs.score));
-                if KernelPattern::of(&self.op.message) == KernelPattern::CopySrc {
-                    self.exec(&score, &CopySrc { rows }, out)
-                } else {
-                    self.exec(&score, &Interp::new(&self.op.message, &inputs.message), out)
-                }
-            }
-        };
+        let exec = Exec { k: self, out };
+        let softmax = ops::lower_fused(&self.op, self.pattern, inputs, exec);
         Ok(RunStats {
             softmax,
             ..RunStats::default()
         })
-    }
-
-    fn exec<S: ScoreOp, M: MessageOp>(
-        &self,
-        score: &S,
-        msg: &M,
-        out: &mut Dense2<f32>,
-    ) -> Option<SoftmaxStats> {
-        if self.op.softmax {
-            return Some(self.softmax(score, msg, out));
-        }
-        // One pass, `out[v] = agg of score · message`: the SpMM template
-        // over a score-weighted message.
-        let (op, agg) = (Weighted { score, msg }, self.op.agg);
-        self.plan.aggregate("fused/aggregate", agg, 1, &op, out);
-        None
     }
 
     /// Softmax path: (A) stream a per-destination running max (exp-free),
@@ -139,7 +108,7 @@ impl CpuFused {
         let no_aux = &mut vec![(); n][..];
         let plan = &self.plan;
         let row_max = |edges: InEdges<'_>, max: &mut Sink<'_>, _: &mut ()| {
-            let m = score.row_max(&edges);
+            let m = score.row_max(edges.dst, edges.iter());
             if m > max.out[0] {
                 max.out[0] = m;
             }
@@ -276,64 +245,25 @@ impl CpuFused {
     }
 }
 
-/// A per-edge scalar score (the SDDMM half of the fused operator).
-trait ScoreOp: Sync {
-    /// The score of `dst`'s in-edges, with the destination-side operand
-    /// hoisted out of the row's edge loop.
-    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_;
-
-    /// The largest score among `edges` (−∞ if there are none).
-    fn row_max(&self, edges: &InEdges<'_>) -> f32 {
-        let score = self.for_dst(edges.dst);
-        edges.iter().map(score).fold(f32::NEG_INFINITY, f32::max)
-    }
+/// The fused template over one lowered score and message op.
+struct Exec<'a> {
+    k: &'a CpuFused,
+    out: &'a mut Dense2<f32>,
 }
 
-/// GAT additive attention, `leaky_relu(sl[src] + sr[dst])`.
-struct GatScore<'a, V> {
-    sl: &'a Dense2<V>,
-    sr: &'a Dense2<V>,
-    slope: f32,
-}
+impl WithFused for Exec<'_> {
+    type Out = Option<SoftmaxStats>;
 
-#[inline(always)]
-fn leaky_relu(v: f32, slope: f32) -> f32 {
-    if v > 0.0 { v } else { slope * v }
-}
-
-impl<V: FeatElem> ScoreOp for GatScore<'_, V> {
-    #[inline(always)]
-    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_ {
-        let sr = self.sr.at(dst as usize, 0).load();
-        move |e| leaky_relu(self.sl.at(e.src as usize, 0).load() + sr, self.slope)
-    }
-
-    /// Leaky-relu is monotonic, so the row's max score is
-    /// `leaky(max sl[src] + sr[dst])`: the per-edge work collapses to one
-    /// load + compare.
-    #[inline(always)]
-    fn row_max(&self, edges: &InEdges<'_>) -> f32 {
-        let sl = |&src: &u32| self.sl.at(src as usize, 0).load();
-        let z = edges.srcs.iter().map(sl).fold(f32::NEG_INFINITY, f32::max);
-        if z > f32::NEG_INFINITY {
-            leaky_relu(z + self.sr.at(edges.dst as usize, 0).load(), self.slope)
-        } else {
-            z
+    fn run<S: ScoreOp, M: MessageOp>(self, score: &S, msg: &M) -> Option<SoftmaxStats> {
+        let (k, out) = (self.k, self.out);
+        if k.op.softmax {
+            return Some(k.softmax(score, msg, out));
         }
-    }
-}
-
-/// Any scalar score UDF, through the interpreter.
-struct UdfScore<'a>(Interp<'a>);
-
-impl ScoreOp for UdfScore<'_> {
-    #[inline(always)]
-    fn for_dst(&self, _: u32) -> impl Fn(Edge) -> f32 + '_ {
-        move |e| {
-            let mut s = [0f32];
-            self.0.eval(ops::store, &mut s, e);
-            s[0]
-        }
+        // One pass, `out[v] = agg of score · message`: the SpMM template
+        // over a score-weighted message.
+        let op = Weighted { score, msg };
+        k.plan.aggregate("fused/aggregate", k.op.agg, 1, &op, out);
+        None
     }
 }
 

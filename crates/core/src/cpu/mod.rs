@@ -1,6 +1,6 @@
 //! CPU kernel templates: one loop-nest skeleton per traversal (`skeleton`, and
-//! the SDDMM template's edge-order nest) over storage × message-op ×
-//! reduce-op slots (`ops`).
+//! the SDDMM template's edge-order nest) over the storage × message-op ×
+//! reduce-op slots of the target-independent `crate::ops`.
 //!
 //! Template-level optimizations (§III-C1):
 //! * **1D graph partitioning** — source vertices are split into contiguous
@@ -14,7 +14,6 @@
 //!   feature sets.
 
 pub mod fused;
-mod ops;
 pub mod sddmm;
 mod skeleton;
 pub mod spmm;

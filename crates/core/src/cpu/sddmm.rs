@@ -9,13 +9,10 @@ use fg_tensor::{Dense2, FeatElem};
 use rayon::prelude::*;
 use std::ops::Range;
 
-use crate::cpu::ops::{
-    self, with_elem_op, CopyEdge, CopySrc, Dot, Edge, Interp, MessageOp, MultiHeadDot, ReduceOp,
-    Sink, SrcDst, SrcEdge, SrcScalar,
-};
 use crate::cpu::skeleton::band_rows;
 use crate::error::KernelError;
 use crate::inputs::GraphTensors;
+use crate::ops::{self, Dot, Edge, MessageOp, MultiHeadDot, ReduceOp, Sink, WithMessage};
 use crate::util::{self, SharedRows};
 use crate::RunStats;
 
@@ -126,8 +123,6 @@ impl CpuSddmm {
             self.fds.feature_tiles.max(1)
         );
         let (x, xd) = (inputs.vertex, inputs.dst_tensor());
-        // Present whenever the pattern reads it: `validate` checked.
-        let xe = || inputs.edge.expect("validated");
         match self.pattern {
             // The reduce axis is tiled per the FDS: each k-tile traverses
             // the edges once, adding its partial dot to the edge's scalar —
@@ -146,25 +141,11 @@ impl CpuSddmm {
                 let (op, dims) = (MultiHeadDot { x, xd, d }, 0..self.udf.src_len);
                 self.pass("sddmm/multi_head", ops::store, op, dims, out)
             }
-            // The element-wise UDFs are the SpMM template's message ops,
-            // stored to the edge row instead of reduced into the vertex row.
-            KernelPattern::CopySrc => self.store(CopySrc { rows: x }, out),
-            KernelPattern::CopyEdge => self.store(CopyEdge { rows: xe() }, out),
-            KernelPattern::SrcOpEdge(op) => {
-                with_elem_op!(op, |f| self.store(SrcEdge { x, b: xe(), f }, out))
-            }
-            KernelPattern::SrcOpDst(op) => {
-                with_elem_op!(op, |f| self.store(SrcDst { x, b: xd, f }, out))
-            }
-            KernelPattern::SrcMulEdgeScalar => self.store(SrcScalar { x, w: xe() }, out),
-            _ => self.store(&Interp::new(&self.udf, inputs), out),
+            // The other UDFs are the SpMM template's message ops, stored to
+            // the edge row instead of reduced into the vertex row.
+            _ => ops::lower(&self.udf, self.pattern, inputs, Store { k: self, out }),
         }
         Ok(RunStats::default())
-    }
-
-    /// One pass writing each edge's whole output row.
-    fn store<M: MessageOp + Copy>(&self, op: M, out: &mut Dense2<f32>) {
-        self.pass("sddmm/store", ops::store, op, 0..self.udf.out_len, out);
     }
 
     /// The edge-order loop nest: one traversal of the (Hilbert or canonical)
@@ -208,6 +189,21 @@ impl CpuSddmm {
                 }
             });
         });
+    }
+}
+
+/// One pass writing each edge's whole output row.
+struct Store<'a> {
+    k: &'a CpuSddmm,
+    out: &'a mut Dense2<f32>,
+}
+
+impl WithMessage for Store<'_> {
+    type Out = ();
+
+    fn run<M: MessageOp + Copy>(self, op: M) {
+        let cols = 0..self.k.udf.out_len;
+        self.k.pass("sddmm/store", ops::store, op, cols, self.out);
     }
 }
 

@@ -16,9 +16,9 @@ use fg_tensor::Dense2;
 use rayon::prelude::*;
 use std::ops::Range;
 
-use crate::cpu::ops::{self, Edge, MessageOp, ReduceOp, Sink};
 use crate::cpu::spmm::CpuSpmmOptions;
 use crate::error::KernelError;
+use crate::ops::{with_reduce_op, Edge, MessageOp, ReduceOp, Sink};
 use crate::util;
 
 /// A compiled destination-row-major traversal: the partitioned CSR, the
@@ -138,11 +138,7 @@ impl DstMajor {
         out: &mut Dense2<f32>,
     ) {
         out.fill(agg.identity());
-        match agg {
-            Reducer::Sum | Reducer::Mean => self.reduce(name, ops::sum, tiles, op, out),
-            Reducer::Max => self.reduce(name, ops::max, tiles, op, out),
-            Reducer::Min => self.reduce(name, ops::min, tiles, op, out),
-        }
+        with_reduce_op!(agg, |r| self.reduce(name, r, tiles, op, out));
         // Finalize: mean division / zero-degree normalization.
         self.for_each_row(out, |v, row| {
             let deg = self.degrees[v] as usize;

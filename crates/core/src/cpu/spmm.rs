@@ -5,12 +5,10 @@ use fg_ir::{Fds, KernelPattern, Reducer, Udf};
 use fg_telemetry::{counter_add, span, Counter};
 use fg_tensor::{Dense2, FeatElem};
 
-use crate::cpu::ops::{
-    with_elem_op, CopyEdge, CopySrc, Interp, MessageOp, Mlp, SrcDst, SrcEdge, SrcScalar,
-};
 use crate::cpu::skeleton::DstMajor;
 use crate::error::KernelError;
 use crate::inputs::GraphTensors;
+use crate::ops::{self, MessageOp, WithMessage};
 use crate::util;
 use crate::RunStats;
 
@@ -123,31 +121,30 @@ impl CpuSpmm {
         counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
         counter_add(Counter::FeatureTiles, tiles as u64);
 
-        let (x, xd) = (inputs.vertex, inputs.dst_tensor());
-        // Present whenever the pattern reads it: `validate` checked.
-        let xe = || inputs.edge.expect("validated");
-        match self.pattern {
-            KernelPattern::CopySrc => self.exec(tiles, &CopySrc { rows: x }, out),
-            KernelPattern::CopyEdge => self.exec(tiles, &CopyEdge { rows: xe() }, out),
-            KernelPattern::SrcOpEdge(op) => {
-                with_elem_op!(op, |f| self.exec(tiles, &SrcEdge { x, b: xe(), f }, out))
-            }
-            KernelPattern::SrcOpDst(op) => {
-                with_elem_op!(op, |f| self.exec(tiles, &SrcDst { x, b: xd, f }, out))
-            }
-            KernelPattern::SrcMulEdgeScalar => self.exec(tiles, &SrcScalar { x, w: xe() }, out),
-            KernelPattern::MlpSrcDst => {
-                let w = inputs.params[0];
-                self.exec(tiles, &Mlp { x, xd, w }, out)
-            }
-            _ => self.exec(1, &Interp::new(&self.udf, inputs), out),
-        }
+        let exec = Exec {
+            k: self,
+            tiles,
+            out,
+        };
+        ops::lower(&self.udf, self.pattern, inputs, exec);
         Ok(RunStats::default())
     }
+}
 
-    fn exec<M: MessageOp>(&self, tiles: usize, op: &M, out: &mut Dense2<f32>) {
-        self.plan
-            .aggregate("spmm/partition", self.agg, tiles, op, out);
+/// The SpMM template over one lowered message op.
+struct Exec<'a> {
+    k: &'a CpuSpmm,
+    tiles: usize,
+    out: &'a mut Dense2<f32>,
+}
+
+impl WithMessage for Exec<'_> {
+    type Out = ();
+
+    fn run<M: MessageOp + Copy>(self, op: M) {
+        let tiles = if M::WHOLE_ROWS { 1 } else { self.tiles };
+        let (plan, agg) = (&self.k.plan, self.k.agg);
+        plan.aggregate("spmm/partition", agg, tiles, &op, self.out);
     }
 }
 

@@ -1,17 +1,30 @@
-//! GPU generalized SDDMM template (edge-parallel).
+//! GPU generalized SDDMM template: edge blocks (edge parallelization,
+//! §III-C2) over the shared message ops.
+//!
+//! Each block computes a chunk of edges in canonical order and writes their
+//! output rows with one coalesced store. The dot patterns (`fg-sddmm-dot`)
+//! are priced by the FDS: with `fds.gpu.tree_reduce` the block's threads
+//! cooperate on each dot via a `log₂`-depth tree (Fig. 7b) — low register
+//! pressure, shared-memory traffic for the reduction; without it each
+//! thread computes a full dot serially in registers (the Fig. 12 ablation),
+//! which inflates `regs_per_thread` and therefore costs occupancy. Every
+//! other UDF (`fg-sddmm-generic`) is priced as the interpreter, one thread
+//! per edge.
 
-use fg_gpusim::{launch, BlockCtx, DeviceConfig, GpuKernel};
+use std::mem::size_of;
+use std::ops::Range;
+
+use fg_gpusim::{BlockCtx, DeviceConfig, LaunchReport};
 use fg_graph::{Graph, VId};
-use fg_ir::interp::{eval_udf, EdgeCtx};
 use fg_ir::{Fds, KernelPattern, Udf};
 use fg_telemetry::{counter_add, span, Counter};
 use fg_tensor::Dense2;
 
 use crate::error::KernelError;
+use crate::gpu::skeleton::{gpu_stats, Grid, F32};
 use crate::inputs::GraphTensors;
+use crate::ops::{self, Dot, Edge, MessageOp, MultiHeadDot, Sink, WithMessage};
 use crate::RunStats;
-
-const F32: usize = std::mem::size_of::<f32>();
 
 /// Template-level options for the GPU SDDMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,10 +49,12 @@ pub struct GpuSddmm {
     udf: Udf,
     fds: Fds,
     pattern: KernelPattern,
+    /// The pattern is a (multi-head) dot, priced by the FDS.
+    dot: bool,
     /// `(src, dst)` per canonical edge ID.
     edges: Vec<(VId, VId)>,
     num_vertices: usize,
-    opts: GpuSddmmOptions,
+    grid: Grid,
 }
 
 impl GpuSddmm {
@@ -51,25 +66,27 @@ impl GpuSddmm {
         opts: &GpuSddmmOptions,
     ) -> Result<Self, KernelError> {
         udf.validate()?;
-        if opts.edges_per_block == 0 {
-            return Err(KernelError::BadSchedule("edges_per_block must be >= 1".into()));
-        }
-        if fds.gpu.threads_per_block == 0
-            || fds.gpu.threads_per_block > opts.device.max_threads_per_sm
-        {
-            return Err(KernelError::BadSchedule(format!(
-                "threads_per_block {} out of range",
-                fds.gpu.threads_per_block
-            )));
-        }
-        counter_add(Counter::KernelCompiles, 1);
+        let pattern = KernelPattern::of(udf);
+        let dot = matches!(
+            pattern,
+            KernelPattern::Dot | KernelPattern::MultiHeadDot { .. }
+        );
+        let tree = dot && fds.gpu.tree_reduce;
+        let grid = Grid {
+            device: opts.device,
+            threads: fds.gpu.threads_per_block,
+            per_block: opts.edges_per_block,
+            items: graph.num_edges(),
+            shared_mem_bytes: usize::from(tree) * fds.gpu.threads_per_block * F32,
+        };
         Ok(Self {
             udf: udf.clone(),
             fds: *fds,
-            pattern: KernelPattern::of(udf),
+            pattern,
+            dot,
             edges: graph.edge_list(),
             num_vertices: graph.num_vertices(),
-            opts: *opts,
+            grid: grid.validate("edges_per_block")?,
         })
     }
 
@@ -80,7 +97,7 @@ impl GpuSddmm {
 
     /// Heap bytes held by the compiled plan (the gathered edge list).
     pub fn mem_bytes(&self) -> u64 {
-        (self.edges.len() * std::mem::size_of::<(VId, VId)>()) as u64
+        (self.edges.len() * size_of::<(VId, VId)>()) as u64
     }
 
     /// Execute on the simulator.
@@ -89,16 +106,17 @@ impl GpuSddmm {
         inputs: &GraphTensors<'_, f32>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.udf, self.num_vertices, self.edges.len(), out, self.edges.len())?;
+        let m = self.edges.len();
+        inputs.validate(&self.udf, self.num_vertices, m, out, m)?;
         let _run_span = span!(
             "gpu/sddmm/run",
             "pattern={:?} d={} grid={} tree={}",
             self.pattern,
             self.udf.red_len(),
-            self.grid_dim(),
+            self.grid.grid_dim(),
             self.fds.gpu.tree_reduce
         );
-        counter_add(Counter::EdgesProcessed, self.edges.len() as u64);
+        counter_add(Counter::EdgesProcessed, m as u64);
         if self.fds.gpu.tree_reduce {
             // depth of the log₂ combine tree over the reduce axis (Fig. 7b)
             let d = self.udf.red_len().max(1);
@@ -107,179 +125,104 @@ impl GpuSddmm {
                 u64::from(usize::BITS - (d - 1).leading_zeros()),
             );
         }
+        let (x, xd) = (inputs.vertex, inputs.dst_tensor());
         let report = match self.pattern {
-            KernelPattern::Dot | KernelPattern::MultiHeadDot { .. } => {
-                let mut kernel = DotKernel {
-                    plan: self,
-                    x: inputs.vertex,
-                    xd: inputs.dst_tensor(),
-                    out,
-                };
-                launch(&self.opts.device, &mut kernel)
+            KernelPattern::Dot => {
+                let d = self.udf.red_len();
+                self.launch(Dot { x, xd, d }, 0..d, out)
             }
-            _ => {
-                let mut kernel = GenericKernel {
-                    plan: self,
-                    inputs,
-                    out,
-                };
-                launch(&self.opts.device, &mut kernel)
+            KernelPattern::MultiHeadDot { d } => {
+                self.launch(MultiHeadDot { x, xd, d }, 0..self.udf.src_len, out)
             }
+            _ => ops::lower(&self.udf, self.pattern, inputs, Launch { k: self, out }),
         };
-        Ok(RunStats {
-            gpu_time_ms: Some(report.time_ms),
-            gpu_launches: vec![report],
-            softmax: None,
-        })
+        Ok(gpu_stats(vec![report]))
     }
 
-    fn grid_dim(&self) -> usize {
-        self.edges.len().div_ceil(self.opts.edges_per_block).max(1)
-    }
-
-    fn block_edges(&self, block: usize) -> std::ops::Range<usize> {
-        let lo = block * self.opts.edges_per_block;
-        let hi = (lo + self.opts.edges_per_block).min(self.edges.len());
-        lo..hi
-    }
-}
-
-/// Fused (multi-head) dot-product attention.
-///
-/// With `fds.gpu.tree_reduce`, the block's threads cooperate on each dot via
-/// a `log₂`-depth tree (Fig. 7b): low register pressure, shared-memory
-/// traffic for the reduction. Without it, each thread computes a full dot
-/// serially in registers — the Fig. 12 ablation — which inflates
-/// `regs_per_thread` and therefore costs occupancy.
-struct DotKernel<'a> {
-    plan: &'a GpuSddmm,
-    x: &'a Dense2<f32>,
-    xd: &'a Dense2<f32>,
-    out: &'a mut Dense2<f32>,
-}
-
-impl GpuKernel for DotKernel<'_> {
-    fn name(&self) -> &'static str {
-        "fg-sddmm-dot"
-    }
-    fn grid_dim(&self) -> usize {
-        self.plan.grid_dim()
-    }
-    fn block_dim(&self) -> usize {
-        self.plan.fds.gpu.threads_per_block
-    }
-    fn shared_mem_bytes(&self) -> usize {
-        if self.plan.fds.gpu.tree_reduce {
-            self.plan.fds.gpu.threads_per_block * F32
-        } else {
-            0
-        }
-    }
-    fn regs_per_thread(&self) -> usize {
-        if self.plan.fds.gpu.tree_reduce {
-            32
-        } else {
+    /// One launch storing `op`'s message for columns `cols` into each edge's
+    /// output row.
+    fn launch<M: MessageOp>(
+        &self,
+        op: M,
+        cols: Range<usize>,
+        out: &mut Dense2<f32>,
+    ) -> LaunchReport {
+        let w = self.udf.out_len;
+        let tree = self.dot && self.fds.gpu.tree_reduce;
+        let (name, regs) = match (self.dot, tree) {
+            (false, _) => ("fg-sddmm-generic", 32),
+            (true, true) => ("fg-sddmm-dot", 32),
             // Serial per-thread dot: accumulator chain + unrolled loads.
             // Grows with the feature length until the compiler spills —
             // the register-pressure effect the paper cites for Fig. 12.
-            (40 + self.plan.udf.red_len() / 4).min(168)
-        }
-    }
-    fn run_block(&mut self, block: usize, ctx: &mut BlockCtx<'_>) {
-        let plan = self.plan;
-        let d = plan.udf.red_len();
-        let heads = plan.udf.out_len; // 1 for plain dot
-        let range = plan.block_edges(block);
-        let tpb = plan.fds.gpu.threads_per_block as u64;
-        let tree = plan.fds.gpu.tree_reduce;
-
-        // edge endpoint indices, coalesced
-        ctx.global_contiguous(range.start * 2, range.len() * 2, std::mem::size_of::<VId>());
-
-        for eid in range.clone() {
-            let (src, dst) = plan.edges[eid];
-            let srow = self.x.row(src as usize);
-            let drow = self.xd.row(dst as usize);
-            ctx.global_contiguous(src as usize * heads * d, heads * d, F32);
-            ctx.global_contiguous(dst as usize * heads * d, heads * d, F32);
-            let orow = self.out.row_mut(eid);
-            for (h, o) in orow.iter_mut().enumerate() {
-                let a = &srow[h * d..(h + 1) * d];
-                let b = &drow[h * d..(h + 1) * d];
-                *o = a.iter().zip(b).map(|(&p, &q)| p * q).sum();
+            (true, false) => ("fg-sddmm-dot", (40 + self.udf.red_len() / 4).min(168)),
+        };
+        let mut scratch = Vec::new();
+        self.grid.launch(name, regs, |range, ctx| {
+            // edge endpoint indices, coalesced
+            ctx.global_contiguous(range.start * 2, range.len() * 2, size_of::<VId>());
+            let edges = self.edges[range.clone()].iter().zip(range.start as u32..);
+            for (&(src, dst), eid) in edges {
+                let e = Edge { src, dst, eid };
+                let mut to = Sink::new(out.row_mut(eid as usize), cols.clone(), &mut scratch);
+                op.edge(ops::store, &mut to, e);
+                if self.dot {
+                    self.charge_dot(ctx, e, tree);
+                } else {
+                    self.charge_generic(ctx, e);
+                }
             }
             if tree {
-                // lane multiplies + warp-synchronous tree combine: shuffles
-                // within warps, one shared-memory exchange across warps
-                ctx.alu((2 * heads * d) as u64);
-                ctx.alu(heads as u64 * (64 - u64::from((d as u64).leading_zeros())));
-                ctx.shared(heads as u64 * (tpb / 32).max(1) * 2);
-            } else {
-                // one thread per edge: d lockstep iterations per warp
-                ctx.warp_exec(32, (2 * heads * d) as u64 / 32 + 1);
+                ctx.barrier();
             }
+            // coalesced write of the block's contiguous output rows
+            ctx.global_contiguous(range.start * w, range.len() * w, F32);
+        })
+    }
+
+    /// Both endpoint rows, then a tree or a serial dot per head.
+    fn charge_dot(&self, ctx: &mut BlockCtx<'_>, e: Edge, tree: bool) {
+        let (d, heads) = (self.udf.red_len(), self.udf.out_len);
+        for v in [e.src, e.dst] {
+            ctx.global_contiguous(v as usize * heads * d, heads * d, F32);
         }
         if tree {
-            ctx.barrier();
+            // lane multiplies + warp-synchronous tree combine: shuffles
+            // within warps, one shared-memory exchange across warps
+            let warps = (self.fds.gpu.threads_per_block as u64 / 32).max(1);
+            ctx.alu((2 * heads * d) as u64);
+            ctx.alu(heads as u64 * (64 - u64::from((d as u64).leading_zeros())));
+            ctx.shared(heads as u64 * warps * 2);
+        } else {
+            // one thread per edge: d lockstep iterations per warp
+            ctx.warp_exec(32, (2 * heads * d) as u64 / 32 + 1);
         }
-        // coalesced write of the block's contiguous output rows
-        ctx.global_contiguous(range.start * heads, range.len() * heads, F32);
+    }
+
+    /// The interpreter, one thread per edge, its operand rows read whole.
+    fn charge_generic(&self, ctx: &mut BlockCtx<'_>, e: Edge) {
+        let udf = &self.udf;
+        let lens = [udf.src_len, udf.dst_len, udf.edge_len];
+        for (row, len) in [e.src, e.dst, e.eid].into_iter().zip(lens) {
+            if len > 0 {
+                ctx.global_contiguous(row as usize * len, len, F32);
+            }
+        }
+        ctx.warp_exec(1, udf.flops_per_edge() as u64);
     }
 }
 
-/// Interpreter fallback: arbitrary edge UDFs, serialized per thread.
-struct GenericKernel<'a, 'b> {
-    plan: &'a GpuSddmm,
-    inputs: &'a GraphTensors<'b, f32>,
+/// The SDDMM launch over one lowered message op.
+struct Launch<'a> {
+    k: &'a GpuSddmm,
     out: &'a mut Dense2<f32>,
 }
 
-impl GpuKernel for GenericKernel<'_, '_> {
-    fn name(&self) -> &'static str {
-        "fg-sddmm-generic"
-    }
-    fn grid_dim(&self) -> usize {
-        self.plan.grid_dim()
-    }
-    fn block_dim(&self) -> usize {
-        self.plan.fds.gpu.threads_per_block
-    }
-    fn run_block(&mut self, block: usize, ctx: &mut BlockCtx<'_>) {
-        let plan = self.plan;
-        let udf = &plan.udf;
-        let range = plan.block_edges(block);
-        let empty: [f32; 0] = [];
-        let flops = udf.flops_per_edge() as u64;
+impl WithMessage for Launch<'_> {
+    type Out = LaunchReport;
 
-        ctx.global_contiguous(range.start * 2, range.len() * 2, std::mem::size_of::<VId>());
-        for eid in range.clone() {
-            let (src, dst) = plan.edges[eid];
-            if udf.src_len > 0 {
-                ctx.global_contiguous(src as usize * udf.src_len, udf.src_len, F32);
-            }
-            if udf.dst_len > 0 {
-                ctx.global_contiguous(dst as usize * udf.dst_len, udf.dst_len, F32);
-            }
-            if udf.edge_len > 0 {
-                ctx.global_contiguous(eid * udf.edge_len, udf.edge_len, F32);
-            }
-            let ectx = EdgeCtx {
-                src: if udf.src_len > 0 { self.inputs.vertex.row(src as usize) } else { &empty },
-                dst: if udf.dst_len > 0 {
-                    self.inputs.dst_tensor().row(dst as usize)
-                } else {
-                    &empty
-                },
-                edge: match self.inputs.edge {
-                    Some(e) if udf.edge_len > 0 => e.row(eid),
-                    _ => &empty,
-                },
-            };
-            let orow = self.out.row_mut(eid);
-            eval_udf(udf, &ectx, self.inputs.params, orow, |slot, v| *slot = v);
-            ctx.warp_exec(1, flops);
-        }
-        ctx.global_contiguous(range.start * udf.out_len, range.len() * udf.out_len, F32);
+    fn run<M: MessageOp + Copy>(self, op: M) -> LaunchReport {
+        self.k.launch(op, 0..self.k.udf.out_len, self.out)
     }
 }
 

@@ -1,18 +1,29 @@
-//! GPU generalized SpMM template (vertex-parallel, feature-thread binding).
+//! GPU generalized SpMM template: the row-block skeleton (vertex
+//! parallelization, §III-C2) over the shared message ops, priced per
+//! pattern.
+//!
+//! * **Element-wise messages** (`fg-spmm-elemwise`). With the FDS binding
+//!   the feature axis to `thread.x` (Fig. 7a) a source row is one coalesced
+//!   read and the combine one lane per element; feature-dimension-blind, one
+//!   thread walks the row and its reads scatter. Optional **hybrid
+//!   partitioning** stages a block's high-out-degree sources in shared
+//!   memory (§III-C3, Fig. 13).
+//! * **MLP aggregation** (`fg-spmm-mlp`, Fig. 9): the `src + dst` row is
+//!   staged in shared memory and every weight element is used once per edge.
+//! * **Anything else** (`fg-spmm-generic`) runs the interpreter, one thread
+//!   per edge.
 
-use fg_gpusim::{launch, BlockCtx, DeviceConfig, GpuKernel};
-use fg_graph::{Csr, Graph, VId};
-use fg_ir::interp::{eval_udf, EdgeCtx};
-use fg_ir::pattern::ElemOp;
+use fg_gpusim::{BlockCtx, DeviceConfig, LaunchReport};
+use fg_graph::{Graph, VId};
 use fg_ir::{Fds, GpuBind, KernelPattern, Reducer, Udf};
 use fg_telemetry::{counter_add, span, Counter};
 use fg_tensor::Dense2;
 
 use crate::error::KernelError;
+use crate::gpu::skeleton::{charge_interp, gpu_stats, Grid, RowBlocks, F32};
 use crate::inputs::GraphTensors;
+use crate::ops::{self, with_reduce_op, MessageOp, ReduceOp, Sink, WithMessage};
 use crate::RunStats;
-
-const F32: usize = std::mem::size_of::<f32>();
 
 /// Hybrid (degree-split) partitioning options (§III-C3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,8 +31,9 @@ pub struct HybridOptions {
     /// Source vertices with out-degree `>= degree_threshold` are staged in
     /// shared memory.
     pub degree_threshold: usize,
-    /// Shared-memory budget per block for staged rows (default 48 KB, the
-    /// V100 default carve-out).
+    /// Shared-memory budget per block for staged rows (default 24 KB). A
+    /// footprint larger than the device's per-SM shared memory is rejected
+    /// at compile time.
     pub shared_budget_bytes: usize,
 }
 
@@ -33,6 +45,13 @@ impl Default for HybridOptions {
             // staging never starves occupancy
             shared_budget_bytes: 24 * 1024,
         }
+    }
+}
+
+impl HybridOptions {
+    /// Source rows of `d` floats staged per stage.
+    fn rows_per_stage(&self, d: usize) -> usize {
+        (self.shared_budget_bytes / (d * F32).max(1)).max(1)
     }
 }
 
@@ -69,20 +88,26 @@ impl GpuSpmmOptions {
     }
 }
 
+/// How a recognized pattern is priced.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Elementwise,
+    Mlp,
+    Generic,
+}
+
 /// A compiled GPU generalized-SpMM kernel.
 pub struct GpuSpmm {
     udf: Udf,
     agg: Reducer,
     fds: Fds,
     pattern: KernelPattern,
-    csr: Csr,
-    eid_is_position: bool,
-    degrees: Vec<u32>,
+    kind: Kind,
+    /// Hybrid staging, when on and the pattern is element-wise.
+    hybrid: Option<HybridOptions>,
+    rows: RowBlocks,
     /// For hybrid: out-degree per source vertex.
     out_degrees: Vec<u32>,
-    num_vertices: usize,
-    num_edges: usize,
-    opts: GpuSpmmOptions,
 }
 
 impl GpuSpmm {
@@ -95,34 +120,40 @@ impl GpuSpmm {
         opts: &GpuSpmmOptions,
     ) -> Result<Self, KernelError> {
         udf.validate()?;
-        if opts.rows_per_block == 0 {
-            return Err(KernelError::BadSchedule("rows_per_block must be >= 1".into()));
-        }
-        if fds.gpu.threads_per_block == 0
-            || fds.gpu.threads_per_block > opts.device.max_threads_per_sm
-        {
-            return Err(KernelError::BadSchedule(format!(
-                "threads_per_block {} out of range",
-                fds.gpu.threads_per_block
-            )));
-        }
-        counter_add(Counter::KernelCompiles, 1);
+        let pattern = KernelPattern::of(udf);
+        let kind = match pattern {
+            KernelPattern::MlpSrcDst => Kind::Mlp,
+            KernelPattern::Dot | KernelPattern::MultiHeadDot { .. } | KernelPattern::Generic => {
+                Kind::Generic
+            }
+            _ => Kind::Elementwise,
+        };
+        let hybrid = opts.hybrid.filter(|_| kind == Kind::Elementwise);
+        let d = udf.out_len;
+        let shared_mem_bytes = match (kind, hybrid) {
+            // the shared tile holding src+dst sums (d1 floats)
+            (Kind::Mlp, _) => udf.red_len() * F32,
+            (_, Some(h)) => (h.rows_per_stage(d) * d * F32).min(h.shared_budget_bytes),
+            _ => 0,
+        };
+        let grid = Grid {
+            device: opts.device,
+            threads: fds.gpu.threads_per_block,
+            per_block: opts.rows_per_block,
+            items: graph.num_vertices(),
+            shared_mem_bytes,
+        };
         Ok(Self {
             udf: udf.clone(),
             agg,
             fds: *fds,
-            pattern: KernelPattern::of(udf),
-            csr: graph.in_csr().clone(),
-            eid_is_position: true,
-            degrees: (0..graph.num_vertices() as VId)
-                .map(|v| graph.in_degree(v) as u32)
-                .collect(),
+            pattern,
+            kind,
+            hybrid,
+            rows: RowBlocks::build(graph, grid)?,
             out_degrees: (0..graph.num_vertices() as VId)
                 .map(|v| graph.out_degree(v) as u32)
                 .collect(),
-            num_vertices: graph.num_vertices(),
-            num_edges: graph.num_edges(),
-            opts: *opts,
         })
     }
 
@@ -131,10 +162,9 @@ impl GpuSpmm {
         self.pattern
     }
 
-    /// Heap bytes held by the compiled plan (CSR copy + degree arrays).
+    /// Heap bytes held by the compiled plan (CSR copy + out-degree array).
     pub fn mem_bytes(&self) -> u64 {
-        self.csr.mem_bytes()
-            + ((self.degrees.len() + self.out_degrees.len()) * std::mem::size_of::<u32>()) as u64
+        self.rows.csr.mem_bytes() + (self.out_degrees.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Execute on the simulator; `RunStats::gpu_time_ms` carries the
@@ -144,474 +174,163 @@ impl GpuSpmm {
         inputs: &GraphTensors<'_, f32>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.udf, self.num_vertices, self.num_edges, out, self.num_vertices)?;
-        debug_assert!(self.eid_is_position);
-
+        let (n, m) = (self.rows.grid.items, self.rows.csr.nnz());
+        inputs.validate(&self.udf, n, m, out, n)?;
         let _run_span = span!(
             "gpu/spmm/run",
             "pattern={:?} d={} grid={} tpb={}",
             self.pattern,
             self.udf.out_len,
-            self.grid_dim(),
+            self.rows.grid.grid_dim(),
             self.fds.gpu.threads_per_block
         );
-        counter_add(Counter::EdgesProcessed, self.num_edges as u64);
+        counter_add(Counter::EdgesProcessed, m as u64);
+        let report = ops::lower(&self.udf, self.pattern, inputs, Launch { k: self, out });
+        Ok(gpu_stats(vec![report]))
+    }
 
-        let report = match self.pattern {
-            KernelPattern::CopySrc
-            | KernelPattern::CopyEdge
-            | KernelPattern::SrcOpDst(_)
-            | KernelPattern::SrcOpEdge(_)
-            | KernelPattern::SrcMulEdgeScalar => {
-                let mut kernel = ElemwiseKernel {
-                    plan: self,
-                    x: inputs.vertex,
-                    xd: inputs.dst_tensor(),
-                    xe: inputs.edge,
-                    out,
-                    kind: self.pattern,
-                };
-                launch(&self.opts.device, &mut kernel)
-            }
-            KernelPattern::MlpSrcDst => {
-                let mut kernel = MlpKernel {
-                    plan: self,
-                    x: inputs.vertex,
-                    xd: inputs.dst_tensor(),
-                    w: inputs.params[0],
-                    out,
-                };
-                launch(&self.opts.device, &mut kernel)
-            }
-            _ => {
-                let mut kernel = GenericKernel {
-                    plan: self,
-                    inputs,
-                    out,
-                };
-                launch(&self.opts.device, &mut kernel)
-            }
+    /// One launch: per block the staging, per destination row the in-edges
+    /// folded with `r` by `op` and charged per [`Kind`].
+    fn launch<R: ReduceOp, M: MessageOp>(
+        &self,
+        r: R,
+        op: M,
+        out: &mut Dense2<f32>,
+    ) -> LaunchReport {
+        let (d, d1) = (self.udf.out_len, self.udf.red_len());
+        let name = match self.kind {
+            Kind::Elementwise => "fg-spmm-elemwise",
+            Kind::Mlp => "fg-spmm-mlp",
+            Kind::Generic => "fg-spmm-generic",
         };
-        Ok(RunStats {
-            gpu_time_ms: Some(report.time_ms),
-            gpu_launches: vec![report],
-            softmax: None,
+        let (mut acc, mut scratch) = (vec![0f32; d], Vec::new());
+        self.rows.launch(name, |rows, ctx| {
+            let staged = self.stage(ctx, &rows, d);
+            if self.kind == Kind::Mlp {
+                // Weight matrix is re-read per block (resident in L2 on real
+                // hardware; charged once per block here).
+                ctx.global_contiguous(0, d1 * d, F32);
+            }
+            let mut to = Sink::new(&mut acc, 0..d, &mut scratch);
+            for dst in rows {
+                if self.kind == Kind::Mlp {
+                    ctx.global_contiguous(dst * d1, d1, F32);
+                }
+                self.rows
+                    .reduce_row(ctx, self.agg, dst, &mut to, out, |e, to, ctx| {
+                        op.edge(r, to, e);
+                        match self.kind {
+                            Kind::Elementwise => self.charge_elementwise(ctx, e, &staged),
+                            Kind::Mlp => self.charge_mlp(ctx, e.src),
+                            Kind::Generic => charge_interp(ctx, &self.udf),
+                        }
+                    });
+            }
         })
     }
 
-    fn grid_dim(&self) -> usize {
-        self.num_vertices.div_ceil(self.opts.rows_per_block).max(1)
-    }
-
-    fn block_rows(&self, block: usize) -> std::ops::Range<usize> {
-        let lo = block * self.opts.rows_per_block;
-        let hi = (lo + self.opts.rows_per_block).min(self.num_vertices);
-        lo..hi
-    }
-
-    /// Rows of staged sources per hybrid stage, given the feature width.
-    fn hybrid_rows_per_stage(&self, d: usize) -> usize {
-        let h = self.opts.hybrid.expect("hybrid only");
-        (h.shared_budget_bytes / (d * F32).max(1)).max(1)
-    }
-}
-
-/// Account the read of one source-feature row, staging-aware. Returns true
-/// if served from shared memory.
-#[inline]
-fn account_row_read(
-    plan: &GpuSpmm,
-    ctx: &mut BlockCtx<'_>,
-    src: VId,
-    d: usize,
-    staged: Option<&[VId]>,
-    coalesced: bool,
-) -> bool {
-    if let (Some(h), Some(staged)) = (plan.opts.hybrid, staged) {
-        if plan.out_degrees[src as usize] as usize >= h.degree_threshold
-            && staged.binary_search(&src).is_ok()
-        {
+    /// Hybrid staging for a block: its distinct high-out-degree sources are
+    /// loaded from global into shared memory once, in stages of what the
+    /// budget holds; every stage past the first re-reads and re-writes the
+    /// block's output accumulators (the Fig. 6 merge cost, on GPU). Returns
+    /// the sorted staged sources (none when hybrid is off).
+    fn stage(&self, ctx: &mut BlockCtx<'_>, rows: &std::ops::Range<usize>, d: usize) -> Vec<VId> {
+        let Some(h) = self.hybrid else {
+            return Vec::new();
+        };
+        let csr = &self.rows.csr;
+        let srcs = rows
+            .clone()
+            .flat_map(|dst| csr.row(dst as VId).iter().copied());
+        let high = |&src: &VId| self.out_degrees[src as usize] as usize >= h.degree_threshold;
+        let mut staged: Vec<VId> = srcs.filter(high).collect();
+        staged.sort_unstable();
+        staged.dedup();
+        if staged.is_empty() {
+            return staged;
+        }
+        for &src in &staged {
+            ctx.global_contiguous(src as usize * d, d, F32);
             ctx.shared(d as u64);
-            return true;
         }
-    }
-    if coalesced {
-        // feature axis bound to thread.x: warp lanes read consecutive
-        // elements of the row (Fig. 7a)
-        ctx.global_contiguous(src as usize * d, d, F32);
-    } else {
-        // feature-dimension-blind: each thread walks a different row, so
-        // concurrent lanes touch unrelated addresses
-        ctx.global_scattered(d, F32);
-    }
-    false
-}
-
-/// Shared accounting for the start of a block: index reads.
-#[inline]
-fn account_index_reads(plan: &GpuSpmm, ctx: &mut BlockCtx<'_>, rows: &std::ops::Range<usize>) {
-    let start = plan.csr.row_start(rows.start as VId);
-    let end = plan.csr.row_start(rows.end as VId);
-    // indptr entries + column indices for the whole block, coalesced.
-    ctx.global_contiguous(rows.start, rows.len() + 1, std::mem::size_of::<usize>());
-    ctx.global_contiguous(start, end - start, std::mem::size_of::<VId>());
-}
-
-/// Hybrid staging for a block: determine staged source set, account the
-/// stage loads and merge overhead. Returns the sorted staged sources
-/// (empty when hybrid is off).
-fn account_hybrid_staging(
-    plan: &GpuSpmm,
-    ctx: &mut BlockCtx<'_>,
-    rows: &std::ops::Range<usize>,
-    d: usize,
-) -> Vec<VId> {
-    let Some(h) = plan.opts.hybrid else {
-        return Vec::new();
-    };
-    // Distinct high-degree sources feeding this block.
-    let mut high: Vec<VId> = Vec::new();
-    for dst in rows.clone() {
-        for &src in plan.csr.row(dst as VId) {
-            if plan.out_degrees[src as usize] as usize >= h.degree_threshold {
-                high.push(src);
-            }
-        }
-    }
-    high.sort_unstable();
-    high.dedup();
-    if high.is_empty() {
-        return high;
-    }
-    let per_stage = plan.hybrid_rows_per_stage(d);
-    let stages = high.len().div_ceil(per_stage);
-    ctx.alloc_shared((per_stage.min(high.len()) * d * F32).min(h.shared_budget_bytes));
-    // Stage loads: each staged row read from global once, written to shared.
-    for &src in &high {
-        ctx.global_contiguous(src as usize * d, d, F32);
-        ctx.shared(d as u64);
-    }
-    ctx.barrier();
-    // Merge overhead: each extra stage re-reads and re-writes the block's
-    // output accumulators (the Fig. 6 merge cost, on GPU).
-    if stages > 1 {
-        let merge_elems = rows.len() * d;
-        for _ in 1..stages {
-            ctx.global_contiguous(rows.start * d, merge_elems, F32);
-            ctx.global_contiguous(rows.start * d, merge_elems, F32);
+        ctx.barrier();
+        for _ in 1..staged.len().div_ceil(h.rows_per_stage(d)) {
+            ctx.global_contiguous(rows.start * d, rows.len() * d, F32);
+            ctx.global_contiguous(rows.start * d, rows.len() * d, F32);
             ctx.barrier();
         }
+        staged
     }
-    high
-}
 
-/// Fused element-wise SpMM (copy/add/mul/sub messages).
-struct ElemwiseKernel<'a> {
-    plan: &'a GpuSpmm,
-    x: &'a Dense2<f32>,
-    xd: &'a Dense2<f32>,
-    xe: Option<&'a Dense2<f32>>,
-    out: &'a mut Dense2<f32>,
-    kind: KernelPattern,
-}
-
-impl GpuKernel for ElemwiseKernel<'_> {
-    fn name(&self) -> &'static str {
-        "fg-spmm-elemwise"
-    }
-    fn grid_dim(&self) -> usize {
-        self.plan.grid_dim()
-    }
-    fn block_dim(&self) -> usize {
-        self.plan.fds.gpu.threads_per_block
-    }
-    fn shared_mem_bytes(&self) -> usize {
-        match self.plan.opts.hybrid {
-            Some(h) => {
-                let d = self.plan.udf.out_len;
-                (self.plan.hybrid_rows_per_stage(d) * d * F32).min(h.shared_budget_bytes)
+    /// An element-wise message: the source row (staging-aware), the second
+    /// operand, the op and the aggregation combine.
+    fn charge_elementwise(&self, ctx: &mut BlockCtx<'_>, e: ops::Edge, staged: &[VId]) {
+        let d = self.udf.out_len;
+        let (eid, feature_parallel) = (e.eid as usize, self.fds.gpu.bind_out != GpuBind::None);
+        // the second operand's (offset, length) and whether the op costs ALU
+        let (operand, op_alu) = match self.pattern {
+            KernelPattern::CopyEdge => (Some((eid * d, d)), false),
+            KernelPattern::SrcOpEdge(_) => (Some((eid * d, d)), true),
+            KernelPattern::SrcOpDst(_) => (Some((e.dst as usize * d, d)), true),
+            KernelPattern::SrcMulEdgeScalar => (Some((eid, 1)), true),
+            _ => (None, false), // copy-src
+        };
+        if self.pattern != KernelPattern::CopyEdge {
+            if staged.binary_search(&e.src).is_ok() {
+                ctx.shared(d as u64);
+            } else if feature_parallel {
+                // feature axis bound to thread.x: warp lanes read consecutive
+                // elements of the row (Fig. 7a)
+                ctx.global_contiguous(e.src as usize * d, d, F32);
+            } else {
+                // feature-dimension-blind: each thread walks a different row,
+                // so concurrent lanes touch unrelated addresses
+                ctx.global_scattered(d, F32);
             }
-            None => 0,
+        }
+        if let Some((at, len)) = operand {
+            ctx.global_contiguous(at, len, F32);
+        }
+        if op_alu {
+            ctx.alu(d as u64);
+        }
+        if feature_parallel {
+            ctx.alu(d as u64); // the aggregation combine, one lane per element
+        } else {
+            ctx.warp_exec(1, d as u64);
         }
     }
-    fn run_block(&mut self, block: usize, ctx: &mut BlockCtx<'_>) {
-        let plan = self.plan;
-        let d = plan.udf.out_len;
-        let rows = plan.block_rows(block);
-        let feature_parallel = plan.fds.gpu.bind_out != GpuBind::None;
 
-        account_index_reads(plan, ctx, &rows);
-        let staged = account_hybrid_staging(plan, ctx, &rows, d);
-        let staged_opt = (!staged.is_empty()).then_some(staged.as_slice());
-
-        let mut acc = vec![0.0f32; d];
-        for dst in rows {
-            let dst = dst as VId;
-            let srcs = plan.csr.row(dst);
-            let base = plan.csr.row_start(dst);
-            acc.fill(plan.agg.identity());
-            for (i, &src) in srcs.iter().enumerate() {
-                let eid = (base + i) as u32;
-                // functional message + ALU/memory accounting
-                match self.kind {
-                    KernelPattern::CopySrc => {
-                        account_row_read(plan, ctx, src, d, staged_opt, feature_parallel);
-                        combine(plan.agg, &mut acc, self.x.row(src as usize), |v| v);
-                    }
-                    KernelPattern::CopyEdge => {
-                        let xe = self.xe.expect("validated");
-                        ctx.global_contiguous(eid as usize * d, d, F32);
-                        combine(plan.agg, &mut acc, xe.row(eid as usize), |v| v);
-                    }
-                    KernelPattern::SrcMulEdgeScalar => {
-                        let xe = self.xe.expect("validated");
-                        account_row_read(plan, ctx, src, d, staged_opt, feature_parallel);
-                        ctx.global_contiguous(eid as usize, 1, F32);
-                        let wscalar = xe.at(eid as usize, 0);
-                        combine(plan.agg, &mut acc, self.x.row(src as usize), |v| v * wscalar);
-                        ctx.alu(d as u64);
-                    }
-                    KernelPattern::SrcOpDst(op) => {
-                        account_row_read(plan, ctx, src, d, staged_opt, feature_parallel);
-                        ctx.global_contiguous(dst as usize * d, d, F32);
-                        let drow = self.xd.row(dst as usize);
-                        combine2(plan.agg, op, &mut acc, self.x.row(src as usize), drow);
-                        ctx.alu(d as u64);
-                    }
-                    KernelPattern::SrcOpEdge(op) => {
-                        let xe = self.xe.expect("validated");
-                        account_row_read(plan, ctx, src, d, staged_opt, feature_parallel);
-                        ctx.global_contiguous(eid as usize * d, d, F32);
-                        combine2(plan.agg, op, &mut acc, self.x.row(src as usize), xe.row(eid as usize));
-                        ctx.alu(d as u64);
-                    }
-                    _ => unreachable!("elemwise kernel on non-elemwise pattern"),
-                }
-                if feature_parallel {
-                    ctx.alu(d as u64); // the aggregation combine, one lane per element
-                } else {
-                    // feature-dimension-blind: one thread walks the row
-                    ctx.warp_exec(1, d as u64);
-                }
-            }
-            let deg = plan.degrees[dst as usize] as usize;
-            let orow = self.out.row_mut(dst as usize);
-            for (o, &a) in orow.iter_mut().zip(&acc) {
-                *o = plan.agg.finalize(a, deg);
-            }
-            ctx.global_contiguous(dst as usize * d, d, F32);
+    /// An MLP message (output axis on blocks/threads, reduce axis
+    /// in-thread): the source row, `src + dst` staged in shared memory, then
+    /// the dense `(1×d1)·(d1×d2)` product.
+    fn charge_mlp(&self, ctx: &mut BlockCtx<'_>, src: VId) {
+        let (d1, d2) = (self.udf.red_len(), self.udf.out_len);
+        ctx.global_contiguous(src as usize * d1, d1, F32);
+        ctx.alu(d1 as u64);
+        ctx.shared(d1 as u64);
+        ctx.barrier();
+        if self.fds.gpu.bind_out != GpuBind::None {
+            ctx.alu((2 * d1 * d2 + d2) as u64);
+            ctx.shared((d1 * d2) as u64); // tmp re-reads from shared
+        } else {
+            ctx.warp_exec(1, (2 * d1 * d2) as u64);
         }
     }
 }
 
-/// Fused MLP-aggregation SpMM (Fig. 9 schedule: output axis on blocks/
-/// threads, reduce axis in-thread).
-struct MlpKernel<'a> {
-    plan: &'a GpuSpmm,
-    x: &'a Dense2<f32>,
-    xd: &'a Dense2<f32>,
-    w: &'a Dense2<f32>,
+/// The SpMM launch over one lowered message op.
+struct Launch<'a> {
+    k: &'a GpuSpmm,
     out: &'a mut Dense2<f32>,
 }
 
-impl GpuKernel for MlpKernel<'_> {
-    fn name(&self) -> &'static str {
-        "fg-spmm-mlp"
-    }
-    fn grid_dim(&self) -> usize {
-        self.plan.grid_dim()
-    }
-    fn block_dim(&self) -> usize {
-        self.plan.fds.gpu.threads_per_block
-    }
-    fn shared_mem_bytes(&self) -> usize {
-        // the shared tile holding src+dst sums (d1 floats)
-        self.plan.udf.red_len() * F32
-    }
-    fn run_block(&mut self, block: usize, ctx: &mut BlockCtx<'_>) {
-        let plan = self.plan;
-        let d1 = plan.udf.red_len();
-        let d2 = plan.udf.out_len;
-        let rows = plan.block_rows(block);
-        let feature_parallel = plan.fds.gpu.bind_out != GpuBind::None;
+impl WithMessage for Launch<'_> {
+    type Out = LaunchReport;
 
-        account_index_reads(plan, ctx, &rows);
-        ctx.alloc_shared(d1 * F32);
-        // Weight matrix is re-read per block (resident in L2 on real
-        // hardware; charged once per block here).
-        ctx.global_contiguous(0, d1 * d2, F32);
-
-        let mut tmp = vec![0.0f32; d1];
-        let mut acc = vec![0.0f32; d2];
-        for dst in rows {
-            let dst = dst as VId;
-            let srcs = plan.csr.row(dst);
-            acc.fill(plan.agg.identity());
-            let drow = self.xd.row(dst as usize);
-            ctx.global_contiguous(dst as usize * d1, d1, F32);
-            for &src in srcs {
-                ctx.global_contiguous(src as usize * d1, d1, F32);
-                let srow = self.x.row(src as usize);
-                for ((t, &a), &b) in tmp.iter_mut().zip(srow).zip(drow) {
-                    *t = a + b;
-                }
-                ctx.alu(d1 as u64);
-                ctx.shared(d1 as u64); // stage tmp
-                ctx.barrier();
-                // dense (1×d1)·(d1×d2): every element of W used once
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let mut s = 0.0f32;
-                    for (k, &t) in tmp.iter().enumerate() {
-                        s += t * self.w.at(k, i);
-                    }
-                    let m = s.max(0.0);
-                    *a = plan.agg.combine(*a, m);
-                }
-                if feature_parallel {
-                    ctx.alu((2 * d1 * d2 + d2) as u64);
-                    ctx.shared((d1 * d2) as u64); // tmp re-reads from shared
-                } else {
-                    ctx.warp_exec(1, (2 * d1 * d2) as u64);
-                }
-            }
-            let deg = plan.degrees[dst as usize] as usize;
-            let orow = self.out.row_mut(dst as usize);
-            for (o, &a) in orow.iter_mut().zip(&acc) {
-                *o = plan.agg.finalize(a, deg);
-            }
-            ctx.global_contiguous(dst as usize * d2, d2, F32);
-        }
-    }
-}
-
-/// Interpreter fallback on GPU: per-edge UDF evaluation, serialized per
-/// thread (the cost a blackbox-UDF system pays).
-struct GenericKernel<'a, 'b> {
-    plan: &'a GpuSpmm,
-    inputs: &'a GraphTensors<'b, f32>,
-    out: &'a mut Dense2<f32>,
-}
-
-impl GpuKernel for GenericKernel<'_, '_> {
-    fn name(&self) -> &'static str {
-        "fg-spmm-generic"
-    }
-    fn grid_dim(&self) -> usize {
-        self.plan.grid_dim()
-    }
-    fn block_dim(&self) -> usize {
-        self.plan.fds.gpu.threads_per_block
-    }
-    fn run_block(&mut self, block: usize, ctx: &mut BlockCtx<'_>) {
-        let plan = self.plan;
-        let udf = &plan.udf;
-        let d = udf.out_len;
-        let rows = plan.block_rows(block);
-        let empty: [f32; 0] = [];
-        account_index_reads(plan, ctx, &rows);
-
-        let flops = udf.flops_per_edge() as u64;
-        let mut acc = vec![0.0f32; d];
-        for dst in rows {
-            let dst = dst as VId;
-            let srcs = plan.csr.row(dst);
-            let base = plan.csr.row_start(dst);
-            acc.fill(plan.agg.identity());
-            for (i, &src) in srcs.iter().enumerate() {
-                let eid = (base + i) as u32;
-                if udf.src_len > 0 {
-                    ctx.global_scattered(udf.src_len, F32);
-                }
-                if udf.dst_len > 0 {
-                    ctx.global_scattered(udf.dst_len, F32);
-                }
-                if udf.edge_len > 0 {
-                    ctx.global_scattered(udf.edge_len, F32);
-                }
-                let ectx = EdgeCtx {
-                    src: if udf.src_len > 0 { self.inputs.vertex.row(src as usize) } else { &empty },
-                    dst: if udf.dst_len > 0 {
-                        self.inputs.dst_tensor().row(dst as usize)
-                    } else {
-                        &empty
-                    },
-                    edge: match self.inputs.edge {
-                        Some(e) if udf.edge_len > 0 => e.row(eid as usize),
-                        _ => &empty,
-                    },
-                };
-                let agg = plan.agg;
-                eval_udf(udf, &ectx, self.inputs.params, &mut acc, |slot, v| {
-                    *slot = agg.combine(*slot, v)
-                });
-                ctx.warp_exec(1, flops);
-            }
-            let deg = plan.degrees[dst as usize] as usize;
-            let orow = self.out.row_mut(dst as usize);
-            for (o, &a) in orow.iter_mut().zip(&acc) {
-                *o = plan.agg.finalize(a, deg);
-            }
-            ctx.global_contiguous(dst as usize * d, d, F32);
-        }
-    }
-}
-
-#[inline(always)]
-fn combine(agg: Reducer, acc: &mut [f32], msg: &[f32], f: impl Fn(f32) -> f32) {
-    match agg {
-        Reducer::Sum | Reducer::Mean => {
-            for (a, &m) in acc.iter_mut().zip(msg) {
-                *a += f(m);
-            }
-        }
-        Reducer::Max => {
-            for (a, &m) in acc.iter_mut().zip(msg) {
-                let v = f(m);
-                if v > *a {
-                    *a = v;
-                }
-            }
-        }
-        Reducer::Min => {
-            for (a, &m) in acc.iter_mut().zip(msg) {
-                let v = f(m);
-                if v < *a {
-                    *a = v;
-                }
-            }
-        }
-    }
-}
-
-#[inline(always)]
-fn combine2(agg: Reducer, op: ElemOp, acc: &mut [f32], a: &[f32], b: &[f32]) {
-    let apply = |x: f32, y: f32| match op {
-        ElemOp::Add => x + y,
-        ElemOp::Mul => x * y,
-        ElemOp::Sub => x - y,
-    };
-    match agg {
-        Reducer::Sum | Reducer::Mean => {
-            for ((s, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-                *s += apply(x, y);
-            }
-        }
-        Reducer::Max => {
-            for ((s, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-                let v = apply(x, y);
-                if v > *s {
-                    *s = v;
-                }
-            }
-        }
-        Reducer::Min => {
-            for ((s, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-                let v = apply(x, y);
-                if v < *s {
-                    *s = v;
-                }
-            }
-        }
+    fn run<M: MessageOp + Copy>(self, op: M) -> LaunchReport {
+        let (k, out) = (self.k, self.out);
+        with_reduce_op!(k.agg, |r| k.launch(r, op, out))
     }
 }
 

@@ -47,6 +47,7 @@ pub mod cpu;
 pub mod error;
 pub mod gpu;
 pub mod inputs;
+mod ops;
 pub mod reference;
 pub mod util;
 

@@ -1,4 +1,4 @@
-//! The op slots of the CPU kernel skeletons.
+//! The op slots every kernel template computes with, on both targets.
 //!
 //! SpMM, SDDMM and their fusion are one loop nest with three slots (the
 //! FusedMM decomposition): the **storage** the vertex rows are read from
@@ -11,7 +11,13 @@
 //! The message op is the same object under every template; only the sink
 //! differs. SpMM folds it into the destination row with [`sum`] / [`max`] /
 //! [`min`], SDDMM [`store`]s it into the edge row, and the fused template
-//! wraps the reducer in [`scaled`] by the edge's attention weight.
+//! wraps the reducer in [`scaled`] by the edge's attention weight, computed
+//! by a [`ScoreOp`].
+//!
+//! Nothing here knows the target. The CPU skeletons (`cpu::skeleton`) and
+//! the simulated-GPU skeleton (`gpu::skeleton`) differ in how they traverse
+//! the graph and what they charge, never in the arithmetic: both lower a UDF
+//! with [`lower`] / [`lower_fused`] and fold with these ops.
 
 use std::any::Any;
 use std::borrow::Cow;
@@ -19,11 +25,11 @@ use std::mem::size_of;
 use std::ops::Range;
 
 use fg_ir::interp::{eval_udf, EdgeCtx};
-use fg_ir::Udf;
+use fg_ir::{FusedOp, FusedPattern, KernelPattern, Udf};
 use fg_tensor::half::{dequantize, WIDEN_CHUNK};
 use fg_tensor::{Dense2, FeatElem};
 
-use crate::inputs::GraphTensors;
+use crate::inputs::{FusedInputs, GraphTensors};
 
 /// How one message element `m` is folded into its slot of the sink row.
 /// Reducers are zero-sized function items (or [`scaled`]'s closure), so a
@@ -66,6 +72,20 @@ pub(crate) fn store(acc: &mut f32, m: f32) {
 pub(crate) fn scaled(w: f32, r: impl ReduceOp) -> impl ReduceOp {
     move |acc: &mut f32, m: f32| r(acc, w * m)
 }
+
+/// Resolve a runtime [`fg_ir::Reducer`] to its reduce op, once, outside
+/// every loop: the continuation `$k` is compiled per op. `Mean` folds as a
+/// sum; its division is the finalize sweep.
+macro_rules! with_reduce_op {
+    ($agg:expr, $k:expr) => {
+        match $agg {
+            fg_ir::Reducer::Sum | fg_ir::Reducer::Mean => ($k)($crate::ops::sum),
+            fg_ir::Reducer::Max => ($k)($crate::ops::max),
+            fg_ir::Reducer::Min => ($k)($crate::ops::min),
+        }
+    };
+}
+pub(crate) use with_reduce_op;
 
 // Storage tiers and the combine primitive.
 //
@@ -166,6 +186,10 @@ pub(crate) fn dot<A: FeatElem, B: FeatElem>(a: &[A], b: &[B]) -> f32 {
 
 /// A per-edge message function, evaluated straight into a sink row.
 pub(crate) trait MessageOp: Sync {
+    /// True when the op evaluates whole output rows, so a pass over it is
+    /// never column-tiled.
+    const WHOLE_ROWS: bool = false;
+
     /// Operand bytes read per edge for a `w`-column tile. The skeleton adds
     /// the sink row's own `4 · w`.
     fn bytes_per_edge(&self, w: usize) -> usize;
@@ -178,6 +202,8 @@ pub(crate) trait MessageOp: Sync {
 /// recognized ops are a few references wide and `Copy`) can still be handed
 /// the interpreter, which owns widened operands, by reference.
 impl<M: MessageOp> MessageOp for &M {
+    const WHOLE_ROWS: bool = M::WHOLE_ROWS;
+
     fn bytes_per_edge(&self, w: usize) -> usize {
         (**self).bytes_per_edge(w)
     }
@@ -206,6 +232,12 @@ pub(crate) struct Sink<'a> {
     pub scratch: &'a mut Vec<f32>,
 }
 
+impl<'a> Sink<'a> {
+    pub(crate) fn new(out: &'a mut [f32], cols: Range<usize>, scratch: &'a mut Vec<f32>) -> Self {
+        Self { out, cols, scratch }
+    }
+}
+
 /// Resolve a runtime [`fg_ir::pattern::ElemOp`] to a closure type, once,
 /// outside every loop: the continuation `$k` is compiled per operator.
 macro_rules! with_elem_op {
@@ -217,7 +249,6 @@ macro_rules! with_elem_op {
         }
     };
 }
-pub(crate) use with_elem_op;
 
 /// `msg[i] = rows[k][i]` with `k` the edge's source vertex or, `BY_EDGE`,
 /// its edge id.
@@ -295,6 +326,7 @@ impl<V: FeatElem> MessageOp for SrcScalar<'_, V> {
 /// `msg[i] = relu(Σ_k (src[k] + dst[k]) · W[k][i])` (MLP aggregation,
 /// Fig. 3b). The output axis is tiled by the skeleton (`cols`); the reduce
 /// axis is walked in index order, which any `reduce_tiles` split of it is.
+#[derive(Clone, Copy)]
 pub(crate) struct Mlp<'a, V> {
     pub x: &'a Dense2<V>,
     pub xd: &'a Dense2<V>,
@@ -327,7 +359,7 @@ impl<V: FeatElem> MessageOp for Mlp<'_, V> {
 }
 
 /// Interpreter fallback: correct for every expressible UDF. Evaluates whole
-/// output rows, so passes over it are never column-tiled. The interpreter
+/// output rows ([`MessageOp::WHOLE_ROWS`]). The interpreter
 /// reads scalars at arbitrary indices — there is no row stream to decode on
 /// the fly — so half-precision vertex tensors are widened once per run.
 pub(crate) struct Interp<'a> {
@@ -375,6 +407,8 @@ impl<'a> Interp<'a> {
 }
 
 impl MessageOp for Interp<'_> {
+    const WHOLE_ROWS: bool = true;
+
     fn bytes_per_edge(&self, _: usize) -> usize {
         (self.udf.src_len + self.udf.dst_len + self.udf.edge_len) * size_of::<f32>()
     }
@@ -412,6 +446,143 @@ impl<V: FeatElem, const ONE_HEAD: bool> MessageOp for HeadDot<'_, V, ONE_HEAD> {
         for (h, o) in to.out.iter_mut().enumerate() {
             let head = h * self.d..(h + 1) * self.d;
             r(o, dot(&a[head.clone()], &b[head]));
+        }
+    }
+}
+
+/// A per-edge scalar score (the SDDMM half of the fused operator).
+pub(crate) trait ScoreOp: Sync {
+    /// The score of `dst`'s in-edges, with the destination-side operand
+    /// hoisted out of the row's edge loop.
+    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_;
+
+    /// The largest score among `edges`, all into `dst` (−∞ if there are
+    /// none).
+    fn row_max(&self, dst: u32, edges: impl Iterator<Item = Edge>) -> f32 {
+        edges
+            .map(self.for_dst(dst))
+            .fold(f32::NEG_INFINITY, f32::max)
+    }
+}
+
+/// GAT additive attention, `leaky_relu(sl[src] + sr[dst])`.
+pub(crate) struct GatScore<'a, V> {
+    sl: &'a Dense2<V>,
+    sr: &'a Dense2<V>,
+    slope: f32,
+}
+
+#[inline(always)]
+pub(crate) fn leaky_relu(v: f32, slope: f32) -> f32 {
+    if v > 0.0 { v } else { slope * v }
+}
+
+impl<V: FeatElem> ScoreOp for GatScore<'_, V> {
+    #[inline(always)]
+    fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_ {
+        let sr = self.sr.at(dst as usize, 0).load();
+        move |e| leaky_relu(self.sl.at(e.src as usize, 0).load() + sr, self.slope)
+    }
+
+    /// Leaky-relu is monotonic, so the row's max score is
+    /// `leaky(max sl[src] + sr[dst])`: the per-edge work collapses to one
+    /// load + compare.
+    #[inline(always)]
+    fn row_max(&self, dst: u32, edges: impl Iterator<Item = Edge>) -> f32 {
+        let sl = |e: Edge| self.sl.at(e.src as usize, 0).load();
+        let z = edges.map(sl).fold(f32::NEG_INFINITY, f32::max);
+        if z > f32::NEG_INFINITY {
+            leaky_relu(z + self.sr.at(dst as usize, 0).load(), self.slope)
+        } else {
+            z
+        }
+    }
+}
+
+/// Any scalar score UDF, through the interpreter.
+pub(crate) struct UdfScore<'a>(Interp<'a>);
+
+impl ScoreOp for UdfScore<'_> {
+    #[inline(always)]
+    fn for_dst(&self, _: u32) -> impl Fn(Edge) -> f32 + '_ {
+        move |e| {
+            let mut s = [0f32];
+            self.0.eval(store, &mut s, e);
+            s[0]
+        }
+    }
+}
+
+/// What a template does with a lowered UDF, compiled once per message op.
+pub(crate) trait WithMessage {
+    type Out;
+    fn run<M: MessageOp + Copy>(self, op: M) -> Self::Out;
+}
+
+/// The one `KernelPattern` → message-op lowering, shared by every template
+/// on both targets. The dot patterns reduce rather than map element-wise:
+/// only the SDDMM templates give them their own op ([`HeadDot`]); here they,
+/// like every unrecognized UDF, run the interpreter.
+pub(crate) fn lower<'a, V: FeatElem, K: WithMessage>(
+    udf: &'a Udf,
+    pattern: KernelPattern,
+    inputs: &GraphTensors<'a, f32, V>,
+    k: K,
+) -> K::Out {
+    let (x, xd) = (inputs.vertex, inputs.dst_tensor());
+    // Present whenever the pattern reads it: `validate` checked.
+    let xe = || inputs.edge.expect("validated");
+    match pattern {
+        KernelPattern::CopySrc => k.run(CopySrc { rows: x }),
+        KernelPattern::CopyEdge => k.run(CopyEdge { rows: xe() }),
+        KernelPattern::SrcOpEdge(op) => with_elem_op!(op, |f| k.run(SrcEdge { x, b: xe(), f })),
+        KernelPattern::SrcOpDst(op) => with_elem_op!(op, |f| k.run(SrcDst { x, b: xd, f })),
+        KernelPattern::SrcMulEdgeScalar => k.run(SrcScalar { x, w: xe() }),
+        KernelPattern::MlpSrcDst => k.run(Mlp {
+            x,
+            xd,
+            w: inputs.params[0],
+        }),
+        _ => k.run(&Interp::new(udf, inputs)),
+    }
+}
+
+/// What a fused template does with a lowered score and message op.
+pub(crate) trait WithFused {
+    type Out;
+    fn run<S: ScoreOp, M: MessageOp>(self, score: &S, msg: &M) -> Self::Out;
+}
+
+/// The fused operator's lowering, shared by both targets: the GAT score over
+/// a copy-src message, else the interpreted score over a copy-src or an
+/// interpreted message.
+pub(crate) fn lower_fused<'a, V: FeatElem, K: WithFused>(
+    op: &'a FusedOp,
+    pattern: FusedPattern,
+    inputs: &FusedInputs<'a, f32, V>,
+    k: K,
+) -> K::Out {
+    let rows = inputs.message.vertex;
+    match pattern {
+        // Recognized only over a copy-src message.
+        FusedPattern::GatAttention { slope } => {
+            let (sl, sr) = (inputs.score.vertex, inputs.score.dst_tensor());
+            k.run(
+                &GatScore {
+                    sl,
+                    sr,
+                    slope: slope as f32,
+                },
+                &CopySrc { rows },
+            )
+        }
+        FusedPattern::Generic => {
+            let score = UdfScore(Interp::new(&op.score, &inputs.score));
+            if KernelPattern::of(&op.message) == KernelPattern::CopySrc {
+                k.run(&score, &CopySrc { rows })
+            } else {
+                k.run(&score, &Interp::new(&op.message, &inputs.message))
+            }
         }
     }
 }

@@ -357,3 +357,51 @@ fn autotune_on_edgeless_graph() {
     let r = tune_spmm_cpu_adaptive(&g, &udf, Reducer::Sum, &inputs, 2, 2, 1, 1).unwrap();
     assert_eq!(r.best.graph_partitions, 1);
 }
+
+/// Compile copy-src (or `udf`) SpMM for the 16 KB-shared-memory `tiny` GPU.
+fn compile_on_tiny(
+    udf: &Udf,
+    hybrid: Option<featgraph::gpu::spmm::HybridOptions>,
+) -> Result<featgraph::SpmmKernel, KernelError> {
+    let g = fg_graph::generators::two_tier(4, 30, 60, 3, 1);
+    let opts = featgraph::gpu::spmm::GpuSpmmOptions {
+        device: fg_gpusim::DeviceConfig::tiny(),
+        rows_per_block: 8,
+        hybrid,
+    };
+    let fds = Fds::gpu_thread_x(32);
+    featgraph::spmm_with_options(&g, udf, Reducer::Max, &fds, Target::Gpu, None, Some(&opts))
+}
+
+#[test]
+fn mlp_tile_past_the_sms_shared_memory_is_a_schedule_error() {
+    // The staged `src + dst` row of 4097 floats is 16388 B > 16 KB: no block
+    // could launch. It used to compile and panic in the first block.
+    let err = compile_on_tiny(&Udf::mlp(4097, 4), None).err();
+    assert!(matches!(err, Some(KernelError::BadSchedule(_))), "{err:?}");
+    // 4096 floats fill the SM exactly and run.
+    let k = compile_on_tiny(&Udf::mlp(4096, 4), None).unwrap();
+    let (x, w) = (lattice_features(64, 4096), lattice_features(4096, 4));
+    let params = [&w];
+    let mut out = Dense2::zeros(64, 4);
+    k.run(&GraphTensors::with_params(&x, &params), &mut out).unwrap();
+}
+
+#[test]
+fn hybrid_budget_past_the_sms_shared_memory_is_a_schedule_error() {
+    // A 32 KB staging budget on a 16 KB SM used to be priced at occupancy 1
+    // and panic once a block staged enough rows.
+    use featgraph::gpu::spmm::HybridOptions;
+    let hybrid = |shared_budget_bytes| {
+        Some(HybridOptions {
+            degree_threshold: 2,
+            shared_budget_bytes,
+        })
+    };
+    let err = compile_on_tiny(&Udf::copy_src(4), hybrid(32 * 1024)).err();
+    assert!(matches!(err, Some(KernelError::BadSchedule(_))), "{err:?}");
+    let k = compile_on_tiny(&Udf::copy_src(4), hybrid(16 * 1024)).unwrap();
+    let x = lattice_features(64, 4);
+    let mut out = Dense2::zeros(64, 4);
+    k.run(&GraphTensors::vertex_only(&x), &mut out).unwrap();
+}

@@ -9,11 +9,12 @@ use crate::coalesce;
 use crate::device::DeviceConfig;
 use crate::tally::CostTally;
 
-/// Accounting context for one block's execution.
+/// Accounting context for one block's execution. A block's shared memory is
+/// its kernel's static [`crate::GpuKernel::shared_mem_bytes`]; the kernel
+/// templates check it against the SM when they compile.
 pub struct BlockCtx<'d> {
     device: &'d DeviceConfig,
     tally: CostTally,
-    shared_bytes_used: usize,
 }
 
 impl<'d> BlockCtx<'d> {
@@ -22,7 +23,6 @@ impl<'d> BlockCtx<'d> {
         Self {
             device,
             tally: CostTally::default(),
-            shared_bytes_used: 0,
         }
     }
 
@@ -34,26 +34,6 @@ impl<'d> BlockCtx<'d> {
     /// Final tally for the block.
     pub fn into_tally(self) -> CostTally {
         self.tally
-    }
-
-    /// Reserve `bytes` of the block's shared memory.
-    ///
-    /// # Panics
-    /// Panics if the block's cumulative allocation exceeds the per-SM
-    /// capacity — a real kernel with that footprint would fail to launch.
-    pub fn alloc_shared(&mut self, bytes: usize) {
-        self.shared_bytes_used += bytes;
-        assert!(
-            self.shared_bytes_used <= self.device.shared_mem_per_sm,
-            "shared memory over-allocated: {} > {} bytes",
-            self.shared_bytes_used,
-            self.device.shared_mem_per_sm
-        );
-    }
-
-    /// Shared bytes this block has reserved.
-    pub fn shared_bytes_used(&self) -> usize {
-        self.shared_bytes_used
     }
 
     /// Account a coalesced global read/write of `elems` consecutive elements
@@ -195,14 +175,6 @@ mod tests {
         assert!(b.tally().global_transactions > 10 * a.tally().global_transactions);
         // both moved the same useful bytes
         assert_eq!(a.tally().global_bytes, b.tally().global_bytes);
-    }
-
-    #[test]
-    #[should_panic(expected = "over-allocated")]
-    fn shared_over_allocation_panics() {
-        let d = DeviceConfig::tiny();
-        let mut ctx = BlockCtx::new(&d);
-        ctx.alloc_shared(d.shared_mem_per_sm + 1);
     }
 
     #[test]

@@ -30,7 +30,9 @@ impl Reducer {
         }
     }
 
-    /// Combine an accumulator with a new value.
+    /// Combine an accumulator with a new value. Associative, so two partial
+    /// accumulators combine the same way (for `Mean` the partials are raw
+    /// sums; `finalize` divides once at the very end).
     #[inline(always)]
     pub fn combine<S: Scalar>(self, acc: S, x: S) -> S {
         match self {
@@ -64,14 +66,6 @@ impl Reducer {
                 }
             }
         }
-    }
-
-    /// Combine two *partial* accumulators (used when merging graph-partition
-    /// results, Fig. 6, and in GPU tree reduction). For `Mean` the partials
-    /// must be raw sums — `finalize` is applied once at the very end.
-    #[inline(always)]
-    pub fn merge<S: Scalar>(self, a: S, b: S) -> S {
-        self.combine(a, b)
     }
 
     /// Short display name.
@@ -119,11 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_on_samples() {
+    fn combine_is_associative_on_samples() {
         let xs = [1.0f64, -2.0, 7.5, 0.25];
         for r in [Reducer::Sum, Reducer::Max, Reducer::Min] {
             let left = xs.iter().fold(r.identity(), |a, &x| r.combine(a, x));
-            let mid = r.merge(
+            let mid = r.combine(
                 xs[..2].iter().fold(r.identity(), |a, &x| r.combine(a, x)),
                 xs[2..].iter().fold(r.identity(), |a, &x| r.combine(a, x)),
             );

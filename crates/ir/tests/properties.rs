@@ -106,9 +106,9 @@ proptest! {
         rev.reverse();
         let backward = fold(&rev);
         prop_assert!((forward - backward).abs() < 1e-9);
-        // splitting anywhere and merging is equivalent
+        // splitting anywhere and combining the partials is equivalent
         for split in 0..xs.len() {
-            let merged = r.merge(fold(&xs[..split]), fold(&xs[split..]));
+            let merged = r.combine(fold(&xs[..split]), fold(&xs[split..]));
             prop_assert!((merged - forward).abs() < 1e-9);
         }
     }
