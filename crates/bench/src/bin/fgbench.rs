@@ -1016,7 +1016,7 @@ fn fused_bench(args: &Args, rep: &mut Report) {
 /// Closed-loop serving benchmark through the fg-serve engine: concurrent
 /// clients issue single-node inference requests that the engine coalesces
 /// into batches, so the full-graph forward cost amortizes and compiled
-/// plans are reused across batches (the fg-serve plan cache).
+/// plans are reused across batches (each registration keeps its own).
 fn serve_bench(args: &Args, rep: &mut Report) {
     use fg_serve::{Engine, InferRequest, ServeConfig};
     use std::sync::Arc;
@@ -1085,12 +1085,8 @@ fn serve_bench(args: &Args, rep: &mut Report) {
     }
     let stats = engine.stats();
     println!(
-        "engine: {} batches (avg {:.1} req/batch), plan hit rate {:.1}%, shed {}, timeouts {}",
-        stats.batches,
-        stats.avg_batch,
-        stats.plan_hit_rate * 100.0,
-        stats.shed,
-        stats.timed_out
+        "engine: {} batches (avg {:.1} req/batch), shed {}, timeouts {}",
+        stats.batches, stats.avg_batch, stats.shed, stats.timed_out
     );
     println!(
         "queue depth max {}, batch size p50 {:.1} max {:.1}",
@@ -1151,7 +1147,7 @@ fn wire_bench(args: &Args, rep: &mut Report) {
     }
     let mut walls = [0.0f64; 2];
     for (pi, proto) in ["text", "binary"].into_iter().enumerate() {
-        // Fresh engine per protocol so plan-cache warmth is identical.
+        // Fresh engine per protocol so both start from the same state.
         // Eager dispatch (tiny batch window) so the engine's coalescing
         // delay does not mask the protocol cost under comparison.
         let engine = Arc::new(Engine::new(ServeConfig {
@@ -1507,11 +1503,8 @@ fn sample_bench(args: &Args, rep: &mut Report) {
     }
     let stats = engine.stats();
     println!(
-        "engine: {} batches, plan hit rate {:.1}% ({} hits / {} misses), sample phase n={}",
+        "engine: {} batches, sample phase n={}",
         stats.batches,
-        stats.plan_hit_rate * 100.0,
-        stats.plan_hits,
-        stats.plan_misses,
         stats.phase(fg_serve::Phase::Sample).count,
     );
     let metrics_text = engine.metrics_text();
@@ -1528,7 +1521,7 @@ fn sample_bench(args: &Args, rep: &mut Report) {
 
 /// Whole-stack accounted-memory scenario: stand up the serving stack at
 /// the requested scale (dataset -> models -> engine), push traffic through
-/// it so tape/batch scratch and plan-cache cost materialize, then print
+/// it so tape/batch scratch and compiled plans materialize, then print
 /// the per-component accounted table next to the OS RSS reading. The
 /// accountant is reset first so the table reflects this scenario alone.
 fn mem_bench(args: &Args, rep: &mut Report) {
@@ -1572,10 +1565,7 @@ fn mem_bench(args: &Args, rep: &mut Report) {
     }
     println!("{:<22} {:>14} {:>14}", "total", mem.total_current, mem.total_peak);
     rep.push_single("mem/total/peak".into(), "B", mem.total_peak as f64);
-    println!(
-        "plan cache: {} entries, {} B accounted, {} evictions",
-        mem.plan_cache_entries, mem.plan_cache_bytes, mem.plan_cache_evictions
-    );
+    println!("compiled plans: {} B", mem.plan_cache_bytes);
     match mem.rss {
         Some(rss) => {
             println!(

@@ -93,7 +93,7 @@ impl CpuSpmm {
     }
 
     /// Heap bytes held by the compiled plan (partitioned CSR + degree
-    /// array); feeds the serve engine's byte-bounded plan cache.
+    /// array); feeds the serve engine's `plan_cache` memory charge.
     pub fn mem_bytes(&self) -> u64 {
         self.plan.mem_bytes()
     }

@@ -439,9 +439,9 @@ pub struct FeatgraphBackend {
     target: Target,
     threads: usize,
     /// When set, skip the per-plan `CpuSpmmOptions::auto` probe and
-    /// partition every SpMM/fused plan this many ways. Sampled serving
-    /// reuses a schedule tuned once per subgraph shape bucket, so each
-    /// per-request backend compiles without re-running the cost model.
+    /// partition every SpMM/fused plan this many ways — for a caller that
+    /// already knows the schedule (e.g. one [`Self::auto_partitions`]
+    /// answer reused across same-shaped graphs).
     partitions_hint: Option<usize>,
     plans: Mutex<Plans>,
     gpu_ms: Mutex<f64>,
@@ -482,8 +482,9 @@ impl FeatgraphBackend {
     }
 
     /// Total heap bytes held by this backend's compiled kernel plans
-    /// (partitioned CSRs, edge orders, degree arrays). This is the cost
-    /// figure the serve engine's byte-bounded plan cache charges per entry.
+    /// (partitioned CSRs, edge orders, degree arrays). The serve engine
+    /// charges it to the `plan_cache` memory component for as long as a
+    /// registered model holds the backend.
     pub fn plan_mem_bytes(&self) -> u64 {
         let plans = self.plans.lock().expect("plan cache");
         let spmm = plans.spmm.values().map(SpmmKernel::mem_bytes);

@@ -181,7 +181,7 @@ pub fn infer_sharded(
                     let mut h = gather_rows(features, shard.locals());
                     for layer in 0..layers {
                         let out = {
-                            let mut tape = Tape::for_inference(gnn, backend, None);
+                            let mut tape = Tape::new(gnn, backend, None);
                             let x = tape.leaf(h);
                             let (o, _) = model.forward_layer(&mut tape, x, layer);
                             tape.value(o).clone()

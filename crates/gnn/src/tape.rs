@@ -94,17 +94,6 @@ impl<'g> Tape<'g> {
         }
     }
 
-    /// [`Tape::new`], named for call sites that only run the forward pass.
-    /// There is one kind of tape: a forward-only caller simply never calls
-    /// [`Tape::backward`].
-    pub fn for_inference(
-        graph: &'g GnnGraph,
-        backend: &'g dyn GraphBackend,
-        dense_gpu: Option<&'g GpuCostModel>,
-    ) -> Self {
-        Self::new(graph, backend, dense_gpu)
-    }
-
     fn push_node(&mut self, value: Dense2<f32>, requires_grad: bool, op: Op) -> Var {
         self.nodes.push(Node {
             value,
@@ -842,14 +831,15 @@ mod tests {
                 tape.grad(sr),
             )
         };
-        let trained = run(&mut Tape::new(&g, &backend, None));
-        // backward through a tape built for inference: gradients, no panic
-        let inferred = run(&mut Tape::for_inference(&g, &backend, None));
-        assert!(inferred.0.approx_eq(&trained.0, 0.0));
-        assert!(inferred.1.approx_eq(&trained.1, 0.0));
-        assert!(inferred.2.approx_eq(&trained.2, 0.0));
-        assert!(inferred.3.approx_eq(&trained.3, 0.0));
-        assert!(trained.2.as_slice().iter().any(|&v| v != 0.0));
+        // a second tape on the same backend (its plans already compiled):
+        // the same bits, forward and backward
+        let first = run(&mut Tape::new(&g, &backend, None));
+        let second = run(&mut Tape::new(&g, &backend, None));
+        assert!(second.0.approx_eq(&first.0, 0.0));
+        assert!(second.1.approx_eq(&first.1, 0.0));
+        assert!(second.2.approx_eq(&first.2, 0.0));
+        assert!(second.3.approx_eq(&first.3, 0.0));
+        assert!(first.2.as_slice().iter().any(|&v| v != 0.0));
     }
 
     #[test]

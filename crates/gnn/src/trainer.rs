@@ -128,7 +128,7 @@ pub fn inference(
     let _span = span!("train/inference");
     let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations);
     let t0 = Instant::now();
-    let mut tape = Tape::for_inference(&task.graph, backend, dense_gpu);
+    let mut tape = Tape::new(&task.graph, backend, dense_gpu);
     let x = tape.leaf(task.features.clone());
     let (logits_var, _) = model.forward(&mut tape, x);
     let seconds = t0.elapsed().as_secs_f64();
@@ -210,7 +210,7 @@ pub fn infer_batch(
     // scope — fg-serve wraps this call in a ServeBatch scope, which wins.
     let _mem = (fg_telemetry::current_component() == fg_telemetry::MemComponent::Scratch)
         .then(|| fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations));
-    let mut tape = Tape::for_inference(graph, backend, None);
+    let mut tape = Tape::new(graph, backend, None);
     let x = tape.leaf(features.clone());
     let (logits_var, _) = model.forward(&mut tape, x);
     let logits = tape.value(logits_var);

@@ -61,7 +61,6 @@ struct Opts {
     protocol: WireProto,
     expect_no_shed: bool,
     expect_shed: bool,
-    expect_plan_hits: bool,
     expect_mem_shed: bool,
     trace_file: Option<String>,
     require: Vec<String>,
@@ -89,7 +88,6 @@ impl Default for Opts {
             protocol: WireProto::Text,
             expect_no_shed: false,
             expect_shed: false,
-            expect_plan_hits: false,
             expect_mem_shed: false,
             trace_file: None,
             require: Vec::new(),
@@ -102,16 +100,14 @@ const USAGE: &str = "usage:
                   [--classes N] [--avg-deg N] [--noise N] [--hidden N] [--seed N]
                   [--batch N] [--delay-ms N] [--queue N] [--workers N]
                   [--kernel-threads N] [--shards N] [--shard-strategy range|degree]
-                  [--deadline-ms N] [--exec-delay-ms N]
-                  [--plan-cache-bytes N] [--mem-budget N]
+                  [--deadline-ms N] [--exec-delay-ms N] [--mem-budget N]
                   [--feature-dtype f32|f16|bf16] [--max-conns N]
                   [--trace-sample N] [--slow-ms N] [--trace FILE]
   fgserve bench   [--addr HOST:PORT] [--clients N] [--requests N] [--runs N]
                   [--model NAME] [dataset/engine knobs as above when embedded]
                   [--seeds-per-request N] [--fanout F0,F1] [--sample-seed N]
                   [--feat-cols N] [--protocol text|binary|mixed]
-                  [--expect-no-shed] [--expect-shed] [--expect-plan-hits]
-                  [--expect-mem-shed]
+                  [--expect-no-shed] [--expect-shed] [--expect-mem-shed]
   fgserve metrics --addr HOST:PORT [--require SERIES]...
 
 Both subcommands accept [--feature-dtype f32|f16|bf16] (half-precision
@@ -137,7 +133,6 @@ bench without --addr benchmarks an embedded server on an ephemeral port.
   a halo exchange between layers (--shard-strategy picks the placement);
   results stay bitwise identical to single-worker serving, and bench prints a
   commutative reply digest so runs at different shard counts can be compared.
---plan-cache-bytes N bounds the compiled-plan cache (LRU eviction; 0 = off).
 --mem-budget N sheds new requests with error over-memory-budget while the
   accounted footprint exceeds N bytes (0 = off; needs accounting compiled in).
 --trace-sample N head-samples 1 in N requests for end-to-end tracing
@@ -186,9 +181,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.cfg.default_deadline = (!d.is_zero()).then_some(d);
             }
             "--exec-delay-ms" => o.cfg.exec_delay = millis(arg, &value(arg, &mut it)?)?,
-            "--plan-cache-bytes" => {
-                o.cfg.plan_cache_bytes = num(arg, &value(arg, &mut it)?)? as u64
-            }
             "--mem-budget" => o.cfg.mem_budget = num(arg, &value(arg, &mut it)?)? as u64,
             "--clients" => o.clients = num(arg, &value(arg, &mut it)?)?,
             "--requests" => o.requests = num(arg, &value(arg, &mut it)?)?,
@@ -219,7 +211,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--max-conns" => o.cfg.max_conns = num(arg, &value(arg, &mut it)?)?,
             "--expect-no-shed" => o.expect_no_shed = true,
             "--expect-shed" => o.expect_shed = true,
-            "--expect-plan-hits" => o.expect_plan_hits = true,
             "--expect-mem-shed" => o.expect_mem_shed = true,
             "--trace-sample" => o.cfg.trace_sample = num(arg, &value(arg, &mut it)?)? as u64,
             "--slow-ms" => {
@@ -683,13 +674,12 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             "  latency ms  p50 {:.2}  p95 {:.2}  p99 {:.2}  mean {:.2}  max {:.2}",
             lat.p50_ms, lat.p95_ms, lat.p99_ms, lat.mean_ms, lat.max_ms
         );
-        let stats = fetch_text(&addr, "STATS");
-        if let Some(stats) = &stats {
+        if let Some(stats) = fetch_text(&addr, "STATS") {
             println!("  server {}", stats.trim_end());
             // Queue/batch observability (fed by the batcher's observer).
-            let depth_max: u64 = stats_field(stats, "queue_depth_max").unwrap_or(0);
-            let batch_p50: f64 = stats_field(stats, "batch_p50").unwrap_or(0.0);
-            let batch_max: f64 = stats_field(stats, "batch_max").unwrap_or(0.0);
+            let depth_max: u64 = stats_field(&stats, "queue_depth_max").unwrap_or(0);
+            let batch_p50: f64 = stats_field(&stats, "batch_p50").unwrap_or(0.0);
+            let batch_max: f64 = stats_field(&stats, "batch_max").unwrap_or(0.0);
             println!(
                 "  queue depth max {depth_max}   batch size p50 {batch_p50:.1} max {batch_max:.1}"
             );
@@ -712,15 +702,6 @@ fn cmd_bench(o: &Opts) -> ExitCode {
         }
         if o.expect_no_shed && tally.shed > 0 {
             failures.push(format!("run {run}: expected zero sheds, saw {}", tally.shed));
-        }
-        if o.expect_plan_hits && run == o.runs.max(1) {
-            let hits: Option<u64> = stats.as_deref().and_then(|s| stats_field(s, "plan_hits"));
-            match hits {
-                Some(h) if h > 0 => {}
-                other => failures.push(format!(
-                    "expected plan-cache hits > 0 on final run, got {other:?}"
-                )),
-            }
         }
     }
     if o.expect_shed && total_shed == 0 {

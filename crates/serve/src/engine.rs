@@ -44,9 +44,10 @@
 //! the shard workers) whose rows are scattered back, so the pass amortizes
 //! over the batch; a `Sampled` job runs `run_sampled` (sample → gather →
 //! override → `infer_batch` on the induced subgraph — cost proportional to
-//! the neighborhood, not the graph). A `Full` view caches its backends in
-//! the [`PlanCache`] under `(graph id, model, options)`, so every pass after
-//! the first skips kernel compilation. A `Sampled` view looks nothing up: a
+//! the neighborhood, not the graph). A `Full` view runs on the backends its
+//! [`ModelEntry`] built at registration (one, or one per shard): their plans
+//! compile lazily in the first pass and every later pass reuses them, and
+//! they are freed with the entry. A `Sampled` view keeps nothing: a
 //! backend's plans embed the partitioned graph they were compiled on, every
 //! request samples a different subgraph, so it builds a fresh backend and
 //! each plan picks its own schedule.
@@ -71,14 +72,13 @@ use fg_gnn::sampled::prepare_seeds;
 use fg_gnn::{infer_batch, infer_sharded, FeatgraphBackend, GnnGraph, ShardRun, ShardedGraph};
 use fg_graph::{SampleConfig, ShardStrategy, VId, FULL_FANOUT};
 use fg_telemetry::{
-    counter_add, emit_span, histogram_record, span, timestamp_ns, Counter, Histogram, MemCharge,
-    MemComponent, MemScope, TraceContext, TraceSampler, TraceScope,
+    counter_add, emit_span, histogram_record, mem_charge, mem_credit, span, timestamp_ns, Counter,
+    Histogram, MemCharge, MemComponent, MemScope, TraceContext, TraceSampler, TraceScope,
 };
 use fg_tensor::{Dense2, FeatureDtype, FeatureTensor};
 
 use crate::batcher::{Batcher, BatcherConfig, PushError};
 use crate::oneshot::Oneshot;
-use crate::plan_cache::{PlanCache, PlanKey};
 use crate::stats::{ConnSnapshot, ConnStats, Phase, ServeStats, SlowEntry, SlowLog, StatsSnapshot};
 
 /// Slow-request log retention (newest entries win).
@@ -125,9 +125,6 @@ pub struct ServeConfig {
     /// meets or exceeds this many milliseconds get a phase breakdown in the
     /// slow log. `None` disables the log.
     pub slow_ms: Option<f64>,
-    /// Byte bound on the compiled-plan cache; least-recently-used entries
-    /// are evicted once the summed plan cost exceeds it. `0` = unbounded.
-    pub plan_cache_bytes: u64,
     /// Whole-process accounted-memory budget: while the accountant's
     /// tracked total exceeds this, new requests are shed with
     /// [`ServeError::OverMemoryBudget`] instead of allocating. `0` =
@@ -163,7 +160,6 @@ impl Default for ServeConfig {
             exec_delay: Duration::ZERO,
             trace_sample: 0,
             slow_ms: None,
-            plan_cache_bytes: 0,
             mem_budget: 0,
             feature_dtype: FeatureDtype::F32,
             max_conns: 256,
@@ -348,8 +344,9 @@ impl From<SeedsResponse> for InferResponse {
     }
 }
 
-/// One servable model: the graph it runs on, its input features, and the
-/// trained (or initialized) parameters.
+/// One servable model: the graph it runs on, its input features, the
+/// trained (or initialized) parameters, and the compiled kernels of its
+/// `Full` view.
 pub struct ModelEntry {
     name: String,
     graph_id: u64,
@@ -359,13 +356,40 @@ pub struct ModelEntry {
     /// Shard slices + halo-exchange plan, built once at registration when
     /// the engine is configured with `shards >= 2`.
     sharded: Option<ShardedEntry>,
+    /// The `Full` view's backends: one, or one per shard — backends key
+    /// compiled plans by matrix shape and two shard-local graphs can share
+    /// a shape, so a shared backend's plan lookups would cross shards.
+    /// Plans compile lazily in the first pass and live as long as the entry.
+    backends: Vec<FeatgraphBackend>,
+    /// Plan bytes of `backends` charged to the `plan_cache` component so
+    /// far; credited when the entry drops.
+    plan_bytes: AtomicU64,
     /// Accounting guard for the `Vec`-backed graph topology (the tensor
     /// accountant only sees aligned buffers); credited when the entry drops
     /// — replacement, unregistration, or engine shutdown alike.
     _graph_charge: MemCharge,
 }
 
+impl Drop for ModelEntry {
+    fn drop(&mut self) {
+        mem_credit(MemComponent::PlanCache, *self.plan_bytes.get_mut());
+    }
+}
+
 impl ModelEntry {
+    /// Charge the plans the last pass compiled. A backend never drops a
+    /// plan, so the figure only grows; concurrent passes each charge the
+    /// part of their reading no earlier pass has.
+    fn charge_plans(&self) {
+        let bytes = self
+            .backends
+            .iter()
+            .map(FeatgraphBackend::plan_mem_bytes)
+            .sum();
+        let charged = self.plan_bytes.fetch_max(bytes, Ordering::Relaxed);
+        mem_charge(MemComponent::PlanCache, bytes.saturating_sub(charged));
+    }
+
     /// `(vertices, edges)` of the graph slice a `Full` pass reads to answer
     /// `rows`: summed over the shards owning at least one of them (the
     /// sharded analogue of a sampled request's subgraph size), or the whole
@@ -544,11 +568,6 @@ struct Shared {
     cfg: ServeConfig,
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
     batcher: Batcher<Job>,
-    /// `Full`-view backends (their plan tables hold the compiled kernels):
-    /// one per entry, or one per shard — backends key compiled plans by
-    /// matrix shape, two shard-local graphs can share a shape, so a shared
-    /// backend's plan lookups would cross shards.
-    plans: PlanCache<Vec<FeatgraphBackend>>,
     stats: Arc<ServeStats>,
     conn: Arc<ConnStats>,
     sampler: TraceSampler,
@@ -566,7 +585,6 @@ impl Engine {
     /// Start an engine with `cfg.workers` batch-execution threads.
     pub fn new(cfg: ServeConfig) -> Self {
         let workers = cfg.workers.max(1);
-        let plan_cache_bytes = cfg.plan_cache_bytes;
         let stats = Arc::new(ServeStats::default());
         let shared = Arc::new(Shared {
             batcher: Batcher::with_observer(
@@ -581,7 +599,6 @@ impl Engine {
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             cfg,
             models: RwLock::new(HashMap::new()),
-            plans: PlanCache::bounded(plan_cache_bytes),
             stats,
             conn: Arc::new(ConnStats::default()),
             next_graph_id: AtomicU64::new(0),
@@ -605,9 +622,9 @@ impl Engine {
         }
     }
 
-    /// Register `model` under `name`, replacing any previous registration.
-    /// Returns the graph ID assigned to this registration (part of the
-    /// plan-cache key).
+    /// Register `model` under `name`, replacing any previous registration
+    /// (whose backends and compiled plans are freed with it). Returns the
+    /// graph ID assigned to this registration.
     pub fn register_model(
         &self,
         name: &str,
@@ -615,14 +632,17 @@ impl Engine {
         graph: GnnGraph,
         features: Dense2<f32>,
     ) -> u64 {
+        let cfg = &self.shared.cfg;
         let graph_id = self.shared.next_graph_id.fetch_add(1, Ordering::Relaxed);
         let graph_charge = MemCharge::new(MemComponent::GraphTopology, graph.mem_bytes());
-        let sharded = (self.shared.cfg.shards >= 2).then(|| {
-            ShardedEntry::build(&graph, self.shared.cfg.shards, self.shared.cfg.shard_strategy)
-        });
+        let sharded =
+            (cfg.shards >= 2).then(|| ShardedEntry::build(&graph, cfg.shards, cfg.shard_strategy));
+        let backends = (0..sharded.as_ref().map_or(1, |s| s.graph.num_shards()))
+            .map(|_| FeatgraphBackend::cpu(cfg.kernel_threads))
+            .collect();
         // Quantize at registration per the configured storage dtype; F32
         // keeps the caller's buffer untouched (no copy, no rounding).
-        let features = FeatureTensor::from_f32(self.shared.cfg.feature_dtype, features);
+        let features = FeatureTensor::from_f32(cfg.feature_dtype, features);
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
             graph_id,
@@ -630,6 +650,8 @@ impl Engine {
             features,
             model,
             sharded,
+            backends,
+            plan_bytes: AtomicU64::new(0),
             _graph_charge: graph_charge,
         });
         let replaced = self
@@ -640,8 +662,8 @@ impl Engine {
             .insert(name.to_string(), entry);
         if let Some(old) = replaced {
             // Surface what used to be a silent drop: the old entry's graph,
-            // features, and parameters are released (once in-flight batches
-            // holding its Arc finish).
+            // features, parameters and compiled plans are released (once
+            // in-flight batches holding its Arc finish).
             self.shared
                 .stats
                 .models_replaced
@@ -905,25 +927,21 @@ impl Engine {
         report
     }
 
-    /// Compiled-plan cache entries currently held.
-    pub fn plan_cache_len(&self) -> usize {
-        self.shared.plans.len()
-    }
-
     /// Point-in-time memory breakdown backing the `MEMORY` wire command and
     /// the `fgserve_mem_*` metric series.
     pub fn memory_report(&self) -> MemoryReport {
+        let models = self.shared.models.read().unwrap();
         MemoryReport {
             components: fg_telemetry::mem_snapshot(),
             total_current: fg_telemetry::mem_total_current(),
             total_peak: fg_telemetry::mem_total_peak(),
-            plan_cache_entries: self.shared.plans.len() as u64,
-            plan_cache_bytes: self.shared.plans.total_bytes(),
-            plan_cache_capacity: self.shared.plans.capacity(),
-            plan_cache_evictions: self.shared.plans.evictions(),
+            plan_cache_bytes: models
+                .values()
+                .map(|e| e.plan_bytes.load(Ordering::Relaxed))
+                .sum(),
             mem_budget: self.shared.cfg.mem_budget,
             mem_shed: self.shared.stats.mem_shed.load(Ordering::Relaxed),
-            models_registered: self.shared.models.read().unwrap().len() as u64,
+            models_registered: models.len() as u64,
             models_replaced: self.shared.stats.models_replaced.load(Ordering::Relaxed),
             rss: fg_telemetry::read_rss(),
         }
@@ -946,9 +964,9 @@ impl Drop for Engine {
     }
 }
 
-/// Whole-process memory breakdown: per-component accounted watermarks,
-/// plan-cache occupancy, admission-gate state, and the OS resident-set
-/// cross-check. Produced by [`Engine::memory_report`], rendered by the
+/// Whole-process memory breakdown: per-component accounted watermarks, the
+/// registered models' compiled-plan bytes, admission-gate state, and the OS
+/// resident-set cross-check. Produced by [`Engine::memory_report`], rendered by the
 /// `MEMORY` wire command and the `fgserve_mem_*` metric series.
 #[derive(Debug, Clone)]
 pub struct MemoryReport {
@@ -959,14 +977,8 @@ pub struct MemoryReport {
     pub total_current: u64,
     /// High-water mark of `total_current`.
     pub total_peak: u64,
-    /// Compiled-plan cache entries currently held.
-    pub plan_cache_entries: u64,
-    /// Summed plan cost of the cached entries in bytes.
+    /// Compiled-plan bytes held by the registered models' backends.
     pub plan_cache_bytes: u64,
-    /// Plan-cache byte bound (`0` = unbounded).
-    pub plan_cache_capacity: u64,
-    /// Plan-cache entries evicted to stay under the bound.
-    pub plan_cache_evictions: u64,
     /// Admission-gate budget in bytes (`0` = unlimited).
     pub mem_budget: u64,
     /// Requests shed by the memory-budget gate.
@@ -1007,13 +1019,7 @@ impl MemoryReport {
             self.models_registered,
             self.models_replaced,
         ));
-        lines.push(format!(
-            "plan_cache entries={} bytes={} capacity={} evictions={}",
-            self.plan_cache_entries,
-            self.plan_cache_bytes,
-            self.plan_cache_capacity,
-            self.plan_cache_evictions,
-        ));
+        lines.push(format!("plan_cache bytes={}", self.plan_cache_bytes));
         if let Some(rss) = self.rss {
             lines.push(format!(
                 "rss current={} peak={}",
@@ -1080,7 +1086,6 @@ fn seeds_view(
 #[derive(Clone, Copy)]
 struct Timings {
     sample: Option<Duration>,
-    compile: Duration,
     execute: Duration,
     exchange: Option<Duration>,
 }
@@ -1155,11 +1160,11 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
             .collect();
         if !full.is_empty() {
             let rows: Vec<usize> = full.iter().flat_map(|j| j.rows.iter().copied()).collect();
-            match run_full(shared, entry, &rows) {
+            match run_full(entry, &rows) {
                 // Scatter: each job takes its rows off the front of the
                 // pass's output, in concatenation order. Every job waited
-                // through the whole compile and pass, so each gets the full
-                // durations: per-request phases then sum to its own latency.
+                // through the whole pass, so each gets the full durations:
+                // per-request phases then sum to its own latency.
                 Ok((out, timings)) => {
                     let mut out = out.into_iter();
                     for job in full {
@@ -1189,53 +1194,20 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
 /// runs — with [`ModelEntry::sharded`] set it is a scatter-gather across
 /// the shard workers ([`infer_sharded`]) and its wall time is split into
 /// compute (wall − exchange) and halo exchange so the two phases stay
-/// additive; otherwise it is one [`infer_batch`]. The only plan-cache
-/// lookup: owns the hit/miss counters and the `serve/plan_compile` span.
-fn run_full(
-    shared: &Shared,
-    entry: &ModelEntry,
-    rows: &[usize],
-) -> Result<(Vec<Vec<f32>>, Timings), ServeError> {
-    let threads = shared.cfg.kernel_threads;
+/// additive; otherwise it is one [`infer_batch`]. It runs on the entry's
+/// own backends; the first pass compiles their plans, which counts as
+/// `execute`.
+fn run_full(entry: &ModelEntry, rows: &[usize]) -> Result<(Vec<Vec<f32>>, Timings), ServeError> {
     let model_name = entry.name.as_str();
     let sharded = entry.sharded.as_ref();
-    let num_backends = sharded.map_or(1, |s| s.graph.num_shards());
-    let key = match sharded {
-        Some(s) => PlanKey::cpu_sharded(
-            entry.graph_id,
-            model_name,
-            threads,
-            num_backends,
-            s.graph.plan().strategy(),
-        ),
-        None => PlanKey::cpu(entry.graph_id, model_name, threads),
-    }
-    .with_dtype(entry.features.dtype());
-    let mut compile = Duration::ZERO;
-    let (backends, hit) = shared.plans.get_or_insert(&key, || {
-        let _compile_span = span!("serve/plan_compile", "model={} {}", key.model, key.options);
-        let t0 = Instant::now();
-        let backends: Vec<_> = (0..num_backends)
-            .map(|_| FeatgraphBackend::cpu(threads))
-            .collect();
-        compile = t0.elapsed();
-        // Plans compile lazily per feature dim; the real cost lands via
-        // note_cost after each pass.
-        (backends, 0)
-    });
-    let slot = if hit {
-        &shared.stats.plan_hits
-    } else {
-        &shared.stats.plan_misses
-    };
-    slot.fetch_add(1, Ordering::Relaxed);
-
+    let backends = &entry.backends;
     let exec_start = Instant::now();
     let run = {
         let _infer_span = span!(
             "serve/infer",
-            "model={model_name} rows={} backends={num_backends}",
-            rows.len()
+            "model={model_name} rows={} backends={}",
+            rows.len(),
+            backends.len()
         );
         // Attribute the pass's tape/scratch allocations to the serve path.
         let _mem = MemScope::enter(MemComponent::ServeBatch);
@@ -1252,17 +1224,14 @@ fn run_full(
         };
         let model = entry.model.as_ref();
         match sharded {
-            Some(s) => infer_sharded(model, &s.graph, features, &backends, rows)
+            Some(s) => infer_sharded(model, &s.graph, features, backends, rows)
                 .map(|mut run| (std::mem::take(&mut run.results), Some(run))),
             None => infer_batch(model, &entry.graph, features, &backends[0], rows)
                 .map(|out| (out, None)),
         }
     };
     let wall = exec_start.elapsed();
-    // Plans compile lazily per feature dim, so re-report the backends'
-    // plan bytes after every pass; this also drives LRU eviction.
-    let plan_bytes = backends.iter().map(|b| b.plan_mem_bytes()).sum();
-    shared.plans.note_cost(&key, plan_bytes);
+    entry.charge_plans();
     let (out, shard_run) = run.map_err(|e| ServeError::Infer(e.to_string()))?;
     let exchange = sharded.zip(shard_run).map(|(s, run)| {
         s.record_run(rows, &run);
@@ -1272,7 +1241,6 @@ fn run_full(
     });
     let timings = Timings {
         sample: None,
-        compile,
         execute: wall.saturating_sub(exchange.unwrap_or_default()),
         exchange,
     };
@@ -1281,11 +1249,10 @@ fn run_full(
 
 /// One `Sampled` view: sample the neighborhood of `seeds`, gather its
 /// feature rows (with `feats` replacing the seeds' own), run the model on
-/// the induced subgraph and return only the seed rows. Nothing is cached or
-/// looked up: a backend is bound to the first graph it sees, the subgraph
-/// is this request's alone, and each plan picks its own schedule from it
-/// (`compile` is therefore reported as zero; plan building is part of
-/// `execute`).
+/// the induced subgraph and return only the seed rows. Nothing is kept: a
+/// backend is bound to the first graph it sees, the subgraph is this
+/// request's alone, and each plan picks its own schedule from it (plan
+/// building is part of `execute`).
 fn run_sampled(
     shared: &Shared,
     entry: &ModelEntry,
@@ -1338,7 +1305,6 @@ fn run_sampled(
     };
     let timings = Timings {
         sample: Some(sample),
-        compile: Duration::ZERO,
         execute: exec_start.elapsed(),
         exchange: None,
     };
@@ -1349,8 +1315,8 @@ fn run_sampled(
 /// The one place a job ends: phase samples, latency and outcome counters,
 /// the slow log, and the reply.
 ///
-/// Phase rule — a completed request records `queue_wait`, `batch_form`,
-/// `plan_compile` and `execute` always; `sample` iff it ran a `Sampled`
+/// Phase rule — a completed request records `queue_wait`, `batch_form` and
+/// `execute` always; `sample` iff it ran a `Sampled`
 /// view; `exchange` iff its pass was sharded (so the `exchange` series of
 /// an unsharded engine, and the `sample` series of one that only answers
 /// `INFER`, stay empty rather than filling with zeros). A timed-out request
@@ -1380,7 +1346,6 @@ fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, o
         (Phase::QueueWait, Some(queue_wait)),
         (Phase::BatchForm, Some(batch_form)),
         (Phase::Sample, t.sample),
-        (Phase::PlanCompile, Some(t.compile)),
         (Phase::Execute, Some(t.execute)),
         (Phase::Exchange, t.exchange),
     ];
@@ -1403,7 +1368,6 @@ fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, o
             queue_ms: ms(queue_wait),
             batch_ms: ms(batch_form),
             sample_ms: ms(t.sample.unwrap_or_default()),
-            compile_ms: ms(t.compile),
             execute_ms: ms(t.execute + t.exchange.unwrap_or_default()),
         });
     }

@@ -18,7 +18,8 @@
 //! `execute` answers all `Full`-view jobs of a model group with **one**
 //! forward pass (one backend, or N shard workers with a halo exchange) and
 //! each `Sampled`-view job on its own sampled subgraph; only the former
-//! goes through the compiled-plan cache. The job shape, the rule that routes
+//! reuses compiled plans, held by the registration it runs on and freed
+//! with it. The job shape, the rule that routes
 //! a seeds request to a view, and the rule for which latency phases a
 //! request records are stated once, in [`engine`].
 //!
@@ -33,9 +34,6 @@
 //!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
 //! * [`batcher`] — bounded MPSC queue with deadline-or-size dispatch and
 //!   overload shedding.
-//! * [`plan_cache`] — `(graph id, model, options)` → the compiled backends
-//!   of a `Full` view, optionally **byte-bounded** with LRU eviction
-//!   ([`engine::ServeConfig::plan_cache_bytes`]).
 //! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
 //!   queue-depth/batch-size distributions, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
@@ -50,8 +48,8 @@
 //! and kernel spans, producing one coherent Chrome-trace tree per request.
 //!
 //! Memory: the engine rides on `fg-telemetry`'s byte-level accountant —
-//! graph topology, features, model params, batch scratch, and plan-cache
-//! cost are attributed per component, surfaced via the `MEMORY` wire
+//! graph topology, features, model params, batch scratch, and each
+//! registration's compiled plans are attributed per component, surfaced via the `MEMORY` wire
 //! command and `fgserve_mem_*` metric series
 //! ([`engine::Engine::memory_report`]), and optionally enforced by the
 //! [`engine::ServeConfig::mem_budget`] admission gate, which sheds with
@@ -64,7 +62,6 @@ pub mod engine;
 pub mod frame;
 pub mod metrics;
 pub mod oneshot;
-pub mod plan_cache;
 pub mod protocol;
 pub mod server;
 pub mod stats;
@@ -74,6 +71,5 @@ pub use engine::{
     Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, Pending, SeedsResponse,
     SeedsTicket, ServeConfig, ServeError, ShardLine, ShardsReport, Ticket, DEFAULT_SAMPLE_HOPS,
 };
-pub use plan_cache::{PlanCache, PlanKey};
 pub use server::{serve, ServerHandle};
 pub use stats::{ConnSnapshot, ConnStats, LatencySnapshot, Phase, SlowEntry, StatsSnapshot};

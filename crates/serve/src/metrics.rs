@@ -48,7 +48,7 @@ fn write_summary(out: &mut String, name: &str, labels: &str, snap: &LatencySnaps
 
 /// Render the full exposition for one engine snapshot. `mem` carries the
 /// live gauges the snapshot doesn't: the accounted-memory breakdown and the
-/// plan-cache occupancy. `shards` adds the per-shard `fgserve_shard_*`
+/// registered models' compiled-plan bytes. `shards` adds the per-shard `fgserve_shard_*`
 /// series (none emitted when the engine serves single-worker). `conn`
 /// carries the TCP front-end's connection counters — all-zero for embedded
 /// engines with no listener, so the series still exist and scrapes can
@@ -69,9 +69,6 @@ pub fn render(
         ("fgserve_requests_timed_out_total", stats.timed_out),
         ("fgserve_requests_failed_total", stats.failed),
         ("fgserve_batches_total", stats.batches),
-        ("fgserve_plan_cache_hits_total", stats.plan_hits),
-        ("fgserve_plan_cache_misses_total", stats.plan_misses),
-        ("fgserve_plan_cache_evictions_total", mem.plan_cache_evictions),
         ("fgserve_models_replaced_total", stats.models_replaced),
     ] {
         let _ = writeln!(out, "# TYPE {} counter", name.trim_end_matches("_total"));
@@ -80,9 +77,7 @@ pub fn render(
     for (name, value) in [
         ("fgserve_queue_depth", stats.queue_depth),
         ("fgserve_queue_depth_max", stats.queue_depth_max),
-        ("fgserve_plan_cache_entries", mem.plan_cache_entries),
         ("fgserve_plan_cache_bytes", mem.plan_cache_bytes),
-        ("fgserve_plan_cache_capacity_bytes", mem.plan_cache_capacity),
         ("fgserve_mem_total_bytes", mem.total_current),
         ("fgserve_mem_total_peak_bytes", mem.total_peak),
         ("fgserve_mem_budget_bytes", mem.mem_budget),
@@ -255,15 +250,12 @@ mod tests {
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
-    fn mem_with_entries(entries: u64) -> MemoryReport {
+    fn mem_with_plan_bytes(plan_cache_bytes: u64) -> MemoryReport {
         MemoryReport {
             components: fg_telemetry::mem_snapshot(),
             total_current: 0,
             total_peak: 0,
-            plan_cache_entries: entries,
-            plan_cache_bytes: 0,
-            plan_cache_capacity: 0,
-            plan_cache_evictions: 0,
+            plan_cache_bytes,
             mem_budget: 0,
             mem_shed: 0,
             models_registered: 0,
@@ -275,7 +267,12 @@ mod tests {
     #[test]
     fn empty_engine_exposition_parses_and_has_always_on_series() {
         let stats = ServeStats::default();
-        let text = render(&stats.snapshot(), &mem_with_entries(0), &ShardsReport::default(), &ConnSnapshot::default());
+        let text = render(
+            &stats.snapshot(),
+            &mem_with_plan_bytes(0),
+            &ShardsReport::default(),
+            &ConnSnapshot::default(),
+        );
         let samples = parse_exposition(&text).expect("parseable");
         assert!(text.ends_with("# EOF\n"));
         // Single-worker engines expose no shard series at all.
@@ -288,7 +285,7 @@ mod tests {
                 .value
         };
         assert_eq!(count("fgserve_requests_accepted_total"), 0.0);
-        assert_eq!(count("fgserve_plan_cache_entries"), 0.0);
+        assert_eq!(count("fgserve_plan_cache_bytes"), 0.0);
         assert_eq!(count("fgserve_mem_total_bytes"), 0.0);
         // Component series exist for every component (values depend on
         // whether accounting is compiled in, so only presence is asserted).
@@ -310,7 +307,12 @@ mod tests {
         for _ in 0..10 {
             stats.record_phase(Phase::Execute, Duration::from_millis(8));
         }
-        let text = render(&stats.snapshot(), &mem_with_entries(3), &ShardsReport::default(), &ConnSnapshot::default());
+        let text = render(
+            &stats.snapshot(),
+            &mem_with_plan_bytes(4096),
+            &ShardsReport::default(),
+            &ConnSnapshot::default(),
+        );
         assert_eq!(
             sample(
                 &text,
@@ -322,7 +324,7 @@ mod tests {
             sample(&text, "fgserve_phase_latency_ms_count{phase=\"execute\"}"),
             Some(10.0)
         );
-        assert_eq!(sample(&text, "fgserve_plan_cache_entries"), Some(3.0));
+        assert_eq!(sample(&text, "fgserve_plan_cache_bytes"), Some(4096.0));
     }
 
     #[test]
@@ -358,7 +360,12 @@ mod tests {
                 },
             ],
         };
-        let text = render(&stats.snapshot(), &mem_with_entries(0), &shards, &ConnSnapshot::default());
+        let text = render(
+            &stats.snapshot(),
+            &mem_with_plan_bytes(0),
+            &shards,
+            &ConnSnapshot::default(),
+        );
         assert_eq!(
             sample(&text, "fgserve_shard_exchange_bytes_total"),
             Some(224.0),

@@ -1,9 +1,8 @@
 //! Engine-local serving statistics: lock-free event counters, an exact
 //! (ring-buffered) latency recorder with p50/p95/p99 quantiles, always-on
 //! **per-phase** latency accounting (queue-wait / batch-form / sample /
-//! plan-compile / execute / serialize), a queue-depth gauge, a batch-size
-//! distribution,
-//! and a bounded slow-request log.
+//! execute / exchange / serialize), a queue-depth gauge, a batch-size
+//! distribution, and a bounded slow-request log.
 //!
 //! These are always on and engine-scoped, complementing the process-wide
 //! `fg-telemetry` registry (which can be compiled out): the `STATS` /
@@ -123,8 +122,8 @@ impl LatencyRecorder {
 
 /// One serve-side phase of a request's life. Which phases a request
 /// records is the engine's phase rule (`complete` in [`crate::engine`]):
-/// queue-wait, batch-form, plan-compile and execute always, sample and
-/// exchange only when that step ran; serialize is recorded by the TCP
+/// queue-wait, batch-form and execute always, sample and exchange only
+/// when that step ran; serialize is recorded by the TCP
 /// front-end for inference replies (embedded callers leave it empty).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -136,11 +135,9 @@ pub enum Phase {
     /// Neighbor sampling + feature gather of a `Sampled`-view request (no
     /// sample for `Full`-view requests).
     Sample,
-    /// Compiling a backend on a plan-cache miss (zero on a hit).
-    PlanCompile,
-    /// The group's batched forward pass. On sharded engines the exchange
-    /// critical path is carved out into [`Phase::Exchange`] so the two
-    /// stay additive.
+    /// The group's batched forward pass, including the plans its first pass
+    /// compiles. On sharded engines the exchange critical path is carved
+    /// out into [`Phase::Exchange`] so the two stay additive.
     Execute,
     /// Halo-exchange critical path of a sharded forward pass: the slowest
     /// shard's time rebuilding halo rows between layers (no sample on
@@ -152,14 +149,13 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// Every phase, in pipeline order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::QueueWait,
         Phase::BatchForm,
         Phase::Sample,
-        Phase::PlanCompile,
         Phase::Execute,
         Phase::Exchange,
         Phase::Serialize,
@@ -171,7 +167,6 @@ impl Phase {
             Phase::QueueWait => "queue_wait",
             Phase::BatchForm => "batch_form",
             Phase::Sample => "sample",
-            Phase::PlanCompile => "plan_compile",
             Phase::Execute => "execute",
             Phase::Exchange => "exchange",
             Phase::Serialize => "serialize",
@@ -201,8 +196,6 @@ pub struct SlowEntry {
     pub batch_ms: f64,
     /// Sample phase, milliseconds (zero for full-graph requests).
     pub sample_ms: f64,
-    /// Plan-compile phase, milliseconds (zero on a plan-cache hit).
-    pub compile_ms: f64,
     /// Execute phase, milliseconds.
     pub execute_ms: f64,
 }
@@ -212,7 +205,7 @@ impl SlowEntry {
     pub fn to_wire_line(&self) -> String {
         format!(
             "SLOW seq={} trace={:#x} sampled={} model={} node={} total_ms={:.3} \
-             queue_ms={:.3} batch_ms={:.3} sample_ms={:.3} compile_ms={:.3} execute_ms={:.3}",
+             queue_ms={:.3} batch_ms={:.3} sample_ms={:.3} execute_ms={:.3}",
             self.seq,
             self.trace_id,
             self.sampled,
@@ -222,7 +215,6 @@ impl SlowEntry {
             self.queue_ms,
             self.batch_ms,
             self.sample_ms,
-            self.compile_ms,
             self.execute_ms,
         )
     }
@@ -289,10 +281,6 @@ pub struct ServeStats {
     pub failed: AtomicU64,
     /// Batches executed.
     pub batches: AtomicU64,
-    /// Batch executions that reused a cached compiled plan.
-    pub plan_hits: AtomicU64,
-    /// Batch executions that had to compile a fresh plan.
-    pub plan_misses: AtomicU64,
     /// End-to-end latency of completed requests.
     pub latency: LatencyRecorder,
     /// Per-phase latency recorders, indexed by [`Phase`] discriminant.
@@ -317,8 +305,6 @@ impl Default for ServeStats {
             timed_out: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
             latency: LatencyRecorder::new(),
             phases: std::array::from_fn(|_| LatencyRecorder::new()),
             batch_sizes: LatencyRecorder::new(),
@@ -340,8 +326,6 @@ impl ServeStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
-        let hits = self.plan_hits.load(Ordering::Relaxed);
-        let misses = self.plan_misses.load(Ordering::Relaxed);
         StatsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
             completed,
@@ -350,10 +334,7 @@ impl ServeStats {
             timed_out: self.timed_out.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             batches,
-            plan_hits: hits,
-            plan_misses: misses,
             avg_batch: completed as f64 / batches as f64,
-            plan_hit_rate: hits as f64 / (hits + misses) as f64,
             latency: self.latency.snapshot(),
             phases: std::array::from_fn(|i| self.phases[i].snapshot()),
             batch_size: self.batch_sizes.snapshot(),
@@ -392,14 +373,8 @@ pub struct StatsSnapshot {
     pub failed: u64,
     /// See [`ServeStats::batches`].
     pub batches: u64,
-    /// See [`ServeStats::plan_hits`].
-    pub plan_hits: u64,
-    /// See [`ServeStats::plan_misses`].
-    pub plan_misses: u64,
     /// Mean requests per executed batch (`NaN` before the first batch).
     pub avg_batch: f64,
-    /// `plan_hits / (plan_hits + plan_misses)` (`NaN` before the first batch).
-    pub plan_hit_rate: f64,
     /// Completed-request latency quantiles.
     pub latency: LatencySnapshot,
     /// Per-phase latency quantiles, indexed by [`Phase`] discriminant.
@@ -466,8 +441,7 @@ impl StatsSnapshot {
         use std::fmt::Write;
         let mut line = format!(
             "accepted={} completed={} shed={} mem_shed={} timed_out={} failed={} batches={} \
-             avg_batch={:.2} plan_hits={} plan_misses={} plan_hit_rate={:.4} \
-             samples={} p50_ms={:.3} p95_ms={:.3} p99_ms={:.3} mean_ms={:.3} max_ms={:.3} \
+             avg_batch={:.2} samples={} p50_ms={:.3} p95_ms={:.3} p99_ms={:.3} mean_ms={:.3} max_ms={:.3} \
              queue_depth={} queue_depth_max={} batch_samples={} batch_p50={:.1} batch_max={:.1} \
              models_replaced={}",
             self.accepted,
@@ -478,9 +452,6 @@ impl StatsSnapshot {
             self.failed,
             self.batches,
             finite(self.avg_batch),
-            self.plan_hits,
-            self.plan_misses,
-            finite(self.plan_hit_rate),
             self.latency.count,
             finite(self.latency.p50_ms),
             finite(self.latency.p95_ms),
@@ -612,13 +583,10 @@ mod tests {
         let stats = ServeStats::default();
         stats.completed.store(30, Ordering::Relaxed);
         stats.batches.store(10, Ordering::Relaxed);
-        stats.plan_hits.store(9, Ordering::Relaxed);
-        stats.plan_misses.store(1, Ordering::Relaxed);
         let snap = stats.snapshot();
         assert!((snap.avg_batch - 3.0).abs() < 1e-12);
-        assert!((snap.plan_hit_rate - 0.9).abs() < 1e-12);
         let line = snap.to_wire_line();
-        assert!(line.contains("plan_hit_rate=0.9000"), "{line}");
+        assert!(line.contains("avg_batch=3.00"), "{line}");
     }
 
     #[test]
@@ -681,7 +649,6 @@ mod tests {
                 queue_ms: 9.0,
                 batch_ms: 0.5,
                 sample_ms: 0.0,
-                compile_ms: 0.0,
                 execute_ms: 3.0,
             });
         }

@@ -1,6 +1,7 @@
 //! End-to-end tests for fg-serve: engine correctness under concurrency
 //! (zero lost / zero duplicated responses), typed overload shedding and
-//! timeouts, plan-cache reuse, and the TCP front-end.
+//! timeouts, a registration's compiled-plan reuse and release, and the TCP
+//! front-end.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -96,29 +97,93 @@ fn stress_1k_requests_zero_lost_zero_duplicated() {
     engine.shutdown();
 }
 
+fn infer_node(engine: &Engine, node: usize) -> Vec<f32> {
+    let req = InferRequest {
+        model: "gcn".into(),
+        node,
+        deadline: None,
+    };
+    engine
+        .infer(req)
+        .unwrap_or_else(|e| panic!("node {node}: {e}"))
+        .logits
+}
+
+fn plan_bytes(engine: &Engine) -> u64 {
+    engine.memory_report().plan_cache_bytes
+}
+
+/// Plans compile lazily in a registration's first pass; every later pass
+/// runs on them and compiles nothing more.
 #[test]
-fn plan_cache_hits_on_repeated_workload() {
+fn a_registration_compiles_its_plans_once() {
     let (engine, _task) = make_engine(ServeConfig::default());
-    for round in 0..3 {
-        for node in 0..10 {
-            engine
-                .infer(InferRequest {
-                    model: "gcn".into(),
-                    node,
-                    deadline: None,
-                })
-                .unwrap_or_else(|e| panic!("round {round} node {node}: {e}"));
-        }
+    assert_eq!(plan_bytes(&engine), 0, "nothing compiles at registration");
+    infer_node(&engine, 0);
+    let compiled = plan_bytes(&engine);
+    assert!(compiled > 0, "the first pass compiles plans");
+    for node in 1..=50 {
+        infer_node(&engine, node);
+        assert_eq!(plan_bytes(&engine), compiled, "pass for node {node}");
     }
-    let stats = engine.stats();
-    assert_eq!(stats.plan_misses, 1, "exactly one compile for one (graph, model)");
-    assert!(
-        stats.plan_hits > 0,
-        "repeated workload must hit the plan cache (hits={})",
-        stats.plan_hits
+}
+
+/// A registration owns its compiled plans: re-registering a name releases
+/// the old entry's plans with it, so the live plan bytes of one model stay
+/// what its first pass compiled however often it is replaced.
+#[test]
+fn replacing_a_model_releases_its_compiled_plans() {
+    let (engine, task) = make_engine(ServeConfig::default());
+    let infer_and_read = || {
+        infer_node(&engine, 5);
+        plan_bytes(&engine)
+    };
+    let mut readings = vec![infer_and_read()];
+    assert!(readings[0] > 0, "the first pass compiles plans");
+    for _ in 0..3 {
+        let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
+        engine.register_model("gcn", model, task.graph.clone(), task.features.clone());
+        readings.push(infer_and_read());
+    }
+    assert_eq!(
+        readings, [readings[0]; 4],
+        "plan bytes after 0..=3 replacements"
     );
-    assert!(stats.plan_hit_rate > 0.0);
-    assert_eq!(engine.plan_cache_len(), 1);
+    assert_eq!(engine.memory_report().models_replaced, 3);
+}
+
+/// Eight first passes racing on one fresh registration (one job per batch,
+/// eight workers) compile what one sequential pass compiles and answer
+/// every row exactly.
+#[test]
+fn a_cold_burst_compiles_what_one_pass_compiles() {
+    const THREADS: usize = 8;
+    let (sequential, task) = make_engine(ServeConfig::default());
+    infer_node(&sequential, 0);
+    let one_pass = plan_bytes(&sequential);
+    sequential.shutdown();
+    let expected = reference_logits(&task);
+
+    let (engine, _task) = make_engine(ServeConfig {
+        max_batch: 1,
+        workers: THREADS,
+        default_deadline: None,
+        ..ServeConfig::default()
+    });
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (engine, start, expected) = (&engine, &start, &expected);
+            s.spawn(move || {
+                start.wait();
+                let node = t * 41;
+                assert_eq!(infer_node(engine, node), expected[node], "thread {t}");
+            });
+        }
+    });
+    assert_eq!(engine.stats().batches, THREADS as u64);
+    assert_eq!(plan_bytes(&engine), one_pass);
+    engine.shutdown();
 }
 
 #[test]
@@ -216,8 +281,8 @@ fn unknown_model_and_bad_node_fail_fast() {
     assert_eq!(engine.stats().accepted, 0);
 }
 
-/// The phase rule: `queue_wait`, `batch_form`, `plan_compile`, `execute`
-/// for every completed request; `sample` iff it ran a sampled view;
+/// The phase rule: `queue_wait`, `batch_form`, `execute` for every
+/// completed request; `sample` iff it ran a sampled view;
 /// `exchange` iff its pass was sharded — absent phases stay empty rather
 /// than filling with zero-valued samples.
 #[test]
@@ -228,7 +293,6 @@ fn recorded_phases_follow_the_view_and_the_pass() {
         [
             Phase::QueueWait,
             Phase::BatchForm,
-            Phase::PlanCompile,
             Phase::Execute,
             Phase::Sample,
             Phase::Exchange,
@@ -259,9 +323,9 @@ fn recorded_phases_follow_the_view_and_the_pass() {
     for node in 0..3 {
         infer(&single, node);
     }
-    assert_eq!(counts(&single), [3, 3, 3, 3, 0, 0], "unsharded full view");
+    assert_eq!(counts(&single), [3, 3, 3, 0, 0], "unsharded full view");
     capped_seeds(&single);
-    assert_eq!(counts(&single), [4, 4, 4, 4, 1, 0], "sampled view");
+    assert_eq!(counts(&single), [4, 4, 4, 1, 0], "sampled view");
     single.shutdown();
 
     let (sharded, _task) = make_engine(ServeConfig {
@@ -271,9 +335,13 @@ fn recorded_phases_follow_the_view_and_the_pass() {
     for node in 0..3 {
         infer(&sharded, node);
     }
-    assert_eq!(counts(&sharded), [3, 3, 3, 3, 0, 3], "sharded full view");
+    assert_eq!(counts(&sharded), [3, 3, 3, 0, 3], "sharded full view");
     capped_seeds(&sharded);
-    assert_eq!(counts(&sharded), [4, 4, 4, 4, 1, 3], "sampled view, sharded engine");
+    assert_eq!(
+        counts(&sharded),
+        [4, 4, 4, 1, 3],
+        "sampled view, sharded engine"
+    );
     sharded.shutdown();
 }
 
@@ -494,9 +562,8 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     let lookup = |series: &str| fg_serve::metrics::sample(&text, series);
     fg_serve::metrics::parse_exposition(&text).expect("exposition parses");
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
-    assert!(lookup("fgserve_plan_cache_hits_total").unwrap() > 0.0);
-    assert_eq!(lookup("fgserve_plan_cache_entries"), Some(1.0));
-    for phase in ["queue_wait", "batch_form", "plan_compile", "execute"] {
+    assert!(lookup("fgserve_plan_cache_bytes").unwrap() > 0.0);
+    for phase in ["queue_wait", "batch_form", "execute"] {
         assert_eq!(
             lookup(&format!(
                 "fgserve_phase_latency_ms_count{{phase=\"{phase}\"}}"
@@ -516,7 +583,6 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     let phase_sum: f64 = [
         fg_serve::Phase::QueueWait,
         fg_serve::Phase::BatchForm,
-        fg_serve::Phase::PlanCompile,
         fg_serve::Phase::Execute,
     ]
     .iter()
@@ -558,7 +624,7 @@ fn slow_log_captures_phase_breakdown_over_wire() {
         let entry = entry.trim_end();
         assert!(entry.starts_with("SLOW seq="), "{entry}");
         assert!(entry.contains("model=gcn"), "{entry}");
-        for key in ["total_ms=", "queue_ms=", "batch_ms=", "compile_ms=", "execute_ms="] {
+        for key in ["total_ms=", "queue_ms=", "batch_ms=", "execute_ms="] {
             let value = entry
                 .split_ascii_whitespace()
                 .find_map(|tok| tok.strip_prefix(key))
@@ -623,7 +689,9 @@ fn memory_wire_command_reports_per_component_breakdown() {
         .iter()
         .find(|l| l.starts_with("MEM plan_cache "))
         .expect("plan_cache summary line");
-    assert!(cache.contains("entries=1"), "one plan compiled: {cache}");
+    let plan_bytes = handle.engine().memory_report().plan_cache_bytes;
+    assert!(plan_bytes > 0, "the first pass compiled plans");
+    assert_eq!(*cache, format!("MEM plan_cache bytes={plan_bytes}"));
 
     // With accounting compiled in, the registered graph must be charged.
     #[cfg(feature = "telemetry")]
@@ -697,7 +765,7 @@ fn seeded_requests_round_trip_and_match_full_graph_over_wire() {
 }
 
 /// A sampled request runs on a subgraph of its own with a backend of its
-/// own: it looks nothing up and leaves nothing behind in the plan cache.
+/// own: it compiles nothing on the registration's backends.
 #[test]
 fn sampled_requests_touch_no_plan_cache() {
     let (engine, task) = make_engine(ServeConfig::default());
@@ -719,8 +787,7 @@ fn sampled_requests_touch_no_plan_cache() {
         assert_eq!(resp.results.len(), seeds.len());
     }
     let stats = engine.stats();
-    assert_eq!(engine.plan_cache_len(), 0);
-    assert_eq!(stats.plan_hits + stats.plan_misses, 0);
+    assert_eq!(plan_bytes(&engine), 0);
     // The sample phase got one sample per request, and sampled requests
     // complete like any other.
     assert_eq!(stats.completed, 12);

@@ -303,12 +303,11 @@ fn full_view_jobs_of_a_batch_share_one_sharded_pass() {
         })
         .collect();
 
-    // One batch, one group, one pass: a single plan lookup answered all
-    // nine rows, and every row was routed to its owner shard exactly once.
+    // One batch, one group, one pass answered all nine rows, and every row
+    // was routed to its owner shard exactly once.
     let stats = engine.stats();
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.completed, 6);
-    assert_eq!(stats.plan_hits + stats.plan_misses, 1, "one pass, one lookup");
     let routed: u64 = engine.shards_report().lines.iter().map(|l| l.rows_routed).sum();
     assert_eq!(routed, 3 + 3 * 2);
 
@@ -344,9 +343,6 @@ fn stress_16_threads_mixed_traffic_on_4_shard_server() {
         queue_capacity: 4096,
         workers: 3,
         default_deadline: None,
-        // Byte-bounded plan cache: sharded backends and sampled schedules
-        // must coexist under eviction without corrupting results.
-        plan_cache_bytes: 1 << 20,
         ..sharded_cfg(4, ShardStrategy::Degree)
     });
     let vertices = task.graph.num_vertices();

@@ -109,18 +109,12 @@ pub enum Counter {
     ServeShed,
     /// Requests that expired (deadline passed) before execution.
     ServeTimeouts,
-    /// Serving plan-cache hits (a compiled backend was reused).
-    ServePlanHits,
-    /// Serving plan-cache misses (a backend had to be compiled).
-    ServePlanMisses,
-    /// Serving plan-cache entries evicted to stay under the byte bound.
-    ServePlanEvictions,
     /// Serving requests shed by the memory-budget admission gate.
     ServeMemShed,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 21] = [
         Counter::BytesMoved,
         Counter::EdgesProcessed,
         Counter::Partitions,
@@ -141,9 +135,6 @@ impl Counter {
         Counter::ServeBatches,
         Counter::ServeShed,
         Counter::ServeTimeouts,
-        Counter::ServePlanHits,
-        Counter::ServePlanMisses,
-        Counter::ServePlanEvictions,
         Counter::ServeMemShed,
     ];
 
@@ -169,9 +160,6 @@ impl Counter {
             Counter::ServeBatches => "serve_batches",
             Counter::ServeShed => "serve_shed",
             Counter::ServeTimeouts => "serve_timeouts",
-            Counter::ServePlanHits => "serve_plan_hits",
-            Counter::ServePlanMisses => "serve_plan_misses",
-            Counter::ServePlanEvictions => "serve_plan_evictions",
             Counter::ServeMemShed => "serve_mem_shed",
         }
     }

@@ -40,7 +40,8 @@ pub enum MemComponent {
     CheckpointBuffers,
     /// Per-batch serving buffers (batched forward activations, logits).
     ServeBatch,
-    /// Compiled-plan cache entries (partitioned CSR clones, edge orders).
+    /// Compiled kernel plans a serving registration's backends hold
+    /// (partitioned CSR clones, edge orders).
     PlanCache,
     /// Per-request sampled subgraphs (induced topology + index maps).
     Sampling,

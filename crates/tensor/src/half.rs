@@ -189,8 +189,8 @@ impl std::fmt::Debug for Bf16 {
 }
 
 /// Runtime tag for the storage dtype of a feature tensor. Used by CLI
-/// flags (`--feature-dtype`), wire-protocol feature payloads, plan-cache
-/// keys, and the fgcheck `--dtype` family.
+/// flags (`--feature-dtype`), wire-protocol feature payloads, and the
+/// fgcheck `--dtype` family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FeatureDtype {
     /// Full-precision storage (the default; bitwise-identical baseline).
