@@ -1014,9 +1014,8 @@ fn fused_bench(args: &Args, rep: &mut Report) {
 }
 
 /// Closed-loop serving benchmark through the fg-serve engine: concurrent
-/// clients issue single-node inference requests that the engine coalesces
-/// into batches, so the full-graph forward cost amortizes and compiled
-/// plans are reused across batches (each registration keeps its own).
+/// clients issue single-node inference requests, each a row read from the
+/// full-graph logits the model's first request computes once.
 fn serve_bench(args: &Args, rep: &mut Report) {
     use fg_serve::{Engine, InferRequest, ServeConfig};
     use std::sync::Arc;
@@ -1027,7 +1026,7 @@ fn serve_bench(args: &Args, rep: &mut Report) {
     let requests = (4_000 / args.cfg.scale).max(400);
     let per_client = (requests / CLIENTS).max(1);
     println!(
-        "\n=== serve: closed-loop batched inference, {CLIENTS} clients x {per_client} \
+        "\n=== serve: closed-loop inference, {CLIENTS} clients x {per_client} \
          requests/model, {n}-vertex graph ==="
     );
     let engine = Arc::new(Engine::new(ServeConfig {
@@ -1148,13 +1147,9 @@ fn wire_bench(args: &Args, rep: &mut Report) {
     let mut walls = [0.0f64; 2];
     for (pi, proto) in ["text", "binary"].into_iter().enumerate() {
         // Fresh engine per protocol so both start from the same state.
-        // Eager dispatch (tiny batch window) so the engine's coalescing
-        // delay does not mask the protocol cost under comparison.
         let engine = Arc::new(Engine::new(ServeConfig {
             kernel_threads: args.threads,
             default_deadline: None,
-            max_batch: CLIENTS,
-            max_delay: std::time::Duration::from_micros(100),
             ..ServeConfig::default()
         }));
         let model = build_model("gcn", d, 32, task.num_classes, 1);
@@ -1521,7 +1516,7 @@ fn sample_bench(args: &Args, rep: &mut Report) {
 
 /// Whole-stack accounted-memory scenario: stand up the serving stack at
 /// the requested scale (dataset -> models -> engine), push traffic through
-/// it so tape/batch scratch and compiled plans materialize, then print
+/// it so pass scratch, compiled plans and full-graph logits materialize, then print
 /// the per-component accounted table next to the OS RSS reading. The
 /// accountant is reset first so the table reflects this scenario alone.
 fn mem_bench(args: &Args, rep: &mut Report) {
@@ -1565,7 +1560,6 @@ fn mem_bench(args: &Args, rep: &mut Report) {
     }
     println!("{:<22} {:>14} {:>14}", "total", mem.total_current, mem.total_peak);
     rep.push_single("mem/total/peak".into(), "B", mem.total_peak as f64);
-    println!("compiled plans: {} B", mem.plan_cache_bytes);
     match mem.rss {
         Some(rss) => {
             println!(

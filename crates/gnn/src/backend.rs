@@ -483,8 +483,8 @@ impl FeatgraphBackend {
 
     /// Total heap bytes held by this backend's compiled kernel plans
     /// (partitioned CSRs, edge orders, degree arrays). The serve engine
-    /// charges it to the `plan_cache` memory component for as long as a
-    /// registered model holds the backend.
+    /// charges it to the `plan_cache` memory component while a
+    /// registration's full-graph pass holds the backend.
     pub fn plan_mem_bytes(&self) -> u64 {
         let plans = self.plans.lock().expect("plan cache");
         let spmm = plans.spmm.values().map(SpmmKernel::mem_bytes);

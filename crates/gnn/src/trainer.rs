@@ -179,10 +179,12 @@ impl std::error::Error for InferError {}
 /// Batched single-node inference: one full-graph forward pass answers every
 /// requested node, returning that node's logits row per request.
 ///
-/// This is the serving entry point (`fg-serve` coalesces concurrent
-/// requests into one call): the forward cost is paid once per *batch*, not
-/// once per request, and the backend's cached kernel plans are reused
-/// across batches. Requested node IDs are validated before any compute.
+/// This is the serving entry point: `fg-serve` calls it once per
+/// registration over every vertex and answers each full-graph request with
+/// a row of the result, and once per sampled request on its subgraph. The
+/// backend's kernel plans compile on the first call and are reused by any
+/// later call on the same graph. Requested node IDs are validated before
+/// any compute.
 pub fn infer_batch(
     model: &dyn Model,
     graph: &GnnGraph,

@@ -40,8 +40,8 @@ enum WireProto {
 
 struct Opts {
     addr: Option<String>,
-    /// Engine knobs, written straight from their flags (`--batch`,
-    /// `--delay-ms`, `--queue`, … `--slow-ms`); the flag defaults are
+    /// Engine knobs, written straight from their flags (`--queue`,
+    /// `--workers`, … `--slow-ms`); the flag defaults are
     /// [`ServeConfig::default`]'s.
     cfg: ServeConfig,
     models: Vec<String>,
@@ -98,8 +98,8 @@ impl Default for Opts {
 const USAGE: &str = "usage:
   fgserve serve   [--addr HOST:PORT] [--model gcn|graphsage|gat|all] [--vertices N]
                   [--classes N] [--avg-deg N] [--noise N] [--hidden N] [--seed N]
-                  [--batch N] [--delay-ms N] [--queue N] [--workers N]
-                  [--kernel-threads N] [--shards N] [--shard-strategy range|degree]
+                  [--queue N] [--workers N] [--kernel-threads N]
+                  [--shards N] [--shard-strategy range|degree]
                   [--deadline-ms N] [--exec-delay-ms N] [--mem-budget N]
                   [--feature-dtype f32|f16|bf16] [--max-conns N]
                   [--trace-sample N] [--slow-ms N] [--trace FILE]
@@ -165,8 +165,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--noise" => o.noise = num(arg, &value(arg, &mut it)?)?,
             "--hidden" => o.hidden = num(arg, &value(arg, &mut it)?)?,
             "--seed" => o.seed = num(arg, &value(arg, &mut it)?)? as u64,
-            "--batch" => o.cfg.max_batch = num(arg, &value(arg, &mut it)?)?,
-            "--delay-ms" => o.cfg.max_delay = millis(arg, &value(arg, &mut it)?)?,
             "--queue" => o.cfg.queue_capacity = num(arg, &value(arg, &mut it)?)?,
             "--workers" => o.cfg.workers = num(arg, &value(arg, &mut it)?)?,
             "--kernel-threads" => o.cfg.kernel_threads = num(arg, &value(arg, &mut it)?)?,

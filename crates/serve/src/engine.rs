@@ -22,35 +22,34 @@
 //! to the sampled answer. Capped fanouts stay `Sampled` (the sampler's RNG
 //! keying makes capped results depend on which vertices share a request,
 //! which shard-splitting would change), and so do requests carrying `feats`
-//! (the override rewrites gathered rows; a full pass reads the registered
-//! matrix in place). Sharding is not a view; it is how a `Full` view is run
-//! when [`ServeConfig::shards`] `>= 2`.
+//! (the override rewrites gathered rows; the full-graph answer is computed
+//! from the registered matrix). Sharding is not a view; it is how the
+//! full-graph answer is computed when [`ServeConfig::shards`] `>= 2`.
 //!
-//! **Waiting.** The view also decides whether a job waits in the queue. A
-//! `Full` job *coalesces*: it lingers for the [`Batcher`]'s size
-//! ([`ServeConfig::max_batch`]) or deadline ([`ServeConfig::max_delay`])
-//! trigger, because every `Full` job pulled with it shares one forward pass.
-//! A `Sampled` job shares nothing with its queue neighbours — its subgraph,
-//! gathered rows and backend are its own — so it is pushed as
-//! non-coalescing: ripe at once, dispatched to the next free worker as a
-//! batch of one, never riding in a `Full` batch or cutting its wait short.
-//! Two sampled requests therefore run on two workers concurrently.
+//! **Waiting.** No job waits for company: the [`Batcher`] is a FIFO of
+//! single jobs, and a worker takes the oldest as soon as it is free. Jobs
+//! share no work — a `Full` job reads rows of a matrix that already exists,
+//! a `Sampled` job's subgraph, gathered rows and backend are its own — so
+//! two requests run on two workers concurrently.
 //!
-//! **Execution.** Workers pull batches — *n* `Full` jobs or one `Sampled`
-//! job — expire jobs whose deadline passed in the queue
-//! ([`ServeError::Timeout`]) and group the rest by registered model. Per
-//! group, all `Full` jobs are coalesced into **one** forward pass
-//! (`run_full`: [`fg_gnn::infer_batch`], or [`fg_gnn::infer_sharded`] across
-//! the shard workers) whose rows are scattered back, so the pass amortizes
-//! over the batch; a `Sampled` job runs `run_sampled` (sample → gather →
-//! override → `infer_batch` on the induced subgraph — cost proportional to
-//! the neighborhood, not the graph). A `Full` view runs on the backends its
-//! [`ModelEntry`] built at registration (one, or one per shard): their plans
-//! compile lazily in the first pass and every later pass reuses them, and
-//! they are freed with the entry. A `Sampled` view keeps nothing: a
-//! backend's plans embed the partitioned graph they were compiled on, every
-//! request samples a different subgraph, so it builds a fresh backend and
-//! each plan picks its own schedule.
+//! **Execution.** A worker pulls one job, expires it if its deadline passed
+//! in the queue ([`ServeError::Timeout`]), and answers it from its view.
+//! A `Full` view is a **row read**: graph, features and weights are frozen
+//! at registration, so the full-graph logits are a constant of the
+//! [`ModelEntry`]. The registration's first `Full` job computes them once
+//! (`fill_logits`: one [`fg_gnn::infer_batch`] over every vertex, or
+//! [`fg_gnn::infer_sharded`] across the shard workers, on backends built
+//! for the fill and dropped after it) into a |V| × classes matrix the entry
+//! keeps; concurrent first jobs wait on that one fill, and every job copies
+//! its rows out of the matrix. The fill is lazy — a registration that only
+//! ever answers sampled requests never pays for it — and never evicted: the
+//! matrix is no larger than the feature matrix whenever classes ≤ in_dim.
+//! A `Sampled` job runs `run_sampled` (sample → gather → override →
+//! `infer_batch` on the induced subgraph — cost proportional to the
+//! neighborhood, not the graph). It keeps nothing: a backend's plans embed
+//! the partitioned graph they were compiled on, every request samples a
+//! different subgraph, so it builds a fresh backend and each plan picks its
+//! own schedule.
 //!
 //! **Completion.** Every job — answered, failed or timed out — ends in one
 //! `complete`: phase samples (the rule for which is stated there), latency
@@ -63,21 +62,21 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
 use fg_gnn::sampled::prepare_seeds;
-use fg_gnn::{infer_batch, infer_sharded, FeatgraphBackend, GnnGraph, ShardRun, ShardedGraph};
+use fg_gnn::{infer_batch, infer_sharded, FeatgraphBackend, GnnGraph, ShardedGraph};
 use fg_graph::{SampleConfig, ShardStrategy, VId, FULL_FANOUT};
 use fg_telemetry::{
-    counter_add, emit_span, histogram_record, mem_charge, mem_credit, span, timestamp_ns, Counter,
-    Histogram, MemCharge, MemComponent, MemScope, TraceContext, TraceSampler, TraceScope,
+    counter_add, emit_span, histogram_record, span, timestamp_ns, Counter, Histogram, MemCharge,
+    MemComponent, MemScope, TraceContext, TraceSampler, TraceScope,
 };
 use fg_tensor::{Dense2, FeatureDtype, FeatureTensor};
 
-use crate::batcher::{Batcher, BatcherConfig, PushError};
+use crate::batcher::{Batcher, PushError};
 use crate::oneshot::Oneshot;
 use crate::stats::{ConnSnapshot, ConnStats, Phase, ServeStats, SlowEntry, SlowLog, StatsSnapshot};
 
@@ -91,15 +90,9 @@ pub const DEFAULT_SAMPLE_HOPS: usize = 2;
 /// Engine configuration. Defaults suit an interactive low-latency setup.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Dispatch a batch once this many pass-sharing (`Full`-view) requests
-    /// are queued.
-    pub max_batch: usize,
-    /// Dispatch a partial batch once the oldest pass-sharing request waited
-    /// this long. Sampled requests share no pass and never wait for it.
-    pub max_delay: Duration,
     /// Admission queue bound; beyond it requests are shed.
     pub queue_capacity: usize,
-    /// Worker threads executing batches.
+    /// Worker threads executing jobs.
     pub workers: usize,
     /// Kernel threads per compiled backend.
     pub kernel_threads: usize,
@@ -114,8 +107,9 @@ pub struct ServeConfig {
     /// Default per-request deadline when the request carries none;
     /// `None` disables timeouts.
     pub default_deadline: Option<Duration>,
-    /// Artificial extra latency per batch execution — overload/timeout
-    /// testing knob, zero in production.
+    /// Artificial extra latency per job, slept by the worker before the
+    /// job's deadline check — overload/timeout testing knob, zero in
+    /// production.
     pub exec_delay: Duration,
     /// Head-sample 1 in N requests for end-to-end tracing (`0` disables
     /// sampling; `1` traces everything). Sampled requests carry their trace
@@ -149,8 +143,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_batch: 32,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 2,
             kernel_threads: 1,
@@ -283,8 +275,7 @@ pub struct SeedsResponse {
 
 /// How a job's rows are computed.
 enum View {
-    /// Rows of the full-graph forward pass; all `Full` jobs of a model
-    /// group share one pass.
+    /// Rows of the full-graph logits the registration computes once.
     Full,
     /// Rows of the model run on a fanout-bounded neighborhood sampled
     /// around the job's rows, with `feats` (one row per job row) replacing
@@ -345,8 +336,8 @@ impl From<SeedsResponse> for InferResponse {
 }
 
 /// One servable model: the graph it runs on, its input features, the
-/// trained (or initialized) parameters, and the compiled kernels of its
-/// `Full` view.
+/// trained (or initialized) parameters, and — once its first `Full` job has
+/// run — the full-graph logits they determine.
 pub struct ModelEntry {
     name: String,
     graph_id: u64,
@@ -356,42 +347,19 @@ pub struct ModelEntry {
     /// Shard slices + halo-exchange plan, built once at registration when
     /// the engine is configured with `shards >= 2`.
     sharded: Option<ShardedEntry>,
-    /// The `Full` view's backends: one, or one per shard — backends key
-    /// compiled plans by matrix shape and two shard-local graphs can share
-    /// a shape, so a shared backend's plan lookups would cross shards.
-    /// Plans compile lazily in the first pass and live as long as the entry.
-    backends: Vec<FeatgraphBackend>,
-    /// Plan bytes of `backends` charged to the `plan_cache` component so
-    /// far; credited when the entry drops.
-    plan_bytes: AtomicU64,
+    /// The |V| × classes logits of the whole graph, filled by the first
+    /// `Full` job (`fill_logits`). Allocated under the `activations`
+    /// memory component, so the accountant counts it until the entry drops.
+    logits: OnceLock<Dense2<f32>>,
     /// Accounting guard for the `Vec`-backed graph topology (the tensor
     /// accountant only sees aligned buffers); credited when the entry drops
     /// — replacement, unregistration, or engine shutdown alike.
     _graph_charge: MemCharge,
 }
 
-impl Drop for ModelEntry {
-    fn drop(&mut self) {
-        mem_credit(MemComponent::PlanCache, *self.plan_bytes.get_mut());
-    }
-}
-
 impl ModelEntry {
-    /// Charge the plans the last pass compiled. A backend never drops a
-    /// plan, so the figure only grows; concurrent passes each charge the
-    /// part of their reading no earlier pass has.
-    fn charge_plans(&self) {
-        let bytes = self
-            .backends
-            .iter()
-            .map(FeatgraphBackend::plan_mem_bytes)
-            .sum();
-        let charged = self.plan_bytes.fetch_max(bytes, Ordering::Relaxed);
-        mem_charge(MemComponent::PlanCache, bytes.saturating_sub(charged));
-    }
-
-    /// `(vertices, edges)` of the graph slice a `Full` pass reads to answer
-    /// `rows`: summed over the shards owning at least one of them (the
+    /// `(vertices, edges)` of the graph slice the full-graph answer reads
+    /// for `rows`: summed over the shards owning at least one of them (the
     /// sharded analogue of a sampled request's subgraph size), or the whole
     /// graph when unsharded.
     fn slice_dims(&self, rows: &[usize]) -> (usize, usize) {
@@ -447,17 +415,13 @@ impl ShardedEntry {
         counts
     }
 
-    /// Fold one sharded forward pass into the per-shard counters and the
+    /// Count one row read against the shards owning `nodes`, and in the
     /// seed-routing histogram.
-    fn record_run(&self, nodes: &[usize], run: &ShardRun) {
+    fn record_rows(&self, nodes: &[usize]) {
         for (s, routed) in self.owner_counts(nodes).into_iter().enumerate() {
             if routed > 0 {
                 self.rows_routed[s].fetch_add(routed, Ordering::Relaxed);
                 histogram_record(Histogram::ShardSeeds, routed);
-            }
-            let bytes = run.shard_exchange_bytes[s];
-            if bytes > 0 {
-                self.exchange_bytes[s].fetch_add(bytes, Ordering::Relaxed);
             }
         }
     }
@@ -582,19 +546,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start an engine with `cfg.workers` batch-execution threads.
+    /// Start an engine with `cfg.workers` job-execution threads.
     pub fn new(cfg: ServeConfig) -> Self {
         let workers = cfg.workers.max(1);
         let stats = Arc::new(ServeStats::default());
         let shared = Arc::new(Shared {
-            batcher: Batcher::with_observer(
-                BatcherConfig {
-                    capacity: cfg.queue_capacity,
-                    max_batch: cfg.max_batch,
-                    max_delay: cfg.max_delay,
-                },
-                Arc::clone(&stats) as _,
-            ),
+            batcher: Batcher::with_observer(cfg.queue_capacity, Arc::clone(&stats) as _),
             sampler: TraceSampler::new(cfg.trace_sample),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             cfg,
@@ -609,8 +566,8 @@ impl Engine {
                 std::thread::Builder::new()
                     .name(format!("fgserve-worker-{i}"))
                     .spawn(move || {
-                        while let Some(jobs) = shared.batcher.next_batch() {
-                            execute_batch(&shared, jobs);
+                        while let Some(job) = shared.batcher.pop() {
+                            execute(&shared, job);
                         }
                     })
                     .expect("spawn worker")
@@ -623,8 +580,12 @@ impl Engine {
     }
 
     /// Register `model` under `name`, replacing any previous registration
-    /// (whose backends and compiled plans are freed with it). Returns the
-    /// graph ID assigned to this registration.
+    /// (whose full-graph logits are freed with it). Returns the graph ID
+    /// assigned to this registration.
+    ///
+    /// # Panics
+    ///
+    /// If `features` does not have exactly one row per vertex of `graph`.
     pub fn register_model(
         &self,
         name: &str,
@@ -632,14 +593,20 @@ impl Engine {
         graph: GnnGraph,
         features: Dense2<f32>,
     ) -> u64 {
+        // Every view gathers feature rows by vertex id, and the full-graph
+        // fill relies on the check to be infallible.
+        assert_eq!(
+            features.rows(),
+            graph.num_vertices(),
+            "model {name:?}: feature matrix has {} rows, graph has {} vertices",
+            features.rows(),
+            graph.num_vertices()
+        );
         let cfg = &self.shared.cfg;
         let graph_id = self.shared.next_graph_id.fetch_add(1, Ordering::Relaxed);
         let graph_charge = MemCharge::new(MemComponent::GraphTopology, graph.mem_bytes());
         let sharded =
             (cfg.shards >= 2).then(|| ShardedEntry::build(&graph, cfg.shards, cfg.shard_strategy));
-        let backends = (0..sharded.as_ref().map_or(1, |s| s.graph.num_shards()))
-            .map(|_| FeatgraphBackend::cpu(cfg.kernel_threads))
-            .collect();
         // Quantize at registration per the configured storage dtype; F32
         // keeps the caller's buffer untouched (no copy, no rounding).
         let features = FeatureTensor::from_f32(cfg.feature_dtype, features);
@@ -650,8 +617,7 @@ impl Engine {
             features,
             model,
             sharded,
-            backends,
-            plan_bytes: AtomicU64::new(0),
+            logits: OnceLock::new(),
             _graph_charge: graph_charge,
         });
         let replaced = self
@@ -662,8 +628,8 @@ impl Engine {
             .insert(name.to_string(), entry);
         if let Some(old) = replaced {
             // Surface what used to be a silent drop: the old entry's graph,
-            // features, parameters and compiled plans are released (once
-            // in-flight batches holding its Arc finish).
+            // features, parameters and logits are released (once in-flight
+            // jobs holding its Arc finish).
             self.shared
                 .stats
                 .models_replaced
@@ -797,11 +763,7 @@ impl Engine {
             deadline: deadline.or(shared.cfg.default_deadline).map(|d| now + d),
             trace,
         };
-        // The view decides waiting as well as routing: `Full` jobs linger so
-        // the batch shares one pass, a `Sampled` job shares nothing and is
-        // handed to the next free worker on its own.
-        let coalesces = matches!(job.view, View::Full);
-        match shared.batcher.push(job, coalesces) {
+        match shared.batcher.push(job) {
             Ok(()) => {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 Ok(Pending {
@@ -935,10 +897,6 @@ impl Engine {
             components: fg_telemetry::mem_snapshot(),
             total_current: fg_telemetry::mem_total_current(),
             total_peak: fg_telemetry::mem_total_peak(),
-            plan_cache_bytes: models
-                .values()
-                .map(|e| e.plan_bytes.load(Ordering::Relaxed))
-                .sum(),
             mem_budget: self.shared.cfg.mem_budget,
             mem_shed: self.shared.stats.mem_shed.load(Ordering::Relaxed),
             models_registered: models.len() as u64,
@@ -964,10 +922,10 @@ impl Drop for Engine {
     }
 }
 
-/// Whole-process memory breakdown: per-component accounted watermarks, the
-/// registered models' compiled-plan bytes, admission-gate state, and the OS
-/// resident-set cross-check. Produced by [`Engine::memory_report`], rendered by the
-/// `MEMORY` wire command and the `fgserve_mem_*` metric series.
+/// Whole-process memory breakdown: per-component accounted watermarks,
+/// admission-gate state, and the OS resident-set cross-check. Produced by
+/// [`Engine::memory_report`], rendered by the `MEMORY` wire command and the
+/// `fgserve_mem_*` metric series.
 #[derive(Debug, Clone)]
 pub struct MemoryReport {
     /// Current/peak accounted bytes per component, in
@@ -977,8 +935,6 @@ pub struct MemoryReport {
     pub total_current: u64,
     /// High-water mark of `total_current`.
     pub total_peak: u64,
-    /// Compiled-plan bytes held by the registered models' backends.
-    pub plan_cache_bytes: u64,
     /// Admission-gate budget in bytes (`0` = unlimited).
     pub mem_budget: u64,
     /// Requests shed by the memory-budget gate.
@@ -994,8 +950,7 @@ pub struct MemoryReport {
 impl MemoryReport {
     /// Render as `key=value ...` payload lines for the `MEMORY` wire reply:
     /// one `component=<name> current=<b> peak=<b>` line per component, then
-    /// one `total` summary line, one `plan_cache` line, and (on Linux) one
-    /// `rss` line.
+    /// one `total` summary line and (on Linux) one `rss` line.
     pub fn to_wire_lines(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .components
@@ -1019,7 +974,6 @@ impl MemoryReport {
             self.models_registered,
             self.models_replaced,
         ));
-        lines.push(format!("plan_cache bytes={}", self.plan_cache_bytes));
         if let Some(rss) = self.rss {
             lines.push(format!(
                 "rss current={} peak={}",
@@ -1081,7 +1035,7 @@ fn seeds_view(
     }
 }
 
-/// Engine-side durations of one pass. `sample` and `exchange` are `Some`
+/// Engine-side durations of one job. `sample` and `exchange` are `Some`
 /// exactly when that step ran — the phase rule in [`complete`] keys on it.
 #[derive(Clone, Copy)]
 struct Timings {
@@ -1090,28 +1044,26 @@ struct Timings {
     exchange: Option<Duration>,
 }
 
-/// What a pass hands [`complete`] for one job: its logits rows, the pass's
+/// What a view hands [`complete`] for one job: its logits rows, the job's
 /// timings, and the `(vertices, edges)` of the graph slice behind them.
-type Outcome = Result<(Vec<Vec<f32>>, Timings, (usize, usize)), ServeError>;
+type Answer = (Vec<Vec<f32>>, Timings, (usize, usize));
 
-fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
+/// An [`Answer`], or why there is none.
+type Outcome = Result<Answer, ServeError>;
+
+/// Run one job: expire it if its deadline passed while it queued, else
+/// answer it from its view.
+fn execute(shared: &Shared, job: Job) {
     let pulled = Instant::now();
-    let pulled_ns = timestamp_ns();
-    // A batch (and a model group) may mix jobs from several traces; parent
-    // its spans under the first sampled one so at least one trace tree
-    // shows batch context.
-    let lead_trace = |jobs: &[Job]| {
-        let sampled = jobs.iter().find(|j| j.trace.sampled);
-        sampled.map_or(TraceContext::NONE, |j| j.trace)
-    };
-    let _batch_scope = TraceScope::enter(lead_trace(&jobs));
-    let _span = span!("serve/batch", "jobs={}", jobs.len());
+    let _scope = TraceScope::enter(job.trace);
+    let _span = span!("serve/batch", "rows={}", job.rows.len());
     counter_add(Counter::ServeBatches, 1);
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     // Queue wait elapsed on another thread; emit it as an externally-timed
-    // span per sampled job so the trace tree covers accept → pull.
-    for job in &jobs {
-        if job.trace.sampled && job.accept_ns != 0 && pulled_ns > job.accept_ns {
+    // span so the trace tree covers accept → pull.
+    if job.trace.sampled && job.accept_ns != 0 {
+        let pulled_ns = timestamp_ns();
+        if pulled_ns > job.accept_ns {
             emit_span(
                 "serve/queue_wait",
                 Some(format!("rows={}", job.rows.len())),
@@ -1124,96 +1076,78 @@ fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
     if !shared.cfg.exec_delay.is_zero() {
         std::thread::sleep(shared.cfg.exec_delay);
     }
-
-    // Expire jobs whose deadline passed while they queued.
-    let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = jobs
-        .into_iter()
-        .partition(|j| j.deadline.is_none_or(|d| now < d));
-    for job in &expired {
-        complete(
-            shared,
-            job,
-            pulled,
-            Duration::ZERO,
-            Err(ServeError::Timeout),
-        );
+    if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        let timeout = Err(ServeError::Timeout);
+        complete(shared, job, pulled, Duration::ZERO, timeout);
+        return;
     }
-
-    // Group by registration: the `Full` jobs of a group share one forward
-    // pass; a `Sampled` job arrives as a batch of its own (the batcher never
-    // coalesces it) and runs on its own subgraph.
-    let mut groups: HashMap<u64, Vec<Job>> = HashMap::new();
-    for job in live {
-        groups.entry(job.entry.graph_id).or_default().push(job);
-    }
-    for group in groups.into_values() {
-        // Phase accounting sees the group through this batch's clock:
-        // batch_form covers pull → this group's start (deadline filtering,
-        // grouping, earlier groups in the same batch).
-        let batch_form = pulled.elapsed();
-        let _group_scope = TraceScope::enter(lead_trace(&group));
-        let entry = &*group[0].entry;
-        let full: Vec<&Job> = group
-            .iter()
-            .filter(|j| matches!(j.view, View::Full))
-            .collect();
-        if !full.is_empty() {
-            let rows: Vec<usize> = full.iter().flat_map(|j| j.rows.iter().copied()).collect();
-            match run_full(entry, &rows) {
-                // Scatter: each job takes its rows off the front of the
-                // pass's output, in concatenation order. Every job waited
-                // through the whole pass, so each gets the full durations:
-                // per-request phases then sum to its own latency.
-                Ok((out, timings)) => {
-                    let mut out = out.into_iter();
-                    for job in full {
-                        let mine = out.by_ref().take(job.rows.len()).collect();
-                        let dims = entry.slice_dims(&job.rows);
-                        complete(shared, job, pulled, batch_form, Ok((mine, timings, dims)));
-                    }
-                }
-                Err(err) => {
-                    for job in full {
-                        complete(shared, job, pulled, batch_form, Err(err.clone()));
-                    }
-                }
-            }
-        }
-        for job in &group {
-            if let View::Sampled { cfg, feats } = &job.view {
-                let outcome = run_sampled(shared, entry, &job.rows, cfg, feats.as_ref());
-                complete(shared, job, pulled, batch_form, outcome);
-            }
-        }
-    }
+    // batch_form covers pull → start: the exec delay and the deadline check.
+    let batch_form = pulled.elapsed();
+    let entry = &*job.entry;
+    let outcome = match &job.view {
+        View::Full => Ok(read_rows(shared, entry, &job.rows)),
+        View::Sampled { cfg, feats } => run_sampled(shared, entry, &job.rows, cfg, feats.as_ref()),
+    };
+    complete(shared, job, pulled, batch_form, outcome);
 }
 
-/// The one forward pass behind every `Full` view of a model group: the
-/// logits rows of `rows`, in order. Sharding is a property of how the pass
-/// runs — with [`ModelEntry::sharded`] set it is a scatter-gather across
-/// the shard workers ([`infer_sharded`]) and its wall time is split into
-/// compute (wall − exchange) and halo exchange so the two phases stay
-/// additive; otherwise it is one [`infer_batch`]. It runs on the entry's
-/// own backends; the first pass compiles their plans, which counts as
-/// `execute`.
-fn run_full(entry: &ModelEntry, rows: &[usize]) -> Result<(Vec<Vec<f32>>, Timings), ServeError> {
-    let model_name = entry.name.as_str();
+/// One `Full` view: copy `rows`, in order, out of the registration's
+/// full-graph logits — computing them first when this is the
+/// registration's first `Full` job; concurrent first jobs wait on that one
+/// fill. Only the filling job's `execute` holds the pass, and only it
+/// records the sharded pass's `exchange`; a job that waited on another's
+/// fill counts the wait as `execute`.
+fn read_rows(shared: &Shared, entry: &ModelEntry, rows: &[usize]) -> Answer {
+    let start = Instant::now();
+    let mut exchange = None;
+    let logits = entry.logits.get_or_init(|| {
+        let (logits, pass_exchange) = fill_logits(entry, shared.cfg.kernel_threads);
+        exchange = pass_exchange;
+        logits
+    });
+    let out = rows.iter().map(|&v| logits.row(v).to_vec()).collect();
+    if let Some(sharded) = &entry.sharded {
+        sharded.record_rows(rows);
+    }
+    let timings = Timings {
+        sample: None,
+        // The slowest shard's exchange wait bounds the pass's exchange
+        // cost; subtracting it keeps Execute + Exchange additive.
+        execute: start.elapsed().saturating_sub(exchange.unwrap_or_default()),
+        exchange,
+    };
+    (out, timings, entry.slice_dims(rows))
+}
+
+/// The registration's full-graph logits: one forward pass over every
+/// vertex — [`infer_batch`], or with [`ModelEntry::sharded`] set a
+/// scatter-gather across the shard workers ([`infer_sharded`]), whose
+/// exchange bytes go into the shard counters here, once. The pass runs on
+/// backends built for it and dropped after it (one, or one per shard:
+/// backends key plans by matrix shape and two shard-local graphs can share
+/// a shape); their plans are charged to the `plan_cache` component until
+/// then, so its peak still shows them. The kept matrix is allocated under
+/// the `activations` component. Returns the logits and, when sharded, the
+/// pass's exchange critical path (the slowest shard's wait).
+fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> (Dense2<f32>, Option<Duration>) {
     let sharded = entry.sharded.as_ref();
-    let backends = &entry.backends;
-    let exec_start = Instant::now();
-    let run = {
+    let backends: Vec<FeatgraphBackend> = (0..sharded.map_or(1, |s| s.graph.num_shards()))
+        .map(|_| FeatgraphBackend::cpu(kernel_threads))
+        .collect();
+    let nodes: Vec<usize> = (0..entry.graph.num_vertices()).collect();
+    let (rows, exchange) = {
         let _infer_span = span!(
             "serve/infer",
-            "model={model_name} rows={} backends={}",
-            rows.len(),
+            "model={} rows={} backends={}",
+            entry.name,
+            nodes.len(),
             backends.len()
         );
         // Attribute the pass's tape/scratch allocations to the serve path.
         let _mem = MemScope::enter(MemComponent::ServeBatch);
-        // F32 storage borrows the registered buffer directly; half
-        // storage widens once per pass (the materialized copy is
-        // scratch, charged to the serve batch).
+        // F32 storage borrows the registered buffer directly; half storage
+        // widens once (the materialized copy is scratch, charged to the
+        // serve batch).
         let widened;
         let features: &Dense2<f32> = match entry.features.as_f32() {
             Some(f) => f,
@@ -1223,28 +1157,27 @@ fn run_full(entry: &ModelEntry, rows: &[usize]) -> Result<(Vec<Vec<f32>>, Timing
             }
         };
         let model = entry.model.as_ref();
-        match sharded {
-            Some(s) => infer_sharded(model, &s.graph, features, backends, rows)
-                .map(|mut run| (std::mem::take(&mut run.results), Some(run))),
-            None => infer_batch(model, &entry.graph, features, &backends[0], rows)
-                .map(|out| (out, None)),
-        }
+        let pass = match sharded {
+            Some(s) => infer_sharded(model, &s.graph, features, &backends, &nodes).map(|run| {
+                for (counter, &bytes) in s.exchange_bytes.iter().zip(&run.shard_exchange_bytes) {
+                    counter.fetch_add(bytes, Ordering::Relaxed);
+                }
+                let exchange = Duration::from_nanos(run.exchange_ns_max());
+                (run.results, Some(exchange))
+            }),
+            None => infer_batch(model, &entry.graph, features, &backends[0], &nodes)
+                .map(|rows| (rows, None)),
+        };
+        pass.expect("registration checked one feature row per vertex")
     };
-    let wall = exec_start.elapsed();
-    entry.charge_plans();
-    let (out, shard_run) = run.map_err(|e| ServeError::Infer(e.to_string()))?;
-    let exchange = sharded.zip(shard_run).map(|(s, run)| {
-        s.record_run(rows, &run);
-        // The slowest shard's exchange wait bounds the pass's exchange
-        // cost; subtracting it keeps Execute + Exchange additive.
-        Duration::from_nanos(run.exchange_ns_max())
-    });
-    let timings = Timings {
-        sample: None,
-        execute: wall.saturating_sub(exchange.unwrap_or_default()),
-        exchange,
-    };
-    Ok((out, timings))
+    let plan_bytes = backends.iter().map(FeatgraphBackend::plan_mem_bytes).sum();
+    let _plans = MemCharge::new(MemComponent::PlanCache, plan_bytes);
+    let _mem = MemScope::enter(MemComponent::Activations);
+    let mut logits = Dense2::zeros(rows.len(), rows.first().map_or(0, Vec::len));
+    for (v, row) in rows.iter().enumerate() {
+        logits.row_mut(v).copy_from_slice(row);
+    }
+    (logits, exchange)
 }
 
 /// One `Sampled` view: sample the neighborhood of `seeds`, gather its
@@ -1316,15 +1249,15 @@ fn run_sampled(
 /// the slow log, and the reply.
 ///
 /// Phase rule — a completed request records `queue_wait`, `batch_form` and
-/// `execute` always; `sample` iff it ran a `Sampled`
-/// view; `exchange` iff its pass was sharded (so the `exchange` series of
-/// an unsharded engine, and the `sample` series of one that only answers
-/// `INFER`, stay empty rather than filling with zeros). A timed-out request
+/// `execute` always; `sample` iff it ran a `Sampled` view; `exchange` iff it
+/// filled its registration's logits with a sharded pass (so the `exchange`
+/// series of an unsharded engine, and the `sample` series of one that only
+/// answers `INFER`, stay empty rather than filling with zeros). A timed-out request
 /// records its terminal `queue_wait` only — everything it did was wait —
 /// so the timeout counter and the phase series move together. A failed
 /// request records no phases. `serialize` belongs to the front-end
 /// ([`Engine::record_serialize`]).
-fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, outcome: Outcome) {
+fn complete(shared: &Shared, job: Job, pulled: Instant, batch_form: Duration, outcome: Outcome) {
     let stats = &shared.stats;
     let (out, t, (sub_vertices, sub_edges)) = match outcome {
         Ok(done) => done,
@@ -1336,7 +1269,7 @@ fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, o
             } else {
                 stats.failed.fetch_add(1, Ordering::Relaxed);
             }
-            job.reply.send(Err(err));
+            send(job, Err(err));
             return;
         }
     };
@@ -1378,11 +1311,22 @@ fn complete(shared: &Shared, job: &Job, pulled: Instant, batch_form: Duration, o
             logits,
         })
         .collect();
-    job.reply.send(Ok(SeedsResponse {
-        results,
-        sub_vertices,
-        sub_edges,
-    }));
+    send(
+        job,
+        Ok(SeedsResponse {
+            results,
+            sub_vertices,
+            sub_edges,
+        }),
+    );
+}
+
+/// Answer `job` after it has let go of its registration: a client holding
+/// its reply may rely on a model it then replaces being released.
+fn send(job: Job, result: Result<SeedsResponse, ServeError>) {
+    let reply = Arc::clone(&job.reply);
+    drop(job);
+    reply.send(result);
 }
 
 /// Index of the largest logit (ties break low, matching training's argmax).

@@ -1,4 +1,4 @@
-//! # fg-serve — batched, backpressured GNN inference serving
+//! # fg-serve — backpressured GNN inference serving
 //!
 //! An embedded inference engine over the `fg-gnn` stack with **one request
 //! path**: `INFER` or `INFER_SEEDS`, text or binary, sharded engine or not,
@@ -12,16 +12,16 @@
 //!  FGB1 frame ┘                │                    └─▶ encode_reply ─▶ frame
 //!                              ▼ INFER / INFER_SEEDS
 //!   admit ─▶ Job{model, rows, view} ─▶ Batcher ─▶ execute ─▶ complete
-//!     │ shed: ERR overloaded             │ deadline-or-size batches
+//!     │ shed: ERR overloaded             │ one job at a time, FIFO
 //! ```
 //!
-//! `execute` answers all `Full`-view jobs of a model group with **one**
-//! forward pass (one backend, or N shard workers with a halo exchange) and
-//! each `Sampled`-view job on its own sampled subgraph; only the former
-//! reuses compiled plans, held by the registration it runs on and freed
-//! with it. The job shape, the rule that routes
-//! a seeds request to a view, and the rule for which latency phases a
-//! request records are stated once, in [`engine`].
+//! `execute` answers a `Full`-view job with a **row read** from the
+//! full-graph logits its registration computes once, on its first `Full`
+//! job (one forward pass over every vertex: one backend, or N shard workers
+//! with a halo exchange), and a `Sampled`-view job on its own sampled
+//! subgraph. The job shape, the rule that routes a seeds request to a view,
+//! and the rule for which latency phases a request records are stated once,
+//! in [`engine`].
 //!
 //! Layers:
 //!
@@ -32,8 +32,7 @@
 //!   connection, and the single verb dispatcher both codecs share.
 //! * [`engine`] — admission control, per-request deadlines, the worker
 //!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
-//! * [`batcher`] — bounded MPSC queue with deadline-or-size dispatch and
-//!   overload shedding.
+//! * [`batcher`] — bounded FIFO of single jobs with overload shedding.
 //! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
 //!   queue-depth/batch-size distributions, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
@@ -48,9 +47,9 @@
 //! and kernel spans, producing one coherent Chrome-trace tree per request.
 //!
 //! Memory: the engine rides on `fg-telemetry`'s byte-level accountant —
-//! graph topology, features, model params, batch scratch, and each
-//! registration's compiled plans are attributed per component, surfaced via the `MEMORY` wire
-//! command and `fgserve_mem_*` metric series
+//! graph topology, features, model params, request scratch, and each
+//! registration's full-graph logits are attributed per component, surfaced
+//! via the `MEMORY` wire command and `fgserve_mem_*` metric series
 //! ([`engine::Engine::memory_report`]), and optionally enforced by the
 //! [`engine::ServeConfig::mem_budget`] admission gate, which sheds with
 //! [`engine::ServeError::OverMemoryBudget`] before allocating.
@@ -66,7 +65,7 @@ pub mod protocol;
 pub mod server;
 pub mod stats;
 
-pub use batcher::{Batcher, BatcherConfig, PushError, QueueObserver};
+pub use batcher::{Batcher, PushError, QueueObserver};
 pub use engine::{
     Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, Pending, SeedsResponse,
     SeedsTicket, ServeConfig, ServeError, ShardLine, ShardsReport, Ticket, DEFAULT_SAMPLE_HOPS,

@@ -47,8 +47,8 @@ fn write_summary(out: &mut String, name: &str, labels: &str, snap: &LatencySnaps
 }
 
 /// Render the full exposition for one engine snapshot. `mem` carries the
-/// live gauges the snapshot doesn't: the accounted-memory breakdown and the
-/// registered models' compiled-plan bytes. `shards` adds the per-shard `fgserve_shard_*`
+/// live gauges the snapshot doesn't: the accounted-memory breakdown.
+/// `shards` adds the per-shard `fgserve_shard_*`
 /// series (none emitted when the engine serves single-worker). `conn`
 /// carries the TCP front-end's connection counters — all-zero for embedded
 /// engines with no listener, so the series still exist and scrapes can
@@ -77,7 +77,6 @@ pub fn render(
     for (name, value) in [
         ("fgserve_queue_depth", stats.queue_depth),
         ("fgserve_queue_depth_max", stats.queue_depth_max),
-        ("fgserve_plan_cache_bytes", mem.plan_cache_bytes),
         ("fgserve_mem_total_bytes", mem.total_current),
         ("fgserve_mem_total_peak_bytes", mem.total_peak),
         ("fgserve_mem_budget_bytes", mem.mem_budget),
@@ -250,12 +249,11 @@ mod tests {
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
-    fn mem_with_plan_bytes(plan_cache_bytes: u64) -> MemoryReport {
+    fn empty_mem() -> MemoryReport {
         MemoryReport {
             components: fg_telemetry::mem_snapshot(),
             total_current: 0,
             total_peak: 0,
-            plan_cache_bytes,
             mem_budget: 0,
             mem_shed: 0,
             models_registered: 0,
@@ -269,7 +267,7 @@ mod tests {
         let stats = ServeStats::default();
         let text = render(
             &stats.snapshot(),
-            &mem_with_plan_bytes(0),
+            &empty_mem(),
             &ShardsReport::default(),
             &ConnSnapshot::default(),
         );
@@ -285,11 +283,10 @@ mod tests {
                 .value
         };
         assert_eq!(count("fgserve_requests_accepted_total"), 0.0);
-        assert_eq!(count("fgserve_plan_cache_bytes"), 0.0);
         assert_eq!(count("fgserve_mem_total_bytes"), 0.0);
         // Component series exist for every component (values depend on
         // whether accounting is compiled in, so only presence is asserted).
-        let _ = count("fgserve_mem_component_bytes{component=\"plan_cache\"}");
+        let _ = count("fgserve_mem_component_bytes{component=\"activations\"}");
         let _ = count("fgserve_mem_component_peak_bytes{component=\"serve_batch\"}");
         assert_eq!(
             count("fgserve_phase_latency_ms_count{phase=\"queue_wait\"}"),
@@ -309,7 +306,7 @@ mod tests {
         }
         let text = render(
             &stats.snapshot(),
-            &mem_with_plan_bytes(4096),
+            &empty_mem(),
             &ShardsReport::default(),
             &ConnSnapshot::default(),
         );
@@ -324,7 +321,6 @@ mod tests {
             sample(&text, "fgserve_phase_latency_ms_count{phase=\"execute\"}"),
             Some(10.0)
         );
-        assert_eq!(sample(&text, "fgserve_plan_cache_bytes"), Some(4096.0));
     }
 
     #[test]
@@ -362,7 +358,7 @@ mod tests {
         };
         let text = render(
             &stats.snapshot(),
-            &mem_with_plan_bytes(0),
+            &empty_mem(),
             &shards,
             &ConnSnapshot::default(),
         );

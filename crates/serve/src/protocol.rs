@@ -38,9 +38,8 @@
 //! until the OpenMetrics `# EOF` terminator line. `SEEDS`, `MEMORY`,
 //! `SHARDS`, and `SLOWLOG` declare their line counts up front in the
 //! header. `MEMORY` reports the accounted per-component footprint (one
-//! `MEM component=...` line per component, then `MEM total ...`,
-//! `MEM plan_cache bytes=...` (the registered models' compiled plans), and
-//! on Linux `MEM rss ...` summary lines).
+//! `MEM component=...` line per component, then `MEM total ...` and on
+//! Linux `MEM rss ...` summary lines).
 //! `SHARDS` reports one line per shard per registered model (owned/halo
 //! vertex counts, edges, routed rows, exchange bytes) and answers
 //! `SHARDS 0` on a single-worker server.

@@ -4,14 +4,13 @@
 //! A connection thread reads, decodes, calls `dispatch` — which blocks on
 //! the engine until the worker pool answers — writes the reply and reads
 //! again. A thread is parked on its request for the whole engine round
-//! trip, so threads are what bound the requests in flight: a handler pool
-//! smaller than [`crate::engine::ServeConfig::max_batch`] would keep the
-//! batcher's size trigger from ever firing, and would hide overload in a
-//! backlog of ready connections instead of letting the engine queue shed it
-//! as `overloaded`. So there is no pool. Admission control happens at
-//! accept: beyond [`crate::engine::ServeConfig::max_conns`] live
-//! connections, new accepts are shed immediately (counted, connection
-//! closed), which bounds threads and sockets alike.
+//! trip, so threads are what bound the requests in flight: a fixed pool of
+//! them would hide overload in a backlog of ready connections instead of
+//! letting the engine queue shed it as `overloaded`. So there is no pool.
+//! Admission control happens at accept: beyond
+//! [`crate::engine::ServeConfig::max_conns`] live connections, new accepts
+//! are shed immediately (counted, connection closed), which bounds threads
+//! and sockets alike.
 //!
 //! A connection's books (`active`/`closed`) are closed when its state
 //! drops, whatever the path — clean close, failed spawn, panic. A connection

@@ -127,20 +127,24 @@ impl LatencyRecorder {
 /// front-end for inference replies (embedded callers leave it empty).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Accepted into the queue → the worker pulled its batch.
+    /// Accepted into the queue → a worker pulled the job.
     QueueWait,
-    /// Batch pulled → this request's model group started executing
-    /// (deadline filtering, grouping, and earlier groups in the batch).
+    /// Job pulled → its view started executing (the deadline check, plus
+    /// any configured exec delay). Kept under its historical name; it reads
+    /// ≈ 0 now that no job waits for a batch to form.
     BatchForm,
     /// Neighbor sampling + feature gather of a `Sampled`-view request (no
     /// sample for `Full`-view requests).
     Sample,
-    /// The group's batched forward pass, including the plans its first pass
-    /// compiles. On sharded engines the exchange critical path is carved
-    /// out into [`Phase::Exchange`] so the two stay additive.
+    /// The job's rows: a row read for a `Full`-view request (plus the
+    /// registration's one full-graph pass, for the request that fills it),
+    /// or the sampled subgraph's forward pass. On sharded engines the
+    /// filling pass's exchange critical path is carved out into
+    /// [`Phase::Exchange`] so the two stay additive.
     Execute,
-    /// Halo-exchange critical path of a sharded forward pass: the slowest
-    /// shard's time rebuilding halo rows between layers (no sample on
+    /// Halo-exchange critical path of the sharded full-graph pass: the
+    /// slowest shard's time rebuilding halo rows between layers, recorded
+    /// once per registration by the request that filled it (no sample on
     /// single-worker engines).
     Exchange,
     /// Formatting and writing the reply line (front-end only).
@@ -279,13 +283,13 @@ pub struct ServeStats {
     pub timed_out: AtomicU64,
     /// Requests that failed inside inference.
     pub failed: AtomicU64,
-    /// Batches executed.
+    /// Jobs executed (a batch is one job).
     pub batches: AtomicU64,
     /// End-to-end latency of completed requests.
     pub latency: LatencyRecorder,
     /// Per-phase latency recorders, indexed by [`Phase`] discriminant.
     pub phases: [LatencyRecorder; Phase::COUNT],
-    /// Requests per dispatched batch (fed by the batcher).
+    /// Requests per dispatched batch, always 1 (fed by the batcher).
     pub batch_sizes: LatencyRecorder,
     /// Items queued right now (fed by the batcher).
     pub queue_depth: AtomicU64,

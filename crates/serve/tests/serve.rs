@@ -1,7 +1,7 @@
 //! End-to-end tests for fg-serve: engine correctness under concurrency
 //! (zero lost / zero duplicated responses), typed overload shedding and
-//! timeouts, a registration's compiled-plan reuse and release, and the TCP
-//! front-end.
+//! timeouts, full-graph rows read bitwise from the registration that
+//! computed them, and the TCP front-end.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -12,7 +12,9 @@ use std::time::Duration;
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_gnn::FeatgraphBackend;
+use fg_graph::ShardStrategy;
 use fg_serve::{serve, Engine, InferRequest, InferSeedsRequest, ServeConfig, ServeError};
+use fg_tensor::{FeatureDtype, FeatureTensor};
 
 fn make_task() -> SbmTask {
     SbmTask::generate(400, 3, 8, 2, 7)
@@ -41,8 +43,6 @@ fn stress_1k_requests_zero_lost_zero_duplicated() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 125;
     let (engine, task) = make_engine(ServeConfig {
-        max_batch: 16,
-        max_delay: Duration::from_millis(1),
         queue_capacity: 4096,
         workers: 3,
         default_deadline: None,
@@ -86,13 +86,7 @@ fn stress_1k_requests_zero_lost_zero_duplicated() {
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.timed_out, 0);
     assert_eq!(stats.failed, 0);
-    assert!(stats.batches > 0);
-    assert!(
-        stats.batches < stats.completed,
-        "batching must coalesce ({} batches for {} requests)",
-        stats.batches,
-        stats.completed
-    );
+    assert_eq!(stats.batches, stats.completed, "a batch is one job");
     assert!(stats.latency.p50_ms > 0.0);
     engine.shutdown();
 }
@@ -109,88 +103,79 @@ fn infer_node(engine: &Engine, node: usize) -> Vec<f32> {
         .logits
 }
 
-fn plan_bytes(engine: &Engine) -> u64 {
-    engine.memory_report().plan_cache_bytes
-}
-
-/// Plans compile lazily in a registration's first pass; every later pass
-/// runs on them and compiles nothing more.
+/// A registration's full-graph logits are its own: re-registering a name
+/// with other weights answers from the new registration at once, never
+/// from the replaced one's matrix.
 #[test]
-fn a_registration_compiles_its_plans_once() {
-    let (engine, _task) = make_engine(ServeConfig::default());
-    assert_eq!(plan_bytes(&engine), 0, "nothing compiles at registration");
-    infer_node(&engine, 0);
-    let compiled = plan_bytes(&engine);
-    assert!(compiled > 0, "the first pass compiles plans");
-    for node in 1..=50 {
-        infer_node(&engine, node);
-        assert_eq!(plan_bytes(&engine), compiled, "pass for node {node}");
-    }
-}
-
-/// A registration owns its compiled plans: re-registering a name releases
-/// the old entry's plans with it, so the live plan bytes of one model stay
-/// what its first pass compiled however often it is replaced.
-#[test]
-fn replacing_a_model_releases_its_compiled_plans() {
+fn replacing_a_model_serves_the_new_registration() {
     let (engine, task) = make_engine(ServeConfig::default());
-    let infer_and_read = || {
-        infer_node(&engine, 5);
-        plan_bytes(&engine)
-    };
-    let mut readings = vec![infer_and_read()];
-    assert!(readings[0] > 0, "the first pass compiles plans");
-    for _ in 0..3 {
-        let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
-        engine.register_model("gcn", model, task.graph.clone(), task.features.clone());
-        readings.push(infer_and_read());
-    }
-    assert_eq!(
-        readings, [readings[0]; 4],
-        "plan bytes after 0..=3 replacements"
-    );
-    assert_eq!(engine.memory_report().models_replaced, 3);
+    let before = infer_node(&engine, 5);
+    assert_eq!(before, reference_logits(&task)[5]);
+    let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 4);
+    engine.register_model("gcn", model, task.graph.clone(), task.features.clone());
+    let backend = FeatgraphBackend::cpu(1);
+    let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 4);
+    let (want, _, _) = fg_gnn::trainer::inference(&*model, &task, &backend, None);
+    let after = infer_node(&engine, 5);
+    assert_ne!(after, before, "other weights, other logits");
+    assert_eq!(after, want.row(5));
+    assert_eq!(engine.memory_report().models_replaced, 1);
 }
 
-/// Eight first passes racing on one fresh registration (one job per batch,
-/// eight workers) compile what one sequential pass compiles and answer
-/// every row exactly.
+/// Every route to a full-graph row — 1 or 4 shards, f32 or bf16 storage —
+/// answers every vertex with exactly the row of one `infer_batch` over the
+/// graph (on the widened features when storage is half precision).
 #[test]
-fn a_cold_burst_compiles_what_one_pass_compiles() {
-    const THREADS: usize = 8;
-    let (sequential, task) = make_engine(ServeConfig::default());
-    infer_node(&sequential, 0);
-    let one_pass = plan_bytes(&sequential);
-    sequential.shutdown();
-    let expected = reference_logits(&task);
-
-    let (engine, _task) = make_engine(ServeConfig {
-        max_batch: 1,
-        workers: THREADS,
-        default_deadline: None,
-        ..ServeConfig::default()
-    });
-    let start = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let (engine, start, expected) = (&engine, &start, &expected);
-            s.spawn(move || {
-                start.wait();
-                let node = t * 41;
-                assert_eq!(infer_node(engine, node), expected[node], "thread {t}");
+fn every_infer_row_is_the_infer_batch_row_bitwise() {
+    let task = make_task();
+    let nodes: Vec<usize> = (0..task.graph.num_vertices()).collect();
+    let routes = [
+        (1, FeatureDtype::F32),
+        (4, FeatureDtype::F32),
+        (1, FeatureDtype::Bf16),
+    ];
+    for name in ["gcn", "graphsage", "gat"] {
+        let model = || build_model(name, task.in_dim(), 8, task.num_classes, 3);
+        for (shards, dtype) in routes {
+            let features = FeatureTensor::from_f32(dtype, task.features.clone()).to_f32();
+            let backend = FeatgraphBackend::cpu(1);
+            let want = fg_gnn::infer_batch(&*model(), &task.graph, &features, &backend, &nodes)
+                .expect("reference pass");
+            let engine = Engine::new(ServeConfig {
+                shards,
+                shard_strategy: ShardStrategy::Degree,
+                feature_dtype: dtype,
+                ..ServeConfig::default()
             });
+            engine.register_model(name, model(), task.graph.clone(), task.features.clone());
+            for &node in &nodes {
+                let req = InferRequest {
+                    model: name.into(),
+                    node,
+                    deadline: None,
+                };
+                let got = engine.infer(req).expect("infer").logits;
+                assert_eq!(got, want[node], "{name} {shards} shard(s) {dtype:?}: node {node}");
+            }
         }
-    });
-    assert_eq!(engine.stats().batches, THREADS as u64);
-    assert_eq!(plan_bytes(&engine), one_pass);
-    engine.shutdown();
+    }
+}
+
+/// A feature matrix must cover every vertex: a short one would be indexed
+/// past its end by the first request that gathers a missing row, on a
+/// worker thread whose client would then never be answered.
+#[test]
+#[should_panic(expected = "feature matrix has 10 rows, graph has 300 vertices")]
+fn registering_fewer_feature_rows_than_vertices_panics() {
+    let task = SbmTask::generate(300, 3, 8, 2, 7);
+    let short = fg_tensor::Dense2::from_fn(10, task.in_dim(), |r, c| (r + c) as f32);
+    let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
+    Engine::new(ServeConfig::default()).register_model("gcn", model, task.graph, short);
 }
 
 #[test]
 fn overload_sheds_with_typed_error_and_drains_on_shutdown() {
     let (engine, _task) = make_engine(ServeConfig {
-        max_batch: 4,
-        max_delay: Duration::from_millis(1),
         queue_capacity: 4,
         workers: 1,
         default_deadline: None,
@@ -226,14 +211,12 @@ fn overload_sheds_with_typed_error_and_drains_on_shutdown() {
 #[test]
 fn expired_deadline_yields_typed_timeout() {
     let (engine, _task) = make_engine(ServeConfig {
-        max_batch: 64,
-        max_delay: Duration::from_millis(1),
         workers: 1,
         exec_delay: Duration::from_millis(40),
         default_deadline: None,
         ..ServeConfig::default()
     });
-    // A 1 ms deadline cannot survive the 40 ms artificial batch delay.
+    // A 1 ms deadline cannot survive the 40 ms artificial exec delay.
     let err = engine
         .infer(InferRequest {
             model: "gcn".into(),
@@ -282,9 +265,9 @@ fn unknown_model_and_bad_node_fail_fast() {
 }
 
 /// The phase rule: `queue_wait`, `batch_form`, `execute` for every
-/// completed request; `sample` iff it ran a sampled view;
-/// `exchange` iff its pass was sharded — absent phases stay empty rather
-/// than filling with zero-valued samples.
+/// completed request; `sample` iff it ran a sampled view; `exchange` iff it
+/// filled its registration's logits with a sharded pass — absent phases
+/// stay empty rather than filling with zero-valued samples.
 #[test]
 fn recorded_phases_follow_the_view_and_the_pass() {
     use fg_serve::Phase;
@@ -335,75 +318,14 @@ fn recorded_phases_follow_the_view_and_the_pass() {
     for node in 0..3 {
         infer(&sharded, node);
     }
-    assert_eq!(counts(&sharded), [3, 3, 3, 0, 3], "sharded full view");
+    assert_eq!(counts(&sharded), [3, 3, 3, 0, 1], "sharded full view, one fill");
     capped_seeds(&sharded);
     assert_eq!(
         counts(&sharded),
-        [4, 4, 4, 1, 3],
+        [4, 4, 4, 1, 1],
         "sampled view, sharded engine"
     );
     sharded.shutdown();
-}
-
-/// The view decides waiting: a `Sampled` job shares no pass, so it is
-/// dispatched alone and at once, while `Full` jobs keep lingering for their
-/// trigger. With an hour-long window and no deadline only shutdown's drain
-/// can release a `Full` job, so nothing here depends on the clock.
-#[test]
-fn sampled_jobs_never_wait_for_the_batch_window() {
-    use fg_serve::Phase;
-    const SAMPLED: u64 = 5;
-    let (engine, task) = make_engine(ServeConfig {
-        max_batch: 64,
-        max_delay: Duration::from_secs(3600),
-        default_deadline: None,
-        ..ServeConfig::default()
-    });
-    let expected = reference_logits(&task);
-    let full = |node| {
-        let req = InferRequest {
-            model: "gcn".into(),
-            node,
-            deadline: None,
-        };
-        engine.submit(req).expect("admitted")
-    };
-
-    let first = full(7);
-    for i in 0..SAMPLED {
-        let req = InferSeedsRequest {
-            model: "gcn".into(),
-            seeds: vec![5, 6],
-            fanouts: Some(vec![3, 3]),
-            sample_seed: i,
-            feats: None,
-            deadline: None,
-        };
-        let resp = engine
-            .infer_seeds(req)
-            .expect("answered behind a lingering Full job");
-        assert_eq!(resp.results.len(), 2);
-    }
-    let stats = engine.stats();
-    assert_eq!(
-        stats.completed, SAMPLED,
-        "the Full ticket is still unanswered"
-    );
-    assert_eq!(stats.queue_depth, 1, "and still queued");
-    assert_eq!(stats.batches, SAMPLED, "one batch per sampled request");
-    assert_eq!(stats.avg_batch, 1.0);
-    assert_eq!(stats.phase(Phase::QueueWait).count, SAMPLED);
-    assert_eq!(stats.phase(Phase::Sample).count, SAMPLED);
-
-    // Full jobs still coalesce: the drain hands both to one worker as one
-    // batch, answered by one pass.
-    let second = full(9);
-    engine.shutdown();
-    assert_eq!(first.wait().expect("drained").logits, expected[7]);
-    assert_eq!(second.wait().expect("drained").logits, expected[9]);
-    let stats = engine.stats();
-    assert_eq!(stats.batches, SAMPLED + 1, "two Full jobs, one batch");
-    assert_eq!(stats.completed, SAMPLED + 2);
 }
 
 #[test]
@@ -472,11 +394,7 @@ fn tcp_front_end_round_trips() {
 fn tcp_concurrent_clients_ids_never_cross() {
     const CLIENTS: usize = 6;
     const PER_CLIENT: usize = 40;
-    let (engine, task) = make_engine(ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_millis(1),
-        ..ServeConfig::default()
-    });
+    let (engine, task) = make_engine(ServeConfig::default());
     let vertices = task.graph.num_vertices();
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let addr = handle.addr();
@@ -562,7 +480,12 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     let lookup = |series: &str| fg_serve::metrics::sample(&text, series);
     fg_serve::metrics::parse_exposition(&text).expect("exposition parses");
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
-    assert!(lookup("fgserve_plan_cache_bytes").unwrap() > 0.0);
+    assert_eq!(lookup("fgserve_plan_cache_bytes"), None, "removed series");
+    let activations = lookup("fgserve_mem_component_bytes{component=\"activations\"}");
+    #[cfg(feature = "telemetry")]
+    assert!(activations.unwrap() > 0.0, "the first INFER filled the logits");
+    #[cfg(not(feature = "telemetry"))]
+    assert_eq!(activations, Some(0.0));
     for phase in ["queue_wait", "batch_form", "execute"] {
         assert_eq!(
             lookup(&format!(
@@ -667,7 +590,7 @@ fn memory_wire_command_reports_per_component_breakdown() {
         assert!(entry.starts_with("MEM "), "{entry}");
         lines.push(entry);
     }
-    for component in ["graph_topology", "serve_batch", "plan_cache"] {
+    for component in ["graph_topology", "serve_batch", "plan_cache", "activations"] {
         let line = lines
             .iter()
             .find(|l| l.contains(&format!("component={component}")))
@@ -685,13 +608,10 @@ fn memory_wire_command_reports_per_component_breakdown() {
         .find(|l| l.starts_with("MEM total "))
         .expect("total line");
     assert!(total.contains("mem_shed=0"), "{total}");
-    let cache = lines
-        .iter()
-        .find(|l| l.starts_with("MEM plan_cache "))
-        .expect("plan_cache summary line");
-    let plan_bytes = handle.engine().memory_report().plan_cache_bytes;
-    assert!(plan_bytes > 0, "the first pass compiled plans");
-    assert_eq!(*cache, format!("MEM plan_cache bytes={plan_bytes}"));
+    assert!(
+        !lines.iter().any(|l| l.starts_with("MEM plan_cache ")),
+        "the plan_cache summary line is gone: {lines:?}"
+    );
 
     // With accounting compiled in, the registered graph must be charged.
     #[cfg(feature = "telemetry")]
@@ -764,10 +684,10 @@ fn seeded_requests_round_trip_and_match_full_graph_over_wire() {
     handle.shutdown();
 }
 
-/// A sampled request runs on a subgraph of its own with a backend of its
-/// own: it compiles nothing on the registration's backends.
+/// A sampled request runs on a subgraph of its own, and records one
+/// `sample` phase.
 #[test]
-fn sampled_requests_touch_no_plan_cache() {
+fn sampled_requests_record_a_sample_phase_each() {
     let (engine, task) = make_engine(ServeConfig::default());
     let vertices = task.graph.num_vertices();
     for round in 0..12u64 {
@@ -787,7 +707,6 @@ fn sampled_requests_touch_no_plan_cache() {
         assert_eq!(resp.results.len(), seeds.len());
     }
     let stats = engine.stats();
-    assert_eq!(plan_bytes(&engine), 0);
     // The sample phase got one sample per request, and sampled requests
     // complete like any other.
     assert_eq!(stats.completed, 12);

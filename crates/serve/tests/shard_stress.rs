@@ -5,7 +5,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
@@ -256,90 +255,10 @@ fn coordinator_routes_seeds_to_owner_shards() {
 }
 
 #[test]
-fn full_view_jobs_of_a_batch_share_one_sharded_pass() {
-    // Size-triggered dispatch only: the batch goes out exactly when all six
-    // requests are queued, whatever the scheduler does between submits.
-    let (engine, task) = make_engine(ServeConfig {
-        max_batch: 6,
-        max_delay: Duration::from_secs(60),
-        workers: 1,
-        default_deadline: None,
-        ..sharded_cfg(4, ShardStrategy::Range)
-    });
-    let vertices = task.graph.num_vertices();
-    let seeds_of = |i: usize| vec![(i * 37) % vertices, (i * 91 + 5) % vertices];
-    let nodes: Vec<_> = (0..3)
-        .map(|i| {
-            let req = InferRequest {
-                model: "gcn".into(),
-                node: i * 17,
-                deadline: None,
-            };
-            engine.submit(req).expect("admit node")
-        })
-        .collect();
-    let seeded: Vec<_> = (0..3)
-        .map(|i| {
-            let req = InferSeedsRequest {
-                model: "gcn".into(),
-                seeds: seeds_of(i),
-                fanouts: None,
-                sample_seed: 0,
-                feats: None,
-                deadline: None,
-            };
-            engine.submit_seeds(req).expect("admit seeds")
-        })
-        .collect();
-    let node_rows: Vec<Vec<f32>> = nodes
-        .into_iter()
-        .map(|t| t.wait().expect("node reply").logits)
-        .collect();
-    let seed_rows: Vec<Vec<Vec<f32>>> = seeded
-        .into_iter()
-        .map(|t| {
-            let resp = t.wait().expect("seeds reply");
-            resp.results.into_iter().map(|r| r.logits).collect()
-        })
-        .collect();
-
-    // One batch, one group, one pass answered all nine rows, and every row
-    // was routed to its owner shard exactly once.
-    let stats = engine.stats();
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.completed, 6);
-    let routed: u64 = engine.shards_report().lines.iter().map(|l| l.rows_routed).sum();
-    assert_eq!(routed, 3 + 3 * 2);
-
-    // Scatter gave every job its own rows: each equals what a single-worker
-    // engine answers for that vertex alone.
-    let (reference, _) = make_engine(ServeConfig::default());
-    let alone = |node: usize| {
-        let req = InferRequest {
-            model: "gcn".into(),
-            node,
-            deadline: None,
-        };
-        reference.infer(req).expect("reference row").logits
-    };
-    for (i, row) in node_rows.iter().enumerate() {
-        assert_eq!(*row, alone(i * 17), "node job {i}");
-    }
-    for (i, rows) in seed_rows.iter().enumerate() {
-        let want: Vec<Vec<f32>> = seeds_of(i).into_iter().map(alone).collect();
-        assert_eq!(*rows, want, "seeds job {i}");
-    }
-    reference.shutdown();
-    engine.shutdown();
-}
-
-#[test]
 fn stress_16_threads_mixed_traffic_on_4_shard_server() {
     const THREADS: usize = 16;
     const PER_THREAD: usize = 40;
     let (engine, task) = make_engine(ServeConfig {
-        max_batch: 16,
-        max_delay: Duration::from_millis(1),
         queue_capacity: 4096,
         workers: 3,
         default_deadline: None,

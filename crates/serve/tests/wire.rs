@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg_gnn::data::SbmTask;
@@ -776,49 +776,6 @@ fn admission_control_sheds_excess_connections() {
         body.contains("fgserve_conn_admission_shed_total{reason=\"max-conns\"} 1"),
         "shed must be counted\n---\n{body}"
     );
-    h.shutdown();
-}
-
-/// Every connection has a thread of its own, so as many requests are in
-/// flight as clients sent: with an hour-long window, no deadline and one
-/// worker, only the size trigger can release a batch, and it takes all 32
-/// requests queued at once to pull it. A front-end that lets fewer through
-/// (a handler pool of 16 at most) leaves them waiting out the hour.
-#[test]
-fn size_trigger_fires_over_the_wire() {
-    const CLIENTS: usize = 32;
-    let h = spawn_server(ServeConfig {
-        max_batch: CLIENTS,
-        max_delay: Duration::from_secs(3600),
-        default_deadline: None,
-        workers: 1,
-        ..ServeConfig::default()
-    });
-    let addr = h.addr();
-    let (tx, rx) = mpsc::channel();
-    for c in 0..CLIENTS {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            writeln!(stream, "INFER gcn {c} id=c{c}").unwrap();
-            let mut line = String::new();
-            BufReader::new(stream).read_line(&mut line).unwrap();
-            let _ = tx.send(line);
-        });
-    }
-    // A bounded wait, so a capped front-end fails with a message instead of
-    // hanging the suite.
-    for answered in 0..CLIENTS {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("{answered} of {CLIENTS} requests answered"));
-        assert!(line.starts_with("OK c"), "{line}");
-    }
-    let mut stream = connect(&h);
-    writeln!(stream, "STATS").unwrap();
-    let mut stats = String::new();
-    BufReader::new(stream).read_line(&mut stats).unwrap();
-    assert!(stats.contains(" batch_max=32.0 "), "{stats}");
     h.shutdown();
 }
 

@@ -38,11 +38,15 @@ pub enum MemComponent {
     TapeActivations,
     /// Transient checkpoint I/O buffers.
     CheckpointBuffers,
-    /// Per-batch serving buffers (batched forward activations, logits).
+    /// Per-request serving scratch (a forward pass's activations, gathered
+    /// rows).
     ServeBatch,
-    /// Compiled kernel plans a serving registration's backends hold
-    /// (partitioned CSR clones, edge orders).
+    /// Compiled kernel plans (partitioned CSR clones, edge orders) held
+    /// while a serving registration computes its full-graph logits.
     PlanCache,
+    /// Full-graph logits a serving registration keeps once computed (the
+    /// answer every full-graph request reads its rows from).
+    Activations,
     /// Per-request sampled subgraphs (induced topology + index maps).
     Sampling,
     /// Shard topology: per-shard local graphs, halo/exchange index plans,
@@ -54,7 +58,7 @@ pub enum MemComponent {
 
 impl MemComponent {
     /// Number of components.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every component, in display order.
     pub const ALL: [MemComponent; MemComponent::COUNT] = [
@@ -65,6 +69,7 @@ impl MemComponent {
         MemComponent::CheckpointBuffers,
         MemComponent::ServeBatch,
         MemComponent::PlanCache,
+        MemComponent::Activations,
         MemComponent::Sampling,
         MemComponent::ShardPlan,
         MemComponent::Scratch,
@@ -80,6 +85,7 @@ impl MemComponent {
             MemComponent::CheckpointBuffers => "checkpoint_buffers",
             MemComponent::ServeBatch => "serve_batch",
             MemComponent::PlanCache => "plan_cache",
+            MemComponent::Activations => "activations",
             MemComponent::Sampling => "sampling",
             MemComponent::ShardPlan => "shard_plan",
             MemComponent::Scratch => "scratch",
@@ -510,6 +516,7 @@ mod tests {
                 "checkpoint_buffers",
                 "serve_batch",
                 "plan_cache",
+                "activations",
                 "sampling",
                 "shard_plan",
                 "scratch"
