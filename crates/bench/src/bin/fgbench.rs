@@ -1087,12 +1087,7 @@ fn serve_bench(args: &Args, rep: &mut Report) {
         "engine: {} batches (avg {:.1} req/batch), shed {}, timeouts {}",
         stats.batches, stats.avg_batch, stats.shed, stats.timed_out
     );
-    println!(
-        "queue depth max {}, batch size p50 {:.1} max {:.1}",
-        stats.queue_depth_max,
-        if stats.batch_size.p50_ms.is_finite() { stats.batch_size.p50_ms } else { 0.0 },
-        if stats.batch_size.max_ms.is_finite() { stats.batch_size.max_ms } else { 0.0 },
-    );
+    println!("queue depth max {}", stats.queue_depth_max);
     // Per-phase attribution via the same METRICS exposition the wire
     // protocol serves, so the JSON report captures where latency went.
     let metrics_text = engine.metrics_text();

@@ -19,9 +19,13 @@
 //! ascending-source order the single-worker CPU kernels use — sharded
 //! results are **bitwise identical** to [`crate::infer_batch`] for every
 //! shard count and strategy, the contract `fgcheck --shard` sweeps.
+//!
+//! This is a library primitive, not a serving path: `fg-serve` computes a
+//! registration's full-graph answer once with [`crate::infer_batch`], so a
+//! shard split there would only hold more memory for the same bits. It is
+//! the building block for splitting a graph across processes.
 
 use std::sync::{Barrier, OnceLock};
-use std::time::Instant;
 
 use fg_graph::{Graph, ShardPlan, ShardStrategy, VId};
 use fg_telemetry::span;
@@ -78,8 +82,7 @@ impl ShardedGraph {
 
     /// Total heap footprint: every shard's slice plus the global owner
     /// map. Equals the sum of [`Self::shard_mem_bytes`] plus the owner
-    /// map — the identity the serve stress test asserts against the
-    /// memory accountant.
+    /// map.
     pub fn mem_bytes(&self) -> u64 {
         let shards: u64 = (0..self.num_shards()).map(|s| self.shard_mem_bytes(s)).sum();
         shards + (self.plan.num_vertices() * std::mem::size_of::<u32>()) as u64
@@ -87,8 +90,7 @@ impl ShardedGraph {
 }
 
 /// Result of one sharded inference call: the requested logits rows plus
-/// the exchange telemetry the serve layer attributes to its `exchange`
-/// phase and `fgserve_shard_*` metrics.
+/// the bytes the halo exchange moved.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// One logits row per requested node, in request order. Bitwise equal
@@ -96,19 +98,6 @@ pub struct ShardRun {
     pub results: Vec<Vec<f32>>,
     /// Total bytes gathered from remote shards across all layers.
     pub exchange_bytes: u64,
-    /// Per-shard bytes gathered from remote shards (sums to
-    /// `exchange_bytes`).
-    pub shard_exchange_bytes: Vec<u64>,
-    /// Per-shard wall time spent rebuilding halo rows after each barrier.
-    pub shard_exchange_ns: Vec<u64>,
-}
-
-impl ShardRun {
-    /// Slowest shard's exchange time — the critical-path cost the serve
-    /// layer records as the `exchange` phase.
-    pub fn exchange_ns_max(&self) -> u64 {
-        self.shard_exchange_ns.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Run `model` over `sharded` with one worker thread per shard and a halo
@@ -165,7 +154,7 @@ pub fn infer_sharded(
         .collect();
     let barriers: Vec<Barrier> = (0..boundaries).map(|_| Barrier::new(num_shards)).collect();
 
-    let outs: Vec<(Dense2<f32>, u64, u64)> = std::thread::scope(|scope| {
+    let outs: Vec<(Dense2<f32>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..num_shards)
             .map(|s| {
                 let slots = &slots;
@@ -175,7 +164,6 @@ pub fn infer_sharded(
                     let shard = plan.shard(s);
                     let gnn = sharded.shard_graph(s);
                     let mut ex_bytes = 0u64;
-                    let mut ex_ns = 0u64;
                     // Layer-0 input: local feature rows. No exchange —
                     // features are globally visible.
                     let mut h = gather_rows(features, shard.locals());
@@ -187,7 +175,7 @@ pub fn infer_sharded(
                             tape.value(o).clone()
                         };
                         if layer == boundaries {
-                            return (out, ex_bytes, ex_ns);
+                            return (out, ex_bytes);
                         }
                         // Publish the full local matrix, meet everyone,
                         // then overwrite halo rows from their owners.
@@ -197,7 +185,6 @@ pub fn infer_sharded(
                             .set(out)
                             .unwrap_or_else(|_| panic!("slot {layer}/{s} published twice"));
                         barriers[layer].wait();
-                        let t0 = Instant::now();
                         let mut next = slots[layer][s].get().expect("own slot set").clone();
                         for r in shard.remote_reads() {
                             let src = slots[layer][r.owner as usize]
@@ -207,7 +194,6 @@ pub fn infer_sharded(
                                 .copy_from_slice(src.row(r.owner_local as usize));
                             ex_bytes += (cols * std::mem::size_of::<f32>()) as u64;
                         }
-                        ex_ns += t0.elapsed().as_nanos() as u64;
                         h = next;
                     }
                     unreachable!("layer loop returns at the final layer")
@@ -233,13 +219,9 @@ pub fn infer_sharded(
             outs[s].0.row(li).to_vec()
         })
         .collect();
-    let shard_exchange_bytes: Vec<u64> = outs.iter().map(|o| o.1).collect();
-    let shard_exchange_ns: Vec<u64> = outs.iter().map(|o| o.2).collect();
     Ok(ShardRun {
         results,
-        exchange_bytes: shard_exchange_bytes.iter().sum(),
-        shard_exchange_bytes,
-        shard_exchange_ns,
+        exchange_bytes: outs.iter().map(|o| o.1).sum(),
     })
 }
 

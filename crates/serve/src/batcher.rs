@@ -2,8 +2,8 @@
 //! (no async runtime). A `Full` view is a row read and a `Sampled` view runs
 //! on a subgraph of its own, so jobs share no work and none waits for
 //! company. [`Batcher::pop`] hands the oldest queued item to
-//! the next free consumer — a "batch" of one, which is what the batch-size
-//! series and the `batches` counter record.
+//! the next free consumer — a "batch" of one, which is what the `batches`
+//! counter records.
 //!
 //! The queue is bounded: once `capacity` items are waiting, `push` fails fast
 //! with [`PushError::Overloaded`] instead of blocking the producer — that is
@@ -14,18 +14,16 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use fg_telemetry::{gauge_set, histogram_record, Gauge, Histogram};
+use fg_telemetry::{gauge_set, Gauge};
 
 /// Observer of queue dynamics, called by the batcher with its lock held —
 /// implementations must be cheap and must not call back into the batcher.
-/// This is how always-on engine stats see depth/batch-size without the
+/// This is how always-on engine stats see the queue depth without the
 /// batcher depending on the stats types (or on telemetry being compiled
 /// in).
 pub trait QueueObserver: Send + Sync {
     /// Queue depth changed (after a push or a pop).
     fn on_depth(&self, _depth: usize) {}
-    /// A batch of `size` items was dispatched (always 1: one job per pop).
-    fn on_batch(&self, _size: usize) {}
 }
 
 /// Why a [`Batcher::push`] was rejected. The item is handed back so the
@@ -59,7 +57,7 @@ impl<T> Batcher<T> {
     }
 
     /// Like [`new`](Self::new), with a [`QueueObserver`] notified on every
-    /// depth change and dispatch.
+    /// depth change.
     pub fn with_observer(capacity: usize, observer: Arc<dyn QueueObserver>) -> Self {
         Self::build(capacity, Some(observer))
     }
@@ -98,10 +96,6 @@ impl<T> Batcher<T> {
         loop {
             if let Some(item) = st.queue.pop_front() {
                 self.note_depth(&st);
-                histogram_record(Histogram::ServeBatchSize, 1);
-                if let Some(obs) = &self.observer {
-                    obs.on_batch(1);
-                }
                 return Some(item);
             }
             if st.closed {
@@ -199,20 +193,18 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_depth_and_batches_of_one() {
+    fn observer_sees_every_depth_change() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         #[derive(Default)]
         struct Probe {
             max_depth: AtomicU64,
-            batches: Mutex<Vec<usize>>,
+            last_depth: AtomicU64,
         }
         impl QueueObserver for Probe {
             fn on_depth(&self, depth: usize) {
                 self.max_depth.fetch_max(depth as u64, Ordering::Relaxed);
-            }
-            fn on_batch(&self, size: usize) {
-                self.batches.lock().unwrap().push(size);
+                self.last_depth.store(depth as u64, Ordering::Relaxed);
             }
         }
 
@@ -225,7 +217,7 @@ mod tests {
         for _ in 0..5 {
             b.pop().unwrap();
         }
-        assert_eq!(*probe.batches.lock().unwrap(), vec![1; 5]);
+        assert_eq!(probe.last_depth.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -99,7 +99,6 @@ const USAGE: &str = "usage:
   fgserve serve   [--addr HOST:PORT] [--model gcn|graphsage|gat|all] [--vertices N]
                   [--classes N] [--avg-deg N] [--noise N] [--hidden N] [--seed N]
                   [--queue N] [--workers N] [--kernel-threads N]
-                  [--shards N] [--shard-strategy range|degree]
                   [--deadline-ms N] [--exec-delay-ms N] [--mem-budget N]
                   [--feature-dtype f32|f16|bf16] [--max-conns N]
                   [--trace-sample N] [--slow-ms N] [--trace FILE]
@@ -129,10 +128,6 @@ bench without --addr benchmarks an embedded server on an ephemeral port.
   request offset by --sample-seed. --feat-cols C > 0 additionally attaches
   C client-supplied feature scalars per seed (the feature-heavy workload
   where text-protocol ASCII parsing dominates).
---shards N >= 2 splits every registered graph across N per-shard workers with
-  a halo exchange between layers (--shard-strategy picks the placement);
-  results stay bitwise identical to single-worker serving, and bench prints a
-  commutative reply digest so runs at different shard counts can be compared.
 --mem-budget N sheds new requests with error over-memory-budget while the
   accounted footprint exceeds N bytes (0 = off; needs accounting compiled in).
 --trace-sample N head-samples 1 in N requests for end-to-end tracing
@@ -168,11 +163,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--queue" => o.cfg.queue_capacity = num(arg, &value(arg, &mut it)?)?,
             "--workers" => o.cfg.workers = num(arg, &value(arg, &mut it)?)?,
             "--kernel-threads" => o.cfg.kernel_threads = num(arg, &value(arg, &mut it)?)?,
-            "--shards" => o.cfg.shards = num(arg, &value(arg, &mut it)?)?,
-            "--shard-strategy" => {
-                let v = value(arg, &mut it)?;
-                o.cfg.shard_strategy = v.parse().map_err(|e| format!("{arg}: {e}"))?;
-            }
             "--deadline-ms" => {
                 // 0 disables the default per-request deadline.
                 let d = millis(arg, &value(arg, &mut it)?)?;
@@ -286,14 +276,9 @@ fn cmd_serve(o: &Opts) -> ExitCode {
         }
     };
     println!(
-        "fgserve: listening on {} models=[{}] shards={} trace_sample={} slow_ms={}",
+        "fgserve: listening on {} models=[{}] trace_sample={} slow_ms={}",
         handle.addr(),
         o.models.join(","),
-        if o.cfg.shards >= 2 {
-            format!("{}({})", o.cfg.shards, o.cfg.shard_strategy)
-        } else {
-            "off".into()
-        },
         o.cfg.trace_sample,
         o.cfg.slow_ms.map_or("off".into(), |t| format!("{t}")),
     );
@@ -317,7 +302,7 @@ struct RunTally {
     /// FNV-1a folded with wrapping add, so the digest is identical no matter
     /// how replies interleave across clients. Two bench runs with the same
     /// workload against bitwise-identical servers print the same digest —
-    /// CI's shard-parity gate compares a 1-shard run against a 4-shard run.
+    /// a text run and a binary run of one workload must agree on it.
     digest: u64,
 }
 
@@ -351,8 +336,8 @@ fn popular_vertex(client: usize, i: usize, j: usize, vertices: usize) -> usize {
 }
 
 /// The `i`-th request of bench client `client`: a pure function of the
-/// options and its arguments, so text and binary runs — and runs against
-/// differently sharded servers — issue the same workload.
+/// options and its arguments, so text and binary runs issue the same
+/// workload.
 /// `--seeds-per-request 0` is plain `INFER`.
 fn bench_request(o: &Opts, client: usize, i: usize, id: &str) -> protocol::Request {
     let model = o.models[0].clone();
@@ -443,9 +428,9 @@ fn bench_client(
                 resp,
             } if got == id && resp.results.len() == o.seeds_per_request => {
                 tally.completed += 1;
-                // Digest the SEED payload lines only: the header's
-                // subgraph-size fields legitimately differ between sharded
-                // and single-worker servers, the per-seed logits must not.
+                // Digest the SEED payload lines only: the per-seed logits
+                // are the answer, the header's subgraph size is how it was
+                // computed.
                 for line in &protocol::format_seeds_ok(Some(&id), &seeds, &resp)[1..] {
                     tally.digest = tally.digest.wrapping_add(fnv1a(&format!("{id} {line}")));
                 }
@@ -674,13 +659,9 @@ fn cmd_bench(o: &Opts) -> ExitCode {
         );
         if let Some(stats) = fetch_text(&addr, "STATS") {
             println!("  server {}", stats.trim_end());
-            // Queue/batch observability (fed by the batcher's observer).
+            // Queue observability (fed by the batcher's observer).
             let depth_max: u64 = stats_field(&stats, "queue_depth_max").unwrap_or(0);
-            let batch_p50: f64 = stats_field(&stats, "batch_p50").unwrap_or(0.0);
-            let batch_max: f64 = stats_field(&stats, "batch_max").unwrap_or(0.0);
-            println!(
-                "  queue depth max {depth_max}   batch size p50 {batch_p50:.1} max {batch_max:.1}"
-            );
+            println!("  queue depth max {depth_max}");
         }
         if let Some(text) = fetch_text(&addr, "METRICS") {
             if let Ok(samples) = metrics::parse_exposition(&text) {

@@ -15,16 +15,8 @@
 //! logits rows are wanted, and the view of the graph that computes them.
 //! `INFER n` is `rows = [n]` over the `Full` view. `INFER_SEEDS` is
 //! `rows = seeds` over the `Sampled` view (a fanout-bounded neighborhood
-//! of the seeds, optionally with client-supplied seed features) — unless
-//! the engine is sharded, every fanout is [`FULL_FANOUT`] and the request
-//! carries no `feats`, when it takes the `Full` view too: every vertex then
-//! keeps all of its in-edges, so its owner shards' rows are bitwise equal
-//! to the sampled answer. Capped fanouts stay `Sampled` (the sampler's RNG
-//! keying makes capped results depend on which vertices share a request,
-//! which shard-splitting would change), and so do requests carrying `feats`
-//! (the override rewrites gathered rows; the full-graph answer is computed
-//! from the registered matrix). Sharding is not a view; it is how the
-//! full-graph answer is computed when [`ServeConfig::shards`] `>= 2`.
+//! of the seeds, optionally with client-supplied seed features), whatever
+//! its fanouts: its reply header names the sampled subgraph's size.
 //!
 //! **Waiting.** No job waits for company: the [`Batcher`] is a FIFO of
 //! single jobs, and a worker takes the oldest as soon as it is free. Jobs
@@ -37,13 +29,13 @@
 //! A `Full` view is a **row read**: graph, features and weights are frozen
 //! at registration, so the full-graph logits are a constant of the
 //! [`ModelEntry`]. The registration's first `Full` job computes them once
-//! (`fill_logits`: one [`fg_gnn::infer_batch`] over every vertex, or
-//! [`fg_gnn::infer_sharded`] across the shard workers, on backends built
-//! for the fill and dropped after it) into a |V| × classes matrix the entry
-//! keeps; concurrent first jobs wait on that one fill, and every job copies
-//! its rows out of the matrix. The fill is lazy — a registration that only
-//! ever answers sampled requests never pays for it — and never evicted: the
-//! matrix is no larger than the feature matrix whenever classes ≤ in_dim.
+//! (`fill_logits`: one [`fg_gnn::infer_batch`] over every vertex, on a
+//! backend built for the fill and dropped after it) into a |V| × classes
+//! matrix the entry keeps; concurrent first jobs wait on that one fill, and
+//! every job copies its rows out of the matrix. The fill is lazy — a
+//! registration that only ever answers sampled requests never pays for it —
+//! and never evicted: the matrix is no larger than the feature matrix
+//! whenever classes ≤ in_dim.
 //! A `Sampled` job runs `run_sampled` (sample → gather → override →
 //! `infer_batch` on the induced subgraph — cost proportional to the
 //! neighborhood, not the graph). It keeps nothing: a backend's plans embed
@@ -68,11 +60,11 @@ use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
 use fg_gnn::sampled::prepare_seeds;
-use fg_gnn::{infer_batch, infer_sharded, FeatgraphBackend, GnnGraph, ShardedGraph};
-use fg_graph::{SampleConfig, ShardStrategy, VId, FULL_FANOUT};
+use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph};
+use fg_graph::{SampleConfig, FULL_FANOUT};
 use fg_telemetry::{
-    counter_add, emit_span, histogram_record, span, timestamp_ns, Counter, Histogram, MemCharge,
-    MemComponent, MemScope, TraceContext, TraceSampler, TraceScope,
+    counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
+    TraceContext, TraceSampler, TraceScope,
 };
 use fg_tensor::{Dense2, FeatureDtype, FeatureTensor};
 
@@ -96,14 +88,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Kernel threads per compiled backend.
     pub kernel_threads: usize,
-    /// Shard workers per registered graph: `>= 2` splits every registered
-    /// graph's destinations across this many per-shard worker threads with
-    /// a halo exchange between layers ([`fg_gnn::infer_sharded`]); `0` or
-    /// `1` serves single-worker. Sharded CPU inference is bitwise
-    /// identical to single-worker inference.
-    pub shards: usize,
-    /// How destinations are placed on shards when `shards >= 2`.
-    pub shard_strategy: ShardStrategy,
     /// Default per-request deadline when the request carries none;
     /// `None` disables timeouts.
     pub default_deadline: Option<Duration>,
@@ -146,8 +130,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             workers: 2,
             kernel_threads: 1,
-            shards: 1,
-            shard_strategy: ShardStrategy::Range,
             default_deadline: Some(Duration::from_millis(500)),
             exec_delay: Duration::ZERO,
             trace_sample: 0,
@@ -344,9 +326,6 @@ pub struct ModelEntry {
     graph: GnnGraph,
     features: FeatureTensor,
     model: Box<dyn Model>,
-    /// Shard slices + halo-exchange plan, built once at registration when
-    /// the engine is configured with `shards >= 2`.
-    sharded: Option<ShardedEntry>,
     /// The |V| × classes logits of the whole graph, filled by the first
     /// `Full` job (`fill_logits`). Allocated under the `activations`
     /// memory component, so the accountant counts it until the entry drops.
@@ -355,177 +334,6 @@ pub struct ModelEntry {
     /// accountant only sees aligned buffers); credited when the entry drops
     /// — replacement, unregistration, or engine shutdown alike.
     _graph_charge: MemCharge,
-}
-
-impl ModelEntry {
-    /// `(vertices, edges)` of the graph slice the full-graph answer reads
-    /// for `rows`: summed over the shards owning at least one of them (the
-    /// sharded analogue of a sampled request's subgraph size), or the whole
-    /// graph when unsharded.
-    fn slice_dims(&self, rows: &[usize]) -> (usize, usize) {
-        let Some(sharded) = &self.sharded else {
-            return (self.graph.num_vertices(), self.graph.num_edges());
-        };
-        let plan = sharded.graph.plan();
-        let (mut vertices, mut edges) = (0, 0);
-        for (s, routed) in sharded.owner_counts(rows).into_iter().enumerate() {
-            if routed > 0 {
-                vertices += plan.shard(s).locals().len();
-                edges += plan.shard(s).num_edges();
-            }
-        }
-        (vertices, edges)
-    }
-}
-
-/// Per-model shard state: the sliced graph plus monotone per-shard traffic
-/// counters (rows routed to each shard's owned partition, bytes each shard
-/// gathered from remote shards during halo exchange).
-struct ShardedEntry {
-    graph: ShardedGraph,
-    rows_routed: Vec<AtomicU64>,
-    exchange_bytes: Vec<AtomicU64>,
-    /// Accounting guard for shard topology + exchange plans.
-    _charge: MemCharge,
-}
-
-impl ShardedEntry {
-    fn build(graph: &GnnGraph, shards: usize, strategy: ShardStrategy) -> Self {
-        let sharded = ShardedGraph::build(graph.fwd(), shards, strategy);
-        let n = sharded.num_shards();
-        for s in 0..n {
-            histogram_record(Histogram::ShardEdges, sharded.plan().shard(s).num_edges() as u64);
-        }
-        let charge = MemCharge::new(MemComponent::ShardPlan, sharded.mem_bytes());
-        ShardedEntry {
-            graph: sharded,
-            rows_routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            exchange_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            _charge: charge,
-        }
-    }
-
-    /// How many of `nodes` each shard owns.
-    fn owner_counts(&self, nodes: &[usize]) -> Vec<u64> {
-        let plan = self.graph.plan();
-        let mut counts = vec![0u64; plan.num_shards()];
-        for &node in nodes {
-            counts[plan.owner_of(node as VId)] += 1;
-        }
-        counts
-    }
-
-    /// Count one row read against the shards owning `nodes`, and in the
-    /// seed-routing histogram.
-    fn record_rows(&self, nodes: &[usize]) {
-        for (s, routed) in self.owner_counts(nodes).into_iter().enumerate() {
-            if routed > 0 {
-                self.rows_routed[s].fetch_add(routed, Ordering::Relaxed);
-                histogram_record(Histogram::ShardSeeds, routed);
-            }
-        }
-    }
-}
-
-/// One line of the `SHARDS` wire report: topology and traffic figures for a
-/// single shard of a single registered model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLine {
-    /// Registered model name.
-    pub model: String,
-    /// Shard index, `0..shards`.
-    pub shard: usize,
-    /// Placement strategy name (`range` / `degree`).
-    pub strategy: String,
-    /// Destination vertices this shard owns.
-    pub owned: u64,
-    /// Owned plus halo vertices (rows the shard materializes).
-    pub locals: u64,
-    /// Halo vertices read from remote shards between layers.
-    pub halo: u64,
-    /// Edges in the shard-local graph.
-    pub edges: u64,
-    /// Answered rows routed to this shard's owned partition (monotone).
-    pub rows_routed: u64,
-    /// Bytes this shard gathered from remote shards during halo exchange
-    /// (monotone).
-    pub exchange_bytes: u64,
-    /// Accounted bytes for the shard's topology and exchange plan.
-    pub mem_bytes: u64,
-}
-
-impl ShardLine {
-    /// Render as one `key=value` wire line (inverse of
-    /// [`parse_wire`](Self::parse_wire)).
-    pub fn to_wire(&self) -> String {
-        format!(
-            "model={} shard={} strategy={} owned={} locals={} halo={} edges={} rows_routed={} \
-             exchange_bytes={} mem_bytes={}",
-            self.model,
-            self.shard,
-            self.strategy,
-            self.owned,
-            self.locals,
-            self.halo,
-            self.edges,
-            self.rows_routed,
-            self.exchange_bytes,
-            self.mem_bytes
-        )
-    }
-
-    /// Parse a line produced by [`to_wire`](Self::to_wire).
-    pub fn parse_wire(line: &str) -> Result<ShardLine, String> {
-        let mut fields = HashMap::new();
-        for token in line.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("malformed token {token:?}"))?;
-            fields.insert(key, value);
-        }
-        let text = |key: &str| fields.get(key).copied().ok_or(format!("missing {key}"));
-        let num = |key: &str| -> Result<u64, String> {
-            let value = text(key)?;
-            value
-                .parse()
-                .map_err(|_| format!("bad value for {key}: {value:?}"))
-        };
-        Ok(ShardLine {
-            model: text("model")?.to_string(),
-            shard: num("shard")? as usize,
-            strategy: text("strategy")?.to_string(),
-            owned: num("owned")?,
-            locals: num("locals")?,
-            halo: num("halo")?,
-            edges: num("edges")?,
-            rows_routed: num("rows_routed")?,
-            exchange_bytes: num("exchange_bytes")?,
-            mem_bytes: num("mem_bytes")?,
-        })
-    }
-}
-
-/// Snapshot of per-shard topology and traffic across all registered models,
-/// rendered by the `SHARDS` wire verb and the `fgserve_shard_*` metric
-/// series. Empty when the engine serves single-worker.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardsReport {
-    /// Configured shard count (`0` when serving single-worker).
-    pub shards: usize,
-    /// One entry per shard per registered model, models sorted by name.
-    pub lines: Vec<ShardLine>,
-}
-
-impl ShardsReport {
-    /// One wire line per shard per model (see [`ShardLine::to_wire`]).
-    pub fn to_wire_lines(&self) -> Vec<String> {
-        self.lines.iter().map(ShardLine::to_wire).collect()
-    }
-
-    /// Total bytes moved by halo exchange across all models and shards.
-    pub fn total_exchange_bytes(&self) -> u64 {
-        self.lines.iter().map(|l| l.exchange_bytes).sum()
-    }
 }
 
 struct Shared {
@@ -605,8 +413,6 @@ impl Engine {
         let cfg = &self.shared.cfg;
         let graph_id = self.shared.next_graph_id.fetch_add(1, Ordering::Relaxed);
         let graph_charge = MemCharge::new(MemComponent::GraphTopology, graph.mem_bytes());
-        let sharded =
-            (cfg.shards >= 2).then(|| ShardedEntry::build(&graph, cfg.shards, cfg.shard_strategy));
         // Quantize at registration per the configured storage dtype; F32
         // keeps the caller's buffer untouched (no copy, no rounding).
         let features = FeatureTensor::from_f32(cfg.feature_dtype, features);
@@ -616,7 +422,6 @@ impl Engine {
             graph,
             features,
             model,
-            sharded,
             logits: OnceLock::new(),
             _graph_charge: graph_charge,
         });
@@ -821,7 +626,6 @@ impl Engine {
         crate::metrics::render(
             &self.stats(),
             &self.memory_report(),
-            &self.shards_report(),
             &self.conn_stats().snapshot(),
         )
     }
@@ -847,46 +651,6 @@ impl Engine {
     /// front-end is attached).
     pub fn conn_snapshot(&self) -> ConnSnapshot {
         self.shared.conn.snapshot()
-    }
-
-    /// Point-in-time per-shard topology and traffic breakdown backing the
-    /// `SHARDS` wire command and the `fgserve_shard_*` metric series. Empty
-    /// (zero shards, no lines) when the engine serves single-worker.
-    pub fn shards_report(&self) -> ShardsReport {
-        let models = self.shared.models.read().unwrap();
-        let mut names: Vec<&String> = models.keys().collect();
-        names.sort();
-        let mut report = ShardsReport {
-            shards: if self.shared.cfg.shards >= 2 {
-                self.shared.cfg.shards
-            } else {
-                0
-            },
-            lines: Vec::new(),
-        };
-        for name in names {
-            let entry = &models[name];
-            let Some(sharded) = entry.sharded.as_ref() else {
-                continue;
-            };
-            let plan = sharded.graph.plan();
-            for s in 0..sharded.graph.num_shards() {
-                let shard = plan.shard(s);
-                report.lines.push(ShardLine {
-                    model: name.clone(),
-                    shard: s,
-                    strategy: plan.strategy().name().to_string(),
-                    owned: shard.owned().len() as u64,
-                    locals: shard.locals().len() as u64,
-                    halo: shard.halo().len() as u64,
-                    edges: shard.num_edges() as u64,
-                    rows_routed: sharded.rows_routed[s].load(Ordering::Relaxed),
-                    exchange_bytes: sharded.exchange_bytes[s].load(Ordering::Relaxed),
-                    mem_bytes: sharded.graph.shard_mem_bytes(s),
-                });
-            }
-        }
-        report
     }
 
     /// Point-in-time memory breakdown backing the `MEMORY` wire command and
@@ -985,8 +749,7 @@ impl MemoryReport {
 }
 
 /// Validate the sampling half of a seeds request against its model and
-/// pick the view that answers it (the routing rule of the
-/// [module docs](self)).
+/// build the `Sampled` view that answers it.
 fn seeds_view(
     entry: &ModelEntry,
     seeds: usize,
@@ -1027,21 +790,16 @@ fn seeds_view(
             )));
         }
     }
-    if entry.sharded.is_some() && feats.is_none() && fanouts.iter().all(|&f| f == FULL_FANOUT) {
-        Ok(View::Full)
-    } else {
-        let cfg = SampleConfig::new(fanouts, sample_seed);
-        Ok(View::Sampled { cfg, feats })
-    }
+    let cfg = SampleConfig::new(fanouts, sample_seed);
+    Ok(View::Sampled { cfg, feats })
 }
 
-/// Engine-side durations of one job. `sample` and `exchange` are `Some`
-/// exactly when that step ran — the phase rule in [`complete`] keys on it.
+/// Engine-side durations of one job. `sample` is `Some` exactly when that
+/// step ran — the phase rule in [`complete`] keys on it.
 #[derive(Clone, Copy)]
 struct Timings {
     sample: Option<Duration>,
     execute: Duration,
-    exchange: Option<Duration>,
 }
 
 /// What a view hands [`complete`] for one job: its logits rows, the job's
@@ -1094,55 +852,33 @@ fn execute(shared: &Shared, job: Job) {
 /// One `Full` view: copy `rows`, in order, out of the registration's
 /// full-graph logits — computing them first when this is the
 /// registration's first `Full` job; concurrent first jobs wait on that one
-/// fill. Only the filling job's `execute` holds the pass, and only it
-/// records the sharded pass's `exchange`; a job that waited on another's
-/// fill counts the wait as `execute`.
+/// fill. Only the filling job's `execute` holds the pass; a job that waited
+/// on another's fill counts the wait as `execute`. The reply's graph slice
+/// is the whole graph.
 fn read_rows(shared: &Shared, entry: &ModelEntry, rows: &[usize]) -> Answer {
     let start = Instant::now();
-    let mut exchange = None;
-    let logits = entry.logits.get_or_init(|| {
-        let (logits, pass_exchange) = fill_logits(entry, shared.cfg.kernel_threads);
-        exchange = pass_exchange;
-        logits
-    });
+    let logits = entry
+        .logits
+        .get_or_init(|| fill_logits(entry, shared.cfg.kernel_threads));
     let out = rows.iter().map(|&v| logits.row(v).to_vec()).collect();
-    if let Some(sharded) = &entry.sharded {
-        sharded.record_rows(rows);
-    }
     let timings = Timings {
         sample: None,
-        // The slowest shard's exchange wait bounds the pass's exchange
-        // cost; subtracting it keeps Execute + Exchange additive.
-        execute: start.elapsed().saturating_sub(exchange.unwrap_or_default()),
-        exchange,
+        execute: start.elapsed(),
     };
-    (out, timings, entry.slice_dims(rows))
+    let dims = (entry.graph.num_vertices(), entry.graph.num_edges());
+    (out, timings, dims)
 }
 
-/// The registration's full-graph logits: one forward pass over every
-/// vertex — [`infer_batch`], or with [`ModelEntry::sharded`] set a
-/// scatter-gather across the shard workers ([`infer_sharded`]), whose
-/// exchange bytes go into the shard counters here, once. The pass runs on
-/// backends built for it and dropped after it (one, or one per shard:
-/// backends key plans by matrix shape and two shard-local graphs can share
-/// a shape); their plans are charged to the `plan_cache` component until
-/// then, so its peak still shows them. The kept matrix is allocated under
-/// the `activations` component. Returns the logits and, when sharded, the
-/// pass's exchange critical path (the slowest shard's wait).
-fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> (Dense2<f32>, Option<Duration>) {
-    let sharded = entry.sharded.as_ref();
-    let backends: Vec<FeatgraphBackend> = (0..sharded.map_or(1, |s| s.graph.num_shards()))
-        .map(|_| FeatgraphBackend::cpu(kernel_threads))
-        .collect();
+/// The registration's full-graph logits: one [`infer_batch`] over every
+/// vertex, on a backend built for the pass and dropped after it; its plans
+/// are charged to the `plan_cache` component until then, so its peak still
+/// shows them. The kept matrix is allocated under the `activations`
+/// component.
+fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
+    let backend = FeatgraphBackend::cpu(kernel_threads);
     let nodes: Vec<usize> = (0..entry.graph.num_vertices()).collect();
-    let (rows, exchange) = {
-        let _infer_span = span!(
-            "serve/infer",
-            "model={} rows={} backends={}",
-            entry.name,
-            nodes.len(),
-            backends.len()
-        );
+    let rows = {
+        let _infer_span = span!("serve/infer", "model={} rows={}", entry.name, nodes.len());
         // Attribute the pass's tape/scratch allocations to the serve path.
         let _mem = MemScope::enter(MemComponent::ServeBatch);
         // F32 storage borrows the registered buffer directly; half storage
@@ -1156,28 +892,16 @@ fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> (Dense2<f32>, Optio
                 &widened
             }
         };
-        let model = entry.model.as_ref();
-        let pass = match sharded {
-            Some(s) => infer_sharded(model, &s.graph, features, &backends, &nodes).map(|run| {
-                for (counter, &bytes) in s.exchange_bytes.iter().zip(&run.shard_exchange_bytes) {
-                    counter.fetch_add(bytes, Ordering::Relaxed);
-                }
-                let exchange = Duration::from_nanos(run.exchange_ns_max());
-                (run.results, Some(exchange))
-            }),
-            None => infer_batch(model, &entry.graph, features, &backends[0], &nodes)
-                .map(|rows| (rows, None)),
-        };
-        pass.expect("registration checked one feature row per vertex")
+        infer_batch(entry.model.as_ref(), &entry.graph, features, &backend, &nodes)
+            .expect("registration checked one feature row per vertex")
     };
-    let plan_bytes = backends.iter().map(FeatgraphBackend::plan_mem_bytes).sum();
-    let _plans = MemCharge::new(MemComponent::PlanCache, plan_bytes);
+    let _plans = MemCharge::new(MemComponent::PlanCache, backend.plan_mem_bytes());
     let _mem = MemScope::enter(MemComponent::Activations);
     let mut logits = Dense2::zeros(rows.len(), rows.first().map_or(0, Vec::len));
     for (v, row) in rows.iter().enumerate() {
         logits.row_mut(v).copy_from_slice(row);
     }
-    (logits, exchange)
+    logits
 }
 
 /// One `Sampled` view: sample the neighborhood of `seeds`, gather its
@@ -1239,7 +963,6 @@ fn run_sampled(
     let timings = Timings {
         sample: Some(sample),
         execute: exec_start.elapsed(),
-        exchange: None,
     };
     let out = out.map_err(|e| ServeError::Infer(e.to_string()))?;
     Ok((out, timings, dims))
@@ -1249,12 +972,10 @@ fn run_sampled(
 /// the slow log, and the reply.
 ///
 /// Phase rule — a completed request records `queue_wait`, `batch_form` and
-/// `execute` always; `sample` iff it ran a `Sampled` view; `exchange` iff it
-/// filled its registration's logits with a sharded pass (so the `exchange`
-/// series of an unsharded engine, and the `sample` series of one that only
-/// answers `INFER`, stay empty rather than filling with zeros). A timed-out request
-/// records its terminal `queue_wait` only — everything it did was wait —
-/// so the timeout counter and the phase series move together. A failed
+/// `execute` always; `sample` iff it ran a `Sampled` view (so the `sample`
+/// series of an engine that only answers `INFER` stays empty rather than
+/// filling with zeros). A timed-out request records its terminal
+/// `queue_wait` only — everything it did was wait — so the timeout counter and the phase series move together. A failed
 /// request records no phases. `serialize` belongs to the front-end
 /// ([`Engine::record_serialize`]).
 fn complete(shared: &Shared, job: Job, pulled: Instant, batch_form: Duration, outcome: Outcome) {
@@ -1280,7 +1001,6 @@ fn complete(shared: &Shared, job: Job, pulled: Instant, batch_form: Duration, ou
         (Phase::BatchForm, Some(batch_form)),
         (Phase::Sample, t.sample),
         (Phase::Execute, Some(t.execute)),
-        (Phase::Exchange, t.exchange),
     ];
     for (phase, dur) in phases {
         if let Some(dur) = dur {
@@ -1301,7 +1021,7 @@ fn complete(shared: &Shared, job: Job, pulled: Instant, batch_form: Duration, ou
             queue_ms: ms(queue_wait),
             batch_ms: ms(batch_form),
             sample_ms: ms(t.sample.unwrap_or_default()),
-            execute_ms: ms(t.execute + t.exchange.unwrap_or_default()),
+            execute_ms: ms(t.execute),
         });
     }
     let results = out
@@ -1346,47 +1066,35 @@ mod tests {
 
     /// What a serve process holds for a registered graph is what it charged
     /// at registration — the forward orientation only: no view ever builds
-    /// the reverse graph, on the registered graph or on a shard's.
+    /// the reverse graph.
     #[test]
     fn graph_charge_is_the_forward_graph_and_serving_never_grows_it() {
-        for shards in [1, 2] {
-            let engine = Engine::new(ServeConfig {
-                shards,
-                ..ServeConfig::default()
-            });
-            let task = SbmTask::generate(300, 3, 8, 2, 7);
-            let forward_only = task.graph.fwd().mem_bytes() + 300 * 4;
-            let model = build_model("gat", task.in_dim(), 8, task.num_classes, 3);
-            engine.register_model("gat", model, task.graph, task.features);
+        let engine = Engine::new(ServeConfig::default());
+        let task = SbmTask::generate(300, 3, 8, 2, 7);
+        let forward_only = task.graph.fwd().mem_bytes() + 300 * 4;
+        let model = build_model("gat", task.in_dim(), 8, task.num_classes, 3);
+        engine.register_model("gat", model, task.graph, task.features);
 
-            let infer = InferRequest {
+        let infer = InferRequest {
+            model: "gat".into(),
+            node: 5,
+            deadline: None,
+        };
+        engine.infer(infer).expect("full view");
+        for fanouts in [Some(vec![3, 3]), None] {
+            let seeds = InferSeedsRequest {
                 model: "gat".into(),
-                node: 5,
+                seeds: vec![5, 200],
+                fanouts,
+                sample_seed: 1,
+                feats: None,
                 deadline: None,
             };
-            engine.infer(infer).expect("full view");
-            for fanouts in [Some(vec![3, 3]), None] {
-                let seeds = InferSeedsRequest {
-                    model: "gat".into(),
-                    seeds: vec![5, 200],
-                    fanouts,
-                    sample_seed: 1,
-                    feats: None,
-                    deadline: None,
-                };
-                engine.infer_seeds(seeds).expect("seeds");
-            }
-
-            let entry = Arc::clone(&engine.shared.models.read().unwrap()["gat"]);
-            assert_eq!(
-                entry._graph_charge.bytes(),
-                forward_only,
-                "{shards} shard(s)"
-            );
-            assert_eq!(entry.graph.mem_bytes(), forward_only, "{shards} shard(s)");
-            if let Some(sharded) = &entry.sharded {
-                assert_eq!(sharded._charge.bytes(), sharded.graph.mem_bytes());
-            }
+            engine.infer_seeds(seeds).expect("seeds");
         }
+
+        let entry = Arc::clone(&engine.shared.models.read().unwrap()["gat"]);
+        assert_eq!(entry._graph_charge.bytes(), forward_only);
+        assert_eq!(entry.graph.mem_bytes(), forward_only);
     }
 }

@@ -15,7 +15,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FGB1" (protocol version 1)
-//! 4       1     frame type (request 0x01..0x09, reply 0x81..0x86)
+//! 4       1     frame type (request 0x01..0x09 but 0x06, reply 0x81..0x86)
 //! 5       1     flags (reserved, must be 0)
 //! 6       2     reserved (must be 0)
 //! 8       4     payload length, u32 LE (≤ 64 MiB)
@@ -70,8 +70,7 @@ pub mod req_type {
     pub const METRICS: u8 = 0x04;
     /// `MEMORY` equivalent.
     pub const MEMORY: u8 = 0x05;
-    /// `SHARDS` equivalent.
-    pub const SHARDS: u8 = 0x06;
+    // 0x06 is unassigned: decoding it is an unknown-type error.
     /// `SLOWLOG` equivalent.
     pub const SLOWLOG: u8 = 0x07;
     /// `PING` equivalent.
@@ -88,7 +87,7 @@ pub mod reply_type {
     pub const ERR: u8 = 0x82;
     /// Successful seeded inference.
     pub const SEEDS: u8 = 0x83;
-    /// Text blob (STATS/METRICS/MEMORY/SHARDS/SLOWLOG bodies).
+    /// Text blob (STATS/METRICS/MEMORY/SLOWLOG bodies).
     pub const TEXT: u8 = 0x84;
     /// `PONG`.
     pub const PONG: u8 = 0x85;
@@ -459,7 +458,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Stats => frame_bytes(req_type::STATS, Vec::new()),
         Request::Metrics => frame_bytes(req_type::METRICS, Vec::new()),
         Request::Memory => frame_bytes(req_type::MEMORY, Vec::new()),
-        Request::Shards => frame_bytes(req_type::SHARDS, Vec::new()),
         Request::SlowLog { limit } => {
             let mut p = Vec::new();
             put_opt_u64(&mut p, limit.map(|n| n as u64));
@@ -540,7 +538,6 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
         req_type::STATS => Request::Stats,
         req_type::METRICS => Request::Metrics,
         req_type::MEMORY => Request::Memory,
-        req_type::SHARDS => Request::Shards,
         req_type::SLOWLOG => Request::SlowLog {
             limit: c.opt_u64("SLOWLOG limit")?.map(|n| n as usize),
         },
@@ -583,7 +580,7 @@ pub enum WireReply {
         /// Engine reply.
         resp: SeedsResponse,
     },
-    /// Text blob reply (STATS/METRICS/MEMORY/SHARDS/SLOWLOG bodies, same
+    /// Text blob reply (STATS/METRICS/MEMORY/SLOWLOG bodies, same
     /// bytes the text protocol would send).
     Text(String),
     /// `PONG`.
@@ -710,7 +707,6 @@ mod tests {
         round_trip_req(Request::Stats);
         round_trip_req(Request::Metrics);
         round_trip_req(Request::Memory);
-        round_trip_req(Request::Shards);
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::SlowLog { limit: None });
         round_trip_req(Request::SlowLog { limit: Some(25) });
@@ -862,14 +858,16 @@ mod tests {
 
     #[test]
     fn rejects_unknown_types_and_nonfinite_feats() {
-        let frame = Frame {
-            ty: 0x7f,
-            payload: Vec::new(),
-        };
-        assert!(matches!(
-            decode_request(&frame),
-            Err(FrameError::UnknownType(0x7f))
-        ));
+        for ty in [0x06, 0x7f] {
+            let frame = Frame {
+                ty,
+                payload: Vec::new(),
+            };
+            assert!(matches!(
+                decode_request(&frame),
+                Err(FrameError::UnknownType(t)) if t == ty
+            ));
+        }
         // NaN/inf feature scalars are rejected at decode.
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let req = Request::InferSeeds {

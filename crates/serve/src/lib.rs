@@ -1,9 +1,8 @@
 //! # fg-serve — backpressured GNN inference serving
 //!
 //! An embedded inference engine over the `fg-gnn` stack with **one request
-//! path**: `INFER` or `INFER_SEEDS`, text or binary, sharded engine or not,
-//! a request becomes one job shape, runs through one executor and ends in
-//! one completion. No async runtime — the queue, reply channels and worker
+//! path**: `INFER` or `INFER_SEEDS`, text or binary, a request becomes one
+//! job shape, runs through one executor and ends in one completion. No async runtime — the queue, reply channels and worker
 //! pool are hand-rolled on `std::sync` (the workspace's no-external-deps rule).
 //!
 //! ```text
@@ -17,11 +16,13 @@
 //!
 //! `execute` answers a `Full`-view job with a **row read** from the
 //! full-graph logits its registration computes once, on its first `Full`
-//! job (one forward pass over every vertex: one backend, or N shard workers
-//! with a halo exchange), and a `Sampled`-view job on its own sampled
-//! subgraph. The job shape, the rule that routes a seeds request to a view,
-//! and the rule for which latency phases a request records are stated once,
-//! in [`engine`].
+//! job (one forward pass over every vertex on one backend), and a
+//! `Sampled`-view job on its own sampled subgraph. The server does not
+//! shard: that one pass is cheaper than holding a shard split of the graph
+//! for the life of the registration, so shard-parallel inference stays a
+//! library primitive in `fg_gnn`'s `sharded` module. The job shape and the
+//! rule for which latency phases a request records are stated once, in
+//! [`engine`].
 //!
 //! Layers:
 //!
@@ -34,7 +35,7 @@
 //!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
 //! * [`batcher`] — bounded FIFO of single jobs with overload shedding.
 //! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
-//!   queue-depth/batch-size distributions, event counters, and the
+//!   the queue-depth gauge, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
 //!   along when the `telemetry` feature is on).
 //! * [`metrics`] — Prometheus-style text exposition behind the `METRICS`
@@ -68,7 +69,7 @@ pub mod stats;
 pub use batcher::{Batcher, PushError, QueueObserver};
 pub use engine::{
     Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, Pending, SeedsResponse,
-    SeedsTicket, ServeConfig, ServeError, ShardLine, ShardsReport, Ticket, DEFAULT_SAMPLE_HOPS,
+    SeedsTicket, ServeConfig, ServeError, Ticket, DEFAULT_SAMPLE_HOPS,
 };
 pub use server::{serve, ServerHandle};
 pub use stats::{ConnSnapshot, ConnStats, LatencySnapshot, Phase, SlowEntry, StatsSnapshot};

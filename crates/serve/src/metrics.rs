@@ -5,8 +5,8 @@
 //!
 //! * **Always-on engine series** (`fgserve_*`), rendered from the engine's
 //!   own [`StatsSnapshot`] — counters, queue-depth gauges, and
-//!   summary-style quantile series for request latency, batch size, and
-//!   every serve [`Phase`]. These exist even when `fg-telemetry` is
+//!   summary-style quantile series for request latency and every serve
+//!   [`Phase`]. These exist even when `fg-telemetry` is
 //!   compiled out, so `METRICS` always answers.
 //! * **The process-wide telemetry registry** (`featgraph_*`), appended via
 //!   [`fg_telemetry::prometheus_write`] — empty when compiled out or
@@ -16,7 +16,7 @@
 //! doubles as the framing sentinel on the line-oriented wire protocol:
 //! clients read until they see it.
 
-use crate::engine::{MemoryReport, ShardsReport};
+use crate::engine::MemoryReport;
 use crate::stats::{ConnSnapshot, LatencySnapshot, Phase, StatsSnapshot};
 
 /// One parsed sample: series identity (`name{labels}` exactly as exposed)
@@ -47,18 +47,11 @@ fn write_summary(out: &mut String, name: &str, labels: &str, snap: &LatencySnaps
 }
 
 /// Render the full exposition for one engine snapshot. `mem` carries the
-/// live gauges the snapshot doesn't: the accounted-memory breakdown.
-/// `shards` adds the per-shard `fgserve_shard_*`
-/// series (none emitted when the engine serves single-worker). `conn`
+/// live gauges the snapshot doesn't: the accounted-memory breakdown. `conn`
 /// carries the TCP front-end's connection counters — all-zero for embedded
 /// engines with no listener, so the series still exist and scrapes can
 /// `--require` them unconditionally.
-pub fn render(
-    stats: &StatsSnapshot,
-    mem: &MemoryReport,
-    shards: &ShardsReport,
-    conn: &ConnSnapshot,
-) -> String {
+pub fn render(stats: &StatsSnapshot, mem: &MemoryReport, conn: &ConnSnapshot) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(4096);
     for (name, value) in [
@@ -111,37 +104,6 @@ pub fn render(
         }
     }
 
-    if !shards.lines.is_empty() {
-        // Aggregate first (unlabeled — what smoke checks scrape), then the
-        // per-model-per-shard breakdown.
-        let _ = writeln!(out, "# TYPE fgserve_shard_exchange_bytes counter");
-        let _ = writeln!(
-            out,
-            "fgserve_shard_exchange_bytes_total {}",
-            shards.total_exchange_bytes()
-        );
-        let _ = writeln!(out, "# TYPE fgserve_shards gauge");
-        let _ = writeln!(out, "fgserve_shards {}", shards.shards);
-        let _ = writeln!(out, "# TYPE fgserve_shard_rows_routed counter");
-        let _ = writeln!(out, "# TYPE fgserve_shard_owned_vertices gauge");
-        let _ = writeln!(out, "# TYPE fgserve_shard_halo_vertices gauge");
-        let _ = writeln!(out, "# TYPE fgserve_shard_edges gauge");
-        let _ = writeln!(out, "# TYPE fgserve_shard_mem_bytes gauge");
-        for line in &shards.lines {
-            let labels = format!("model=\"{}\",shard=\"{}\"", line.model, line.shard);
-            for (name, value) in [
-                ("fgserve_shard_exchange_bytes_total", line.exchange_bytes),
-                ("fgserve_shard_rows_routed_total", line.rows_routed),
-                ("fgserve_shard_owned_vertices", line.owned),
-                ("fgserve_shard_halo_vertices", line.halo),
-                ("fgserve_shard_edges", line.edges),
-                ("fgserve_shard_mem_bytes", line.mem_bytes),
-            ] {
-                let _ = writeln!(out, "{name}{{{labels}}} {value}");
-            }
-        }
-    }
-
     for (name, value) in [
         ("fgserve_conn_accepted_total", conn.accepted),
         ("fgserve_conn_closed_total", conn.closed),
@@ -170,8 +132,6 @@ pub fn render(
 
     let _ = writeln!(out, "# TYPE fgserve_request_latency_ms summary");
     write_summary(&mut out, "fgserve_request_latency_ms", "", &stats.latency);
-    let _ = writeln!(out, "# TYPE fgserve_batch_size summary");
-    write_summary(&mut out, "fgserve_batch_size", "", &stats.batch_size);
     let _ = writeln!(out, "# TYPE fgserve_phase_latency_ms summary");
     for phase in Phase::ALL {
         write_summary(
@@ -265,16 +225,9 @@ mod tests {
     #[test]
     fn empty_engine_exposition_parses_and_has_always_on_series() {
         let stats = ServeStats::default();
-        let text = render(
-            &stats.snapshot(),
-            &empty_mem(),
-            &ShardsReport::default(),
-            &ConnSnapshot::default(),
-        );
+        let text = render(&stats.snapshot(), &empty_mem(), &ConnSnapshot::default());
         let samples = parse_exposition(&text).expect("parseable");
         assert!(text.ends_with("# EOF\n"));
-        // Single-worker engines expose no shard series at all.
-        assert!(!text.contains("fgserve_shard"), "{text}");
         let count = |name: &str| {
             samples
                 .iter()
@@ -304,12 +257,7 @@ mod tests {
         for _ in 0..10 {
             stats.record_phase(Phase::Execute, Duration::from_millis(8));
         }
-        let text = render(
-            &stats.snapshot(),
-            &empty_mem(),
-            &ShardsReport::default(),
-            &ConnSnapshot::default(),
-        );
+        let text = render(&stats.snapshot(), &empty_mem(), &ConnSnapshot::default());
         assert_eq!(
             sample(
                 &text,
@@ -321,72 +269,6 @@ mod tests {
             sample(&text, "fgserve_phase_latency_ms_count{phase=\"execute\"}"),
             Some(10.0)
         );
-    }
-
-    #[test]
-    fn sharded_engine_exposes_per_shard_and_aggregate_series() {
-        use crate::engine::ShardLine;
-        let stats = ServeStats::default();
-        let shards = ShardsReport {
-            shards: 2,
-            lines: vec![
-                ShardLine {
-                    model: "gcn".into(),
-                    shard: 0,
-                    strategy: "range".into(),
-                    owned: 8,
-                    locals: 11,
-                    halo: 3,
-                    edges: 40,
-                    rows_routed: 5,
-                    exchange_bytes: 96,
-                    mem_bytes: 2048,
-                },
-                ShardLine {
-                    model: "gcn".into(),
-                    shard: 1,
-                    strategy: "range".into(),
-                    owned: 8,
-                    locals: 12,
-                    halo: 4,
-                    edges: 44,
-                    rows_routed: 7,
-                    exchange_bytes: 128,
-                    mem_bytes: 2304,
-                },
-            ],
-        };
-        let text = render(
-            &stats.snapshot(),
-            &empty_mem(),
-            &shards,
-            &ConnSnapshot::default(),
-        );
-        assert_eq!(
-            sample(&text, "fgserve_shard_exchange_bytes_total"),
-            Some(224.0),
-            "aggregate sums both shards"
-        );
-        assert_eq!(sample(&text, "fgserve_shards"), Some(2.0));
-        assert_eq!(
-            sample(
-                &text,
-                "fgserve_shard_exchange_bytes_total{model=\"gcn\",shard=\"1\"}"
-            ),
-            Some(128.0)
-        );
-        assert_eq!(
-            sample(
-                &text,
-                "fgserve_shard_rows_routed_total{model=\"gcn\",shard=\"0\"}"
-            ),
-            Some(5.0)
-        );
-        assert_eq!(
-            sample(&text, "fgserve_shard_halo_vertices{model=\"gcn\",shard=\"1\"}"),
-            Some(4.0)
-        );
-        parse_exposition(&text).expect("sharded exposition still parses");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! STATS
 //! METRICS
 //! MEMORY
-//! SHARDS
 //! SLOWLOG [<n>]
 //! PING
 //! SHUTDOWN
@@ -28,21 +27,17 @@
 //! STATS <key>=<value> ...
 //! <prometheus exposition, multi-line, terminated by "# EOF">
 //! MEMORY <n> (followed by n "MEM <key>=<value> ..." lines)
-//! SHARDS <n> (followed by n "SHARD <key>=<value> ..." lines)
 //! SLOWLOG <n> (followed by n "SLOW <key>=<value> ..." lines)
 //! PONG
 //! BYE
 //! ```
 //!
 //! `METRICS` is the only reply without a fixed line count: clients read
-//! until the OpenMetrics `# EOF` terminator line. `SEEDS`, `MEMORY`,
-//! `SHARDS`, and `SLOWLOG` declare their line counts up front in the
-//! header. `MEMORY` reports the accounted per-component footprint (one
-//! `MEM component=...` line per component, then `MEM total ...` and on
-//! Linux `MEM rss ...` summary lines).
-//! `SHARDS` reports one line per shard per registered model (owned/halo
-//! vertex counts, edges, routed rows, exchange bytes) and answers
-//! `SHARDS 0` on a single-worker server.
+//! until the OpenMetrics `# EOF` terminator line. `SEEDS`, `MEMORY` and
+//! `SLOWLOG` declare their line counts up front in the header. `MEMORY`
+//! reports the accounted per-component footprint (one `MEM component=...`
+//! line per component, then `MEM total ...` and on Linux `MEM rss ...`
+//! summary lines). Any other verb is a `bad-request`.
 //!
 //! `INFER_SEEDS` answers its seed list by sampling a fanout-bounded
 //! neighborhood and running the model on the induced subgraph; `fanout`
@@ -118,8 +113,6 @@ pub enum Request {
     Metrics,
     /// `MEMORY` — per-component accounted-footprint breakdown.
     Memory,
-    /// `SHARDS` — per-shard topology and traffic breakdown.
-    Shards,
     /// `SLOWLOG [<n>]` — newest `n` slow-request entries (all when omitted).
     SlowLog {
         /// Maximum entries to return.
@@ -159,7 +152,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "STATS" => Ok(Request::Stats),
         "METRICS" => Ok(Request::Metrics),
         "MEMORY" => Ok(Request::Memory),
-        "SHARDS" => Ok(Request::Shards),
         "SLOWLOG" => {
             let limit = match parts.next() {
                 None => None,
@@ -295,7 +287,6 @@ pub fn format_request(req: &Request) -> String {
         Request::Stats => "STATS".to_string(),
         Request::Metrics => "METRICS".to_string(),
         Request::Memory => "MEMORY".to_string(),
-        Request::Shards => "SHARDS".to_string(),
         Request::SlowLog { limit: None } => "SLOWLOG".to_string(),
         Request::SlowLog { limit: Some(n) } => format!("SLOWLOG {n}"),
         Request::Shutdown => "SHUTDOWN".to_string(),
@@ -527,7 +518,7 @@ pub fn read_reply(reader: &mut impl BufRead) -> io::Result<Option<WireReply>> {
         }
         "STATS" => WireReply::Text(body),
         // Declared-count bodies: `<VERB> <n>`, then n lines.
-        "MEMORY" | "SHARDS" | "SLOWLOG" => {
+        "MEMORY" | "SLOWLOG" => {
             let count = head.split(' ').nth(1).and_then(|n| n.parse().ok());
             let count = count.ok_or_else(|| bad(format!("bad line count in {head:?}")))?;
             body.extend(read_lines(reader, count)?);
@@ -622,7 +613,6 @@ mod tests {
         assert_eq!(parse_request("STATS").unwrap(), Request::Stats);
         assert_eq!(parse_request("METRICS").unwrap(), Request::Metrics);
         assert_eq!(parse_request("MEMORY").unwrap(), Request::Memory);
-        assert_eq!(parse_request("SHARDS").unwrap(), Request::Shards);
         assert_eq!(
             parse_request("SLOWLOG").unwrap(),
             Request::SlowLog { limit: None }
@@ -638,6 +628,7 @@ mod tests {
     fn rejects_malformed_lines() {
         assert!(parse_request("").is_err());
         assert!(parse_request("FROB x").is_err());
+        assert!(parse_request("SHARDS").is_err(), "no SHARDS verb");
         assert!(parse_request("INFER gcn").is_err());
         assert!(parse_request("INFER gcn notanode").is_err());
         assert!(parse_request("INFER gcn 1 id=").is_err());
@@ -800,7 +791,6 @@ mod tests {
             },
             WireReply::Text("STATS accepted=3 completed=3\n".into()),
             WireReply::Text("MEMORY 2\nMEM component=features current=1 peak=2\nMEM total current=1\n".into()),
-            WireReply::Text("SHARDS 0\n".into()),
             WireReply::Text("SLOWLOG 1\nSLOW seq=1 model=gcn\n".into()),
             WireReply::Text("# TYPE fgserve_batches counter\nfgserve_batches_total 3\n# EOF\n".into()),
         ];

@@ -380,11 +380,6 @@ fn dispatch(engine: &Engine, req: Request) -> (WireReply, ConnAction) {
             let lines = engine.memory_report().to_wire_lines();
             WireReply::Text(counted_body("MEMORY", "MEM ", &lines))
         }
-        Request::Shards => {
-            let _span = span!("serve/request", "verb=SHARDS");
-            let lines = engine.shards_report().to_wire_lines();
-            WireReply::Text(counted_body("SHARDS", "SHARD ", &lines))
-        }
         Request::SlowLog { limit } => {
             let entries = engine.slow_requests(limit);
             let lines: Vec<String> = entries.iter().map(|e| e.to_wire_line()).collect();

@@ -1,8 +1,8 @@
 //! Engine-local serving statistics: lock-free event counters, an exact
 //! (ring-buffered) latency recorder with p50/p95/p99 quantiles, always-on
 //! **per-phase** latency accounting (queue-wait / batch-form / sample /
-//! execute / exchange / serialize), a queue-depth gauge, a batch-size
-//! distribution, and a bounded slow-request log.
+//! execute / serialize), a queue-depth gauge, and a bounded slow-request
+//! log.
 //!
 //! These are always on and engine-scoped, complementing the process-wide
 //! `fg-telemetry` registry (which can be compiled out): the `STATS` /
@@ -83,8 +83,7 @@ impl LatencyRecorder {
         self.record_value(latency.as_secs_f64() * 1e3);
     }
 
-    /// Record one raw sample (the recorder is unit-agnostic: latencies go
-    /// in as milliseconds, batch sizes as counts).
+    /// Record one raw sample, in milliseconds.
     pub fn record_value(&self, value: f64) {
         let mut ring = self.ring.lock().unwrap();
         if ring.samples.len() < Self::WINDOW {
@@ -122,8 +121,8 @@ impl LatencyRecorder {
 
 /// One serve-side phase of a request's life. Which phases a request
 /// records is the engine's phase rule (`complete` in [`crate::engine`]):
-/// queue-wait, batch-form and execute always, sample and exchange only
-/// when that step ran; serialize is recorded by the TCP
+/// queue-wait, batch-form and execute always, sample only when that step
+/// ran; serialize is recorded by the TCP
 /// front-end for inference replies (embedded callers leave it empty).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -138,22 +137,15 @@ pub enum Phase {
     Sample,
     /// The job's rows: a row read for a `Full`-view request (plus the
     /// registration's one full-graph pass, for the request that fills it),
-    /// or the sampled subgraph's forward pass. On sharded engines the
-    /// filling pass's exchange critical path is carved out into
-    /// [`Phase::Exchange`] so the two stay additive.
+    /// or the sampled subgraph's forward pass.
     Execute,
-    /// Halo-exchange critical path of the sharded full-graph pass: the
-    /// slowest shard's time rebuilding halo rows between layers, recorded
-    /// once per registration by the request that filled it (no sample on
-    /// single-worker engines).
-    Exchange,
     /// Formatting and writing the reply line (front-end only).
     Serialize,
 }
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Every phase, in pipeline order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -161,7 +153,6 @@ impl Phase {
         Phase::BatchForm,
         Phase::Sample,
         Phase::Execute,
-        Phase::Exchange,
         Phase::Serialize,
     ];
 
@@ -172,7 +163,6 @@ impl Phase {
             Phase::BatchForm => "batch_form",
             Phase::Sample => "sample",
             Phase::Execute => "execute",
-            Phase::Exchange => "exchange",
             Phase::Serialize => "serialize",
         }
     }
@@ -268,7 +258,7 @@ impl SlowLog {
     }
 }
 
-/// Monotonic event counters plus latency/phase/batch recorders for one
+/// Monotonic event counters plus latency/phase recorders for one
 /// engine instance.
 pub struct ServeStats {
     /// Requests accepted into the queue.
@@ -289,8 +279,6 @@ pub struct ServeStats {
     pub latency: LatencyRecorder,
     /// Per-phase latency recorders, indexed by [`Phase`] discriminant.
     pub phases: [LatencyRecorder; Phase::COUNT],
-    /// Requests per dispatched batch, always 1 (fed by the batcher).
-    pub batch_sizes: LatencyRecorder,
     /// Items queued right now (fed by the batcher).
     pub queue_depth: AtomicU64,
     /// High-water mark of the queue depth.
@@ -311,7 +299,6 @@ impl Default for ServeStats {
             batches: AtomicU64::new(0),
             latency: LatencyRecorder::new(),
             phases: std::array::from_fn(|_| LatencyRecorder::new()),
-            batch_sizes: LatencyRecorder::new(),
             queue_depth: AtomicU64::new(0),
             queue_depth_max: AtomicU64::new(0),
             models_replaced: AtomicU64::new(0),
@@ -341,7 +328,6 @@ impl ServeStats {
             avg_batch: completed as f64 / batches as f64,
             latency: self.latency.snapshot(),
             phases: std::array::from_fn(|i| self.phases[i].snapshot()),
-            batch_size: self.batch_sizes.snapshot(),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
             models_replaced: self.models_replaced.load(Ordering::Relaxed),
@@ -353,10 +339,6 @@ impl QueueObserver for ServeStats {
     fn on_depth(&self, depth: usize) {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
         self.queue_depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
-    fn on_batch(&self, size: usize) {
-        self.batch_sizes.record_value(size as f64);
     }
 }
 
@@ -383,8 +365,6 @@ pub struct StatsSnapshot {
     pub latency: LatencySnapshot,
     /// Per-phase latency quantiles, indexed by [`Phase`] discriminant.
     pub phases: [LatencySnapshot; Phase::COUNT],
-    /// Requests-per-batch distribution (values are counts, not ms).
-    pub batch_size: LatencySnapshot,
     /// Current batching-queue depth.
     pub queue_depth: u64,
     /// High-water mark of the batching-queue depth.
@@ -446,8 +426,7 @@ impl StatsSnapshot {
         let mut line = format!(
             "accepted={} completed={} shed={} mem_shed={} timed_out={} failed={} batches={} \
              avg_batch={:.2} samples={} p50_ms={:.3} p95_ms={:.3} p99_ms={:.3} mean_ms={:.3} max_ms={:.3} \
-             queue_depth={} queue_depth_max={} batch_samples={} batch_p50={:.1} batch_max={:.1} \
-             models_replaced={}",
+             queue_depth={} queue_depth_max={} models_replaced={}",
             self.accepted,
             self.completed,
             self.shed,
@@ -464,9 +443,6 @@ impl StatsSnapshot {
             finite(self.latency.max_ms),
             self.queue_depth,
             self.queue_depth_max,
-            self.batch_size.count,
-            finite(self.batch_size.p50_ms),
-            finite(self.batch_size.max_ms),
             self.models_replaced,
         );
         for phase in Phase::ALL {
@@ -669,17 +645,13 @@ mod tests {
     }
 
     #[test]
-    fn queue_observer_tracks_depth_and_batches() {
+    fn queue_observer_tracks_depth() {
         let stats = ServeStats::default();
         stats.on_depth(3);
         stats.on_depth(9);
         stats.on_depth(1);
-        stats.on_batch(8);
-        stats.on_batch(2);
         let snap = stats.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.queue_depth_max, 9);
-        assert_eq!(snap.batch_size.count, 2);
-        assert!((snap.batch_size.max_ms - 8.0).abs() < 1e-12);
     }
 }

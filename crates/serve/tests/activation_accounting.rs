@@ -19,97 +19,60 @@ fn activation_charges_follow_registrations_and_full_views_only() {
     let one = (task.graph.num_vertices() * task.num_classes * 4) as u64;
     let activations = || mem_current(MemComponent::Activations);
     let plans = || mem_current(MemComponent::PlanCache);
-    for shards in [1, 4] {
-        let engine = Engine::new(ServeConfig {
-            shards,
-            ..ServeConfig::default()
-        });
-        let register = |name: &str| {
-            let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
-            engine.register_model(name, model, task.graph.clone(), task.features.clone());
+    let engine = Engine::new(ServeConfig::default());
+    let register = |name: &str| {
+        let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
+        engine.register_model(name, model, task.graph.clone(), task.features.clone());
+    };
+    let infer = |model: &str, node: usize| {
+        let req = InferRequest {
+            model: model.into(),
+            node,
+            deadline: None,
         };
-        let infer = |model: &str, node: usize| {
-            let req = InferRequest {
-                model: model.into(),
-                node,
-                deadline: None,
-            };
-            engine.infer(req).expect("infer");
+        engine.infer(req).expect("infer");
+    };
+    let sampled = |model: &str, round: u64| {
+        let req = InferSeedsRequest {
+            model: model.into(),
+            seeds: vec![(round as usize * 37) % 400, 5],
+            fanouts: Some(vec![4, 4]),
+            sample_seed: round,
+            feats: None,
+            deadline: None,
         };
-        let sampled = |model: &str, round: u64| {
-            let req = InferSeedsRequest {
-                model: model.into(),
-                seeds: vec![(round as usize * 37) % 400, 5],
-                fanouts: Some(vec![4, 4]),
-                sample_seed: round,
-                feats: None,
-                deadline: None,
-            };
-            engine.infer_seeds(req).expect("sampled");
-        };
+        engine.infer_seeds(req).expect("sampled");
+    };
 
-        register("a");
-        register("b");
-        assert_eq!(
-            activations(),
-            0,
-            "{shards} shard(s): nothing fills at registration"
-        );
-        for round in 0..20 {
-            sampled("a", round);
-        }
-        assert_eq!(
-            activations(),
-            0,
-            "{shards} shard(s): sampled traffic never fills"
-        );
-
-        infer("a", 5);
-        assert_eq!(
-            activations(),
-            one,
-            "{shards} shard(s): the first INFER fills n·classes·4"
-        );
-        assert_eq!(
-            plans(),
-            0,
-            "{shards} shard(s): the fill's plans leave with its backends"
-        );
-        assert!(
-            mem_peak(MemComponent::PlanCache) > 0,
-            "{shards} shard(s): the plan_cache peak shows the fill's plans"
-        );
-        for node in 0..50 {
-            infer("a", node);
-        }
-        assert_eq!(
-            activations(),
-            one,
-            "{shards} shard(s): row reads keep nothing"
-        );
-        infer("b", 7);
-        assert_eq!(
-            activations(),
-            2 * one,
-            "{shards} shard(s): each registration fills its own"
-        );
-
-        for _ in 0..3 {
-            register("a");
-            assert_eq!(
-                activations(),
-                one,
-                "{shards} shard(s): a replaced entry is credited"
-            );
-            infer("a", 9);
-            assert_eq!(activations(), 2 * one, "{shards} shard(s)");
-            assert_eq!(plans(), 0, "{shards} shard(s)");
-        }
-        drop(engine);
-        assert_eq!(
-            activations(),
-            0,
-            "{shards} shard(s): entries credit on engine drop"
-        );
+    register("a");
+    register("b");
+    assert_eq!(activations(), 0, "nothing fills at registration");
+    for round in 0..20 {
+        sampled("a", round);
     }
+    assert_eq!(activations(), 0, "sampled traffic never fills");
+
+    infer("a", 5);
+    assert_eq!(activations(), one, "the first INFER fills n·classes·4");
+    assert_eq!(plans(), 0, "the fill's plans leave with its backend");
+    assert!(
+        mem_peak(MemComponent::PlanCache) > 0,
+        "the plan_cache peak shows the fill's plans"
+    );
+    for node in 0..50 {
+        infer("a", node);
+    }
+    assert_eq!(activations(), one, "row reads keep nothing");
+    infer("b", 7);
+    assert_eq!(activations(), 2 * one, "each registration fills its own");
+
+    for _ in 0..3 {
+        register("a");
+        assert_eq!(activations(), one, "a replaced entry is credited");
+        infer("a", 9);
+        assert_eq!(activations(), 2 * one);
+        assert_eq!(plans(), 0);
+    }
+    drop(engine);
+    assert_eq!(activations(), 0, "entries credit on engine drop");
 }

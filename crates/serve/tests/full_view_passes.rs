@@ -47,31 +47,19 @@ fn a_registration_walks_its_graph_for_one_pass() {
 
     // Every later INFER is a row read: the count after each model's first
     // INFER is the count after 200 more.
-    for shards in [1, 4] {
-        let engine = Engine::new(ServeConfig {
-            shards,
-            ..ServeConfig::default()
-        });
-        for name in MODELS {
-            engine.register_model(name, model(name), task.graph.clone(), task.features.clone());
+    let engine = Engine::new(ServeConfig::default());
+    for name in MODELS {
+        engine.register_model(name, model(name), task.graph.clone(), task.features.clone());
+    }
+    for name in MODELS {
+        let before = edges();
+        infer(&engine, name, 0);
+        let filled = edges();
+        assert!(filled > before, "{name}: the first INFER runs the pass");
+        for i in 0..200 {
+            infer(&engine, name, (i * 37) % n);
         }
-        for name in MODELS {
-            let before = edges();
-            infer(&engine, name, 0);
-            let filled = edges();
-            assert!(
-                filled > before,
-                "{name} {shards} shard(s): the first INFER runs the pass"
-            );
-            for i in 0..200 {
-                infer(&engine, name, (i * 37) % n);
-            }
-            assert_eq!(
-                edges(),
-                filled,
-                "{name} {shards} shard(s): 200 INFERs walked edges"
-            );
-        }
+        assert_eq!(edges(), filled, "{name}: 200 INFERs walked edges");
     }
 
     // Eight first INFERs released together on eight workers wait on one

@@ -12,7 +12,6 @@ use std::time::Duration;
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_gnn::FeatgraphBackend;
-use fg_graph::ShardStrategy;
 use fg_serve::{serve, Engine, InferRequest, InferSeedsRequest, ServeConfig, ServeError};
 use fg_tensor::{FeatureDtype, FeatureTensor};
 
@@ -91,6 +90,98 @@ fn stress_1k_requests_zero_lost_zero_duplicated() {
     engine.shutdown();
 }
 
+/// Sixteen threads of mixed traffic on three workers: `INFER`, full-fanout
+/// `INFER_SEEDS` and capped `INFER_SEEDS`. Every `INFER` and full-fanout
+/// row is the `infer_batch` row of the full graph, bitwise; every capped
+/// reply is the one the engine gave the same request before the storm
+/// (the sampler is keyed by the request alone, so concurrency must not
+/// change it).
+#[test]
+fn stress_16_threads_mixed_traffic() {
+    const THREADS: usize = 16;
+    const PER_THREAD: usize = 40;
+    let (engine, task) = make_engine(ServeConfig {
+        queue_capacity: 4096,
+        workers: 3,
+        default_deadline: None,
+        ..ServeConfig::default()
+    });
+    let vertices = task.graph.num_vertices();
+    let expected = Arc::new(reference_logits(&task));
+
+    let node_of = move |t: usize, i: usize| (t * 997 + i * 31) % vertices;
+    let capped = move |t: usize, i: usize| InferSeedsRequest {
+        model: "gcn".into(),
+        seeds: vec![node_of(t, i), (node_of(t, i) + 7) % vertices],
+        fanouts: Some(vec![3, 3]),
+        sample_seed: (t * PER_THREAD + i) as u64,
+        feats: None,
+        deadline: None,
+    };
+    // The engine's own capped answers, one request at a time.
+    let mut before = HashMap::new();
+    for t in 0..THREADS {
+        for i in (0..PER_THREAD).filter(|i| (t + i) % 3 == 1) {
+            let resp = engine.infer_seeds(capped(t, i)).expect("capped reference");
+            before.insert((t, i), resp);
+        }
+    }
+    let before = Arc::new(before);
+
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let engine = Arc::clone(&engine);
+            let expected = Arc::clone(&expected);
+            let before = Arc::clone(&before);
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let node = node_of(t, i);
+                    match (t + i) % 3 {
+                        0 => {
+                            let seeds = vec![node, (node + 13) % vertices];
+                            let resp = engine
+                                .infer_seeds(InferSeedsRequest {
+                                    model: "gcn".into(),
+                                    seeds: seeds.clone(),
+                                    fanouts: None,
+                                    sample_seed: i as u64,
+                                    feats: None,
+                                    deadline: None,
+                                })
+                                .expect("full-fanout seeds under load");
+                            for (seed, row) in seeds.iter().zip(&resp.results) {
+                                assert_eq!(row.logits, expected[*seed], "thread {t} req {i}");
+                            }
+                        }
+                        1 => {
+                            let resp = engine.infer_seeds(capped(t, i)).expect("capped seeds");
+                            assert_eq!(resp, before[&(t, i)], "thread {t} req {i}");
+                        }
+                        _ => {
+                            let got = infer_node(&engine, node);
+                            assert_eq!(got, expected[node], "thread {t} req {i}");
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let stats = engine.stats();
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.timed_out, 0);
+    assert_eq!(
+        stats.completed as usize,
+        before.len() + THREADS * PER_THREAD,
+        "every request answered exactly once"
+    );
+    engine.shutdown();
+}
+
 fn infer_node(engine: &Engine, node: usize) -> Vec<f32> {
     let req = InferRequest {
         model: "gcn".into(),
@@ -122,40 +213,40 @@ fn replacing_a_model_serves_the_new_registration() {
     assert_eq!(engine.memory_report().models_replaced, 1);
 }
 
-/// Every route to a full-graph row — 1 or 4 shards, f32 or bf16 storage —
-/// answers every vertex with exactly the row of one `infer_batch` over the
-/// graph (on the widened features when storage is half precision).
+/// Every route to a full-graph row — a 1- or 2-thread fill, f32 or bf16
+/// storage — answers every vertex with exactly the row of one
+/// single-threaded `infer_batch` over the graph (on the widened features
+/// when storage is half precision).
 #[test]
 fn every_infer_row_is_the_infer_batch_row_bitwise() {
     let task = make_task();
     let nodes: Vec<usize> = (0..task.graph.num_vertices()).collect();
-    let routes = [
-        (1, FeatureDtype::F32),
-        (4, FeatureDtype::F32),
-        (1, FeatureDtype::Bf16),
-    ];
     for name in ["gcn", "graphsage", "gat"] {
         let model = || build_model(name, task.in_dim(), 8, task.num_classes, 3);
-        for (shards, dtype) in routes {
+        for dtype in [FeatureDtype::F32, FeatureDtype::Bf16] {
             let features = FeatureTensor::from_f32(dtype, task.features.clone()).to_f32();
             let backend = FeatgraphBackend::cpu(1);
             let want = fg_gnn::infer_batch(&*model(), &task.graph, &features, &backend, &nodes)
                 .expect("reference pass");
-            let engine = Engine::new(ServeConfig {
-                shards,
-                shard_strategy: ShardStrategy::Degree,
-                feature_dtype: dtype,
-                ..ServeConfig::default()
-            });
-            engine.register_model(name, model(), task.graph.clone(), task.features.clone());
-            for &node in &nodes {
-                let req = InferRequest {
-                    model: name.into(),
-                    node,
-                    deadline: None,
-                };
-                let got = engine.infer(req).expect("infer").logits;
-                assert_eq!(got, want[node], "{name} {shards} shard(s) {dtype:?}: node {node}");
+            for kernel_threads in [1, 2] {
+                let engine = Engine::new(ServeConfig {
+                    kernel_threads,
+                    feature_dtype: dtype,
+                    ..ServeConfig::default()
+                });
+                engine.register_model(name, model(), task.graph.clone(), task.features.clone());
+                for &node in &nodes {
+                    let req = InferRequest {
+                        model: name.into(),
+                        node,
+                        deadline: None,
+                    };
+                    let got = engine.infer(req).expect("infer").logits;
+                    assert_eq!(
+                        got, want[node],
+                        "{name} {kernel_threads} kernel thread(s) {dtype:?}: node {node}"
+                    );
+                }
             }
         }
     }
@@ -265,11 +356,10 @@ fn unknown_model_and_bad_node_fail_fast() {
 }
 
 /// The phase rule: `queue_wait`, `batch_form`, `execute` for every
-/// completed request; `sample` iff it ran a sampled view; `exchange` iff it
-/// filled its registration's logits with a sharded pass — absent phases
-/// stay empty rather than filling with zero-valued samples.
+/// completed request; `sample` iff it ran a sampled view — an absent phase
+/// stays empty rather than filling with zero-valued samples.
 #[test]
-fn recorded_phases_follow_the_view_and_the_pass() {
+fn recorded_phases_follow_the_view() {
     use fg_serve::Phase;
     let counts = |engine: &Engine| {
         let stats = engine.stats();
@@ -278,7 +368,6 @@ fn recorded_phases_follow_the_view_and_the_pass() {
             Phase::BatchForm,
             Phase::Execute,
             Phase::Sample,
-            Phase::Exchange,
         ]
         .map(|p| stats.phase(p).count)
     };
@@ -302,30 +391,14 @@ fn recorded_phases_follow_the_view_and_the_pass() {
         engine.infer_seeds(req).expect("capped seeds");
     };
 
-    let (single, _task) = make_engine(ServeConfig::default());
+    let (engine, _task) = make_engine(ServeConfig::default());
     for node in 0..3 {
-        infer(&single, node);
+        infer(&engine, node);
     }
-    assert_eq!(counts(&single), [3, 3, 3, 0, 0], "unsharded full view");
-    capped_seeds(&single);
-    assert_eq!(counts(&single), [4, 4, 4, 1, 0], "sampled view");
-    single.shutdown();
-
-    let (sharded, _task) = make_engine(ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    });
-    for node in 0..3 {
-        infer(&sharded, node);
-    }
-    assert_eq!(counts(&sharded), [3, 3, 3, 0, 1], "sharded full view, one fill");
-    capped_seeds(&sharded);
-    assert_eq!(
-        counts(&sharded),
-        [4, 4, 4, 1, 1],
-        "sampled view, sharded engine"
-    );
-    sharded.shutdown();
+    assert_eq!(counts(&engine), [3, 3, 3, 0], "full view");
+    capped_seeds(&engine);
+    assert_eq!(counts(&engine), [4, 4, 4, 1], "sampled view");
+    engine.shutdown();
 }
 
 #[test]

@@ -101,14 +101,13 @@ fn arb_request() -> impl Strategy<Value = protocol::Request> {
                 }
             },
         );
-    let plain = (0usize..8, 0usize..500).prop_map(|(k, limit)| match k {
+    let plain = (0usize..7, 0usize..500).prop_map(|(k, limit)| match k {
         0 => protocol::Request::Stats,
         1 => protocol::Request::Metrics,
         2 => protocol::Request::Memory,
         3 => protocol::Request::Ping,
-        4 => protocol::Request::Shards,
-        5 => protocol::Request::SlowLog { limit: None },
-        6 => protocol::Request::SlowLog { limit: Some(limit) },
+        4 => protocol::Request::SlowLog { limit: None },
+        5 => protocol::Request::SlowLog { limit: Some(limit) },
         _ => protocol::Request::Shutdown,
     });
     prop_oneof![infer, infer_seeds, plain]
@@ -446,6 +445,50 @@ fn binary_malformed_payloads_keep_connection_alive() {
     h.shutdown();
 }
 
+/// `SHARDS` is not a verb and frame type 0x06 is unassigned: each is
+/// answered like any other unknown input, counted as a bad line or a bad
+/// frame, and leaves its connection serving. The request types after 0x06
+/// keep their codes.
+#[test]
+fn shards_verb_and_frame_type_0x06_are_unknown_input() {
+    assert_eq!(
+        (req_type::SLOWLOG, req_type::PING, req_type::SHUTDOWN),
+        (0x07, 0x08, 0x09)
+    );
+    let h = spawn_server(ServeConfig::default());
+    let mut text = connect(&h);
+    let mut reader = BufReader::new(text.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        writeln!(text, "{line}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    assert_eq!(ask("SHARDS"), "ERR - bad-request unknown verb \"SHARDS\"\n");
+    assert_eq!(ask("FROB"), "ERR - bad-request unknown verb \"FROB\"\n");
+    assert_eq!(ask("PING"), "PONG\n");
+
+    let mut bin = connect(&h);
+    let reply = binary_call(&mut bin, &raw_frame(0x06, &[])).unwrap();
+    let unknown_type = WireReply::Err {
+        id: "-".into(),
+        code: "bad-request".into(),
+        detail: "unknown frame type 0x06".into(),
+    };
+    assert_eq!(reply, unknown_type);
+    let ping = encode_request(&protocol::Request::Ping);
+    assert_eq!(binary_call(&mut bin, &ping).unwrap(), WireReply::Pong);
+
+    let metrics = h.engine().metrics_text();
+    for needle in [
+        "fgserve_conn_bad_lines_total 2\n",
+        "fgserve_conn_bad_frames_total 1\n",
+    ] {
+        assert!(metrics.contains(needle), "{needle:?}\n---\n{metrics}");
+    }
+    h.shutdown();
+}
+
 /// Oversized length prefixes and bad magic mid-stream are framing breaks:
 /// the server replies ERR (best effort) and closes the connection.
 #[test]
@@ -534,8 +577,8 @@ fn masked(reply: &WireReply) -> String {
 /// Every verb, both protocols, one oracle: a text and a binary connection
 /// to the same server yield equal `WireReply`s for every `Request` shape —
 /// successes, every admission error, the report verbs — and `INFER n` equals
-/// full-fanout `INFER_SEEDS n` bitwise, on a single-worker and on a 4-shard
-/// engine (whose full-fanout seeds take the `Full` view).
+/// full-fanout `INFER_SEEDS n` bitwise. `SHUTDOWN` ends one server over
+/// text and another over binary.
 #[test]
 fn mixed_text_and_binary_clients_agree() {
     use protocol::Request;
@@ -559,9 +602,8 @@ fn mixed_text_and_binary_clients_agree() {
     // Feature width of `spawn_server`'s task (classes + noise dims).
     let width = SbmTask::generate(200, 3, 6, 2, 7).in_dim();
     let mut shutdown_replies = Vec::new();
-    for shards in [1, 4] {
+    for binary_shutdown in [false, true] {
         let h = spawn_server(ServeConfig {
-            shards,
             slow_ms: Some(0.0),
             ..ServeConfig::default()
         });
@@ -588,13 +630,12 @@ fn mixed_text_and_binary_clients_agree() {
             seeds(&[1, 2], None, Some(Dense2::from_fn(2, width + 1, |_, _| 0.5)), "feats-width"),
             seeds(&[1], Some(vec![4]), None, "short-fanout"),
             Request::Ping,
-            Request::Shards,
             Request::SlowLog { limit: Some(2) },
             Request::SlowLog { limit: None },
         ];
         for req in &exact {
             let (over_text, over_binary) = both(req);
-            assert_eq!(over_text, over_binary, "{shards} shard(s): {req:?}");
+            assert_eq!(over_text, over_binary, "{req:?}");
             // The error cases really are errors, with the id echoed.
             if let Request::Infer { id: Some(id), .. } | Request::InferSeeds { id: Some(id), .. } = req {
                 let want_err = id.contains('-');
@@ -611,7 +652,7 @@ fn mixed_text_and_binary_clients_agree() {
         // Report bodies carry clocks and gauges: same lines, same keys.
         for req in [Request::Stats, Request::Metrics, Request::Memory] {
             let (over_text, over_binary) = both(&req);
-            assert_eq!(masked(&over_text), masked(&over_binary), "{shards} shard(s): {req:?}");
+            assert_eq!(masked(&over_text), masked(&over_binary), "{req:?}");
         }
 
         // Cross-route: INFER n == full-fanout INFER_SEEDS n, bitwise.
@@ -621,18 +662,17 @@ fn mixed_text_and_binary_clients_agree() {
             match (single, seeded) {
                 (WireReply::Ok { resp, .. }, WireReply::Seeds { seeds, resp: seeded, .. }) => {
                     assert_eq!(seeds, [node]);
-                    assert_eq!(seeded.results, [resp], "{shards} shard(s): node {node}");
+                    assert_eq!(seeded.results, [resp], "node {node}");
                 }
-                other => panic!("{shards} shard(s): node {node}: {other:?}"),
+                other => panic!("node {node}: {other:?}"),
             }
         }
 
-        // SHUTDOWN ends the server: text on one engine, binary on the other.
-        let bye = if shards == 1 {
+        let bye = if binary_shutdown {
+            binary_call(&mut bin, &encode_request(&Request::Shutdown)).unwrap()
+        } else {
             writeln!(text, "SHUTDOWN").unwrap();
             protocol::read_reply(&mut text_reader).unwrap().unwrap()
-        } else {
-            binary_call(&mut bin, &encode_request(&Request::Shutdown)).unwrap()
         };
         shutdown_replies.push(bye);
         h.join();

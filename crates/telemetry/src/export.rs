@@ -71,16 +71,16 @@ mod tests {
         crate::reset_metrics();
         crate::counter_add(crate::Counter::AutotuneTrials, 3);
         crate::gauge_set(crate::Gauge::AutotuneBestSeconds, 1.5);
-        crate::histogram_record(crate::Histogram::ServeBatchSize, 7);
+        crate::histogram_record(crate::Histogram::SpmmPartitionEdges, 7);
         let text = prometheus_exposition();
         assert!(text.ends_with("# EOF\n"), "{text}");
         assert!(text.contains("featgraph_autotune_trials_total"), "{text}");
         assert!(text.contains("featgraph_autotune_best_seconds 1.5"), "{text}");
         assert!(
-            text.contains("featgraph_serve_batch_size_bucket{le=\"7\"}"),
+            text.contains("featgraph_spmm_partition_edges_bucket{le=\"7\"}"),
             "{text}"
         );
-        assert!(text.contains("featgraph_serve_batch_size_count"), "{text}");
+        assert!(text.contains("featgraph_spmm_partition_edges_count"), "{text}");
         crate::set_enabled(false);
         crate::reset_metrics();
     }

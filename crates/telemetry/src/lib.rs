@@ -212,33 +212,15 @@ pub enum Histogram {
     SpmmPartitionEdges,
     /// Edges per parallel chunk processed by the CPU SDDMM template.
     SddmmChunkEdges,
-    /// Requests coalesced into each executed serving batch.
-    ServeBatchSize,
-    /// Local edges per shard, sampled once when a sharded model entry is
-    /// built — the static load-imbalance signal (max/mean via
-    /// [`HistogramSummary::imbalance`]).
-    ShardEdges,
-    /// Seeds routed to each shard per sharded request (one sample per
-    /// shard the coordinator touched) — the dynamic routing-skew signal.
-    ShardSeeds,
 }
 
 impl Histogram {
-    pub const ALL: [Histogram; 5] = [
-        Histogram::SpmmPartitionEdges,
-        Histogram::SddmmChunkEdges,
-        Histogram::ServeBatchSize,
-        Histogram::ShardEdges,
-        Histogram::ShardSeeds,
-    ];
+    pub const ALL: [Histogram; 2] = [Histogram::SpmmPartitionEdges, Histogram::SddmmChunkEdges];
 
     pub fn name(self) -> &'static str {
         match self {
             Histogram::SpmmPartitionEdges => "spmm_partition_edges",
             Histogram::SddmmChunkEdges => "sddmm_chunk_edges",
-            Histogram::ServeBatchSize => "serve_batch_size",
-            Histogram::ShardEdges => "shard_edges",
-            Histogram::ShardSeeds => "shard_seeds",
         }
     }
 }

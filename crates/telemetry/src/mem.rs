@@ -49,16 +49,13 @@ pub enum MemComponent {
     Activations,
     /// Per-request sampled subgraphs (induced topology + index maps).
     Sampling,
-    /// Shard topology: per-shard local graphs, halo/exchange index plans,
-    /// and the global owner map held by sharded model entries.
-    ShardPlan,
     /// Untagged allocations (no ambient scope).
     Scratch,
 }
 
 impl MemComponent {
     /// Number of components.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every component, in display order.
     pub const ALL: [MemComponent; MemComponent::COUNT] = [
@@ -71,7 +68,6 @@ impl MemComponent {
         MemComponent::PlanCache,
         MemComponent::Activations,
         MemComponent::Sampling,
-        MemComponent::ShardPlan,
         MemComponent::Scratch,
     ];
 
@@ -87,7 +83,6 @@ impl MemComponent {
             MemComponent::PlanCache => "plan_cache",
             MemComponent::Activations => "activations",
             MemComponent::Sampling => "sampling",
-            MemComponent::ShardPlan => "shard_plan",
             MemComponent::Scratch => "scratch",
         }
     }
@@ -518,7 +513,6 @@ mod tests {
                 "plan_cache",
                 "activations",
                 "sampling",
-                "shard_plan",
                 "scratch"
             ]
         );
