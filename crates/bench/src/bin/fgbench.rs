@@ -29,7 +29,7 @@
 //!   all        everything above
 //!   compare    diff two --json reports; exit 1 on regression (see below)
 //!
-//! observability (requires the default `telemetry` feature):
+//! observability:
 //!   --trace <path>   write a Chrome trace_event JSON of every kernel/
 //!                    autotuner/trainer span (view at ui.perfetto.dev)
 //!   --metrics        print aggregated span timings, counters, gauges,
@@ -136,7 +136,6 @@ fn parse_args() -> Args {
     }
 }
 
-#[cfg(feature = "telemetry")]
 struct Telemetry {
     metrics: Option<std::sync::Arc<fg_telemetry::MemorySink>>,
     trace: Option<std::sync::Arc<fg_telemetry::ChromeTraceSink>>,
@@ -144,7 +143,6 @@ struct Telemetry {
 
 /// Enable telemetry and install the sinks requested by `--trace`/`--metrics`.
 /// A `--json` report also needs live counters, so it enables them too.
-#[cfg(feature = "telemetry")]
 fn telemetry_setup(args: &Args) -> Telemetry {
     use std::sync::Arc;
     let mut metrics = None;
@@ -165,7 +163,6 @@ fn telemetry_setup(args: &Args) -> Telemetry {
     Telemetry { metrics, trace }
 }
 
-#[cfg(feature = "telemetry")]
 fn telemetry_finish(args: &Args, telem: Telemetry) {
     if args.trace.is_none() && !args.metrics {
         return;
@@ -201,23 +198,6 @@ fn telemetry_finish(args: &Args, telem: Telemetry) {
         print_metrics_tables();
     }
 }
-
-#[cfg(not(feature = "telemetry"))]
-struct Telemetry;
-
-#[cfg(not(feature = "telemetry"))]
-fn telemetry_setup(args: &Args) -> Telemetry {
-    if args.trace.is_some() || args.metrics {
-        eprintln!("fgbench was built without the `telemetry` feature; --trace/--metrics are ignored");
-    }
-    if args.json.is_some() || args.bench_json {
-        eprintln!("fgbench was built without the `telemetry` feature; --json reports will lack counters");
-    }
-    Telemetry
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn telemetry_finish(_args: &Args, _telem: Telemetry) {}
 
 /// Print the counter/gauge/histogram/roofline snapshot (everything `--json`
 /// captures, in human-readable form). Sections with no data are skipped.
@@ -1571,9 +1551,6 @@ fn mem_bench(args: &Args, rep: &mut Report) {
             }
         }
         None => println!("rss: /proc/self/status not readable on this platform"),
-    }
-    if mem.total_peak == 0 {
-        println!("(accounting compiled out: build with the telemetry feature for nonzero rows)");
     }
     engine.shutdown();
 }

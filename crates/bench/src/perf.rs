@@ -538,7 +538,7 @@ pub struct Report {
     pub roofline: Vec<RooflineRow>,
     /// Peak accounted memory footprint: `<component>_peak_bytes` rows from
     /// the fg-telemetry accountant plus `total_peak_bytes` and (on Linux)
-    /// `rss_peak_bytes`. All zeros when accounting is compiled out.
+    /// `rss_peak_bytes`.
     pub memory: Vec<(String, u64)>,
 }
 

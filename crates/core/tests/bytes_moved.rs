@@ -7,10 +7,7 @@
 //! charged `copy-edge`, which reads no vertex row at all, at the vertex
 //! storage width.
 //!
-//! Counters only exist with telemetry compiled in (`--features telemetry`,
-//! which `cargo test --workspace` unifies on); this file is one test in its
-//! own process because the counter is global.
-#![cfg(feature = "telemetry")]
+//! This file is one test in its own process because the counter is global.
 
 use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
 use featgraph::{Fds, GraphTensors, Reducer, Udf};

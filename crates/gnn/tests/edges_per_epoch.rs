@@ -7,10 +7,7 @@
 //! which makes a re-added wasted pass a test failure instead of a few
 //! percent on a noisy clock.
 //!
-//! Counters only exist with telemetry compiled in (`--features telemetry`,
-//! which `cargo test --workspace` unifies on); this file is one test in its
-//! own process because the counter is global.
-#![cfg(feature = "telemetry")]
+//! This file is one test in its own process because the counter is global.
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::loss::softmax_cross_entropy;

@@ -536,7 +536,6 @@ mod tests {
         assert!(r.attained_fraction() > 0.0 && r.attained_fraction() <= 1.0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn launches_accumulate_into_kernel_rollups_when_enabled() {
         // The registry is keyed by kernel name; tests run in parallel, so

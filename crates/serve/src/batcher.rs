@@ -19,8 +19,7 @@ use fg_telemetry::{gauge_set, Gauge};
 /// Observer of queue dynamics, called by the batcher with its lock held —
 /// implementations must be cheap and must not call back into the batcher.
 /// This is how always-on engine stats see the queue depth without the
-/// batcher depending on the stats types (or on telemetry being compiled
-/// in).
+/// batcher depending on the stats types (or on telemetry being enabled).
 pub trait QueueObserver: Send + Sync {
     /// Queue depth changed (after a push or a pop).
     fn on_depth(&self, _depth: usize) {}

@@ -129,10 +129,10 @@ bench without --addr benchmarks an embedded server on an ephemeral port.
   C client-supplied feature scalars per seed (the feature-heavy workload
   where text-protocol ASCII parsing dominates).
 --mem-budget N sheds new requests with error over-memory-budget while the
-  accounted footprint exceeds N bytes (0 = off; needs accounting compiled in).
+  accounted footprint exceeds N bytes (0 = off).
 --trace-sample N head-samples 1 in N requests for end-to-end tracing
   (1 = every request); --trace FILE writes the sampled spans as a Chrome
-  trace_event file at shutdown (needs the telemetry feature).
+  trace_event file at shutdown.
 --slow-ms N logs a phase breakdown of requests slower than N ms (SLOWLOG).
 metrics scrapes one METRICS exposition and fails unless it parses and every
   --require SERIES prefix matches at least one nonzero sample.";
@@ -238,7 +238,6 @@ fn build_engine(o: &Opts) -> Arc<Engine> {
 
 /// Turn telemetry on and install a Chrome-trace sink when `--trace FILE`
 /// was given. Returns the sink so shutdown can report write failures.
-#[cfg(feature = "telemetry")]
 fn trace_sink_setup(o: &Opts) -> Option<Arc<fg_telemetry::ChromeTraceSink>> {
     let path = o.trace_file.as_ref()?;
     fg_telemetry::set_enabled(true);
@@ -247,7 +246,6 @@ fn trace_sink_setup(o: &Opts) -> Option<Arc<fg_telemetry::ChromeTraceSink>> {
     Some(sink)
 }
 
-#[cfg(feature = "telemetry")]
 fn trace_sink_finish(o: &Opts, sink: Option<Arc<fg_telemetry::ChromeTraceSink>>) {
     let (Some(path), Some(sink)) = (o.trace_file.as_ref(), sink) else {
         return;
@@ -260,11 +258,6 @@ fn trace_sink_finish(o: &Opts, sink: Option<Arc<fg_telemetry::ChromeTraceSink>>)
 }
 
 fn cmd_serve(o: &Opts) -> ExitCode {
-    #[cfg(not(feature = "telemetry"))]
-    if o.trace_file.is_some() {
-        eprintln!("fgserve: --trace requires the telemetry feature (compiled out); ignoring");
-    }
-    #[cfg(feature = "telemetry")]
     let sink = trace_sink_setup(o);
     let engine = build_engine(o);
     let addr = o.addr.clone().unwrap_or_else(|| "127.0.0.1:7878".into());
@@ -284,7 +277,6 @@ fn cmd_serve(o: &Opts) -> ExitCode {
     );
     let _ = std::io::stdout().flush();
     handle.join();
-    #[cfg(feature = "telemetry")]
     trace_sink_finish(o, sink);
     ExitCode::SUCCESS
 }

@@ -106,9 +106,7 @@ pub struct ServeConfig {
     /// Whole-process accounted-memory budget: while the accountant's
     /// tracked total exceeds this, new requests are shed with
     /// [`ServeError::OverMemoryBudget`] instead of allocating. `0` =
-    /// unlimited. Requires memory accounting to be compiled in (the
-    /// `fg-telemetry/enabled` feature); with accounting compiled out the
-    /// tracked total reads 0 and the gate never trips.
+    /// unlimited.
     pub mem_budget: u64,
     /// Storage precision for registered feature matrices: `F32` keeps the
     /// rows verbatim (results stay bitwise identical to an engine without
@@ -619,8 +617,8 @@ impl Engine {
     }
 
     /// Full Prometheus-style text exposition: the engine's always-on serve
-    /// series, the memory-accounting series, plus (when compiled in and
-    /// enabled) the process-wide `fg-telemetry` registry, terminated by
+    /// series, the memory-accounting series, plus (while enabled at
+    /// runtime) the process-wide `fg-telemetry` registry, terminated by
     /// `# EOF`.
     pub fn metrics_text(&self) -> String {
         crate::metrics::render(
@@ -693,7 +691,7 @@ impl Drop for Engine {
 #[derive(Debug, Clone)]
 pub struct MemoryReport {
     /// Current/peak accounted bytes per component, in
-    /// [`MemComponent::ALL`] order (all zeros with accounting compiled out).
+    /// [`MemComponent::ALL`] order.
     pub components: Vec<fg_telemetry::MemComponentSnapshot>,
     /// Accounted bytes currently live across every component.
     pub total_current: u64,

@@ -37,7 +37,7 @@
 //! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
 //!   the queue-depth gauge, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
-//!   along when the `telemetry` feature is on).
+//!   along while telemetry is enabled at runtime).
 //! * [`metrics`] — Prometheus-style text exposition behind the `METRICS`
 //!   wire command (always-on `fgserve_*` series plus the telemetry
 //!   registry).

@@ -6,11 +6,10 @@
 //! * **Always-on engine series** (`fgserve_*`), rendered from the engine's
 //!   own [`StatsSnapshot`] — counters, queue-depth gauges, and
 //!   summary-style quantile series for request latency and every serve
-//!   [`Phase`]. These exist even when `fg-telemetry` is
-//!   compiled out, so `METRICS` always answers.
+//!   [`Phase`]. These exist even while `fg-telemetry` is
+//!   runtime-disabled, so `METRICS` always answers.
 //! * **The process-wide telemetry registry** (`featgraph_*`), appended via
-//!   [`fg_telemetry::prometheus_write`] — empty when compiled out or
-//!   runtime-disabled.
+//!   [`fg_telemetry::prometheus_write`] — empty while runtime-disabled.
 //!
 //! The exposition is terminated by the OpenMetrics `# EOF` marker, which
 //! doubles as the framing sentinel on the line-oriented wire protocol:
@@ -237,8 +236,9 @@ mod tests {
         };
         assert_eq!(count("fgserve_requests_accepted_total"), 0.0);
         assert_eq!(count("fgserve_mem_total_bytes"), 0.0);
-        // Component series exist for every component (values depend on
-        // whether accounting is compiled in, so only presence is asserted).
+        // Component series exist for every component (the accountant is
+        // process-wide and other tests charge it, so only presence is
+        // asserted).
         let _ = count("fgserve_mem_component_bytes{component=\"activations\"}");
         let _ = count("fgserve_mem_component_peak_bytes{component=\"serve_batch\"}");
         assert_eq!(

@@ -5,7 +5,7 @@
 //! log.
 //!
 //! These are always on and engine-scoped, complementing the process-wide
-//! `fg-telemetry` registry (which can be compiled out): the `STATS` /
+//! `fg-telemetry` registry: the `STATS` /
 //! `METRICS` / `SLOWLOG` wire commands and the `fgserve bench` report read
 //! from here.
 

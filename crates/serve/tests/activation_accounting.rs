@@ -6,8 +6,6 @@
 //! fill runs. The accountant is process-wide, so this binary holds a single
 //! test and nothing else charges either component while it runs.
 
-#![cfg(feature = "telemetry")]
-
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_serve::{Engine, InferRequest, InferSeedsRequest, ServeConfig};

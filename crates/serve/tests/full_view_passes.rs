@@ -7,10 +7,7 @@
 //! per-request (or per-batch) pass coming back fails here as a count, not
 //! as a few milliseconds on a noisy clock.
 //!
-//! Counters only exist with telemetry compiled in (fg-serve's default
-//! `telemetry` feature); this file is one test in its own process because
-//! the counter is global.
-#![cfg(feature = "telemetry")]
+//! This file is one test in its own process because the counter is global.
 
 use std::sync::Barrier;
 

@@ -555,10 +555,7 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
     assert_eq!(lookup("fgserve_plan_cache_bytes"), None, "removed series");
     let activations = lookup("fgserve_mem_component_bytes{component=\"activations\"}");
-    #[cfg(feature = "telemetry")]
     assert!(activations.unwrap() > 0.0, "the first INFER filled the logits");
-    #[cfg(not(feature = "telemetry"))]
-    assert_eq!(activations, Some(0.0));
     for phase in ["queue_wait", "batch_form", "execute"] {
         assert_eq!(
             lookup(&format!(
@@ -686,20 +683,61 @@ fn memory_wire_command_reports_per_component_breakdown() {
         "the plan_cache summary line is gone: {lines:?}"
     );
 
-    // With accounting compiled in, the registered graph must be charged.
-    #[cfg(feature = "telemetry")]
-    {
-        let report = handle.engine().memory_report();
-        let topo = report
-            .components
-            .iter()
-            .find(|c| c.component.name() == "graph_topology")
-            .expect("graph_topology snapshot");
-        assert!(topo.current > 0, "registered graph topology must be charged");
-        assert!(report.total_peak >= report.total_current);
-    }
+    let report = handle.engine().memory_report();
+    let topo = report
+        .components
+        .iter()
+        .find(|c| c.component.name() == "graph_topology")
+        .expect("graph_topology snapshot");
+    assert!(topo.current > 0, "registered graph topology must be charged");
+    assert!(report.total_peak >= report.total_current);
 
     handle.shutdown();
+}
+
+/// The memory-budget gate sheds before admission once the accounted
+/// footprint is over budget. A registered graph alone charges more than one
+/// byte, so a 1-byte budget sheds every request; the default budget (0)
+/// never does.
+#[test]
+fn memory_budget_sheds_with_typed_error() {
+    let request = || InferRequest {
+        model: "gcn".into(),
+        node: 0,
+        deadline: None,
+    };
+    let (engine, _task) = make_engine(ServeConfig {
+        mem_budget: 1,
+        ..ServeConfig::default()
+    });
+    assert_eq!(
+        engine.infer(request()).unwrap_err(),
+        ServeError::OverMemoryBudget
+    );
+    let stats = engine.stats();
+    assert_eq!((stats.mem_shed, stats.completed), (1, 0));
+
+    let handle = serve(engine, "127.0.0.1:0").expect("bind");
+    let (mut writer, mut reader) = wire_client(handle.addr());
+    let header = send_recv(&mut writer, &mut reader, "MEMORY");
+    let n: usize = header.strip_prefix("MEMORY ").unwrap().parse().unwrap();
+    let lines: Vec<String> = (0..n)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        })
+        .collect();
+    let total = lines
+        .iter()
+        .find(|l| l.starts_with("MEM total "))
+        .expect("total line");
+    assert!(total.contains(" budget=1 mem_shed=1 "), "{total}");
+    handle.shutdown();
+
+    let (engine, _task) = make_engine(ServeConfig::default());
+    assert!(engine.infer(request()).is_ok(), "budget 0 never sheds");
+    assert_eq!(engine.stats().mem_shed, 0);
 }
 
 #[test]
@@ -841,7 +879,6 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
     handle.shutdown();
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn sampled_request_yields_one_coherent_trace_tree() {
     use fg_telemetry::{SpanRecord, Sink};

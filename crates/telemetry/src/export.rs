@@ -7,10 +7,10 @@
 //! `_count`). The output is deterministic: snapshots are name-sorted, so
 //! two scrapes of the same state are byte-identical.
 //!
-//! When telemetry is compiled out or runtime-disabled the snapshots are
-//! empty and this renders nothing — callers composing a larger exposition
-//! (e.g. the `fgserve` `METRICS` command) still get their own always-on
-//! series.
+//! While telemetry is runtime-disabled nothing is recorded, so after a
+//! [`reset_metrics`](crate::reset_metrics) the snapshots are empty and this
+//! renders nothing; callers composing a larger exposition (e.g. the
+//! `fgserve` `METRICS` command) still get their own always-on series.
 
 use crate::{counters_snapshot, gauges_snapshot, histograms_snapshot};
 
@@ -63,7 +63,6 @@ pub fn prometheus_exposition() -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn exposition_renders_counters_gauges_histograms() {
         let _guard = crate::TEST_LOCK.lock().unwrap();
@@ -87,8 +86,16 @@ mod tests {
 
     #[test]
     fn disabled_or_empty_registry_is_just_eof() {
-        // With telemetry compiled out the snapshots are always empty.
-        #[cfg(not(feature = "enabled"))]
+        let _guard = crate::TEST_LOCK.lock().unwrap();
+        crate::reset_metrics();
+        crate::set_enabled(false);
+        crate::counter_add(crate::Counter::AutotuneTrials, 3);
+        crate::gauge_set(crate::Gauge::AutotuneBestSeconds, 1.5);
+        crate::histogram_record(crate::Histogram::SpmmPartitionEdges, 7);
+        {
+            let _s = crate::span!("export/disabled", "never formatted {}", 1);
+        }
         assert_eq!(prometheus_exposition(), "# EOF\n");
+        assert!(crate::counters_snapshot().is_empty());
     }
 }

@@ -18,23 +18,14 @@
 //!
 //! ## Cost model of the disabled path
 //!
-//! Instrumentation can be off at two levels, and hot loops pay nothing in
-//! either case:
-//!
-//! 1. **Compiled out** — building with `default-features = false` (the
-//!    downstream crates expose this as their `telemetry` feature) removes
-//!    the `enabled` feature. Every `span!` expands to a unit struct
-//!    construction, `counter_add`/`gauge_set` become empty `#[inline]`
-//!    functions, and the sink machinery is not compiled at all. The
-//!    optimizer erases every call site; the binary carries no telemetry
-//!    code.
-//! 2. **Runtime-disabled** (the default at startup) — with the feature
-//!    compiled in but [`enabled()`] false, `span!` performs one relaxed
-//!    atomic load and returns an inert guard; **no clock is read, no
-//!    format string is evaluated, no lock is taken**. `counter_add` is the
-//!    same single relaxed load. This keeps `fgbench` numbers honest
-//!    while letting `fgbench --trace` flip instrumentation on without a
-//!    rebuild.
+//! Instrumentation is always compiled in and off at startup; [`set_enabled`]
+//! is the one switch. While [`enabled()`] is false, `span!` performs one
+//! relaxed atomic load and returns an inert guard: **no clock is read, no
+//! format string is evaluated, no lock is taken**. `counter_add`,
+//! `gauge_set` and `histogram_record` are the same single relaxed load.
+//! This keeps `fgbench` numbers honest while letting `fgbench --trace` flip
+//! instrumentation on without a rebuild. Memory accounting ([`mem_charge`]
+//! and friends) is the exception: it ignores the flag, see `mem.rs`.
 //!
 //! Span args (`span!("name", "fmt {}", x)`) are formatted only after the
 //! enabled check passes, so argument construction is also free when off.
@@ -53,14 +44,10 @@
 //!   <https://ui.perfetto.dev>. Spans become complete `"X"` events (one
 //!   lane per OS thread); the counter registry is emitted as `"C"` events.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "enabled")]
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
-// Typed counter / gauge registry (the enum layer is shared by both builds so
-// call sites never need cfg gates).
+// Typed counter / gauge registry.
 // ---------------------------------------------------------------------------
 
 /// Monotonic `u64` counters, one slot per variant, summed across threads.
@@ -290,7 +277,6 @@ impl HistogramSummary {
 }
 
 #[inline]
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 fn histogram_bucket(value: u64) -> usize {
     if value == 0 {
         0
@@ -300,9 +286,8 @@ fn histogram_bucket(value: u64) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Request-scoped trace context (both builds: the context and sampler are
-// plain data so callers can mint/carry trace ids even when span recording
-// is compiled out — e.g. for slow-request logs).
+// Request-scoped trace context (plain data, so callers can mint and carry
+// trace ids while span recording is off, e.g. for slow-request logs).
 // ---------------------------------------------------------------------------
 
 /// Identity and sampling decision for one traced request.
@@ -369,27 +354,18 @@ fn splitmix64(x: u64) -> u64 {
 /// Trace id attributed to spans opened on the current thread (0 = none).
 #[inline]
 pub fn current_trace_id() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        live::current_trace()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    live::current_trace()
 }
 
 /// Timestamp on the process telemetry clock, for [`emit_span`]. Zero when
-/// telemetry is compiled out or disabled.
+/// telemetry is disabled.
 #[inline]
 pub fn timestamp_ns() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            return live::now_ns();
-        }
+    if enabled() {
+        live::now_ns()
+    } else {
+        0
     }
-    0
 }
 
 /// Record an externally-timed span (one whose start and end were observed
@@ -403,59 +379,41 @@ pub fn emit_span(
     dur_ns: u64,
     trace_id: u64,
 ) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            live::dispatch_span(&live::SpanRecord {
-                name,
-                args,
-                tid: live::thread_id(),
-                start_ns,
-                dur_ns,
-                depth: 0,
-                trace_id,
-            });
-            return;
-        }
+    if enabled() {
+        live::dispatch_span(&live::SpanRecord {
+            name,
+            args,
+            tid: live::thread_id(),
+            start_ns,
+            dur_ns,
+            depth: 0,
+            trace_id,
+        });
     }
-    let _ = (name, args, start_ns, dur_ns, trace_id);
 }
 
 // ---------------------------------------------------------------------------
-// Runtime enable flag (both builds; the disabled build hardwires `false`).
+// Runtime enable flag.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turn instrumentation on or off at runtime. Off by default.
 #[inline]
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "enabled")]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
-/// Whether instrumentation is currently recording. Always `false` (and
-/// constant-foldable) when the `enabled` feature is compiled out.
+/// Whether instrumentation is currently recording.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
-// Live implementation.
+// Registry storage, clock, trace scopes, sinks and span guards.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 mod live {
     use super::{enabled, Counter, Gauge};
     use std::cell::Cell;
@@ -703,40 +661,31 @@ mod live {
     }
 }
 
-#[cfg(feature = "enabled")]
 pub use live::{add_sink, clear_sinks, flush, Sink, SpanGuard, SpanRecord, TraceScope};
 
 /// Add `delta` to a counter. One relaxed atomic load when disabled.
 #[inline]
 pub fn counter_add(counter: Counter, delta: u64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
         live::COUNTERS[counter as usize].fetch_add(delta, Ordering::Relaxed);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (counter, delta);
 }
 
 /// Set a gauge (last write wins) and notify sinks with a timestamp.
 #[inline]
 pub fn gauge_set(gauge: Gauge, value: f64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
         live::GAUGES[gauge as usize].store(value.to_bits(), Ordering::Relaxed);
         live::GAUGES_SET[gauge as usize].store(1, Ordering::Relaxed);
         live::dispatch_gauge(gauge, value, live::now_ns());
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (gauge, value);
 }
 
 /// Record one sample into a histogram. Lock-free; one relaxed atomic load
 /// when disabled.
 #[inline]
 pub fn histogram_record(histogram: Histogram, value: u64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
-        use std::sync::atomic::Ordering;
         let slot = &live::HISTOGRAMS[histogram as usize];
         slot.buckets[histogram_bucket(value)].fetch_add(1, Ordering::Relaxed);
         slot.count.fetch_add(1, Ordering::Relaxed);
@@ -744,33 +693,22 @@ pub fn histogram_record(histogram: Histogram, value: u64) {
         slot.min.fetch_min(value, Ordering::Relaxed);
         slot.max.fetch_max(value, Ordering::Relaxed);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (histogram, value);
 }
 
 /// Aggregated view of one histogram; `None` until it records a sample.
 pub fn histogram_snapshot(histogram: Histogram) -> Option<HistogramSummary> {
-    #[cfg(feature = "enabled")]
-    {
-        use std::sync::atomic::Ordering;
-        let slot = &live::HISTOGRAMS[histogram as usize];
-        let count = slot.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
-        Some(HistogramSummary {
-            count,
-            sum: slot.sum.load(Ordering::Relaxed),
-            min: slot.min.load(Ordering::Relaxed),
-            max: slot.max.load(Ordering::Relaxed),
-            buckets: slot.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        })
+    let slot = &live::HISTOGRAMS[histogram as usize];
+    let count = slot.count.load(Ordering::Relaxed);
+    if count == 0 {
+        return None;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = histogram;
-        None
-    }
+    Some(HistogramSummary {
+        count,
+        sum: slot.sum.load(Ordering::Relaxed),
+        min: slot.min.load(Ordering::Relaxed),
+        max: slot.max.load(Ordering::Relaxed),
+        buckets: slot.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+    })
 }
 
 /// Snapshot of every histogram that recorded at least one sample, sorted by
@@ -787,15 +725,7 @@ pub fn histograms_snapshot() -> Vec<(&'static str, HistogramSummary)> {
 /// Current value of a counter.
 #[inline]
 pub fn counter_value(counter: Counter) -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        live::COUNTERS[counter as usize].load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = counter;
-        0
-    }
+    live::COUNTERS[counter as usize].load(Ordering::Relaxed)
 }
 
 /// Snapshot of all counters with a non-zero value, sorted by name so metric
@@ -812,77 +742,30 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
 
 /// Snapshot of all gauges that have been set at least once, sorted by name.
 pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
-    #[cfg(feature = "enabled")]
-    {
-        let mut out: Vec<_> = Gauge::ALL
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| live::GAUGES_SET[i].load(Ordering::Relaxed) != 0)
-            .map(|(i, &g)| (g.name(), f64::from_bits(live::GAUGES[i].load(Ordering::Relaxed))))
-            .collect();
-        out.sort_by_key(|&(name, _)| name);
-        out
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    let mut out: Vec<_> = Gauge::ALL
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| live::GAUGES_SET[i].load(Ordering::Relaxed) != 0)
+        .map(|(i, &g)| (g.name(), f64::from_bits(live::GAUGES[i].load(Ordering::Relaxed))))
+        .collect();
+    out.sort_by_key(|&(name, _)| name);
+    out
 }
 
 /// Zero every counter, mark every gauge unset, and clear every histogram
 /// (sinks are untouched).
 pub fn reset_metrics() {
-    #[cfg(feature = "enabled")]
-    {
-        for slot in &live::COUNTERS {
-            slot.store(0, Ordering::Relaxed);
-        }
-        for (value, set) in live::GAUGES.iter().zip(&live::GAUGES_SET) {
-            value.store(0, Ordering::Relaxed);
-            set.store(0, Ordering::Relaxed);
-        }
-        for slot in &live::HISTOGRAMS {
-            slot.reset();
-        }
+    for slot in &live::COUNTERS {
+        slot.store(0, Ordering::Relaxed);
+    }
+    for (value, set) in live::GAUGES.iter().zip(&live::GAUGES_SET) {
+        value.store(0, Ordering::Relaxed);
+        set.store(0, Ordering::Relaxed);
+    }
+    for slot in &live::HISTOGRAMS {
+        slot.reset();
     }
 }
-
-// ---------------------------------------------------------------------------
-// Disabled stubs: same call-site surface, no behavior, no state.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod stub {
-    /// Inert guard; the live version records a span from construction to
-    /// drop. This build compiled telemetry out.
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        #[doc(hidden)]
-        #[inline(always)]
-        pub fn begin(_name: &'static str, _args: Option<String>) -> Self {
-            SpanGuard
-        }
-    }
-
-    /// No-op in this build; the live version flushes registered sinks.
-    #[inline(always)]
-    pub fn flush() {}
-
-    /// Inert trace scope; the live version tags spans with a trace id.
-    pub struct TraceScope;
-
-    impl TraceScope {
-        /// No-op in this build.
-        #[inline(always)]
-        pub fn enter(_ctx: crate::TraceContext) -> Self {
-            TraceScope
-        }
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use stub::{flush, SpanGuard, TraceScope};
 
 /// Open a timed span that ends when the returned guard drops.
 ///
@@ -906,13 +789,11 @@ macro_rules! span {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks (live builds only).
+// Sinks.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 mod sinks;
 
-#[cfg(feature = "enabled")]
 pub use sinks::{ChromeTraceSink, JsonLinesSink, MemorySink, SpanStats};
 
 mod export;

@@ -10,11 +10,8 @@
 //! Unlike counters and gauges, accounting is **not** gated on the runtime
 //! [`enabled`](crate::enabled) flag: a buffer charged at allocation must be
 //! credited at drop even if telemetry was toggled off in between, or the
-//! balances would drift negative. The accounting is only removed by
-//! compiling the `enabled` cargo feature out, which turns every call here
-//! into an inline no-op (reads return zero) — both sides of every
-//! charge/credit pair disappear together, so balances stay exact in every
-//! build.
+//! balances would drift negative. So accounting is always live: each
+//! charge or credit is a few relaxed atomic adds.
 //!
 //! Vec-backed structures that do not flow through `fg-tensor`'s aligned
 //! buffers (CSR topology, edge lists) are accounted explicitly: they expose
@@ -24,6 +21,8 @@
 //! [`read_rss`] is the OS cross-check: on Linux it reads `VmRSS`/`VmHWM`
 //! from `/proc/self/status` (graceful `None` elsewhere), letting exporters
 //! publish accounted-vs-resident side by side.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A component of the stack that owns accountable memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -99,164 +98,102 @@ pub struct MemComponentSnapshot {
     pub peak: u64,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::MemComponent;
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// Per-component current/peak byte watermarks plus a tracked total, all
+/// on lock-free atomics. One process-wide instance lives behind
+/// [`accountant`]; the free functions in this module delegate to it.
+pub struct MemAccountant {
+    current: [AtomicU64; MemComponent::COUNT],
+    peak: [AtomicU64; MemComponent::COUNT],
+    total: AtomicU64,
+    total_peak: AtomicU64,
+}
 
-    /// Per-component current/peak byte watermarks plus a tracked total, all
-    /// on lock-free atomics. One process-wide instance lives behind
-    /// [`accountant`](super::accountant); the free functions in this module
-    /// delegate to it.
-    pub struct MemAccountant {
-        current: [AtomicU64; MemComponent::COUNT],
-        peak: [AtomicU64; MemComponent::COUNT],
-        total: AtomicU64,
-        total_peak: AtomicU64,
+static ACCOUNTANT: MemAccountant = MemAccountant {
+    current: [const { AtomicU64::new(0) }; MemComponent::COUNT],
+    peak: [const { AtomicU64::new(0) }; MemComponent::COUNT],
+    total: AtomicU64::new(0),
+    total_peak: AtomicU64::new(0),
+};
+
+impl MemAccountant {
+    /// Charge `bytes` against `component`, advancing both watermark
+    /// pairs (component and total).
+    pub fn charge(&self, component: MemComponent, bytes: u64) {
+        if bytes == 0 {
+            return;
+        }
+        let i = component as usize;
+        let cur = self.current[i].fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak[i].fetch_max(cur, Ordering::Relaxed);
+        let tot = self.total.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.total_peak.fetch_max(tot, Ordering::Relaxed);
     }
 
-    static ACCOUNTANT: MemAccountant = MemAccountant {
-        current: [const { AtomicU64::new(0) }; MemComponent::COUNT],
-        peak: [const { AtomicU64::new(0) }; MemComponent::COUNT],
-        total: AtomicU64::new(0),
-        total_peak: AtomicU64::new(0),
-    };
-
-    impl MemAccountant {
-        /// Charge `bytes` against `component`, advancing both watermark
-        /// pairs (component and total).
-        pub fn charge(&self, component: MemComponent, bytes: u64) {
-            if bytes == 0 {
-                return;
-            }
-            let i = component as usize;
-            let cur = self.current[i].fetch_add(bytes, Ordering::Relaxed) + bytes;
-            self.peak[i].fetch_max(cur, Ordering::Relaxed);
-            let tot = self.total.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            self.total_peak.fetch_max(tot, Ordering::Relaxed);
+    /// Credit `bytes` back to `component`. Saturates at zero so an
+    /// unbalanced credit (a bug, but survivable) cannot wrap the gauge
+    /// to ~2^64.
+    pub fn credit(&self, component: MemComponent, bytes: u64) {
+        if bytes == 0 {
+            return;
         }
-
-        /// Credit `bytes` back to `component`. Saturates at zero so an
-        /// unbalanced credit (a bug, but survivable) cannot wrap the gauge
-        /// to ~2^64.
-        pub fn credit(&self, component: MemComponent, bytes: u64) {
-            if bytes == 0 {
-                return;
-            }
-            let sat_sub = |slot: &AtomicU64| {
-                let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_sub(bytes))
-                });
-            };
-            sat_sub(&self.current[component as usize]);
-            sat_sub(&self.total);
-        }
-
-        /// Bytes currently charged against `component`.
-        pub fn current(&self, component: MemComponent) -> u64 {
-            self.current[component as usize].load(Ordering::Relaxed)
-        }
-
-        /// High-water mark for `component`.
-        pub fn peak(&self, component: MemComponent) -> u64 {
-            self.peak[component as usize].load(Ordering::Relaxed)
-        }
-
-        /// Bytes currently charged across every component.
-        pub fn total_current(&self) -> u64 {
-            self.total.load(Ordering::Relaxed)
-        }
-
-        /// High-water mark of the tracked total.
-        pub fn total_peak(&self) -> u64 {
-            self.total_peak.load(Ordering::Relaxed)
-        }
-
-        /// Zero every watermark. Test-only by convention: live charges keep
-        /// their (now-stale) credits, so only call between balanced states.
-        pub fn reset(&self) {
-            for slot in self.current.iter().chain(&self.peak) {
-                slot.store(0, Ordering::Relaxed);
-            }
-            self.total.store(0, Ordering::Relaxed);
-            self.total_peak.store(0, Ordering::Relaxed);
-        }
+        let sat_sub = |slot: &AtomicU64| {
+            let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes))
+            });
+        };
+        sat_sub(&self.current[component as usize]);
+        sat_sub(&self.total);
     }
 
-    /// The process-wide accountant.
-    pub fn accountant() -> &'static MemAccountant {
-        &ACCOUNTANT
+    /// Bytes currently charged against `component`.
+    pub fn current(&self, component: MemComponent) -> u64 {
+        self.current[component as usize].load(Ordering::Relaxed)
     }
 
-    thread_local! {
-        static COMPONENT: std::cell::Cell<MemComponent> =
-            const { std::cell::Cell::new(MemComponent::Scratch) };
+    /// High-water mark for `component`.
+    pub fn peak(&self, component: MemComponent) -> u64 {
+        self.peak[component as usize].load(Ordering::Relaxed)
     }
 
-    /// The component new allocations on this thread are attributed to.
-    pub fn current_component() -> MemComponent {
-        COMPONENT.with(|c| c.get())
+    /// Bytes currently charged across every component.
+    pub fn total_current(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
     }
 
-    pub(super) fn swap_component(next: MemComponent) -> MemComponent {
-        COMPONENT.with(|c| c.replace(next))
+    /// High-water mark of the tracked total.
+    pub fn total_peak(&self) -> u64 {
+        self.total_peak.load(Ordering::Relaxed)
+    }
+
+    /// Zero every watermark. Test-only by convention: live charges keep
+    /// their (now-stale) credits, so only call between balanced states.
+    pub fn reset(&self) {
+        for slot in self.current.iter().chain(&self.peak) {
+            slot.store(0, Ordering::Relaxed);
+        }
+        self.total.store(0, Ordering::Relaxed);
+        self.total_peak.store(0, Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::MemComponent;
-
-    /// Compiled-out accountant: every method is an inline no-op and every
-    /// read returns zero. See the live version under the `enabled` feature.
-    pub struct MemAccountant;
-
-    /// See the live version; inert in this build.
-    #[allow(missing_docs, clippy::unused_self)]
-    impl MemAccountant {
-        #[inline(always)]
-        pub fn charge(&self, _component: MemComponent, _bytes: u64) {}
-        #[inline(always)]
-        pub fn credit(&self, _component: MemComponent, _bytes: u64) {}
-        #[inline(always)]
-        pub fn current(&self, _component: MemComponent) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn peak(&self, _component: MemComponent) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn total_current(&self) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn total_peak(&self) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn reset(&self) {}
-    }
-
-    /// The (inert) process-wide accountant.
-    #[inline(always)]
-    pub fn accountant() -> &'static MemAccountant {
-        &MemAccountant
-    }
-
-    /// Always [`MemComponent::Scratch`] in this build.
-    #[inline(always)]
-    pub fn current_component() -> MemComponent {
-        MemComponent::Scratch
-    }
-
-    #[inline(always)]
-    pub(super) fn swap_component(_next: MemComponent) -> MemComponent {
-        MemComponent::Scratch
-    }
+/// The process-wide accountant.
+pub fn accountant() -> &'static MemAccountant {
+    &ACCOUNTANT
 }
 
-pub use imp::{accountant, current_component, MemAccountant};
+thread_local! {
+    static COMPONENT: std::cell::Cell<MemComponent> =
+        const { std::cell::Cell::new(MemComponent::Scratch) };
+}
+
+/// The component new allocations on this thread are attributed to.
+pub fn current_component() -> MemComponent {
+    COMPONENT.with(|c| c.get())
+}
+
+fn swap_component(next: MemComponent) -> MemComponent {
+    COMPONENT.with(|c| c.replace(next))
+}
 
 /// Charge `bytes` against `component` on the process-wide accountant.
 #[inline]
@@ -300,8 +237,7 @@ pub fn reset_mem() {
     accountant().reset();
 }
 
-/// Every component's watermarks, in [`MemComponent::ALL`] order (zeros when
-/// accounting is compiled out).
+/// Every component's watermarks, in [`MemComponent::ALL`] order.
 pub fn mem_snapshot() -> Vec<MemComponentSnapshot> {
     MemComponent::ALL
         .iter()
@@ -326,7 +262,7 @@ impl MemScope {
     /// Attribute this thread's allocations to `component` until drop.
     pub fn enter(component: MemComponent) -> Self {
         MemScope {
-            prev: imp::swap_component(component),
+            prev: swap_component(component),
             _not_send: std::marker::PhantomData,
         }
     }
@@ -334,7 +270,7 @@ impl MemScope {
 
 impl Drop for MemScope {
     fn drop(&mut self) {
-        let _ = imp::swap_component(self.prev);
+        let _ = swap_component(self.prev);
     }
 }
 
@@ -417,7 +353,6 @@ pub fn parse_proc_status(status: &str) -> Option<RssReading> {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn charge_credit_moves_watermarks() {
         let _guard = crate::TEST_LOCK.lock().unwrap();
@@ -438,7 +373,6 @@ mod tests {
         reset_mem();
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn scopes_nest_and_restore() {
         let _guard = crate::TEST_LOCK.lock().unwrap();
@@ -455,7 +389,6 @@ mod tests {
         assert_eq!(current_component(), MemComponent::Scratch);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn mem_charge_guard_balances_on_drop() {
         let _guard = crate::TEST_LOCK.lock().unwrap();
@@ -477,14 +410,6 @@ mod tests {
         for (row, &component) in snap.iter().zip(&MemComponent::ALL) {
             assert_eq!(row.component, component);
         }
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn compiled_out_accounting_reads_zero() {
-        mem_charge(MemComponent::Features, 1 << 30);
-        assert_eq!(mem_current(MemComponent::Features), 0);
-        assert_eq!(mem_total_peak(), 0);
     }
 
     #[test]
