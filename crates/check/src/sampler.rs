@@ -1,8 +1,9 @@
 //! Property checks for the seeded neighbor sampler.
 //!
-//! The serving path trusts four properties of
-//! [`fg_graph::sampling::sample_subgraph`], and this family checks each one
-//! mechanically on seeded random cases:
+//! The serving path trusts five properties of
+//! [`fg_graph::sampling::sample_subgraph`] and the blocked forward that runs
+//! on it, and this family checks each one mechanically on seeded random
+//! cases:
 //!
 //! 1. **Seeded determinism** — the same `(graph, seeds, config)` always
 //!    yields an identical subgraph, down to the CSR arrays.
@@ -16,6 +17,12 @@
 //!    (`fg_gnn::infer_seeds`) is bitwise equal to full-graph
 //!    `infer_batch` on the same seeds, for the model family the serving
 //!    tier ships.
+//! 5. **Blocked ≡ whole subgraph** — on the case's own fanouts (when they
+//!    cover at least the models' 2 layers), with a seed-row feature
+//!    override, the per-layer blocks ([`fg_gnn::SampledBlocks`], what
+//!    `infer_seeds` and the server run) give the bits of `infer_batch` on the
+//!    whole sampled subgraph for all three models, and GAT fed its layer-0
+//!    table gives the bits of GAT computing layer 0 itself.
 //!
 //! Cases round-trip through compact descriptors
 //! (`sampler;g=uni:40:3:7;s=2:9;f=3,full;r=0;k=5`) exactly like the kernel
@@ -28,8 +35,11 @@ use std::str::FromStr;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 
-use fg_gnn::models::build_model;
-use fg_gnn::{infer_batch, infer_seeds, FeatgraphBackend, GnnGraph};
+use fg_gnn::models::{build_model, Model};
+use fg_gnn::{
+    gather_rows, infer_batch, infer_seeds, prepare_seeds, FeatgraphBackend, GnnGraph, LayerInput,
+    SampledBlocks,
+};
 use fg_graph::{generators, sample_subgraph, Graph, SampleConfig, VId, FULL_FANOUT};
 use fg_tensor::Dense2;
 
@@ -367,26 +377,21 @@ pub fn run_sampler_case(case: &SamplerCase) -> Vec<String> {
     // (Models are 2-layer; the check runs its own full config so it holds
     // regardless of the case's fanouts.)
     let d = 4;
-    let features = Dense2::from_fn(g.num_vertices(), d, |r, c| {
-        // Cheap deterministic pseudo-features in (-1, 1).
-        let x = splitmix64(case.sample_seed ^ ((r as u64) << 20 | c as u64));
-        (x as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32
-    });
+    let features = pseudo_features(g.num_vertices(), d, case.sample_seed);
     let gnn = GnnGraph::new(g.clone());
     let seed_nodes: Vec<usize> = seeds.iter().map(|&s| s as usize).collect();
     let model_name = ["gcn", "graphsage", "gat"][(case.sample_seed % 3) as usize];
     let model = build_model(model_name, d, 8, 3, case.sample_seed);
     let full_cfg = SampleConfig::full(2, case.sample_seed);
-    // Separate backends: compiled plans are shape-specific, and the
-    // subgraph is a different shape than the full graph.
+    // Separate backends: compiled plans are shape-specific, and every block
+    // is a different shape than the full graph.
     let full_backend = FeatgraphBackend::cpu(1);
     let full = infer_batch(model.as_ref(), &gnn, &features, &full_backend, &seed_nodes);
-    let sub_backend = FeatgraphBackend::cpu(1);
     let sampled = infer_seeds(
         model.as_ref(),
         &gnn,
         &features,
-        &sub_backend,
+        cpu1,
         &seed_nodes,
         &full_cfg,
     );
@@ -405,6 +410,84 @@ pub fn run_sampler_case(case: &SamplerCase) -> Vec<String> {
         )),
     }
 
+    // 5. Blocked ≡ whole subgraph, on the case's own fanouts. Fewer hops
+    // than the models' 2 layers is a request the server rejects.
+    if cfg.hops() >= 2 {
+        let blocked = blocked_matches_whole_subgraph(case, &gnn, &features, &seed_nodes);
+        fails.extend(blocked);
+    }
+
+    fails
+}
+
+fn cpu1() -> FeatgraphBackend {
+    FeatgraphBackend::cpu(1)
+}
+
+/// Cheap deterministic pseudo-features in (-1, 1).
+fn pseudo_features(rows: usize, d: usize, seed: u64) -> Dense2<f32> {
+    Dense2::from_fn(rows, d, |r, c| {
+        let x = splitmix64(seed ^ ((r as u64) << 20 | c as u64));
+        (x as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32
+    })
+}
+
+fn same_bits(a: &[Vec<f32>], b: &[Vec<f32>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
+}
+
+/// Property 5: the sampled path's oracle is `prepare_seeds → gather_rows →
+/// override → infer_batch` on the whole subgraph; the blocked forward must
+/// give its bits, fed features or (GAT) its layer-0 table.
+fn blocked_matches_whole_subgraph(
+    case: &SamplerCase,
+    gnn: &GnnGraph,
+    features: &Dense2<f32>,
+    seeds: &[usize],
+) -> Vec<String> {
+    let mut fails = Vec::new();
+    let (sub, sub_gnn) = match prepare_seeds(gnn, seeds, &case.config()) {
+        Ok(prepared) => prepared,
+        Err(e) => return vec![format!("blocked: prepare_seeds failed: {e}")],
+    };
+    let feats = pseudo_features(seeds.len(), features.cols(), !case.sample_seed);
+    let mut whole = gather_rows(features, sub.locals());
+    for (i, &l) in sub.seed_locals().iter().enumerate() {
+        whole.row_mut(l as usize).copy_from_slice(feats.row(i));
+    }
+    let locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
+    for name in ["gcn", "graphsage", "gat"] {
+        let model = build_model(name, features.cols(), 8, 3, case.sample_seed);
+        let model: &dyn Model = model.as_ref();
+        let want = match infer_batch(model, &sub_gnn, &whole, &cpu1(), &locals) {
+            Ok(rows) => rows,
+            Err(e) => {
+                fails.push(format!("blocked: {name} whole-subgraph oracle failed: {e}"));
+                continue;
+            }
+        };
+        let blocks = SampledBlocks::new(&sub, sub_gnn.clone(), model.num_layers());
+        let mut x = LayerInput::Features(gather_rows(features, blocks.inputs()));
+        blocks.override_seeds(model, &mut x, &feats);
+        if !same_bits(&blocks.forward(model, x, cpu1), &want) {
+            fails.push(format!(
+                "blocked: {name} on per-layer blocks diverged from the whole subgraph"
+            ));
+        }
+        if let Some(table) = model.layer0_table(features) {
+            let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
+            let mut x = LayerInput::Table(rows.collect());
+            blocks.override_seeds(model, &mut x, &feats);
+            if !same_bits(&blocks.forward(model, x, cpu1), &want) {
+                fails.push(format!(
+                    "blocked: {name} fed its layer-0 table diverged from computing it"
+                ));
+            }
+        }
+    }
     fails
 }
 

@@ -433,7 +433,7 @@ struct Plans {
 /// by operation and feature length only and hold that graph's partitioned
 /// CSR, so a second graph with the same feature width would silently run
 /// the first graph's plan. Calling it with a graph of another shape panics.
-/// This is why sampled serving builds one backend per subgraph and sharded
+/// This is why sampled serving builds one backend per block graph and sharded
 /// inference takes one per shard.
 pub struct FeatgraphBackend {
     target: Target,

@@ -20,6 +20,7 @@
 //! configurations (hidden sizes scaled by the harness).
 
 pub mod backend;
+pub mod block;
 pub mod checkpoint;
 pub mod data;
 pub mod ggraph;
@@ -33,7 +34,8 @@ pub mod trainer;
 
 pub use backend::{FeatgraphBackend, GraphBackend, NaiveBackend};
 pub use ggraph::GnnGraph;
-pub use sampled::{gather_rows, infer_seeds, prepare_seeds};
+pub use block::{LayerBlock, LayerInput};
+pub use sampled::{gather_rows, infer_seeds, prepare_seeds, SampledBlocks};
 pub use sharded::{infer_sharded, ShardRun, ShardedGraph};
 pub use tape::{Tape, Var};
 pub use trainer::{infer_batch, InferError};

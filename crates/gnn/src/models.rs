@@ -2,6 +2,7 @@
 
 
 use fg_telemetry::span;
+use fg_tensor::{ops, Dense2};
 
 use crate::nn::{init_rng, Param};
 use crate::tape::{Tape, Var};
@@ -32,7 +33,26 @@ pub trait Model: Send + Sync {
     /// for; `h` may be a constant. Each layer output is a pure row-wise +
     /// aggregation function of `h`, which is what lets the sharded runner
     /// exchange activations between layers without changing any value.
+    ///
+    /// `h` has one row per row of the tape's graph; the output has one row
+    /// per row the tape's block writes: the layer narrows with
+    /// [`Tape::dst_rows`] before its first GEMM that no later row needs.
+    /// On a layer-0 tape holding a [`Tape::table`], the layer reads its
+    /// row-wise tensors from there instead of computing them from `h`.
     fn forward_layer(&self, tape: &mut Tape<'_>, h: Var, layer: usize) -> (Var, Vec<Var>);
+
+    /// Layer 0's row-wise tensors over the rows of `x`: what
+    /// [`Model::forward_layer`] computes from each input row alone before it
+    /// reads the graph, in the order it reads them from [`Tape::table`].
+    /// A row of each depends only on the same row of `x` (`ops::matmul`
+    /// rows are independent), so rows gathered from a table computed once
+    /// over every vertex are bitwise the rows the layer would compute from
+    /// the gathered features. `None` (the default) for a model whose layer
+    /// 0 aggregates before it multiplies.
+    fn layer0_table(&self, x: &Dense2<f32>) -> Option<Vec<Dense2<f32>>> {
+        let _ = x;
+        None
+    }
 
     /// Build the full forward computation. Returns the logits node and the
     /// tape vars of the parameters in the same order as [`Model::params`].
@@ -96,8 +116,14 @@ impl Model for Gcn {
         let w = tape.param(w.value.clone());
         let b = tape.param(b.value.clone());
         // aggregate then transform (generalized SpMM is the hot op)
-        let _span = span!("model/layer", "model=GCN layer={}", layer + 1);
+        let (written, read) = tape.block_rows();
+        let _span = span!(
+            "model/layer",
+            "model=GCN layer={} rows={written}/{read}",
+            layer + 1
+        );
         let agg = tape.mean_spmm(h);
+        let agg = tape.dst_rows(agg);
         let lin = tape.matmul(agg, w);
         let pre = tape.add_bias(lin, b);
         let out = if layer == 0 { tape.relu(pre) } else { pre };
@@ -160,9 +186,16 @@ impl Model for GraphSage {
         let wn = tape.param(wn.value.clone());
         let b = tape.param(b.value.clone());
         let pre = {
-            let _span = span!("model/layer", "model=GraphSage layer={}", layer + 1);
-            let selfpart = tape.matmul(h, ws);
+            let (written, read) = tape.block_rows();
+            let _span = span!(
+                "model/layer",
+                "model=GraphSage layer={} rows={written}/{read}",
+                layer + 1
+            );
+            let hdst = tape.dst_rows(h);
+            let selfpart = tape.matmul(hdst, ws);
             let agg = tape.mean_spmm(h);
+            let agg = tape.dst_rows(agg);
             let neighpart = tape.matmul(agg, wn);
             let sum = tape.add(selfpart, neighpart);
             tape.add_bias(sum, b)
@@ -245,25 +278,34 @@ impl Model for Gat {
             other => panic!("GAT has 2 layers, asked for layer {other}"),
         };
         let mut pvars = Vec::with_capacity(3 * heads.len());
+        let table = tape.table().to_vec();
         let summed = {
+            let (written, read) = tape.block_rows();
             let _span = span!(
                 "model/layer",
-                "model=GAT layer={} heads={}",
+                "model=GAT layer={} heads={} rows={written}/{read}",
                 layer + 1,
                 heads.len()
             );
             let mut acc: Option<Var> = None;
-            for (w, al, ar) in heads {
+            for (head, (w, al, ar)) in heads.iter().enumerate() {
                 let w = tape.param(w.value.clone());
                 let al = tape.param(al.value.clone());
                 let ar = tape.param(ar.value.clone());
                 pvars.extend([w, al, ar]);
-                let hw = tape.matmul(h, w);
-                let sl = tape.matmul(hw, al); // n×1 source scores
-                let sr = tape.matmul(hw, ar); // n×1 destination scores
-                                              // SDDMM score → edge softmax → attention-weighted SpMM,
-                                              // one fused node forward and backward
+                // hw, sl (n×1 source scores) and sr (n×1 destination
+                // scores) over every row the attention reads
+                let (hw, sl, sr) = match table.get(3 * head..3 * head + 3) {
+                    Some(&[hw, sl, sr]) => (hw, sl, sr),
+                    _ => {
+                        let hw = tape.matmul(h, w);
+                        (hw, tape.matmul(hw, al), tape.matmul(hw, ar))
+                    }
+                };
+                // SDDMM score → edge softmax → attention-weighted SpMM,
+                // one fused node forward and backward
                 let out = tape.gat_attention(hw, sl, sr, 0.2);
+                let out = tape.dst_rows(out);
                 acc = Some(match acc {
                     None => out,
                     Some(prev) => tape.add(prev, out),
@@ -278,6 +320,16 @@ impl Model for Gat {
         };
         let out = if layer == 0 { tape.relu(summed) } else { summed };
         (out, pvars)
+    }
+
+    fn layer0_table(&self, x: &Dense2<f32>) -> Option<Vec<Dense2<f32>>> {
+        let matmul = |a: &Dense2<f32>, b: &Param| ops::matmul(a, &b.value).expect("layer-0 shapes");
+        let table = self.layer1.iter().flat_map(|(w, al, ar)| {
+            let hw = matmul(x, w);
+            let (sl, sr) = (matmul(&hw, al), matmul(&hw, ar));
+            [hw, sl, sr]
+        });
+        Some(table.collect())
     }
 }
 

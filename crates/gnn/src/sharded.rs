@@ -32,10 +32,10 @@ use fg_telemetry::span;
 use fg_tensor::Dense2;
 
 use crate::backend::FeatgraphBackend;
+use crate::block::{run_layer, LayerBlock, LayerInput};
 use crate::ggraph::GnnGraph;
 use crate::models::Model;
 use crate::sampled::gather_rows;
-use crate::tape::Tape;
 use crate::trainer::InferError;
 
 /// A graph prepared for shard-parallel inference: the [`ShardPlan`] plus
@@ -168,12 +168,12 @@ pub fn infer_sharded(
                     // features are globally visible.
                     let mut h = gather_rows(features, shard.locals());
                     for layer in 0..layers {
-                        let out = {
-                            let mut tape = Tape::new(gnn, backend, None);
-                            let x = tape.leaf(h);
-                            let (o, _) = model.forward_layer(&mut tape, x, layer);
-                            tape.value(o).clone()
+                        let block = LayerBlock {
+                            graph: gnn,
+                            backend,
+                            dst: None,
                         };
+                        let out = run_layer(model, &block, LayerInput::Features(h), layer);
                         if layer == boundaries {
                             return (out, ex_bytes);
                         }

@@ -58,6 +58,8 @@ enum Op {
         slope: f32,
         stats: Option<SoftmaxStats>,
     },
+    /// The block's written rows of `x` ([`Tape::dst_rows`]).
+    DstRows(Var),
 }
 
 struct Node {
@@ -71,10 +73,19 @@ struct Node {
 
 /// The autograd tape. Build the forward computation through its methods,
 /// then call [`Tape::backward`].
+///
+/// A tape runs on one message-flow block: its graph, plus the rows of it
+/// the layer writes ([`Tape::on_block`]). A model narrows to those rows with
+/// [`Tape::dst_rows`]; on a whole-graph tape ([`Tape::new`]) every row is
+/// written and the narrowing pushes no node.
 pub struct Tape<'g> {
     graph: &'g GnnGraph,
     backend: &'g dyn GraphBackend,
     dense_gpu: Option<&'g GpuCostModel>,
+    /// Positions of the rows the block writes; `None`: every row.
+    dst: Option<&'g [usize]>,
+    /// Row-wise tensors precomputed for this layer ([`Tape::table`]).
+    table: Vec<Var>,
     nodes: Vec<Node>,
 }
 
@@ -90,8 +101,42 @@ impl<'g> Tape<'g> {
             graph,
             backend,
             dense_gpu,
+            dst: None,
+            table: Vec::new(),
             nodes: Vec::new(),
         }
+    }
+
+    /// New inference tape over one block: `graph` is the square graph over
+    /// the rows the layer reads, `dst` the positions of the rows it writes
+    /// (`None`: every row).
+    pub fn on_block(
+        graph: &'g GnnGraph,
+        backend: &'g dyn GraphBackend,
+        dst: Option<&'g [usize]>,
+    ) -> Self {
+        Self {
+            dst,
+            ..Self::new(graph, backend, None)
+        }
+    }
+
+    /// `(written, read)` row counts of this tape's block, for layer spans.
+    pub fn block_rows(&self) -> (usize, usize) {
+        let read = self.graph.num_vertices();
+        (self.dst.map_or(read, <[usize]>::len), read)
+    }
+
+    /// Hand the layer row-wise tensors computed ahead of it, one row per
+    /// block row (see [`crate::models::Model::layer0_table`]).
+    pub fn set_table(&mut self, table: Vec<Var>) {
+        self.table = table;
+    }
+
+    /// The row-wise tensors [`Tape::set_table`] handed this layer; empty
+    /// when the layer computes its own.
+    pub fn table(&self) -> &[Var] {
+        &self.table
     }
 
     fn push_node(&mut self, value: Dense2<f32>, requires_grad: bool, op: Op) -> Var {
@@ -135,6 +180,11 @@ impl<'g> Tape<'g> {
     /// Value of a node.
     pub fn value(&self, v: Var) -> &Dense2<f32> {
         &self.nodes[v.0].value
+    }
+
+    /// Consume the tape, keeping only `v`'s value.
+    pub fn into_value(mut self, v: Var) -> Dense2<f32> {
+        self.nodes.swap_remove(v.0).value
     }
 
     /// Gradient of a [`Tape::param`] after [`Tape::backward`] (zeros-shaped
@@ -265,6 +315,20 @@ impl<'g> Tape<'g> {
             stats,
         };
         self.push(value, [hw, sl, sr], op)
+    }
+
+    /// The rows of `x` the block writes, in block order. On a tape whose
+    /// block writes every row this is `x` itself: no node is pushed.
+    pub fn dst_rows(&mut self, x: Var) -> Var {
+        let Some(dst) = self.dst else {
+            return x;
+        };
+        let src = self.value(x);
+        let mut value = Dense2::zeros(dst.len(), src.cols());
+        for (i, &r) in dst.iter().enumerate() {
+            value.row_mut(i).copy_from_slice(src.row(r));
+        }
+        self.push(value, [x], Op::DstRows(x))
     }
 
     /// Add `g` into `v`'s gradient; a constant never holds one.
@@ -423,6 +487,19 @@ impl<'g> Tape<'g> {
                     self.accumulate(hw, grads.x);
                     self.accumulate(sl, grads.sl);
                     self.accumulate(sr, grads.sr);
+                }
+                Op::DstRows(x) => {
+                    // scatter-add back onto the block's rows
+                    let dst = self
+                        .dst
+                        .expect("a DstRows node is pushed only on a block tape");
+                    let mut gx = Dense2::zeros(self.value(x).rows(), g.cols());
+                    for (i, &r) in dst.iter().enumerate() {
+                        for (o, &v) in gx.row_mut(r).iter_mut().zip(g.row(i)) {
+                            *o += v;
+                        }
+                    }
+                    self.accumulate(x, gx);
                 }
             }
         }
@@ -959,6 +1036,36 @@ mod tests {
         let y = tape.scale(x, 2.0);
         // one row short: zip-and-add would silently drop the tail
         tape.backward(y, feats(29, 4, 2));
+    }
+
+    #[test]
+    fn dst_rows_gathers_forward_and_scatter_adds_backward() {
+        let (g, backend) = setup();
+        let dst = [0usize, 3, 3, 29];
+        let mut tape = Tape::on_block(&g, &backend, Some(&dst));
+        assert_eq!(tape.block_rows(), (4, 30));
+        let x = tape.param(feats(30, 4, 1));
+        let y = tape.dst_rows(x);
+        for (i, &r) in dst.iter().enumerate() {
+            assert_eq!(tape.value(y).row(i), tape.value(x).row(r));
+        }
+        let target = feats(4, 4, 5);
+        tape.backward(y, target.clone());
+        let gx = tape.grad(x);
+        let mut want = Dense2::zeros(30, 4);
+        for (i, &r) in dst.iter().enumerate() {
+            for (o, &v) in want.row_mut(r).iter_mut().zip(target.row(i)) {
+                *o += v;
+            }
+        }
+        assert!(gx.approx_eq(&want, 0.0));
+
+        // A whole-graph tape writes every row: the narrowing is `x` itself.
+        let mut tape = Tape::new(&g, &backend, None);
+        assert_eq!(tape.block_rows(), (30, 30));
+        let x = tape.leaf(feats(30, 4, 1));
+        assert_eq!(tape.dst_rows(x), x);
+        assert_eq!(tape.nodes.len(), 1);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use fg_telemetry::{gauge_set, span, Gauge};
 use fg_tensor::Dense2;
 
 use crate::backend::{GpuCostModel, GraphBackend};
+use crate::block::{forward, LayerBlock, LayerInput};
 use crate::data::SbmTask;
 use crate::ggraph::GnnGraph;
 use crate::loss::{accuracy, softmax_cross_entropy};
@@ -179,12 +180,15 @@ impl std::error::Error for InferError {}
 /// Batched single-node inference: one full-graph forward pass answers every
 /// requested node, returning that node's logits row per request.
 ///
-/// This is the serving entry point: `fg-serve` calls it once per
-/// registration over every vertex and answers each full-graph request with
-/// a row of the result, and once per sampled request on its subgraph. The
-/// backend's kernel plans compile on the first call and are reused by any
-/// later call on the same graph. Requested node IDs are validated before
-/// any compute.
+/// This is the forward over one identity block per layer
+/// ([`crate::block::forward`]): every layer writes every row. `fg-serve`
+/// calls it once per registration over every vertex and answers each
+/// full-graph request with a row of the result; a sampled request runs the
+/// same forward over blocks that shrink towards its seeds
+/// ([`crate::sampled::SampledBlocks`]), bitwise equal to this function on
+/// the whole sampled subgraph. The backend's kernel plans compile on the
+/// first call and are reused by any later call on the same graph. Requested
+/// node IDs are validated before any compute.
 pub fn infer_batch(
     model: &dyn Model,
     graph: &GnnGraph,
@@ -212,10 +216,13 @@ pub fn infer_batch(
     // scope — fg-serve wraps this call in a ServeBatch scope, which wins.
     let _mem = (fg_telemetry::current_component() == fg_telemetry::MemComponent::Scratch)
         .then(|| fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations));
-    let mut tape = Tape::new(graph, backend, None);
-    let x = tape.leaf(features.clone());
-    let (logits_var, _) = model.forward(&mut tape, x);
-    let logits = tape.value(logits_var);
+    let identity = LayerBlock {
+        graph,
+        backend,
+        dst: None,
+    };
+    let blocks = vec![identity; model.num_layers()];
+    let logits = forward(model, &blocks, LayerInput::Features(features.clone()));
     Ok(nodes.iter().map(|&v| logits.row(v).to_vec()).collect())
 }
 
@@ -337,9 +344,9 @@ mod tests {
             let model = model.as_ref();
             let backend = FeatgraphBackend::cpu(1);
             infer_batch(model, &task.graph, &task.features, &backend, &nodes).unwrap();
-            let backend = FeatgraphBackend::cpu(1);
             let cfg = SampleConfig::new(vec![4, 4], 3);
-            infer_seeds(model, &task.graph, &task.features, &backend, &nodes, &cfg).unwrap();
+            let cpu1 = || FeatgraphBackend::cpu(1);
+            infer_seeds(model, &task.graph, &task.features, cpu1, &nodes, &cfg).unwrap();
             let backends: Vec<_> = (0..3).map(|_| FeatgraphBackend::cpu(1)).collect();
             infer_sharded(model, &sharded, &task.features, &backends, &nodes).unwrap();
         }

@@ -43,7 +43,9 @@ pub use coo::Coo;
 pub use csr::{Csr, CsrError};
 pub use datasets::{Dataset, DatasetSpec};
 pub use partition::PartitionedCsr;
-pub use sampling::{sample_subgraph, SampleConfig, SampleError, SampledSubgraph, FULL_FANOUT};
+pub use sampling::{
+    sample_subgraph, Block, SampleConfig, SampleError, SampledSubgraph, FULL_FANOUT,
+};
 pub use shard::{RemoteRead, Shard, ShardPlan, ShardStrategy};
 
 /// Vertex identifier. `u32` keeps the index arrays compact — the paper's

@@ -104,6 +104,37 @@ pub struct SampledSubgraph {
     locals: Vec<VId>,
     seed_locals: Vec<VId>,
     frontier_sizes: Vec<usize>,
+    depths: Vec<u8>,
+}
+
+/// One layer's message-flow block over a [`SampledSubgraph`] (DGL's
+/// "block"). Layer `layer` of an `L`-layer model reads the rows within
+/// `L − layer` hops of a seed and writes the rows within `L − 1 − layer`
+/// hops: nothing it would compute for a row farther out reaches a seed.
+///
+/// The block is a square graph over the rows it reads, in ascending local
+/// (hence global) order; only the rows it writes keep their in-edges, in
+/// the subgraph's row order, so every written row accumulates exactly as it
+/// does in the whole subgraph. Locals are not ordered by depth, so the
+/// written rows are a position list, not a prefix.
+#[derive(Debug, Clone)]
+pub struct Block {
+    graph: Option<Graph>,
+    src: Vec<VId>,
+    dst: Vec<usize>,
+}
+
+impl Block {
+    /// Take the block apart: `(graph, src, dst)`.
+    /// * `graph`: the square graph over `src`; `None` when that is the
+    ///   subgraph itself (every row is read and every unwritten row is
+    ///   already a leaf), which is then reused rather than copied.
+    /// * `src`: the subgraph locals the layer reads, ascending; row `i` of
+    ///   the block is local `src[i]`.
+    /// * `dst`: positions in `src` of the rows the layer writes, ascending.
+    pub fn into_parts(self) -> (Option<Graph>, Vec<VId>, Vec<usize>) {
+        (self.graph, self.src, self.dst)
+    }
 }
 
 impl SampledSubgraph {
@@ -140,6 +171,62 @@ impl SampledSubgraph {
         &self.frontier_sizes
     }
 
+    /// The hop each local was first discovered at (0 for seeds), saturated
+    /// at `u8::MAX`: a block only asks whether a row lies within as many
+    /// hops as the model has layers.
+    pub fn depths(&self) -> &[u8] {
+        &self.depths
+    }
+
+    /// Layer `layer`'s [`Block`] for a `layers`-layer model.
+    ///
+    /// # Panics
+    /// If `layer >= layers` or `layers >= u8::MAX` (depths saturate there).
+    pub fn block(&self, layers: usize, layer: usize) -> Block {
+        assert!(layer < layers, "layer {layer} of a {layers}-layer model");
+        assert!(
+            layers < u8::MAX as usize,
+            "{layers} layers exceed the depth range"
+        );
+        let reads = layers - layer;
+        let within = |l: usize, hops: usize| self.depths[l] as usize <= hops;
+        let src: Vec<VId> = (0..self.num_vertices())
+            .filter(|&l| within(l, reads))
+            .map(|l| l as VId)
+            .collect();
+        let dst: Vec<usize> = (0..src.len())
+            .filter(|&i| within(src[i] as usize, reads - 1))
+            .collect();
+        // Reading at least as many hops as were sampled, a block reads every
+        // row, and the rows it does not write sit at the last hop: leaves,
+        // whose rows are already empty.
+        let graph = (reads < self.frontier_sizes.len() - 1).then(|| {
+            let mut pos = vec![VId::MAX; self.num_vertices()];
+            for (i, &l) in src.iter().enumerate() {
+                pos[l as usize] = i as VId;
+            }
+            let in_csr = self.graph.in_csr();
+            let mut indptr = Vec::with_capacity(src.len() + 1);
+            indptr.push(0usize);
+            let mut indices: Vec<VId> = Vec::new();
+            let mut written = dst.iter().peekable();
+            for (i, &l) in src.iter().enumerate() {
+                if written.next_if_eq(&&i).is_some() {
+                    // A written row's sources lie one hop farther out at
+                    // most, so all of them are read rows; the position map
+                    // is monotone, so the row stays ascending.
+                    indices.extend(in_csr.row(l).iter().map(|&u| pos[u as usize]));
+                }
+                indptr.push(indices.len());
+            }
+            match Csr::try_new(src.len(), src.len(), indptr, indices) {
+                Ok(c) => Graph::from_csr(c),
+                Err(e) => unreachable!("block of a valid subgraph is invalid: {e}"),
+            }
+        });
+        Block { graph, src, dst }
+    }
+
     /// Vertex count of the subgraph.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -158,6 +245,7 @@ impl SampledSubgraph {
             + (self.locals.len() * std::mem::size_of::<VId>()) as u64
             + (self.seed_locals.len() * std::mem::size_of::<VId>()) as u64
             + (self.frontier_sizes.len() * std::mem::size_of::<usize>()) as u64
+            + self.depths.len() as u64
     }
 }
 
@@ -330,11 +418,16 @@ pub fn sample_subgraph(
     let graph = Graph::from_csr(in_csr);
 
     let seed_locals: Vec<VId> = seeds.iter().map(|&s| local_of(s)).collect();
+    let depths = locals
+        .iter()
+        .map(|g| discovered[g].min(u8::MAX as usize) as u8)
+        .collect();
     Ok(SampledSubgraph {
         graph,
         locals,
         seed_locals,
         frontier_sizes,
+        depths,
     })
 }
 
@@ -485,6 +578,64 @@ mod tests {
             sample_subgraph(&g, &[0], &SampleConfig::new(vec![], 0)),
             Err(SampleError::NoHops)
         ));
+    }
+
+    #[test]
+    fn depths_record_the_discovery_hop() {
+        let g = line_graph();
+        let sub = sample_subgraph(&g, &[4], &SampleConfig::full(2, 7)).unwrap();
+        assert_eq!(sub.locals(), &[2, 3, 4]);
+        assert_eq!(sub.depths(), &[2, 1, 0]);
+    }
+
+    #[test]
+    fn blocks_keep_exactly_the_rows_a_seed_reads() {
+        let g = generators::uniform(300, 8, 11);
+        for fanouts in [vec![3, 3], vec![3, 3, 3], vec![2]] {
+            let hops = fanouts.len();
+            let sub =
+                sample_subgraph(&g, &[5, 17, 17, 100], &SampleConfig::new(fanouts, 4)).unwrap();
+            let layers = 2;
+            let mut prev_dst: Option<Vec<VId>> = None;
+            for layer in 0..layers {
+                let (graph, src, dst) = sub.block(layers, layer).into_parts();
+                let reads = layers - layer;
+                let want_src: Vec<VId> = (0..sub.num_vertices() as VId)
+                    .filter(|&l| sub.depths()[l as usize] as usize <= reads)
+                    .collect();
+                assert_eq!(src, want_src, "layer {layer}");
+                // A layer reads exactly the rows the layer before wrote.
+                if let Some(prev) = prev_dst.take() {
+                    assert_eq!(src, prev, "layer {layer}");
+                }
+                let written: Vec<VId> = dst.iter().map(|&i| src[i]).collect();
+                assert!(written
+                    .iter()
+                    .all(|&l| (sub.depths()[l as usize] as usize) < reads));
+                assert_eq!(graph.is_none(), reads >= hops, "layer {layer}");
+                let graph = graph.as_ref().unwrap_or(sub.graph());
+                assert_eq!(graph.num_vertices(), src.len());
+                for (i, &l) in src.iter().enumerate() {
+                    let row: Vec<VId> = graph
+                        .in_csr()
+                        .row(i as VId)
+                        .iter()
+                        .map(|&p| src[p as usize])
+                        .collect();
+                    if dst.contains(&i) {
+                        assert_eq!(row, sub.graph().in_csr().row(l), "written row {l}");
+                    } else {
+                        assert!(row.is_empty(), "unwritten row {l} keeps in-edges");
+                    }
+                }
+                prev_dst = Some(written);
+            }
+            // The last layer writes the distinct seeds.
+            let mut seeds: Vec<VId> = sub.seed_locals().to_vec();
+            seeds.sort_unstable();
+            seeds.dedup();
+            assert_eq!(prev_dst.unwrap(), seeds);
+        }
     }
 
     #[test]

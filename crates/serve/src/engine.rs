@@ -36,12 +36,18 @@
 //! registration that only ever answers sampled requests never pays for it —
 //! and never evicted: the matrix is no larger than the feature matrix
 //! whenever classes ≤ in_dim.
-//! A `Sampled` job runs `run_sampled` (sample → gather → override →
-//! `infer_batch` on the induced subgraph — cost proportional to the
-//! neighborhood, not the graph). It keeps nothing: a backend's plans embed
-//! the partitioned graph they were compiled on, every request samples a
-//! different subgraph, so it builds a fresh backend and each plan picks its
-//! own schedule.
+//! A `Sampled` job runs `run_sampled`: sample, cut the subgraph into one
+//! message-flow block per model layer ([`SampledBlocks`]), gather layer 0's
+//! rows, override the seeds' rows, and run the model over the blocks — each
+//! layer computes only the rows a later layer or a seed reads, bitwise what
+//! `infer_batch` gives on the whole subgraph. A model whose layer 0 starts
+//! with row-wise GEMMs (GAT: `hw`, `sl`, `sr` per head) gets those rows
+//! from a table the registration computes over every vertex on its first
+//! sampled job ([`Model::layer0_table`]) and keeps beside its logits; a
+//! request recomputes only its overridden rows. A job keeps nothing of its
+//! own: a backend's plans embed the partitioned graph they were compiled
+//! on, every request samples different blocks, so it builds a fresh backend
+//! per block graph and each plan picks its own schedule.
 //!
 //! **Completion.** Every job — answered, failed or timed out — ends in one
 //! `complete`: phase samples (the rule for which is stated there), latency
@@ -59,8 +65,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
-use fg_gnn::sampled::prepare_seeds;
-use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph};
+use fg_gnn::sampled::{gather_rows, prepare_seeds};
+use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph, LayerInput, SampledBlocks};
 use fg_graph::{SampleConfig, FULL_FANOUT};
 use fg_telemetry::{
     counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
@@ -316,8 +322,9 @@ impl From<SeedsResponse> for InferResponse {
 }
 
 /// One servable model: the graph it runs on, its input features, the
-/// trained (or initialized) parameters, and — once its first `Full` job has
-/// run — the full-graph logits they determine.
+/// trained (or initialized) parameters, and what they determine once the
+/// first job that needs it has run: the full-graph logits and the layer-0
+/// table.
 pub struct ModelEntry {
     name: String,
     graph_id: u64,
@@ -328,6 +335,11 @@ pub struct ModelEntry {
     /// `Full` job (`fill_logits`). Allocated under the `activations`
     /// memory component, so the accountant counts it until the entry drops.
     logits: OnceLock<Dense2<f32>>,
+    /// Layer 0's row-wise tensors over every vertex
+    /// ([`Model::layer0_table`]; `None` inside for a model without one),
+    /// filled by the first `Sampled` job (`fill_table`) under the
+    /// `activations` memory component.
+    table: OnceLock<Option<Vec<Dense2<f32>>>>,
     /// Accounting guard for the `Vec`-backed graph topology (the tensor
     /// accountant only sees aligned buffers); credited when the entry drops
     /// — replacement, unregistration, or engine shutdown alike.
@@ -386,8 +398,8 @@ impl Engine {
     }
 
     /// Register `model` under `name`, replacing any previous registration
-    /// (whose full-graph logits are freed with it). Returns the graph ID
-    /// assigned to this registration.
+    /// (whose full-graph logits and layer-0 table are freed with it).
+    /// Returns the graph ID assigned to this registration.
     ///
     /// # Panics
     ///
@@ -421,6 +433,7 @@ impl Engine {
             features,
             model,
             logits: OnceLock::new(),
+            table: OnceLock::new(),
             _graph_charge: graph_charge,
         });
         let replaced = self
@@ -902,12 +915,31 @@ fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
     logits
 }
 
-/// One `Sampled` view: sample the neighborhood of `seeds`, gather its
-/// feature rows (with `feats` replacing the seeds' own), run the model on
-/// the induced subgraph and return only the seed rows. Nothing is kept: a
-/// backend is bound to the first graph it sees, the subgraph is this
-/// request's alone, and each plan picks its own schedule from it (plan
-/// building is part of `execute`).
+/// The registration's layer-0 table ([`Model::layer0_table`] over every
+/// vertex, from the widened registered features), kept under the
+/// `activations` component; `None` for a model without one.
+fn fill_table(entry: &ModelEntry) -> Option<Vec<Dense2<f32>>> {
+    let _span = span!("serve/fill_table", "model={}", entry.name);
+    let _scratch = MemScope::enter(MemComponent::ServeBatch);
+    let widened;
+    let features: &Dense2<f32> = match entry.features.as_f32() {
+        Some(f) => f,
+        None => {
+            widened = entry.features.to_f32();
+            &widened
+        }
+    };
+    let _mem = MemScope::enter(MemComponent::Activations);
+    entry.model.layer0_table(features)
+}
+
+/// One `Sampled` view: sample the neighborhood of `seeds` and cut it into
+/// per-layer blocks, gather layer 0's rows (with `feats` replacing the
+/// seeds' own), run the model over the blocks and return the seed rows.
+/// Nothing is kept but the registration's layer-0 table, which the first
+/// sampled job fills (inside its `sample` phase): a backend is bound to the
+/// first graph it sees, the blocks are this request's alone, and each plan
+/// picks its own schedule from them (plan building is part of `execute`).
 fn run_sampled(
     shared: &Shared,
     entry: &ModelEntry,
@@ -915,55 +947,66 @@ fn run_sampled(
     cfg: &SampleConfig,
     feats: Option<&Dense2<f32>>,
 ) -> Outcome {
+    let model = entry.model.as_ref();
     let model_name = entry.name.as_str();
-    // Sample phase: neighborhood expansion + reindex + feature gather.
+    // Sample phase: neighborhood expansion + reindex + blocks + row gather.
     let sample_start = Instant::now();
-    let (sub, sub_gnn) = {
+    let (sub, blocks) = {
         let _sample_span = span!("serve/sample", "model={model_name} seeds={}", seeds.len());
-        prepare_seeds(&entry.graph, seeds, cfg).map_err(|e| ServeError::Infer(e.to_string()))?
+        let (sub, sub_gnn) = prepare_seeds(&entry.graph, seeds, cfg)
+            .map_err(|e| ServeError::Infer(e.to_string()))?;
+        let blocks = SampledBlocks::new(&sub, sub_gnn, model.num_layers());
+        (sub, blocks)
     };
-    // The subgraph and its index maps live until the rows are returned;
-    // account them so MEMORY answers show per-request sampling footprint.
-    let _sampling_charge = MemCharge::new(MemComponent::Sampling, sub.mem_bytes());
-    // Gather widens half-precision storage to f32 in the same pass that
-    // materializes the subgraph's rows — no second conversion sweep.
-    let mut gathered = entry.features.gather_rows_f32(sub.locals());
-    if let Some(feats) = feats {
-        // Client-supplied rows replace the registered features for the
-        // seeds only; sampled neighbors keep the stored rows.
-        for (i, &local) in sub.seed_locals().iter().enumerate() {
-            gathered.row_mut(local as usize).copy_from_slice(feats.row(i));
+    // The subgraph, its blocks and index maps live until the rows are
+    // returned; account them so MEMORY answers show per-request sampling
+    // footprint.
+    let _sampling_charge =
+        MemCharge::new(MemComponent::Sampling, sub.mem_bytes() + blocks.mem_bytes());
+    // Layer 0 reads rows of the registration's table when its model has
+    // one, else feature rows — gathering widens half-precision storage to
+    // f32 in the same pass, with no second conversion sweep.
+    let mut input = match entry.table.get_or_init(|| fill_table(entry)) {
+        Some(table) => {
+            let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
+            LayerInput::Table(rows.collect())
         }
-    }
+        None => LayerInput::Features(entry.features.gather_rows_f32(blocks.inputs())),
+    };
     let sample = sample_start.elapsed();
 
     let dims = (sub.num_vertices(), sub.num_edges());
-    let seed_locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
-    let backend = FeatgraphBackend::cpu(shared.cfg.kernel_threads);
     let exec_start = Instant::now();
     let out = {
         let _infer_span = span!(
             "serve/infer",
-            "model={model_name} seeds={} sub_v={} sub_e={}",
+            "model={model_name} seeds={} sub_v={} sub_e={} layers={}",
             seeds.len(),
             dims.0,
-            dims.1
+            dims.1,
+            layer_rows(&blocks)
         );
         let _mem = MemScope::enter(MemComponent::ServeBatch);
-        infer_batch(
-            entry.model.as_ref(),
-            &sub_gnn,
-            &gathered,
-            &backend,
-            &seed_locals,
-        )
+        if let Some(feats) = feats {
+            // Client-supplied rows replace the registered features for the
+            // seeds only; sampled neighbors keep the stored rows.
+            blocks.override_seeds(model, &mut input, feats);
+        }
+        let kernel_threads = shared.cfg.kernel_threads;
+        blocks.forward(model, input, || FeatgraphBackend::cpu(kernel_threads))
     };
     let timings = Timings {
         sample: Some(sample),
         execute: exec_start.elapsed(),
     };
-    let out = out.map_err(|e| ServeError::Infer(e.to_string()))?;
     Ok((out, timings, dims))
+}
+
+/// Per-layer `written/read` row counts, layer 0 first, for a span.
+fn layer_rows(blocks: &SampledBlocks) -> String {
+    let rows = blocks.rows();
+    let rows: Vec<String> = rows.iter().map(|(w, r)| format!("{w}/{r}")).collect();
+    rows.join(",")
 }
 
 /// The one place a job ends: phase samples, latency and outcome counters,

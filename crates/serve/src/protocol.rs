@@ -40,7 +40,7 @@
 //! summary lines). Any other verb is a `bad-request`.
 //!
 //! `INFER_SEEDS` answers its seed list by sampling a fanout-bounded
-//! neighborhood and running the model on the induced subgraph; `fanout`
+//! neighborhood and running the model over its per-layer blocks; `fanout`
 //! names per-hop in-neighbor caps (seed-side first, at least one per model
 //! layer or the request is a `bad-request`) and defaults to full fanout
 //! over two hops, which reproduces full-graph logits bit-for-bit.

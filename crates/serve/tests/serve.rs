@@ -252,6 +252,63 @@ fn every_infer_row_is_the_infer_batch_row_bitwise() {
     }
 }
 
+/// Every capped `INFER_SEEDS` row — as many hops as layers and one more,
+/// client feature rows, a duplicated seed — is bitwise the row of the
+/// sampled path's oracle: `prepare_seeds → gather_rows → override →
+/// infer_batch` on the whole sampled subgraph. GAT answers from its
+/// layer-0 table, which its first request fills.
+#[test]
+fn every_capped_seeds_row_is_the_whole_subgraph_row_bitwise() {
+    let task = make_task();
+    let model = |name| build_model(name, task.in_dim(), 8, task.num_classes, 3);
+    let engine = Engine::new(ServeConfig::default());
+    for name in ["gcn", "graphsage", "gat"] {
+        engine.register_model(name, model(name), task.graph.clone(), task.features.clone());
+    }
+    let seeds = vec![17usize, 250, 17, 399];
+    let feats = fg_tensor::Dense2::from_fn(seeds.len(), task.in_dim(), |r, c| {
+        ((r * 7 + c * 3) % 11) as f32 * 0.1 - 0.5
+    });
+    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for name in ["gcn", "graphsage", "gat"] {
+        for fanouts in [vec![3, 3], vec![3, 3, 3]] {
+            for sample_seed in 0..4 {
+                let resp = engine
+                    .infer_seeds(InferSeedsRequest {
+                        model: name.into(),
+                        seeds: seeds.clone(),
+                        fanouts: Some(fanouts.clone()),
+                        sample_seed,
+                        feats: Some(feats.clone()),
+                        deadline: None,
+                    })
+                    .expect("capped seeds");
+                let cfg = fg_graph::SampleConfig::new(fanouts.clone(), sample_seed);
+                let (sub, sub_gnn) = fg_gnn::prepare_seeds(&task.graph, &seeds, &cfg).unwrap();
+                let mut x = fg_gnn::gather_rows(&task.features, sub.locals());
+                for (i, &l) in sub.seed_locals().iter().enumerate() {
+                    x.row_mut(l as usize).copy_from_slice(feats.row(i));
+                }
+                let locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
+                let backend = FeatgraphBackend::cpu(1);
+                let want = fg_gnn::infer_batch(&*model(name), &sub_gnn, &x, &backend, &locals)
+                    .expect("oracle");
+                let what = format!("{name} fanouts {fanouts:?} sample_seed {sample_seed}");
+                assert_eq!(
+                    (resp.sub_vertices, resp.sub_edges),
+                    (sub.num_vertices(), sub.num_edges()),
+                    "{what}"
+                );
+                assert_eq!(resp.results.len(), want.len(), "{what}");
+                for (got, want) in resp.results.iter().zip(&want) {
+                    assert_eq!(bits(&got.logits), bits(want), "{what}");
+                }
+            }
+        }
+    }
+    assert_eq!(engine.stats().failed, 0);
+}
+
 /// A feature matrix must cover every vertex: a short one would be indexed
 /// past its end by the first request that gathers a missing row, on a
 /// worker thread whose client would then never be answered.
@@ -926,6 +983,81 @@ fn sampled_request_yields_one_coherent_trace_tree() {
         assert!(
             spans.iter().any(|(n, t)| n == name && *t == trace_id),
             "span {name} missing from trace {trace_id:#x}; got {spans:?}"
+        );
+    }
+}
+
+/// A traced sampled request shows its blocks shrinking: `serve/infer` lists
+/// each layer's `written/read` rows, and each `model/layer` span of the
+/// request carries its own.
+#[test]
+fn sampled_request_trace_shows_each_layers_rows() {
+    use fg_telemetry::{Sink, SpanRecord};
+    use std::sync::Mutex;
+
+    type Recorded = (&'static str, u64, String);
+    struct Collect(Mutex<Vec<Recorded>>);
+    impl Sink for Collect {
+        fn on_span(&self, record: &SpanRecord) {
+            let args = record.args.clone().unwrap_or_default();
+            self.0
+                .lock()
+                .unwrap()
+                .push((record.name, record.trace_id, args));
+        }
+    }
+
+    let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+    fg_telemetry::set_enabled(true);
+    fg_telemetry::add_sink(sink.clone());
+    let (engine, _task) = make_engine(ServeConfig {
+        trace_sample: 1,
+        ..ServeConfig::default()
+    });
+    engine
+        .infer_seeds(InferSeedsRequest {
+            model: "gcn".into(),
+            seeds: vec![3, 7, 3],
+            fanouts: Some(vec![3, 3]),
+            sample_seed: 1,
+            feats: None,
+            deadline: None,
+        })
+        .expect("sampled");
+    engine.shutdown();
+
+    let spans = sink.0.lock().unwrap().clone();
+    let (trace_id, layers) = spans
+        .iter()
+        .find_map(|(name, trace, args)| {
+            let layers = args.split(' ').find_map(|kv| kv.strip_prefix("layers="))?;
+            (*name == "serve/infer" && *trace != 0).then(|| (*trace, layers.to_string()))
+        })
+        .expect("a traced sampled serve/infer span lists its layers");
+    let rows: Vec<(usize, usize)> = layers
+        .split(',')
+        .map(|wr| {
+            let (w, r) = wr.split_once('/').expect("written/read");
+            (w.parse().unwrap(), r.parse().unwrap())
+        })
+        .collect();
+    assert_eq!(rows.len(), 2, "{layers}");
+    assert_eq!(
+        rows[1].0, 2,
+        "the last layer writes the distinct seeds: {layers}"
+    );
+    assert_eq!(
+        rows[0].0, rows[1].1,
+        "layer 2 reads what layer 1 wrote: {layers}"
+    );
+    assert!(rows[1].1 < rows[0].1, "{layers}");
+    for (layer, (w, r)) in rows.iter().enumerate() {
+        let want = format!("layer={} rows={w}/{r}", layer + 1);
+        assert!(
+            spans
+                .iter()
+                .any(|(n, t, args)| *n == "model/layer" && *t == trace_id && args.contains(&want)),
+            "no model/layer span with {want} in trace {trace_id:#x}"
         );
     }
 }

@@ -74,6 +74,29 @@ proptest! {
     }
 
     #[test]
+    fn matmul_rows_do_not_depend_on_the_other_rows(
+        m in 1usize..24, k in 0usize..70, n in 1usize..24, seed in 0u64..500,
+    ) {
+        // Row i of a GEMM is the one-row GEMM of row i, bit for bit. Sampled
+        // blocks, layer-0 tables and kept full-graph answers compute a row
+        // in calls of different heights and rely on this.
+        let f = |salt: u64, r: usize, c: usize| {
+            Dense2::<f32>::from_fn(r, c, |i, j| {
+                let h = ((i * 31 + j * 17) as u64 ^ (seed + salt)).wrapping_mul(2654435761) % 2001;
+                h as f32 / 1000.0 - 1.0
+            })
+        };
+        let (a, b) = (f(0, m, k), f(1, k, n));
+        let all = ops::matmul(&a, &b).unwrap();
+        for i in 0..m {
+            let one = Dense2::from_fn(1, k, |_, j| a.at(i, j));
+            let row = ops::matmul(&one, &b).unwrap();
+            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(all.row(i)), bits(row.row(0)), "row {}", i);
+        }
+    }
+
+    #[test]
     fn transpose_is_an_involution(a in matrices(12)) {
         let tt = ops::transpose(&ops::transpose(&a));
         prop_assert!(a.approx_eq(&tt, 0.0));
