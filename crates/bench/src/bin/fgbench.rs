@@ -1251,14 +1251,14 @@ fn wire_bench(args: &Args, rep: &mut Report) {
 
 /// Half-precision feature-storage rows: the GCN aggregation SpMM on the
 /// same graph/width as the serving path, with vertex features stored as
-/// f32 vs f16/bf16 (`run` over half storage — half load, f32 accumulate).
+/// f32 vs bf16 (`run` over bf16 storage — half load, f32 accumulate).
 /// Reported next to the serve rows because `--feature-dtype` is a serving
 /// knob: these rows isolate its kernel-level cost/benefit.
 fn dtype_rows(args: &Args, rep: &mut Report) {
     use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
     use featgraph::{Fds, GraphTensors, Reducer, Udf};
     use fg_tensor::half::quantize;
-    use fg_tensor::{Bf16, F16};
+    use fg_tensor::Bf16;
 
     let graph = load(Dataset::Reddit, args.cfg.scale);
     let n = graph.num_vertices();
@@ -1270,20 +1270,14 @@ fn dtype_rows(args: &Args, rep: &mut Report) {
         .expect("compile spmm");
     println!(
         "\n--- dtype: GCN aggregation SpMM, d={d}, reddit 1/{} ({n} vertices), \
-         f32 vs half feature storage ---",
+         f32 vs bf16 feature storage ---",
         args.cfg.scale
     );
-    let x16: fg_tensor::Dense2<F16> = quantize(&x);
     let xb16: fg_tensor::Dense2<Bf16> = quantize(&x);
     let mut out = fg_tensor::Dense2::zeros(n, d);
     let f32s = time_samples(args.cfg.runs, || {
         k.run(&GraphTensors::vertex_only(&x), &mut out)
             .expect("f32 run");
-        std::hint::black_box(&out);
-    });
-    let f16s = time_samples(args.cfg.runs, || {
-        k.run(&GraphTensors::vertex_only(&x16), &mut out)
-            .expect("f16 run");
         std::hint::black_box(&out);
     });
     let bf16s = time_samples(args.cfg.runs, || {
@@ -1298,7 +1292,6 @@ fn dtype_rows(args: &Args, rep: &mut Report) {
     let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
     for (name, s, bytes) in [
         ("f32", &f32s, n * d * 4),
-        ("f16", &f16s, n * d * 2),
         ("bf16", &bf16s, n * d * 2),
     ] {
         println!(

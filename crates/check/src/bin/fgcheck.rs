@@ -4,12 +4,12 @@
 //! fgcheck [--seed N] [--cases K] [--shrink-budget N] [--verbose]
 //! fgcheck --sampler [--seed N] [--cases K]
 //! fgcheck --shard [--seed N] [--cases K]
-//! fgcheck --dtype f16|bf16|mixed [--seed N] [--cases K]
+//! fgcheck --dtype bf16|f32 [--seed N] [--cases K]
 //! fgcheck --case '<descriptor>'
 //! fgcheck --seed 0 --cases 200            # the deterministic CI smoke sweep
 //! fgcheck --sampler --seed 0 --cases 200  # the sampler CI smoke sweep
 //! fgcheck --shard --seed 0 --cases 200    # the shard-parity CI smoke sweep
-//! fgcheck --dtype f16 --seed 0 --cases 200  # the half-precision CI smoke sweep
+//! fgcheck --dtype bf16 --seed 0 --cases 200  # the half-precision CI smoke sweep
 //! ```
 //!
 //! Sweep mode generates `K` seeded cases, runs each across every applicable
@@ -23,8 +23,9 @@
 //! count first, then graph size.
 //!
 //! `--dtype` sweeps the half-precision storage family: the CPU kernels on
-//! f16/bf16-quantized vertex features must track their own f32
-//! instantiation on the dequantized values within a widened tolerance.
+//! bf16-quantized vertex features must track their own f32 instantiation
+//! on the dequantized values within a widened tolerance (`f32` runs each
+//! case's f32 instantiation twice and demands the same bits).
 //!
 //! Replay mode (`--case`) re-runs one descriptor (as printed by a failing
 //! sweep) with per-executor detail; descriptors starting with `sampler;`,
@@ -46,7 +47,7 @@ struct Args {
     shrink_budget: usize,
     sampler: bool,
     shard: bool,
-    dtype: Option<Option<FeatureDtype>>,
+    dtype: Option<FeatureDtype>,
     verbose: bool,
 }
 
@@ -72,13 +73,10 @@ fn parse_args() -> Args {
             "--sampler" => out.sampler = true,
             "--shard" => out.shard = true,
             "--dtype" => {
-                out.dtype = Some(match val().as_str() {
-                    "mixed" | "all" => None,
-                    d => Some(d.parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    })),
-                })
+                out.dtype = Some(val().parse().unwrap_or_else(|e: String| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }))
             }
             "--verbose" | "-v" => out.verbose = true,
             "--help" | "-h" => {
@@ -87,7 +85,7 @@ fn parse_args() -> Args {
                      usage: fgcheck [--seed N] [--cases K] [--shrink-budget N] [--verbose]\n\
                      \x20      fgcheck --sampler [--seed N] [--cases K]\n\
                      \x20      fgcheck --shard [--seed N] [--cases K]\n\
-                     \x20      fgcheck --dtype f16|bf16|mixed [--seed N] [--cases K]\n\
+                     \x20      fgcheck --dtype bf16|f32 [--seed N] [--cases K]\n\
                      \x20      fgcheck --case '<descriptor>'\n\n\
                      Runs every FeatGraph executor (optimized CPU/GPU templates and the\n\
                      ligra/gunrock/sparselib baselines) against the naive reference on\n\
@@ -100,7 +98,7 @@ fn parse_args() -> Args {
                      sharded vs single-worker inference across shard counts and\n\
                      placement strategies; shard descriptors replay via --case too.\n\
                      --dtype sweeps half-precision feature storage: the CPU kernels on\n\
-                     f16/bf16-quantized features must track their f32 instantiation on\n\
+                     bf16-quantized features must track their f32 instantiation on\n\
                      the dequantized values within a widened tolerance; dtype\n\
                      descriptors replay via --case too."
                 );
@@ -234,10 +232,9 @@ fn replay_dtype(desc: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn dtype_main(seed: u64, cases: usize, force: Option<FeatureDtype>, verbose: bool) -> ExitCode {
-    let which = force.map_or("mixed f16/bf16", |d| d.name());
-    println!("fgcheck: sweeping {cases} {which} storage cases from seed {seed}");
-    let report = dtype_sweep(seed, cases, force, |i, rep| {
+fn dtype_main(seed: u64, cases: usize, dtype: FeatureDtype, verbose: bool) -> ExitCode {
+    println!("fgcheck: sweeping {cases} {dtype} storage cases from seed {seed}");
+    let report = dtype_sweep(seed, cases, dtype, |i, rep| {
         if verbose && (i + 1) % 50 == 0 {
             println!("  ... {}/{} cases, {} failures", i + 1, cases, rep.failures.len());
         }
@@ -310,8 +307,8 @@ fn main() -> ExitCode {
         return shard_main(args.seed, args.cases, args.verbose);
     }
 
-    if let Some(force) = args.dtype {
-        return dtype_main(args.seed, args.cases, force, args.verbose);
+    if let Some(dtype) = args.dtype {
+        return dtype_main(args.seed, args.cases, dtype, args.verbose);
     }
 
     println!(

@@ -1,12 +1,12 @@
-//! Property checks for half-precision feature storage (f16 / bf16).
+//! Property checks for half-precision (bf16) feature storage.
 //!
-//! The serving tier can hold vertex features in `f16` or `bf16`
+//! The serving tier can hold vertex features in `bf16`
 //! ([`fg_tensor::FeatureTensor`]), and the CPU kernels
 //! ([`featgraph::cpu::spmm::CpuSpmm::run`],
 //! [`featgraph::cpu::sddmm::CpuSddmm::run`]) are generic over the vertex
 //! storage type: they widen each row to `f32` as it is read and accumulate
 //! in `f32`. One contract makes that safe, and this family sweeps it on
-//! seeded random `(graph × kernel × udf × dtype)` cases:
+//! seeded random `(graph × kernel × udf)` cases:
 //!
 //! **Half tracks the dequantized run** — the kernel on quantized storage
 //! must agree with the same kernel's `f32` instantiation run on the
@@ -21,11 +21,11 @@
 //! to check; the f32 bits themselves are pinned by
 //! `crates/core/tests/golden_bits.rs`.
 //!
-//! Inputs are drawn *off* the half-precision grids on purpose (uniform in
+//! Inputs are drawn *off* the bf16 grid on purpose (uniform in
 //! `[-2, 2]`, not the exec fuzzer's quarter-integer lattice): quantization
 //! must actually round for the property to mean anything.
 //!
-//! Cases round-trip through descriptors (`dtype;t=f16;spmm;g=...`) that
+//! Cases round-trip through descriptors (`dtype;t=bf16;spmm;g=...`) that
 //! embed the kernel fuzzer's grammar, so CI failures replay with
 //! `fgcheck --case 'dtype;...'`.
 
@@ -39,7 +39,7 @@ use featgraph::cpu::sddmm::{CpuSddmm, CpuSddmmOptions};
 use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
 use featgraph::{GraphTensors, Reducer};
 use fg_tensor::half::{dequantize, quantize};
-use fg_tensor::{Bf16, Dense2, FeatElem, FeatureDtype, F16};
+use fg_tensor::{Bf16, Dense2, FeatElem, FeatureDtype};
 
 use crate::case::{Case, ExecPlan, GraphSpec, KernelKind, ParseCaseError, UdfKind};
 use crate::tolerance::{compare_slices, Tolerance};
@@ -93,9 +93,9 @@ impl FromStr for DtypeCase {
     }
 }
 
-/// Widened comparison bound for half storage: each stored element carries
-/// up to half a ULP of its 8- or 11-bit significand (~4e-3 relative for
-/// bf16), and sums of such elements keep errors of that relative order.
+/// Widened comparison bound for bf16 storage: each stored element carries
+/// up to half a ULP of its 8-bit significand (~4e-3 relative), and sums of
+/// such elements keep errors of that relative order.
 /// The f32-ULP count is deliberately generous — what this family hunts is
 /// structural breakage (wrong row, stale value, widened-in-the-wrong-place),
 /// which shows up orders of magnitude above rounding noise.
@@ -106,12 +106,6 @@ pub fn half_tolerance(dtype: FeatureDtype) -> Tolerance {
             rel: 0.0,
             abs: 0.0,
         },
-        FeatureDtype::F16 => Tolerance {
-            max_ulps: 256,
-            rel: 1e-3,
-            abs: 1e-4,
-        },
-        // bf16 keeps only 8 significand bits: same structure, wider rel.
         FeatureDtype::Bf16 => Tolerance {
             max_ulps: 4096,
             rel: 8e-3,
@@ -133,8 +127,8 @@ fn spmm_udf(k: usize, d: usize) -> UdfKind {
     }
 }
 
-/// Draw one dtype case: small graphs dominate; empty and edgeless graphs
-/// appear at fixed rates, and both half dtypes are equally likely.
+/// Draw one bf16 case: small graphs dominate; empty and edgeless graphs
+/// appear at fixed rates.
 pub fn gen_dtype_case(rng: &mut Pcg64Mcg) -> DtypeCase {
     let graph = match rng.gen_range(0..10u32) {
         0 => GraphSpec::Empty,
@@ -182,11 +176,7 @@ pub fn gen_dtype_case(rng: &mut Pcg64Mcg) -> DtypeCase {
         ..ExecPlan::default()
     };
     DtypeCase {
-        dtype: if rng.gen_bool(0.5) {
-            FeatureDtype::F16
-        } else {
-            FeatureDtype::Bf16
-        },
+        dtype: FeatureDtype::Bf16,
         case: Case {
             kernel,
             graph,
@@ -199,7 +189,7 @@ pub fn gen_dtype_case(rng: &mut Pcg64Mcg) -> DtypeCase {
     }
 }
 
-/// Off-lattice inputs: uniform in `[-2, 2]`, so quantization to f16/bf16
+/// Off-lattice inputs: uniform in `[-2, 2]`, so quantization to bf16
 /// actually rounds (unlike the exec fuzzer's exact quarter-integer grid).
 fn off_lattice(rng: &mut Pcg64Mcg) -> f32 {
     (rng.gen::<f64>() * 4.0 - 2.0) as f32
@@ -310,10 +300,8 @@ pub fn run_dtype_case(case: &DtypeCase) -> Vec<String> {
     let data = materialize(&case.case);
     let mut fails = Vec::new();
     match (case.case.kernel, case.dtype) {
-        (KernelKind::Spmm, FeatureDtype::F16) => check_spmm::<F16>(case, &data, &mut fails),
         (KernelKind::Spmm, FeatureDtype::Bf16) => check_spmm::<Bf16>(case, &data, &mut fails),
         (KernelKind::Spmm, FeatureDtype::F32) => check_spmm::<f32>(case, &data, &mut fails),
-        (KernelKind::Sddmm, FeatureDtype::F16) => check_sddmm::<F16>(case, &data, &mut fails),
         (KernelKind::Sddmm, FeatureDtype::Bf16) => check_sddmm::<Bf16>(case, &data, &mut fails),
         (KernelKind::Sddmm, FeatureDtype::F32) => check_sddmm::<f32>(case, &data, &mut fails),
         (KernelKind::Fused, _) => fails.push("dtype cases cover SpMM and SDDMM only".into()),
@@ -339,23 +327,22 @@ pub struct DtypeSweep {
     pub failures: Vec<DtypeFailure>,
 }
 
-/// Run `cases` generated dtype cases from `seed`. Deterministic: the same
-/// `(seed, cases)` explores the same case list. `force` pins every case to
-/// one storage dtype (the CI smoke runs each half dtype as its own sweep);
-/// `None` alternates between f16 and bf16 per the generator's coin flip.
+/// Run `cases` generated dtype cases from `seed` on `dtype` storage.
+/// Deterministic: the same `(seed, cases)` explores the same case list for
+/// either dtype; `F32` runs each case's f32 instantiation twice, bitwise.
 pub fn dtype_sweep(
     seed: u64,
     cases: usize,
-    force: Option<FeatureDtype>,
+    dtype: FeatureDtype,
     progress: impl Fn(usize, &DtypeSweep),
 ) -> DtypeSweep {
     let mut rng = Pcg64Mcg::seed_from_u64(seed);
     let mut report = DtypeSweep::default();
     for i in 0..cases {
-        let mut case = gen_dtype_case(&mut rng);
-        if let Some(d) = force {
-            case.dtype = d;
-        }
+        let case = DtypeCase {
+            dtype,
+            ..gen_dtype_case(&mut rng)
+        };
         let reports = run_dtype_case(&case);
         report.total += 1;
         if !reports.is_empty() {
@@ -394,18 +381,25 @@ mod tests {
     fn bad_descriptors_are_rejected() {
         for bad in [
             "dtype",
-            "dtype;f16;spmm;g=empty;u=copy-src:1;r=sum;p=t1;s=0",
+            "dtype;bf16;spmm;g=empty;u=copy-src:1;r=sum;p=t1;s=0",
             "dtype;t=f64;spmm;g=empty;u=copy-src:1;r=sum;p=t1;s=0",
-            "dtype;t=f16;spmm;g=empty;u=mlp:4:2;r=sum;p=t1;s=0",
-            "dtype;t=f16;fused;g=empty;u=copy-src:1;r=sum;f=gat:1;p=t1;s=0",
+            // IEEE binary16 is not a storage type: an otherwise valid case
+            // on it does not parse.
+            "dtype;t=f16;spmm;g=empty;u=copy-src:1;r=sum;p=t1;s=0",
+            "dtype;t=bf16;spmm;g=empty;u=mlp:4:2;r=sum;p=t1;s=0",
+            "dtype;t=bf16;fused;g=empty;u=copy-src:1;r=sum;f=gat:1;p=t1;s=0",
         ] {
             assert!(bad.parse::<DtypeCase>().is_err(), "accepted: {bad}");
         }
+        // The f16 case above differs from a valid one in its dtype only.
+        assert!("dtype;t=bf16;spmm;g=empty;u=copy-src:1;r=sum;p=t1;s=0"
+            .parse::<DtypeCase>()
+            .is_ok());
     }
 
     #[test]
     fn a_healthy_sweep_passes() {
-        let sweep = dtype_sweep(0, 40, None, |_, _| {});
+        let sweep = dtype_sweep(0, 40, FeatureDtype::Bf16, |_, _| {});
         assert_eq!(sweep.total, 40);
         assert!(
             sweep.failures.is_empty(),

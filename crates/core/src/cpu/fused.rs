@@ -65,7 +65,7 @@ impl CpuFused {
     }
 
     /// Execute the kernel. As in the SpMM template, vertex operands of both
-    /// UDFs may be stored as `f32`, `bf16` or `f16` (`V`).
+    /// UDFs may be stored as `f32` or `bf16` (`V`).
     pub fn run<V: FeatElem>(
         &self,
         inputs: &FusedInputs<'_, f32, V>,

@@ -1,7 +1,7 @@
 //! Kernel input bundles and shape validation.
 
 use fg_ir::Udf;
-use fg_tensor::{Dense2, Scalar};
+use fg_tensor::{Dense2, Scalar, StorageElem};
 
 use crate::error::KernelError;
 
@@ -10,7 +10,7 @@ use crate::error::KernelError;
 /// parameter matrices (e.g. MLP weights), in declaration order.
 ///
 /// Vertex features may be *stored* in a narrower type `V` (default `S`) than
-/// the kernel computes in: the CPU templates read `f16` / `bf16` vertex rows
+/// the kernel computes in: the CPU templates read `bf16` vertex rows
 /// and accumulate in `f32`. Edge tensors, parameters and outputs are `S`.
 #[derive(Clone, Copy)]
 pub struct GraphTensors<'a, S, V = S> {
@@ -26,7 +26,7 @@ pub struct GraphTensors<'a, S, V = S> {
     pub params: &'a [&'a Dense2<S>],
 }
 
-impl<'a, S: Scalar, V: Copy + Default> GraphTensors<'a, S, V> {
+impl<'a, S: Scalar, V: StorageElem> GraphTensors<'a, S, V> {
     /// Inputs with vertex features only (most kernels).
     pub fn vertex_only(vertex: &'a Dense2<V>) -> Self {
         Self {
@@ -122,7 +122,7 @@ impl<'a, S: Scalar, V: Copy + Default> GraphTensors<'a, S, V> {
 
 /// `t` must have `rows` rows and `cols` columns (at least `cols` unless
 /// `exact`).
-fn check_shape<T: Copy + Default>(
+fn check_shape<T: StorageElem>(
     what: impl Into<String>,
     t: &Dense2<T>,
     rows: usize,
@@ -150,7 +150,7 @@ pub struct FusedInputs<'a, S, V = S> {
     pub message: GraphTensors<'a, S, V>,
 }
 
-impl<S: Scalar, V: Copy + Default> FusedInputs<'_, S, V> {
+impl<S: Scalar, V: StorageElem> FusedInputs<'_, S, V> {
     /// Validate both operand bundles and the output (`|V| × message.out_len`).
     pub fn validate(
         &self,

@@ -2,7 +2,7 @@
 //!
 //! SpMM, SDDMM and their fusion are one loop nest with three slots (the
 //! FusedMM decomposition): the **storage** the vertex rows are read from
-//! (`V: FeatElem` — `f32`, `bf16`, `f16`), the per-edge **message op**
+//! (`V: FeatElem` — `f32` or `bf16`), the per-edge **message op**
 //! ([`MessageOp`]: the UDF, as a recognized fast path or the interpreter)
 //! and the **reduce op** ([`ReduceOp`]: how a message element lands in the
 //! sink row). All three are type parameters resolved once per `run`, so the
@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use fg_ir::interp::{eval_udf, EdgeCtx};
 use fg_ir::{FusedOp, FusedPattern, KernelPattern, Udf};
-use fg_tensor::half::{dequantize, WIDEN_CHUNK};
+use fg_tensor::half::dequantize;
 use fg_tensor::{Dense2, FeatElem};
 
 use crate::inputs::{FusedInputs, GraphTensors};
@@ -89,41 +89,18 @@ pub(crate) use with_reduce_op;
 
 // Storage tiers and the combine primitive.
 //
-// An operand row reaches the arithmetic as `f32` in one of three ways, chosen
+// An operand row reaches the arithmetic as `f32` in one of two ways, chosen
 // per storage type at compile time:
 //
 // * `f32` rows are read in place (`load` is the identity);
 // * `bf16` rows decode inline (`load` is one shift, so the loop still
-//   vectorizes);
-// * `f16` rows (`STAGED_WIDEN`) are widened `WIDEN_CHUNK` elements at a time
-//   into a stack buffer, so the 8-wide F16C decode stays out of the
-//   arithmetic loop, and the same loop then runs on the `f32` chunk.
-
-/// `chunk` as `f32`: itself when it already is, else widened into `buf`.
-#[inline(always)]
-fn staged<'a, E: FeatElem>(chunk: &'a [E], buf: &'a mut [f32; WIDEN_CHUNK]) -> &'a [f32] {
-    match E::as_f32(chunk) {
-        Some(wide) => wide,
-        None => {
-            let wide = &mut buf[..chunk.len()];
-            E::widen(chunk, wide);
-            wide
-        }
-    }
-}
+//   vectorizes).
 
 /// Fold the row `a` into `out`, element by element.
 #[inline(always)]
 pub(crate) fn combine<R: ReduceOp, A: FeatElem>(r: R, out: &mut [f32], a: &[A]) {
-    if !A::STAGED_WIDEN {
-        for (o, &x) in out.iter_mut().zip(a) {
-            r(o, x.load());
-        }
-        return;
-    }
-    let mut buf = [0.0; WIDEN_CHUNK];
-    for (oc, ac) in out.chunks_mut(WIDEN_CHUNK).zip(a.chunks(WIDEN_CHUNK)) {
-        combine(r, oc, staged(ac, &mut buf));
+    for (o, &x) in out.iter_mut().zip(a) {
+        r(o, x.load());
     }
 }
 
@@ -136,19 +113,8 @@ pub(crate) fn combine2<R: ReduceOp, A: FeatElem, B: FeatElem>(
     b: &[B],
     f: impl Fn(f32, f32) -> f32 + Copy,
 ) {
-    if !(A::STAGED_WIDEN || B::STAGED_WIDEN) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            r(o, f(x.load(), y.load()));
-        }
-        return;
-    }
-    let (mut ba, mut bb) = ([0.0; WIDEN_CHUNK], [0.0; WIDEN_CHUNK]);
-    for ((oc, ac), bc) in out
-        .chunks_mut(WIDEN_CHUNK)
-        .zip(a.chunks(WIDEN_CHUNK))
-        .zip(b.chunks(WIDEN_CHUNK))
-    {
-        combine2(r, oc, staged(ac, &mut ba), staged(bc, &mut bb), f);
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        r(o, f(x.load(), y.load()));
     }
 }
 
@@ -161,14 +127,6 @@ const DOT_LANES: usize = 8;
 /// depends on the operands only, never on the schedule or the target ISA.
 #[inline(always)]
 pub(crate) fn dot<A: FeatElem, B: FeatElem>(a: &[A], b: &[B]) -> f32 {
-    if A::STAGED_WIDEN || B::STAGED_WIDEN {
-        let (mut ba, mut bb) = ([0.0; WIDEN_CHUNK], [0.0; WIDEN_CHUNK]);
-        let mut acc = 0.0;
-        for (ac, bc) in a.chunks(WIDEN_CHUNK).zip(b.chunks(WIDEN_CHUNK)) {
-            acc += dot(staged(ac, &mut ba), staged(bc, &mut bb));
-        }
-        return acc;
-    }
     let mut lanes = [0f32; DOT_LANES];
     let (ac, bc) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
     let tail = ac.remainder().iter().zip(bc.remainder());

@@ -100,7 +100,7 @@ const USAGE: &str = "usage:
                   [--classes N] [--avg-deg N] [--noise N] [--hidden N] [--seed N]
                   [--queue N] [--workers N] [--kernel-threads N]
                   [--deadline-ms N] [--exec-delay-ms N] [--mem-budget N]
-                  [--feature-dtype f32|f16|bf16] [--max-conns N]
+                  [--feature-dtype f32|bf16] [--max-conns N]
                   [--trace-sample N] [--slow-ms N] [--trace FILE]
   fgserve bench   [--addr HOST:PORT] [--clients N] [--requests N] [--runs N]
                   [--model NAME] [dataset/engine knobs as above when embedded]
@@ -109,7 +109,7 @@ const USAGE: &str = "usage:
                   [--expect-no-shed] [--expect-shed] [--expect-mem-shed]
   fgserve metrics --addr HOST:PORT [--require SERIES]...
 
-Both subcommands accept [--feature-dtype f32|f16|bf16] (half-precision
+Both subcommands accept [--feature-dtype f32|bf16] (bf16 half-precision
 feature storage, f32 accumulate) and [--max-conns N] (admission limit on
 concurrent connections, each served by its own blocking thread, so also the
 bound on front-end threads and requests in flight; 0 = unlimited) when they

@@ -116,7 +116,7 @@ pub struct ServeConfig {
     pub mem_budget: u64,
     /// Storage precision for registered feature matrices: `F32` keeps the
     /// rows verbatim (results stay bitwise identical to an engine without
-    /// this knob); `F16`/`Bf16` quantize at registration, halving feature
+    /// this knob); `Bf16` quantizes at registration, halving feature
     /// bytes — kernels still accumulate in f32, widening on load.
     pub feature_dtype: FeatureDtype,
     /// Concurrent-connection admission bound for the TCP front-end: accepts
@@ -892,18 +892,10 @@ fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
         let _infer_span = span!("serve/infer", "model={} rows={}", entry.name, nodes.len());
         // Attribute the pass's tape/scratch allocations to the serve path.
         let _mem = MemScope::enter(MemComponent::ServeBatch);
-        // F32 storage borrows the registered buffer directly; half storage
-        // widens once (the materialized copy is scratch, charged to the
-        // serve batch).
-        let widened;
-        let features: &Dense2<f32> = match entry.features.as_f32() {
-            Some(f) => f,
-            None => {
-                widened = entry.features.to_f32();
-                &widened
-            }
-        };
-        infer_batch(entry.model.as_ref(), &entry.graph, features, &backend, &nodes)
+        // F32 storage borrows the registered buffer directly; bf16 storage
+        // widens once (the copy is scratch, charged to the serve batch).
+        let features = entry.features.widened();
+        infer_batch(entry.model.as_ref(), &entry.graph, &features, &backend, &nodes)
             .expect("registration checked one feature row per vertex")
     };
     let _plans = MemCharge::new(MemComponent::PlanCache, backend.plan_mem_bytes());
@@ -921,16 +913,9 @@ fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
 fn fill_table(entry: &ModelEntry) -> Option<Vec<Dense2<f32>>> {
     let _span = span!("serve/fill_table", "model={}", entry.name);
     let _scratch = MemScope::enter(MemComponent::ServeBatch);
-    let widened;
-    let features: &Dense2<f32> = match entry.features.as_f32() {
-        Some(f) => f,
-        None => {
-            widened = entry.features.to_f32();
-            &widened
-        }
-    };
+    let features = entry.features.widened();
     let _mem = MemScope::enter(MemComponent::Activations);
-    entry.model.layer0_table(features)
+    entry.model.layer0_table(&features)
 }
 
 /// One `Sampled` view: sample the neighborhood of `seeds` and cut it into

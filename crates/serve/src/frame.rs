@@ -336,8 +336,8 @@ impl<'a> Cur<'a> {
     }
 
     /// Decode a feature block into an aligned f32 tensor. f32 payloads
-    /// are copied byte-for-byte on little-endian hosts; f16/bf16 payloads
-    /// widen per element. Rejects non-finite scalars.
+    /// are copied byte-for-byte on little-endian hosts; bf16 payloads widen
+    /// per element. Rejects non-finite scalars and unknown dtype codes.
     fn feats(&mut self) -> Result<Option<Dense2<f32>>, FrameError> {
         let code = self.u8("feats dtype")?;
         if code == 0 {
@@ -376,11 +376,6 @@ impl<'a> Cur<'a> {
                 #[cfg(not(target_endian = "little"))]
                 for (o, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
                     *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-                }
-            }
-            FeatureDtype::F16 => {
-                for (o, c) in dst.iter_mut().zip(bytes.chunks_exact(2)) {
-                    *o = fg_tensor::F16::from_bits(u16::from_le_bytes([c[0], c[1]])).to_f32();
                 }
             }
             FeatureDtype::Bf16 => {
@@ -926,29 +921,39 @@ mod tests {
 
     #[test]
     fn half_precision_feature_blocks_decode_widened() {
-        use fg_tensor::F16;
-        // Hand-build an INFER_SEEDS payload with an f16 feature block.
-        let mut p = Vec::new();
-        put_str(&mut p, "gcn");
-        put_u32(&mut p, 1); // one seed
-        put_u64(&mut p, 3);
-        p.push(0); // no fanouts
-        put_u64(&mut p, 0); // sample_seed
-        p.push(FeatureDtype::F16.wire_code());
-        put_u32(&mut p, 1); // rows
-        put_u32(&mut p, 2); // cols
-        for v in [1.5f32, -0.25] {
-            p.extend_from_slice(&F16::from_f32(v).to_bits().to_le_bytes());
-        }
-        put_opt_str(&mut p, None);
-        put_opt_u64(&mut p, None);
-        let frame = Frame {
-            ty: req_type::INFER_SEEDS,
-            payload: p,
+        use fg_tensor::Bf16;
+        // Hand-build an INFER_SEEDS frame whose feature block carries
+        // `code` as its dtype byte and two bf16 scalars as its data.
+        let frame = |code: u8| {
+            let mut p = Vec::new();
+            put_str(&mut p, "gcn");
+            put_u32(&mut p, 1); // one seed
+            put_u64(&mut p, 3);
+            p.push(0); // no fanouts
+            put_u64(&mut p, 0); // sample_seed
+            p.push(code);
+            put_u32(&mut p, 1); // rows
+            put_u32(&mut p, 2); // cols
+            for v in [1.5f32, -0.25] {
+                p.extend_from_slice(&Bf16::from_f32(v).to_bits().to_le_bytes());
+            }
+            put_opt_str(&mut p, None);
+            put_opt_u64(&mut p, None);
+            Frame {
+                ty: req_type::INFER_SEEDS,
+                payload: p,
+            }
         };
-        match decode_request(&frame).unwrap() {
+        match decode_request(&frame(FeatureDtype::Bf16.wire_code())).unwrap() {
             Request::InferSeeds { feats: Some(f), .. } => {
                 assert_eq!(f.as_slice(), &[1.5, -0.25]);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Code 2 named IEEE binary16 storage; it is unassigned now.
+        match decode_request(&frame(2)) {
+            Err(FrameError::Malformed(msg)) => {
+                assert_eq!(msg, "feats: unknown dtype code 2");
             }
             other => panic!("{other:?}"),
         }

@@ -224,7 +224,8 @@ fn every_infer_row_is_the_infer_batch_row_bitwise() {
     for name in ["gcn", "graphsage", "gat"] {
         let model = || build_model(name, task.in_dim(), 8, task.num_classes, 3);
         for dtype in [FeatureDtype::F32, FeatureDtype::Bf16] {
-            let features = FeatureTensor::from_f32(dtype, task.features.clone()).to_f32();
+            let features = FeatureTensor::from_f32(dtype, task.features.clone());
+            let features = features.widened();
             let backend = FeatgraphBackend::cpu(1);
             let want = fg_gnn::infer_batch(&*model(), &task.graph, &features, &backend, &nodes)
                 .expect("reference pass");
@@ -252,19 +253,31 @@ fn every_infer_row_is_the_infer_batch_row_bitwise() {
     }
 }
 
-/// Every capped `INFER_SEEDS` row — as many hops as layers and one more,
-/// client feature rows, a duplicated seed — is bitwise the row of the
-/// sampled path's oracle: `prepare_seeds → gather_rows → override →
-/// infer_batch` on the whole sampled subgraph. GAT answers from its
+/// Every capped `INFER_SEEDS` row — f32 or bf16 storage, as many hops as
+/// layers and one more, client feature rows, a duplicated seed — is
+/// bitwise the row of the sampled path's oracle: `prepare_seeds →
+/// gather_rows → override → infer_batch` on the whole sampled subgraph,
+/// gathering from the widened stored features. GAT answers from its
 /// layer-0 table, which its first request fills.
 #[test]
 fn every_capped_seeds_row_is_the_whole_subgraph_row_bitwise() {
+    for dtype in [FeatureDtype::F32, FeatureDtype::Bf16] {
+        capped_seeds_rows_match_the_oracle(dtype);
+    }
+}
+
+fn capped_seeds_rows_match_the_oracle(dtype: FeatureDtype) {
     let task = make_task();
     let model = |name| build_model(name, task.in_dim(), 8, task.num_classes, 3);
-    let engine = Engine::new(ServeConfig::default());
+    let engine = Engine::new(ServeConfig {
+        feature_dtype: dtype,
+        ..ServeConfig::default()
+    });
     for name in ["gcn", "graphsage", "gat"] {
         engine.register_model(name, model(name), task.graph.clone(), task.features.clone());
     }
+    let stored = FeatureTensor::from_f32(dtype, task.features.clone());
+    let stored = stored.widened();
     let seeds = vec![17usize, 250, 17, 399];
     let feats = fg_tensor::Dense2::from_fn(seeds.len(), task.in_dim(), |r, c| {
         ((r * 7 + c * 3) % 11) as f32 * 0.1 - 0.5
@@ -285,7 +298,7 @@ fn every_capped_seeds_row_is_the_whole_subgraph_row_bitwise() {
                     .expect("capped seeds");
                 let cfg = fg_graph::SampleConfig::new(fanouts.clone(), sample_seed);
                 let (sub, sub_gnn) = fg_gnn::prepare_seeds(&task.graph, &seeds, &cfg).unwrap();
-                let mut x = fg_gnn::gather_rows(&task.features, sub.locals());
+                let mut x = fg_gnn::gather_rows(&stored, sub.locals());
                 for (i, &l) in sub.seed_locals().iter().enumerate() {
                     x.row_mut(l as usize).copy_from_slice(feats.row(i));
                 }
@@ -293,7 +306,7 @@ fn every_capped_seeds_row_is_the_whole_subgraph_row_bitwise() {
                 let backend = FeatgraphBackend::cpu(1);
                 let want = fg_gnn::infer_batch(&*model(name), &sub_gnn, &x, &backend, &locals)
                     .expect("oracle");
-                let what = format!("{name} fanouts {fanouts:?} sample_seed {sample_seed}");
+                let what = format!("{dtype} {name} fanouts {fanouts:?} sample_seed {sample_seed}");
                 assert_eq!(
                     (resp.sub_vertices, resp.sub_edges),
                     (sub.num_vertices(), sub.num_edges()),

@@ -413,6 +413,38 @@ fn binary_malformed_payloads_keep_connection_alive() {
     let f = read_frame(&mut s, false).expect("reply frame");
     assert!(matches!(decode_reply(&f).unwrap(), WireReply::Err { .. }));
 
+    // Feats dtype code 2 is unassigned (it named IEEE binary16 storage):
+    // an intact INFER_SEEDS frame that uses it is rejected at decode, while
+    // the same frame on code 3 (bf16) is answered.
+    let width = SbmTask::generate(200, 3, 6, 2, 7).in_dim() as u32;
+    let seeds_frame = |code: u8| {
+        let mut p = Vec::new();
+        p.extend_from_slice(&3u32.to_le_bytes());
+        p.extend_from_slice(b"gcn");
+        p.extend_from_slice(&1u32.to_le_bytes()); // one seed
+        p.extend_from_slice(&3u64.to_le_bytes());
+        p.push(0); // no fanouts
+        p.extend_from_slice(&0u64.to_le_bytes()); // sample_seed
+        p.push(code); // feats dtype
+        p.extend_from_slice(&1u32.to_le_bytes()); // rows
+        p.extend_from_slice(&width.to_le_bytes()); // cols
+        for _ in 0..width {
+            p.extend_from_slice(&0x3f80u16.to_le_bytes()); // 1.0 in bf16
+        }
+        p.extend_from_slice(&4u32.to_le_bytes());
+        p.extend_from_slice(b"half"); // id
+        p.push(0); // no deadline
+        raw_frame(req_type::INFER_SEEDS, &p)
+    };
+    match binary_call(&mut s, &seeds_frame(2)).expect("reply to code 2") {
+        WireReply::Err { code, .. } => assert_eq!(code, "bad-request"),
+        other => panic!("feats dtype code 2 must be rejected, got {other:?}"),
+    }
+    match binary_call(&mut s, &seeds_frame(3)).expect("reply to code 3") {
+        WireReply::Seeds { id, .. } => assert_eq!(id, "half"),
+        other => panic!("bf16 feats must be answered, got {other:?}"),
+    }
+
     // A fanout list with fewer hops than the model has layers would answer
     // from a truncated neighborhood: rejected at admission, id echoed.
     let req = protocol::Request::InferSeeds {

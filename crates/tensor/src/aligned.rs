@@ -15,6 +15,38 @@ use fg_telemetry::{mem_charge, mem_credit, MemComponent};
 /// Alignment (bytes) used for all tensor storage: one x86 cache line.
 pub const CACHE_LINE: usize = 64;
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+    impl Sealed for crate::half::Bf16 {}
+}
+
+/// An element type tensor storage ([`AlignedVec`], and through it
+/// [`Dense2`](crate::Dense2)) may hold.
+///
+/// Invariant: every implementor's all-zero bit pattern is a valid value of
+/// the type, and its size is non-zero. [`AlignedVec::zeroed`] relies on both:
+/// it hands out `alloc_zeroed` memory as initialized `T`, and `alloc_zeroed`
+/// must not be called with a zero-size layout. The trait is sealed, so the
+/// implementors are exactly `f32`, `f64` and [`Bf16`](crate::Bf16), all of
+/// which meet it.
+///
+/// A reference (all-zero bits are null) is not storable:
+///
+/// ```compile_fail
+/// let _ = fg_tensor::Dense2::<&'static str>::zeros(1, 1);
+/// ```
+///
+/// Nor is a zero-size type:
+///
+/// ```compile_fail
+/// let _ = fg_tensor::AlignedVec::<()>::zeroed(3);
+/// ```
+pub trait StorageElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {}
+
+impl<T: sealed::Sealed + Copy + Default + Send + Sync + 'static> StorageElem for T {}
+
 /// A fixed-capacity, 64-byte-aligned, zero-initialized buffer of `T`.
 ///
 /// Unlike `Vec<T>`, the length is fixed at construction — feature tensors
@@ -34,12 +66,11 @@ pub struct AlignedVec<T> {
 unsafe impl<T: Send> Send for AlignedVec<T> {}
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
-impl<T: Copy + Default> AlignedVec<T> {
+impl<T: StorageElem> AlignedVec<T> {
     /// Allocate `len` zero-initialized elements.
     ///
-    /// For the floating-point types used throughout this workspace, the
-    /// all-zero bit pattern is a valid `0.0`, so zero-init is also
-    /// value-initialization.
+    /// For every [`StorageElem`] the all-zero bit pattern is a valid value
+    /// (`0.0` for the float types), so zero-init is also initialization.
     pub fn zeroed(len: usize) -> Self {
         let component = fg_telemetry::current_component();
         if len == 0 {
@@ -51,7 +82,8 @@ impl<T: Copy + Default> AlignedVec<T> {
             };
         }
         let layout = Self::layout(len);
-        // Safety: layout has non-zero size (len > 0, T is not a ZST for our uses).
+        // Safety: layout has non-zero size (len > 0, and `StorageElem` types
+        // are not zero-sized).
         let raw = unsafe { alloc_zeroed(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             handle_alloc_error(layout)
@@ -135,13 +167,13 @@ impl<T> Drop for AlignedVec<T> {
     }
 }
 
-impl<T: Copy + Default> Clone for AlignedVec<T> {
+impl<T: StorageElem> Clone for AlignedVec<T> {
     fn clone(&self) -> Self {
         Self::from_slice(self.as_slice())
     }
 }
 
-impl<T: Copy + Default> Deref for AlignedVec<T> {
+impl<T: StorageElem> Deref for AlignedVec<T> {
     type Target = [T];
     #[inline(always)]
     fn deref(&self) -> &[T] {
@@ -149,14 +181,14 @@ impl<T: Copy + Default> Deref for AlignedVec<T> {
     }
 }
 
-impl<T: Copy + Default> DerefMut for AlignedVec<T> {
+impl<T: StorageElem> DerefMut for AlignedVec<T> {
     #[inline(always)]
     fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
     }
 }
 
-impl<T: Copy + Default + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
+impl<T: StorageElem + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.as_slice().iter()).finish()
     }

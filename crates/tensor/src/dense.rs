@@ -4,7 +4,7 @@
 //! `|E| × d`); [`Dense3`] models multi-head feature tensors (`|V| × h × d`,
 //! Fig. 4b of the paper).
 
-use crate::aligned::AlignedVec;
+use crate::aligned::{AlignedVec, StorageElem};
 use crate::error::{ShapeError, TensorResult};
 use crate::scalar::Scalar;
 
@@ -15,7 +15,7 @@ pub struct Dense2<S> {
     data: AlignedVec<S>,
 }
 
-impl<S: Copy + Default> Clone for Dense2<S> {
+impl<S: StorageElem> Clone for Dense2<S> {
     fn clone(&self) -> Self {
         Self {
             rows: self.rows,
@@ -34,15 +34,15 @@ impl<S> std::fmt::Debug for Dense2<S> {
     }
 }
 
-impl<S: Copy + Default + PartialEq> PartialEq for Dense2<S> {
+impl<S: StorageElem + PartialEq> PartialEq for Dense2<S> {
     fn eq(&self, other: &Self) -> bool {
         self.shape() == other.shape() && self.as_slice() == other.as_slice()
     }
 }
 
-// Structural methods need only `Copy + Default` (what `AlignedVec` requires),
-// so half-precision storage scalars work without implementing arithmetic.
-impl<S: Copy + Default> Dense2<S> {
+// Structural methods need only `StorageElem` (what `AlignedVec` requires), so
+// `Bf16`, which defines no arithmetic, stores here like `f32` and `f64` do.
+impl<S: StorageElem> Dense2<S> {
     /// All-zeros matrix of the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {

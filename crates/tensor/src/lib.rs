@@ -25,8 +25,8 @@ pub mod ops;
 pub mod scalar;
 pub mod tile;
 
-pub use aligned::AlignedVec;
+pub use aligned::{AlignedVec, StorageElem};
 pub use dense::{Dense2, Dense3};
 pub use error::{ShapeError, TensorResult};
-pub use half::{Bf16, FeatElem, FeatureDtype, FeatureTensor, F16};
+pub use half::{Bf16, FeatElem, FeatureDtype, FeatureTensor};
 pub use scalar::Scalar;

@@ -4,19 +4,18 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::aligned::StorageElem;
+
 /// Floating-point element type usable in feature tensors and kernels.
 ///
 /// The bound set is deliberately small: just what generalized SpMM/SDDMM
 /// kernels, reducers, and the reference dense ops need. Implemented for
 /// `f32` and `f64`.
 pub trait Scalar:
-    Copy
+    StorageElem
     + Debug
     + Display
-    + Default
     + PartialOrd
-    + Send
-    + Sync
     + Add<Output = Self>
     + Sub<Output = Self>
     + Mul<Output = Self>
@@ -27,7 +26,6 @@ pub trait Scalar:
     + MulAssign
     + DivAssign
     + Sum
-    + 'static
 {
     /// Additive identity.
     const ZERO: Self;
