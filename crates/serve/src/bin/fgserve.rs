@@ -126,8 +126,10 @@ bench without --addr benchmarks an embedded server on an ephemeral port.
   (a small head of hot vertices gets most of the traffic), with --fanout
   per-hop caps (full fanout when omitted) and a fresh sampler seed per
   request offset by --sample-seed. --feat-cols C > 0 additionally attaches
-  C client-supplied feature scalars per seed (the feature-heavy workload
-  where text-protocol ASCII parsing dominates).
+  C client-supplied feature scalars per seed (the feature-heavy workload:
+  over text each scalar is ASCII, and a 32 x 256 block, about 91 KB, costs
+  the server about 0.23 ms to decode on a 2-vCPU host, 0.43-0.71 ms before
+  one-pass text ingest; binary frames carry the floats as they are).
 --mem-budget N sheds new requests with error over-memory-budget while the
   accounted footprint exceeds N bytes (0 = off).
 --trace-sample N head-samples 1 in N requests for end-to-end tracing

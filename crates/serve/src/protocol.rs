@@ -51,9 +51,15 @@
 //! `feats=` carries client-supplied feature rows for the seed vertices
 //! (rows `;`-separated, values `,`-separated, one row per seed in seed
 //! order); the engine substitutes them for the stored feature rows before
-//! inference. Non-finite values are rejected with `bad-request`. This is
-//! the feature-heavy workload the binary protocol ([`crate::frame`])
-//! exists for — ASCII float parsing here is the measured baseline.
+//! inference. Non-finite values are rejected with `bad-request`. The
+//! payload is read once, by one scanner that converts plain decimals
+//! exactly in place and hands any other token to `str::parse::<f32>`, so
+//! values and error messages are that function's. ASCII is still the
+//! feature-heavy workload's cost over text, the cost the binary protocol
+//! ([`crate::frame`]) avoids: on the 2-vCPU benchmark host, a 32 × 256
+//! block (≈ 91 KB per line, `bench/e2e`'s `seeds_text_wide`) decodes in
+//! 222–246 µs (`wire.decode_req_p50_us`), against 428–713 µs with the
+//! split-then-`parse` decoder it replaced.
 //!
 //! `<id>` is an opaque client token echoed back verbatim (`-` when the
 //! request carried none) — it is how `fgserve bench` proves that no
@@ -145,7 +151,7 @@ impl Request {
 /// Parse one client line. Returns a human-readable error message for
 /// malformed input (sent back as `ERR - bad-request <msg>`).
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut parts = line.split_ascii_whitespace();
+    let mut parts = Words { line, at: 0 };
     let verb = parts.next().ok_or("empty request")?;
     match verb {
         "PING" => Ok(Request::Ping),
@@ -181,7 +187,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             let (mut fanouts, mut sample_seed, mut feats) = (None, 0, None);
             let (mut id, mut deadline_ms) = (None, None);
-            for opt in parts {
+            loop {
+                if let Some(payload) = parts.rest().strip_prefix("feats=").filter(|_| seeded) {
+                    let (f, len) = parse_feats(payload)?;
+                    feats = Some(f);
+                    parts.at += "feats=".len() + len;
+                    continue;
+                }
+                let Some(opt) = parts.next() else { break };
                 let unknown = || format!("unknown option {opt:?}");
                 let (key, tok) = opt.split_once('=').ok_or_else(unknown)?;
                 match key {
@@ -197,7 +210,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         let f = parse_usize_list(tok).map_err(|t| format!("bad fanout {t:?}"))?;
                         fanouts = Some(f);
                     }
-                    "feats" if seeded => feats = Some(parse_feats(tok)?),
                     "sample_seed" if seeded => {
                         sample_seed = tok
                             .parse()
@@ -229,6 +241,41 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// The whitespace-separated words of a request line, as
+/// `str::split_ascii_whitespace` yields them. [`parse_request`] hands a
+/// `feats=` payload to [`parse_feats`] unsplit instead, from [`Words::rest`]:
+/// the scanner finds where that word ends, so the line's widest word is
+/// read once.
+struct Words<'a> {
+    line: &'a str,
+    at: usize,
+}
+
+impl<'a> Words<'a> {
+    /// The line from the start of the next word on.
+    fn rest(&mut self) -> &'a str {
+        let blank = self.line.as_bytes()[self.at..]
+            .iter()
+            .take_while(|b| b.is_ascii_whitespace());
+        self.at += blank.count();
+        &self.line[self.at..]
+    }
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest();
+        let len = rest
+            .bytes()
+            .position(|b| b.is_ascii_whitespace())
+            .unwrap_or(rest.len());
+        self.at += len;
+        (len > 0).then(|| &rest[..len])
+    }
+}
+
 /// Parse a comma-separated list of unsigned integers; the error is the
 /// offending token.
 fn parse_usize_list(tok: &str) -> Result<Vec<usize>, &str> {
@@ -237,39 +284,145 @@ fn parse_usize_list(tok: &str) -> Result<Vec<usize>, &str> {
         .collect()
 }
 
-/// Parse a `feats=` payload: rows separated by `;`, values by `,`. Every
-/// row must have the same width; `nan`/`inf` tokens are rejected here so
-/// a malformed payload never reaches the engine.
-fn parse_feats(tok: &str) -> Result<Dense2<f32>, String> {
-    let mut rows: Vec<Vec<f32>> = Vec::new();
-    for row_tok in tok.split(';') {
-        if row_tok.is_empty() {
+/// Parse a `feats=` payload: rows separated by `;`, values by `,`, up to
+/// the first ASCII whitespace or the end of `payload`; returns the matrix
+/// and the payload's length. Every row must have the same width;
+/// `nan`/`inf` tokens are rejected here so a malformed payload never
+/// reaches the engine.
+///
+/// One pass over the payload: each value is scanned by [`scan_decimal`],
+/// whose digit loop also finds the separator that ends it, and lands in
+/// the one flat buffer the matrix is built from. Values and errors are
+/// exactly those of `str::parse::<f32>` applied per token, row by row: a
+/// bad value is reported before its row's width is checked.
+fn parse_feats(payload: &str) -> Result<(Dense2<f32>, usize), String> {
+    let bytes = payload.as_bytes();
+    let mut values = Vec::new();
+    let (mut rows, mut cols, mut at) = (0, 0, 0);
+    loop {
+        // A row that ends where it starts; a leading `,` is an empty value.
+        if bytes
+            .get(at)
+            .is_none_or(|&b| b == b';' || b.is_ascii_whitespace())
+        {
             return Err("empty feats row".into());
         }
-        let row = row_tok
-            .split(',')
-            .map(|t| match t.parse::<f32>() {
-                Ok(v) if v.is_finite() => Ok(v),
-                Ok(_) => Err(format!("non-finite feat {t:?}")),
-                Err(_) => Err(format!("bad feat {t:?}")),
-            })
-            .collect::<Result<Vec<f32>, String>>()?;
-        if let Some(first) = rows.first() {
-            if row.len() != first.len() {
-                return Err(format!(
-                    "ragged feats: row 0 has {} values, row {} has {}",
-                    first.len(),
-                    rows.len(),
-                    row.len()
-                ));
+        let mut width = 0;
+        let end = loop {
+            let (value, end) = scan_feat(payload, at)?;
+            values.push(value);
+            width += 1;
+            at = end + 1;
+            if bytes.get(end) != Some(&b',') {
+                break end;
             }
+        };
+        if rows == 0 {
+            cols = width;
+        } else if width != cols {
+            return Err(format!(
+                "ragged feats: row 0 has {cols} values, row {rows} has {width}"
+            ));
         }
-        rows.push(row);
+        rows += 1;
+        if bytes.get(end) != Some(&b';') {
+            let feats = Dense2::from_vec(rows, cols, values);
+            return feats
+                .map(|f| (f, end))
+                .map_err(|e| format!("bad feats shape: {e}"));
+        }
     }
-    let cols = rows[0].len();
-    let n = rows.len();
-    Dense2::from_vec(n, cols, rows.into_iter().flatten().collect())
-        .map_err(|e| format!("bad feats shape: {e}"))
+}
+
+/// Whether `next`, the byte after a `feats=` value, ends it: a `,` or `;`
+/// separator, ASCII whitespace, or the end of the line.
+fn ends_value(next: Option<&u8>) -> bool {
+    next.is_none_or(|&b| b == b',' || b == b';' || b.is_ascii_whitespace())
+}
+
+/// Scan the `feats=` value that starts at byte `at` of `payload`: returns
+/// it and the index of the byte that ends it (see [`ends_value`]). A value
+/// [`scan_decimal`] takes exactly is converted in place; any other token
+/// goes to `str::parse::<f32>`.
+fn scan_feat(payload: &str, at: usize) -> Result<(f32, usize), String> {
+    let rest = &payload.as_bytes()[at..];
+    let (len, exact) = scan_decimal(rest);
+    if let Some(value) = exact.filter(|_| ends_value(rest.get(len))) {
+        return Ok((value, at + len));
+    }
+    let mut end = at + len;
+    while !ends_value(payload.as_bytes().get(end)) {
+        end += 1;
+    }
+    // `at` and `end` sit next to ASCII bytes (or the ends of `payload`), so
+    // both are char boundaries.
+    let t = &payload[at..end];
+    match t.parse::<f32>() {
+        Ok(v) if v.is_finite() => Ok((v, end)),
+        Ok(_) => Err(format!("non-finite feat {t:?}")),
+        Err(_) => Err(format!("bad feat {t:?}")),
+    }
+}
+
+/// `10^k` for every `k` [`scan_decimal`] converts; each is exact in f64.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Clinger's fast path for the plain decimals `feats=` carries (W. D.
+/// Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990).
+/// Scans the longest prefix of `bytes` shaped like `[-+]digits[.digits]`
+/// and returns its length, plus its value when the prefix has that exact
+/// shape and the value is exact by this argument:
+///
+/// - The prefix is `w / 10^k` with `w` an integer of at most 2^53 (so it
+///   is an f64: at most 16 significant digits) and `k ≤ 22` (so `10^k` is
+///   an f64). One IEEE division then gives the correctly rounded f64 of
+///   the decimal.
+/// - That f64 is 0 or within `[10^-22, 2^53]`, inside the normal f32
+///   range. Rounding it to f32 there gives the correctly rounded f32 of
+///   the decimal unless it lies exactly on an f32 rounding midpoint (its
+///   low 29 mantissa bits are `0x1000_0000`). Those are left to
+///   `str::parse`, like every token of another shape (exponents, `inf`,
+///   `nan`, `.5`, `5.`), so subnormals and overflow never reach the cast.
+///
+/// So every value returned equals `str::parse::<f32>` of the prefix, bit
+/// for bit, and is finite.
+fn scan_decimal(bytes: &[u8]) -> (usize, Option<f32>) {
+    let negative = bytes.first() == Some(&b'-');
+    let mut i = usize::from(matches!(bytes.first(), Some(b'-' | b'+')));
+    let mut w = 0u64;
+    let mut digits = |i: &mut usize| {
+        let start = *i;
+        while let Some(d) = bytes
+            .get(*i)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            // Saturates, so a digit string too long for a u64 stays > 2^53.
+            w = w.saturating_mul(10).saturating_add(u64::from(d));
+            *i += 1;
+        }
+        *i - start
+    };
+    let int_digits = digits(&mut i);
+    let mut frac_digits = 0;
+    let mut shaped = int_digits > 0;
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        frac_digits = digits(&mut i);
+        shaped &= frac_digits > 0;
+    }
+    if !shaped || w > 1 << 53 || frac_digits >= POW10.len() {
+        return (i, None);
+    }
+    let q = w as f64 / POW10[frac_digits];
+    if q.to_bits() & 0x1FFF_FFFF == 0x1000_0000 {
+        return (i, None);
+    }
+    let v = q as f32;
+    (i, Some(if negative { -v } else { v }))
 }
 
 fn join<T: ToString>(items: &[T], sep: &str) -> String {
@@ -582,6 +735,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_full_infer_line() {
@@ -695,6 +849,259 @@ mod tests {
         assert!(parse_request("INFER_SEEDS gcn 1 feats=nan,1").is_err());
         assert!(parse_request("INFER_SEEDS gcn 1 feats=inf").is_err());
         assert!(parse_request("INFER_SEEDS gcn 1 feats=-inf,0").is_err());
+    }
+
+    /// The `feats=` parser this scanner replaced: split on `;`, then on
+    /// `,`, `str::parse::<f32>` per token. The reference every scanner
+    /// result is checked against, bits and error strings alike.
+    fn parse_feats_oracle(tok: &str) -> Result<Dense2<f32>, String> {
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for row_tok in tok.split(';') {
+            if row_tok.is_empty() {
+                return Err("empty feats row".into());
+            }
+            let row = row_tok
+                .split(',')
+                .map(|t| match t.parse::<f32>() {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    Ok(_) => Err(format!("non-finite feat {t:?}")),
+                    Err(_) => Err(format!("bad feat {t:?}")),
+                })
+                .collect::<Result<Vec<f32>, String>>()?;
+            if let Some(first) = rows.first() {
+                if row.len() != first.len() {
+                    return Err(format!(
+                        "ragged feats: row 0 has {} values, row {} has {}",
+                        first.len(),
+                        rows.len(),
+                        row.len()
+                    ));
+                }
+            }
+            rows.push(row);
+        }
+        let cols = rows[0].len();
+        let n = rows.len();
+        Dense2::from_vec(n, cols, rows.into_iter().flatten().collect())
+            .map_err(|e| format!("bad feats shape: {e}"))
+    }
+
+    /// A parse outcome with every value as its bits, so `-0` and `0`
+    /// differ and the comparison is exact.
+    fn feats_bits(parsed: Result<Dense2<f32>, String>) -> Result<(usize, usize, Vec<u32>), String> {
+        parsed.map(|f| {
+            let (rows, cols) = f.shape();
+            (
+                rows,
+                cols,
+                f.as_slice().iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+    }
+
+    /// Tokens at the edges of the fast path and of `str::parse::<f32>`.
+    const UGLY_FEATS: [&str; 24] = [
+        "-0",
+        "+1",
+        ".5",
+        "5.",
+        "-.5",
+        ".",
+        "1e-45",
+        "1e-40",
+        "3.4028236e38",
+        "inf",
+        "nan",
+        "-",
+        "+",
+        "",
+        "-inf",
+        "NaN",
+        "1.5x",
+        "1.2.3",
+        "00.000",
+        "--1",
+        "16777217",
+        "0.2905522435903549",
+        "0.00000000000000000000001",
+        "9007199254740993",
+    ];
+
+    /// One `feats=` value: the `Display` string of a random f32 bit
+    /// pattern, a random `[-+]digits[.digits]` decimal of 1–25 digits, or
+    /// an ugly case.
+    fn arb_feat() -> impl Strategy<Value = String> {
+        let display = (0u32..u32::MAX).prop_map(|b| f32::from_bits(b).to_string());
+        let decimal = (
+            0usize..3,
+            proptest::collection::vec(0u32..10, 1..26),
+            0usize..26,
+        )
+            .prop_map(|(sign, digits, dot)| {
+                let mut t: String = ["", "-", "+"][sign].into();
+                for (i, d) in digits.iter().enumerate() {
+                    if i == dot && i > 0 {
+                        t.push('.');
+                    }
+                    t.push(char::from_digit(*d, 10).expect("a digit"));
+                }
+                t
+            });
+        let ugly = (0..UGLY_FEATS.len()).prop_map(|i| UGLY_FEATS[i].to_string());
+        prop_oneof![display, decimal, ugly]
+    }
+
+    /// A whole payload: 1–4 rows of 0–4 values (so empty and ragged rows
+    /// occur), sometimes with a trailing `;` or `,`.
+    fn arb_feats_payload() -> impl Strategy<Value = String> {
+        let row = proptest::collection::vec(arb_feat(), 0..5).prop_map(|row| row.join(","));
+        (proptest::collection::vec(row, 1..5), 0usize..4)
+            .prop_map(|(rows, tail)| rows.join(";") + ["", "", ";", ","][tail])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one-pass scanner returns the oracle's bits or the oracle's
+        /// error string, on its own and inside a request line, where the
+        /// scanner itself finds the end of the `feats=` word.
+        #[test]
+        fn feats_scanner_matches_the_oracle(payload in arb_feats_payload(), blank in 0usize..5) {
+            let want = feats_bits(parse_feats_oracle(&payload));
+            let got = parse_feats(&payload).map(|(f, len)| {
+                assert_eq!(len, payload.len(), "{payload:?}");
+                f
+            });
+            prop_assert_eq!(feats_bits(got), want.clone(), "{:?}", payload);
+            let blank = [" ", "\t", "  ", "\r", "\x0c"][blank];
+            let line = format!("INFER_SEEDS gcn 1 feats={payload}{blank}id=x");
+            let got = match parse_request(&line) {
+                Ok(Request::InferSeeds { feats: Some(f), id, .. }) => {
+                    assert_eq!(id.as_deref(), Some("x"));
+                    Ok(f)
+                }
+                Ok(other) => panic!("{other:?}"),
+                Err(e) => Err(e),
+            };
+            prop_assert_eq!(feats_bits(got), want, "{:?}", line);
+        }
+    }
+
+    #[test]
+    fn feats_edge_cases_match_the_oracle() {
+        let payloads = [
+            "",
+            ";",
+            ",",
+            "1;",
+            "1,",
+            "1,2;3",
+            "1;2,3",
+            "1,x;2",
+            "1,2;3,x",
+            "1;;2",
+            "-",
+            "1,-",
+            "nan,1",
+            "1;inf",
+            "3.4028236e38",
+            "-0,+0",
+            "1e-40,1e-45",
+            ".5,5.,-.5",
+            ".",
+        ];
+        for payload in payloads.iter().copied().chain(UGLY_FEATS) {
+            let got = parse_feats(payload).map(|(f, _)| f);
+            assert_eq!(
+                feats_bits(got),
+                feats_bits(parse_feats_oracle(payload)),
+                "{payload:?}"
+            );
+        }
+    }
+
+    /// Every value the fast path returns is `str::parse::<f32>`'s, bit for
+    /// bit, over a million `Display` strings of random f32 bit patterns
+    /// and a million random decimals; and it takes a real share of both.
+    #[test]
+    fn fast_path_is_bit_exact() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let check = |t: &str| {
+            let (len, exact) = scan_decimal(t.as_bytes());
+            let Some(v) = exact else { return false };
+            let want = t[..len].parse::<f32>();
+            assert_eq!(want.map(f32::to_bits), Ok(v.to_bits()), "{t:?}");
+            len == t.len()
+        };
+        let cases = 1_000_000;
+        let mut token = String::new();
+        let (mut display_hits, mut decimal_hits) = (0, 0);
+        for _ in 0..cases {
+            let bits = next();
+            token.clear();
+            let _ = write!(token, "{}", f32::from_bits(bits as u32));
+            display_hits += usize::from(check(&token));
+            // A decimal of 1-25 digits, the point anywhere, maybe signed.
+            let digits = 1 + (bits >> 32) as usize % 25;
+            let dot = (bits >> 40) as usize % (digits + 1);
+            token.clear();
+            token.push_str(["", "-", "+"][(bits >> 48) as usize % 3]);
+            let mut r = next();
+            for i in 0..digits {
+                if i == dot && i > 0 {
+                    token.push('.');
+                }
+                if i % 16 == 0 {
+                    r = next();
+                }
+                token.push(char::from(b'0' + (r % 10) as u8));
+                r /= 10;
+            }
+            decimal_hits += usize::from(check(&token));
+        }
+        assert!(display_hits > cases / 4, "{display_hits}");
+        assert!(decimal_hits > cases / 4, "{decimal_hits}");
+    }
+
+    /// Two decimals a naive `w as f64 / 10^k` then `as f32` gets wrong,
+    /// each refused by one of the fast path's conditions:
+    /// - `0.2905522435903549` is `w / 10^16` with `w < 2^53`: its f64 is
+    ///   correctly rounded and lands exactly on an f32 midpoint, which the
+    ///   cast rounds to even, away from the decimal's nearest f32;
+    /// - `1.46866196393966674` has 18 digits but `w > 2^53`: `w as f64`
+    ///   rounds first, and the quotient crosses an f32 midpoint.
+    #[test]
+    fn fast_path_refuses_what_would_round_twice() {
+        for (token, w, k, on_midpoint) in [
+            ("0.2905522435903549", 2_905_522_435_903_549u64, 16, true),
+            ("1.46866196393966674", 146_866_196_393_966_674, 17, false),
+        ] {
+            let q = w as f64 / POW10[k];
+            let midpoint = q.to_bits() & 0x1FFF_FFFF == 0x1000_0000;
+            assert_eq!(midpoint, on_midpoint, "{token}");
+            let naive = q as f32;
+            let want = token.parse::<f32>().unwrap();
+            assert_ne!(
+                naive.to_bits(),
+                want.to_bits(),
+                "{token}: the naive cast is wrong"
+            );
+            assert_eq!(
+                scan_decimal(token.as_bytes()),
+                (token.len(), None),
+                "{token}"
+            );
+            let (feats, _) = parse_feats(token).unwrap();
+            assert_eq!(feats.as_slice()[0].to_bits(), want.to_bits(), "{token}");
+        }
     }
 
     #[test]

@@ -149,6 +149,9 @@ struct ConnState {
     stream: TcpStream,
     proto: Option<Proto>,
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no `\n`, so a
+    /// text line arriving over many reads is scanned once, not per read.
+    scanned: usize,
     /// When the incomplete message at the front of `buf` began arriving;
     /// `None` while `buf` is empty. The socket's read timeout is set exactly
     /// while this is `Some`.
@@ -238,7 +241,7 @@ fn process_buffer(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats)
             }
         };
         let decoded = match proto {
-            Proto::Text => match next_line(&mut conn.buf) {
+            Proto::Text => match next_line(&mut conn.buf, &mut conn.scanned) {
                 None => return ConnAction::Keep,
                 Some(line) if line.trim().is_empty() => continue,
                 Some(line) => protocol::parse_request(&line).inspect_err(|_| {
@@ -283,15 +286,46 @@ fn process_buffer(engine: &Engine, conn: &mut ConnState, conn_stats: &ConnStats)
 }
 
 /// Split one `\n`-terminated line off the front of `buf` (CR stripped).
-fn next_line(buf: &mut Vec<u8>) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
+/// `scanned` is how many leading bytes earlier calls found free of `\n`:
+/// the search resumes there, and after a line is taken restarts at 0. The
+/// line keeps `buf`'s bytes; only invalid UTF-8 is copied, to replace it.
+fn next_line(buf: &mut Vec<u8>, scanned: &mut usize) -> Option<String> {
+    let Some(pos) = find_newline(&buf[*scanned..]).map(|n| *scanned + n) else {
+        *scanned = buf.len();
+        return None;
+    };
+    *scanned = 0;
     let rest = buf.split_off(pos + 1);
     let mut line = std::mem::replace(buf, rest);
     line.pop(); // the \n
     if line.last() == Some(&b'\r') {
         line.pop();
     }
-    Some(String::from_utf8_lossy(&line).into_owned())
+    Some(
+        String::from_utf8(line)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+    )
+}
+
+/// Index of the first `\n` in `bytes`, eight bytes per step: a byte of
+/// `x = word ^ 0x0a0a..` is zero exactly where `word` holds `\n`, and
+/// `(x - 0x01..) & !x & 0x80..` sets the top bit of the lowest such byte
+/// (a borrow can mark only bytes above it).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGHS: u64 = ONES << 7;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ NEWLINES;
+        let hit = x.wrapping_sub(ONES) & !x & HIGHS;
+        if hit != 0 {
+            return Some(8 * k + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let tail_at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|n| tail_at + n)
 }
 
 /// Pop one complete frame off the front of `buf`, validating the header.
@@ -461,6 +495,7 @@ fn admit_conn(engine: &Engine, stream: TcpStream) -> Option<ConnState> {
         stream,
         proto: None,
         buf: Vec::new(),
+        scanned: 0,
         partial_since: None,
         conn_stats,
     })
@@ -578,6 +613,119 @@ mod tests {
     fn books(engine: &Engine) -> (u64, u64, u64) {
         let conn = engine.conn_snapshot();
         (conn.accepted, conn.active, conn.closed)
+    }
+
+    /// The framing this one replaced: rescan `buf` from byte 0 for `\n`,
+    /// then copy the line through `from_utf8_lossy`. The reference the
+    /// one-pass framing is checked against.
+    fn next_line_oracle(buf: &mut Vec<u8>) -> Option<String> {
+        let pos = buf.iter().position(|&b| b == b'\n')?;
+        let rest = buf.split_off(pos + 1);
+        let mut line = std::mem::replace(buf, rest);
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Some(String::from_utf8_lossy(&line).into_owned())
+    }
+
+    /// Feed `stream` in `chunk`-byte reads and take every complete line
+    /// after each read, as `process_buffer` does, with both framings.
+    fn framed(stream: &[u8], chunk: usize) -> (Vec<String>, Vec<String>) {
+        let (mut buf, mut scanned, mut lines) = (Vec::new(), 0, Vec::new());
+        let (mut oracle_buf, mut oracle_lines) = (Vec::new(), Vec::new());
+        for piece in stream.chunks(chunk) {
+            buf.extend_from_slice(piece);
+            lines.extend(std::iter::from_fn(|| next_line(&mut buf, &mut scanned)));
+            oracle_buf.extend_from_slice(piece);
+            oracle_lines.extend(std::iter::from_fn(|| next_line_oracle(&mut oracle_buf)));
+        }
+        assert_eq!(buf, oracle_buf, "the same partial line is left over");
+        (lines, oracle_lines)
+    }
+
+    #[test]
+    fn lines_frame_as_before() {
+        let mut stream =
+            b"PING\r\n\n  \r\nSTATS\nINFER gcn \xff\xfe 1\r\nINFER_SEEDS gcn 1 feats=".to_vec();
+        stream.extend((0..4000).map(|i| b"0123456789,;\r\n\xc3\xa9x"[i % 17]));
+        stream.extend_from_slice(b"\nMEMORY\r\ntail without newline");
+        for chunk in [1, 2, 3, 7, 8, 9, 64, 1000, stream.len()] {
+            let (lines, oracle_lines) = framed(&stream, chunk);
+            assert_eq!(lines, oracle_lines, "{chunk}-byte reads");
+        }
+        let (lines, _) = framed(&stream, 5);
+        assert_eq!(lines[..4], ["PING", "", "  ", "STATS"]);
+        assert_eq!(
+            lines[4], "INFER gcn \u{fffd}\u{fffd} 1",
+            "invalid UTF-8 is replaced"
+        );
+    }
+
+    /// A 1 MiB line arriving in 64 KiB reads: each read scans only its own
+    /// bytes (the cursor ends every miss at the buffer's end and never
+    /// moves back), and the line is found once, whole.
+    #[test]
+    fn a_long_line_is_scanned_once() {
+        let mut stream = vec![b'7'; 1 << 20];
+        stream[(1 << 20) - 1] = b'\n';
+        let (mut buf, mut scanned, mut found) = (Vec::new(), 0, Vec::new());
+        for piece in stream.chunks(READ_CHUNK) {
+            buf.extend_from_slice(piece);
+            let before = scanned;
+            match next_line(&mut buf, &mut scanned) {
+                None => {
+                    assert!(scanned >= before, "the cursor moved back");
+                    assert_eq!(scanned, buf.len(), "a miss scans to the end");
+                }
+                Some(line) => found.push(line),
+            }
+        }
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].len(), (1 << 20) - 1);
+        assert!(
+            buf.is_empty() && scanned == 0,
+            "the next line starts afresh"
+        );
+    }
+
+    #[test]
+    fn find_newline_finds_the_first_one() {
+        let mut bytes = [b'a'; 40];
+        assert_eq!(find_newline(&bytes), None);
+        for at in (0..40).rev() {
+            bytes[at] = b'\n';
+            for start in 0..=at {
+                assert_eq!(
+                    find_newline(&bytes[start..]),
+                    Some(at - start),
+                    "{at} {start}"
+                );
+            }
+        }
+        // Bytes one off `\n`, and high bytes, are not newlines: in the
+        // first full word and in the tail.
+        let odd = [
+            0x0b, 0x09, 0x8a, 0xff, 0x00, 0x7f, 0x8b, 0x89, 0xff, 0x0b, 0x0a,
+        ];
+        assert_eq!(find_newline(&odd), Some(10));
+        assert_eq!(find_newline(&odd[..10]), None);
+    }
+
+    /// Invalid UTF-8 reaches the parser through the lossy copy, as before:
+    /// the reply names the replacement characters and the connection lives.
+    #[test]
+    fn invalid_utf8_gets_the_same_bad_request_reply() {
+        let h = serve(Arc::new(Engine::new(ServeConfig::default())), "127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(h.addr()).unwrap();
+        client.write_all(b"INFER gcn \xff\r\nPING\n").unwrap();
+        let mut reader = std::io::BufReader::new(client.try_clone().unwrap());
+        let mut replies = String::new();
+        for _ in 0..2 {
+            std::io::BufRead::read_line(&mut reader, &mut replies).unwrap();
+        }
+        assert_eq!(replies, "ERR - bad-request bad node \"\u{fffd}\"\nPONG\n");
+        h.shutdown();
     }
 
     /// The path a failed `spawn` takes: the connection is admitted, then

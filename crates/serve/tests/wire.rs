@@ -712,6 +712,68 @@ fn mixed_text_and_binary_clients_agree() {
     assert_eq!(shutdown_replies, [WireReply::Bye, WireReply::Bye]);
 }
 
+/// One `INFER_SEEDS … feats=` request over the text protocol, written 1–7
+/// bytes at a time like a slow client, and over binary frames: the text
+/// scanner's floats are the frame's floats, so the logits agree bit for bit
+/// and the subgraph header matches. The values mix the scanner's fast path
+/// (plain decimals) with its fallbacks (`1e-30`, `1e20` print with more
+/// digits than it converts exactly, `-0` keeps its sign).
+#[test]
+fn trickled_text_feats_equal_binary_frames() {
+    let h = spawn_server(ServeConfig::default());
+    let width = SbmTask::generate(200, 3, 6, 2, 7).in_dim();
+    let feats = Dense2::from_fn(4, width, |r, c| match (r * width + c) % 9 {
+        0 => 1e-30,
+        1 => -1e20,
+        2 => -0.0,
+        k => ((r * 31 + c * 7) as f32).sin() * 10f32.powi(k as i32 - 5),
+    });
+    let req = protocol::Request::InferSeeds {
+        model: "gcn".into(),
+        seeds: vec![5, 17, 42, 199],
+        fanouts: Some(vec![3, 3]),
+        sample_seed: 9,
+        feats: Some(feats),
+        id: Some("slow".into()),
+        deadline_ms: None,
+    };
+    let line = protocol::format_request(&req) + "\n";
+    let mut text = connect(&h);
+    let (mut at, mut step) = (0, 0);
+    while at < line.len() {
+        let n = (1 + step % 7).min(line.len() - at);
+        text.write_all(&line.as_bytes()[at..at + n]).unwrap();
+        (at, step) = (at + n, step + 1);
+    }
+    let over_text = protocol::read_reply(&mut BufReader::new(text))
+        .expect("text reply parses")
+        .expect("text reply before EOF");
+    let over_binary = binary_call(&mut connect(&h), &encode_request(&req)).expect("binary reply");
+    let (
+        WireReply::Seeds { id, seeds, resp },
+        WireReply::Seeds {
+            id: bin_id,
+            seeds: bin_seeds,
+            resp: bin_resp,
+        },
+    ) = (&over_text, &over_binary)
+    else {
+        panic!("{over_text:?} / {over_binary:?}");
+    };
+    assert_eq!((id, seeds), (bin_id, bin_seeds));
+    assert_eq!(
+        (resp.sub_vertices, resp.sub_edges),
+        (bin_resp.sub_vertices, bin_resp.sub_edges)
+    );
+    let bits = |r: &fg_serve::SeedsResponse| -> Vec<(usize, Vec<u32>)> {
+        let row =
+            |x: &fg_serve::InferResponse| (x.class, x.logits.iter().map(|v| v.to_bits()).collect());
+        r.results.iter().map(row).collect()
+    };
+    assert_eq!(bits(resp), bits(bin_resp));
+    h.shutdown();
+}
+
 /// The serialize phase means the same thing on both protocols: the reply
 /// write of an inference verb. Health checks and scrapes do not feed it.
 #[test]
