@@ -57,7 +57,9 @@ pub use case::{Case, ExecPlan, GraphSpec, KernelKind, UdfKind};
 pub use dtype::{dtype_sweep, gen_dtype_case, run_dtype_case, DtypeCase, DtypeSweep};
 pub use exec::{run_case, ExecFailure};
 pub use runner::{gen_case, sweep, Failure, Sweep};
-pub use sampler::{run_sampler_case, sampler_sweep, SamplerCase, SamplerSweep};
+pub use sampler::{
+    run_sampler_case, run_sampler_case_with, sampler_sweep, SamplerCase, SamplerSweep,
+};
 pub use shard::{run_shard_case, shard_sweep, shrink_shard, ShardCase, ShardSweep};
 pub use shrink::shrink;
 pub use tolerance::{compare_slices, ulp_diff, Mismatch, Tolerance};

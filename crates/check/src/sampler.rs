@@ -6,7 +6,9 @@
 //! cases:
 //!
 //! 1. **Seeded determinism** — the same `(graph, seeds, config)` always
-//!    yields an identical subgraph, down to the CSR arrays.
+//!    yields an identical subgraph, down to the CSR arrays and depths,
+//!    whether it runs through a [`SampleScratch`] that the whole sweep
+//!    shares (as a serving worker's does) or through a fresh one.
 //! 2. **Reindex round-trip** — `local_of(global_of(l)) == l`, locals ascend
 //!    in global ID, and every subgraph edge maps onto a real edge of the
 //!    full graph.
@@ -40,7 +42,10 @@ use fg_gnn::{
     gather_rows, infer_batch, infer_seeds, prepare_seeds, FeatgraphBackend, GnnGraph, LayerInput,
     SampledBlocks,
 };
-use fg_graph::{generators, sample_subgraph, Graph, SampleConfig, VId, FULL_FANOUT};
+use fg_graph::{
+    generators, sample_subgraph, sample_subgraph_with, Graph, SampleConfig, SampleScratch, VId,
+    FULL_FANOUT,
+};
 use fg_tensor::Dense2;
 
 /// Graph families the sampler cases draw from.
@@ -256,15 +261,22 @@ pub fn gen_sampler_case(rng: &mut Pcg64Mcg) -> SamplerCase {
     }
 }
 
-/// Run every property check on one case; each returned string is one
-/// violated property.
+/// Run every property check on one case with a fresh scratch; each
+/// returned string is one violated property.
 pub fn run_sampler_case(case: &SamplerCase) -> Vec<String> {
+    run_sampler_case_with(case, &mut SampleScratch::new())
+}
+
+/// [`run_sampler_case`] with the case's first sample drawn through
+/// `scratch`, which a sweep shares across all its cases (and so across
+/// graphs of every size); the second is drawn through a fresh scratch.
+pub fn run_sampler_case_with(case: &SamplerCase, scratch: &mut SampleScratch) -> Vec<String> {
     let mut fails = Vec::new();
     let g = case.graph.build();
     let seeds = case.seeds();
     let cfg = case.config();
 
-    let sub = match sample_subgraph(&g, &seeds, &cfg) {
+    let sub = match sample_subgraph_with(scratch, &g, &seeds, &cfg) {
         Ok(s) => s,
         Err(e) => {
             fails.push(format!("sample_subgraph rejected a valid case: {e}"));
@@ -272,15 +284,20 @@ pub fn run_sampler_case(case: &SamplerCase) -> Vec<String> {
         }
     };
 
-    // 1. Seeded determinism: an identical second run, arrays and all.
+    // 1. Seeded determinism: an identical second run through a fresh
+    // scratch, arrays and all.
     match sample_subgraph(&g, &seeds, &cfg) {
         Ok(again) => {
             if again.locals() != sub.locals()
                 || again.seed_locals() != sub.seed_locals()
                 || again.frontier_sizes() != sub.frontier_sizes()
+                || again.depths() != sub.depths()
                 || again.graph().in_csr() != sub.graph().in_csr()
             {
-                fails.push("determinism: same config produced a different subgraph".into());
+                fails.push(
+                    "determinism: the shared and a fresh scratch produced different subgraphs"
+                        .into(),
+                );
             }
         }
         Err(e) => fails.push(format!("determinism: second run failed: {e}")),
@@ -523,9 +540,10 @@ pub struct SamplerSweep {
 pub fn sampler_sweep(seed: u64, cases: usize, progress: impl Fn(usize, &SamplerSweep)) -> SamplerSweep {
     let mut rng = Pcg64Mcg::seed_from_u64(seed);
     let mut report = SamplerSweep::default();
+    let mut scratch = SampleScratch::new();
     for i in 0..cases {
         let case = gen_sampler_case(&mut rng);
-        let reports = run_sampler_case(&case);
+        let reports = run_sampler_case_with(&case, &mut scratch);
         report.total += 1;
         if !reports.is_empty() {
             report.failures.push(SamplerFailure { case, reports });

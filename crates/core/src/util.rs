@@ -52,30 +52,33 @@ impl<'a, S: Scalar> SharedRows<'a, S> {
     }
 }
 
-/// Worker-thread count detected from the OS.
+/// Worker-thread count detected from the OS, probed once per process.
 ///
-/// When `std::thread::available_parallelism` errors (sandboxes, unusual
-/// cgroup configurations, exotic platforms), the `auto` option constructors
-/// fall back to **one** thread. That used to happen silently — a
-/// mis-configured container would quietly run every kernel serially. The
-/// first fallback in a process now emits a one-line warning on stderr and
-/// increments the `parallelism_fallbacks` telemetry counter so the
-/// degradation is visible in metric snapshots.
+/// `std::thread::available_parallelism` reads the affinity mask and the
+/// cgroup quota files on every call, which costs microseconds; every
+/// `auto` option constructor asks, once per kernel compile, and a sampled
+/// request compiles a plan per block. The answer is therefore cached on
+/// the first call, so a later affinity or quota change is not seen.
+///
+/// When the probe errors (sandboxes, unusual cgroup configurations, exotic
+/// platforms), the count falls back to **one** thread. That used to happen
+/// silently — a mis-configured container would quietly run every kernel
+/// serially. The fallback now emits a one-line warning on stderr and
+/// increments the `parallelism_fallbacks` telemetry counter, once per
+/// process, so the degradation is visible in metric snapshots.
 pub fn detected_threads() -> usize {
-    match std::thread::available_parallelism() {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| match std::thread::available_parallelism() {
         Ok(n) => n.get(),
         Err(err) => {
-            static ONCE: std::sync::Once = std::sync::Once::new();
-            ONCE.call_once(|| {
-                eprintln!(
-                    "featgraph: available_parallelism failed ({err}); \
-                     falling back to 1 worker thread"
-                );
-                fg_telemetry::counter_add(fg_telemetry::Counter::ParallelismFallbacks, 1);
-            });
+            eprintln!(
+                "featgraph: available_parallelism failed ({err}); \
+                 falling back to 1 worker thread"
+            );
+            fg_telemetry::counter_add(fg_telemetry::Counter::ParallelismFallbacks, 1);
             1
         }
-    }
+    })
 }
 
 /// Build a rayon thread pool with `threads` workers (1 = effectively serial).

@@ -16,7 +16,9 @@
 //! same seeds too: every vertex a seed output transitively reads keeps all
 //! of its in-edges, so each float accumulates in the same sequence.
 
-use fg_graph::sampling::{sample_subgraph, SampleConfig, SampleError, SampledSubgraph};
+use fg_graph::sampling::{
+    sample_subgraph_with, SampleConfig, SampleError, SampleScratch, SampledSubgraph,
+};
 use fg_graph::VId;
 use fg_telemetry::{MemCharge, MemComponent};
 use fg_tensor::Dense2;
@@ -58,12 +60,23 @@ pub fn prepare_seeds(
     seeds: &[usize],
     cfg: &SampleConfig,
 ) -> Result<(SampledSubgraph, GnnGraph), InferError> {
+    prepare_seeds_with(&mut SampleScratch::new(), graph, seeds, cfg)
+}
+
+/// [`prepare_seeds`] through a caller's [`SampleScratch`] (a serving
+/// worker's, reused across requests); the result is the same.
+pub fn prepare_seeds_with(
+    scratch: &mut SampleScratch,
+    graph: &GnnGraph,
+    seeds: &[usize],
+    cfg: &SampleConfig,
+) -> Result<(SampledSubgraph, GnnGraph), InferError> {
     let vertices = graph.num_vertices();
     if let Some(&node) = seeds.iter().find(|&&v| v >= vertices) {
         return Err(InferError::NodeOutOfRange { node, vertices });
     }
     let seeds_v: Vec<VId> = seeds.iter().map(|&s| s as VId).collect();
-    let sub = sample_subgraph(graph.fwd(), &seeds_v, cfg)
+    let sub = sample_subgraph_with(scratch, graph.fwd(), &seeds_v, cfg)
         .map_err(|e| sample_error_to_infer(e, vertices))?;
     let sub_gnn = GnnGraph::new(sub.graph().clone());
     Ok((sub, sub_gnn))

@@ -44,7 +44,8 @@ pub use csr::{Csr, CsrError};
 pub use datasets::{Dataset, DatasetSpec};
 pub use partition::PartitionedCsr;
 pub use sampling::{
-    sample_subgraph, Block, SampleConfig, SampleError, SampledSubgraph, FULL_FANOUT,
+    sample_subgraph, sample_subgraph_with, Block, SampleConfig, SampleError, SampleScratch,
+    SampledSubgraph, FULL_FANOUT,
 };
 pub use shard::{RemoteRead, Shard, ShardPlan, ShardStrategy};
 

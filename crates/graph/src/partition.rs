@@ -62,7 +62,13 @@ impl PartitionedCsr {
         for p in 0..parts {
             let width = base + usize::from(p < extra);
             let hi = lo + width as VId;
-            let (seg, positions) = csr.slice_cols(lo, hi);
+            // One partition spans every source, so its slice is the CSR
+            // itself and each edge keeps its position.
+            let (seg, positions) = if parts == 1 {
+                (csr.clone(), (0..csr.nnz() as EId).collect())
+            } else {
+                csr.slice_cols(lo, hi)
+            };
             // Positions in the dst-major CSR *are* canonical edge IDs.
             segment_eids.push(positions);
             nonempty.push(
@@ -278,6 +284,51 @@ mod tests {
         let pc0 = PartitionedCsr::build_exact(&g0, 4);
         assert_eq!(pc0.num_partitions(), 4);
         assert_eq!(pc0.nnz(), 0);
+    }
+
+    /// What `build_inner` produces with one partition when it slices like
+    /// any other partition count.
+    fn sliced_one_partition(graph: &Graph) -> PartitionedCsr {
+        let n = graph.num_vertices();
+        let (seg, positions) = graph.in_csr().slice_cols(0, n as VId);
+        let nonempty = seg
+            .iter_rows()
+            .filter(|(_, cols, _)| !cols.is_empty())
+            .map(|(dst, _, _)| dst)
+            .collect();
+        PartitionedCsr {
+            segments: vec![seg],
+            segment_eids: vec![positions],
+            bounds: vec![0, n as VId],
+            nonempty: vec![nonempty],
+        }
+    }
+
+    fn assert_same_plan(got: &PartitionedCsr, want: &PartitionedCsr) {
+        assert_eq!(got.segments, want.segments);
+        assert_eq!(got.segment_eids, want.segment_eids);
+        assert_eq!(got.bounds, want.bounds);
+        assert_eq!(got.nonempty, want.nonempty);
+        assert_eq!(got.mem_bytes(), want.mem_bytes());
+    }
+
+    #[test]
+    fn one_partition_fast_path_equals_slicing() {
+        let mut graphs = vec![
+            crate::Graph::from_edges(0, &[]),
+            crate::Graph::from_edges(6, &[]),
+            // Rows 0, 2 and 5 have no in-edges.
+            crate::Graph::from_edges(6, &[(0, 1), (2, 1), (5, 3), (1, 4), (4, 4)]),
+        ];
+        for seed in 0..8 {
+            graphs.push(generators::uniform(40 + 13 * seed as usize, 1 + seed as usize, seed));
+            graphs.push(generators::power_law(200, 4, 2.5, seed));
+        }
+        for g in &graphs {
+            let want = sliced_one_partition(g);
+            assert_same_plan(&PartitionedCsr::build(g, 1), &want);
+            assert_same_plan(&PartitionedCsr::build_exact(g, 1), &want);
+        }
     }
 
     #[test]

@@ -9,10 +9,22 @@
 //! frontier boundaries so callers can gather feature rows and scatter seed
 //! outputs back.
 //!
+//! Cost: the sampler writes its subgraph once. A [`SampleScratch`] holds
+//! an epoch-stamped dense `u32` array over `|V|`: each call owns the stamp
+//! values from its own base up, a vertex is new iff its stamp is below
+//! that base, and the same slot holds its discovery index and then its
+//! local ID. Sampled rows go into one flat buffer, the discovered list is
+//! sorted once, and the CSR is emitted in local order from that buffer,
+//! with no hashing, per-row allocation or binary search. The array costs
+//! `O(|V|)` once per scratch (a serving worker keeps one for its
+//! lifetime); per-request work stays proportional to the subgraph.
+//!
 //! Determinism: neighbor draws use a counter-based RNG keyed on
-//! `(seed, layer, vertex)`, so the sampled edge set is a pure function of
-//! the config and the graph — independent of frontier iteration order,
-//! thread count, or how seeds are batched.
+//! `(seed, layer, vertex)`, and each drawn row is sorted and deduplicated
+//! before its vertices are discovered, so the sampled subgraph is a pure
+//! function of the config and the graph — independent of frontier
+//! iteration order, thread count, how seeds are batched, or which scratch
+//! ran it.
 //!
 //! Bit-identity under full fanout: every vertex discovered before the last
 //! hop keeps *all* of its in-edges, and local IDs are assigned in ascending
@@ -22,6 +34,8 @@
 //! full-fanout sampled inference bitwise equal to full-graph inference on
 //! the same seeds (the last-hop leaves get empty rows, but nothing a seed
 //! output depends on reads them).
+
+use std::ops::Range;
 
 use crate::csr::Csr;
 use crate::{Graph, VId};
@@ -289,37 +303,171 @@ impl KeyedRng {
     }
 }
 
-/// Sample up to `fanout` entries of `row` into `out` (global IDs,
-/// unsorted, possibly duplicated when `replace`).
-fn sample_row(row: &[VId], fanout: usize, replace: bool, rng: &mut KeyedRng, out: &mut Vec<VId>) {
-    if fanout >= row.len() {
-        out.extend_from_slice(row);
-        return;
+/// Reusable buffers for [`sample_subgraph_with`]: one per serving worker.
+///
+/// The dense part is one `u32` mark per vertex of the largest graph sampled
+/// so far, allocated once and never cleared between calls. Each call owns
+/// the mark values from its `base` up, so a mark below `base` is a stamp
+/// left by an earlier call and reads as unvisited; the same mark then holds
+/// the vertex's discovery index and, once locals are assigned, its local ID,
+/// both offset by `base`. Only when the `u32` values run out is the array
+/// zeroed. Everything else is flat buffers that keep their capacity, so
+/// per-call work is proportional to the subgraph, not to `|V|`.
+#[derive(Debug)]
+pub struct SampleScratch {
+    /// Per global vertex: below the current call's `base` if the call has
+    /// not reached it, else `base + discovery index`, then
+    /// `base + |subgraph| + local ID`.
+    marks: Vec<u32>,
+    /// The first mark value no call has used yet; 0 is never used, so
+    /// fresh marks read as unvisited.
+    next: u32,
+    /// Vertices in discovery order: the distinct seeds, then each hop's new
+    /// vertices. Vertex `discovered[k]` has discovery index `k`.
+    discovered: Vec<VId>,
+    /// Sampled in-neighbours of each expanded vertex (global IDs,
+    /// ascending; row positions until a hop's draws are mapped), row `k`
+    /// belonging to `discovered[k]`.
+    edges: Vec<VId>,
+    /// `row_ptr[k]..row_ptr[k + 1]` is row `k` of `edges`.
+    row_ptr: Vec<usize>,
+    /// Per local ID: its discovery index.
+    order: Vec<u32>,
+    /// Row spans of the frontier being expanded.
+    spans: Vec<Range<usize>>,
+    /// Fisher–Yates pool of row positions, for draws without replacement.
+    pool: Vec<u32>,
+}
+
+impl Default for SampleScratch {
+    fn default() -> Self {
+        Self::new()
     }
-    if replace {
-        for _ in 0..fanout {
-            out.push(row[rng.gen_range(row.len())]);
+}
+
+impl SampleScratch {
+    /// An empty scratch; it grows on first use.
+    pub const fn new() -> Self {
+        Self {
+            marks: Vec::new(),
+            next: 1,
+            discovered: Vec::new(),
+            edges: Vec::new(),
+            row_ptr: Vec::new(),
+            order: Vec::new(),
+            spans: Vec::new(),
+            pool: Vec::new(),
         }
-    } else {
-        // Partial Fisher–Yates: the first `fanout` positions of a uniform
-        // shuffle are a uniform subset.
-        let mut pool: Vec<VId> = row.to_vec();
-        for i in 0..fanout {
-            let j = i + rng.gen_range(pool.len() - i);
-            pool.swap(i, j);
-            out.push(pool[i]);
+    }
+
+    /// Heap bytes held (capacities, not lengths): what a serving worker
+    /// charges to the `sampling` memory component for its lifetime.
+    pub fn mem_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let words = self.marks.capacity()
+            + self.discovered.capacity()
+            + self.edges.capacity()
+            + self.order.capacity()
+            + self.pool.capacity();
+        (words * size_of::<u32>()
+            + self.row_ptr.capacity() * size_of::<usize>()
+            + self.spans.capacity() * size_of::<Range<usize>>()) as u64
+    }
+
+    /// Start a call over a graph of `n` vertices and return its `base`:
+    /// grow the marks to cover the graph, zero them if the call's
+    /// `2·n` mark values would overflow `u32`, and empty the flat buffers.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
+        }
+        if (u32::MAX - self.next) as usize <= 2 * n {
+            self.marks.fill(0);
+            self.next = 1;
+        }
+        self.discovered.clear();
+        self.edges.clear();
+        self.row_ptr.clear();
+        self.order.clear();
+        self.next
+    }
+
+    /// Record `v` as discovered at the next discovery index unless this
+    /// call already reached it.
+    #[inline(always)]
+    fn discover(marks: &mut [u32], base: u32, discovered: &mut Vec<VId>, v: VId) {
+        let mark = &mut marks[v as usize];
+        if *mark < base {
+            *mark = base + discovered.len() as u32;
+            discovered.push(v);
         }
     }
 }
 
+/// Append to `out` the positions (indices into the CSR's `indices`) of a
+/// draw of up to `fanout` entries of the non-empty row at `span`,
+/// ascending and without duplicates. The row ascends strictly, so the
+/// sources at those positions ascend and are distinct too.
+fn draw_positions(
+    span: Range<usize>,
+    fanout: usize,
+    replace: bool,
+    mut rng: KeyedRng,
+    pool: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    let len = span.len();
+    let positions = span.start as u32..span.end as u32;
+    if fanout >= len {
+        out.extend(positions);
+        return;
+    }
+    let tail = out.len();
+    if replace {
+        out.extend((0..fanout).map(|_| positions.start + rng.gen_range(len) as u32));
+    } else {
+        // Partial Fisher–Yates: the first `fanout` positions of a uniform
+        // shuffle are a uniform subset.
+        pool.clear();
+        pool.extend(positions);
+        for i in 0..fanout {
+            let j = i + rng.gen_range(len - i);
+            pool.swap(i, j);
+        }
+        out.extend_from_slice(&pool[..fanout]);
+    }
+    out[tail..].sort_unstable();
+    // Draws with replacement repeat; keep the first of each run.
+    let mut kept = tail;
+    for i in tail..out.len() {
+        if kept == tail || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
 /// Expand a fanout-bounded neighborhood of `seeds` over the
 /// destination-major adjacency of `graph` and reindex it into a
-/// [`SampledSubgraph`].
+/// [`SampledSubgraph`], with a fresh [`SampleScratch`].
 ///
 /// Each vertex is expanded exactly once, at the hop it is first
 /// discovered; vertices first reached on the final hop become leaves with
 /// empty rows (their features still feed the hop above).
 pub fn sample_subgraph(
+    graph: &Graph,
+    seeds: &[VId],
+    cfg: &SampleConfig,
+) -> Result<SampledSubgraph, SampleError> {
+    sample_subgraph_with(&mut SampleScratch::new(), graph, seeds, cfg)
+}
+
+/// [`sample_subgraph`] through a caller's [`SampleScratch`], which any
+/// graph may share: the result depends only on `(graph, seeds, cfg)`. A
+/// rejected request touches no scratch state.
+pub fn sample_subgraph_with(
+    scratch: &mut SampleScratch,
     graph: &Graph,
     seeds: &[VId],
     cfg: &SampleConfig,
@@ -337,75 +485,91 @@ pub fn sample_subgraph(
         }
     }
     let hops = cfg.fanouts.len();
+    let in_csr = graph.in_csr();
+    let base = scratch.begin(n);
+    let SampleScratch {
+        marks,
+        next,
+        discovered,
+        edges,
+        row_ptr,
+        order,
+        spans,
+        pool,
+    } = scratch;
 
-    // Hop each vertex was first reached at. Keyed by global ID: the map
-    // must stay proportional to the subgraph, not O(|V|) per request.
-    let mut discovered: std::collections::HashMap<VId, usize> = std::collections::HashMap::new();
-    let mut frontier: Vec<VId> = Vec::new();
+    // Discovery: the distinct seeds, then each hop's new sources, each
+    // vertex marked with its discovery index.
     for &s in seeds {
-        if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(s) {
-            e.insert(0);
-            frontier.push(s);
-        }
+        SampleScratch::discover(marks, base, discovered, s);
     }
-    let mut frontier_sizes = vec![frontier.len()];
-
-    // Sampled in-edges per expanded destination, in global IDs.
-    let mut rows: Vec<(VId, Vec<VId>)> = Vec::new();
-    let mut scratch: Vec<VId> = Vec::new();
-
+    // `reached[h]`: vertices discovered within `h` hops.
+    let mut reached = Vec::with_capacity(hops + 1);
+    reached.push(discovered.len());
+    row_ptr.push(0);
+    let mut frontier = 0..discovered.len();
+    let (indptr, indices) = (in_csr.indptr(), in_csr.indices());
     for (hop, &fanout) in cfg.fanouts.iter().enumerate() {
-        let mut next: Vec<VId> = Vec::new();
-        for &v in &frontier {
-            scratch.clear();
-            let row = graph.in_csr().row(v);
-            if !row.is_empty() && fanout > 0 {
-                let mut rng = KeyedRng::new(cfg.seed, hop, v);
-                sample_row(row, fanout, cfg.replace, &mut rng, &mut scratch);
+        // Three passes over the frontier, each a loop whose memory reads
+        // do not wait on one another, so cache misses on the rows overlap:
+        // the rows' spans; the draws, as positions, which need only the
+        // row lengths; then the sources at those positions.
+        spans.clear();
+        let span = |v: VId| indptr[v as usize]..indptr[v as usize + 1];
+        spans.extend(discovered[frontier.clone()].iter().map(|&v| span(v)));
+        let hop_start = edges.len();
+        for (&v, span) in discovered[frontier].iter().zip(spans.iter()) {
+            if !span.is_empty() && fanout > 0 {
+                let rng = KeyedRng::new(cfg.seed, hop, v);
+                draw_positions(span.clone(), fanout, cfg.replace, rng, pool, edges);
             }
-            // Dedup (with-replacement draws repeat) and fix the row order.
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &u in &scratch {
-                if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(u) {
-                    e.insert(hop + 1);
-                    next.push(u);
-                }
-            }
-            rows.push((v, std::mem::take(&mut scratch)));
+            row_ptr.push(edges.len());
         }
-        frontier_sizes.push(next.len());
-        frontier = next;
+        for e in &mut edges[hop_start..] {
+            *e = indices[*e as usize];
+        }
+        for &u in &edges[hop_start..] {
+            SampleScratch::discover(marks, base, discovered, u);
+        }
+        frontier = reached[hop]..discovered.len();
+        reached.push(discovered.len());
     }
     // The last frontier was recorded but never expanded: its members are
-    // leaves. frontier_sizes has hops+1 entries, one per discovery depth.
-    debug_assert_eq!(frontier_sizes.len(), hops + 1);
+    // leaves with no row.
+    let expanded = row_ptr.len() - 1;
+    debug_assert_eq!(expanded, reached[hops - 1]);
 
     // Assign locals in ascending global order (bit-identity depends on
-    // this: per-row source order must match the full graph's).
-    let mut locals: Vec<VId> = discovered.keys().copied().collect();
+    // this: per-row source order must match the full graph's), reading
+    // each vertex's discovery index before its mark takes the local ID.
+    let sub_n = discovered.len();
+    let local_base = base + sub_n as u32;
+    let mut locals = discovered.clone();
     locals.sort_unstable();
-    let local_of = |g: VId| -> VId {
-        locals.binary_search(&g).expect("sampled vertex in locals") as VId
-    };
-
-    // Build the destination-major CSR over local IDs. Rows were produced
-    // per expanded vertex; leaves keep empty rows.
-    let sub_n = locals.len();
-    let mut local_rows: Vec<Vec<VId>> = vec![Vec::new(); sub_n];
-    for (dst, srcs) in rows {
-        let l = local_of(dst) as usize;
-        let row: &mut Vec<VId> = &mut local_rows[l];
-        debug_assert!(row.is_empty(), "vertex expanded twice");
-        row.extend(srcs.iter().map(|&u| local_of(u)));
-        // Globals were sorted and the local map is order-preserving, so the
-        // row is already strictly increasing.
+    let mut depths = Vec::with_capacity(sub_n);
+    for (l, &g) in locals.iter().enumerate() {
+        let mark = &mut marks[g as usize];
+        let k = *mark - base;
+        order.push(k);
+        let depth = reached.partition_point(|&r| r <= k as usize);
+        depths.push(depth.min(u8::MAX as usize) as u8);
+        *mark = local_base + l as u32;
     }
+    *next = local_base + sub_n as u32;
+    let local_of = |g: VId| marks[g as usize] - local_base;
+
+    // Emit the destination-major CSR in local order straight from the
+    // flat rows. Globals ascend within a row and the local map preserves
+    // order, so each row stays strictly increasing.
     let mut indptr = Vec::with_capacity(sub_n + 1);
     indptr.push(0usize);
-    let mut indices: Vec<VId> = Vec::new();
-    for row in &local_rows {
-        indices.extend_from_slice(row);
+    let mut indices: Vec<VId> = Vec::with_capacity(edges.len());
+    for &k in order.iter() {
+        let k = k as usize;
+        if k < expanded {
+            let row = &edges[row_ptr[k]..row_ptr[k + 1]];
+            indices.extend(row.iter().map(|&u| local_of(u)));
+        }
         indptr.push(indices.len());
     }
     // Subgraph ingest goes through the fallible constructor: the sampler
@@ -415,15 +579,12 @@ pub fn sample_subgraph(
         Ok(c) => c,
         Err(e) => unreachable!("sampler produced invalid CSR: {e}"),
     };
-    let graph = Graph::from_csr(in_csr);
-
-    let seed_locals: Vec<VId> = seeds.iter().map(|&s| local_of(s)).collect();
-    let depths = locals
-        .iter()
-        .map(|g| discovered[g].min(u8::MAX as usize) as u8)
+    let seed_locals = seeds.iter().map(|&s| local_of(s)).collect();
+    let frontier_sizes = std::iter::once(reached[0])
+        .chain(reached.windows(2).map(|w| w[1] - w[0]))
         .collect();
     Ok(SampledSubgraph {
-        graph,
+        graph: Graph::from_csr(in_csr),
         locals,
         seed_locals,
         frontier_sizes,
@@ -435,6 +596,145 @@ pub fn sample_subgraph(
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
+    use std::sync::Mutex;
+
+    /// Sample up to `fanout` entries of `row` into `out` (global IDs,
+    /// unsorted, possibly duplicated when `replace`).
+    fn sample_row(row: &[VId], fanout: usize, replace: bool, rng: &mut KeyedRng, out: &mut Vec<VId>) {
+        if fanout >= row.len() {
+            out.extend_from_slice(row);
+            return;
+        }
+        if replace {
+            for _ in 0..fanout {
+                out.push(row[rng.gen_range(row.len())]);
+            }
+        } else {
+            // Partial Fisher–Yates: the first `fanout` positions of a uniform
+            // shuffle are a uniform subset.
+            let mut pool: Vec<VId> = row.to_vec();
+            for i in 0..fanout {
+                let j = i + rng.gen_range(pool.len() - i);
+                pool.swap(i, j);
+                out.push(pool[i]);
+            }
+        }
+    }
+
+    /// The sampler before [`SampleScratch`]: a `HashMap` of discovery
+    /// depths, one `Vec` per expanded row, and a binary search per edge. The
+    /// scratch sampler must reproduce it field for field.
+    fn sample_subgraph_oracle(
+        graph: &Graph,
+        seeds: &[VId],
+        cfg: &SampleConfig,
+    ) -> Result<SampledSubgraph, SampleError> {
+        let n = graph.num_vertices();
+        if seeds.is_empty() {
+            return Err(SampleError::NoSeeds);
+        }
+        if cfg.fanouts.is_empty() {
+            return Err(SampleError::NoHops);
+        }
+        for &s in seeds {
+            if (s as usize) >= n {
+                return Err(SampleError::SeedOutOfRange { seed: s, vertices: n });
+            }
+        }
+        let hops = cfg.fanouts.len();
+
+        // Hop each vertex was first reached at, keyed by global ID.
+        let mut discovered: std::collections::HashMap<VId, usize> = std::collections::HashMap::new();
+        let mut frontier: Vec<VId> = Vec::new();
+        for &s in seeds {
+            if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(s) {
+                e.insert(0);
+                frontier.push(s);
+            }
+        }
+        let mut frontier_sizes = vec![frontier.len()];
+
+        // Sampled in-edges per expanded destination, in global IDs.
+        let mut rows: Vec<(VId, Vec<VId>)> = Vec::new();
+        let mut scratch: Vec<VId> = Vec::new();
+
+        for (hop, &fanout) in cfg.fanouts.iter().enumerate() {
+            let mut next: Vec<VId> = Vec::new();
+            for &v in &frontier {
+                scratch.clear();
+                let row = graph.in_csr().row(v);
+                if !row.is_empty() && fanout > 0 {
+                    let mut rng = KeyedRng::new(cfg.seed, hop, v);
+                    sample_row(row, fanout, cfg.replace, &mut rng, &mut scratch);
+                }
+                // Dedup (with-replacement draws repeat) and fix the row order.
+                scratch.sort_unstable();
+                scratch.dedup();
+                for &u in &scratch {
+                    if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(u) {
+                        e.insert(hop + 1);
+                        next.push(u);
+                    }
+                }
+                rows.push((v, std::mem::take(&mut scratch)));
+            }
+            frontier_sizes.push(next.len());
+            frontier = next;
+        }
+        // The last frontier was recorded but never expanded: its members are
+        // leaves. frontier_sizes has hops+1 entries, one per discovery depth.
+        debug_assert_eq!(frontier_sizes.len(), hops + 1);
+
+        // Assign locals in ascending global order (bit-identity depends on
+        // this: per-row source order must match the full graph's).
+        let mut locals: Vec<VId> = discovered.keys().copied().collect();
+        locals.sort_unstable();
+        let local_of = |g: VId| -> VId {
+            locals.binary_search(&g).expect("sampled vertex in locals") as VId
+        };
+
+        // Build the destination-major CSR over local IDs. Rows were produced
+        // per expanded vertex; leaves keep empty rows.
+        let sub_n = locals.len();
+        let mut local_rows: Vec<Vec<VId>> = vec![Vec::new(); sub_n];
+        for (dst, srcs) in rows {
+            let l = local_of(dst) as usize;
+            let row: &mut Vec<VId> = &mut local_rows[l];
+            debug_assert!(row.is_empty(), "vertex expanded twice");
+            row.extend(srcs.iter().map(|&u| local_of(u)));
+            // Globals were sorted and the local map is order-preserving, so the
+            // row is already strictly increasing.
+        }
+        let mut indptr = Vec::with_capacity(sub_n + 1);
+        indptr.push(0usize);
+        let mut indices: Vec<VId> = Vec::new();
+        for row in &local_rows {
+            indices.extend_from_slice(row);
+            indptr.push(indices.len());
+        }
+        // Subgraph ingest goes through the fallible constructor: the sampler
+        // upholds the invariants, but a violation here must name itself rather
+        // than crash a serving worker with an index panic.
+        let in_csr = match Csr::try_new(sub_n, sub_n, indptr, indices) {
+            Ok(c) => c,
+            Err(e) => unreachable!("sampler produced invalid CSR: {e}"),
+        };
+        let graph = Graph::from_csr(in_csr);
+
+        let seed_locals: Vec<VId> = seeds.iter().map(|&s| local_of(s)).collect();
+        let depths = locals
+            .iter()
+            .map(|g| discovered[g].min(u8::MAX as usize) as u8)
+            .collect();
+        Ok(SampledSubgraph {
+            graph,
+            locals,
+            seed_locals,
+            frontier_sizes,
+            depths,
+        })
+    }
 
     fn line_graph() -> Graph {
         // 0 -> 1 -> 2 -> 3 -> 4
@@ -644,5 +944,122 @@ mod tests {
         let sub = sample_subgraph(&g, &[1, 2], &SampleConfig::new(vec![4, 4], 3)).unwrap();
         assert!(sub.mem_bytes() >= sub.graph().mem_bytes());
         assert!(sub.mem_bytes() > 0);
+    }
+
+    /// Every field a caller can read, compared between two samples.
+    fn same(a: &SampledSubgraph, b: &SampledSubgraph) -> bool {
+        a.locals() == b.locals()
+            && a.graph().in_csr() == b.graph().in_csr()
+            && a.depths() == b.depths()
+            && a.frontier_sizes() == b.frontier_sizes()
+            && a.seed_locals() == b.seed_locals()
+    }
+
+    fn fanout() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), Just(FULL_FANOUT), 1usize..12]
+    }
+
+    /// Random graphs (isolated vertices and edgeless graphs included),
+    /// seed lists with duplicates, 1–3 hops of mixed fanouts, both draw
+    /// modes.
+    fn cases() -> impl Strategy<Value = (Graph, Vec<VId>, SampleConfig)> {
+        (1usize..80).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n),
+                proptest::collection::vec(0..n as u32, 1..8),
+                proptest::collection::vec(fanout(), 1..4),
+                any::<bool>(),
+                0u64..u64::MAX,
+            )
+                .prop_map(move |(edges, seeds, fanouts, replace, seed)| {
+                    let cfg = SampleConfig {
+                        fanouts,
+                        replace,
+                        seed,
+                    };
+                    (Graph::from_edges(n, &edges), seeds, cfg)
+                })
+        })
+    }
+
+    /// One scratch for every case, so `|V|` shrinks and grows under it.
+    static SHARED: Mutex<SampleScratch> = Mutex::new(SampleScratch::new());
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn scratch_sampler_matches_the_oracle((g, seeds, cfg) in cases()) {
+            let want = sample_subgraph_oracle(&g, &seeds, &cfg).unwrap();
+            let shared = {
+                let mut scratch = SHARED.lock().unwrap();
+                sample_subgraph_with(&mut scratch, &g, &seeds, &cfg).unwrap()
+            };
+            prop_assert!(same(&shared, &want), "shared scratch: {seeds:?} {cfg:?}");
+            let fresh = sample_subgraph(&g, &seeds, &cfg).unwrap();
+            prop_assert!(same(&fresh, &want), "fresh scratch: {seeds:?} {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn mark_wrap_clears_stale_stamps() {
+        let g = generators::uniform(200, 6, 3);
+        let cfg = SampleConfig::new(vec![4, 4], 5);
+        let seeds = [1, 50, 120];
+        let want = sample_subgraph_oracle(&g, &seeds, &cfg).unwrap();
+        let mut scratch = SampleScratch::new();
+        // The first call marks this neighborhood with the lowest values;
+        // after a wrap they are live again and must not read as this call's.
+        let first = sample_subgraph_with(&mut scratch, &g, &seeds, &cfg).unwrap();
+        assert!(same(&first, &want));
+        let used = scratch.next - 1;
+        assert_eq!(used as usize, 2 * first.num_vertices());
+        // One call still fits below u32::MAX, the next wraps; starting at
+        // u32::MAX - 1, the first call wraps.
+        for start in [u32::MAX - 2 * 200 - 1, u32::MAX - 1] {
+            scratch.next = start;
+            for call in 0..3 {
+                let got = sample_subgraph_with(&mut scratch, &g, &seeds, &cfg).unwrap();
+                assert!(same(&got, &want), "start {start} call {call}");
+            }
+            assert!(scratch.next < start, "start {start}: the marks wrapped");
+        }
+    }
+
+    #[test]
+    fn rejected_requests_stamp_nothing() {
+        let g = generators::uniform(100, 5, 2);
+        let big = generators::uniform(500, 5, 2);
+        let cfg = SampleConfig::new(vec![3, 3], 9);
+        let mut scratch = SampleScratch::new();
+        sample_subgraph_with(&mut scratch, &g, &[1, 2], &cfg).unwrap();
+        let (next, marks, bytes) = (scratch.next, scratch.marks.clone(), scratch.mem_bytes());
+        let rejected: [(&Graph, &[VId], SampleConfig); 4] = [
+            (&g, &[3, 100], cfg.clone()),
+            (&big, &[7, 500], cfg.clone()),
+            (&big, &[], cfg.clone()),
+            (&big, &[7], SampleConfig::new(vec![], 9)),
+        ];
+        for (graph, seeds, cfg) in &rejected {
+            let err = sample_subgraph_with(&mut scratch, graph, seeds, cfg).unwrap_err();
+            let want = sample_subgraph_oracle(graph, seeds, cfg).unwrap_err();
+            assert_eq!(err, want, "{seeds:?}");
+        }
+        assert_eq!(scratch.next, next);
+        assert_eq!(scratch.marks, marks);
+        assert_eq!(scratch.mem_bytes(), bytes);
+        let next = sample_subgraph_with(&mut scratch, &g, &[1, 2, 3], &cfg).unwrap();
+        assert!(same(&next, &sample_subgraph_oracle(&g, &[1, 2, 3], &cfg).unwrap()));
+    }
+
+    #[test]
+    fn scratch_bytes_cover_the_largest_graph() {
+        let mut scratch = SampleScratch::new();
+        assert_eq!(scratch.mem_bytes(), 0);
+        let cfg = SampleConfig::new(vec![2], 0);
+        sample_subgraph_with(&mut scratch, &generators::uniform(300, 4, 1), &[0], &cfg).unwrap();
+        let bytes = scratch.mem_bytes();
+        assert!(bytes >= 300 * std::mem::size_of::<u32>() as u64);
+        sample_subgraph_with(&mut scratch, &generators::uniform(30, 4, 1), &[0], &cfg).unwrap();
+        assert_eq!(scratch.marks.len(), 300, "a smaller graph reuses the prefix");
     }
 }

@@ -45,9 +45,12 @@
 //! from a table the registration computes over every vertex on its first
 //! sampled job ([`Model::layer0_table`]) and keeps beside its logits; a
 //! request recomputes only its overridden rows. A job keeps nothing of its
-//! own: a backend's plans embed the partitioned graph they were compiled
-//! on, every request samples different blocks, so it builds a fresh backend
-//! per block graph and each plan picks its own schedule.
+//! own: a backend's plans embed the graph they were compiled on, every
+//! request samples different blocks, so it builds a fresh backend per block
+//! graph and each plan picks its own schedule. What outlives a job is its
+//! worker's sampler scratch (`fg_graph::SampleScratch`, an epoch-stamped
+//! array over the `|V|` of the largest graph it has sampled, plus flat
+//! buffers), charged to the `sampling` component for the worker's lifetime.
 //!
 //! **Completion.** Every job — answered, failed or timed out — ends in one
 //! `complete`: phase samples (the rule for which is stated there), latency
@@ -65,9 +68,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
-use fg_gnn::sampled::{gather_rows, prepare_seeds};
+use fg_gnn::sampled::{gather_rows, prepare_seeds_with};
 use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph, LayerInput, SampledBlocks};
-use fg_graph::{SampleConfig, FULL_FANOUT};
+use fg_graph::{SampleConfig, SampleScratch, FULL_FANOUT};
 use fg_telemetry::{
     counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
     TraceContext, TraceSampler, TraceScope,
@@ -384,8 +387,9 @@ impl Engine {
                 std::thread::Builder::new()
                     .name(format!("fgserve-worker-{i}"))
                     .spawn(move || {
+                        let mut scratch = WorkerScratch::new();
                         while let Some(job) = shared.batcher.pop() {
-                            execute(&shared, job);
+                            execute(&shared, job, &mut scratch);
                         }
                     })
                     .expect("spawn worker")
@@ -822,7 +826,7 @@ type Outcome = Result<Answer, ServeError>;
 
 /// Run one job: expire it if its deadline passed while it queued, else
 /// answer it from its view.
-fn execute(shared: &Shared, job: Job) {
+fn execute(shared: &Shared, job: Job, scratch: &mut WorkerScratch) {
     let pulled = Instant::now();
     let _scope = TraceScope::enter(job.trace);
     let _span = span!("serve/batch", "rows={}", job.rows.len());
@@ -855,7 +859,9 @@ fn execute(shared: &Shared, job: Job) {
     let entry = &*job.entry;
     let outcome = match &job.view {
         View::Full => Ok(read_rows(shared, entry, &job.rows)),
-        View::Sampled { cfg, feats } => run_sampled(shared, entry, &job.rows, cfg, feats.as_ref()),
+        View::Sampled { cfg, feats } => {
+            run_sampled(shared, scratch, entry, &job.rows, cfg, feats.as_ref())
+        }
     };
     complete(shared, job, pulled, batch_form, outcome);
 }
@@ -918,15 +924,36 @@ fn fill_table(entry: &ModelEntry) -> Option<Vec<Dense2<f32>>> {
     entry.model.layer0_table(&features)
 }
 
-/// One `Sampled` view: sample the neighborhood of `seeds` and cut it into
-/// per-layer blocks, gather layer 0's rows (with `feats` replacing the
-/// seeds' own), run the model over the blocks and return the seed rows.
-/// Nothing is kept but the registration's layer-0 table, which the first
-/// sampled job fills (inside its `sample` phase): a backend is bound to the
-/// first graph it sees, the blocks are this request's alone, and each plan
-/// picks its own schedule from them (plan building is part of `execute`).
+/// What a worker keeps across jobs: its sampler scratch, which grows to the
+/// `|V|` of the largest graph it has sampled, charged to the `sampling`
+/// memory component for the worker's lifetime.
+struct WorkerScratch {
+    sample: SampleScratch,
+    charge: MemCharge,
+}
+
+impl WorkerScratch {
+    fn new() -> Self {
+        Self {
+            sample: SampleScratch::new(),
+            charge: MemCharge::new(MemComponent::Sampling, 0),
+        }
+    }
+}
+
+/// One `Sampled` view: sample the neighborhood of `seeds` through the
+/// worker's scratch and cut it into per-layer blocks, gather layer 0's rows
+/// (with `feats` replacing the seeds' own), run the model over the blocks
+/// and return the seed rows. Everything the request builds is proportional
+/// to its subgraph and dropped with it. Besides the scratch, nothing is kept
+/// but the registration's layer-0 table, which the first sampled job fills
+/// (inside its `sample` phase). Each block gets its own backend, bound to
+/// the block, and each plan picks its schedule from the block's size: a
+/// block that fits in cache compiles one partition, a copy of the block's
+/// CSR, and no thread probe (plan building is part of `execute`).
 fn run_sampled(
     shared: &Shared,
+    scratch: &mut WorkerScratch,
     entry: &ModelEntry,
     seeds: &[usize],
     cfg: &SampleConfig,
@@ -938,8 +965,9 @@ fn run_sampled(
     let sample_start = Instant::now();
     let (sub, blocks) = {
         let _sample_span = span!("serve/sample", "model={model_name} seeds={}", seeds.len());
-        let (sub, sub_gnn) = prepare_seeds(&entry.graph, seeds, cfg)
+        let (sub, sub_gnn) = prepare_seeds_with(&mut scratch.sample, &entry.graph, seeds, cfg)
             .map_err(|e| ServeError::Infer(e.to_string()))?;
+        scratch.charge.set_bytes(scratch.sample.mem_bytes());
         let blocks = SampledBlocks::new(&sub, sub_gnn, model.num_layers());
         (sub, blocks)
     };

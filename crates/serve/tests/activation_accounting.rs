@@ -4,12 +4,16 @@
 //! per head once a GAT registration's first sampled request fills its
 //! layer-0 table; unmoved by later row reads and sampled requests, credited
 //! when a replaced entry or the engine drops. The fill's compiled plans are
-//! charged to `plan_cache` only while the fill runs. The accountant is
-//! process-wide, so this binary holds a single test and nothing else
-//! charges either component while it runs.
+//! charged to `plan_cache` only while the fill runs. The `sampling`
+//! component holds each worker's sampler scratch, charged once for the
+//! worker's lifetime, and nothing of any finished request. The accountant
+//! is process-wide, so this binary holds a single test and nothing else
+//! charges these components while it runs.
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
+use fg_gnn::prepare_seeds_with;
+use fg_graph::{SampleConfig, SampleScratch};
 use fg_serve::{Engine, InferRequest, InferSeedsRequest, ServeConfig};
 use fg_telemetry::{mem_current, mem_peak, MemComponent};
 
@@ -111,4 +115,36 @@ fn activation_charges_follow_what_registrations_keep() {
     assert_eq!(activations(), 2 * one + table);
     drop(engine);
     assert_eq!(activations(), 0, "entries credit on engine drop");
+    let sampling = || mem_current(MemComponent::Sampling);
+    assert_eq!(sampling(), 0, "workers credit their scratch on engine drop");
+
+    // One worker: after every sampled request, `sampling` is exactly its
+    // scratch, which the same requests replayed through one scratch
+    // reproduce; no request leaves a byte behind.
+    let engine = Engine::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let model = build_model("gcn", task.in_dim(), HIDDEN, task.num_classes, 3);
+    engine.register_model("s", model, task.graph.clone(), task.features.clone());
+    let mut replay = SampleScratch::new();
+    for round in 0..30usize {
+        let seeds = vec![(round * 37) % 400, 5, (round * 11) % 400];
+        let fanouts = vec![2 + round % 5, 3];
+        let req = InferSeedsRequest {
+            model: "s".into(),
+            seeds: seeds.clone(),
+            fanouts: Some(fanouts.clone()),
+            sample_seed: round as u64,
+            feats: None,
+            deadline: None,
+        };
+        engine.infer_seeds(req).expect("sampled");
+        let cfg = SampleConfig::new(fanouts, round as u64);
+        prepare_seeds_with(&mut replay, &task.graph, &seeds, &cfg).expect("replay");
+        assert_eq!(sampling(), replay.mem_bytes(), "round {round}");
+    }
+    assert!(sampling() >= 400 * 4, "the scratch covers every vertex");
+    drop(engine);
+    assert_eq!(sampling(), 0, "the worker's scratch credits on engine drop");
 }

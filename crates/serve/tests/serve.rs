@@ -714,6 +714,19 @@ fn memory_wire_command_reports_per_component_breakdown() {
         let reply = send_recv(&mut writer, &mut reader, &format!("INFER gcn {}", i % vertices));
         assert!(reply.starts_with("OK "), "{reply}");
     }
+    // A burst of sampled requests: the workers that served them keep their
+    // sampler scratch (one `u32` mark per vertex), charged to `sampling`.
+    for i in 0..16 {
+        let req = InferSeedsRequest {
+            model: "gcn".into(),
+            seeds: vec![i % vertices, (i * 31 + 7) % vertices],
+            fanouts: Some(vec![4, 4]),
+            sample_seed: i as u64,
+            feats: None,
+            deadline: None,
+        };
+        handle.engine().infer_seeds(req).expect("sampled");
+    }
 
     let header = send_recv(&mut writer, &mut reader, "MEMORY");
     let n: usize = header
@@ -730,7 +743,7 @@ fn memory_wire_command_reports_per_component_breakdown() {
         assert!(entry.starts_with("MEM "), "{entry}");
         lines.push(entry);
     }
-    for component in ["graph_topology", "serve_batch", "plan_cache", "activations"] {
+    for component in ["graph_topology", "serve_batch", "plan_cache", "activations", "sampling"] {
         let line = lines
             .iter()
             .find(|l| l.contains(&format!("component={component}")))
@@ -761,6 +774,18 @@ fn memory_wire_command_reports_per_component_breakdown() {
         .expect("graph_topology snapshot");
     assert!(topo.current > 0, "registered graph topology must be charged");
     assert!(report.total_peak >= report.total_current);
+    // The accountant is process-wide and other tests run alongside, so this
+    // is a floor; `tests/activation_accounting.rs` pins the exact bytes.
+    let sampling = report
+        .components
+        .iter()
+        .find(|c| c.component.name() == "sampling")
+        .expect("sampling snapshot");
+    assert!(
+        sampling.current >= (vertices * std::mem::size_of::<u32>()) as u64,
+        "a worker's sampler scratch is charged while it lives: {}",
+        sampling.current
+    );
 
     handle.shutdown();
 }

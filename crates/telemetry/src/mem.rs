@@ -294,6 +294,17 @@ impl MemCharge {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+
+    /// Move the charge to `bytes`, charging growth or crediting shrinkage:
+    /// for a long-lived structure whose guard lives as long as it does.
+    pub fn set_bytes(&mut self, bytes: u64) {
+        if bytes >= self.bytes {
+            mem_charge(self.component, bytes - self.bytes);
+        } else {
+            mem_credit(self.component, self.bytes - bytes);
+        }
+        self.bytes = bytes;
+    }
 }
 
 impl Drop for MemCharge {
@@ -400,6 +411,15 @@ mod tests {
         }
         assert_eq!(mem_current(MemComponent::PlanCache), 0);
         assert_eq!(mem_peak(MemComponent::PlanCache), 4096);
+        {
+            let mut charge = MemCharge::new(MemComponent::Sampling, 100);
+            charge.set_bytes(300);
+            assert_eq!(mem_current(MemComponent::Sampling), 300);
+            charge.set_bytes(50);
+            assert_eq!((charge.bytes(), mem_current(MemComponent::Sampling)), (50, 50));
+            assert_eq!(mem_peak(MemComponent::Sampling), 300);
+        }
+        assert_eq!(mem_current(MemComponent::Sampling), 0);
         reset_mem();
     }
 
