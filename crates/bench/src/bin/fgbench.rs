@@ -1015,10 +1015,11 @@ fn serve_bench(args: &Args, rep: &mut Report) {
         ..ServeConfig::default()
     }));
     let task = SbmTask::generate(n, 4, 16, 4, 33);
-    let vertices = task.graph.num_vertices();
+    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
+    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
     for name in ["gcn", "graphsage", "gat"] {
-        let model = build_model(name, task.in_dim(), 32, task.num_classes, 1);
-        engine.register_model(name, model, task.graph.clone(), task.features.clone());
+        let model = build_model(name, in_dim, 32, task.num_classes, 1);
+        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
     }
     for name in ["gcn", "graphsage", "gat"] {
         let t0 = Instant::now();
@@ -1110,8 +1111,8 @@ fn wire_bench(args: &Args, rep: &mut Report) {
     // dominates protocol cost rather than the forward pass (fanout 1,1
     // keeps sampled subgraphs tiny for the same reason).
     let task = SbmTask::generate(n, 4, 8, 252, 33);
-    let d = task.in_dim();
-    let vertices = task.graph.num_vertices();
+    let (d, vertices) = (task.in_dim(), task.graph.num_vertices());
+    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
     println!(
         "\n--- wire: {CLIENTS} clients x {per_client} INFER_SEEDS requests \
          ({SEEDS} seeds x {d} feat cols each), text vs binary protocol ---"
@@ -1128,7 +1129,7 @@ fn wire_bench(args: &Args, rep: &mut Report) {
             ..ServeConfig::default()
         }));
         let model = build_model("gcn", d, 32, task.num_classes, 1);
-        engine.register_model("gcn", model, task.graph.clone(), task.features.clone());
+        engine.register_model("gcn", model, Arc::clone(&graph), Arc::clone(&features));
         let server = serve(engine, "127.0.0.1:0").expect("bind loopback");
         let addr = server.addr();
         let binary = proto == "binary";
@@ -1331,10 +1332,11 @@ fn sample_bench(args: &Args, rep: &mut Report) {
         ..ServeConfig::default()
     }));
     let task = SbmTask::generate(n, 4, 16, 4, 33);
-    let vertices = task.graph.num_vertices();
+    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
+    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
     for name in ["gcn", "graphsage", "gat"] {
-        let model = build_model(name, task.in_dim(), 32, task.num_classes, 1);
-        engine.register_model(name, model, task.graph.clone(), task.features.clone());
+        let model = build_model(name, in_dim, 32, task.num_classes, 1);
+        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
     }
 
     // Power-law popularity: squaring a uniform draw concentrates requests
@@ -1503,12 +1505,13 @@ fn mem_bench(args: &Args, rep: &mut Report) {
         let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::Features);
         SbmTask::generate(n, 4, 16, 4, 33)
     };
-    let vertices = task.graph.num_vertices();
+    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
+    // One dataset, as fgserve holds it: both models share the graph and the
+    // feature matrix.
+    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
     for name in ["gcn", "gat"] {
-        let model = build_model(name, task.in_dim(), 32, task.num_classes, 1);
-        // The per-model feature clone is a Features allocation too.
-        let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::Features);
-        engine.register_model(name, model, task.graph.clone(), task.features.clone());
+        let model = build_model(name, in_dim, 32, task.num_classes, 1);
+        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
     }
     for i in 0..64usize {
         let model = if i % 2 == 0 { "gcn" } else { "gat" };

@@ -14,12 +14,13 @@ use fg_tensor::Dense2;
 /// graph with edge features permuted into its canonical order.
 ///
 /// Only the backward pass reads the reverse orientation, so it is built on
-/// the first [`rev`](Self::rev) call: inference (full, sampled or sharded)
-/// never pays for the transpose, training pays once.
+/// the first [`rev`](Self::rev) or [`rev_eids`](Self::rev_eids) call, as one
+/// transpose of the forward CSR: inference (full, sampled or sharded) never
+/// pays for it, training pays once.
 #[derive(Debug, Clone)]
 pub struct GnnGraph {
     fwd: Graph,
-    rev: OnceLock<Graph>,
+    rev: OnceLock<(Graph, Vec<EId>)>,
     in_degrees: Vec<u32>,
 }
 
@@ -44,11 +45,16 @@ impl GnnGraph {
     /// The reverse graph, built on first use (concurrent first callers
     /// block on one build and see the same graph).
     pub fn rev(&self) -> &Graph {
+        &self.reversed().0
+    }
+
+    /// The reverse graph's canonical (dst-major) order sorts by (rev dst,
+    /// rev src) = (fwd src, fwd dst): that is the forward CSR's transpose,
+    /// row by row, and the transpose's positions are forward edge IDs.
+    fn reversed(&self) -> &(Graph, Vec<EId>) {
         self.rev.get_or_init(|| {
-            let rev_edges: Vec<(u32, u32)> = self.fwd.edges().map(|(s, d, _)| (d, s)).collect();
-            let rev = Graph::from_edges(self.fwd.num_vertices(), &rev_edges);
-            debug_assert_eq!(rev.num_edges(), self.fwd.num_edges());
-            rev
+            let (in_csr, rev_eids) = self.fwd.in_csr().transpose_with_positions();
+            (Graph::from_csr(in_csr), rev_eids)
         })
     }
 
@@ -69,19 +75,20 @@ impl GnnGraph {
 
     /// Map of reverse canonical edge IDs to forward edge IDs:
     /// `rev_eids()[k]` is the forward edge ID of the reverse graph's edge
-    /// `k`. The reverse graph's canonical (dst-major) order sorts by
-    /// (rev dst, rev src) = (fwd src, fwd dst) — exactly the forward graph's
-    /// out-CSR order, whose positions map to forward edge IDs via `out_eids`.
+    /// `k`. Built with the reverse graph.
     pub fn rev_eids(&self) -> &[EId] {
-        self.fwd.out_eids()
+        &self.reversed().1
     }
 
     /// Heap footprint of the topology in bytes as of now: the forward
-    /// graph (which owns the edge-ID map), the degree array, and the reverse
-    /// graph once [`rev`](Self::rev) has built it.
+    /// graph, the degree array, and the reverse graph with its edge-ID map
+    /// once [`rev`](Self::rev) or [`rev_eids`](Self::rev_eids) has built
+    /// them.
     pub fn mem_bytes(&self) -> u64 {
         self.fwd.mem_bytes()
-            + self.rev.get().map_or(0, Graph::mem_bytes)
+            + self.rev.get().map_or(0, |(rev, eids)| {
+                rev.mem_bytes() + (eids.len() * std::mem::size_of::<EId>()) as u64
+            })
             + (self.in_degrees.len() * std::mem::size_of::<u32>()) as u64
     }
 
@@ -110,20 +117,62 @@ impl GnnGraph {
 mod tests {
     use super::*;
     use fg_graph::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn reverse_graph_is_built_on_first_use_and_counted_from_then_on() {
         let fwd = generators::uniform(60, 4, 7);
-        let forward_only = fwd.mem_bytes() + 60 * 4;
+        let forward_only = fwd.in_csr().mem_bytes() + 60 * 4;
         let g = GnnGraph::new(fwd);
         assert_eq!(g.mem_bytes(), forward_only, "new() builds no reverse graph");
-        // The edge-ID map is the forward graph's; reading it builds nothing.
-        assert_eq!(g.rev_eids().len(), g.num_edges());
-        assert_eq!(g.mem_bytes(), forward_only);
-        let rev_bytes = g.rev().mem_bytes();
-        assert_eq!(g.mem_bytes(), forward_only + rev_bytes);
+        // The edge-ID map lives with the reverse graph: reading it builds
+        // both, and the forward graph's own transpose is never built.
+        let eid_bytes = (g.rev_eids().len() * 4) as u64;
+        assert_eq!(eid_bytes, g.num_edges() as u64 * 4);
+        let rev_bytes = g.rev().in_csr().mem_bytes();
+        assert_eq!(
+            g.rev().mem_bytes(),
+            rev_bytes,
+            "the reverse graph's transpose is unbuilt"
+        );
+        assert_eq!(g.mem_bytes(), forward_only + rev_bytes + eid_bytes);
         // A clone taken after the build carries the built graph.
-        assert_eq!(g.clone().mem_bytes(), forward_only + rev_bytes);
+        assert_eq!(g.clone().mem_bytes(), forward_only + rev_bytes + eid_bytes);
+    }
+
+    /// The reverse graph as it was first built: every edge flipped through
+    /// an edge list and sorted, with each reverse edge's forward ID found by
+    /// searching the forward CSR.
+    fn reversed_oracle(fwd: &Graph) -> (Graph, Vec<EId>) {
+        let rev_edges: Vec<(u32, u32)> = fwd.edges().map(|(s, d, _)| (d, s)).collect();
+        let rev = Graph::from_edges(fwd.num_vertices(), &rev_edges);
+        let eids = rev
+            .edges()
+            .map(|(rsrc, rdst, _)| {
+                let row = fwd.in_csr().row(rsrc);
+                let at = row
+                    .binary_search(&rdst)
+                    .expect("reverse edge is a forward edge");
+                (fwd.in_csr().row_start(rsrc) + at) as EId
+            })
+            .collect();
+        (rev, eids)
+    }
+
+    proptest! {
+        #[test]
+        fn reverse_graph_matches_the_edge_list_build(
+            (n, edges) in (1usize..40).prop_flat_map(|n| {
+                (Just(n), proptest::collection::vec((0..n as u32, 0..n as u32), 0..160))
+            })
+        ) {
+            // Generated edges include self-loops, duplicates, isolated
+            // vertices and (at length 0) the edgeless graph.
+            let g = GnnGraph::new(Graph::from_edges(n, &edges));
+            let (rev, eids) = reversed_oracle(g.fwd());
+            prop_assert_eq!(g.rev().in_csr(), rev.in_csr());
+            prop_assert_eq!(g.rev_eids(), &eids[..]);
+        }
     }
 
     #[test]

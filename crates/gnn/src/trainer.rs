@@ -373,7 +373,15 @@ mod tests {
         );
         let trained = task.graph.mem_bytes();
         assert!(trained > forward_only, "one training step builds rev()");
-        assert_eq!(trained, forward_only + task.graph.rev().mem_bytes());
+        // The reverse graph holds one CSR (its own transpose stays unbuilt)
+        // and carries the edge-ID map; the forward graph's transpose is
+        // never built.
+        let rev = task.graph.rev();
+        assert_eq!(rev.mem_bytes(), rev.in_csr().mem_bytes());
+        let eid_bytes = task.graph.num_edges() as u64 * 4;
+        assert_eq!(trained, forward_only + rev.mem_bytes() + eid_bytes);
+        let fwd = task.graph.fwd();
+        assert_eq!(fwd.mem_bytes(), fwd.in_csr().mem_bytes());
     }
 
     #[test]

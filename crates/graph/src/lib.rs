@@ -9,7 +9,8 @@
 //!   checked construction and conversions. By convention a [`Graph`] stores
 //!   the adjacency in *destination-major* CSR (row `v` lists the sources
 //!   `u ∈ N_in(v)`), which is the orientation generalized SpMM aggregates
-//!   over, plus the transposed (source-major) view for push-style traversal.
+//!   over; the transposed (source-major) view for push-style traversal is
+//!   built on its first read.
 //! * [`generators`] — deterministic synthetic graphs: uniform, power-law
 //!   (Chung–Lu style), stochastic block model, the paper's `rand-100K`
 //!   two-tier-degree graph, and scaled stand-ins for `ogbn-proteins` and
@@ -26,6 +27,8 @@
 //! * [`stats`] — degree/sparsity statistics (drives Table II and the cost
 //!   models).
 //! * [`io`] — edge-list and MatrixMarket loaders for user-supplied graphs.
+
+use std::sync::OnceLock;
 
 pub mod coo;
 pub mod csr;
@@ -56,31 +59,29 @@ pub type VId = u32;
 /// Edge identifier (position in the canonical destination-major CSR order).
 pub type EId = u32;
 
-/// A directed graph with both adjacency orientations materialized.
+/// A directed graph stored in its aggregation orientation, with the
+/// transposed view built on first use.
 ///
 /// * `in_csr`: destination-major — row `v` holds in-neighbors of `v`. This is
 ///   the adjacency-matrix orientation of Eq. (3); edge IDs are defined as
 ///   positions in this CSR.
 /// * `out_csr`: source-major — row `u` holds out-neighbors of `u`, and the
 ///   parallel `out_eids` array maps each position to its canonical edge ID.
+///   Only push-style readers (Ligra, out-degrees, reordering) need it, so the
+///   first [`out_csr`](Self::out_csr), [`out_eids`](Self::out_eids) or
+///   [`out_degree`](Self::out_degree) call builds both (concurrent first
+///   callers block on one build and see the same arrays).
 #[derive(Debug, Clone)]
 pub struct Graph {
     in_csr: Csr,
-    out_csr: Csr,
-    out_eids: Vec<EId>,
+    out: OnceLock<(Csr, Vec<EId>)>,
 }
 
 impl Graph {
     /// Build from an edge list. Edges are deduplicated and sorted into the
     /// canonical order; self-loops are allowed.
     pub fn from_coo(coo: Coo) -> Self {
-        let in_csr = coo.to_csr_dst_major();
-        let (out_csr, out_eids) = in_csr.transpose_with_positions();
-        Self {
-            in_csr,
-            out_csr,
-            out_eids,
-        }
+        Self::from_csr(coo.to_csr_dst_major())
     }
 
     /// Build directly from edges `(src, dst)` over `n` vertices.
@@ -89,20 +90,17 @@ impl Graph {
     }
 
     /// Build from an already-validated destination-major CSR (must be
-    /// square); derives the source-major view. This is how the sampler
-    /// turns an induced sub-CSR into a full [`Graph`] without a round trip
-    /// through an edge list.
+    /// square). This is how the sampler turns an induced sub-CSR into a full
+    /// [`Graph`] without a round trip through an edge list.
     pub fn from_csr(in_csr: Csr) -> Self {
         assert_eq!(
             in_csr.num_rows(),
             in_csr.num_cols(),
             "adjacency CSR must be square"
         );
-        let (out_csr, out_eids) = in_csr.transpose_with_positions();
         Self {
             in_csr,
-            out_csr,
-            out_eids,
+            out: OnceLock::new(),
         }
     }
 
@@ -124,16 +122,19 @@ impl Graph {
         &self.in_csr
     }
 
-    /// Source-major CSR (push orientation).
-    #[inline(always)]
+    /// Source-major CSR (push orientation), built on first use.
     pub fn out_csr(&self) -> &Csr {
-        &self.out_csr
+        &self.out().0
     }
 
     /// For each position in [`Graph::out_csr`], the canonical edge ID.
-    #[inline(always)]
     pub fn out_eids(&self) -> &[EId] {
-        &self.out_eids
+        &self.out().1
+    }
+
+    fn out(&self) -> &(Csr, Vec<EId>) {
+        self.out
+            .get_or_init(|| self.in_csr.transpose_with_positions())
     }
 
     /// In-degree of vertex `v`.
@@ -142,10 +143,9 @@ impl Graph {
         self.in_csr.row(v).len()
     }
 
-    /// Out-degree of vertex `u`.
-    #[inline(always)]
+    /// Out-degree of vertex `u` (builds the source-major view on first use).
     pub fn out_degree(&self, u: VId) -> usize {
-        self.out_csr.row(u).len()
+        self.out_csr().row(u).len()
     }
 
     /// Iterate all edges in canonical (dst-major) order as `(src, dst, eid)`.
@@ -162,12 +162,14 @@ impl Graph {
         self.edges().map(|(s, d, _)| (s, d)).collect()
     }
 
-    /// Total heap footprint of the topology in bytes: both CSR orientations
-    /// plus the edge-ID map.
+    /// Heap footprint of the topology in bytes as of now: the
+    /// destination-major CSR, plus the source-major view and its edge-ID map
+    /// once a reader has built them.
     pub fn mem_bytes(&self) -> u64 {
         self.in_csr.mem_bytes()
-            + self.out_csr.mem_bytes()
-            + (self.out_eids.len() * std::mem::size_of::<EId>()) as u64
+            + self.out.get().map_or(0, |(csr, eids)| {
+                csr.mem_bytes() + (eids.len() * std::mem::size_of::<EId>()) as u64
+            })
     }
 
     /// Average degree `|E| / |V|`.
@@ -222,10 +224,10 @@ mod tests {
         // same (src, dst) pair.
         let canonical = g.edge_list();
         for src in 0..g.num_vertices() as VId {
-            let row = g.out_csr.row(src);
-            let base = g.out_csr.row_start(src);
+            let row = g.out_csr().row(src);
+            let base = g.out_csr().row_start(src);
             for (i, &dst) in row.iter().enumerate() {
-                let eid = g.out_eids[base + i] as usize;
+                let eid = g.out_eids()[base + i] as usize;
                 assert_eq!(canonical[eid], (src, dst));
             }
         }
@@ -235,6 +237,57 @@ mod tests {
     fn duplicate_edges_are_deduplicated() {
         let g = Graph::from_edges(2, &[(0, 1), (0, 1), (1, 0)]);
         assert_eq!(g.num_edges(), 2);
+    }
+
+    #[test]
+    fn constructors_build_no_transpose_until_it_is_read() {
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)];
+        let built = [
+            Graph::from_edges(4, &edges),
+            Graph::from_coo(Coo::from_edges(4, &edges)),
+            Graph::from_csr(diamond().in_csr().clone()),
+        ];
+        for g in built {
+            let forward_only = g.in_csr().mem_bytes();
+            assert_eq!(g.mem_bytes(), forward_only, "no transpose before a read");
+            assert_eq!(g.in_degree(3), 2, "in-degrees read the forward CSR");
+            assert_eq!(g.mem_bytes(), forward_only);
+            let out_bytes = g.out_csr().mem_bytes() + 5 * 4;
+            assert_eq!(
+                g.mem_bytes(),
+                forward_only + out_bytes,
+                "counted once built"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_first_reads_build_one_transpose() {
+        let g = generators::uniform(300, 6, 5);
+        let start = std::sync::Barrier::new(2);
+        let first_read = || {
+            start.wait();
+            g.out_csr() as *const Csr as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(first_read);
+            let b = s.spawn(first_read);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "both readers see the one view the OnceLock holds");
+        assert_eq!(a, g.out_csr() as *const Csr as usize);
+    }
+
+    #[test]
+    fn clone_after_the_build_carries_the_transpose() {
+        let g = diamond();
+        let unbuilt = g.clone();
+        assert_eq!(g.out_degree(0), 2);
+        assert_eq!(unbuilt.mem_bytes(), unbuilt.in_csr().mem_bytes());
+        let built = g.clone();
+        assert_eq!(built.mem_bytes(), g.mem_bytes());
+        assert!(built.mem_bytes() > built.in_csr().mem_bytes());
+        assert_eq!(built.out_eids(), g.out_eids());
     }
 
     #[test]

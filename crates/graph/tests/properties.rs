@@ -27,6 +27,14 @@ proptest! {
     }
 
     #[test]
+    fn lazy_transpose_equals_the_eager_one((n, edges) in edge_lists()) {
+        let g = Graph::from_edges(n, &edges);
+        let (out_csr, out_eids) = g.in_csr().transpose_with_positions();
+        prop_assert_eq!(g.out_csr(), &out_csr);
+        prop_assert_eq!(g.out_eids(), &out_eids[..]);
+    }
+
+    #[test]
     fn transpose_degree_conservation((n, edges) in edge_lists()) {
         let g = Graph::from_edges(n, &edges);
         let in_total: usize = (0..n as u32).map(|v| g.in_degree(v)).sum();

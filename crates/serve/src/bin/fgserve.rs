@@ -223,17 +223,22 @@ fn millis(flag: &str, v: &str) -> Result<Duration, String> {
     Ok(Duration::from_millis(num(flag, v)? as u64))
 }
 
+/// Generate the dataset once and register every model in `o.models` on
+/// it: the engine stores and charges one graph and one feature matrix
+/// however many models serve them.
 fn build_engine(o: &Opts) -> Arc<Engine> {
     let engine = Arc::new(Engine::new(o.cfg.clone()));
+    // Attribute the dataset build: the feature tensor lands in the Features
+    // component; build_model scopes its own params.
+    let task = {
+        let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::Features);
+        SbmTask::generate(o.vertices, o.classes, o.avg_deg, o.noise, o.seed)
+    };
+    let (in_dim, classes) = (task.in_dim(), task.num_classes);
+    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
     for name in &o.models {
-        // Attribute the dataset build: graph + feature tensors land in the
-        // Features component; build_model scopes its own params.
-        let task = {
-            let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::Features);
-            SbmTask::generate(o.vertices, o.classes, o.avg_deg, o.noise, o.seed)
-        };
-        let model = build_model(name, task.in_dim(), o.hidden, task.num_classes, o.seed);
-        engine.register_model(name, model, task.graph, task.features);
+        let model = build_model(name, in_dim, o.hidden, classes, o.seed);
+        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
     }
     engine
 }

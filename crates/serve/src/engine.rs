@@ -63,7 +63,7 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -324,15 +324,51 @@ impl From<SeedsResponse> for InferResponse {
     }
 }
 
-/// One servable model: the graph it runs on, its input features, the
-/// trained (or initialized) parameters, and what they determine once the
-/// first job that needs it has run: the full-graph logits and the layer-0
-/// table.
+/// A graph and its input features, shared by every registration made
+/// against the same pair: stored (features quantized to the configured
+/// dtype) and charged once, and freed with the last registration holding it.
+struct Dataset {
+    graph: Arc<GnnGraph>,
+    features: FeatureTensor,
+    /// The caller's `f32` matrix, the identity a later registration shares
+    /// on. Weak, so bf16 storage does not keep the `f32` matrix alive; and
+    /// while it exists the allocation it points at cannot be reused.
+    source: Weak<Dense2<f32>>,
+    /// Accounting guard for the `Vec`-backed graph topology (the tensor
+    /// accountant only sees aligned buffers).
+    _graph_charge: MemCharge,
+}
+
+impl Dataset {
+    fn new(graph: Arc<GnnGraph>, features: Arc<Dense2<f32>>, dtype: FeatureDtype) -> Self {
+        let source = Arc::downgrade(&features);
+        let _graph_charge = MemCharge::new(MemComponent::GraphTopology, graph.mem_bytes());
+        // F32 shares the caller's matrix (no copy, no rounding); bf16's
+        // quantized copy is a features allocation.
+        let features = {
+            let _mem = MemScope::enter(MemComponent::Features);
+            FeatureTensor::from_f32(dtype, features)
+        };
+        Self {
+            graph,
+            features,
+            source,
+            _graph_charge,
+        }
+    }
+
+    fn holds(&self, graph: &Arc<GnnGraph>, features: &Arc<Dense2<f32>>) -> bool {
+        Arc::ptr_eq(&self.graph, graph) && self.source.as_ptr() == Arc::as_ptr(features)
+    }
+}
+
+/// One servable model: the dataset it runs on, the trained (or initialized)
+/// parameters, and what they determine once the first job that needs it
+/// has run: the full-graph logits and the layer-0 table.
 pub struct ModelEntry {
     name: String,
     graph_id: u64,
-    graph: GnnGraph,
-    features: FeatureTensor,
+    data: Arc<Dataset>,
     model: Box<dyn Model>,
     /// The |V| × classes logits of the whole graph, filled by the first
     /// `Full` job (`fill_logits`). Allocated under the `activations`
@@ -343,10 +379,6 @@ pub struct ModelEntry {
     /// filled by the first `Sampled` job (`fill_table`) under the
     /// `activations` memory component.
     table: OnceLock<Option<Vec<Dense2<f32>>>>,
-    /// Accounting guard for the `Vec`-backed graph topology (the tensor
-    /// accountant only sees aligned buffers); credited when the entry drops
-    /// — replacement, unregistration, or engine shutdown alike.
-    _graph_charge: MemCharge,
 }
 
 struct Shared {
@@ -401,9 +433,17 @@ impl Engine {
         }
     }
 
-    /// Register `model` under `name`, replacing any previous registration
-    /// (whose full-graph logits and layer-0 table are freed with it).
-    /// Returns the graph ID assigned to this registration.
+    /// Register `model` under `name` on `graph` and `features`, replacing
+    /// any previous registration of `name`. Returns the graph ID assigned to
+    /// this registration.
+    ///
+    /// Registrations passed the same `Arc`s (or clones of them) share one
+    /// dataset: the graph and the stored features exist once, their
+    /// `graph_topology` and `features` bytes are charged once, and both are
+    /// freed — credited — when the last registration holding them drops.
+    /// Passing owned values makes a dataset of its own. A replaced
+    /// registration's full-graph logits and layer-0 table are freed with it
+    /// (once in-flight jobs holding it finish).
     ///
     /// # Panics
     ///
@@ -412,9 +452,10 @@ impl Engine {
         &self,
         name: &str,
         model: Box<dyn Model>,
-        graph: GnnGraph,
-        features: Dense2<f32>,
+        graph: impl Into<Arc<GnnGraph>>,
+        features: impl Into<Arc<Dense2<f32>>>,
     ) -> u64 {
+        let (graph, features) = (graph.into(), features.into());
         // Every view gathers feature rows by vertex id, and the full-graph
         // fill relies on the check to be infallible.
         assert_eq!(
@@ -424,21 +465,21 @@ impl Engine {
             features.rows(),
             graph.num_vertices()
         );
-        let cfg = &self.shared.cfg;
         let graph_id = self.shared.next_graph_id.fetch_add(1, Ordering::Relaxed);
-        let graph_charge = MemCharge::new(MemComponent::GraphTopology, graph.mem_bytes());
-        // Quantize at registration per the configured storage dtype; F32
-        // keeps the caller's buffer untouched (no copy, no rounding).
-        let features = FeatureTensor::from_f32(cfg.feature_dtype, features);
+        let shared = {
+            let registered = self.shared.models.read().unwrap();
+            let mut datasets = registered.values().map(|e| &e.data);
+            datasets.find(|d| d.holds(&graph, &features)).cloned()
+        };
+        let dtype = self.shared.cfg.feature_dtype;
+        let data = shared.unwrap_or_else(|| Arc::new(Dataset::new(graph, features, dtype)));
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
             graph_id,
-            graph,
-            features,
+            data,
             model,
             logits: OnceLock::new(),
             table: OnceLock::new(),
-            _graph_charge: graph_charge,
         });
         let replaced = self
             .shared
@@ -447,9 +488,10 @@ impl Engine {
             .unwrap()
             .insert(name.to_string(), entry);
         if let Some(old) = replaced {
-            // Surface what used to be a silent drop: the old entry's graph,
-            // features, parameters and logits are released (once in-flight
-            // jobs holding its Arc finish).
+            // Surface what used to be a silent drop: the old entry's
+            // parameters and logits are released (once in-flight jobs
+            // holding its Arc finish), and its dataset with them unless
+            // another registration shares it.
             self.shared
                 .stats
                 .models_replaced
@@ -564,7 +606,7 @@ impl Engine {
         if rows.is_empty() {
             return Err(ServeError::BadRequest("no seed vertices".into()));
         }
-        let vertices = entry.graph.num_vertices();
+        let vertices = entry.data.graph.num_vertices();
         if let Some(&v) = rows.iter().find(|&&v| v >= vertices) {
             return Err(ServeError::BadRequest(format!(
                 "{noun} {v} out of range (graph has {vertices} vertices)"
@@ -792,11 +834,11 @@ fn seeds_view(
                 feats.rows()
             )));
         }
-        if feats.cols() != entry.features.cols() {
+        if feats.cols() != entry.data.features.cols() {
             return Err(ServeError::BadRequest(format!(
                 "feats width {} does not match model feature width {}",
                 feats.cols(),
-                entry.features.cols()
+                entry.data.features.cols()
             )));
         }
         if let Some(bad) = feats.as_slice().iter().find(|v| !v.is_finite()) {
@@ -882,7 +924,10 @@ fn read_rows(shared: &Shared, entry: &ModelEntry, rows: &[usize]) -> Answer {
         sample: None,
         execute: start.elapsed(),
     };
-    let dims = (entry.graph.num_vertices(), entry.graph.num_edges());
+    let dims = (
+        entry.data.graph.num_vertices(),
+        entry.data.graph.num_edges(),
+    );
     (out, timings, dims)
 }
 
@@ -893,16 +938,22 @@ fn read_rows(shared: &Shared, entry: &ModelEntry, rows: &[usize]) -> Answer {
 /// component.
 fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
     let backend = FeatgraphBackend::cpu(kernel_threads);
-    let nodes: Vec<usize> = (0..entry.graph.num_vertices()).collect();
+    let nodes: Vec<usize> = (0..entry.data.graph.num_vertices()).collect();
     let rows = {
         let _infer_span = span!("serve/infer", "model={} rows={}", entry.name, nodes.len());
         // Attribute the pass's tape/scratch allocations to the serve path.
         let _mem = MemScope::enter(MemComponent::ServeBatch);
         // F32 storage borrows the registered buffer directly; bf16 storage
         // widens once (the copy is scratch, charged to the serve batch).
-        let features = entry.features.widened();
-        infer_batch(entry.model.as_ref(), &entry.graph, &features, &backend, &nodes)
-            .expect("registration checked one feature row per vertex")
+        let features = entry.data.features.widened();
+        infer_batch(
+            entry.model.as_ref(),
+            &entry.data.graph,
+            &features,
+            &backend,
+            &nodes,
+        )
+        .expect("registration checked one feature row per vertex")
     };
     let _plans = MemCharge::new(MemComponent::PlanCache, backend.plan_mem_bytes());
     let _mem = MemScope::enter(MemComponent::Activations);
@@ -919,7 +970,7 @@ fn fill_logits(entry: &ModelEntry, kernel_threads: usize) -> Dense2<f32> {
 fn fill_table(entry: &ModelEntry) -> Option<Vec<Dense2<f32>>> {
     let _span = span!("serve/fill_table", "model={}", entry.name);
     let _scratch = MemScope::enter(MemComponent::ServeBatch);
-    let features = entry.features.widened();
+    let features = entry.data.features.widened();
     let _mem = MemScope::enter(MemComponent::Activations);
     entry.model.layer0_table(&features)
 }
@@ -965,7 +1016,7 @@ fn run_sampled(
     let sample_start = Instant::now();
     let (sub, blocks) = {
         let _sample_span = span!("serve/sample", "model={model_name} seeds={}", seeds.len());
-        let (sub, sub_gnn) = prepare_seeds_with(&mut scratch.sample, &entry.graph, seeds, cfg)
+        let (sub, sub_gnn) = prepare_seeds_with(&mut scratch.sample, &entry.data.graph, seeds, cfg)
             .map_err(|e| ServeError::Infer(e.to_string()))?;
         scratch.charge.set_bytes(scratch.sample.mem_bytes());
         let blocks = SampledBlocks::new(&sub, sub_gnn, model.num_layers());
@@ -984,7 +1035,7 @@ fn run_sampled(
             let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
             LayerInput::Table(rows.collect())
         }
-        None => LayerInput::Features(entry.features.gather_rows_f32(blocks.inputs())),
+        None => LayerInput::Features(entry.data.features.gather_rows_f32(blocks.inputs())),
     };
     let sample = sample_start.elapsed();
 
@@ -1148,7 +1199,7 @@ mod tests {
         }
 
         let entry = Arc::clone(&engine.shared.models.read().unwrap()["gat"]);
-        assert_eq!(entry._graph_charge.bytes(), forward_only);
-        assert_eq!(entry.graph.mem_bytes(), forward_only);
+        assert_eq!(entry.data._graph_charge.bytes(), forward_only);
+        assert_eq!(entry.data.graph.mem_bytes(), forward_only);
     }
 }

@@ -14,7 +14,7 @@
 //!   over. Implemented for `f32` (identity) and `Bf16`.
 //! * [`FeatureDtype`] — runtime dtype tag (CLI flags, wire protocol).
 //! * [`FeatureTensor`] — a dtype-erased feature matrix the serving tier
-//!   stores per model, with f32 gather/widen paths.
+//!   stores per dataset, with f32 gather/widen paths.
 //!
 //! bfloat16 is the one half type: it keeps `f32`'s exponent range, decodes
 //! with one shift (so kernel loops over it still vectorize), and holds every
@@ -23,6 +23,7 @@
 //! lines each.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::aligned::StorageElem;
 use crate::dense::Dense2;
@@ -210,22 +211,24 @@ pub fn dequantize<E: FeatElem>(src: &Dense2<E>) -> Dense2<f32> {
     out
 }
 
-/// A dtype-erased feature matrix: what the serving tier stores per model.
+/// A dtype-erased feature matrix: what the serving tier stores per dataset.
 ///
-/// The `F32` variant is the bitwise-identical baseline; the `Bf16` variant
-/// halves resident bytes and widens to `f32` at gather/widen time.
+/// The `F32` variant is the bitwise-identical baseline, shared with whoever
+/// else holds the matrix; the `Bf16` variant halves resident bytes and
+/// widens to `f32` at gather/widen time.
 #[derive(Debug, Clone)]
 pub enum FeatureTensor {
     /// Full-precision storage.
-    F32(Dense2<f32>),
+    F32(Arc<Dense2<f32>>),
     /// bfloat16 storage.
     Bf16(Dense2<Bf16>),
 }
 
 impl FeatureTensor {
-    /// Quantize `src` into the requested storage dtype. `F32` moves the
+    /// Quantize `src` into the requested storage dtype. `F32` shares the
     /// matrix without copying.
-    pub fn from_f32(dtype: FeatureDtype, src: Dense2<f32>) -> Self {
+    pub fn from_f32(dtype: FeatureDtype, src: impl Into<Arc<Dense2<f32>>>) -> Self {
+        let src = src.into();
         match dtype {
             FeatureDtype::F32 => FeatureTensor::F32(src),
             FeatureDtype::Bf16 => FeatureTensor::Bf16(quantize(&src)),
@@ -268,7 +271,7 @@ impl FeatureTensor {
     /// widened copy.
     pub fn widened(&self) -> Cow<'_, Dense2<f32>> {
         match self {
-            FeatureTensor::F32(m) => Cow::Borrowed(m),
+            FeatureTensor::F32(m) => Cow::Borrowed(&**m),
             FeatureTensor::Bf16(m) => Cow::Owned(dequantize(m)),
         }
     }
