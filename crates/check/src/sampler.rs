@@ -20,11 +20,14 @@
 //!    `infer_batch` on the same seeds, for the model family the serving
 //!    tier ships.
 //! 5. **Blocked ≡ whole subgraph** — on the case's own fanouts (when they
-//!    cover at least the models' 2 layers), with a seed-row feature
-//!    override, the per-layer blocks ([`fg_gnn::SampledBlocks`], what
-//!    `infer_seeds` and the server run) give the bits of `infer_batch` on the
-//!    whole sampled subgraph for all three models, and GAT fed its layer-0
-//!    table gives the bits of GAT computing layer 0 itself.
+//!    cover at least the models' 2 layers), every block row is every
+//!    in-edge of its written row, in the subgraph's order; and with a
+//!    seed-row feature override, the per-layer blocks
+//!    ([`fg_gnn::SampledBlocks`], what `infer_seeds` and the server run),
+//!    layer 0 reading f32 or bf16 storage in place, give the bits of
+//!    `infer_batch` on the whole sampled subgraph fed the gathered, widened
+//!    rows, for all three models; GAT fed its layer-0 table gives the bits
+//!    of GAT computing layer 0 itself.
 //!
 //! Cases round-trip through compact descriptors
 //! (`sampler;g=uni:40:3:7;s=2:9;f=3,full;r=0;k=5`) exactly like the kernel
@@ -39,14 +42,15 @@ use rand_pcg::Pcg64Mcg;
 
 use fg_gnn::models::{build_model, Model};
 use fg_gnn::{
-    gather_rows, infer_batch, infer_seeds, prepare_seeds, FeatgraphBackend, GnnGraph, LayerInput,
+    gather_rows, infer_batch, infer_seeds, prepare_seeds, FeatgraphBackend, GnnGraph, Layer0,
     SampledBlocks,
 };
 use fg_graph::{
     generators, sample_subgraph, sample_subgraph_with, Graph, SampleConfig, SampleScratch, VId,
     FULL_FANOUT,
 };
-use fg_tensor::Dense2;
+use fg_tensor::half::{dequantize, quantize};
+use fg_tensor::{Bf16, Dense2};
 
 /// Graph families the sampler cases draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,14 +408,7 @@ pub fn run_sampler_case_with(case: &SamplerCase, scratch: &mut SampleScratch) ->
     // is a different shape than the full graph.
     let full_backend = FeatgraphBackend::cpu(1);
     let full = infer_batch(model.as_ref(), &gnn, &features, &full_backend, &seed_nodes);
-    let sampled = infer_seeds(
-        model.as_ref(),
-        &gnn,
-        &features,
-        cpu1,
-        &seed_nodes,
-        &full_cfg,
-    );
+    let sampled = infer_seeds(model.as_ref(), &gnn, &features, 1, &seed_nodes, &full_cfg);
     match (full, sampled) {
         (Ok(a), Ok(b)) => {
             if a != b {
@@ -458,7 +455,8 @@ fn same_bits(a: &[Vec<f32>], b: &[Vec<f32>]) -> bool {
 
 /// Property 5: the sampled path's oracle is `prepare_seeds → gather_rows →
 /// override → infer_batch` on the whole subgraph; the blocked forward must
-/// give its bits, fed features or (GAT) its layer-0 table.
+/// give its bits, reading features (f32 or bf16 storage) or (GAT) its
+/// layer-0 table in place, with the seeds' rows overridden.
 fn blocked_matches_whole_subgraph(
     case: &SamplerCase,
     gnn: &GnnGraph,
@@ -470,42 +468,79 @@ fn blocked_matches_whole_subgraph(
         Ok(prepared) => prepared,
         Err(e) => return vec![format!("blocked: prepare_seeds failed: {e}")],
     };
+    fails.extend(blocks_keep_whole_rows(&sub));
     let feats = pseudo_features(seeds.len(), features.cols(), !case.sample_seed);
-    let mut whole = gather_rows(features, sub.locals());
-    for (i, &l) in sub.seed_locals().iter().enumerate() {
-        whole.row_mut(l as usize).copy_from_slice(feats.row(i));
-    }
+    let half: Dense2<Bf16> = quantize(features);
+    let widened = dequantize(&half);
+    // The oracle's input: the stored rows of the subgraph, widened, with
+    // the seeds' rows replaced.
+    let whole = |stored: &Dense2<f32>| {
+        let mut whole = gather_rows(stored, sub.locals());
+        for (i, &l) in sub.seed_locals().iter().enumerate() {
+            whole.row_mut(l as usize).copy_from_slice(feats.row(i));
+        }
+        whole
+    };
+    let (whole_f32, whole_bf16) = (whole(features), whole(&widened));
     let locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
     for name in ["gcn", "graphsage", "gat"] {
         let model = build_model(name, features.cols(), 8, 3, case.sample_seed);
         let model: &dyn Model = model.as_ref();
-        let want = match infer_batch(model, &sub_gnn, &whole, &cpu1(), &locals) {
-            Ok(rows) => rows,
-            Err(e) => {
-                fails.push(format!("blocked: {name} whole-subgraph oracle failed: {e}"));
-                continue;
-            }
-        };
-        let blocks = SampledBlocks::new(&sub, sub_gnn.clone(), model.num_layers());
-        let mut x = LayerInput::Features(gather_rows(features, blocks.inputs()));
-        blocks.override_seeds(model, &mut x, &feats);
-        if !same_bits(&blocks.forward(model, x, cpu1), &want) {
-            fails.push(format!(
-                "blocked: {name} on per-layer blocks diverged from the whole subgraph"
-            ));
+        let blocks = SampledBlocks::new(&sub, model.num_layers());
+        let table = model.layer0_table(features);
+        let mut runs = vec![
+            ("f32", &whole_f32, Layer0::F32(features)),
+            ("bf16", &whole_bf16, Layer0::Bf16(&half)),
+        ];
+        if let Some(table) = &table {
+            runs.push(("layer-0 table", &whole_f32, Layer0::Table(table)));
         }
-        if let Some(table) = model.layer0_table(features) {
-            let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
-            let mut x = LayerInput::Table(rows.collect());
-            blocks.override_seeds(model, &mut x, &feats);
-            if !same_bits(&blocks.forward(model, x, cpu1), &want) {
+        for (what, whole, layer0) in runs {
+            let want = match infer_batch(model, &sub_gnn, whole, &cpu1(), &locals) {
+                Ok(rows) => rows,
+                Err(e) => {
+                    fails.push(format!("blocked: {name} whole-subgraph oracle failed: {e}"));
+                    continue;
+                }
+            };
+            if !same_bits(&blocks.forward(model, layer0, Some(&feats), 1), &want) {
                 fails.push(format!(
-                    "blocked: {name} fed its layer-0 table diverged from computing it"
+                    "blocked: {name} reading {what} in place diverged from the whole subgraph"
                 ));
             }
         }
     }
     fails
+}
+
+/// Every block of a 2-layer model holds, as its row `r`, every in-edge of
+/// its `r`-th written row in the subgraph's order, and writes exactly the
+/// rows within one hop fewer than it reads.
+fn blocks_keep_whole_rows(sub: &fg_graph::SampledSubgraph) -> Vec<String> {
+    let layers = 2;
+    let within = |l: VId, hops: usize| sub.depths()[l as usize] as usize <= hops;
+    for layer in 0..layers {
+        let (block, src) = sub.block(layers, layer);
+        let (csr, dst) = (block.csr(), block.dst());
+        let reads = layers - layer;
+        let want: Vec<VId> = (0..sub.num_vertices() as VId).filter(|&l| within(l, reads)).collect();
+        if src != want || csr.num_cols() != src.len() || csr.num_rows() != dst.len() {
+            return vec![format!("blocked: layer {layer} block reads the wrong rows")];
+        }
+        let written: Vec<VId> = dst.iter().map(|&p| src[p as usize]).collect();
+        if !written.iter().copied().eq(want.iter().copied().filter(|&l| within(l, reads - 1))) {
+            return vec![format!("blocked: layer {layer} block writes the wrong rows")];
+        }
+        for (r, &l) in written.iter().enumerate() {
+            let row = csr.row(r as VId).iter().map(|&p| src[p as usize]);
+            if !row.eq(sub.graph().in_csr().row(l).iter().copied()) {
+                return vec![format!(
+                    "blocked: layer {layer} block row of local {l} is not its subgraph row"
+                )];
+            }
+        }
+    }
+    Vec::new()
 }
 
 #[inline(always)]

@@ -341,7 +341,7 @@ pub fn run_shard_case(case: &ShardCase) -> Vec<String> {
     let sharded = ShardedGraph::build(&g, case.shards, case.strategy);
     let mut fails = check_plan(&g, sharded.plan());
 
-    // 4. Bitwise parity on every vertex, one backend per shard.
+    // 4. Bitwise parity on every vertex.
     let d = 4;
     let features = Dense2::from_fn(g.num_vertices(), d, |r, c| {
         let x = splitmix64(case.param_seed ^ ((r as u64) << 20 | c as u64));
@@ -352,10 +352,7 @@ pub fn run_shard_case(case: &ShardCase) -> Vec<String> {
     let gnn = GnnGraph::new(g.clone());
     let single_backend = FeatgraphBackend::cpu(1);
     let single = infer_batch(model.as_ref(), &gnn, &features, &single_backend, &nodes);
-    let backends: Vec<FeatgraphBackend> = (0..sharded.num_shards())
-        .map(|_| FeatgraphBackend::cpu(1))
-        .collect();
-    let run = infer_sharded(model.as_ref(), &sharded, &features, &backends, &nodes);
+    let run = infer_sharded(model.as_ref(), &sharded, &features, 1, &nodes);
     match (single, run) {
         (Ok(expected), Ok(run)) => {
             if run.results != expected {

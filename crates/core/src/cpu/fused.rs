@@ -16,41 +16,64 @@
 //! backward pass needs to recompute every edge's weight, which is what
 //! [`CpuFused::attention_backward`] does in one more sweep.
 
-use fg_graph::Graph;
+use fg_graph::{Csr, Graph};
 use fg_ir::{FusedOp, FusedPattern};
 use fg_telemetry::{counter_add, span, Counter};
-use fg_tensor::{Dense2, FeatElem};
+use fg_tensor::{Dense2, FeatElem, FeatureDtype};
 
 use crate::cpu::skeleton::{DstMajor, InEdges};
 use crate::cpu::spmm::CpuSpmmOptions;
 use crate::error::KernelError;
-use crate::inputs::FusedInputs;
+use crate::inputs::{check_shape, Dims, FusedInputs, VertexRows};
 use crate::ops::{self, leaky_relu, Edge, MessageOp, ReduceOp, ScoreOp, Sink, WithFused};
 use crate::util::SharedRows;
 use crate::{AttentionBackward, RunStats, SoftmaxStats};
 
-/// A compiled CPU fused-attention kernel.
-pub struct CpuFused {
+/// A compiled CPU fused-attention kernel over a destination-major CSR of
+/// any shape (see [`CpuSpmm`](crate::cpu::spmm::CpuSpmm)): one output row
+/// per CSR row.
+pub struct CpuFused<'g> {
     op: FusedOp,
     pattern: FusedPattern,
-    plan: DstMajor,
+    plan: DstMajor<'g>,
 }
 
-impl CpuFused {
-    /// Validate and build the execution plan. Reuses the SpMM template
-    /// options (1D source partitions + worker threads) — the traversal is
-    /// the same, only the per-edge work differs.
+impl CpuFused<'static> {
+    /// Validate and build the execution plan for `graph`, owning what it
+    /// runs on. Reuses the SpMM template options (1D source partitions +
+    /// worker threads) — the traversal is the same, only the per-edge work
+    /// differs.
     pub fn compile(
         graph: &Graph,
         op: &FusedOp,
         opts: &CpuSpmmOptions,
     ) -> Result<Self, KernelError> {
+        let k = CpuFused::on_csr(graph.in_csr(), op, opts)?;
+        Ok(CpuFused {
+            plan: k.plan.into_owned(),
+            ..k
+        })
+    }
+}
+
+impl<'g> CpuFused<'g> {
+    /// Validate and build the plan for `csr` (`num_rows` destinations by
+    /// `num_cols` sources); a one-partition plan borrows it.
+    pub fn on_csr(csr: &'g Csr, op: &FusedOp, opts: &CpuSpmmOptions) -> Result<Self, KernelError> {
         op.validate()?;
         Ok(Self {
             op: op.clone(),
             pattern: FusedPattern::of(op),
-            plan: DstMajor::build(graph, opts)?,
+            plan: DstMajor::build(csr, opts)?,
         })
+    }
+
+    fn dims(&self) -> Dims {
+        Dims {
+            src: self.plan.num_cols,
+            dst: self.plan.num_rows,
+            edges: self.plan.num_edges,
+        }
     }
 
     /// The recognized fused pattern (which score op will run).
@@ -71,19 +94,51 @@ impl CpuFused {
         inputs: &FusedInputs<'_, f32, V>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        inputs.validate(&self.op, self.plan.num_vertices, self.plan.num_edges, out)?;
-        let _run_span = span!(
-            "fused/run",
-            "pattern={} dtype={} d={} parts={} softmax={}",
-            self.pattern.name(),
-            V::DTYPE,
-            self.op.out_len(),
-            self.plan.parts.num_partitions(),
-            self.op.softmax
-        );
-        counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
-        let exec = Exec { k: self, out };
+        inputs.validate(&self.op, self.dims(), out)?;
+        let exec = Exec {
+            k: self,
+            dtype: V::DTYPE,
+            out,
+        };
         let softmax = ops::lower_fused(&self.op, self.pattern, inputs, exec);
+        Ok(RunStats {
+            softmax,
+            ..RunStats::default()
+        })
+    }
+
+    /// Execute a GAT attention kernel whose operands come from any
+    /// [`VertexRows`] sources, read where they lie: the messages `x` and
+    /// source scores `sl` one row per source, the destination scores `sr`
+    /// one row per destination.
+    pub fn attend<X: VertexRows, L: VertexRows, R: VertexRows>(
+        &self,
+        x: &X,
+        sl: &L,
+        sr: &R,
+        out: &mut Dense2<f32>,
+    ) -> Result<RunStats, KernelError> {
+        let FusedPattern::GatAttention { slope } = self.pattern else {
+            return Err(KernelError::Unsupported(
+                "row sources feed the GAT attention pattern only",
+            ));
+        };
+        let (src, dst, d) = (self.plan.num_cols, self.plan.num_rows, self.op.out_len());
+        check_shape("vertex", (x.num_rows(), x.num_cols()), src, d, false)?;
+        check_shape("vertex", (sl.num_rows(), sl.num_cols()), src, 1, false)?;
+        check_shape("vertex_dst", (sr.num_rows(), sr.num_cols()), dst, 1, false)?;
+        check_shape("out", out.shape(), dst, d, true)?;
+        let score = ops::GatScore {
+            sl,
+            sr,
+            slope: slope as f32,
+        };
+        let exec = Exec {
+            k: self,
+            dtype: X::Elem::DTYPE,
+            out,
+        };
+        let softmax = exec.run(&score, &ops::CopySrc { rows: x });
         Ok(RunStats {
             softmax,
             ..RunStats::default()
@@ -100,7 +155,7 @@ impl CpuFused {
         msg: &M,
         out: &mut Dense2<f32>,
     ) -> SoftmaxStats {
-        let (n, d) = (self.plan.num_vertices, self.op.out_len());
+        let (n, d) = (self.plan.num_rows, self.op.out_len());
 
         // Pass A. Per edge: the source-side score operand plus the
         // running-max read/update (the destination operand is hoisted).
@@ -177,12 +232,8 @@ impl CpuFused {
                 "fused backward is implemented for the GAT attention pattern only",
             ));
         };
-        let (n, m, d) = (
-            self.plan.num_vertices,
-            self.plan.num_edges,
-            self.op.out_len(),
-        );
-        inputs.validate(&self.op, n, m, out)?;
+        let (n, m, d) = (self.plan.num_rows, self.plan.num_edges, self.op.out_len());
+        inputs.validate(&self.op, self.dims(), out)?;
         for (what, got, expected) in [
             ("grad", grad.shape(), (n, d)),
             ("softmax max", (stats.max.len(), 1), (n, 1)),
@@ -200,7 +251,7 @@ impl CpuFused {
         let _span = span!(
             "fused/backward",
             "d={d} parts={}",
-            self.plan.parts.num_partitions()
+            self.plan.num_partitions()
         );
         let (hw, sl, sr) = (
             inputs.message.vertex,
@@ -246,16 +297,27 @@ impl CpuFused {
 }
 
 /// The fused template over one lowered score and message op.
-struct Exec<'a> {
-    k: &'a CpuFused,
+struct Exec<'a, 'g> {
+    k: &'a CpuFused<'g>,
+    dtype: FeatureDtype,
     out: &'a mut Dense2<f32>,
 }
 
-impl WithFused for Exec<'_> {
+impl WithFused for Exec<'_, '_> {
     type Out = Option<SoftmaxStats>;
 
     fn run<S: ScoreOp, M: MessageOp>(self, score: &S, msg: &M) -> Option<SoftmaxStats> {
         let (k, out) = (self.k, self.out);
+        let parts = k.plan.num_partitions();
+        let _run_span = span!(
+            "fused/run",
+            "pattern={} dtype={} d={} parts={parts} softmax={}",
+            k.pattern.name(),
+            self.dtype,
+            k.op.out_len(),
+            k.op.softmax
+        );
+        counter_add(Counter::Partitions, parts as u64);
         if k.op.softmax {
             return Some(k.softmax(score, msg, out));
         }
@@ -312,6 +374,42 @@ mod tests {
             out.max_abs_diff(&want),
             k.pattern().name()
         );
+    }
+
+    #[test]
+    fn a_block_attends_into_the_square_graphs_rows_bitwise() {
+        // Every third row as a bipartite block; destination scores are read
+        // at the written rows, sources through an index into a reversed
+        // copy.
+        use crate::cpu::spmm::tests::block_of;
+        use crate::inputs::Gathered;
+        let g = generators::uniform(200, 6, 5);
+        let (d, op) = (16, FusedOp::gat_attention(16, 0.2));
+        let dst: Vec<u32> = (0..200).step_by(3).collect();
+        let csr = block_of(&g, &dst);
+        let (x, sl, sr) = (features(200, d, 0), features(200, 1, 1), features(200, 1, 2));
+        let inputs = FusedInputs {
+            score: GraphTensors::src_dst(&sl, &sr),
+            message: GraphTensors::vertex_only(&x),
+        };
+        let flip = |m: &Dense2<f32>| Dense2::from_fn(200, m.cols(), |r, c| m.at(199 - r, c));
+        let (xf, slf, srf) = (flip(&x), flip(&sl), flip(&sr));
+        let index: Vec<u32> = (0..200).map(|v| 199 - v).collect();
+        let at_dst: Vec<u32> = dst.iter().map(|&v| 199 - v).collect();
+        for (parts, threads) in [(1, 1), (3, 2), (7, 3)] {
+            // the exp-sum folds per partition, so compare like schedules
+            let opts = CpuSpmmOptions::with_threads(parts, threads);
+            let mut whole = Dense2::zeros(200, d);
+            CpuFused::compile(&g, &op, &opts).unwrap().run(&inputs, &mut whole).unwrap();
+            let want = Dense2::from_fn(dst.len(), d, |r, c| whole.at(dst[r] as usize, c));
+            let k = CpuFused::on_csr(&csr, &op, &opts).unwrap();
+            let mut out = Dense2::zeros(dst.len(), d);
+            let (xg, slg) = (Gathered::new(&xf, &index, None), Gathered::new(&slf, &index, None));
+            let srg = Gathered::new(&srf, &at_dst, None);
+            let stats = k.attend(&xg, &slg, &srg, &mut out).unwrap().softmax;
+            assert_eq!(out, want, "parts {parts}");
+            assert_eq!(stats.map(|s| s.sum.len()), Some(dst.len()));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::ops::Range;
 
 use crate::cpu::skeleton::band_rows;
 use crate::error::KernelError;
-use crate::inputs::GraphTensors;
+use crate::inputs::{Dims, GraphTensors};
 use crate::ops::{self, Dot, Edge, MessageOp, MultiHeadDot, ReduceOp, Sink, WithMessage};
 use crate::util::{self, SharedRows};
 use crate::RunStats;
@@ -113,7 +113,7 @@ impl CpuSddmm {
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
         let (nv, ne) = (self.num_vertices, self.num_edges);
-        inputs.validate(&self.udf, nv, ne, out, ne)?;
+        inputs.validate(&self.udf, Dims::square(nv, ne), out, ne)?;
         let _run_span = span!(
             "sddmm/run",
             "pattern={:?} dtype={} edges={} tiles={}",

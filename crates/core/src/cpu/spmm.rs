@@ -1,13 +1,13 @@
 //! CPU generalized SpMM template.
 
-use fg_graph::Graph;
+use fg_graph::{Csr, Graph};
 use fg_ir::{Fds, KernelPattern, Reducer, Udf};
 use fg_telemetry::{counter_add, span, Counter};
-use fg_tensor::{Dense2, FeatElem};
+use fg_tensor::{Dense2, FeatElem, FeatureDtype};
 
 use crate::cpu::skeleton::DstMajor;
 use crate::error::KernelError;
-use crate::inputs::GraphTensors;
+use crate::inputs::{check_shape, Dims, GraphTensors, VertexRows};
 use crate::ops::{self, MessageOp, WithMessage};
 use crate::util;
 use crate::RunStats;
@@ -34,14 +34,20 @@ impl CpuSpmmOptions {
     /// to 1 — see [`crate::util::detected_threads`] for how that fallback is
     /// surfaced (stderr warning + `parallelism_fallbacks` counter).
     pub fn auto(graph: &Graph, udf: &Udf, fds: &Fds) -> Self {
+        let parts = Self::cache_partitions(graph.num_vertices(), udf, fds);
+        Self::with_threads(parts, util::detected_threads())
+    }
+
+    /// The cache model's partition count for `sources` source rows: one
+    /// partition's feature tile fits in the LLC.
+    pub fn cache_partitions(sources: usize, udf: &Udf, fds: &Fds) -> usize {
         let tile_cols = udf.src_len.max(udf.dst_len).max(1) / fds.feature_tiles.max(1);
-        let parts = fg_graph::partition::partitions_for_cache(
-            graph.num_vertices(),
+        fg_graph::partition::partitions_for_cache(
+            sources,
             tile_cols.max(1),
             std::mem::size_of::<f32>(),
             DEFAULT_LLC_BYTES,
-        );
-        Self::with_threads(parts, util::detected_threads())
+        )
     }
 
     /// Single-threaded, explicit partition count (kernel benchmarks).
@@ -59,19 +65,43 @@ impl CpuSpmmOptions {
     }
 }
 
-/// A compiled CPU generalized-SpMM kernel.
-pub struct CpuSpmm {
+/// A compiled CPU generalized-SpMM kernel over a destination-major CSR of
+/// any shape: it writes one row per CSR row (destination) and reads source
+/// rows by column. A plan from [`CpuSpmm::compile`] owns what it runs on; one
+/// from [`CpuSpmm::on_csr`] may borrow the CSR (`'g`).
+pub struct CpuSpmm<'g> {
     udf: Udf,
     agg: Reducer,
     fds: Fds,
     pattern: KernelPattern,
-    plan: DstMajor,
+    plan: DstMajor<'g>,
 }
 
-impl CpuSpmm {
-    /// Validate and build the execution plan (partitioned CSR, thread pool).
+impl CpuSpmm<'static> {
+    /// Validate and build the execution plan (partitioned CSR, thread pool)
+    /// for `graph`; the plan keeps its own copy of what it runs on.
     pub fn compile(
         graph: &Graph,
+        udf: &Udf,
+        agg: Reducer,
+        fds: &Fds,
+        opts: &CpuSpmmOptions,
+    ) -> Result<Self, KernelError> {
+        let k = CpuSpmm::on_csr(graph.in_csr(), udf, agg, fds, opts)?;
+        Ok(CpuSpmm {
+            plan: k.plan.into_owned(),
+            ..k
+        })
+    }
+}
+
+impl<'g> CpuSpmm<'g> {
+    /// Validate and build the plan for `csr`, `num_rows` destinations by
+    /// `num_cols` sources (a message-flow block, or a square graph's
+    /// in-CSR). A one-partition plan borrows `csr`: no copy, degrees from its
+    /// `indptr`.
+    pub fn on_csr(
+        csr: &'g Csr,
         udf: &Udf,
         agg: Reducer,
         fds: &Fds,
@@ -83,7 +113,7 @@ impl CpuSpmm {
             agg,
             fds: *fds,
             pattern: KernelPattern::of(udf),
-            plan: DstMajor::build(graph, opts)?,
+            plan: DstMajor::build(csr, opts)?,
         })
     }
 
@@ -92,10 +122,19 @@ impl CpuSpmm {
         self.pattern
     }
 
-    /// Heap bytes held by the compiled plan (partitioned CSR + degree
-    /// array); feeds the serve engine's `plan_cache` memory charge.
+    /// Heap bytes held by the compiled plan (an owned CSR, or the
+    /// partitioned CSR and degree array); feeds the serve engine's
+    /// `plan_cache` memory charge.
     pub fn mem_bytes(&self) -> u64 {
         self.plan.mem_bytes()
+    }
+
+    fn dims(&self) -> Dims {
+        Dims {
+            src: self.plan.num_cols,
+            dst: self.plan.num_rows,
+            edges: self.plan.num_edges,
+        }
     }
 
     /// Execute the kernel. Vertex features may be stored as `f32` or `bf16`
@@ -107,49 +146,73 @@ impl CpuSpmm {
         inputs: &GraphTensors<'_, f32, V>,
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
-        let (nv, ne) = (self.plan.num_vertices, self.plan.num_edges);
-        inputs.validate(&self.udf, nv, ne, out, nv)?;
-        let tiles = self.fds.feature_tiles.max(1);
-        let _run_span = span!(
-            "spmm/run",
-            "pattern={:?} dtype={} d={} parts={} tiles={tiles}",
-            self.pattern,
-            V::DTYPE,
-            self.udf.out_len,
-            self.plan.parts.num_partitions()
-        );
-        counter_add(Counter::Partitions, self.plan.parts.num_partitions() as u64);
-        counter_add(Counter::FeatureTiles, tiles as u64);
-
+        inputs.validate(&self.udf, self.dims(), out, self.plan.num_rows)?;
         let exec = Exec {
             k: self,
-            tiles,
+            dtype: V::DTYPE,
             out,
         };
         ops::lower(&self.udf, self.pattern, inputs, exec);
         Ok(RunStats::default())
     }
+
+    /// Execute a copy-src kernel whose source rows come from any
+    /// [`VertexRows`] source — e.g. [`Gathered`](crate::Gathered) rows of a
+    /// feature matrix, read where they lie.
+    pub fn run_rows<X: VertexRows>(
+        &self,
+        x: &X,
+        out: &mut Dense2<f32>,
+    ) -> Result<RunStats, KernelError> {
+        if self.pattern != KernelPattern::CopySrc {
+            return Err(KernelError::Unsupported(
+                "a row source feeds the copy-src message only",
+            ));
+        }
+        let (plan, udf) = (&self.plan, &self.udf);
+        let x_shape = (x.num_rows(), x.num_cols());
+        check_shape("vertex", x_shape, plan.num_cols, udf.src_len, false)?;
+        check_shape("out", out.shape(), plan.num_rows, udf.out_len, true)?;
+        let exec = Exec {
+            k: self,
+            dtype: X::Elem::DTYPE,
+            out,
+        };
+        exec.run(ops::CopySrc { rows: x });
+        Ok(RunStats::default())
+    }
 }
 
 /// The SpMM template over one lowered message op.
-struct Exec<'a> {
-    k: &'a CpuSpmm,
-    tiles: usize,
+struct Exec<'a, 'g> {
+    k: &'a CpuSpmm<'g>,
+    dtype: FeatureDtype,
     out: &'a mut Dense2<f32>,
 }
 
-impl WithMessage for Exec<'_> {
+impl WithMessage for Exec<'_, '_> {
     type Out = ();
 
     fn run<M: MessageOp + Copy>(self, op: M) {
-        let tiles = if M::WHOLE_ROWS { 1 } else { self.tiles };
-        let (plan, agg) = (&self.k.plan, self.k.agg);
-        plan.aggregate("spmm/partition", agg, tiles, &op, self.out);
+        let k = self.k;
+        let tiles = k.fds.feature_tiles.max(1);
+        let parts = k.plan.num_partitions();
+        let _run_span = span!(
+            "spmm/run",
+            "pattern={:?} dtype={} d={} parts={parts} tiles={tiles}",
+            k.pattern,
+            self.dtype,
+            k.udf.out_len,
+        );
+        counter_add(Counter::Partitions, parts as u64);
+        counter_add(Counter::FeatureTiles, tiles as u64);
+        let tiles = if M::WHOLE_ROWS { 1 } else { tiles };
+        k.plan.aggregate("spmm/partition", k.agg, tiles, &op, self.out);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::spmm_reference;
     use fg_graph::generators;
@@ -464,6 +527,57 @@ mod tests {
                 .unwrap_err(),
             want
         );
+    }
+
+    /// Rows `dst` of `g`'s in-CSR as a `|dst| × |V|` block.
+    pub(crate) fn block_of(g: &Graph, dst: &[u32]) -> Csr {
+        let mut indptr = vec![0];
+        let mut indices = Vec::new();
+        for &v in dst {
+            indices.extend_from_slice(g.in_csr().row(v));
+            indptr.push(indices.len());
+        }
+        Csr::new(dst.len(), g.num_vertices(), indptr, indices)
+    }
+
+    #[test]
+    fn a_block_plan_writes_the_square_graphs_rows_bitwise() {
+        // Every third row of a square graph, as a bipartite block: each
+        // schedule writes exactly the square plan's rows, whether the
+        // sources come as a matrix or as rows gathered from a larger one.
+        use crate::inputs::Gathered;
+        let g = generators::uniform(200, 6, 5);
+        let dst: Vec<u32> = (0..200).step_by(3).collect();
+        let csr = block_of(&g, &dst);
+        let x = features(200, 32);
+        let big = features(400, 32);
+        let index: Vec<u32> = (0..200).map(|v| 2 * v).collect();
+        let even = Dense2::from_fn(200, 32, |r, c| big.at(2 * r, c));
+        let fds = Fds::cpu_tiled(2);
+        for agg in [Reducer::Sum, Reducer::Mean, Reducer::Max] {
+            let udf = Udf::copy_src(32);
+            let square = CpuSpmm::compile(&g, &udf, agg, &fds, &CpuSpmmOptions::single_thread(1));
+            let mut whole = Dense2::zeros(200, 32);
+            square.unwrap().run(&GraphTensors::vertex_only(&x), &mut whole).unwrap();
+            let mut gathered = Dense2::zeros(200, 32);
+            let square = CpuSpmm::compile(&g, &udf, agg, &fds, &CpuSpmmOptions::single_thread(1));
+            square.unwrap().run(&GraphTensors::vertex_only(&even), &mut gathered).unwrap();
+            let rows = |m: &Dense2<f32>| {
+                Dense2::from_fn(dst.len(), 32, |r, c| m.at(dst[r] as usize, c))
+            };
+            for (parts, threads) in [(1, 1), (3, 2), (7, 3)] {
+                let opts = CpuSpmmOptions::with_threads(parts, threads);
+                let k = CpuSpmm::on_csr(&csr, &udf, agg, &fds, &opts).unwrap();
+                // one partition borrows the CSR: it holds its non-empty rows
+                let borrowed = k.mem_bytes() <= 4 * dst.len() as u64;
+                assert_eq!(borrowed, parts == 1, "parts {parts}: {} B", k.mem_bytes());
+                let mut out = Dense2::zeros(dst.len(), 32);
+                k.run(&GraphTensors::vertex_only(&x), &mut out).unwrap();
+                assert_eq!(out, rows(&whole), "{agg:?} parts {parts}");
+                k.run_rows(&Gathered::new(&big, &index, None), &mut out).unwrap();
+                assert_eq!(out, rows(&gathered), "{agg:?} parts {parts} gathered");
+            }
+        }
     }
 
     #[test]

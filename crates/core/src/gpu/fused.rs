@@ -21,7 +21,7 @@ use fg_tensor::Dense2;
 
 use crate::error::KernelError;
 use crate::gpu::skeleton::{charge_interp, gpu_stats, Grid, RowBlocks, F32};
-use crate::inputs::FusedInputs;
+use crate::inputs::{Dims, FusedInputs};
 use crate::ops::{self, with_reduce_op, MessageOp, ReduceOp, ScoreOp, Sink, WithFused};
 use crate::RunStats;
 
@@ -92,7 +92,7 @@ impl GpuFused {
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
         let (n, m) = (self.rows.grid.items, self.rows.csr.nnz());
-        inputs.validate(&self.op, n, m, out)?;
+        inputs.validate(&self.op, Dims::square(n, m), out)?;
         let _run_span = span!(
             "gpu/fused/run",
             "pattern={} d={} grid={} softmax={}",

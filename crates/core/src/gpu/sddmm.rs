@@ -22,7 +22,7 @@ use fg_tensor::Dense2;
 
 use crate::error::KernelError;
 use crate::gpu::skeleton::{gpu_stats, Grid, F32};
-use crate::inputs::GraphTensors;
+use crate::inputs::{Dims, GraphTensors};
 use crate::ops::{self, Dot, Edge, MessageOp, MultiHeadDot, Sink, WithMessage};
 use crate::RunStats;
 
@@ -107,7 +107,7 @@ impl GpuSddmm {
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
         let m = self.edges.len();
-        inputs.validate(&self.udf, self.num_vertices, m, out, m)?;
+        inputs.validate(&self.udf, Dims::square(self.num_vertices, m), out, m)?;
         let _run_span = span!(
             "gpu/sddmm/run",
             "pattern={:?} d={} grid={} tree={}",

@@ -21,7 +21,7 @@ use fg_tensor::Dense2;
 
 use crate::error::KernelError;
 use crate::gpu::skeleton::{charge_interp, gpu_stats, Grid, RowBlocks, F32};
-use crate::inputs::GraphTensors;
+use crate::inputs::{Dims, GraphTensors};
 use crate::ops::{self, with_reduce_op, MessageOp, ReduceOp, Sink, WithMessage};
 use crate::RunStats;
 
@@ -175,7 +175,7 @@ impl GpuSpmm {
         out: &mut Dense2<f32>,
     ) -> Result<RunStats, KernelError> {
         let (n, m) = (self.rows.grid.items, self.rows.csr.nnz());
-        inputs.validate(&self.udf, n, m, out, n)?;
+        inputs.validate(&self.udf, Dims::square(n, m), out, n)?;
         let _run_span = span!(
             "gpu/spmm/run",
             "pattern={:?} d={} grid={} tpb={}",

@@ -52,7 +52,7 @@ pub mod reference;
 pub mod util;
 
 pub use error::KernelError;
-pub use inputs::{FusedInputs, GraphTensors};
+pub use inputs::{Dims, FusedInputs, Gathered, GraphTensors, Row, VertexRows};
 
 // Re-export the IR types a user needs to drive the API, so `featgraph` is a
 // one-stop dependency like the Python package in the paper.
@@ -75,7 +75,7 @@ pub enum Target {
 /// A compiled generalized-SpMM kernel (vertex-wise computation, Eq. (1)).
 pub enum SpmmKernel {
     /// CPU plan.
-    Cpu(cpu::spmm::CpuSpmm),
+    Cpu(cpu::spmm::CpuSpmm<'static>),
     /// GPU-simulator plan.
     Gpu(gpu::spmm::GpuSpmm),
 }
@@ -136,7 +136,7 @@ impl SddmmKernel {
 /// without the `|E| × d` intermediate).
 pub enum FusedKernel {
     /// CPU plan.
-    Cpu(cpu::fused::CpuFused),
+    Cpu(cpu::fused::CpuFused<'static>),
     /// GPU-simulator plan.
     Gpu(gpu::fused::GpuFused),
 }

@@ -2,7 +2,10 @@
 //!
 //! SpMM, SDDMM and their fusion are one loop nest with three slots (the
 //! FusedMM decomposition): the **storage** the vertex rows are read from
-//! (`V: FeatElem` — `f32` or `bf16`), the per-edge **message op**
+//! (`V: FeatElem` — `f32` or `bf16` — read in place, or, for the copy-src
+//! message and the GAT score, any [`VertexRows`] source such as
+//! [`Gathered`](crate::inputs::Gathered) rows of a stored matrix), the
+//! per-edge **message op**
 //! ([`MessageOp`]: the UDF, as a recognized fast path or the interpreter)
 //! and the **reduce op** ([`ReduceOp`]: how a message element lands in the
 //! sink row). All three are type parameters resolved once per `run`, so the
@@ -29,7 +32,7 @@ use fg_ir::{FusedOp, FusedPattern, KernelPattern, Udf};
 use fg_tensor::half::dequantize;
 use fg_tensor::{Dense2, FeatElem};
 
-use crate::inputs::{FusedInputs, GraphTensors};
+use crate::inputs::{FusedInputs, GraphTensors, Row, VertexRows};
 
 /// How one message element `m` is folded into its slot of the sink row.
 /// Reducers are zero-sized function items (or [`scaled`]'s closure), so a
@@ -101,6 +104,30 @@ pub(crate) use with_reduce_op;
 pub(crate) fn combine<R: ReduceOp, A: FeatElem>(r: R, out: &mut [f32], a: &[A]) {
     for (o, &x) in out.iter_mut().zip(a) {
         r(o, x.load());
+    }
+}
+
+/// Fold columns `cols` of an operand row into `out`, whichever tier the
+/// row is stored in.
+#[inline(always)]
+pub(crate) fn combine_row<R: ReduceOp, E: FeatElem>(
+    r: R,
+    out: &mut [f32],
+    row: Row<'_, E>,
+    cols: Range<usize>,
+) {
+    match row {
+        Row::Stored(a) => combine(r, out, &a[cols]),
+        Row::Wide(a) => combine(r, out, &a[cols]),
+    }
+}
+
+/// Column 0 of row `k` of `x`, as `f32` (a score operand).
+#[inline(always)]
+fn scalar<X: VertexRows>(x: &X, k: u32) -> f32 {
+    match x.row(k as usize) {
+        Row::Stored(a) => a[0].load(),
+        Row::Wide(a) => a[0],
     }
 }
 
@@ -210,24 +237,31 @@ macro_rules! with_elem_op {
 
 /// `msg[i] = rows[k][i]` with `k` the edge's source vertex or, `BY_EDGE`,
 /// its edge id.
-#[derive(Clone, Copy)]
-pub(crate) struct CopyRow<'a, V, const BY_EDGE: bool> {
-    pub rows: &'a Dense2<V>,
+pub(crate) struct CopyRow<'a, X, const BY_EDGE: bool> {
+    pub rows: &'a X,
 }
-/// `msg[i] = src[i]` (GCN aggregation).
-pub(crate) type CopySrc<'a, V> = CopyRow<'a, V, false>;
+/// `msg[i] = src[i]` (GCN aggregation), from any row source.
+pub(crate) type CopySrc<'a, X> = CopyRow<'a, X, false>;
 /// `msg[i] = edge[i]`.
-pub(crate) type CopyEdge<'a> = CopyRow<'a, f32, true>;
+pub(crate) type CopyEdge<'a> = CopyRow<'a, Dense2<f32>, true>;
 
-impl<V: FeatElem, const BY_EDGE: bool> MessageOp for CopyRow<'_, V, BY_EDGE> {
+impl<X, const BY_EDGE: bool> Clone for CopyRow<'_, X, BY_EDGE> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<X, const BY_EDGE: bool> Copy for CopyRow<'_, X, BY_EDGE> {}
+
+impl<X: VertexRows, const BY_EDGE: bool> MessageOp for CopyRow<'_, X, BY_EDGE> {
     fn bytes_per_edge(&self, w: usize) -> usize {
-        w * size_of::<V>()
+        w * size_of::<X::Elem>()
     }
 
     #[inline(always)]
     fn edge<R: ReduceOp>(&self, r: R, to: &mut Sink<'_>, e: Edge) {
         let k = if BY_EDGE { e.eid } else { e.src };
-        combine(r, to.out, &self.rows.row(k as usize)[to.cols.clone()]);
+        combine_row(r, to.out, self.rows.row(k as usize), to.cols.clone());
     }
 }
 
@@ -424,10 +458,10 @@ pub(crate) trait ScoreOp: Sync {
 }
 
 /// GAT additive attention, `leaky_relu(sl[src] + sr[dst])`.
-pub(crate) struct GatScore<'a, V> {
-    sl: &'a Dense2<V>,
-    sr: &'a Dense2<V>,
-    slope: f32,
+pub(crate) struct GatScore<'a, L, R> {
+    pub sl: &'a L,
+    pub sr: &'a R,
+    pub slope: f32,
 }
 
 #[inline(always)]
@@ -435,11 +469,11 @@ pub(crate) fn leaky_relu(v: f32, slope: f32) -> f32 {
     if v > 0.0 { v } else { slope * v }
 }
 
-impl<V: FeatElem> ScoreOp for GatScore<'_, V> {
+impl<L: VertexRows, R: VertexRows> ScoreOp for GatScore<'_, L, R> {
     #[inline(always)]
     fn for_dst(&self, dst: u32) -> impl Fn(Edge) -> f32 + '_ {
-        let sr = self.sr.at(dst as usize, 0).load();
-        move |e| leaky_relu(self.sl.at(e.src as usize, 0).load() + sr, self.slope)
+        let sr = scalar(self.sr, dst);
+        move |e| leaky_relu(scalar(self.sl, e.src) + sr, self.slope)
     }
 
     /// Leaky-relu is monotonic, so the row's max score is
@@ -447,10 +481,10 @@ impl<V: FeatElem> ScoreOp for GatScore<'_, V> {
     /// load + compare.
     #[inline(always)]
     fn row_max(&self, dst: u32, edges: impl Iterator<Item = Edge>) -> f32 {
-        let sl = |e: Edge| self.sl.at(e.src as usize, 0).load();
+        let sl = |e: Edge| scalar(self.sl, e.src);
         let z = edges.map(sl).fold(f32::NEG_INFINITY, f32::max);
         if z > f32::NEG_INFINITY {
-            leaky_relu(z + self.sr.at(dst as usize, 0).load(), self.slope)
+            leaky_relu(z + scalar(self.sr, dst), self.slope)
         } else {
             z
         }

@@ -10,7 +10,7 @@ use fg_ir::{FusedOp, Reducer, Udf};
 use fg_tensor::{Dense2, Scalar};
 
 use crate::error::KernelError;
-use crate::inputs::{FusedInputs, GraphTensors};
+use crate::inputs::{Dims, FusedInputs, GraphTensors};
 
 /// Reference generalized SpMM: for every vertex `v`,
 /// `out[v] = agg over incoming edges (u→v) of udf(u, v, eid)`.
@@ -22,7 +22,8 @@ pub fn spmm_reference<S: Scalar>(
     out: &mut Dense2<S>,
 ) -> Result<(), KernelError> {
     udf.validate()?;
-    inputs.validate(udf, graph.num_vertices(), graph.num_edges(), out, graph.num_vertices())?;
+    let dims = Dims::square(graph.num_vertices(), graph.num_edges());
+    inputs.validate(udf, dims, out, graph.num_vertices())?;
     let empty: [S; 0] = [];
     let xd = inputs.dst_tensor();
     out.fill(agg.identity());
@@ -61,7 +62,8 @@ pub fn sddmm_reference<S: Scalar>(
     out: &mut Dense2<S>,
 ) -> Result<(), KernelError> {
     udf.validate()?;
-    inputs.validate(udf, graph.num_vertices(), graph.num_edges(), out, graph.num_edges())?;
+    let dims = Dims::square(graph.num_vertices(), graph.num_edges());
+    inputs.validate(udf, dims, out, graph.num_edges())?;
     let empty: [S; 0] = [];
     let xd = inputs.dst_tensor();
     for (src, dst, eid) in graph.edges() {
@@ -92,7 +94,7 @@ pub fn fused_reference(
     out: &mut Dense2<f32>,
 ) -> Result<(), KernelError> {
     op.validate()?;
-    inputs.validate(op, graph.num_vertices(), graph.num_edges(), out)?;
+    inputs.validate(op, Dims::square(graph.num_vertices(), graph.num_edges()), out)?;
     let empty: [f32; 0] = [];
 
     // Pass 1: materialize the |E| raw scores (what the fused path avoids).

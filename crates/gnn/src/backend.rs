@@ -12,6 +12,7 @@ use featgraph::{
 use fg_gpusim::DeviceConfig;
 use fg_tensor::Dense2;
 
+use crate::block::cpu_plan;
 use crate::ggraph::GnnGraph;
 
 /// Aggregation direction relative to the *forward* graph.
@@ -433,8 +434,8 @@ struct Plans {
 /// by operation and feature length only and hold that graph's partitioned
 /// CSR, so a second graph with the same feature width would silently run
 /// the first graph's plan. Calling it with a graph of another shape panics.
-/// This is why sampled serving builds one backend per block graph and sharded
-/// inference takes one per shard.
+/// Blocks (sampled requests, shards) do not run through a backend: their
+/// plans are compiled per op on the block's own CSR ([`crate::Tape::on_block`]).
 pub struct FeatgraphBackend {
     target: Target,
     threads: usize,
@@ -493,10 +494,14 @@ impl FeatgraphBackend {
         spmm.chain(sddmm).chain(fused).sum()
     }
 
-    fn fds(&self, d: usize) -> Fds {
+    /// The feature schedule and CPU options of a plan on `graph` reading
+    /// `udf`'s operands in `d`-wide rows.
+    fn schedule(&self, graph: &fg_graph::Graph, udf: &Udf, d: usize) -> (Fds, CpuSpmmOptions) {
+        let n = graph.num_vertices();
+        let (fds, opts) = cpu_plan(n, udf, d, self.threads, self.partitions_hint);
         match self.target {
-            Target::Cpu => Fds::cpu_tiled((d / 64).max(1)),
-            Target::Gpu => Fds::gpu_thread_x(d.clamp(32, 1024)),
+            Target::Cpu => (fds, opts),
+            Target::Gpu => (Fds::gpu_thread_x(d.clamp(32, 1024)), opts),
         }
     }
 
@@ -512,9 +517,7 @@ impl FeatgraphBackend {
     /// caching across same-shaped subgraphs (the tuning probe walks the
     /// cost model; the answer depends only on topology and `d`).
     pub fn auto_partitions(graph: &fg_graph::Graph, d: usize) -> usize {
-        let udf = Udf::copy_src(d);
-        let fds = Fds::cpu_tiled((d / 64).max(1));
-        CpuSpmmOptions::auto(graph, &udf, &fds).graph_partitions
+        cpu_plan(graph.num_vertices(), &Udf::copy_src(d), d, 1, None).1.graph_partitions
     }
 
     /// Run the plan cached under `key` in the map `select` picks, compiling
@@ -565,12 +568,8 @@ impl FeatgraphBackend {
     ) -> Dense2<f32> {
         let graph = Self::graph_for(g, dir);
         let compile = || {
-            let fds = self.fds(out_cols);
-            let partitions = self
-                .partitions_hint
-                .unwrap_or_else(|| CpuSpmmOptions::auto(graph, udf, &fds).graph_partitions);
-            let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
-            featgraph::spmm_with_options(graph, udf, agg, &fds, self.target, Some(&cpu_opts), None)
+            let (fds, opts) = self.schedule(graph, udf, out_cols);
+            featgraph::spmm_with_options(graph, udf, agg, &fds, self.target, Some(&opts), None)
         };
         let mut out = Dense2::zeros(graph.num_vertices(), out_cols);
         self.with_plan(
@@ -633,11 +632,8 @@ impl FeatgraphBackend {
         };
         let compile = || {
             let op = FusedOp::gat_attention(d, slope as f64);
-            let partitions = self.partitions_hint.unwrap_or_else(|| {
-                CpuSpmmOptions::auto(graph, &op.message, &self.fds(d)).graph_partitions
-            });
-            let cpu_opts = CpuSpmmOptions::with_threads(partitions, self.threads);
-            featgraph::fused_with_options(graph, &op, self.target, Some(&cpu_opts), None)
+            let (_, opts) = self.schedule(graph, &op.message, d);
+            featgraph::fused_with_options(graph, &op, self.target, Some(&opts), None)
         };
         let inputs = FusedInputs {
             score: GraphTensors::src_dst(sl, sr),

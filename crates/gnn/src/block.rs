@@ -1,83 +1,122 @@
 //! The one inference forward: a model's layers run over per-layer
 //! message-flow blocks (DGL's "blocks").
 //!
-//! A [`LayerBlock`] is what one layer runs on: a graph, the backend bound
-//! to it, and the rows of it the layer writes. Full-graph inference
-//! ([`crate::infer_batch`]) is `L` identity blocks over one graph; a sampled
-//! request ([`crate::sampled::SampledBlocks`]) is `L` shrinking blocks, so
-//! each layer computes only the rows a later layer or a seed reads. Every
-//! written row keeps its in-edges in the same ascending-source order and
-//! dense rows are independent, so a row's bits do not depend on the block
-//! that computed it.
+//! A layer's block is a bipartite graph ([`fg_graph::Block`]): a
+//! `|dst| × |src|` destination-major CSR whose row `r` lists the in-edges of
+//! the `r`-th row the layer writes, by position among the rows it reads,
+//! plus the written rows' positions among the read rows. Its kernels
+//! ([`Tape::on_block`]) are the CPU templates, compiled on the block's own
+//! CSR (a one-partition plan borrows it), and they write `|dst|` rows. A
+//! sampled request
+//! ([`crate::sampled::SampledBlocks`]) is `L` blocks that shrink towards its
+//! seeds, so each layer computes only the rows a later layer or a seed
+//! reads; a shard ([`crate::sharded`]) is one block of its owned rows by its
+//! locals. Every written row keeps its in-edges in the same
+//! ascending-source order and dense rows are independent, so a row's bits do
+//! not depend on the block that computed it. Full-graph inference
+//! ([`crate::infer_batch`]) runs the same layers on whole-graph tapes.
+//!
+//! Layer 0 reads its rows in place ([`Tape::leaf_rows`],
+//! [`Tape::leaf_table`]): a [`Gathered`] source over the matrix that holds
+//! every vertex's row, through the block's input map, with a small overlay
+//! for rows a request overrides. No `|src| × d` copy is made.
 
-use fg_tensor::Dense2;
+use featgraph::cpu::fused::CpuFused;
+use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
+use featgraph::{Fds, FusedOp, Gathered, Reducer, Udf, VertexRows};
+use fg_graph::Block;
+use fg_tensor::{Bf16, Dense2};
 
-use crate::backend::GraphBackend;
-use crate::ggraph::GnnGraph;
 use crate::models::Model;
-use crate::tape::Tape;
+use crate::tape::{Tape, Var};
 
-/// One layer's block: the graph its kernels run on (square, over the rows
-/// the layer reads), the backend bound to that graph, and the positions of
-/// the rows the layer writes (`None`: every row).
-#[derive(Clone, Copy)]
-pub struct LayerBlock<'a> {
-    /// The graph over the rows the layer reads.
-    pub graph: &'a GnnGraph,
-    /// A backend bound to `graph` (see [`crate::FeatgraphBackend`]).
-    pub backend: &'a dyn GraphBackend,
-    /// Positions in `graph` of the rows the layer writes, ascending.
-    pub dst: Option<&'a [usize]>,
+/// A CPU kernel's feature schedule for `d`-wide rows, and its options:
+/// `threads` workers over `partitions` source partitions — when `None`, the
+/// cache model's count for `sources` source rows read by `udf`.
+pub(crate) fn cpu_plan(
+    sources: usize,
+    udf: &Udf,
+    d: usize,
+    threads: usize,
+    partitions: Option<usize>,
+) -> (Fds, CpuSpmmOptions) {
+    let fds = Fds::cpu_tiled((d / 64).max(1));
+    let parts = partitions.unwrap_or_else(|| CpuSpmmOptions::cache_partitions(sources, udf, &fds));
+    (fds, CpuSpmmOptions::with_threads(parts, threads))
 }
 
-/// A layer's input rows, one per row of its block's graph.
-pub enum LayerInput {
-    /// Activations (layer 0: feature rows).
-    Features(Dense2<f32>),
-    /// Layer 0's row-wise tensors in [`Model::layer0_table`] layout, in
-    /// place of the features they are computed from.
-    Table(Vec<Dense2<f32>>),
+/// `out[r] = mean of x over the in-edges of written row r`, one row per row
+/// `block` writes; `x` holds one row per row it reads.
+pub(crate) fn mean_spmm<X: VertexRows>(block: &Block, x: &X, threads: usize) -> Dense2<f32> {
+    let (d, sources) = (x.num_cols(), block.csr().num_cols());
+    let udf = Udf::copy_src(d);
+    let (fds, opts) = cpu_plan(sources, &udf, d, threads, None);
+    let k = CpuSpmm::on_csr(block.csr(), &udf, Reducer::Mean, &fds, &opts);
+    let mut out = Dense2::zeros(block.rows().0, d);
+    k.and_then(|k| k.run_rows(x, &mut out)).expect("block mean aggregation");
+    out
 }
 
-/// Run layer `layer` of `model` on a tape of its own over `block`; returns
-/// one output row per written row.
-pub fn run_layer(
-    model: &dyn Model,
-    block: &LayerBlock<'_>,
-    input: LayerInput,
-    layer: usize,
+/// GAT attention into the rows `block` writes: messages `x` and source
+/// scores `sl` hold one row per row it reads, destination scores `sr` one
+/// per row it writes.
+pub(crate) fn attention(
+    block: &Block,
+    [x, sl, sr]: [Gathered<'_, f32>; 3],
+    slope: f32,
+    threads: usize,
 ) -> Dense2<f32> {
-    let mut tape = Tape::on_block(block.graph, block.backend, block.dst);
-    let h = match input {
-        LayerInput::Features(h) => tape.leaf(h),
-        LayerInput::Table(table) => {
-            let table = table.into_iter().map(|t| tape.leaf(t)).collect();
-            tape.set_table(table);
-            // the layer reads its table, not features
-            tape.leaf(Dense2::zeros(block.graph.num_vertices(), 0))
+    let (d, sources) = (x.num_cols(), block.csr().num_cols());
+    let op = FusedOp::gat_attention(d, slope as f64);
+    let (_, opts) = cpu_plan(sources, &op.message, d, threads, None);
+    let k = CpuFused::on_csr(block.csr(), &op, &opts);
+    let mut out = Dense2::zeros(block.rows().0, d);
+    k.and_then(|k| k.attend(&x, &sl, &sr, &mut out)).expect("block attention");
+    out
+}
+
+/// Rows a block reads in place, one per read row: a stored `f32` or `bf16`
+/// matrix through an index, with an `f32` overlay ([`Gathered`]).
+#[derive(Clone, Copy)]
+pub enum InputRows<'a> {
+    /// Full-precision storage.
+    F32(Gathered<'a, f32>),
+    /// bfloat16 storage, widened as it is read.
+    Bf16(Gathered<'a, Bf16>),
+}
+
+impl InputRows<'_> {
+    /// Rows `at` (positions; every row when `None`), widened into a dense
+    /// matrix.
+    pub fn widened(&self, at: Option<&[u32]>) -> Dense2<f32> {
+        match self {
+            InputRows::F32(g) => g.widened(at),
+            InputRows::Bf16(g) => g.widened(at),
         }
-    };
+    }
+}
+
+/// Run layer `layer` of `model` on `tape` from its input `h`; returns one
+/// output row per row the tape's graph writes.
+pub fn run_layer(model: &dyn Model, mut tape: Tape<'_>, h: Var, layer: usize) -> Dense2<f32> {
     let (out, _) = model.forward_layer(&mut tape, h, layer);
     tape.into_value(out)
 }
 
-/// Run every layer of `model`, layer `ℓ` on `blocks[ℓ]`, from layer 0's
-/// `input`; returns the last layer's rows.
-///
-/// # Panics
-/// If `blocks` does not hold one block per model layer.
-pub fn forward(model: &dyn Model, blocks: &[LayerBlock<'_>], input: LayerInput) -> Dense2<f32> {
-    assert_eq!(
-        blocks.len(),
-        model.num_layers(),
-        "one block per layer of {}",
-        model.name()
-    );
-    let mut layers = blocks.iter().enumerate();
-    let (_, first) = layers.next().expect("a model has at least one layer");
-    let mut h = run_layer(model, first, input, 0);
-    for (layer, block) in layers {
-        h = run_layer(model, block, LayerInput::Features(h), layer);
+/// Run every layer of `model`, layer `ℓ` on `tape(ℓ)`, `input` putting
+/// layer 0's input on its tape; returns the last layer's rows.
+pub fn forward<'g>(
+    model: &dyn Model,
+    mut tape: impl FnMut(usize) -> Tape<'g>,
+    input: impl FnOnce(&mut Tape<'g>) -> Var,
+) -> Dense2<f32> {
+    let mut first = tape(0);
+    let h = input(&mut first);
+    let mut h = run_layer(model, first, h, 0);
+    for layer in 1..model.num_layers() {
+        let mut next = tape(layer);
+        let x = next.leaf(h);
+        h = run_layer(model, next, x, layer);
     }
     h
 }

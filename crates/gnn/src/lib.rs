@@ -34,8 +34,8 @@ pub mod trainer;
 
 pub use backend::{FeatgraphBackend, GraphBackend, NaiveBackend};
 pub use ggraph::GnnGraph;
-pub use block::{LayerBlock, LayerInput};
-pub use sampled::{gather_rows, infer_seeds, prepare_seeds, prepare_seeds_with, SampledBlocks};
+pub use block::InputRows;
+pub use sampled::{gather_rows, infer_seeds, prepare_seeds, Layer0, SampledBlocks};
 pub use sharded::{infer_sharded, ShardRun, ShardedGraph};
 pub use tape::{Tape, Var};
 pub use trainer::{infer_batch, InferError};

@@ -34,11 +34,12 @@ pub trait Model: Send + Sync {
     /// aggregation function of `h`, which is what lets the sharded runner
     /// exchange activations between layers without changing any value.
     ///
-    /// `h` has one row per row of the tape's graph; the output has one row
-    /// per row the tape's block writes: the layer narrows with
-    /// [`Tape::dst_rows`] before its first GEMM that no later row needs.
-    /// On a layer-0 tape holding a [`Tape::table`], the layer reads its
-    /// row-wise tensors from there instead of computing them from `h`.
+    /// `h` has one row per row the tape's graph reads; the output has one
+    /// row per row it writes (on a whole-graph tape, every row). The graph
+    /// ops write only those rows, so the only narrowing a layer does is a
+    /// self term's [`Tape::dst_rows`]. On a layer-0 tape holding a
+    /// [`Tape::table`], the layer reads its row-wise tensors from there
+    /// instead of computing them from `h`.
     fn forward_layer(&self, tape: &mut Tape<'_>, h: Var, layer: usize) -> (Var, Vec<Var>);
 
     /// Layer 0's row-wise tensors over the rows of `x`: what
@@ -123,7 +124,6 @@ impl Model for Gcn {
             layer + 1
         );
         let agg = tape.mean_spmm(h);
-        let agg = tape.dst_rows(agg);
         let lin = tape.matmul(agg, w);
         let pre = tape.add_bias(lin, b);
         let out = if layer == 0 { tape.relu(pre) } else { pre };
@@ -195,7 +195,6 @@ impl Model for GraphSage {
             let hdst = tape.dst_rows(h);
             let selfpart = tape.matmul(hdst, ws);
             let agg = tape.mean_spmm(h);
-            let agg = tape.dst_rows(agg);
             let neighpart = tape.matmul(agg, wn);
             let sum = tape.add(selfpart, neighpart);
             tape.add_bias(sum, b)
@@ -294,7 +293,8 @@ impl Model for Gat {
                 let ar = tape.param(ar.value.clone());
                 pvars.extend([w, al, ar]);
                 // hw, sl (n×1 source scores) and sr (n×1 destination
-                // scores) over every row the attention reads
+                // scores) over every row the attention reads; it writes
+                // only the rows the tape's graph writes
                 let (hw, sl, sr) = match table.get(3 * head..3 * head + 3) {
                     Some(&[hw, sl, sr]) => (hw, sl, sr),
                     _ => {
@@ -305,7 +305,6 @@ impl Model for Gat {
                 // SDDMM score → edge softmax → attention-weighted SpMM,
                 // one fused node forward and backward
                 let out = tape.gat_attention(hw, sl, sr, 0.2);
-                let out = tape.dst_rows(out);
                 acc = Some(match acc {
                     None => out,
                     Some(prev) => tape.add(prev, out),

@@ -2,12 +2,14 @@
 //!
 //! [`infer_seeds`] is the sampled counterpart of
 //! [`infer_batch`](crate::infer_batch): expand a fanout-bounded
-//! neighborhood of the seed vertices, cut it into one message-flow block per
-//! model layer ([`SampledBlocks`]), gather the feature rows layer 0 reads,
-//! and run the model layer by layer over the blocks with the ordinary
-//! backends (fused attention included — a block is just a smaller graph).
-//! Layer ℓ of an L-layer model writes only the rows within L−1−ℓ hops of a
-//! seed, so the last layer computes the seeds' rows and nothing else.
+//! neighborhood of the seed vertices, cut it into one bipartite
+//! message-flow block per model layer ([`SampledBlocks`]), and run the model
+//! layer by layer over the blocks on the CPU templates (fused attention
+//! included). Layer ℓ of an L-layer model writes only the rows within
+//! L−1−ℓ hops of a seed, so the last layer computes the seeds' rows and
+//! nothing else. Layer 0 reads its feature (or layer-0 table) rows in place
+//! through the block's input map ([`Layer0`]); rows a request overrides come
+//! from a small overlay.
 //!
 //! The result is **bitwise identical** to `infer_batch` on the whole sampled
 //! subgraph: every written row keeps its in-edges in the same
@@ -16,17 +18,20 @@
 //! same seeds too: every vertex a seed output transitively reads keeps all
 //! of its in-edges, so each float accumulates in the same sequence.
 
+use std::borrow::Cow;
+
+use featgraph::Gathered;
 use fg_graph::sampling::{
     sample_subgraph_with, SampleConfig, SampleError, SampleScratch, SampledSubgraph,
 };
-use fg_graph::VId;
+use fg_graph::{Block, VId};
 use fg_telemetry::{MemCharge, MemComponent};
-use fg_tensor::Dense2;
+use fg_tensor::{Bf16, Dense2};
 
-use crate::backend::GraphBackend;
-use crate::block::{forward, LayerBlock, LayerInput};
+use crate::block::{forward, InputRows};
 use crate::ggraph::GnnGraph;
 use crate::models::Model;
+use crate::tape::Tape;
 use crate::trainer::InferError;
 
 /// Gather `locals[i]`-th rows of `features` into a compact matrix whose row
@@ -53,105 +58,87 @@ pub fn sample_error_to_infer(e: SampleError, vertices: usize) -> InferError {
 
 /// Sample the neighborhood of `seeds` and wrap it for message passing.
 /// Returns the subgraph (local→global map, frontier boundaries) plus its
-/// [`GnnGraph`]: the forward orientation and in-degrees the forward pass
-/// reads — the reverse orientation is built only if a backward pass asks.
+/// [`GnnGraph`]: what `infer_batch` runs on to give the blocked forward's
+/// bits on the whole subgraph.
 pub fn prepare_seeds(
     graph: &GnnGraph,
     seeds: &[usize],
     cfg: &SampleConfig,
 ) -> Result<(SampledSubgraph, GnnGraph), InferError> {
-    prepare_seeds_with(&mut SampleScratch::new(), graph, seeds, cfg)
+    let sub = prepare_seeds_with(&mut SampleScratch::new(), graph, seeds, cfg)?;
+    let sub_gnn = GnnGraph::new(sub.graph().clone());
+    Ok((sub, sub_gnn))
 }
 
-/// [`prepare_seeds`] through a caller's [`SampleScratch`] (a serving
-/// worker's, reused across requests); the result is the same.
+/// Sample the neighborhood of `seeds` through a caller's [`SampleScratch`]
+/// (a serving worker's, reused across requests): the subgraph of
+/// [`prepare_seeds`], which is all [`SampledBlocks::new`] reads.
 pub fn prepare_seeds_with(
     scratch: &mut SampleScratch,
     graph: &GnnGraph,
     seeds: &[usize],
     cfg: &SampleConfig,
-) -> Result<(SampledSubgraph, GnnGraph), InferError> {
+) -> Result<SampledSubgraph, InferError> {
     let vertices = graph.num_vertices();
     if let Some(&node) = seeds.iter().find(|&&v| v >= vertices) {
         return Err(InferError::NodeOutOfRange { node, vertices });
     }
     let seeds_v: Vec<VId> = seeds.iter().map(|&s| s as VId).collect();
-    let sub = sample_subgraph_with(scratch, graph.fwd(), &seeds_v, cfg)
-        .map_err(|e| sample_error_to_infer(e, vertices))?;
-    let sub_gnn = GnnGraph::new(sub.graph().clone());
-    Ok((sub, sub_gnn))
+    sample_subgraph_with(scratch, graph.fwd(), &seeds_v, cfg)
+        .map_err(|e| sample_error_to_infer(e, vertices))
 }
 
-/// A sampled subgraph cut into one message-flow block per model layer
-/// ([`fg_graph::Block`]), each wrapped for the tape: what a sampled request
-/// runs. Building it touches no features and runs no kernel.
+/// What layer 0 reads in place, one row per vertex of the graph the blocks
+/// were sampled from: the features (`f32` or `bf16` storage), or the
+/// model's layer-0 table ([`Model::layer0_table`]) over every vertex.
+#[derive(Clone, Copy)]
+pub enum Layer0<'a> {
+    /// Full-precision features.
+    F32(&'a Dense2<f32>),
+    /// bfloat16 features, widened as they are read.
+    Bf16(&'a Dense2<Bf16>),
+    /// The layer-0 table.
+    Table(&'a [Dense2<f32>]),
+}
+
+/// A sampled subgraph cut into one bipartite message-flow block per model
+/// layer ([`fg_graph::Block`]): what a sampled request runs. Building it
+/// touches no features and runs no kernel.
 pub struct SampledBlocks {
-    /// The distinct graphs the layers run on.
-    graphs: Vec<GnnGraph>,
-    /// Per layer: its graph's index in `graphs`, and the positions of the
-    /// rows it writes (`None`: every row).
-    layers: Vec<(usize, Option<Vec<usize>>)>,
+    /// Per layer, layer 0 first.
+    blocks: Vec<Block>,
     /// Global IDs of the rows layer 0 reads, in its row order.
     inputs: Vec<VId>,
     /// Per seed: its row among layer 0's inputs.
     seed_inputs: Vec<usize>,
     /// Per seed: its row of the last layer's output.
     seed_outputs: Vec<usize>,
-    /// Bytes of the block graphs and row maps beyond the subgraph's own.
+    /// Bytes of the blocks and row maps beyond the subgraph's own.
     mem_bytes: u64,
 }
 
 impl SampledBlocks {
-    /// Cut `sub` into the blocks of a `layers`-layer model. `sub_gnn` is
-    /// `sub`'s graph wrapped for the tape ([`prepare_seeds`]); every block
-    /// that is the whole subgraph runs on it, not on a copy.
+    /// Cut `sub` into the blocks of a `layers`-layer model.
     ///
     /// # Panics
     /// If `layers` is 0.
-    pub fn new(sub: &SampledSubgraph, sub_gnn: GnnGraph, layers: usize) -> Self {
+    pub fn new(sub: &SampledSubgraph, layers: usize) -> Self {
         assert!(layers > 0, "a model has at least one layer");
-        let mut sub_gnn = Some(sub_gnn);
-        let mut sub_index = None;
-        let mut graphs = Vec::new();
-        let mut per_layer = Vec::with_capacity(layers);
-        let mut mem_bytes = 0;
-        let mut first_src = None;
-        let mut written: Vec<VId> = Vec::new();
-        for layer in 0..layers {
-            let (graph, src, dst) = sub.block(layers, layer).into_parts();
-            let index = match graph {
-                None => *sub_index.get_or_insert_with(|| {
-                    graphs.push(sub_gnn.take().expect("the subgraph is pushed once"));
-                    graphs.len() - 1
-                }),
-                Some(graph) => {
-                    let graph = GnnGraph::new(graph);
-                    mem_bytes += graph.mem_bytes();
-                    graphs.push(graph);
-                    graphs.len() - 1
-                }
-            };
-            written = dst.iter().map(|&i| src[i]).collect();
-            let dst = (dst.len() < src.len()).then_some(dst);
-            let dst_bytes = dst.as_ref().map_or(0, Vec::len) * std::mem::size_of::<usize>();
-            mem_bytes += dst_bytes as u64;
-            per_layer.push((index, dst));
-            first_src.get_or_insert(src);
-        }
-        let src0 = first_src.expect("layers > 0");
+        let (blocks, srcs): (Vec<_>, Vec<_>) = (0..layers).map(|l| sub.block(layers, l)).unzip();
+        let last = &srcs[layers - 1];
+        let written: Vec<_> = blocks[layers - 1].dst().iter().map(|&i| last[i as usize]).collect();
         // Every layer reads and writes the seeds (hop 0), so both searches
         // succeed; both lists ascend in local ID.
         let row_of = |rows: &[VId], l: VId| rows.binary_search(&l).expect("a seed row");
         let seeds = sub.seed_locals();
-        let seed_inputs: Vec<usize> = seeds.iter().map(|&l| row_of(&src0, l)).collect();
+        let seed_inputs: Vec<usize> = seeds.iter().map(|&l| row_of(&srcs[0], l)).collect();
         let seed_outputs: Vec<usize> = seeds.iter().map(|&l| row_of(&written, l)).collect();
-        let inputs: Vec<VId> = src0.iter().map(|&l| sub.global_of(l)).collect();
-        mem_bytes += (inputs.len() * std::mem::size_of::<VId>()
-            + (seed_inputs.len() + seed_outputs.len()) * std::mem::size_of::<usize>())
-            as u64;
+        let inputs: Vec<VId> = srcs[0].iter().map(|&l| sub.global_of(l)).collect();
+        let maps = inputs.len() * std::mem::size_of::<VId>()
+            + (seed_inputs.len() + seed_outputs.len()) * std::mem::size_of::<usize>();
+        let mem_bytes = blocks.iter().map(Block::mem_bytes).sum::<u64>() + maps as u64;
         Self {
-            graphs,
-            layers: per_layer,
+            blocks,
             inputs,
             seed_inputs,
             seed_outputs,
@@ -159,76 +146,70 @@ impl SampledBlocks {
         }
     }
 
-    /// Global IDs of the rows layer 0 reads, in its row order: gather its
-    /// feature (or table) rows with these.
+    /// Global IDs of the rows layer 0 reads, in its row order.
     pub fn inputs(&self) -> &[VId] {
         &self.inputs
     }
 
     /// `(written, read)` row counts per layer, layer 0 first.
     pub fn rows(&self) -> Vec<(usize, usize)> {
-        self.layers
-            .iter()
-            .map(|(g, dst)| {
-                let read = self.graphs[*g].num_vertices();
-                (dst.as_ref().map_or(read, Vec::len), read)
-            })
-            .collect()
+        self.blocks.iter().map(Block::rows).collect()
     }
 
-    /// Heap bytes held beyond the subgraph's own: the blocks' graphs and the
-    /// row maps. What a request charges to the `sampling` component on top
-    /// of [`SampledSubgraph::mem_bytes`].
+    /// Heap bytes held beyond the subgraph's own: the blocks and the row
+    /// maps. What a request charges to the `sampling` component on top of
+    /// [`SampledSubgraph::mem_bytes`].
     pub fn mem_bytes(&self) -> u64 {
         self.mem_bytes
     }
 
-    /// Replace the seeds' rows of layer 0's `input` with rows computed from
-    /// `feats` (one row per seed, in seed order; a duplicated seed keeps
-    /// its last row): the feature rows themselves, or for a table input the
-    /// model's [`Model::layer0_table`] rows of them.
+    /// Run `model` over the blocks, layer 0 reading `layer0`'s rows in
+    /// place through [`SampledBlocks::inputs`], on the CPU templates with
+    /// `threads` workers; returns one logits row per seed, in seed order.
+    ///
+    /// `feats` (one row per seed, in seed order) replaces the seeds' own
+    /// rows: the feature rows themselves, or for a table the model's
+    /// [`Model::layer0_table`] rows of them. A duplicated seed keeps its
+    /// last row. The overlay is the only copy: every other row is read
+    /// where it lies.
     ///
     /// # Panics
-    /// If `input` is a table and `model` has none.
-    pub fn override_seeds(&self, model: &dyn Model, input: &mut LayerInput, feats: &Dense2<f32>) {
-        let fresh;
-        let pairs: Vec<(&mut Dense2<f32>, &Dense2<f32>)> = match input {
-            LayerInput::Features(x) => vec![(x, feats)],
-            LayerInput::Table(table) => {
-                fresh = model
-                    .layer0_table(feats)
-                    .expect("a table input comes from a model that has one");
-                table.iter_mut().zip(&fresh).collect()
-            }
-        };
-        for (rows, from) in pairs {
-            for (i, &r) in self.seed_inputs.iter().enumerate() {
-                rows.row_mut(r).copy_from_slice(from.row(i));
-            }
-        }
-    }
-
-    /// Run `model` over the blocks from layer 0's `input` (one row per
-    /// [`SampledBlocks::inputs`] entry) and return one logits row per seed,
-    /// in seed order. Each block graph gets a backend of its own from
-    /// `new_backend`: a backend is bound to the first graph it runs on.
-    pub fn forward<B: GraphBackend>(
+    /// If `layer0` is a table, `feats` is given and `model` has no table.
+    pub fn forward(
         &self,
         model: &dyn Model,
-        input: LayerInput,
-        new_backend: impl Fn() -> B,
+        layer0: Layer0<'_>,
+        feats: Option<&Dense2<f32>>,
+        threads: usize,
     ) -> Vec<Vec<f32>> {
-        let backends: Vec<B> = self.graphs.iter().map(|_| new_backend()).collect();
-        let blocks: Vec<LayerBlock<'_>> = self
-            .layers
-            .iter()
-            .map(|(g, dst)| LayerBlock {
-                graph: &self.graphs[*g],
-                backend: &backends[*g],
-                dst: dst.as_deref(),
-            })
-            .collect();
-        let out = forward(model, &blocks, input);
+        let stored = match layer0 {
+            Layer0::F32(m) => m.rows(),
+            Layer0::Bf16(m) => m.rows(),
+            Layer0::Table(t) => t.first().map_or(0, Dense2::rows),
+        };
+        // An overridden seed's input row names overlay row `i` past the
+        // stored rows.
+        let mut index = Cow::Borrowed(&self.inputs[..]);
+        if feats.is_some() {
+            let index = index.to_mut();
+            for (i, &r) in self.seed_inputs.iter().enumerate() {
+                index[r] = (stored + i) as VId;
+            }
+        }
+        let table_overlay = match (layer0, feats) {
+            (Layer0::Table(_), Some(f)) => model.layer0_table(f),
+            _ => None,
+        };
+        let tape = |layer: usize| Tape::on_block(&self.blocks[layer], threads);
+        let out = forward(model, tape, |tape| match layer0 {
+            Layer0::F32(m) => tape.leaf_rows(InputRows::F32(Gathered::new(m, &index, feats))),
+            Layer0::Bf16(m) => tape.leaf_rows(InputRows::Bf16(Gathered::new(m, &index, feats))),
+            Layer0::Table(table) => {
+                let overlay = |k: usize| table_overlay.as_ref().map(|o| &o[k]);
+                let rows = table.iter().enumerate();
+                tape.leaf_table(rows.map(|(k, t)| Gathered::new(t, &index, overlay(k))))
+            }
+        });
         let rows = self.seed_outputs.iter().map(|&r| out.row(r).to_vec());
         rows.collect()
     }
@@ -238,13 +219,13 @@ impl SampledBlocks {
 /// neighborhood of `seeds` and return one logits row per seed, in input
 /// order. `cfg.fanouts` must cover at least as many hops as the model has
 /// message-passing layers for the neighborhood to feed every aggregation;
-/// deeper hops are sampled but no layer reads them. `new_backend` builds
-/// one backend per block graph.
-pub fn infer_seeds<B: GraphBackend>(
+/// deeper hops are sampled but no layer reads them. Kernels run on the CPU
+/// templates with `threads` workers.
+pub fn infer_seeds(
     model: &dyn Model,
     graph: &GnnGraph,
     features: &Dense2<f32>,
-    new_backend: impl Fn() -> B,
+    threads: usize,
     seeds: &[usize],
     cfg: &SampleConfig,
 ) -> Result<Vec<Vec<f32>>, InferError> {
@@ -255,8 +236,8 @@ pub fn infer_seeds<B: GraphBackend>(
             vertices,
         });
     }
-    let (sub, sub_gnn) = prepare_seeds(graph, seeds, cfg)?;
-    let blocks = SampledBlocks::new(&sub, sub_gnn, model.num_layers());
+    let sub = prepare_seeds_with(&mut SampleScratch::new(), graph, seeds, cfg)?;
+    let blocks = SampledBlocks::new(&sub, model.num_layers());
     // The subgraph, its blocks and index maps live until the forward pass
     // is done; account them so MEMORY answers show per-request sampling
     // footprint.
@@ -265,8 +246,7 @@ pub fn infer_seeds<B: GraphBackend>(
     // scope, as `infer_batch` does.
     let _mem = (fg_telemetry::current_component() == MemComponent::Scratch)
         .then(|| fg_telemetry::MemScope::enter(MemComponent::TapeActivations));
-    let x = gather_rows(features, blocks.inputs());
-    Ok(blocks.forward(model, LayerInput::Features(x), new_backend))
+    Ok(blocks.forward(model, Layer0::F32(features), None, threads))
 }
 
 #[cfg(test)]
@@ -274,6 +254,7 @@ mod tests {
     use super::*;
     use crate::backend::FeatgraphBackend;
     use crate::data::SbmTask;
+    use fg_tensor::half::{dequantize, quantize};
     use crate::models::build_model;
     use crate::trainer::infer_batch;
 
@@ -281,7 +262,7 @@ mod tests {
         SbmTask::generate(400, 3, 10, 3, 21)
     }
 
-    fn cpu1() -> FeatgraphBackend {
+    fn cpu() -> FeatgraphBackend {
         FeatgraphBackend::cpu(1)
     }
 
@@ -320,7 +301,7 @@ mod tests {
                 model.as_ref(),
                 &task.graph,
                 &task.features,
-                cpu1,
+                1,
                 &seeds,
                 &SampleConfig::full(2, 0),
             )
@@ -332,37 +313,49 @@ mod tests {
     #[test]
     fn blocks_match_the_whole_subgraph_bitwise() {
         // Capped fanouts, as many hops as layers and one more, a duplicated
-        // seed with client rows: the blocked forward (with and without
-        // GAT's layer-0 table) gives the bits of `infer_batch` on the whole
-        // sampled subgraph.
+        // seed with client rows: the blocked forward, reading layer 0 in
+        // place from f32 or bf16 storage or (GAT) its layer-0 table, gives
+        // the bits of `infer_batch` on the whole sampled subgraph fed the
+        // same rows widened.
         let task = task();
         let seeds = [3usize, 42, 3, 399];
         let feats = Dense2::from_fn(seeds.len(), task.in_dim(), |r, c| {
             ((r * 5 + c * 3) % 7) as f32 * 0.25 - 0.5
         });
+        let half: Dense2<Bf16> = quantize(&task.features);
+        let widened = dequantize(&half);
         for fanouts in [vec![3, 3], vec![3, 3, 3]] {
             let cfg = SampleConfig::new(fanouts, 5);
             let (sub, sub_gnn) = prepare_seeds(&task.graph, &seeds, &cfg).unwrap();
-            let mut whole = gather_rows(&task.features, sub.locals());
-            for (i, &l) in sub.seed_locals().iter().enumerate() {
-                whole.row_mut(l as usize).copy_from_slice(feats.row(i));
-            }
             let locals: Vec<usize> = sub.seed_locals().iter().map(|&l| l as usize).collect();
+            let whole = |stored: &Dense2<f32>, feats: Option<&Dense2<f32>>| {
+                let mut whole = gather_rows(stored, sub.locals());
+                if let Some(f) = feats {
+                    for (i, &l) in sub.seed_locals().iter().enumerate() {
+                        whole.row_mut(l as usize).copy_from_slice(f.row(i));
+                    }
+                }
+                whole
+            };
             for name in ["gcn", "graphsage", "gat"] {
                 let model = build_model(name, task.in_dim(), 8, task.num_classes, 2);
                 let model = model.as_ref();
-                let want = infer_batch(model, &sub_gnn, &whole, &cpu1(), &locals).unwrap();
-                let blocks = SampledBlocks::new(&sub, sub_gnn.clone(), model.num_layers());
-                let mut x = LayerInput::Features(gather_rows(&task.features, blocks.inputs()));
-                blocks.override_seeds(model, &mut x, &feats);
-                let got = blocks.forward(model, x, cpu1);
-                assert!(same_bits(&got, &want), "{name} {cfg:?}");
-                if let Some(table) = model.layer0_table(&task.features) {
-                    let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
-                    let mut x = LayerInput::Table(rows.collect());
-                    blocks.override_seeds(model, &mut x, &feats);
-                    let got = blocks.forward(model, x, cpu1);
-                    assert!(same_bits(&got, &want), "{name} table {cfg:?}");
+                let blocks = SampledBlocks::new(&sub, model.num_layers());
+                let table = model.layer0_table(&task.features);
+                for feats in [None, Some(&feats)] {
+                    let oracle = |stored| {
+                        let x = whole(stored, feats);
+                        infer_batch(model, &sub_gnn, &x, &cpu(), &locals).unwrap()
+                    };
+                    let want = oracle(&task.features);
+                    let got = blocks.forward(model, Layer0::F32(&task.features), feats, 1);
+                    assert!(same_bits(&got, &want), "{name} {cfg:?}");
+                    let got = blocks.forward(model, Layer0::Bf16(&half), feats, 2);
+                    assert!(same_bits(&got, &oracle(&widened)), "{name} bf16 {cfg:?}");
+                    if let Some(table) = &table {
+                        let got = blocks.forward(model, Layer0::Table(table), feats, 1);
+                        assert!(same_bits(&got, &want), "{name} table {cfg:?}");
+                    }
                 }
             }
         }
@@ -372,8 +365,8 @@ mod tests {
     fn blocks_shrink_towards_the_seeds() {
         let task = task();
         let cfg = SampleConfig::new(vec![4, 4], 9);
-        let (sub, sub_gnn) = prepare_seeds(&task.graph, &[1, 1, 399], &cfg).unwrap();
-        let blocks = SampledBlocks::new(&sub, sub_gnn, 2);
+        let (sub, _) = prepare_seeds(&task.graph, &[1, 1, 399], &cfg).unwrap();
+        let blocks = SampledBlocks::new(&sub, 2);
         let rows = blocks.rows();
         // layer 0 reads the whole subgraph and writes the 1-hop rows; the
         // last layer writes the two distinct seeds
@@ -382,22 +375,14 @@ mod tests {
         assert_eq!(rows[1].0, 2);
         assert!(rows[1].1 < rows[0].1);
         assert_eq!(blocks.inputs(), sub.locals());
-        assert!(blocks.mem_bytes() > 0);
-    }
-
-    #[test]
-    fn full_fanout_is_bitwise_stable_across_partition_hints() {
-        // The schedule hint must not change results: partitioning only
-        // reorders which rows a thread touches, not per-row accumulation.
-        let task = task();
-        let seeds = [3usize, 42];
-        let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 2);
-        let cfg = SampleConfig::full(2, 0);
-        let hinted = || FeatgraphBackend::cpu_with_partitions(1, 4);
-        let (model, graph, features) = (model.as_ref(), &task.graph, &task.features);
-        let a = infer_seeds(model, graph, features, cpu1, &seeds, &cfg).unwrap();
-        let b = infer_seeds(model, graph, features, hinted, &seeds, &cfg).unwrap();
-        assert_eq!(a, b);
+        // each block holds a CSR row and a position per written row, and an
+        // index per edge: no square graph over the rows it reads
+        let edges: usize = (0..2).map(|l| sub.block(2, l).0.csr().nnz()).sum();
+        let word = std::mem::size_of::<usize>();
+        let csrs = (rows[0].0 + 1 + rows[1].0 + 1) * word + edges * 4;
+        let positions = (rows[0].0 + rows[1].0) * 4;
+        let maps = sub.num_vertices() * 4 + (3 + 3) * word;
+        assert_eq!(blocks.mem_bytes(), (csrs + positions + maps) as u64);
     }
 
     #[test]
@@ -410,7 +395,7 @@ mod tests {
             model.as_ref(),
             &task.graph,
             &task.features,
-            cpu1,
+            1,
             &seeds,
             &cfg,
         )
@@ -434,7 +419,7 @@ mod tests {
                 model.as_ref(),
                 &task.graph,
                 &task.features,
-                || FeatgraphBackend::cpu(2),
+                2,
                 &[10, 20],
                 &cfg,
             )
@@ -451,18 +436,18 @@ mod tests {
         let (model, graph, features) = (model.as_ref(), &task.graph, &task.features);
         let no_hops = SampleConfig::new(vec![], 0);
         assert!(matches!(
-            infer_seeds(model, graph, features, cpu1, &[400], &cfg),
+            infer_seeds(model, graph, features, 1, &[400], &cfg),
             Err(InferError::NodeOutOfRange {
                 node: 400,
                 vertices: 400
             })
         ));
         assert!(matches!(
-            infer_seeds(model, graph, features, cpu1, &[], &cfg),
+            infer_seeds(model, graph, features, 1, &[], &cfg),
             Err(InferError::NoSeeds)
         ));
         assert!(matches!(
-            infer_seeds(model, graph, features, cpu1, &[0], &no_hops),
+            infer_seeds(model, graph, features, 1, &[0], &no_hops),
             Err(InferError::NoHops)
         ));
     }

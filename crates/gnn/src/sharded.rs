@@ -9,11 +9,13 @@
 //! exchange** — through a plan computed once per `(graph, shards,
 //! strategy)`.
 //!
-//! The exchange protocol is deliberately simple and allocation-light:
-//! after layer `l` each worker publishes its full local activation matrix
-//! into a per-layer [`OnceLock`] slot, everyone meets at a [`Barrier`],
-//! and then each worker rebuilds its next input by overwriting halo rows
-//! from the owners' slots (owned rows are already correct in place).
+//! Each shard runs as one bipartite block ([`Block`]): its owned rows
+//! by its locals, so a layer writes only the owned rows, and layer 0 reads
+//! the locals' feature rows in place. The exchange protocol is deliberately
+//! simple and allocation-light: after layer `l` each worker publishes its
+//! owned rows into a per-layer [`OnceLock`] slot, everyone meets at a
+//! [`Barrier`], and then each worker builds its next input over its locals
+//! from its own rows and the owners' rows of its halo.
 //! Because a shard's locals ascend in global ID and owned rows keep their
 //! full global in-edge lists, every float accumulates in exactly the
 //! ascending-source order the single-worker CPU kernels use — sharded
@@ -27,36 +29,32 @@
 
 use std::sync::{Barrier, OnceLock};
 
-use fg_graph::{Graph, ShardPlan, ShardStrategy, VId};
+use featgraph::Gathered;
+use fg_graph::{Block, Graph, ShardPlan, ShardStrategy, VId};
 use fg_telemetry::span;
 use fg_tensor::Dense2;
 
-use crate::backend::FeatgraphBackend;
-use crate::block::{run_layer, LayerBlock, LayerInput};
-use crate::ggraph::GnnGraph;
+use crate::block::{run_layer, InputRows};
 use crate::models::Model;
-use crate::sampled::gather_rows;
+use crate::tape::Tape;
 use crate::trainer::InferError;
 
 /// A graph prepared for shard-parallel inference: the [`ShardPlan`] plus
-/// one [`GnnGraph`] per shard-local graph (what the tape runs on; inference
-/// never builds their reverse orientation).
+/// each shard's block ([`fg_graph::Shard::block`]: its owned rows by its
+/// locals).
 #[derive(Debug, Clone)]
 pub struct ShardedGraph {
     plan: ShardPlan,
-    shards: Vec<GnnGraph>,
+    blocks: Vec<Block>,
 }
 
 impl ShardedGraph {
-    /// Shard `graph` `shards` ways (floored to 1) under `strategy` and
-    /// prepare every shard-local graph for tape execution.
+    /// Shard `graph` `shards` ways (floored to 1) under `strategy` and cut
+    /// every shard's block.
     pub fn build(graph: &Graph, shards: usize, strategy: ShardStrategy) -> Self {
         let plan = ShardPlan::build(graph, shards, strategy);
-        let shards = plan
-            .shards()
-            .map(|s| GnnGraph::new(s.graph().clone()))
-            .collect();
-        Self { plan, shards }
+        let blocks = plan.shards().map(fg_graph::Shard::block).collect();
+        Self { plan, blocks }
     }
 
     /// The underlying shard/halo plan.
@@ -69,15 +67,15 @@ impl ShardedGraph {
         self.plan.num_shards()
     }
 
-    /// Shard `s`'s local graph, prepared for the tape.
-    pub fn shard_graph(&self, s: usize) -> &GnnGraph {
-        &self.shards[s]
+    /// Shard `s`'s block: its owned rows by its locals.
+    pub fn shard_block(&self, s: usize) -> &Block {
+        &self.blocks[s]
     }
 
     /// Heap footprint of shard `s`'s slice: the plan's index structures
-    /// plus the tape-ready local graph (both copies are resident).
+    /// plus the block.
     pub fn shard_mem_bytes(&self, s: usize) -> u64 {
-        self.plan.shard_mem_bytes(s) + self.shards[s].mem_bytes()
+        self.plan.shard_mem_bytes(s) + self.blocks[s].mem_bytes()
     }
 
     /// Total heap footprint: every shard's slice plus the global owner
@@ -104,9 +102,7 @@ pub struct ShardRun {
 /// exchange between consecutive layers; return the logits rows of
 /// `nodes`.
 ///
-/// `backends` must hold exactly one backend per shard — backends cache
-/// partition plans keyed by matrix shape, and two different shard-local
-/// graphs can share a shape, so they must not share a plan cache.
+/// Each shard's kernels run on the CPU templates with `threads` workers.
 ///
 /// Deterministic CPU schedules make the output bitwise identical to
 /// [`crate::infer_batch`] on the full graph, for every shard count and
@@ -115,17 +111,12 @@ pub fn infer_sharded(
     model: &dyn Model,
     sharded: &ShardedGraph,
     features: &Dense2<f32>,
-    backends: &[FeatgraphBackend],
+    threads: usize,
     nodes: &[usize],
 ) -> Result<ShardRun, InferError> {
     let plan = sharded.plan();
     let vertices = plan.num_vertices();
     let num_shards = plan.num_shards();
-    assert_eq!(
-        backends.len(),
-        num_shards,
-        "one backend per shard (plan caches must not be shared)"
-    );
     if features.rows() != vertices {
         return Err(InferError::FeatureRowsMismatch {
             rows: features.rows(),
@@ -159,42 +150,46 @@ pub fn infer_sharded(
             .map(|s| {
                 let slots = &slots;
                 let barriers = &barriers;
-                let backend = &backends[s];
                 scope.spawn(move || {
-                    let shard = plan.shard(s);
-                    let gnn = sharded.shard_graph(s);
+                    let block = sharded.shard_block(s);
+                    let locals = plan.shard(s).locals();
                     let mut ex_bytes = 0u64;
-                    // Layer-0 input: local feature rows. No exchange —
-                    // features are globally visible.
-                    let mut h = gather_rows(features, shard.locals());
+                    // Layer-0 input: the locals' feature rows, read in
+                    // place. No exchange — features are globally visible.
+                    let rows = InputRows::F32(Gathered::new(features, locals, None));
+                    let mut h = None;
                     for layer in 0..layers {
-                        let block = LayerBlock {
-                            graph: gnn,
-                            backend,
-                            dst: None,
+                        let mut tape = Tape::on_block(block, threads);
+                        let x = match h.take() {
+                            None => tape.leaf_rows(rows),
+                            Some(h) => tape.leaf(h),
                         };
-                        let out = run_layer(model, &block, LayerInput::Features(h), layer);
+                        let out = run_layer(model, tape, x, layer);
                         if layer == boundaries {
                             return (out, ex_bytes);
                         }
-                        // Publish the full local matrix, meet everyone,
-                        // then overwrite halo rows from their owners.
-                        // Owned rows are already correct in place.
+                        // Publish the owned rows, meet everyone, then lay
+                        // out the next input over the locals: owned rows
+                        // from this shard, halo rows from their owners.
                         let cols = out.cols();
                         slots[layer][s]
                             .set(out)
                             .unwrap_or_else(|_| panic!("slot {layer}/{s} published twice"));
                         barriers[layer].wait();
-                        let mut next = slots[layer][s].get().expect("own slot set").clone();
-                        for r in shard.remote_reads() {
+                        let own = slots[layer][s].get().expect("own slot set");
+                        let mut next = Dense2::zeros(locals.len(), cols);
+                        for (r, &p) in block.dst().iter().enumerate() {
+                            next.row_mut(p as usize).copy_from_slice(own.row(r));
+                        }
+                        for r in plan.shard(s).remote_reads() {
                             let src = slots[layer][r.owner as usize]
                                 .get()
                                 .expect("owner published before the barrier");
                             next.row_mut(r.local as usize)
-                                .copy_from_slice(src.row(r.owner_local as usize));
+                                .copy_from_slice(src.row(r.owner_row as usize));
                             ex_bytes += (cols * std::mem::size_of::<f32>()) as u64;
                         }
-                        h = next;
+                        h = Some(next);
                     }
                     unreachable!("layer loop returns at the final layer")
                 })
@@ -207,16 +202,14 @@ pub fn infer_sharded(
     });
 
     // Scatter-gather merge: each requested node's row lives in its
-    // owner's final activations at the owner-local index.
+    // owner's final activations, at its index among the owned rows.
     let results = nodes
         .iter()
         .map(|&v| {
             let s = plan.owner_of(v as VId);
-            let li = plan
-                .shard(s)
-                .local_of(v as VId)
-                .expect("owner holds its vertex") as usize;
-            outs[s].0.row(li).to_vec()
+            let owned = plan.shard(s).owned();
+            let row = owned.binary_search(&(v as VId)).expect("owner holds its vertex");
+            outs[s].0.row(row).to_vec()
         })
         .collect();
     Ok(ShardRun {
@@ -228,6 +221,8 @@ pub fn infer_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FeatgraphBackend;
+    use crate::ggraph::GnnGraph;
     use crate::models::build_model;
     use crate::trainer::infer_batch;
     use fg_graph::generators;
@@ -257,10 +252,7 @@ mod tests {
         for shards in [1, 2, 3, 4, 8] {
             for strategy in ShardStrategy::ALL {
                 let sharded = ShardedGraph::build(&g, shards, strategy);
-                let backends: Vec<FeatgraphBackend> =
-                    (0..shards).map(|_| FeatgraphBackend::cpu(1)).collect();
-                let run =
-                    infer_sharded(model.as_ref(), &sharded, &features, &backends, &nodes).unwrap();
+                let run = infer_sharded(model.as_ref(), &sharded, &features, 1, &nodes).unwrap();
                 assert_eq!(
                     run.results, want,
                     "{model_name} n={n} shards={shards} strategy={strategy} diverged"
@@ -307,9 +299,7 @@ mod tests {
         let nodes: Vec<usize> = (0..6).collect();
         let want = infer_batch(model.as_ref(), &full, &features, &single, &nodes).unwrap();
         let sharded = ShardedGraph::build(&g, 4, ShardStrategy::Degree);
-        let backends: Vec<FeatgraphBackend> =
-            (0..4).map(|_| FeatgraphBackend::cpu(1)).collect();
-        let run = infer_sharded(model.as_ref(), &sharded, &features, &backends, &nodes).unwrap();
+        let run = infer_sharded(model.as_ref(), &sharded, &features, 1, &nodes).unwrap();
         assert_eq!(run.results, want);
         assert_eq!(run.exchange_bytes, 0, "no edges, no halo");
     }
@@ -318,17 +308,15 @@ mod tests {
     fn rejects_bad_inputs() {
         let g = generators::uniform(10, 2, 3);
         let sharded = ShardedGraph::build(&g, 2, ShardStrategy::Range);
-        let backends: Vec<FeatgraphBackend> =
-            (0..2).map(|_| FeatgraphBackend::cpu(1)).collect();
         let model = build_model("gcn", 4, 8, 3, 1);
         let short = pseudo_features(9, 4, 1);
         assert!(matches!(
-            infer_sharded(model.as_ref(), &sharded, &short, &backends, &[0]),
+            infer_sharded(model.as_ref(), &sharded, &short, 1, &[0]),
             Err(InferError::FeatureRowsMismatch { .. })
         ));
         let features = pseudo_features(10, 4, 1);
         assert!(matches!(
-            infer_sharded(model.as_ref(), &sharded, &features, &backends, &[10]),
+            infer_sharded(model.as_ref(), &sharded, &features, 1, &[10]),
             Err(InferError::NodeOutOfRange { .. })
         ));
     }

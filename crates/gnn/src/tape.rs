@@ -3,9 +3,11 @@
 //! The graph-op gradients implement the duality the paper highlights in
 //! §II-A: the backward of a generalized SpMM is a generalized SDDMM (the
 //! weight gradient is a per-edge dot product) and the backward of SDDMM-style
-//! edge computations is an SpMM-style aggregation. Every graph op dispatches
-//! through the active [`GraphBackend`], so the same model trains on the
-//! naive or the FeatGraph backend bit-for-bit identically.
+//! edge computations is an SpMM-style aggregation. Every graph op of a
+//! whole-graph tape dispatches through the active [`GraphBackend`], so the
+//! same model trains on the naive or the FeatGraph backend bit-for-bit
+//! identically; an inference block's tape ([`Tape::on_block`]) runs them on
+//! the CPU templates.
 //!
 //! A tape has two kinds of leaves. [`Tape::param`] inserts a tensor the
 //! caller will read a gradient for; [`Tape::leaf`] inserts a constant
@@ -17,11 +19,15 @@
 //! to a parameter depends on those branches, so parameter gradients are
 //! bitwise what a differentiate-everything pass gives.
 
-use featgraph::SoftmaxStats;
+use std::borrow::Cow;
+
+use featgraph::{Gathered, SoftmaxStats};
+use fg_graph::Block;
 use fg_tensor::ops as dops;
 use fg_tensor::Dense2;
 
 use crate::backend::{AttentionForward, Dir, GpuCostModel, GraphBackend};
+use crate::block::{self, InputRows};
 use crate::ggraph::GnnGraph;
 
 /// A handle to a tape node.
@@ -58,12 +64,13 @@ enum Op {
         slope: f32,
         stats: Option<SoftmaxStats>,
     },
-    /// The block's written rows of `x` ([`Tape::dst_rows`]).
-    DstRows(Var),
 }
 
-struct Node {
+struct Node<'g> {
     value: Dense2<f32>,
+    /// For a [`Tape::leaf_rows`] leaf, the rows it reads in place (`value`
+    /// is then empty).
+    rows: Option<InputRows<'g>>,
     grad: Option<Dense2<f32>>,
     /// Whether [`Tape::backward`] computes this node's gradient: set on a
     /// [`Tape::param`], and on an op with such a node among its inputs.
@@ -74,19 +81,27 @@ struct Node {
 /// The autograd tape. Build the forward computation through its methods,
 /// then call [`Tape::backward`].
 ///
-/// A tape runs on one message-flow block: its graph, plus the rows of it
-/// the layer writes ([`Tape::on_block`]). A model narrows to those rows with
-/// [`Tape::dst_rows`]; on a whole-graph tape ([`Tape::new`]) every row is
-/// written and the narrowing pushes no node.
+/// A tape runs on a whole graph through a [`GraphBackend`] ([`Tape::new`]:
+/// training and full-graph inference, forward and backward), or on one
+/// inference block ([`Tape::on_block`]) on the CPU templates. A block's
+/// graph ops write only the rows it writes and read inputs held in place
+/// ([`Tape::leaf_rows`]); a block tape runs the forward only — its graph
+/// ops have no backward.
 pub struct Tape<'g> {
-    graph: &'g GnnGraph,
-    backend: &'g dyn GraphBackend,
+    on: On<'g>,
     dense_gpu: Option<&'g GpuCostModel>,
-    /// Positions of the rows the block writes; `None`: every row.
-    dst: Option<&'g [usize]>,
     /// Row-wise tensors precomputed for this layer ([`Tape::table`]).
     table: Vec<Var>,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<'g>>,
+}
+
+/// What a tape's graph ops run on.
+#[derive(Clone, Copy)]
+enum On<'g> {
+    /// A whole graph through a backend: every row is read and written.
+    Graph(&'g GnnGraph, &'g dyn GraphBackend),
+    /// One block, on the CPU templates with this many threads.
+    Block(&'g Block, usize),
 }
 
 impl<'g> Tape<'g> {
@@ -98,42 +113,50 @@ impl<'g> Tape<'g> {
         dense_gpu: Option<&'g GpuCostModel>,
     ) -> Self {
         Self {
-            graph,
-            backend,
+            on: On::Graph(graph, backend),
             dense_gpu,
-            dst: None,
             table: Vec::new(),
             nodes: Vec::new(),
         }
     }
 
-    /// New inference tape over one block: `graph` is the square graph over
-    /// the rows the layer reads, `dst` the positions of the rows it writes
-    /// (`None`: every row).
-    pub fn on_block(
-        graph: &'g GnnGraph,
-        backend: &'g dyn GraphBackend,
-        dst: Option<&'g [usize]>,
-    ) -> Self {
-        Self {
-            dst,
-            ..Self::new(graph, backend, None)
+    /// New forward-only tape over one block, its kernels on the CPU
+    /// templates with `threads` workers.
+    pub fn on_block(block: &'g Block, threads: usize) -> Self {
+        let on = On::Block(block, threads.max(1));
+        Self { on, dense_gpu: None, table: Vec::new(), nodes: Vec::new() }
+    }
+
+    /// `(written, read)` row counts of this tape's graph, for layer spans.
+    pub fn block_rows(&self) -> (usize, usize) {
+        match self.on {
+            On::Graph(g, _) => (g.num_vertices(), g.num_vertices()),
+            On::Block(b, _) => b.rows(),
         }
     }
 
-    /// `(written, read)` row counts of this tape's block, for layer spans.
-    pub fn block_rows(&self) -> (usize, usize) {
-        let read = self.graph.num_vertices();
-        (self.dst.map_or(read, <[usize]>::len), read)
+    /// The whole graph and backend of a [`Tape::new`] tape.
+    ///
+    /// # Panics
+    /// On a block tape: only the forward's mean aggregation and attention
+    /// run on a block.
+    fn whole(&self) -> (&'g GnnGraph, &'g dyn GraphBackend) {
+        match self.on {
+            On::Graph(g, b) => (g, b),
+            On::Block(..) => panic!("a block tape runs mean aggregation and attention only"),
+        }
     }
 
-    /// Hand the layer row-wise tensors computed ahead of it, one row per
-    /// block row (see [`crate::models::Model::layer0_table`]).
-    pub fn set_table(&mut self, table: Vec<Var>) {
-        self.table = table;
+    /// Hand layer 0 its row-wise tensors computed ahead of it (see
+    /// [`crate::models::Model::layer0_table`]), read in place like
+    /// [`Tape::leaf_rows`]; returns the input the layer then leaves unread.
+    pub fn leaf_table(&mut self, table: impl IntoIterator<Item = Gathered<'g, f32>>) -> Var {
+        let table = table.into_iter().map(|t| self.leaf_rows(InputRows::F32(t)));
+        self.table = table.collect();
+        self.leaf(Dense2::zeros(self.block_rows().1, 0))
     }
 
-    /// The row-wise tensors [`Tape::set_table`] handed this layer; empty
+    /// The row-wise tensors [`Tape::leaf_table`] handed this layer; empty
     /// when the layer computes its own.
     pub fn table(&self) -> &[Var] {
         &self.table
@@ -142,6 +165,7 @@ impl<'g> Tape<'g> {
     fn push_node(&mut self, value: Dense2<f32>, requires_grad: bool, op: Op) -> Var {
         self.nodes.push(Node {
             value,
+            rows: None,
             grad: None,
             requires_grad,
             op,
@@ -169,6 +193,33 @@ impl<'g> Tape<'g> {
     /// pass computes nothing for it, so its [`Tape::grad`] is zeros.
     pub fn leaf(&mut self, value: Dense2<f32>) -> Var {
         self.push_node(value, false, Op::Leaf)
+    }
+
+    /// Insert a constant input whose rows are read in place, one per row the
+    /// tape's graph reads. A block's graph ops read them where they lie;
+    /// any other op reads them widened into a matrix.
+    pub fn leaf_rows(&mut self, rows: InputRows<'g>) -> Var {
+        let v = self.leaf(Dense2::zeros(self.block_rows().1, 0));
+        self.nodes[v.0].rows = Some(rows);
+        v
+    }
+
+    /// `v` as a dense matrix: its value, or its in-place rows widened.
+    fn dense(&self, v: Var) -> Cow<'_, Dense2<f32>> {
+        match &self.nodes[v.0].rows {
+            Some(rows) => Cow::Owned(rows.widened(None)),
+            None => Cow::Borrowed(&self.nodes[v.0].value),
+        }
+    }
+
+    /// `v` as an `f32` kernel operand on a block: read in place unless it
+    /// is stored narrower, in which case `owned` keeps its widened rows.
+    fn operand<'s>(&'s self, v: Var, owned: &'s mut Option<Dense2<f32>>) -> Gathered<'s, f32> {
+        match self.nodes[v.0].rows {
+            Some(InputRows::F32(rows)) => rows,
+            Some(InputRows::Bf16(_)) => Gathered::all(owned.insert(self.dense(v).into_owned())),
+            None => Gathered::all(&self.nodes[v.0].value),
+        }
     }
 
     /// Insert a differentiable leaf: a tensor whose gradient the caller
@@ -200,7 +251,7 @@ impl<'g> Tape<'g> {
 
     /// `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = dops::matmul(self.value(a), self.value(b)).expect("matmul shapes");
+        let value = dops::matmul(&self.dense(a), &self.dense(b)).expect("matmul shapes");
         self.charge_matmul(a, b);
         self.push(value, [a, b], Op::Matmul(a, b))
     }
@@ -260,34 +311,36 @@ impl<'g> Tape<'g> {
     /// Sum aggregation `out[v] = Σ_{u→v} w_e · x[u]`; `w` (if given) is an
     /// `|E| × 1` per-edge scalar weight (e.g. attention coefficients).
     pub fn spmm(&mut self, x: Var, w: Option<Var>) -> Var {
-        let value = self.backend.weighted_spmm(
-            self.graph,
-            Dir::Fwd,
-            self.value(x),
-            w.map(|wv| self.value(wv)),
-        );
+        let (graph, backend) = self.whole();
+        let weights = w.map(|wv| self.value(wv));
+        let value = backend.weighted_spmm(graph, Dir::Fwd, self.value(x), weights);
         let requires_grad = self.needs(x) || w.is_some_and(|wv| self.needs(wv));
         self.push_node(value, requires_grad, Op::Spmm { x, w })
     }
 
-    /// Mean aggregation.
+    /// Mean aggregation: one row per row the tape's graph writes.
     pub fn mean_spmm(&mut self, x: Var) -> Var {
-        let value = self.backend.mean_spmm(self.graph, self.value(x));
+        let value = match self.on {
+            On::Graph(g, backend) => backend.mean_spmm(g, &self.dense(x)),
+            On::Block(b, threads) => match self.nodes[x.0].rows {
+                Some(InputRows::Bf16(rows)) => block::mean_spmm(b, &rows, threads),
+                _ => block::mean_spmm(b, &self.operand(x, &mut None), threads),
+            },
+        };
         self.push(value, [x], Op::MeanSpmm { x })
     }
 
     /// `out[e] = a[src_e] + b[dst_e]`.
     pub fn sddmm_add(&mut self, a: Var, b: Var) -> Var {
-        let value = self
-            .backend
-            .sddmm_add(self.graph, self.value(a), self.value(b));
+        let (graph, backend) = self.whole();
+        let value = backend.sddmm_add(graph, self.value(a), self.value(b));
         self.push(value, [a, b], Op::SddmmAdd(a, b))
     }
 
     /// Per-destination softmax over incoming-edge rows (DGL's
     /// `edge_softmax`; canonical edge order makes segments contiguous).
     pub fn edge_softmax(&mut self, e: Var) -> Var {
-        let value = edge_softmax_forward(self.graph, self.value(e));
+        let value = edge_softmax_forward(self.whole().0, self.value(e));
         let len = value.as_slice().len();
         self.charge((4 * len) as u64, (4 * len * 4) as u64);
         self.push(value, [e], Op::EdgeSoftmax(e))
@@ -299,14 +352,23 @@ impl<'g> Tape<'g> {
     /// backward is [`GraphBackend::attention_backward`]. The same chain
     /// spelled out stage by stage is [`Tape::sddmm_add`] →
     /// [`Tape::leaky_relu`] → [`Tape::edge_softmax`] → [`Tape::spmm`].
+    ///
+    /// On a block, `hw` and `sl` hold one row per row the block reads (in
+    /// place or not) and `sr`'s rows are read at the rows it writes.
     pub fn gat_attention(&mut self, hw: Var, sl: Var, sr: Var, slope: f32) -> Var {
-        let (value, stats) = self.backend.attention_forward(
-            self.graph,
-            self.value(hw),
-            self.value(sl),
-            self.value(sr),
-            slope,
-        );
+        let (value, stats) = match self.on {
+            On::Graph(g, backend) => {
+                let (x, l, r) = (self.dense(hw), self.dense(sl), self.dense(sr));
+                backend.attention_forward(g, &x, &l, &r, slope)
+            }
+            On::Block(b, threads) => {
+                let ([mut ox, mut ol, mut or], mut at) = ([None, None, None], Vec::new());
+                let (x, l) = (self.operand(hw, &mut ox), self.operand(sl, &mut ol));
+                // `sr` is read at the rows the block writes
+                let r = self.operand(sr, &mut or).rows_at(b.dst(), &mut at);
+                (block::attention(b, [x, l, r], slope, threads), None)
+            }
+        };
         let op = Op::Attention {
             hw,
             sl,
@@ -317,18 +379,18 @@ impl<'g> Tape<'g> {
         self.push(value, [hw, sl, sr], op)
     }
 
-    /// The rows of `x` the block writes, in block order. On a tape whose
-    /// block writes every row this is `x` itself: no node is pushed.
+    /// The rows of `x` the tape's graph writes, in order (GraphSage's self
+    /// half). On a whole-graph tape every row is written and this is `x`
+    /// itself; on a block it is a constant copy of `|dst|` rows.
     pub fn dst_rows(&mut self, x: Var) -> Var {
-        let Some(dst) = self.dst else {
+        let On::Block(block, _) = self.on else {
             return x;
         };
-        let src = self.value(x);
-        let mut value = Dense2::zeros(dst.len(), src.cols());
-        for (i, &r) in dst.iter().enumerate() {
-            value.row_mut(i).copy_from_slice(src.row(r));
-        }
-        self.push(value, [x], Op::DstRows(x))
+        let value = match &self.nodes[x.0].rows {
+            Some(rows) => rows.widened(Some(block.dst())),
+            None => Gathered::all(self.value(x)).widened(Some(block.dst())),
+        };
+        self.leaf(value)
     }
 
     /// Add `g` into `v`'s gradient; a constant never holds one.
@@ -356,7 +418,11 @@ impl<'g> Tape<'g> {
     /// every [`Tape::param`] that `seed_var` depends on holds its gradient.
     /// Each op computes the gradient of those inputs that require one and
     /// nothing else.
+    ///
+    /// # Panics
+    /// On a block tape (see [`Tape::on_block`]).
     pub fn backward(&mut self, seed_var: Var, seed_grad: Dense2<f32>) {
+        let (graph, backend) = self.whole();
         self.accumulate(seed_var, seed_grad);
         for i in (0..self.nodes.len()).rev() {
             // An interior node's gradient is moved out of its slot and on
@@ -425,8 +491,8 @@ impl<'g> Tape<'g> {
                 Op::Spmm { x, w } => {
                     if self.needs(x) {
                         // ∂L/∂x[u] = Σ_{u→v} w_e ∂L/∂h[v]  (reverse aggregation)
-                        let gx = self.backend.weighted_spmm(
-                            self.graph,
+                        let gx = backend.weighted_spmm(
+                            graph,
                             Dir::Rev,
                             &g,
                             w.map(|wv| self.value(wv)),
@@ -436,7 +502,7 @@ impl<'g> Tape<'g> {
                     if let Some(wv) = w.filter(|&wv| self.needs(wv)) {
                         // ∂L/∂w_e = x[src_e] · ∂L/∂h[dst_e] — an SDDMM,
                         // exactly the paper's §II-A gradient duality.
-                        let gw = self.backend.sddmm_dot(self.graph, self.value(x), &g);
+                        let gw = backend.sddmm_dot(graph, self.value(x), &g);
                         self.accumulate(wv, gw);
                     }
                 }
@@ -445,27 +511,27 @@ impl<'g> Tape<'g> {
                     // reverse-aggregate (`x` requires a gradient: it is the
                     // only input, and this node got one)
                     for v in 0..g.rows() {
-                        let deg = self.graph.in_degrees()[v].max(1) as f32;
+                        let deg = graph.in_degrees()[v].max(1) as f32;
                         for o in g.row_mut(v) {
                             *o /= deg;
                         }
                     }
-                    let gx = self.backend.weighted_spmm(self.graph, Dir::Rev, &g, None);
+                    let gx = backend.weighted_spmm(graph, Dir::Rev, &g, None);
                     self.accumulate(x, gx);
                 }
                 Op::SddmmAdd(a, b) => {
                     // ∂L/∂a[u] = Σ_{e out of u} g_e ; ∂L/∂b[v] = Σ_{e into v} g_e
                     if self.needs(a) {
-                        let ga = self.backend.edge_sum(self.graph, Dir::Rev, &g);
+                        let ga = backend.edge_sum(graph, Dir::Rev, &g);
                         self.accumulate(a, ga);
                     }
                     if self.needs(b) {
-                        let gb = self.backend.edge_sum(self.graph, Dir::Fwd, &g);
+                        let gb = backend.edge_sum(graph, Dir::Fwd, &g);
                         self.accumulate(b, gb);
                     }
                 }
                 Op::EdgeSoftmax(e) => {
-                    let gx = edge_softmax_backward(self.graph, &self.nodes[i].value, &g);
+                    let gx = edge_softmax_backward(graph, &self.nodes[i].value, &g);
                     self.accumulate(e, gx);
                 }
                 Op::Attention {
@@ -483,23 +549,10 @@ impl<'g> Tape<'g> {
                         out: &self.nodes[i].value,
                         stats: stats.as_ref(),
                     };
-                    let grads = self.backend.attention_backward(self.graph, &fwd, &g);
+                    let grads = backend.attention_backward(graph, &fwd, &g);
                     self.accumulate(hw, grads.x);
                     self.accumulate(sl, grads.sl);
                     self.accumulate(sr, grads.sr);
-                }
-                Op::DstRows(x) => {
-                    // scatter-add back onto the block's rows
-                    let dst = self
-                        .dst
-                        .expect("a DstRows node is pushed only on a block tape");
-                    let mut gx = Dense2::zeros(self.value(x).rows(), g.cols());
-                    for (i, &r) in dst.iter().enumerate() {
-                        for (o, &v) in gx.row_mut(r).iter_mut().zip(g.row(i)) {
-                            *o += v;
-                        }
-                    }
-                    self.accumulate(x, gx);
                 }
             }
         }
@@ -1039,33 +1092,60 @@ mod tests {
     }
 
     #[test]
-    fn dst_rows_gathers_forward_and_scatter_adds_backward() {
+    fn a_block_tape_writes_only_its_rows_and_reads_inputs_in_place() {
         let (g, backend) = setup();
-        let dst = [0usize, 3, 3, 29];
-        let mut tape = Tape::on_block(&g, &backend, Some(&dst));
-        assert_eq!(tape.block_rows(), (4, 30));
-        let x = tape.param(feats(30, 4, 1));
-        let y = tape.dst_rows(x);
-        for (i, &r) in dst.iter().enumerate() {
-            assert_eq!(tape.value(y).row(i), tape.value(x).row(r));
+        let dst = vec![0u32, 3, 17, 29];
+        let in_csr = g.fwd().in_csr();
+        let mut indptr = vec![0];
+        let mut indices = Vec::new();
+        for &p in &dst {
+            indices.extend_from_slice(in_csr.row(p));
+            indptr.push(indices.len());
         }
-        let target = feats(4, 4, 5);
-        tape.backward(y, target.clone());
-        let gx = tape.grad(x);
-        let mut want = Dense2::zeros(30, 4);
-        for (i, &r) in dst.iter().enumerate() {
-            for (o, &v) in want.row_mut(r).iter_mut().zip(target.row(i)) {
-                *o += v;
-            }
-        }
-        assert!(gx.approx_eq(&want, 0.0));
+        let csr = fg_graph::Csr::new(dst.len(), 30, indptr, indices);
+        let block = Block::new(csr, dst.clone());
+        // the whole-graph rows the block's writes must equal, bitwise
+        let (x0, s0) = (feats(30, 8, 1), feats(30, 1, 2));
+        let r0 = feats(30, 1, 3);
+        let mut whole = Tape::new(&g, &backend, None);
+        let (x, sl, sr) = (whole.leaf(x0.clone()), whole.leaf(s0.clone()), whole.leaf(r0.clone()));
+        let (mean, att) = (whole.mean_spmm(x), whole.gat_attention(x, sl, sr, 0.2));
+        assert_eq!(whole.block_rows(), (30, 30));
+        assert_eq!(whole.dst_rows(x), x, "a whole-graph tape writes every row");
+        let at = |m: &Dense2<f32>| {
+            Dense2::from_fn(dst.len(), m.cols(), |i, c| m.at(dst[i] as usize, c))
+        };
+        let (want_mean, want_att) = (at(whole.value(mean)), at(whole.value(att)));
 
-        // A whole-graph tape writes every row: the narrowing is `x` itself.
-        let mut tape = Tape::new(&g, &backend, None);
-        assert_eq!(tape.block_rows(), (30, 30));
-        let x = tape.leaf(feats(30, 4, 1));
-        assert_eq!(tape.dst_rows(x), x);
-        assert_eq!(tape.nodes.len(), 1);
+        // dense inputs, one row per read row
+        let mut tape = Tape::on_block(&block, 2);
+        assert_eq!(tape.block_rows(), (4, 30));
+        let (x, sl, sr) = (tape.leaf(x0.clone()), tape.leaf(s0.clone()), tape.leaf(r0.clone()));
+        let mean = tape.mean_spmm(x);
+        assert_eq!(tape.value(mean), &want_mean);
+        let att = tape.gat_attention(x, sl, sr, 0.2);
+        assert_eq!(tape.value(att), &want_att);
+        let own = tape.dst_rows(x);
+        assert_eq!(tape.value(own), &at(&x0));
+
+        // the same rows read in place from larger matrices, in reverse row
+        // order, one of them from an overlay
+        let index: Vec<u32> = (0..30).map(|k| 29 - k).collect();
+        let flip = |m: &Dense2<f32>| Dense2::from_fn(30, m.cols(), |r, c| m.at(29 - r, c));
+        let (xs, ss, rs) = (flip(&x0), flip(&s0), flip(&r0));
+        let mut overlay_index = index.clone();
+        overlay_index[3] = 30;
+        let overlay = Dense2::from_fn(1, 8, |_, c| x0.at(3, c));
+        let mut tape = Tape::on_block(&block, 1);
+        let rows = |m, ix| InputRows::F32(Gathered::new(m, ix, None));
+        let x = tape.leaf_rows(InputRows::F32(Gathered::new(&xs, &overlay_index, Some(&overlay))));
+        let (sl, sr) = (tape.leaf_rows(rows(&ss, &index)), tape.leaf_rows(rows(&rs, &index)));
+        let mean = tape.mean_spmm(x);
+        assert_eq!(tape.value(mean), &want_mean);
+        let att = tape.gat_attention(x, sl, sr, 0.2);
+        assert_eq!(tape.value(att), &want_att);
+        let own = tape.dst_rows(x);
+        assert_eq!(tape.value(own), &at(&x0));
     }
 
     #[test]

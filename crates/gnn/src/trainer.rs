@@ -6,7 +6,7 @@ use fg_telemetry::{gauge_set, span, Gauge};
 use fg_tensor::Dense2;
 
 use crate::backend::{GpuCostModel, GraphBackend};
-use crate::block::{forward, LayerBlock, LayerInput};
+use crate::block::forward;
 use crate::data::SbmTask;
 use crate::ggraph::GnnGraph;
 use crate::loss::{accuracy, softmax_cross_entropy};
@@ -180,8 +180,8 @@ impl std::error::Error for InferError {}
 /// Batched single-node inference: one full-graph forward pass answers every
 /// requested node, returning that node's logits row per request.
 ///
-/// This is the forward over one identity block per layer
-/// ([`crate::block::forward`]): every layer writes every row. `fg-serve`
+/// This is the layer-by-layer forward ([`crate::block::forward`]) on one
+/// whole-graph tape per layer: every layer writes every row. `fg-serve`
 /// calls it once per registration over every vertex and answers each
 /// full-graph request with a row of the result; a sampled request runs the
 /// same forward over blocks that shrink towards its seeds
@@ -216,13 +216,8 @@ pub fn infer_batch(
     // scope — fg-serve wraps this call in a ServeBatch scope, which wins.
     let _mem = (fg_telemetry::current_component() == fg_telemetry::MemComponent::Scratch)
         .then(|| fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations));
-    let identity = LayerBlock {
-        graph,
-        backend,
-        dst: None,
-    };
-    let blocks = vec![identity; model.num_layers()];
-    let logits = forward(model, &blocks, LayerInput::Features(features.clone()));
+    let tape = |_: usize| Tape::new(graph, backend, None);
+    let logits = forward(model, tape, |tape| tape.leaf(features.clone()));
     Ok(nodes.iter().map(|&v| logits.row(v).to_vec()).collect())
 }
 
@@ -345,10 +340,8 @@ mod tests {
             let backend = FeatgraphBackend::cpu(1);
             infer_batch(model, &task.graph, &task.features, &backend, &nodes).unwrap();
             let cfg = SampleConfig::new(vec![4, 4], 3);
-            let cpu1 = || FeatgraphBackend::cpu(1);
-            infer_seeds(model, &task.graph, &task.features, cpu1, &nodes, &cfg).unwrap();
-            let backends: Vec<_> = (0..3).map(|_| FeatgraphBackend::cpu(1)).collect();
-            infer_sharded(model, &sharded, &task.features, &backends, &nodes).unwrap();
+            infer_seeds(model, &task.graph, &task.features, 1, &nodes, &cfg).unwrap();
+            infer_sharded(model, &sharded, &task.features, 1, &nodes).unwrap();
         }
         assert_eq!(
             task.graph.mem_bytes(),

@@ -21,6 +21,8 @@
 //!   SDDMM template for locality over both source and destination features.
 //! * [`reorder`] — degree-based vertex split for GPU hybrid partitioning
 //!   (§III-C3).
+//! * [`block`] — bipartite message-flow blocks: one layer's `|dst| × |src|`
+//!   CSR over a sampled neighborhood or a shard.
 //! * [`shard`] — destination sharding with halo index plans: per-shard
 //!   local graphs plus a once-per-graph exchange plan, the substrate of
 //!   multi-worker sharded inference (`fg_gnn::infer_sharded`).
@@ -30,6 +32,7 @@
 
 use std::sync::OnceLock;
 
+pub mod block;
 pub mod coo;
 pub mod csr;
 pub mod datasets;
@@ -42,12 +45,13 @@ pub mod sampling;
 pub mod shard;
 pub mod stats;
 
+pub use block::Block;
 pub use coo::Coo;
 pub use csr::{Csr, CsrError};
 pub use datasets::{Dataset, DatasetSpec};
 pub use partition::PartitionedCsr;
 pub use sampling::{
-    sample_subgraph, sample_subgraph_with, Block, SampleConfig, SampleError, SampleScratch,
+    sample_subgraph, sample_subgraph_with, SampleConfig, SampleError, SampleScratch,
     SampledSubgraph, FULL_FANOUT,
 };
 pub use shard::{RemoteRead, Shard, ShardPlan, ShardStrategy};

@@ -32,8 +32,15 @@ impl PartitionedCsr {
     ///
     /// `parts` is clamped to `[1, |V|]`.
     pub fn build(graph: &Graph, parts: usize) -> Self {
-        let n = graph.num_vertices();
-        Self::build_inner(graph, parts.clamp(1, n.max(1)))
+        Self::from_csr(graph.in_csr(), parts)
+    }
+
+    /// Split a destination-major CSR of any shape into `parts` contiguous
+    /// ranges of its columns (source rows); `parts` is clamped to
+    /// `[1, num_cols]`. A message-flow block's `|dst| × |src|` CSR
+    /// partitions like a square graph's.
+    pub fn from_csr(csr: &Csr, parts: usize) -> Self {
+        Self::build_inner(csr, parts.clamp(1, csr.num_cols().max(1)))
     }
 
     /// Like [`build`](Self::build), but without clamping `parts` to `|V|`
@@ -45,12 +52,11 @@ impl PartitionedCsr {
     /// worker pool; the clamped `build` made that a panic waiting in the
     /// worker loop.
     pub fn build_exact(graph: &Graph, parts: usize) -> Self {
-        Self::build_inner(graph, parts.max(1))
+        Self::build_inner(graph.in_csr(), parts.max(1))
     }
 
-    fn build_inner(graph: &Graph, parts: usize) -> Self {
-        let n = graph.num_vertices();
-        let csr = graph.in_csr();
+    fn build_inner(csr: &Csr, parts: usize) -> Self {
+        let n = csr.num_cols();
         let mut segments = Vec::with_capacity(parts);
         let mut segment_eids = Vec::with_capacity(parts);
         let mut bounds = Vec::with_capacity(parts + 1);
@@ -62,13 +68,7 @@ impl PartitionedCsr {
         for p in 0..parts {
             let width = base + usize::from(p < extra);
             let hi = lo + width as VId;
-            // One partition spans every source, so its slice is the CSR
-            // itself and each edge keeps its position.
-            let (seg, positions) = if parts == 1 {
-                (csr.clone(), (0..csr.nnz() as EId).collect())
-            } else {
-                csr.slice_cols(lo, hi)
-            };
+            let (seg, positions) = csr.slice_cols(lo, hi);
             // Positions in the dst-major CSR *are* canonical edge IDs.
             segment_eids.push(positions);
             nonempty.push(
@@ -284,51 +284,6 @@ mod tests {
         let pc0 = PartitionedCsr::build_exact(&g0, 4);
         assert_eq!(pc0.num_partitions(), 4);
         assert_eq!(pc0.nnz(), 0);
-    }
-
-    /// What `build_inner` produces with one partition when it slices like
-    /// any other partition count.
-    fn sliced_one_partition(graph: &Graph) -> PartitionedCsr {
-        let n = graph.num_vertices();
-        let (seg, positions) = graph.in_csr().slice_cols(0, n as VId);
-        let nonempty = seg
-            .iter_rows()
-            .filter(|(_, cols, _)| !cols.is_empty())
-            .map(|(dst, _, _)| dst)
-            .collect();
-        PartitionedCsr {
-            segments: vec![seg],
-            segment_eids: vec![positions],
-            bounds: vec![0, n as VId],
-            nonempty: vec![nonempty],
-        }
-    }
-
-    fn assert_same_plan(got: &PartitionedCsr, want: &PartitionedCsr) {
-        assert_eq!(got.segments, want.segments);
-        assert_eq!(got.segment_eids, want.segment_eids);
-        assert_eq!(got.bounds, want.bounds);
-        assert_eq!(got.nonempty, want.nonempty);
-        assert_eq!(got.mem_bytes(), want.mem_bytes());
-    }
-
-    #[test]
-    fn one_partition_fast_path_equals_slicing() {
-        let mut graphs = vec![
-            crate::Graph::from_edges(0, &[]),
-            crate::Graph::from_edges(6, &[]),
-            // Rows 0, 2 and 5 have no in-edges.
-            crate::Graph::from_edges(6, &[(0, 1), (2, 1), (5, 3), (1, 4), (4, 4)]),
-        ];
-        for seed in 0..8 {
-            graphs.push(generators::uniform(40 + 13 * seed as usize, 1 + seed as usize, seed));
-            graphs.push(generators::power_law(200, 4, 2.5, seed));
-        }
-        for g in &graphs {
-            let want = sliced_one_partition(g);
-            assert_same_plan(&PartitionedCsr::build(g, 1), &want);
-            assert_same_plan(&PartitionedCsr::build_exact(g, 1), &want);
-        }
     }
 
     #[test]

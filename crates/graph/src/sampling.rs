@@ -37,6 +37,7 @@
 
 use std::ops::Range;
 
+use crate::block::Block;
 use crate::csr::Csr;
 use crate::{Graph, VId};
 
@@ -121,36 +122,6 @@ pub struct SampledSubgraph {
     depths: Vec<u8>,
 }
 
-/// One layer's message-flow block over a [`SampledSubgraph`] (DGL's
-/// "block"). Layer `layer` of an `L`-layer model reads the rows within
-/// `L − layer` hops of a seed and writes the rows within `L − 1 − layer`
-/// hops: nothing it would compute for a row farther out reaches a seed.
-///
-/// The block is a square graph over the rows it reads, in ascending local
-/// (hence global) order; only the rows it writes keep their in-edges, in
-/// the subgraph's row order, so every written row accumulates exactly as it
-/// does in the whole subgraph. Locals are not ordered by depth, so the
-/// written rows are a position list, not a prefix.
-#[derive(Debug, Clone)]
-pub struct Block {
-    graph: Option<Graph>,
-    src: Vec<VId>,
-    dst: Vec<usize>,
-}
-
-impl Block {
-    /// Take the block apart: `(graph, src, dst)`.
-    /// * `graph`: the square graph over `src`; `None` when that is the
-    ///   subgraph itself (every row is read and every unwritten row is
-    ///   already a leaf), which is then reused rather than copied.
-    /// * `src`: the subgraph locals the layer reads, ascending; row `i` of
-    ///   the block is local `src[i]`.
-    /// * `dst`: positions in `src` of the rows the layer writes, ascending.
-    pub fn into_parts(self) -> (Option<Graph>, Vec<VId>, Vec<usize>) {
-        (self.graph, self.src, self.dst)
-    }
-}
-
 impl SampledSubgraph {
     /// The induced subgraph over local vertex IDs (both CSR orientations).
     pub fn graph(&self) -> &Graph {
@@ -192,53 +163,66 @@ impl SampledSubgraph {
         &self.depths
     }
 
-    /// Layer `layer`'s [`Block`] for a `layers`-layer model.
+    /// Layer `layer`'s message-flow [`Block`] for a `layers`-layer model,
+    /// and the locals it reads (ascending; read row `i` is local `src[i]`).
+    /// Layer `layer` of an `L`-layer model reads the rows within `L − layer`
+    /// hops of a seed and writes the rows within `L − 1 − layer` hops:
+    /// nothing it would compute for a row farther out reaches a seed. Each
+    /// written row keeps every in-edge it has in the subgraph, in the same
+    /// order, so it accumulates exactly as it does in the whole subgraph.
+    /// Locals are not ordered by depth, so the written rows are a position
+    /// list among the read rows, not a prefix.
     ///
     /// # Panics
     /// If `layer >= layers` or `layers >= u8::MAX` (depths saturate there).
-    pub fn block(&self, layers: usize, layer: usize) -> Block {
+    pub fn block(&self, layers: usize, layer: usize) -> (Block, Vec<VId>) {
         assert!(layer < layers, "layer {layer} of a {layers}-layer model");
         assert!(
             layers < u8::MAX as usize,
             "{layers} layers exceed the depth range"
         );
         let reads = layers - layer;
-        let within = |l: usize, hops: usize| self.depths[l] as usize <= hops;
-        let src: Vec<VId> = (0..self.num_vertices())
-            .filter(|&l| within(l, reads))
-            .map(|l| l as VId)
-            .collect();
-        let dst: Vec<usize> = (0..src.len())
-            .filter(|&i| within(src[i] as usize, reads - 1))
-            .collect();
-        // Reading at least as many hops as were sampled, a block reads every
-        // row, and the rows it does not write sit at the last hop: leaves,
-        // whose rows are already empty.
-        let graph = (reads < self.frontier_sizes.len() - 1).then(|| {
+        // `frontier_sizes[h]` rows lie exactly `h` hops out.
+        let within = |hops: usize| self.frontier_sizes.iter().take(hops + 1).sum();
+        let mut src: Vec<VId> = Vec::with_capacity(within(reads));
+        let mut dst: Vec<u32> = Vec::with_capacity(within(reads - 1));
+        for (l, &depth) in self.depths.iter().enumerate() {
+            let depth = depth as usize;
+            if depth < reads {
+                dst.push(src.len() as u32);
+            }
+            if depth <= reads {
+                src.push(l as VId);
+            }
+        }
+        // A written row's sources lie one hop farther out at most, so all of
+        // them are read rows; reading every row, a position is the local ID.
+        let in_csr = self.graph.in_csr();
+        let nnz = dst.iter().map(|&i| in_csr.degree(src[i as usize])).sum();
+        let pos = (src.len() < self.num_vertices()).then(|| {
             let mut pos = vec![VId::MAX; self.num_vertices()];
             for (i, &l) in src.iter().enumerate() {
                 pos[l as usize] = i as VId;
             }
-            let in_csr = self.graph.in_csr();
-            let mut indptr = Vec::with_capacity(src.len() + 1);
-            indptr.push(0usize);
-            let mut indices: Vec<VId> = Vec::new();
-            let mut written = dst.iter().peekable();
-            for (i, &l) in src.iter().enumerate() {
-                if written.next_if_eq(&&i).is_some() {
-                    // A written row's sources lie one hop farther out at
-                    // most, so all of them are read rows; the position map
-                    // is monotone, so the row stays ascending.
-                    indices.extend(in_csr.row(l).iter().map(|&u| pos[u as usize]));
-                }
-                indptr.push(indices.len());
-            }
-            match Csr::try_new(src.len(), src.len(), indptr, indices) {
-                Ok(c) => Graph::from_csr(c),
-                Err(e) => unreachable!("block of a valid subgraph is invalid: {e}"),
-            }
+            pos
         });
-        Block { graph, src, dst }
+        let mut indptr = Vec::with_capacity(dst.len() + 1);
+        indptr.push(0usize);
+        let mut indices: Vec<VId> = Vec::with_capacity(nnz);
+        for &i in &dst {
+            let row = in_csr.row(src[i as usize]);
+            // The position map is monotone, so the row stays ascending.
+            match &pos {
+                Some(pos) => indices.extend(row.iter().map(|&u| pos[u as usize])),
+                None => indices.extend_from_slice(row),
+            }
+            indptr.push(indices.len());
+        }
+        let csr = match Csr::try_new(dst.len(), src.len(), indptr, indices) {
+            Ok(c) => c,
+            Err(e) => unreachable!("block of a valid subgraph is invalid: {e}"),
+        };
+        (Block::new(csr, dst), src)
     }
 
     /// Vertex count of the subgraph.
@@ -892,13 +876,13 @@ mod tests {
     fn blocks_keep_exactly_the_rows_a_seed_reads() {
         let g = generators::uniform(300, 8, 11);
         for fanouts in [vec![3, 3], vec![3, 3, 3], vec![2]] {
-            let hops = fanouts.len();
             let sub =
                 sample_subgraph(&g, &[5, 17, 17, 100], &SampleConfig::new(fanouts, 4)).unwrap();
             let layers = 2;
             let mut prev_dst: Option<Vec<VId>> = None;
             for layer in 0..layers {
-                let (graph, src, dst) = sub.block(layers, layer).into_parts();
+                let (block, src) = sub.block(layers, layer);
+                let (csr, dst) = (block.csr(), block.dst());
                 let reads = layers - layer;
                 let want_src: Vec<VId> = (0..sub.num_vertices() as VId)
                     .filter(|&l| sub.depths()[l as usize] as usize <= reads)
@@ -908,25 +892,26 @@ mod tests {
                 if let Some(prev) = prev_dst.take() {
                     assert_eq!(src, prev, "layer {layer}");
                 }
-                let written: Vec<VId> = dst.iter().map(|&i| src[i]).collect();
+                let written: Vec<VId> = dst.iter().map(|&i| src[i as usize]).collect();
                 assert!(written
                     .iter()
                     .all(|&l| (sub.depths()[l as usize] as usize) < reads));
-                assert_eq!(graph.is_none(), reads >= hops, "layer {layer}");
-                let graph = graph.as_ref().unwrap_or(sub.graph());
-                assert_eq!(graph.num_vertices(), src.len());
-                for (i, &l) in src.iter().enumerate() {
-                    let row: Vec<VId> = graph
-                        .in_csr()
-                        .row(i as VId)
+                // Every row within `reads - 1` hops is written, and the rest
+                // are not (at the last sampled hop, they are leaves).
+                let want_written = want_src
+                    .iter()
+                    .filter(|&&l| (sub.depths()[l as usize] as usize) < reads);
+                assert!(want_written.eq(written.iter()), "layer {layer}");
+                assert_eq!((csr.num_rows(), csr.num_cols()), (dst.len(), src.len()));
+                // Row r of the block is every in-edge of the r-th written
+                // row, in the subgraph's order.
+                for (r, &l) in written.iter().enumerate() {
+                    let row: Vec<VId> = csr
+                        .row(r as VId)
                         .iter()
                         .map(|&p| src[p as usize])
                         .collect();
-                    if dst.contains(&i) {
-                        assert_eq!(row, sub.graph().in_csr().row(l), "written row {l}");
-                    } else {
-                        assert!(row.is_empty(), "unwritten row {l} keeps in-edges");
-                    }
+                    assert_eq!(row, sub.graph().in_csr().row(l), "written row {l}");
                 }
                 prev_dst = Some(written);
             }

@@ -27,7 +27,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{Graph, VId};
+use crate::{Block, Csr, Graph, VId};
 
 /// How destinations are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,8 +74,8 @@ impl FromStr for ShardStrategy {
 }
 
 /// One gather in the halo-exchange plan: after every layer, this shard
-/// overwrites row `local` of its activations with row `owner_local` of
-/// shard `owner`'s activations.
+/// fills row `local` of its next input with the owner's activations of the
+/// vertex (row `owner_row` of shard `owner`'s block output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteRead {
     /// Index into this shard's `locals`.
@@ -84,6 +84,9 @@ pub struct RemoteRead {
     pub owner: u32,
     /// The vertex's index in the owner's `locals`.
     pub owner_local: u32,
+    /// The vertex's index in the owner's `owned`: its row of the owner's
+    /// block output ([`Shard::block`]).
+    pub owner_row: u32,
 }
 
 /// One shard: its owned destinations, the halo it reads, the local graph
@@ -123,6 +126,22 @@ impl Shard {
     /// The shard-local graph (owned rows full, halo rows empty).
     pub fn graph(&self) -> &Graph {
         &self.local_graph
+    }
+
+    /// The shard as a bipartite [`Block`]: `|owned| × |locals|`, row `r`
+    /// being the local graph's row of the `r`-th owned vertex.
+    pub fn block(&self) -> Block {
+        let at = |v: &VId| self.locals.binary_search(v).expect("an owned vertex is a local");
+        let dst: Vec<u32> = self.owned.iter().map(|v| at(v) as u32).collect();
+        let in_csr = self.local_graph.in_csr();
+        let mut indptr = Vec::with_capacity(dst.len() + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(in_csr.nnz());
+        for &p in &dst {
+            indices.extend_from_slice(in_csr.row(p));
+            indptr.push(indices.len());
+        }
+        Block::new(Csr::new(dst.len(), self.locals.len(), indptr, indices), dst)
     }
 
     /// Exchange plan: one [`RemoteRead`] per halo vertex, sorted by local
@@ -239,14 +258,12 @@ impl ShardPlan {
                     let t = owner[v as usize];
                     if t as usize != s {
                         halo.push(v);
-                        let owner_local = locals[t as usize]
-                            .binary_search(&v)
-                            .expect("owner holds its vertex")
-                            as u32;
+                        let at = |of: &[VId]| of.binary_search(&v).expect("owner holds it") as u32;
                         remote.push(RemoteRead {
                             local: i as u32,
                             owner: t,
-                            owner_local,
+                            owner_local: at(&locals[t as usize]),
+                            owner_row: at(&owned[t as usize]),
                         });
                     }
                 }
@@ -339,6 +356,15 @@ mod tests {
                     plan.shard(r.owner as usize).locals()[r.owner_local as usize],
                     h
                 );
+                assert_eq!(plan.shard(r.owner as usize).owned()[r.owner_row as usize], h);
+            }
+            // The block is the owned rows of the local graph, by the locals.
+            let block = shard.block();
+            let (csr, dst) = (block.csr(), block.dst());
+            assert_eq!((csr.num_rows(), csr.num_cols()), (dst.len(), shard.locals().len()));
+            for (r, &p) in dst.iter().enumerate() {
+                assert_eq!(shard.locals()[p as usize], shard.owned()[r]);
+                assert_eq!(csr.row(r as VId), shard.graph().in_csr().row(p));
             }
             // Owned rows keep all their global in-edges; halo rows are empty.
             let mut local_edges = 0usize;

@@ -37,17 +37,19 @@
 //! and never evicted: the matrix is no larger than the feature matrix
 //! whenever classes ≤ in_dim.
 //! A `Sampled` job runs `run_sampled`: sample, cut the subgraph into one
-//! message-flow block per model layer ([`SampledBlocks`]), gather layer 0's
-//! rows, override the seeds' rows, and run the model over the blocks — each
-//! layer computes only the rows a later layer or a seed reads, bitwise what
-//! `infer_batch` gives on the whole subgraph. A model whose layer 0 starts
-//! with row-wise GEMMs (GAT: `hw`, `sl`, `sr` per head) gets those rows
-//! from a table the registration computes over every vertex on its first
-//! sampled job ([`Model::layer0_table`]) and keeps beside its logits; a
-//! request recomputes only its overridden rows. A job keeps nothing of its
-//! own: a backend's plans embed the graph they were compiled on, every
-//! request samples different blocks, so it builds a fresh backend per block
-//! graph and each plan picks its own schedule. What outlives a job is its
+//! bipartite message-flow block per model layer ([`SampledBlocks`]), and
+//! run the model over the blocks — each layer writes only the rows a later
+//! layer or a seed reads, and layer 0 reads the registration's rows in
+//! place through the block's input map, with the request's own seed rows
+//! as a small overlay. The replies are bitwise what `infer_batch` gives on
+//! the whole subgraph. A model whose layer 0 starts with row-wise GEMMs
+//! (GAT: `hw`, `sl`, `sr` per head) reads those rows from a table the
+//! registration computes over every vertex on its first sampled job
+//! ([`Model::layer0_table`]) and keeps beside its logits; a request
+//! recomputes only its overridden rows. A job keeps nothing of its own:
+//! every request samples different blocks, and each block kernel compiles
+//! a plan that borrows the block's CSR and picks its own schedule from the
+//! block's size. What outlives a job is its
 //! worker's sampler scratch (`fg_graph::SampleScratch`, an epoch-stamped
 //! array over the `|V|` of the largest graph it has sampled, plus flat
 //! buffers), charged to the `sampling` component for the worker's lifetime.
@@ -68,8 +70,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
-use fg_gnn::sampled::{gather_rows, prepare_seeds_with};
-use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph, LayerInput, SampledBlocks};
+use fg_gnn::sampled::prepare_seeds_with;
+use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph, Layer0, SampledBlocks};
 use fg_graph::{SampleConfig, SampleScratch, FULL_FANOUT};
 use fg_telemetry::{
     counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
@@ -993,15 +995,16 @@ impl WorkerScratch {
 }
 
 /// One `Sampled` view: sample the neighborhood of `seeds` through the
-/// worker's scratch and cut it into per-layer blocks, gather layer 0's rows
-/// (with `feats` replacing the seeds' own), run the model over the blocks
-/// and return the seed rows. Everything the request builds is proportional
-/// to its subgraph and dropped with it. Besides the scratch, nothing is kept
-/// but the registration's layer-0 table, which the first sampled job fills
-/// (inside its `sample` phase). Each block gets its own backend, bound to
-/// the block, and each plan picks its schedule from the block's size: a
-/// block that fits in cache compiles one partition, a copy of the block's
-/// CSR, and no thread probe (plan building is part of `execute`).
+/// worker's scratch and cut it into per-layer blocks, run the model over
+/// the blocks — layer 0 reading the registration's feature (or table) rows
+/// in place, with `feats` replacing the seeds' own — and return the seed
+/// rows. Everything the request builds is proportional to its subgraph and
+/// dropped with it; no row of the registration's matrices is copied but
+/// the overridden ones. Besides the scratch, nothing is kept but the
+/// registration's layer-0 table, which the first sampled job fills (inside
+/// its `sample` phase). Each block kernel compiles a plan over the block's
+/// CSR (a block that fits in cache gets one partition, which borrows the
+/// CSR) with no thread probe (plan building is part of `execute`).
 fn run_sampled(
     shared: &Shared,
     scratch: &mut WorkerScratch,
@@ -1012,14 +1015,14 @@ fn run_sampled(
 ) -> Outcome {
     let model = entry.model.as_ref();
     let model_name = entry.name.as_str();
-    // Sample phase: neighborhood expansion + reindex + blocks + row gather.
+    // Sample phase: neighborhood expansion + reindex + blocks.
     let sample_start = Instant::now();
     let (sub, blocks) = {
         let _sample_span = span!("serve/sample", "model={model_name} seeds={}", seeds.len());
-        let (sub, sub_gnn) = prepare_seeds_with(&mut scratch.sample, &entry.data.graph, seeds, cfg)
+        let sub = prepare_seeds_with(&mut scratch.sample, &entry.data.graph, seeds, cfg)
             .map_err(|e| ServeError::Infer(e.to_string()))?;
         scratch.charge.set_bytes(scratch.sample.mem_bytes());
-        let blocks = SampledBlocks::new(&sub, sub_gnn, model.num_layers());
+        let blocks = SampledBlocks::new(&sub, model.num_layers());
         (sub, blocks)
     };
     // The subgraph, its blocks and index maps live until the rows are
@@ -1028,14 +1031,12 @@ fn run_sampled(
     let _sampling_charge =
         MemCharge::new(MemComponent::Sampling, sub.mem_bytes() + blocks.mem_bytes());
     // Layer 0 reads rows of the registration's table when its model has
-    // one, else feature rows — gathering widens half-precision storage to
-    // f32 in the same pass, with no second conversion sweep.
-    let mut input = match entry.table.get_or_init(|| fill_table(entry)) {
-        Some(table) => {
-            let rows = table.iter().map(|t| gather_rows(t, blocks.inputs()));
-            LayerInput::Table(rows.collect())
-        }
-        None => LayerInput::Features(entry.data.features.gather_rows_f32(blocks.inputs())),
+    // one, else feature rows — half-precision storage widens as the kernel
+    // reads it.
+    let layer0 = match (entry.table.get_or_init(|| fill_table(entry)), &entry.data.features) {
+        (Some(table), _) => Layer0::Table(table),
+        (None, FeatureTensor::F32(m)) => Layer0::F32(m),
+        (None, FeatureTensor::Bf16(m)) => Layer0::Bf16(m),
     };
     let sample = sample_start.elapsed();
 
@@ -1051,13 +1052,9 @@ fn run_sampled(
             layer_rows(&blocks)
         );
         let _mem = MemScope::enter(MemComponent::ServeBatch);
-        if let Some(feats) = feats {
-            // Client-supplied rows replace the registered features for the
-            // seeds only; sampled neighbors keep the stored rows.
-            blocks.override_seeds(model, &mut input, feats);
-        }
-        let kernel_threads = shared.cfg.kernel_threads;
-        blocks.forward(model, input, || FeatgraphBackend::cpu(kernel_threads))
+        // Client-supplied rows replace the registered rows for the seeds
+        // only; sampled neighbors keep the stored rows.
+        blocks.forward(model, layer0, feats, shared.cfg.kernel_threads)
     };
     let timings = Timings {
         sample: Some(sample),

@@ -96,20 +96,24 @@ impl LatencyRecorder {
         ring.total += 1;
     }
 
-    /// Exact nearest-rank quantiles over the retained window.
+    /// Exact nearest-rank quantiles over the retained window. The window
+    /// is copied under the lock and sorted after it is released, so a
+    /// scrape never holds up [`LatencyRecorder::record`] for a sort.
     pub fn snapshot(&self) -> LatencySnapshot {
-        let ring = self.ring.lock().unwrap();
-        if ring.samples.is_empty() {
+        let (mut sorted, total) = {
+            let ring = self.ring.lock().unwrap();
+            (ring.samples.clone(), ring.total)
+        };
+        if sorted.is_empty() {
             return LatencySnapshot::EMPTY;
         }
-        let mut sorted = ring.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let q = |p: f64| {
             let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
             sorted[rank - 1]
         };
         LatencySnapshot {
-            count: ring.total,
+            count: total,
             p50_ms: q(0.50),
             p95_ms: q(0.95),
             p99_ms: q(0.99),

@@ -276,27 +276,6 @@ impl FeatureTensor {
         }
     }
 
-    /// Gather `rows[i]`-th rows into a compact `f32` matrix whose row `i`
-    /// is the selected feature row, widening bf16 storage in the copy loop
-    /// (the serving tier's per-request gather reads half the bytes).
-    pub fn gather_rows_f32(&self, rows: &[u32]) -> Dense2<f32> {
-        let mut out = Dense2::<f32>::zeros(rows.len(), self.cols());
-        match self {
-            FeatureTensor::F32(m) => {
-                for (i, &g) in rows.iter().enumerate() {
-                    out.row_mut(i).copy_from_slice(m.row(g as usize));
-                }
-            }
-            FeatureTensor::Bf16(m) => {
-                for (i, &g) in rows.iter().enumerate() {
-                    for (o, &v) in out.row_mut(i).iter_mut().zip(m.row(g as usize)) {
-                        *o = v.load();
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -345,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn feature_tensor_halves_memory_and_gathers() {
+    fn feature_tensor_halves_memory_and_widens() {
         let src = Dense2::from_fn(8, 16, |r, c| (r * 16 + c) as f32 * 0.25 - 3.0);
         let full = FeatureTensor::from_f32(FeatureDtype::F32, src.clone());
         let half = FeatureTensor::from_f32(FeatureDtype::Bf16, src.clone());
@@ -353,17 +332,9 @@ mod tests {
         assert_eq!(half.rows(), 8);
         assert_eq!(half.cols(), 16);
 
-        let g_full = full.gather_rows_f32(&[7, 0, 3]);
-        assert_eq!(g_full.row(0), src.row(7));
-        assert_eq!(g_full.row(2), src.row(3));
-
-        // The grid values above are quarters below 32: exact in bf16's
-        // 8 significand bits, so the half gather matches bit for bit.
-        let g_half = half.gather_rows_f32(&[7, 0, 3]);
-        assert_eq!(g_half.as_slice(), g_full.as_slice());
-
-        // `widened` round-trips the quantized values exactly, and borrows
-        // full-width storage instead of copying it.
+        // The grid values above are quarters below 32: exact in bf16's 8
+        // significand bits, so `widened` round-trips the quantized values
+        // exactly; it borrows full-width storage instead of copying it.
         assert_eq!(half.widened().as_slice(), full.widened().as_slice());
         assert!(matches!(full.widened(), Cow::Borrowed(_)));
     }
