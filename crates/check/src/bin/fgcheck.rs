@@ -3,12 +3,10 @@
 //! ```text
 //! fgcheck [--seed N] [--cases K] [--shrink-budget N] [--verbose]
 //! fgcheck --sampler [--seed N] [--cases K]
-//! fgcheck --shard [--seed N] [--cases K]
 //! fgcheck --dtype bf16|f32 [--seed N] [--cases K]
 //! fgcheck --case '<descriptor>'
 //! fgcheck --seed 0 --cases 200            # the deterministic CI smoke sweep
 //! fgcheck --sampler --seed 0 --cases 200  # the sampler CI smoke sweep
-//! fgcheck --shard --seed 0 --cases 200    # the shard-parity CI smoke sweep
 //! fgcheck --dtype bf16 --seed 0 --cases 200  # the half-precision CI smoke sweep
 //! ```
 //!
@@ -17,10 +15,7 @@
 //! replayable `fgcheck --case '...'` one-liner per failure. Exit status is
 //! nonzero iff any case failed. `--sampler` sweeps the neighbor-sampler
 //! property family instead (determinism, reindex round-trip, fanout cap,
-//! full-fanout bit-identity). `--shard` sweeps the sharded-inference
-//! family (shard-plan invariants, exactly-once halo exchange, bitwise
-//! parity with single-worker inference), shrinking failures by shard
-//! count first, then graph size.
+//! full-fanout bit-identity).
 //!
 //! `--dtype` sweeps the half-precision storage family: the CPU kernels on
 //! bf16-quantized vertex features must track their own f32 instantiation
@@ -28,15 +23,14 @@
 //! case's f32 instantiation twice and demands the same bits).
 //!
 //! Replay mode (`--case`) re-runs one descriptor (as printed by a failing
-//! sweep) with per-executor detail; descriptors starting with `sampler;`,
-//! `shard;`, or `dtype;` route to their families automatically.
+//! sweep) with per-executor detail; descriptors starting with `sampler;` or
+//! `dtype;` route to their families automatically.
 
 use std::process::ExitCode;
 
-use fg_check::shard::SHARD_SHRINK_BUDGET;
 use fg_check::{
-    dtype_sweep, run_case, run_dtype_case, run_sampler_case, run_shard_case, sampler_sweep,
-    shard_sweep, shrink, shrink_shard, sweep, Case, DtypeCase, SamplerCase, ShardCase,
+    dtype_sweep, run_case, run_dtype_case, run_sampler_case, sampler_sweep, shrink, sweep, Case,
+    DtypeCase, SamplerCase,
 };
 use fg_tensor::FeatureDtype;
 
@@ -46,7 +40,6 @@ struct Args {
     case: Option<String>,
     shrink_budget: usize,
     sampler: bool,
-    shard: bool,
     dtype: Option<FeatureDtype>,
     verbose: bool,
 }
@@ -58,7 +51,6 @@ fn parse_args() -> Args {
         case: None,
         shrink_budget: fg_check::runner::SHRINK_BUDGET,
         sampler: false,
-        shard: false,
         dtype: None,
         verbose: false,
     };
@@ -71,7 +63,6 @@ fn parse_args() -> Args {
             "--case" => out.case = Some(val()),
             "--shrink-budget" => out.shrink_budget = val().parse().expect("shrink budget"),
             "--sampler" => out.sampler = true,
-            "--shard" => out.shard = true,
             "--dtype" => {
                 out.dtype = Some(val().parse().unwrap_or_else(|e: String| {
                     eprintln!("{e}");
@@ -84,7 +75,6 @@ fn parse_args() -> Args {
                     "fgcheck — differential kernel fuzzer\n\n\
                      usage: fgcheck [--seed N] [--cases K] [--shrink-budget N] [--verbose]\n\
                      \x20      fgcheck --sampler [--seed N] [--cases K]\n\
-                     \x20      fgcheck --shard [--seed N] [--cases K]\n\
                      \x20      fgcheck --dtype bf16|f32 [--seed N] [--cases K]\n\
                      \x20      fgcheck --case '<descriptor>'\n\n\
                      Runs every FeatGraph executor (optimized CPU/GPU templates and the\n\
@@ -93,10 +83,6 @@ fn parse_args() -> Args {
                      --sampler sweeps the neighbor-sampler property family instead\n\
                      (determinism, reindex round-trip, fanout cap, full-fanout\n\
                      bit-identity); sampler descriptors replay via --case too.\n\
-                     --shard sweeps the sharded-inference family: shard-plan\n\
-                     invariants, exactly-once halo exchange, and bitwise parity of\n\
-                     sharded vs single-worker inference across shard counts and\n\
-                     placement strategies; shard descriptors replay via --case too.\n\
                      --dtype sweeps half-precision feature storage: the CPU kernels on\n\
                      bf16-quantized features must track their f32 instantiation on\n\
                      the dequantized values within a widened tolerance; dtype\n\
@@ -160,58 +146,6 @@ fn sampler_main(seed: u64, cases: usize, verbose: bool) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn replay_shard(desc: &str) -> ExitCode {
-    let case: ShardCase = match desc.parse() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("replaying: {case}");
-    let reports = run_shard_case(&case);
-    if reports.is_empty() {
-        println!("PASS: all shard properties hold");
-        return ExitCode::SUCCESS;
-    }
-    for r in &reports {
-        println!("FAIL {r}");
-    }
-    let small = shrink_shard(&case, |c| !run_shard_case(c).is_empty(), SHARD_SHRINK_BUDGET);
-    if small != case {
-        println!("shrinks to: fgcheck --case '{small}'");
-    }
-    ExitCode::FAILURE
-}
-
-fn shard_main(seed: u64, cases: usize, verbose: bool) -> ExitCode {
-    println!("fgcheck: sweeping {cases} shard cases from seed {seed}");
-    let report = shard_sweep(seed, cases, |i, rep| {
-        if verbose && (i + 1) % 50 == 0 {
-            println!("  ... {}/{} cases, {} failures", i + 1, cases, rep.failures.len());
-        }
-    });
-    println!(
-        "swept {} shard cases: {} failure(s)",
-        report.total,
-        report.failures.len()
-    );
-    if report.failures.is_empty() {
-        println!("PASS");
-        return ExitCode::SUCCESS;
-    }
-    for (i, f) in report.failures.iter().enumerate() {
-        println!("--- failure {} -------------------------------------", i + 1);
-        println!("  original: {}", f.case);
-        println!("  shrunken: {}", f.shrunk);
-        for r in &f.reports {
-            println!("    {r}");
-        }
-        println!("  replay:   fgcheck --case '{}'", f.shrunk);
-    }
-    ExitCode::FAILURE
-}
-
 fn replay_dtype(desc: &str) -> ExitCode {
     let case: DtypeCase = match desc.parse() {
         Ok(c) => c,
@@ -263,9 +197,6 @@ fn replay(desc: &str, shrink_budget: usize) -> ExitCode {
     if desc.starts_with("sampler") {
         return replay_sampler(desc);
     }
-    if desc.starts_with("shard") {
-        return replay_shard(desc);
-    }
     if desc.starts_with("dtype") {
         return replay_dtype(desc);
     }
@@ -301,10 +232,6 @@ fn main() -> ExitCode {
 
     if args.sampler {
         return sampler_main(args.seed, args.cases, args.verbose);
-    }
-
-    if args.shard {
-        return shard_main(args.seed, args.cases, args.verbose);
     }
 
     if let Some(dtype) = args.dtype {

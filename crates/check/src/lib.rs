@@ -34,22 +34,12 @@
 //! reindex round-trips, fanout caps, and full-fanout bit-identity with
 //! full-graph inference. Sampler descriptors start with `sampler;` and
 //! replay through the same `--case` flag.
-//!
-//! A third family ([`shard`], `fgcheck --shard`) gates sharded serving:
-//! on seeded (graph × model × shard count × strategy) cases it checks
-//! the shard plan's partition/halo/edge invariants — every remote read
-//! covers its halo vertex exactly once — and bitwise parity of
-//! [`fg_gnn::infer_sharded`] with single-worker inference, including
-//! empty-shard and isolated-vertex shapes. Shard descriptors start with
-//! `shard;`, replay via `--case`, and shrink by shard count before graph
-//! size.
 
 pub mod case;
 pub mod dtype;
 pub mod exec;
 pub mod runner;
 pub mod sampler;
-pub mod shard;
 pub mod shrink;
 pub mod tolerance;
 
@@ -60,6 +50,5 @@ pub use runner::{gen_case, sweep, Failure, Sweep};
 pub use sampler::{
     run_sampler_case, run_sampler_case_with, sampler_sweep, SamplerCase, SamplerSweep,
 };
-pub use shard::{run_shard_case, shard_sweep, shrink_shard, ShardCase, ShardSweep};
 pub use shrink::shrink;
 pub use tolerance::{compare_slices, ulp_diff, Mismatch, Tolerance};

@@ -180,14 +180,16 @@ impl<'g> CpuFused<'g> {
         let row = |edges: InEdges<'_>, to: &mut Sink<'_>, sum: &mut f32| {
             let max = maxes.at(edges.dst as usize, 0);
             let score = score.for_dst(edges.dst);
-            let mut local = 0f32;
+            // Continue the row's running sum across partitions, so the
+            // exp-sum folds in ascending-source order as the output does.
+            let mut local = *sum;
             for e in edges.iter() {
                 let w = (score(e) - max).exp();
                 local += w;
                 // softmax implies Sum aggregation (validated)
                 msg.edge(ops::scaled(w, ops::sum), to, e);
             }
-            *sum += local;
+            *sum = local;
         };
         plan.sweep("fused/aggregate", bytes, out, 0..d, &mut sums, row);
 
@@ -396,12 +398,12 @@ mod tests {
         let (xf, slf, srf) = (flip(&x), flip(&sl), flip(&sr));
         let index: Vec<u32> = (0..200).map(|v| 199 - v).collect();
         let at_dst: Vec<u32> = dst.iter().map(|&v| 199 - v).collect();
+        let mut whole = Dense2::zeros(200, d);
+        let one = CpuSpmmOptions::with_threads(1, 1);
+        CpuFused::compile(&g, &op, &one).unwrap().run(&inputs, &mut whole).unwrap();
+        let want = Dense2::from_fn(dst.len(), d, |r, c| whole.at(dst[r] as usize, c));
         for (parts, threads) in [(1, 1), (3, 2), (7, 3)] {
-            // the exp-sum folds per partition, so compare like schedules
             let opts = CpuSpmmOptions::with_threads(parts, threads);
-            let mut whole = Dense2::zeros(200, d);
-            CpuFused::compile(&g, &op, &opts).unwrap().run(&inputs, &mut whole).unwrap();
-            let want = Dense2::from_fn(dst.len(), d, |r, c| whole.at(dst[r] as usize, c));
             let k = CpuFused::on_csr(&csr, &op, &opts).unwrap();
             let mut out = Dense2::zeros(dst.len(), d);
             let (xg, slg) = (Gathered::new(&xf, &index, None), Gathered::new(&slf, &index, None));
@@ -432,6 +434,18 @@ mod tests {
             for threads in [1, 3] {
                 check(&g, &op, &inputs, &CpuSpmmOptions::with_threads(parts, threads));
             }
+        }
+        // Every destination's exp-sum folds in ascending-source order
+        // across partitions, so the partition count moves no bit.
+        let run = |parts| {
+            let opts = CpuSpmmOptions::with_threads(parts, 1);
+            let mut out = Dense2::zeros(200, d);
+            CpuFused::compile(&g, &op, &opts).unwrap().run(&inputs, &mut out).unwrap();
+            out
+        };
+        let one = run(1);
+        for parts in [4, 7] {
+            assert_eq!(run(parts), one, "parts {parts}");
         }
     }
 

@@ -434,7 +434,7 @@ struct Plans {
 /// by operation and feature length only and hold that graph's partitioned
 /// CSR, so a second graph with the same feature width would silently run
 /// the first graph's plan. Calling it with a graph of another shape panics.
-/// Blocks (sampled requests, shards) do not run through a backend: their
+/// Blocks (sampled requests) do not run through a backend: their
 /// plans are compiled per op on the block's own CSR ([`crate::Tape::on_block`]).
 pub struct FeatgraphBackend {
     target: Target,

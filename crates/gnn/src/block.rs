@@ -10,8 +10,7 @@
 //! sampled request
 //! ([`crate::sampled::SampledBlocks`]) is `L` blocks that shrink towards its
 //! seeds, so each layer computes only the rows a later layer or a seed
-//! reads; a shard ([`crate::sharded`]) is one block of its owned rows by its
-//! locals. Every written row keeps its in-edges in the same
+//! reads. Every written row keeps its in-edges in the same
 //! ascending-source order and dense rows are independent, so a row's bits do
 //! not depend on the block that computed it. Full-graph inference
 //! ([`crate::infer_batch`]) runs the same layers on whole-graph tapes.
@@ -98,7 +97,7 @@ impl InputRows<'_> {
 
 /// Run layer `layer` of `model` on `tape` from its input `h`; returns one
 /// output row per row the tape's graph writes.
-pub fn run_layer(model: &dyn Model, mut tape: Tape<'_>, h: Var, layer: usize) -> Dense2<f32> {
+fn run_layer(model: &dyn Model, mut tape: Tape<'_>, h: Var, layer: usize) -> Dense2<f32> {
     let (out, _) = model.forward_layer(&mut tape, h, layer);
     tape.into_value(out)
 }

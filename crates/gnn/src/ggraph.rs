@@ -15,7 +15,7 @@ use fg_tensor::Dense2;
 ///
 /// Only the backward pass reads the reverse orientation, so it is built on
 /// the first [`rev`](Self::rev) or [`rev_eids`](Self::rev_eids) call, as one
-/// transpose of the forward CSR: inference (full, sampled or sharded) never
+/// transpose of the forward CSR: inference (full or sampled) never
 /// pays for it, training pays once.
 #[derive(Debug, Clone)]
 pub struct GnnGraph {

@@ -21,14 +21,12 @@
 
 pub mod backend;
 pub mod block;
-pub mod checkpoint;
 pub mod data;
 pub mod ggraph;
 pub mod loss;
 pub mod models;
 pub mod nn;
 pub mod sampled;
-pub mod sharded;
 pub mod tape;
 pub mod trainer;
 
@@ -36,6 +34,5 @@ pub use backend::{FeatgraphBackend, GraphBackend, NaiveBackend};
 pub use ggraph::GnnGraph;
 pub use block::InputRows;
 pub use sampled::{gather_rows, infer_seeds, prepare_seeds, Layer0, SampledBlocks};
-pub use sharded::{infer_sharded, ShardRun, ShardedGraph};
 pub use tape::{Tape, Var};
 pub use trainer::{infer_batch, InferError};

@@ -19,9 +19,9 @@ pub trait Model: Send + Sync {
     /// Mutable access to every parameter, in a stable order.
     fn params(&mut self) -> Vec<&mut Param>;
 
-    /// Number of message-passing layers. Sharded inference runs one halo
-    /// exchange between consecutive layers, so layer boundaries must be
-    /// the points where activations cross graph edges.
+    /// Number of message-passing layers. Sampled inference cuts one block
+    /// per layer, so layer boundaries must be the points where activations
+    /// cross graph edges.
     fn num_layers(&self) -> usize;
 
     /// Build layer `layer`'s computation on top of activation `h`: the
@@ -31,8 +31,8 @@ pub trait Model: Send + Sync {
     /// restricted to this layer. Parameters enter the tape through
     /// [`Tape::param`] — they are what [`Tape::backward`] differentiates
     /// for; `h` may be a constant. Each layer output is a pure row-wise +
-    /// aggregation function of `h`, which is what lets the sharded runner
-    /// exchange activations between layers without changing any value.
+    /// aggregation function of `h`, which is what lets a block compute any
+    /// subset of a layer's rows without changing any value.
     ///
     /// `h` has one row per row the tape's graph reads; the output has one
     /// row per row it writes (on a whole-graph tape, every row). The graph

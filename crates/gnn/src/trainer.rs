@@ -326,13 +326,10 @@ mod tests {
     #[test]
     fn only_the_backward_pass_builds_the_reverse_graph() {
         use crate::sampled::infer_seeds;
-        use crate::sharded::{infer_sharded, ShardedGraph};
-        use fg_graph::{SampleConfig, ShardStrategy};
+        use fg_graph::SampleConfig;
 
         let task = small_task();
         let forward_only = task.graph.mem_bytes();
-        let sharded = ShardedGraph::build(task.graph.fwd(), 3, ShardStrategy::Range);
-        let sharded_forward_only = sharded.mem_bytes();
         let nodes = [0usize, 5, 299];
         for name in ["gcn", "graphsage", "gat"] {
             let model = build_model(name, task.in_dim(), 8, task.num_classes, 2);
@@ -341,17 +338,11 @@ mod tests {
             infer_batch(model, &task.graph, &task.features, &backend, &nodes).unwrap();
             let cfg = SampleConfig::new(vec![4, 4], 3);
             infer_seeds(model, &task.graph, &task.features, 1, &nodes, &cfg).unwrap();
-            infer_sharded(model, &sharded, &task.features, 1, &nodes).unwrap();
         }
         assert_eq!(
             task.graph.mem_bytes(),
             forward_only,
             "inference built rev()"
-        );
-        assert_eq!(
-            sharded.mem_bytes(),
-            sharded_forward_only,
-            "a shard built rev()"
         );
 
         let backend = FeatgraphBackend::cpu(1);

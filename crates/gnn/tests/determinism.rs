@@ -1,16 +1,35 @@
 //! Reproducibility guarantees for fg-gnn: identical seeds and thread counts
-//! must give bit-identical training runs, and checkpoints must round-trip
-//! byte-identically. Serving correctness (fg-serve answers requests from a
-//! shared, long-lived model) leans on both properties.
+//! must give bit-identical training runs and bit-identical trained
+//! parameters. Serving correctness (fg-serve answers requests from a
+//! shared, long-lived model) leans on this property.
 
-use fg_gnn::checkpoint;
 use fg_gnn::data::SbmTask;
-use fg_gnn::models::build_model;
+use fg_gnn::models::{build_model, Model};
 use fg_gnn::nn::Optimizer;
 use fg_gnn::trainer::{train, TrainResult};
 use fg_gnn::FeatgraphBackend;
 
-fn run_training(threads: usize) -> (TrainResult, Vec<u8>) {
+/// FNV-1a over every parameter's shape and value bits, in
+/// [`Model::params`] order.
+fn params_digest(model: &mut dyn Model) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in model.params() {
+        let (rows, cols) = p.value.shape();
+        eat(rows as u64);
+        eat(cols as u64);
+        for x in p.value.as_slice() {
+            eat(u64::from(x.to_bits()));
+        }
+    }
+    h
+}
+
+fn run_training(threads: usize) -> (TrainResult, u64) {
     // Same dataset seed, model seed, and hyperparameters every call.
     let task = SbmTask::generate(250, 3, 10, 3, 99);
     let backend = FeatgraphBackend::cpu(threads);
@@ -23,9 +42,7 @@ fn run_training(threads: usize) -> (TrainResult, Vec<u8>) {
         Optimizer::adam(0.02),
         8,
     );
-    let mut bytes = Vec::new();
-    checkpoint::save(model.as_mut(), &mut bytes).expect("checkpoint save");
-    (result, bytes)
+    (result, params_digest(model.as_mut()))
 }
 
 /// Epoch histories must match bit-for-bit, not approximately: the training
@@ -54,39 +71,18 @@ fn assert_identical(a: &TrainResult, b: &TrainResult) {
 
 #[test]
 fn same_seed_same_threads_is_bit_identical() {
-    let (r1, ckpt1) = run_training(1);
-    let (r2, ckpt2) = run_training(1);
+    let (r1, params1) = run_training(1);
+    let (r2, params2) = run_training(1);
     assert_identical(&r1, &r2);
-    assert_eq!(ckpt1, ckpt2, "trained weights diverged between identical runs");
+    assert_eq!(params1, params2, "trained weights diverged between identical runs");
 }
 
 #[test]
 fn same_seed_multithreaded_is_bit_identical() {
     // The CPU kernels partition work deterministically, so even with
     // parallel workers two runs at the same thread count must agree.
-    let (r1, ckpt1) = run_training(2);
-    let (r2, ckpt2) = run_training(2);
+    let (r1, params1) = run_training(2);
+    let (r2, params2) = run_training(2);
     assert_identical(&r1, &r2);
-    assert_eq!(ckpt1, ckpt2);
-}
-
-#[test]
-fn checkpoint_save_load_save_is_byte_identical() {
-    let (_result, first) = run_training(1);
-
-    // Load the checkpoint into a freshly-initialized (different-seed) model
-    // and save again: the second byte stream must equal the first exactly.
-    let task = SbmTask::generate(250, 3, 10, 3, 99);
-    let mut reloaded = build_model("gcn", task.in_dim(), 12, task.num_classes, 1234);
-    checkpoint::load(reloaded.as_mut(), first.as_slice()).expect("checkpoint load");
-    let mut second = Vec::new();
-    checkpoint::save(reloaded.as_mut(), &mut second).expect("checkpoint re-save");
-    assert_eq!(first, second, "save -> load -> save changed bytes");
-
-    // And one more trip from the re-saved bytes, proving a fixed point.
-    let mut reloaded2 = build_model("gcn", task.in_dim(), 12, task.num_classes, 77);
-    checkpoint::load(reloaded2.as_mut(), second.as_slice()).expect("second load");
-    let mut third = Vec::new();
-    checkpoint::save(reloaded2.as_mut(), &mut third).expect("third save");
-    assert_eq!(second, third);
+    assert_eq!(params1, params2);
 }

@@ -6,8 +6,7 @@
 //! the layer writes, by position among the rows it reads, plus the written
 //! rows' positions among the read rows. Generalized SpMM over it writes
 //! `|dst|` rows. A sampled neighborhood cuts into one block per layer
-//! ([`crate::SampledSubgraph::block`]) and a shard is one block of its owned
-//! rows by its locals ([`crate::Shard::block`]).
+//! ([`crate::SampledSubgraph::block`]).
 
 use crate::csr::Csr;
 

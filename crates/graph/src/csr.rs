@@ -102,9 +102,9 @@ impl Csr {
     /// Panics with a descriptive message if any invariant is violated — use
     /// this only when the parts come from code that upholds the invariants
     /// by construction (generators, transposes, the sampler). Anything
-    /// arriving from outside the process (checkpoints, the wire, user
-    /// files) must go through [`Csr::try_new`] instead, so malformed input
-    /// surfaces as a typed error rather than a crash.
+    /// arriving from outside the process (the wire, user files) must go
+    /// through [`Csr::try_new`] instead, so malformed input surfaces as a
+    /// typed error rather than a crash.
     pub fn new(num_rows: usize, num_cols: usize, indptr: Vec<usize>, indices: Vec<VId>) -> Self {
         match Self::try_new(num_rows, num_cols, indptr, indices) {
             Ok(csr) => csr,

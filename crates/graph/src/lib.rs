@@ -22,10 +22,7 @@
 //! * [`reorder`] — degree-based vertex split for GPU hybrid partitioning
 //!   (§III-C3).
 //! * [`block`] — bipartite message-flow blocks: one layer's `|dst| × |src|`
-//!   CSR over a sampled neighborhood or a shard.
-//! * [`shard`] — destination sharding with halo index plans: per-shard
-//!   local graphs plus a once-per-graph exchange plan, the substrate of
-//!   multi-worker sharded inference (`fg_gnn::infer_sharded`).
+//!   CSR over a sampled neighborhood.
 //! * [`stats`] — degree/sparsity statistics (drives Table II and the cost
 //!   models).
 //! * [`io`] — edge-list and MatrixMarket loaders for user-supplied graphs.
@@ -42,7 +39,6 @@ pub mod hilbert;
 pub mod partition;
 pub mod reorder;
 pub mod sampling;
-pub mod shard;
 pub mod stats;
 
 pub use block::Block;
@@ -54,7 +50,6 @@ pub use sampling::{
     sample_subgraph, sample_subgraph_with, SampleConfig, SampleError, SampleScratch,
     SampledSubgraph, FULL_FANOUT,
 };
-pub use shard::{RemoteRead, Shard, ShardPlan, ShardStrategy};
 
 /// Vertex identifier. `u32` keeps the index arrays compact — the paper's
 /// largest graph (reddit, 233 K vertices / 114.8 M edges) fits comfortably.

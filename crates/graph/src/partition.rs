@@ -40,23 +40,8 @@ impl PartitionedCsr {
     /// `[1, num_cols]`. A message-flow block's `|dst| × |src|` CSR
     /// partitions like a square graph's.
     pub fn from_csr(csr: &Csr, parts: usize) -> Self {
-        Self::build_inner(csr, parts.clamp(1, csr.num_cols().max(1)))
-    }
-
-    /// Like [`build`](Self::build), but without clamping `parts` to `|V|`
-    /// (only floored to 1): when `parts > |V|` the trailing partitions are
-    /// empty — zero-width source ranges with zero-edge segments — instead
-    /// of silently collapsing to `|V|` partitions. Shard workers index
-    /// partitions positionally, so the partition count must match the
-    /// requested worker count exactly even on graphs smaller than the
-    /// worker pool; the clamped `build` made that a panic waiting in the
-    /// worker loop.
-    pub fn build_exact(graph: &Graph, parts: usize) -> Self {
-        Self::build_inner(graph.in_csr(), parts.max(1))
-    }
-
-    fn build_inner(csr: &Csr, parts: usize) -> Self {
         let n = csr.num_cols();
+        let parts = parts.clamp(1, n.max(1));
         let mut segments = Vec::with_capacity(parts);
         let mut segment_eids = Vec::with_capacity(parts);
         let mut bounds = Vec::with_capacity(parts + 1);
@@ -253,37 +238,6 @@ mod tests {
         assert_eq!(pc.num_partitions(), 5);
         let pc = PartitionedCsr::build(&g, 0);
         assert_eq!(pc.num_partitions(), 1);
-    }
-
-    #[test]
-    fn build_exact_keeps_empty_partitions_on_small_graphs() {
-        // Regression: |V| < partition count. Positional consumers (one
-        // shard worker per partition) need exactly `parts` partitions;
-        // the empty tail must be zero-width ranges with zero-edge
-        // segments, safe to iterate, not a clamp or a panic.
-        let g = generators::uniform(3, 2, 11);
-        let pc = PartitionedCsr::build_exact(&g, 8);
-        assert_eq!(pc.num_partitions(), 8);
-        assert_eq!(pc.nnz(), g.num_edges(), "edges survive empty partitions");
-        let mut cursor = 0 as VId;
-        let mut empty = 0;
-        for (p, seg, eids, range) in pc.iter() {
-            assert_eq!(range.start, cursor, "ranges stay contiguous");
-            cursor = range.end;
-            if range.is_empty() {
-                empty += 1;
-                assert_eq!(seg.nnz(), 0, "partition {p} has a zero-width range");
-                assert!(eids.is_empty());
-                assert!(pc.nonempty(p).is_empty());
-            }
-        }
-        assert_eq!(cursor as usize, g.num_vertices());
-        assert_eq!(empty, 5, "8 partitions on 3 vertices leave 5 empty");
-        // And a zero-vertex graph still yields the requested count.
-        let g0 = crate::Graph::from_edges(0, &[]);
-        let pc0 = PartitionedCsr::build_exact(&g0, 4);
-        assert_eq!(pc0.num_partitions(), 4);
-        assert_eq!(pc0.nnz(), 0);
     }
 
     #[test]

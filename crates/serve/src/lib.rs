@@ -19,10 +19,8 @@
 //! job (one forward pass over every vertex on one backend), and a
 //! `Sampled`-view job on its own sampled subgraph. The server does not
 //! shard: that one pass is cheaper than holding a shard split of the graph
-//! for the life of the registration, so shard-parallel inference stays a
-//! library primitive in `fg_gnn`'s `sharded` module. The job shape and the
-//! rule for which latency phases a request records are stated once, in
-//! [`engine`].
+//! for the life of the registration. The job shape and the rule for which
+//! latency phases a request records are stated once, in [`engine`].
 //!
 //! Layers:
 //!

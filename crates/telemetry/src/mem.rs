@@ -35,8 +35,6 @@ pub enum MemComponent {
     ModelParams,
     /// Autograd-tape activations (training forward/backward passes).
     TapeActivations,
-    /// Transient checkpoint I/O buffers.
-    CheckpointBuffers,
     /// Per-request serving scratch (a forward pass's activations, gathered
     /// rows).
     ServeBatch,
@@ -54,7 +52,7 @@ pub enum MemComponent {
 
 impl MemComponent {
     /// Number of components.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every component, in display order.
     pub const ALL: [MemComponent; MemComponent::COUNT] = [
@@ -62,7 +60,6 @@ impl MemComponent {
         MemComponent::Features,
         MemComponent::ModelParams,
         MemComponent::TapeActivations,
-        MemComponent::CheckpointBuffers,
         MemComponent::ServeBatch,
         MemComponent::PlanCache,
         MemComponent::Activations,
@@ -77,7 +74,6 @@ impl MemComponent {
             MemComponent::Features => "features",
             MemComponent::ModelParams => "model_params",
             MemComponent::TapeActivations => "tape_activations",
-            MemComponent::CheckpointBuffers => "checkpoint_buffers",
             MemComponent::ServeBatch => "serve_batch",
             MemComponent::PlanCache => "plan_cache",
             MemComponent::Activations => "activations",
@@ -453,7 +449,6 @@ mod tests {
                 "features",
                 "model_params",
                 "tape_activations",
-                "checkpoint_buffers",
                 "serve_batch",
                 "plan_cache",
                 "activations",

@@ -245,10 +245,10 @@ mod tests {
     #[test]
     fn allocation_accounting_charges_and_credits() {
         use fg_telemetry::{mem_current, MemComponent, MemScope};
-        // CheckpointBuffers is unused elsewhere in this crate's tests, and
-        // the scope is thread-local, so this is race-free under the
-        // parallel test runner.
-        let scope = MemComponent::CheckpointBuffers;
+        // No other test in this crate charges Sampling, and the scope is
+        // thread-local, so this is race-free under the parallel test
+        // runner.
+        let scope = MemComponent::Sampling;
         let before = mem_current(scope);
         {
             let _attrib = MemScope::enter(scope);
