@@ -254,10 +254,7 @@ mod tests {
             let _attrib = MemScope::enter(scope);
             let v: AlignedVec<f32> = AlignedVec::zeroed(256);
             assert_eq!(v.mem_bytes(), 1024);
-            // Accounting is live only when fg-telemetry's `enabled` feature
-            // is unified into this build (e.g. workspace-wide tests).
-            let during = mem_current(scope);
-            assert!(during == before + 1024 || during == before, "{during}");
+            assert_eq!(mem_current(scope), before + 1024, "charge");
         }
         assert_eq!(mem_current(scope), before, "credit balances charge");
     }

@@ -3,9 +3,21 @@
 //! These run on the training and serving paths (the tape's `matmul` and its
 //! two transposed gradients, bias, activations), in the naive GNN backend
 //! (which materializes messages through dense ops, like DGL without
-//! FeatGraph), and in tests as ground truth for the optimized kernels. Inner
-//! loops are axpys over slices so LLVM auto-vectorizes them; there is no
-//! cache blocking or parallelism — the operands are `|V| × d` by `d × d`.
+//! FeatGraph), and in tests as ground truth for the optimized kernels.
+//!
+//! The three GEMMs share one register-tiled panel. It cuts the output into
+//! tiles of 4 or 1 rows by 16, 8 or 1 columns, and each tile sums its whole
+//! `k` range in a `[[S; C]; R]` array that LLVM keeps in vector registers,
+//! writing the output once. The tile loops are plain slice arithmetic, so
+//! the build's target CPU sets the vector width. Every output element adds
+//! `a[i][k] * b[k][j]` (a multiply, then an add: Rust never fuses them) to
+//! a zero in ascending `k`, which is the naive i-k-j loop's arithmetic: the
+//! bits do not depend on the tile shape, on the ISA, or on a row's position
+//! or the call's height. `matmul_at` also blocks `k`, storing and
+//! reloading its accumulators between blocks, which is exact. There is no
+//! parallelism: the operands are `|V| × d` by `d × d`.
+
+use std::ops::Range;
 
 use crate::dense::Dense2;
 use crate::error::{ShapeError, TensorResult};
@@ -20,19 +32,13 @@ pub fn matmul<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>
             rhs: vec![b.rows(), b.cols()],
         });
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Dense2::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        // i-k-j order: the inner j loop is a vectorizable axpy over b's row.
-        for (kk, &aval) in arow.iter().enumerate().take(k) {
-            let brow = b.row(kk);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aval * bv;
-            }
-        }
-    }
+    let mut out = Dense2::zeros(a.rows(), b.cols());
+    let lhs = Lhs {
+        data: a.as_slice(),
+        row_stride: a.cols(),
+        k_stride: 1,
+    };
+    panel(&lhs, b.as_slice(), &mut out, 0..a.cols());
     Ok(out)
 }
 
@@ -48,11 +54,16 @@ pub fn matmul_bt<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2
     }
     // `b` is the small (weight-sized) operand: transposing it once turns the
     // per-element row dots, whose sequential sums cannot vectorize, into
-    // `matmul`'s axpy loop. Each output element still accumulates its
-    // products in ascending-k order, so only the sign of an all-zero dot can
-    // differ from the row-dot form.
+    // `matmul`'s panel. Each output element still accumulates its products
+    // in ascending-k order, so only the sign of an all-zero dot can differ
+    // from the row-dot form.
     matmul(a, &transpose(b))
 }
+
+/// Rows of the shared dimension `matmul_at` sums per panel pass: a block of
+/// a `|V| × 64` `a` and a `|V| × 32` `b` is 24 KiB, which stays in L1 while
+/// every tile of the output passes over it.
+const AT_K_BLOCK: usize = 64;
 
 /// `out = aᵀ × b`.
 pub fn matmul_at<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>> {
@@ -63,19 +74,95 @@ pub fn matmul_at<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2
             rhs: vec![b.rows(), b.cols()],
         });
     }
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Dense2::zeros(m, n);
-    for kk in 0..k {
-        let arow = a.row(kk);
-        let brow = b.row(kk);
-        for (i, &av) in arow.iter().enumerate().take(m) {
-            let orow = out.row_mut(i);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
+    // `aᵀ` is read in place: its row `i` is `a`'s column `i`.
+    let lhs = Lhs {
+        data: a.as_slice(),
+        row_stride: 1,
+        k_stride: a.cols(),
+    };
+    let mut out = Dense2::zeros(a.cols(), b.cols());
+    let k = a.rows();
+    for k0 in (0..k).step_by(AT_K_BLOCK) {
+        panel(&lhs, b.as_slice(), &mut out, k0..k.min(k0 + AT_K_BLOCK));
+    }
+    Ok(out)
+}
+
+/// The left operand of a GEMM panel, `m × k`, as a strided view: element
+/// `(i, kk)` is `data[i * row_stride + kk * k_stride]`.
+struct Lhs<'a, S> {
+    data: &'a [S],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+/// `out += lhs[.., ks] × b[ks, ..]` for a row-major `b` as wide as `out`.
+/// Every element of `out` gets its products added in ascending `k`, whatever
+/// tile holds it.
+fn panel<S: Scalar>(lhs: &Lhs<'_, S>, b: &[S], out: &mut Dense2<S>, ks: Range<usize>) {
+    let (m, n) = out.shape();
+    let out = out.as_mut_slice();
+    let m4 = m / 4 * 4;
+    for i0 in (0..m4).step_by(4) {
+        row_tiles::<S, 4>(lhs, b, out, n, i0, ks.clone());
+    }
+    for i0 in m4..m {
+        row_tiles::<S, 1>(lhs, b, out, n, i0, ks.clone());
+    }
+}
+
+/// One band of `R` output rows: 16-wide tiles, at most one 8-wide tile,
+/// then one tile per leftover column.
+#[inline(always)]
+fn row_tiles<S: Scalar, const R: usize>(
+    lhs: &Lhs<'_, S>,
+    b: &[S],
+    out: &mut [S],
+    n: usize,
+    i0: usize,
+    ks: Range<usize>,
+) {
+    let (n16, n8) = (n / 16 * 16, n / 8 * 8);
+    for j0 in (0..n16).step_by(16) {
+        tile::<S, R, 16>(lhs, b, out, n, i0, j0, ks.clone());
+    }
+    if n8 > n16 {
+        tile::<S, R, 8>(lhs, b, out, n, i0, n16, ks.clone());
+    }
+    for j in n8..n {
+        tile::<S, R, 1>(lhs, b, out, n, i0, j, ks.clone());
+    }
+}
+
+/// The `R × C` output tile at `(i0, j0)`: its accumulators start at the
+/// output's value (zero, or a previous `k` block's sums, which a store and a
+/// reload keep exact) and stay in registers across `ks`.
+#[inline(always)]
+fn tile<S: Scalar, const R: usize, const C: usize>(
+    lhs: &Lhs<'_, S>,
+    b: &[S],
+    out: &mut [S],
+    n: usize,
+    i0: usize,
+    j0: usize,
+    ks: Range<usize>,
+) {
+    let mut acc = [[S::ZERO; C]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&out[(i0 + r) * n + j0..][..C]);
+    }
+    for kk in ks {
+        let brow = &b[kk * n + j0..][..C];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = lhs.data[(i0 + r) * lhs.row_stride + kk * lhs.k_stride];
+            for (o, &bv) in row.iter_mut().zip(brow) {
                 *o += av * bv;
             }
         }
     }
-    Ok(out)
+    for (r, row) in acc.iter().enumerate() {
+        out[(i0 + r) * n + j0..][..C].copy_from_slice(row);
+    }
 }
 
 /// Dot product of two equal-length slices.

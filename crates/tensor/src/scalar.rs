@@ -68,11 +68,6 @@ pub trait Scalar:
             self
         }
     }
-    /// Fused (semantically; the compiler may fuse) multiply-add `self * a + b`.
-    #[inline(always)]
-    fn mul_add_s(self, a: Self, b: Self) -> Self {
-        self * a + b
-    }
     /// True if the value is finite (not NaN/inf).
     fn is_finite_s(self) -> bool;
 }
@@ -156,12 +151,6 @@ mod tests {
             assert_eq!(f32::from_usize(i).to_f64() as usize, i);
             assert_eq!(f64::from_usize(i).to_f64() as usize, i);
         }
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let x = 1.5f32;
-        assert_eq!(x.mul_add_s(2.0, 0.25), 3.25);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use fg_tensor::ops;
 use fg_tensor::tile::{split_ranges, ColTiles};
-use fg_tensor::Dense2;
+use fg_tensor::{Dense2, Scalar};
 use proptest::prelude::*;
 
 fn matrices(max_dim: usize) -> impl Strategy<Value = Dense2<f64>> {
@@ -10,6 +10,136 @@ fn matrices(max_dim: usize) -> impl Strategy<Value = Dense2<f64>> {
         proptest::collection::vec(-100.0f64..100.0, r * c)
             .prop_map(move |v| Dense2::from_vec(r, c, v).unwrap())
     })
+}
+
+/// The i-k-j axpy loop `ops::matmul` ran before its register-tiled panel.
+/// Every GEMM must keep its bits: each output element is zero plus
+/// `a[i][k] * b[k][j]` in ascending `k`, a multiply then an add.
+fn ikj_oracle<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> Dense2<S> {
+    let mut out = Dense2::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        let orow = out.row_mut(i);
+        for (kk, &aval) in a.row(i).iter().enumerate() {
+            for (o, &bv) in orow.iter_mut().zip(b.row(kk)) {
+                *o += aval * bv;
+            }
+        }
+    }
+    out
+}
+
+/// A scalar's bit pattern, and a subnormal of its type.
+trait Bits: Scalar {
+    const SUBNORMAL: Self;
+    fn bits(self) -> u64;
+    fn nan(self) -> bool;
+}
+
+impl Bits for f32 {
+    const SUBNORMAL: Self = f32::MIN_POSITIVE / 8.0;
+    fn bits(self) -> u64 {
+        self.to_bits() as u64
+    }
+    fn nan(self) -> bool {
+        self.is_nan()
+    }
+}
+
+impl Bits for f64 {
+    const SUBNORMAL: Self = f64::MIN_POSITIVE / 8.0;
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn nan(self) -> bool {
+        self.is_nan()
+    }
+}
+
+/// A GEMM operand drawn from `seed`. `mode` 0 is finite values in [-1, 1];
+/// 1 mixes in -0.0 and subnormals; 2 mixes in ±∞ and NaN; 3 scales half the
+/// values to at most 8× the smallest normal, so their products with the
+/// rest are subnormal and products of two of them underflow to signed
+/// zeros.
+fn operand<S: Bits>(rows: usize, cols: usize, seed: u64, mode: u64) -> Dense2<S> {
+    Dense2::from_fn(rows, cols, |i, j| {
+        let mut h = seed ^ ((i * 1031 + j) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= h >> 31;
+        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 29;
+        let finite = S::from_f64((h % 2001) as f64 / 1000.0 - 1.0);
+        let pick = (h >> 40) % 8;
+        match (mode, pick) {
+            (1, 0) => S::from_f64(-0.0),
+            (1, 1) => S::SUBNORMAL,
+            (1, 2) => -S::SUBNORMAL * S::from_f64(3.0),
+            (2, 0) => S::from_f64(f64::INFINITY),
+            (2, 1) => S::from_f64(f64::NEG_INFINITY),
+            (2, 2) => S::from_f64(f64::NAN),
+            (3, 0..=3) => finite * S::SUBNORMAL * S::from_f64(64.0),
+            _ => finite,
+        }
+    })
+}
+
+/// Equal bits, where a NaN equals any NaN: Rust leaves the sign and payload
+/// of a NaN that an add or multiply returns unspecified, and LLVM may swap an
+/// add's operands, which decides whose NaN an x86 add returns.
+fn same_bits<S: Bits>(got: &Dense2<S>, want: &Dense2<S>, op: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.shape(), want.shape(), "{} shape", op);
+    for (at, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        let (bg, bw) = (g.bits(), w.bits());
+        prop_assert!(
+            bg == bw || (g.nan() && w.nan()),
+            "{} at flat {}: {} vs {} ({:#x} vs {:#x})",
+            op,
+            at,
+            g,
+            w,
+            bg,
+            bw
+        );
+    }
+    Ok(())
+}
+
+/// `matmul`, `matmul_bt` and `matmul_at` on `S` equal the oracle bit for bit.
+fn gemms_match_the_oracle<S: Bits>(
+    m: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+    mode: u64,
+) -> Result<(), TestCaseError> {
+    let a: Dense2<S> = operand(m, k, seed, mode);
+    let b: Dense2<S> = operand(k, n, seed ^ 1, mode);
+    same_bits(&ops::matmul(&a, &b).unwrap(), &ikj_oracle(&a, &b), "matmul")?;
+    let bt: Dense2<S> = operand(n, k, seed ^ 2, mode);
+    same_bits(
+        &ops::matmul_bt(&a, &bt).unwrap(),
+        &ikj_oracle(&a, &ops::transpose(&bt)),
+        "matmul_bt",
+    )?;
+    let at: Dense2<S> = operand(k, m, seed ^ 3, mode);
+    same_bits(
+        &ops::matmul_at(&at, &b).unwrap(),
+        &ikj_oracle(&ops::transpose(&at), &b),
+        "matmul_at",
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gemms_keep_the_ikj_loops_bits(
+        m in 0usize..41, k in 0usize..71, n in 0usize..41, seed in 0u64..1 << 40, mode in 0u64..4,
+    ) {
+        // Up to 40 columns mix 16-wide, 8-wide and one-column tiles, up to
+        // 40 rows mix 4-row and one-row tiles, and k > 64 gives `matmul_at`
+        // two `k` blocks.
+        gemms_match_the_oracle::<f32>(m, k, n, seed, mode)?;
+        gemms_match_the_oracle::<f64>(m, k, n, seed, mode)?;
+    }
 }
 
 proptest! {
@@ -75,7 +205,7 @@ proptest! {
 
     #[test]
     fn matmul_rows_do_not_depend_on_the_other_rows(
-        m in 1usize..24, k in 0usize..70, n in 1usize..24, seed in 0u64..500,
+        m in 1usize..24, k in 0usize..70, n in 1usize..41, seed in 0u64..500,
     ) {
         // Row i of a GEMM is the one-row GEMM of row i, bit for bit. Sampled
         // blocks, layer-0 tables and kept full-graph answers compute a row
