@@ -20,9 +20,6 @@
 //!   table6     end-to-end training/inference, naive vs FeatGraph backend (Table VI)
 //!   accuracy   backend-parity accuracy check (SS V-E)
 //!   fused      fused vs unfused SDDMM->softmax->SpMM GAT attention (fg-fuse)
-//!   sample     sampled (INFER_SEEDS) vs full-graph serving under a
-//!              power-law seed-popularity workload (fg-serve sampling)
-//!   mem        whole-stack accounted memory footprint vs OS RSS (fg-mem)
 //!   traversal  Hilbert vs canonical SDDMM edge order (SS III-C1 ablation)
 //!   a100       V100 vs A100 device model comparison (newer-hardware future work)
 //!   tune       adaptive tuner vs exhaustive grid search (SS VII future work)
@@ -49,24 +46,20 @@
 
 use std::path::Path;
 
-use fg_bench::cpu_kernels::{
-    cpu_kernel_samples, cpu_kernel_secs, featgraph_cpu_samples, CpuSystem, FeatgraphCpuConfig,
+use fg_bench::{
+    cpu_kernel_samples, cpu_kernel_secs, featgraph_cpu_samples, featgraph_gpu_ms, fmt_ms, fmt_secs,
+    gpu_kernel_ms, header, load, speedup, time_samples, BenchConfig, CpuSystem, FeatgraphCpuConfig,
+    FeatgraphGpuConfig, GpuSystem, KernelKind, Report, Samples,
 };
-use fg_bench::gpu_kernels::{featgraph_gpu_ms, gpu_kernel_ms, FeatgraphGpuConfig, GpuSystem};
-use fg_bench::perf::{self, Report};
-use fg_bench::report::{fmt_ms, fmt_secs, header, speedup};
-use fg_bench::runner::{load, time_samples, BenchConfig, KernelKind, Samples};
 use fg_gnn::backend::GpuCostModel;
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_gnn::nn::Optimizer;
-use fg_gnn::trainer::{inference, train};
-use fg_gnn::{FeatgraphBackend, NaiveBackend};
+use fg_gnn::{inference, train, FeatgraphBackend, NaiveBackend};
 use fg_gpusim::DeviceConfig;
-use fg_graph::{stats, Dataset};
+use fg_graph::Dataset;
 
-use featgraph::cpu::sddmm::Traversal;
-use featgraph::gpu::spmm::HybridOptions;
+use featgraph::{HybridOptions, Traversal};
 
 struct Args {
     command: String,
@@ -290,7 +283,7 @@ fn run_compare(args: &Args) -> ! {
     if base.scale != cur.scale {
         eprintln!("warning: scale differs (1/{} vs 1/{})", base.scale, cur.scale);
     }
-    let cmp = perf::compare(&base, &cur, args.fail_on_regress);
+    let cmp = fg_bench::compare(&base, &cur, args.fail_on_regress);
     print!("{}", cmp.format_table());
     if cmp.incomparables() > 0 {
         eprintln!(
@@ -354,15 +347,12 @@ fn main() {
         "table6" => table6(&args, &mut rep),
         "accuracy" => accuracy(&args),
         "fused" => fused_bench(&args, &mut rep),
-        "serve" => serve_bench(&args, &mut rep),
-        "sample" => sample_bench(&args, &mut rep),
-        "mem" => mem_bench(&args, &mut rep),
         "traversal" => traversal(&args, &mut rep),
         "a100" => a100(&args, &mut rep),
         "tune" => tune(&args),
         "all" => run_all(&args, &mut rep),
         _ => {
-            eprintln!("usage: fgbench <table2|table3|fig10|table4|fig11|fig12|fig13|fig14|fig15|table5|table6|accuracy|fused|serve|sample|mem|all|compare> [--scale N] [--lengths l1,l2] [--runs N] [--threads N] [--kernel gcn|mlp|attention|all] [--trace out.json] [--metrics] [--json report.json] [--bench-json]");
+            eprintln!("usage: fgbench <table1|table2|table3|fig10|table4|fig11|fig12|fig13|fig14|fig15|table5|table6|accuracy|fused|traversal|a100|tune|all|compare> [--scale N] [--lengths l1,l2] [--runs N] [--threads N] [--kernel gcn|mlp|attention|all] [--trace out.json] [--metrics] [--json report.json] [--bench-json]");
             std::process::exit(2);
         }
     }
@@ -409,9 +399,6 @@ fn run_all(args: &Args, master: &mut Report) {
     sub("table6", &mut |r| table6(args, r));
     sub("accuracy", &mut |_| accuracy(args));
     sub("fused", &mut |r| fused_bench(args, r));
-    sub("serve", &mut |r| serve_bench(args, r));
-    sub("sample", &mut |r| sample_bench(args, r));
-    sub("mem", &mut |r| mem_bench(args, r));
     sub("traversal", &mut |r| traversal(args, r));
     sub("tune", &mut |_| tune(args));
     sub("a100", &mut |r| a100(args, r));
@@ -431,7 +418,7 @@ fn kernels_for(sel: &str) -> Vec<KernelKind> {
 fn table1() {
     println!("\n=== Table I: system comparison, probed from the live implementations ===");
     // Flexibility = which of the three evaluation kernels each system can run.
-    let g = fg_graph::generators::uniform(64, 4, 1);
+    let g = fg_graph::uniform(64, 4, 1);
     let kernels = [
         KernelKind::GcnAggregation,
         KernelKind::MlpAggregation,
@@ -494,7 +481,7 @@ fn table2(args: &Args) {
     println!("\n=== Table II: graph datasets (scale 1/{}) ===", args.cfg.scale);
     for ds in Dataset::ALL {
         let g = load(ds, args.cfg.scale);
-        println!("{}", stats::table2_row(ds.name(), &g));
+        println!("{}", fg_graph::table2_row(ds.name(), &g));
         let spec = ds.spec();
         println!(
             "{:<16} paper: |V|={:>9} |E|={:>11} avg_deg={:>7}",
@@ -816,7 +803,7 @@ fn table5(args: &Args, rep: &mut Report) {
     );
     let n = 100_000 / args.cfg.scale;
     for sparsity in [0.9995f64, 0.995, 0.95] {
-        let g = fg_graph::generators::uniform_with_sparsity(n.max(64), sparsity, 7);
+        let g = fg_graph::uniform_with_sparsity(n.max(64), sparsity, 7);
         let mkl =
             cpu_kernel_samples(CpuSystem::Mkl, KernelKind::GcnAggregation, &g, 128, 1, args.cfg.runs)
                 .unwrap();
@@ -955,15 +942,15 @@ fn fused_bench(args: &Args, rep: &mut Report) {
     rep.push_graph(Dataset::Reddit.name(), &graph);
     let g = GnnGraph::new(graph);
     let n = g.fwd().num_vertices();
-    let sl = fg_bench::runner::features(n, 1);
-    let sr = fg_bench::runner::features(n, 1);
+    let sl = fg_bench::features(n, 1);
+    let sr = fg_bench::features(n, 1);
     let slope = 0.2f32;
     println!(
         "{:<6}{:>14}{:>14}{:>9}{:>14}{:>14}{:>9}",
         "d", "cpu unf s", "cpu fused s", "speedup", "gpu unf ms", "gpu fused ms", "speedup"
     );
     for &d in &[32usize, 64, 128] {
-        let x = fg_bench::runner::features(n, d);
+        let x = fg_bench::features(n, d);
         let cpu = FeatgraphBackend::cpu(args.threads);
         let unf = time_samples(args.cfg.runs, || {
             std::hint::black_box(cpu.unfused_attention(&g, &x, &sl, &sr, slope));
@@ -993,564 +980,6 @@ fn fused_bench(args: &Args, rep: &mut Report) {
     println!("(peak intermediate: unfused materializes two |E| edge tensors; fused keeps O(|V|) accumulators)");
 }
 
-/// Closed-loop serving benchmark through the fg-serve engine: concurrent
-/// clients issue single-node inference requests, each a row read from the
-/// full-graph logits the model's first request computes once.
-fn serve_bench(args: &Args, rep: &mut Report) {
-    use fg_serve::{Engine, InferRequest, ServeConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const CLIENTS: usize = 8;
-    let n = (30_000 / args.cfg.scale).max(500);
-    let requests = (4_000 / args.cfg.scale).max(400);
-    let per_client = (requests / CLIENTS).max(1);
-    println!(
-        "\n=== serve: closed-loop inference, {CLIENTS} clients x {per_client} \
-         requests/model, {n}-vertex graph ==="
-    );
-    let engine = Arc::new(Engine::new(ServeConfig {
-        kernel_threads: args.threads,
-        default_deadline: None,
-        ..ServeConfig::default()
-    }));
-    let task = SbmTask::generate(n, 4, 16, 4, 33);
-    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
-    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
-    for name in ["gcn", "graphsage", "gat"] {
-        let model = build_model(name, in_dim, 32, task.num_classes, 1);
-        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
-    }
-    for name in ["gcn", "graphsage", "gat"] {
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let engine = Arc::clone(&engine);
-                std::thread::spawn(move || {
-                    let mut lat = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let node = (c * 997 + i * 31) % vertices;
-                        let t = Instant::now();
-                        engine
-                            .infer(InferRequest {
-                                model: name.into(),
-                                node,
-                                deadline: None,
-                            })
-                            .expect("serve infer");
-                        lat.push(t.elapsed().as_secs_f64());
-                    }
-                    lat
-                })
-            })
-            .collect();
-        let mut lat: Vec<f64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("serve client"))
-            .collect();
-        let wall = t0.elapsed().as_secs_f64();
-        let samples = Samples::from_secs(lat.clone());
-        lat.sort_by(f64::total_cmp);
-        let q = |p: f64| lat[((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1];
-        println!(
-            "{name:<10} {:>7} req  {:>9.1} req/s   p50 {:>10}  p99 {:>10}  max {:>10}",
-            lat.len(),
-            lat.len() as f64 / wall,
-            fmt_secs(Some(q(0.50))),
-            fmt_secs(Some(q(0.99))),
-            fmt_secs(lat.last().copied()),
-        );
-        rep.push(format!("serve/{name}/request_latency"), "s", &samples);
-        rep.push_single(format!("serve/{name}/wall"), "s", wall);
-    }
-    let stats = engine.stats();
-    println!(
-        "engine: {} batches (avg {:.1} req/batch), shed {}, timeouts {}",
-        stats.batches, stats.avg_batch, stats.shed, stats.timed_out
-    );
-    println!("queue depth max {}", stats.queue_depth_max);
-    // Per-phase attribution via the same METRICS exposition the wire
-    // protocol serves, so the JSON report captures where latency went.
-    let metrics_text = engine.metrics_text();
-    if fg_serve::metrics::parse_exposition(&metrics_text).is_ok() {
-        for phase in fg_serve::Phase::ALL {
-            let name = phase.name();
-            for (q, label) in [("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")] {
-                let series =
-                    format!("fgserve_phase_latency_ms{{phase=\"{name}\",quantile=\"{q}\"}}");
-                if let Some(v) = fg_serve::metrics::sample(&metrics_text, &series) {
-                    rep.push_single(format!("serve/phase/{name}/{label}"), "ms", v);
-                }
-            }
-        }
-        println!("{}", stats.attribution_line());
-    }
-    engine.shutdown();
-    wire_bench(args, rep);
-    dtype_rows(args, rep);
-}
-
-/// Wire-protocol comparison: the same feature-heavy `INFER_SEEDS` workload
-/// (client-supplied feature rows, so every scalar crosses the wire) is
-/// served over the text protocol (ASCII round-trip, re-parsed per line)
-/// and the binary frame protocol (little-endian payloads, zero-copy
-/// tensor reads) against one live loopback server per protocol.
-fn wire_bench(args: &Args, rep: &mut Report) {
-    use fg_serve::{frame, protocol, serve, Engine, ServeConfig};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const CLIENTS: usize = 4;
-    const SEEDS: usize = 32;
-    let n = (30_000 / args.cfg.scale).max(500);
-    let per_client = (8_000 / args.cfg.scale).max(40);
-    // classes=4 + noise_dims=252: 256 feature columns per seed row, so the
-    // wire payload (32 seeds x 256 floats = 8192 scalars per request)
-    // dominates protocol cost rather than the forward pass (fanout 1,1
-    // keeps sampled subgraphs tiny for the same reason).
-    let task = SbmTask::generate(n, 4, 8, 252, 33);
-    let (d, vertices) = (task.in_dim(), task.graph.num_vertices());
-    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
-    println!(
-        "\n--- wire: {CLIENTS} clients x {per_client} INFER_SEEDS requests \
-         ({SEEDS} seeds x {d} feat cols each), text vs binary protocol ---"
-    );
-    fn feat(c: usize, i: usize, r: usize, k: usize) -> f32 {
-        ((c * 131 + i * 31 + r * 17 + k * 7) % 251) as f32 * 0.008 - 1.0
-    }
-    let mut walls = [0.0f64; 2];
-    for (pi, proto) in ["text", "binary"].into_iter().enumerate() {
-        // Fresh engine per protocol so both start from the same state.
-        let engine = Arc::new(Engine::new(ServeConfig {
-            kernel_threads: args.threads,
-            default_deadline: None,
-            ..ServeConfig::default()
-        }));
-        let model = build_model("gcn", d, 32, task.num_classes, 1);
-        engine.register_model("gcn", model, Arc::clone(&graph), Arc::clone(&features));
-        let server = serve(engine, "127.0.0.1:0").expect("bind loopback");
-        let addr = server.addr();
-        let binary = proto == "binary";
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                std::thread::spawn(move || -> (u64, Vec<f64>) {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream.set_nodelay(true).unwrap();
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
-                    let mut ok = 0u64;
-                    let mut lat = Vec::with_capacity(per_client);
-                    let mut line = String::new();
-                    for i in 0..per_client {
-                        let id = format!("c{c}-r{i}");
-                        let seeds: Vec<usize> = (0..SEEDS)
-                            .map(|j| (c * 997 + i * 131 + j * 31) % vertices)
-                            .collect();
-                        let sample_seed = (c * 1_000_003 + i) as u64;
-                        let t = Instant::now();
-                        if binary {
-                            let feats =
-                                fg_tensor::Dense2::from_fn(SEEDS, d, |r, k| feat(c, i, r, k));
-                            let req = protocol::Request::InferSeeds {
-                                model: "gcn".into(),
-                                seeds,
-                                fanouts: Some(vec![1, 1]),
-                                sample_seed,
-                                feats: Some(feats),
-                                id: Some(id.clone()),
-                                deadline_ms: None,
-                            };
-                            frame::write_frame(&mut writer, &frame::encode_request(&req))
-                                .expect("write frame");
-                            let f = frame::read_frame(&mut reader, false).expect("read frame");
-                            if let Ok(frame::WireReply::Seeds { id: got, .. }) =
-                                frame::decode_reply(&f)
-                            {
-                                if got == id {
-                                    ok += 1;
-                                }
-                            }
-                        } else {
-                            let seeds_s = seeds
-                                .iter()
-                                .map(ToString::to_string)
-                                .collect::<Vec<_>>()
-                                .join(",");
-                            let rows: Vec<String> = (0..SEEDS)
-                                .map(|r| {
-                                    (0..d)
-                                        .map(|k| feat(c, i, r, k).to_string())
-                                        .collect::<Vec<_>>()
-                                        .join(",")
-                                })
-                                .collect();
-                            writeln!(
-                                writer,
-                                "INFER_SEEDS gcn {seeds_s} fanout=1,1 feats={} \
-                                 sample_seed={sample_seed} id={id}",
-                                rows.join(";")
-                            )
-                            .expect("write line");
-                            line.clear();
-                            reader.read_line(&mut line).expect("read header");
-                            if let Ok(h) = protocol::parse_seeds_header(line.trim_end()) {
-                                let mut good = h.id == id;
-                                for _ in 0..h.count {
-                                    line.clear();
-                                    if reader.read_line(&mut line).expect("read seed") == 0 {
-                                        good = false;
-                                        break;
-                                    }
-                                }
-                                if good {
-                                    ok += 1;
-                                }
-                            }
-                        }
-                        lat.push(t.elapsed().as_secs_f64());
-                    }
-                    (ok, lat)
-                })
-            })
-            .collect();
-        let mut ok = 0u64;
-        let mut lat = Vec::new();
-        for h in handles {
-            let (o, l) = h.join().expect("wire client");
-            ok += o;
-            lat.extend(l);
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        walls[pi] = wall;
-        server.shutdown();
-        assert_eq!(
-            ok,
-            (CLIENTS * per_client) as u64,
-            "{proto} protocol dropped requests"
-        );
-        let samples = Samples::from_secs(lat.clone());
-        lat.sort_by(f64::total_cmp);
-        let q = |p: f64| lat[((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1];
-        println!(
-            "{proto:<10} {:>7} req  {:>9.1} req/s   p50 {:>10}  p99 {:>10}",
-            lat.len(),
-            lat.len() as f64 / wall,
-            fmt_secs(Some(q(0.50))),
-            fmt_secs(Some(q(0.99))),
-        );
-        rep.push(format!("serve/wire/{proto}/request_latency"), "s", &samples);
-        rep.push_single(format!("serve/wire/{proto}/wall"), "s", wall);
-    }
-    println!(
-        "binary vs text: {:.2}x request throughput",
-        walls[0] / walls[1]
-    );
-}
-
-/// Half-precision feature-storage rows: the GCN aggregation SpMM on the
-/// same graph/width as the serving path, with vertex features stored as
-/// f32 vs bf16 (`run` over bf16 storage — half load, f32 accumulate).
-/// Reported next to the serve rows because `--feature-dtype` is a serving
-/// knob: these rows isolate its kernel-level cost/benefit.
-fn dtype_rows(args: &Args, rep: &mut Report) {
-    use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
-    use featgraph::{Fds, GraphTensors, Reducer, Udf};
-    use fg_tensor::half::quantize;
-    use fg_tensor::Bf16;
-
-    let graph = load(Dataset::Reddit, args.cfg.scale);
-    let n = graph.num_vertices();
-    let d = 128usize;
-    let x = fg_bench::runner::features(n, d);
-    let udf = Udf::copy_src(d);
-    let opts = CpuSpmmOptions::with_threads(1, args.threads);
-    let k = CpuSpmm::compile(&graph, &udf, Reducer::Sum, &Fds::default(), &opts)
-        .expect("compile spmm");
-    println!(
-        "\n--- dtype: GCN aggregation SpMM, d={d}, reddit 1/{} ({n} vertices), \
-         f32 vs bf16 feature storage ---",
-        args.cfg.scale
-    );
-    let xb16: fg_tensor::Dense2<Bf16> = quantize(&x);
-    let mut out = fg_tensor::Dense2::zeros(n, d);
-    let f32s = time_samples(args.cfg.runs, || {
-        k.run(&GraphTensors::vertex_only(&x), &mut out)
-            .expect("f32 run");
-        std::hint::black_box(&out);
-    });
-    let bf16s = time_samples(args.cfg.runs, || {
-        k.run(&GraphTensors::vertex_only(&xb16), &mut out)
-            .expect("bf16 run");
-        std::hint::black_box(&out);
-    });
-    println!(
-        "{:<8}{:>12}{:>14}{:>14}",
-        "dtype", "median s", "vs f32", "feature MiB"
-    );
-    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
-    for (name, s, bytes) in [
-        ("f32", &f32s, n * d * 4),
-        ("bf16", &bf16s, n * d * 2),
-    ] {
-        println!(
-            "{name:<8}{:>12.4}{:>13.2}x{:>13.1}",
-            s.median(),
-            f32s.median() / s.median(),
-            mib(bytes),
-        );
-        rep.push(format!("serve/dtype/{name}/spmm"), "s", s);
-    }
-}
-
-/// Sampled-vs-full serving scenario: the same power-law (head-heavy) seed
-/// workload is answered twice by the engine — once with full-graph
-/// inference (`INFER`) and once through the minibatch sampler
-/// (`INFER_SEEDS`, fanout-capped 2-hop neighborhoods) — and the table
-/// reports per-request latency for both paths plus the sampled subgraph
-/// sizes. A full-fanout parity pass asserts the sampled path is bitwise
-/// identical to full-graph inference before any numbers are printed.
-fn sample_bench(args: &Args, rep: &mut Report) {
-    use fg_serve::{Engine, InferRequest, InferSeedsRequest, ServeConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const CLIENTS: usize = 8;
-    const FANOUTS: [usize; 2] = [10, 10];
-    let n = (30_000 / args.cfg.scale).max(500);
-    let requests = (4_000 / args.cfg.scale).max(400);
-    let per_client = (requests / CLIENTS).max(1);
-    println!(
-        "\n=== sample: sampled (fanout {FANOUTS:?}) vs full-graph serving, {CLIENTS} clients \
-         x {per_client} requests/model, {n}-vertex graph, power-law seed popularity ==="
-    );
-    let engine = Arc::new(Engine::new(ServeConfig {
-        kernel_threads: args.threads,
-        default_deadline: None,
-        ..ServeConfig::default()
-    }));
-    let task = SbmTask::generate(n, 4, 16, 4, 33);
-    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
-    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
-    for name in ["gcn", "graphsage", "gat"] {
-        let model = build_model(name, in_dim, 32, task.num_classes, 1);
-        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
-    }
-
-    // Power-law popularity: squaring a uniform draw concentrates requests
-    // on a small head of hot vertices, the regime sampled serving targets.
-    let popular = |c: usize, i: usize, vertices: usize| -> usize {
-        let mut x = (c as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((i as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        let u = x as f64 / u64::MAX as f64;
-        ((vertices as f64 * u * u) as usize).min(vertices - 1)
-    };
-
-    // Parity gate: full-fanout sampled answers must equal the full-graph
-    // path bitwise on a probe set before the timed passes run.
-    for name in ["gcn", "graphsage", "gat"] {
-        let probes: Vec<usize> = (0..8).map(|i| popular(0, i, vertices)).collect();
-        let sampled = engine
-            .infer_seeds(InferSeedsRequest {
-                model: name.into(),
-                seeds: probes.clone(),
-                fanouts: None, // full fanout, DEFAULT_SAMPLE_HOPS hops
-                sample_seed: 0,
-                feats: None,
-                deadline: None,
-            })
-            .expect("parity infer_seeds");
-        for (&node, got) in probes.iter().zip(&sampled.results) {
-            let full = engine
-                .infer(InferRequest { model: name.into(), node, deadline: None })
-                .expect("parity infer");
-            assert_eq!(
-                full.logits, got.logits,
-                "{name}: full-fanout sampled logits diverged on node {node}"
-            );
-        }
-    }
-    println!("parity: full-fanout sampled == full-graph, bitwise, all models");
-
-    println!(
-        "{:<10} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9}",
-        "model", "full p50", "full p99", "sampled p50", "sampled p99", "speedup", "|V_sub|", "|E_sub|"
-    );
-    for name in ["gcn", "graphsage", "gat"] {
-        let run = |sampled: bool| -> (Vec<f64>, f64, f64, f64) {
-            let t0 = Instant::now();
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|c| {
-                    let engine = Arc::clone(&engine);
-                    std::thread::spawn(move || {
-                        let mut lat = Vec::with_capacity(per_client);
-                        let (mut sv, mut se) = (0u64, 0u64);
-                        for i in 0..per_client {
-                            let node = popular(c, i, vertices);
-                            let t = Instant::now();
-                            if sampled {
-                                let resp = engine
-                                    .infer_seeds(InferSeedsRequest {
-                                        model: name.into(),
-                                        seeds: vec![node],
-                                        fanouts: Some(FANOUTS.to_vec()),
-                                        sample_seed: (c * per_client + i) as u64,
-                                        feats: None,
-                                        deadline: None,
-                                    })
-                                    .expect("sampled infer");
-                                sv += resp.sub_vertices as u64;
-                                se += resp.sub_edges as u64;
-                            } else {
-                                engine
-                                    .infer(InferRequest {
-                                        model: name.into(),
-                                        node,
-                                        deadline: None,
-                                    })
-                                    .expect("full infer");
-                            }
-                            lat.push(t.elapsed().as_secs_f64());
-                        }
-                        (lat, sv, se)
-                    })
-                })
-                .collect();
-            let mut lat = Vec::new();
-            let (mut sv, mut se) = (0u64, 0u64);
-            for h in handles {
-                let (l, v, e) = h.join().expect("sample client");
-                lat.extend(l);
-                sv += v;
-                se += e;
-            }
-            let wall = t0.elapsed().as_secs_f64();
-            let count = lat.len().max(1) as f64;
-            (lat, wall, sv as f64 / count, se as f64 / count)
-        };
-        let (mut full_lat, full_wall, _, _) = run(false);
-        let (mut samp_lat, samp_wall, avg_v, avg_e) = run(true);
-        let q = |lat: &[f64], p: f64| {
-            lat[((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1]
-        };
-        rep.push(
-            format!("sample/{name}/full_latency"),
-            "s",
-            &Samples::from_secs(full_lat.clone()),
-        );
-        rep.push(
-            format!("sample/{name}/sampled_latency"),
-            "s",
-            &Samples::from_secs(samp_lat.clone()),
-        );
-        rep.push_single(format!("sample/{name}/full_wall"), "s", full_wall);
-        rep.push_single(format!("sample/{name}/sampled_wall"), "s", samp_wall);
-        rep.push_single(format!("sample/{name}/avg_sub_vertices"), "", avg_v);
-        rep.push_single(format!("sample/{name}/avg_sub_edges"), "", avg_e);
-        full_lat.sort_by(f64::total_cmp);
-        samp_lat.sort_by(f64::total_cmp);
-        println!(
-            "{name:<10} {:>12} {:>12} {:>12} {:>12} {:>8.2}x {:>9.0} {:>9.0}",
-            fmt_secs(Some(q(&full_lat, 0.50))),
-            fmt_secs(Some(q(&full_lat, 0.99))),
-            fmt_secs(Some(q(&samp_lat, 0.50))),
-            fmt_secs(Some(q(&samp_lat, 0.99))),
-            q(&full_lat, 0.50) / q(&samp_lat, 0.50),
-            avg_v,
-            avg_e,
-        );
-    }
-    let stats = engine.stats();
-    println!(
-        "engine: {} batches, sample phase n={}",
-        stats.batches,
-        stats.phase(fg_serve::Phase::Sample).count,
-    );
-    let metrics_text = engine.metrics_text();
-    if fg_serve::metrics::parse_exposition(&metrics_text).is_ok() {
-        for (q, label) in [("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")] {
-            let series = format!("fgserve_phase_latency_ms{{phase=\"sample\",quantile=\"{q}\"}}");
-            if let Some(v) = fg_serve::metrics::sample(&metrics_text, &series) {
-                rep.push_single(format!("sample/phase/sample/{label}"), "ms", v);
-            }
-        }
-    }
-    engine.shutdown();
-}
-
-/// Whole-stack accounted-memory scenario: stand up the serving stack at
-/// the requested scale (dataset -> models -> engine), push traffic through
-/// it so pass scratch, compiled plans and full-graph logits materialize, then print
-/// the per-component accounted table next to the OS RSS reading. The
-/// accountant is reset first so the table reflects this scenario alone.
-fn mem_bench(args: &Args, rep: &mut Report) {
-    use fg_serve::{Engine, InferRequest, ServeConfig};
-    use std::sync::Arc;
-
-    fg_telemetry::reset_mem();
-    let n = (30_000 / args.cfg.scale).max(500);
-    println!("\n=== mem: whole-stack accounted footprint, {n}-vertex graph, gcn+gat ===");
-    let engine = Arc::new(Engine::new(ServeConfig {
-        kernel_threads: args.threads,
-        default_deadline: None,
-        ..ServeConfig::default()
-    }));
-    let task = {
-        let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::Features);
-        SbmTask::generate(n, 4, 16, 4, 33)
-    };
-    let (vertices, in_dim) = (task.graph.num_vertices(), task.in_dim());
-    // One dataset, as fgserve holds it: both models share the graph and the
-    // feature matrix.
-    let (graph, features) = (Arc::new(task.graph), Arc::new(task.features));
-    for name in ["gcn", "gat"] {
-        let model = build_model(name, in_dim, 32, task.num_classes, 1);
-        engine.register_model(name, model, Arc::clone(&graph), Arc::clone(&features));
-    }
-    for i in 0..64usize {
-        let model = if i % 2 == 0 { "gcn" } else { "gat" };
-        engine
-            .infer(InferRequest {
-                model: model.into(),
-                node: (i * 997) % vertices,
-                deadline: None,
-            })
-            .expect("mem infer");
-    }
-    let mem = engine.memory_report();
-    println!("{:<22} {:>14} {:>14}", "component", "current B", "peak B");
-    for c in &mem.components {
-        println!("{:<22} {:>14} {:>14}", c.component.name(), c.current, c.peak);
-        rep.push_single(format!("mem/{}/peak", c.component.name()), "B", c.peak as f64);
-    }
-    println!("{:<22} {:>14} {:>14}", "total", mem.total_current, mem.total_peak);
-    rep.push_single("mem/total/peak".into(), "B", mem.total_peak as f64);
-    match mem.rss {
-        Some(rss) => {
-            println!(
-                "{:<22} {:>14} {:>14}  (OS VmRSS/VmHWM)",
-                "rss", rss.current_bytes, rss.peak_bytes
-            );
-            rep.push_single("mem/rss/peak".into(), "B", rss.peak_bytes as f64);
-            if mem.total_peak > 0 && rss.peak_bytes > 0 {
-                println!(
-                    "accounted peak / RSS peak: {:.1}% (remainder: code, stacks, Vec-backed \
-                     structures outside the accountant)",
-                    mem.total_peak as f64 / rss.peak_bytes as f64 * 100.0
-                );
-            }
-        }
-        None => println!("rss: /proc/self/status not readable on this platform"),
-    }
-    engine.shutdown();
-}
-
 fn traversal(args: &Args, rep: &mut Report) {
     println!(
         "\n=== SS III-C1: Hilbert vs canonical edge traversal (dot attention, reddit, scale 1/{}) ===",
@@ -1558,12 +987,12 @@ fn traversal(args: &Args, rep: &mut Report) {
     );
     let g = load(Dataset::Reddit, args.cfg.scale);
     rep.push_graph(Dataset::Reddit.name(), &g);
-    let canonical_order = fg_graph::hilbert::EdgeOrder::canonical(&g);
-    let hilbert_order = fg_graph::hilbert::EdgeOrder::hilbert(&g);
+    let canonical_order = fg_graph::EdgeOrder::canonical(&g);
+    let hilbert_order = fg_graph::EdgeOrder::hilbert(&g);
     println!(
         "mean (src,dst) jump between consecutive edges: canonical {:.1}, hilbert {:.1}",
-        fg_graph::hilbert::mean_jump(&canonical_order),
-        fg_graph::hilbert::mean_jump(&hilbert_order)
+        fg_graph::mean_jump(&canonical_order),
+        fg_graph::mean_jump(&hilbert_order)
     );
     header("order", &args.cfg.lengths);
     for (name, trav) in [
@@ -1619,11 +1048,10 @@ fn tune(args: &Args) {
         "\n=== SS VII: adaptive tuner vs exhaustive grid (GCN agg, reddit, d=128, scale 1/{}) ===",
         args.cfg.scale
     );
-    use featgraph::autotune::{tune_spmm_cpu, tune_spmm_cpu_adaptive};
-    use featgraph::{GraphTensors, Reducer, Udf};
+    use featgraph::{tune_spmm_cpu, tune_spmm_cpu_adaptive, GraphTensors, Reducer, Udf};
     let g = load(Dataset::Reddit, args.cfg.scale);
     let n = g.num_vertices();
-    let x = fg_bench::runner::features(n, 128);
+    let x = fg_bench::features(n, 128);
     let inputs = GraphTensors::vertex_only(&x);
     let udf = Udf::copy_src(128);
     let grid = tune_spmm_cpu(

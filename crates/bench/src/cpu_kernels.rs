@@ -1,9 +1,9 @@
 //! CPU kernel measurements: FeatGraph vs Ligra vs MKL-like (Table III,
 //! Figs. 10/11/14, Table V).
 
-use featgraph::cpu::sddmm::{CpuSddmmOptions, Traversal};
-use featgraph::cpu::spmm::CpuSpmmOptions;
-use featgraph::{Fds, GraphTensors, Reducer, Target, Udf};
+use featgraph::{
+    CpuSddmmOptions, CpuSpmmOptions, Fds, GraphTensors, Reducer, Target, Traversal, Udf,
+};
 use fg_graph::Graph;
 use fg_ligra::EdgeMapOptions;
 use fg_tensor::Dense2;
@@ -68,7 +68,7 @@ pub fn cpu_kernel_samples(
             let x = features(n, d);
             let mut out = Dense2::zeros(n, d);
             Some(time_samples(runs, || {
-                fg_sparselib::mkl_like::csrmm(graph, &x, &mut out, threads)
+                fg_sparselib::mkl_csrmm(graph, &x, &mut out, threads)
             }))
         }
         (CpuSystem::Mkl, _) => None, // not in the library's API
@@ -80,7 +80,7 @@ pub fn cpu_kernel_samples(
                 ..Default::default()
             };
             Some(time_samples(runs, || {
-                fg_ligra::kernels::gcn_aggregation(graph, &x, &mut out, &opts)
+                fg_ligra::gcn_aggregation(graph, &x, &mut out, &opts)
             }))
         }
         (CpuSystem::Ligra, KernelKind::MlpAggregation) => {
@@ -92,7 +92,7 @@ pub fn cpu_kernel_samples(
                 ..Default::default()
             };
             Some(time_samples(runs, || {
-                fg_ligra::kernels::mlp_aggregation(graph, &x, &w, &mut out, &opts)
+                fg_ligra::mlp_aggregation(graph, &x, &w, &mut out, &opts)
             }))
         }
         (CpuSystem::Ligra, KernelKind::DotAttention) => {
@@ -103,7 +103,7 @@ pub fn cpu_kernel_samples(
                 ..Default::default()
             };
             Some(time_samples(runs, || {
-                fg_ligra::kernels::dot_attention(graph, &x, &mut out, &opts)
+                fg_ligra::dot_attention(graph, &x, &mut out, &opts)
             }))
         }
         (CpuSystem::FeatGraph, _) => Some(featgraph_cpu_samples(
@@ -157,7 +157,7 @@ pub fn default_feature_tiles(graph: &Graph, d: usize) -> usize {
 
 /// Graph-partition count targeting [`EFFECTIVE_LLC_BYTES`].
 pub fn default_graph_partitions(graph: &Graph, tile_cols: usize) -> usize {
-    fg_graph::partition::partitions_for_cache(
+    fg_graph::partitions_for_cache(
         graph.num_vertices(),
         tile_cols.max(1),
         std::mem::size_of::<f32>(),
@@ -253,11 +253,10 @@ pub fn featgraph_cpu_samples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     #[test]
     fn all_systems_produce_a_time_for_gcn() {
-        let g = generators::uniform(300, 6, 1);
+        let g = fg_graph::uniform(300, 6, 1);
         for sys in [CpuSystem::Ligra, CpuSystem::Mkl, CpuSystem::FeatGraph] {
             let t = cpu_kernel_secs(sys, KernelKind::GcnAggregation, &g, 16, 1, 1);
             assert!(t.unwrap() > 0.0, "{sys:?}");
@@ -266,14 +265,14 @@ mod tests {
 
     #[test]
     fn mkl_covers_only_vanilla_spmm() {
-        let g = generators::uniform(100, 4, 2);
+        let g = fg_graph::uniform(100, 4, 2);
         assert!(cpu_kernel_secs(CpuSystem::Mkl, KernelKind::MlpAggregation, &g, 16, 1, 1).is_none());
         assert!(cpu_kernel_secs(CpuSystem::Mkl, KernelKind::DotAttention, &g, 16, 1, 1).is_none());
     }
 
     #[test]
     fn featgraph_runs_all_three_kernels() {
-        let g = generators::uniform(200, 5, 3);
+        let g = fg_graph::uniform(200, 5, 3);
         for kind in [
             KernelKind::GcnAggregation,
             KernelKind::MlpAggregation,

@@ -1,12 +1,12 @@
 //! GPU kernel measurements on the simulator: FeatGraph vs Gunrock vs
 //! cuSPARSE (Table IV, Figs. 12/13/15).
 
-use featgraph::gpu::sddmm::GpuSddmmOptions;
-use featgraph::gpu::spmm::{GpuSpmmOptions, HybridOptions};
-use featgraph::{Fds, GraphTensors, Reducer, Target, Udf};
+use featgraph::{
+    Fds, GpuSddmmOptions, GpuSpmmOptions, GraphTensors, HybridOptions, Reducer, Target, Udf,
+};
 use fg_graph::Graph;
 use fg_gunrock::GunrockOptions;
-use fg_sparselib::cusparse_like::CusparseOptions;
+use fg_sparselib::CusparseOptions;
 use fg_tensor::Dense2;
 
 use crate::runner::{features, weights, KernelKind, MLP_D1};
@@ -66,7 +66,7 @@ pub fn gpu_kernel_ms(system: GpuSystem, kind: KernelKind, graph: &Graph, d: usiz
         (GpuSystem::Cusparse, KernelKind::GcnAggregation) => {
             let x = features(n, d);
             let mut out = Dense2::zeros(n, d);
-            let report = fg_sparselib::cusparse_like::csrmm(
+            let report = fg_sparselib::cusparse_csrmm(
                 graph,
                 &x,
                 &mut out,
@@ -188,11 +188,10 @@ pub fn featgraph_gpu_ms(kind: KernelKind, graph: &Graph, d: usize, cfg: Featgrap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     #[test]
     fn all_systems_report_gcn_times() {
-        let g = generators::uniform(300, 6, 1);
+        let g = fg_graph::uniform(300, 6, 1);
         for sys in [GpuSystem::Gunrock, GpuSystem::Cusparse, GpuSystem::FeatGraph] {
             let t = gpu_kernel_ms(sys, KernelKind::GcnAggregation, &g, 32);
             assert!(t.unwrap() > 0.0, "{sys:?}");
@@ -201,7 +200,7 @@ mod tests {
 
     #[test]
     fn cusparse_covers_only_vanilla_spmm() {
-        let g = generators::uniform(100, 4, 2);
+        let g = fg_graph::uniform(100, 4, 2);
         assert!(gpu_kernel_ms(GpuSystem::Cusparse, KernelKind::MlpAggregation, &g, 16).is_none());
         assert!(gpu_kernel_ms(GpuSystem::Cusparse, KernelKind::DotAttention, &g, 16).is_none());
     }
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn gunrock_loses_badly_on_gcn_aggregation() {
         // the Table IVa shape: atomics + blackbox feature loops
-        let g = generators::uniform(2000, 50, 3);
+        let g = fg_graph::uniform(2000, 50, 3);
         let gunrock = gpu_kernel_ms(GpuSystem::Gunrock, KernelKind::GcnAggregation, &g, 64).unwrap();
         let fg = gpu_kernel_ms(GpuSystem::FeatGraph, KernelKind::GcnAggregation, &g, 64).unwrap();
         assert!(
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn featgraph_is_on_par_with_cusparse() {
-        let g = generators::uniform(2000, 50, 4);
+        let g = fg_graph::uniform(2000, 50, 4);
         let cu = gpu_kernel_ms(GpuSystem::Cusparse, KernelKind::GcnAggregation, &g, 64).unwrap();
         let fg = gpu_kernel_ms(GpuSystem::FeatGraph, KernelKind::GcnAggregation, &g, 64).unwrap();
         let ratio = fg / cu;

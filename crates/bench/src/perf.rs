@@ -516,7 +516,7 @@ impl RooflineRow {
 /// A complete benchmark report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Schema version ([`SCHEMA_VERSION`] at write time).
+    /// Schema version (`SCHEMA_VERSION` at write time).
     pub schema_version: u64,
     /// The fgbench subcommand that produced this report.
     pub command: String,
@@ -1090,7 +1090,7 @@ impl Comparison {
 ///
 /// Entries whose medians cannot support that arithmetic — NaN/Inf (stored
 /// as JSON null), or a baseline median at or below
-/// [`MIN_BASELINE_MEDIAN`] — come back as [`Verdict::Incomparable`]; they
+/// `MIN_BASELINE_MEDIAN` — come back as `Verdict::Incomparable`; they
 /// are surfaced in the table and the summary but never gate the build.
 pub fn compare(base: &Report, cur: &Report, fail_pct: f64) -> Comparison {
     let mut rows = Vec::new();

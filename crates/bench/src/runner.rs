@@ -180,13 +180,6 @@ pub fn time_samples(runs: usize, mut f: impl FnMut()) -> Samples {
     Samples { secs }
 }
 
-/// Time `f` with one warm-up call and `runs` measured calls; returns mean
-/// seconds. Thin wrapper over [`time_samples`] for callers that only need a
-/// point estimate.
-pub fn time_secs(runs: usize, f: impl FnMut()) -> f64 {
-    time_samples(runs, f).mean()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,14 +190,6 @@ mod tests {
         assert_eq!(KernelKind::parse("mlp"), Some(KernelKind::MlpAggregation));
         assert_eq!(KernelKind::parse("dot"), Some(KernelKind::DotAttention));
         assert_eq!(KernelKind::parse("bogus"), None);
-    }
-
-    #[test]
-    fn timing_returns_positive_mean() {
-        let t = time_secs(3, || {
-            std::hint::black_box((0..1000).sum::<usize>());
-        });
-        assert!(t >= 0.0);
     }
 
     #[test]

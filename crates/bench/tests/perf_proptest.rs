@@ -19,9 +19,7 @@
 //!   intensity) parse `null` as 0.0 or drop the pair, so those generators
 //!   stay finite.
 
-use fg_bench::perf::{
-    compare, Entry, GraphInfo, HistRow, Report, RooflineRow, SampleStats,
-};
+use fg_bench::{compare, Entry, GraphInfo, HistRow, Report, RooflineRow, SampleStats};
 use proptest::prelude::*;
 
 /// Identifier-ish strings plus JSON-hostile characters (quotes, backslash,

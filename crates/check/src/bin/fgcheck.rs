@@ -49,7 +49,7 @@ fn parse_args() -> Args {
         seed: 0,
         cases: 200,
         case: None,
-        shrink_budget: fg_check::runner::SHRINK_BUDGET,
+        shrink_budget: fg_check::SHRINK_BUDGET,
         sampler: false,
         dtype: None,
         verbose: false,

@@ -26,9 +26,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use featgraph::cpu::sddmm::Traversal;
-use featgraph::{Fds, FusedOp, GpuBind, GpuFds, Reducer, Udf};
-use fg_graph::{generators, Graph};
+use featgraph::{Fds, FusedOp, GpuBind, GpuFds, Reducer, Traversal, Udf};
+use fg_graph::Graph;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 
@@ -126,9 +125,9 @@ pub enum GraphSpec {
     Empty,
     /// `n` isolated vertices — every destination has in-degree zero.
     Edgeless { n: usize },
-    /// `generators::uniform` — uniform random in-degree.
+    /// `fg_graph::uniform` — uniform random in-degree.
     Uniform { n: usize, deg: usize, seed: u64 },
-    /// `generators::power_law` — heavy degree skew (α = 2.2).
+    /// `fg_graph::power_law` — heavy degree skew (α = 2.2).
     PowerLaw { n: usize, deg: usize, seed: u64 },
     /// Hand-rolled adversarial mix: self-loops, duplicate edges, a hub
     /// vertex, and a guaranteed band of isolated (zero-in-degree) vertices.
@@ -143,8 +142,8 @@ impl GraphSpec {
         match *self {
             GraphSpec::Empty => Graph::from_edges(0, &[]),
             GraphSpec::Edgeless { n } => Graph::from_edges(n, &[]),
-            GraphSpec::Uniform { n, deg, seed } => generators::uniform(n.max(1), deg, seed),
-            GraphSpec::PowerLaw { n, deg, seed } => generators::power_law(n.max(1), deg, 2.2, seed),
+            GraphSpec::Uniform { n, deg, seed } => fg_graph::uniform(n.max(1), deg, seed),
+            GraphSpec::PowerLaw { n, deg, seed } => fg_graph::power_law(n.max(1), deg, 2.2, seed),
             GraphSpec::Adversarial { n, seed } => adversarial_graph(n.max(1), seed),
             GraphSpec::Explicit { n, ref edges } => Graph::from_edges(n, edges),
         }

@@ -2,8 +2,8 @@
 //!
 //! The serving tier can hold vertex features in `bf16`
 //! ([`fg_tensor::FeatureTensor`]), and the CPU kernels
-//! ([`featgraph::cpu::spmm::CpuSpmm::run`],
-//! [`featgraph::cpu::sddmm::CpuSddmm::run`]) are generic over the vertex
+//! ([`featgraph::CpuSpmm::run`],
+//! [`featgraph::CpuSddmm::run`]) are generic over the vertex
 //! storage type: they widen each row to `f32` as it is read and accumulate
 //! in `f32`. One contract makes that safe, and this family sweeps it on
 //! seeded random `(graph × kernel × udf)` cases:
@@ -35,11 +35,8 @@ use std::str::FromStr;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 
-use featgraph::cpu::sddmm::{CpuSddmm, CpuSddmmOptions};
-use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
-use featgraph::{GraphTensors, Reducer};
-use fg_tensor::half::{dequantize, quantize};
-use fg_tensor::{Bf16, Dense2, FeatElem, FeatureDtype};
+use featgraph::{CpuSddmm, CpuSddmmOptions, CpuSpmm, CpuSpmmOptions, GraphTensors, Reducer};
+use fg_tensor::{dequantize, quantize, Bf16, Dense2, FeatElem, FeatureDtype};
 
 use crate::case::{Case, ExecPlan, GraphSpec, KernelKind, ParseCaseError, UdfKind};
 use crate::tolerance::{compare_slices, Tolerance};
@@ -51,7 +48,7 @@ pub struct DtypeCase {
     /// Storage dtype the kernel reads its vertex rows from.
     pub dtype: FeatureDtype,
     /// Embedded kernel case (SpMM or SDDMM over the parameterless UDFs the
-    /// generator draws; [`materialize`] builds no parameter matrices).
+    /// generator draws; `materialize` builds no parameter matrices).
     pub case: Case,
 }
 

@@ -18,15 +18,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use featgraph::cpu::sddmm::CpuSddmmOptions;
-use featgraph::cpu::spmm::CpuSpmmOptions;
-use featgraph::gpu::fused::GpuFusedOptions;
-use featgraph::gpu::sddmm::GpuSddmmOptions;
-use featgraph::gpu::spmm::{GpuSpmmOptions, HybridOptions};
-use featgraph::reference::{fused_reference, sddmm_reference, spmm_reference};
 use featgraph::{
-    fused_with_options, sddmm_with_options, spmm_with_options, FusedInputs, GraphTensors,
-    Reducer, Target, Udf,
+    fused_reference, fused_with_options, sddmm_reference, sddmm_with_options, spmm_reference,
+    spmm_with_options, CpuSddmmOptions, CpuSpmmOptions, FusedInputs, GpuFusedOptions,
+    GpuSddmmOptions, GpuSpmmOptions, GraphTensors, HybridOptions, Reducer, Target, Udf,
 };
 use fg_gpusim::DeviceConfig;
 use fg_graph::Graph;
@@ -288,7 +283,7 @@ pub fn run_case(case: &Case) -> Vec<ExecFailure> {
             ..fg_ligra::EdgeMapOptions::default()
         };
         run_protected("ligra-gcn", &mut failures, want.as_slice(), tol, |out| {
-            fg_ligra::kernels::gcn_aggregation(graph, x, out, &opts);
+            fg_ligra::gcn_aggregation(graph, x, out, &opts);
             Ok(())
         }, &mut out);
 
@@ -302,17 +297,17 @@ pub fn run_case(case: &Case) -> Vec<ExecFailure> {
         }, &mut out);
 
         run_protected("mkl", &mut failures, want.as_slice(), tol, |out| {
-            fg_sparselib::mkl_like::csrmm(graph, x, out, plan.threads);
+            fg_sparselib::mkl_csrmm(graph, x, out, plan.threads);
             Ok(())
         }, &mut out);
 
-        let copts = fg_sparselib::cusparse_like::CusparseOptions {
+        let copts = fg_sparselib::CusparseOptions {
             rows_per_block: plan.rows_per_block,
             threads_per_block: plan.threads_per_block,
-            ..fg_sparselib::cusparse_like::CusparseOptions::default()
+            ..fg_sparselib::CusparseOptions::default()
         };
         run_protected("cusparse", &mut failures, want.as_slice(), tol, |out| {
-            fg_sparselib::cusparse_like::csrmm(graph, x, out, &copts);
+            fg_sparselib::cusparse_csrmm(graph, x, out, &copts);
             Ok(())
         }, &mut out);
     }
@@ -324,7 +319,7 @@ pub fn run_case(case: &Case) -> Vec<ExecFailure> {
             ..fg_ligra::EdgeMapOptions::default()
         };
         run_protected("ligra-mlp", &mut failures, want.as_slice(), tol, |out| {
-            fg_ligra::kernels::mlp_aggregation(graph, x, weights, out, &opts);
+            fg_ligra::mlp_aggregation(graph, x, weights, out, &opts);
             Ok(())
         }, &mut out);
 
@@ -344,7 +339,7 @@ pub fn run_case(case: &Case) -> Vec<ExecFailure> {
             ..fg_ligra::EdgeMapOptions::default()
         };
         run_protected("ligra-dot", &mut failures, want.as_slice(), tol, |out| {
-            fg_ligra::kernels::dot_attention(graph, x, out, &opts);
+            fg_ligra::dot_attention(graph, x, out, &opts);
             Ok(())
         }, &mut out);
 

@@ -1,7 +1,7 @@
 //! Property checks for the seeded neighbor sampler.
 //!
 //! The serving path trusts five properties of
-//! [`fg_graph::sampling::sample_subgraph`] and the blocked forward that runs
+//! [`fg_graph::sample_subgraph`] and the blocked forward that runs
 //! on it, and this family checks each one mechanically on seeded random
 //! cases:
 //!
@@ -46,16 +46,14 @@ use fg_gnn::{
     SampledBlocks,
 };
 use fg_graph::{
-    generators, sample_subgraph, sample_subgraph_with, Graph, SampleConfig, SampleScratch, VId,
-    FULL_FANOUT,
+    sample_subgraph, sample_subgraph_with, Graph, SampleConfig, SampleScratch, VId, FULL_FANOUT,
 };
-use fg_tensor::half::{dequantize, quantize};
-use fg_tensor::{Bf16, Dense2};
+use fg_tensor::{dequantize, quantize, Bf16, Dense2};
 
 /// Graph families the sampler cases draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerGraph {
-    /// `generators::uniform(n, deg, seed)`.
+    /// `fg_graph::uniform(n, deg, seed)`.
     Uniform {
         /// Vertex count.
         n: usize,
@@ -64,7 +62,7 @@ pub enum SamplerGraph {
         /// Generator seed.
         seed: u64,
     },
-    /// `generators::power_law(n, deg, 2.5, seed)` — skewed degrees stress
+    /// `fg_graph::power_law(n, deg, 2.5, seed)` — skewed degrees stress
     /// the fanout cap on hub rows.
     PowerLaw {
         /// Vertex count.
@@ -79,8 +77,8 @@ pub enum SamplerGraph {
 impl SamplerGraph {
     fn build(&self) -> Graph {
         match *self {
-            SamplerGraph::Uniform { n, deg, seed } => generators::uniform(n, deg, seed),
-            SamplerGraph::PowerLaw { n, deg, seed } => generators::power_law(n, deg, 2.5, seed),
+            SamplerGraph::Uniform { n, deg, seed } => fg_graph::uniform(n, deg, seed),
+            SamplerGraph::PowerLaw { n, deg, seed } => fg_graph::power_law(n, deg, 2.5, seed),
         }
     }
 

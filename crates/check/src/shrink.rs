@@ -8,7 +8,7 @@
 //! schedule — and loops to a fixed point under a re-execution budget so a
 //! pathological case cannot stall the sweep.
 
-use crate::case::{Case, FusedScoreKind, FusedSpec, GraphSpec, UdfKind};
+use crate::case::{Case, ExecPlan, FusedScoreKind, FusedSpec, GraphSpec, UdfKind};
 
 /// Greedy-shrink `case` under `still_fails`, re-running at most `budget`
 /// candidate cases. Returns the smallest failing case found (possibly the
@@ -119,28 +119,28 @@ fn proposals(case: &Case) -> Vec<Case> {
     let p = &case.plan;
     let mut knobs = Vec::new();
     if p.threads > 1 {
-        knobs.push(Case { plan: crate::ExecPlan { threads: 1, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { threads: 1, ..*p }, ..case.clone() });
     }
     if p.partitions > 1 {
-        knobs.push(Case { plan: crate::ExecPlan { partitions: 1, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { partitions: 1, ..*p }, ..case.clone() });
     }
     if p.feature_tiles > 1 {
-        knobs.push(Case { plan: crate::ExecPlan { feature_tiles: 1, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { feature_tiles: 1, ..*p }, ..case.clone() });
     }
     if p.reduce_tiles > 1 {
-        knobs.push(Case { plan: crate::ExecPlan { reduce_tiles: 1, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { reduce_tiles: 1, ..*p }, ..case.clone() });
     }
     if p.tree_reduce {
-        knobs.push(Case { plan: crate::ExecPlan { tree_reduce: false, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { tree_reduce: false, ..*p }, ..case.clone() });
     }
     if p.hilbert {
-        knobs.push(Case { plan: crate::ExecPlan { hilbert: false, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { hilbert: false, ..*p }, ..case.clone() });
     }
     if p.rows_per_block > 1 {
-        knobs.push(Case { plan: crate::ExecPlan { rows_per_block: 1, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { rows_per_block: 1, ..*p }, ..case.clone() });
     }
     if p.hybrid {
-        knobs.push(Case { plan: crate::ExecPlan { hybrid: false, ..*p }, ..case.clone() });
+        knobs.push(Case { plan: ExecPlan { hybrid: false, ..*p }, ..case.clone() });
     }
     out.extend(knobs);
 
@@ -194,7 +194,7 @@ fn simpler_udfs(udf: &UdfKind) -> Vec<UdfKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::{ExecPlan, KernelKind};
+    use crate::case::KernelKind;
     use featgraph::Reducer;
 
     fn big_case() -> Case {

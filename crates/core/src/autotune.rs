@@ -271,11 +271,10 @@ pub fn tune_spmm_gpu_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     #[test]
     fn cpu_grid_search_finds_a_minimum() {
-        let g = generators::uniform(400, 6, 2);
+        let g = fg_graph::uniform(400, 6, 2);
         let x = Dense2::from_fn(400, 32, |v, i| (v + i) as f32 * 0.01);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);
@@ -298,7 +297,7 @@ mod tests {
 
     #[test]
     fn adaptive_tuner_matches_grid_search_quality() {
-        let g = generators::uniform(600, 8, 5);
+        let g = fg_graph::uniform(600, 8, 5);
         let x = Dense2::from_fn(600, 64, |v, i| (v + i) as f32 * 0.01);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(64);
@@ -334,7 +333,7 @@ mod tests {
 
     #[test]
     fn adaptive_tuner_handles_degenerate_axes() {
-        let g = generators::uniform(50, 3, 1);
+        let g = fg_graph::uniform(50, 3, 1);
         let x = Dense2::from_fn(50, 4, |v, i| (v + i) as f32);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(4);
@@ -345,7 +344,7 @@ mod tests {
 
     #[test]
     fn gpu_block_sweep_returns_monotone_grid_shape() {
-        let g = generators::uniform(2000, 8, 3);
+        let g = fg_graph::uniform(2000, 8, 3);
         let x = Dense2::from_fn(2000, 32, |v, i| (v + i) as f32 * 0.01);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);

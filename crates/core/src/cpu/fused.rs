@@ -355,7 +355,6 @@ mod tests {
     use super::*;
     use crate::inputs::GraphTensors;
     use crate::reference::fused_reference;
-    use fg_graph::generators;
     use fg_ir::{Reducer, Udf};
 
     fn features(n: usize, d: usize, salt: usize) -> Dense2<f32> {
@@ -385,7 +384,7 @@ mod tests {
         // copy.
         use crate::cpu::spmm::tests::block_of;
         use crate::inputs::Gathered;
-        let g = generators::uniform(200, 6, 5);
+        let g = fg_graph::uniform(200, 6, 5);
         let (d, op) = (16, FusedOp::gat_attention(16, 0.2));
         let dst: Vec<u32> = (0..200).step_by(3).collect();
         let csr = block_of(&g, &dst);
@@ -416,7 +415,7 @@ mod tests {
 
     #[test]
     fn gat_attention_matches_reference_across_schedules() {
-        let g = generators::uniform(200, 6, 5);
+        let g = fg_graph::uniform(200, 6, 5);
         let d = 32;
         let x = features(200, d, 0);
         let sl = features(200, 1, 1);
@@ -452,7 +451,7 @@ mod tests {
     #[test]
     fn generic_fused_softmax_message_udf() {
         // src_mul_edge message forces the interpreter path but keeps softmax.
-        let g = generators::uniform(80, 5, 3);
+        let g = fg_graph::uniform(80, 5, 3);
         let d = 8;
         let x = features(80, d, 0);
         let xe = features(g.num_edges(), d, 4);
@@ -471,7 +470,7 @@ mod tests {
     #[test]
     fn plain_weighted_aggregation_without_softmax() {
         // dot-score × copy-src message, every reducer.
-        let g = generators::uniform(100, 4, 9);
+        let g = fg_graph::uniform(100, 4, 9);
         let d = 16;
         let x = features(100, d, 0);
         let p = features(100, d, 5);
@@ -589,7 +588,7 @@ mod tests {
 
     #[test]
     fn backward_rejects_other_patterns_and_mis_shaped_operands() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let (x, s) = (features(10, 4, 0), features(10, 1, 1));
         let inputs = FusedInputs {
             score: GraphTensors::src_dst(&s, &s),
@@ -624,7 +623,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_op_and_schedule() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let mut op = FusedOp::gat_attention(4, 0.2);
         op.agg = Reducer::Max;
         assert!(matches!(
@@ -644,7 +643,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs_at_run_time() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let op = FusedOp::gat_attention(8, 0.2);
         let k = CpuFused::compile(&g, &op, &CpuSpmmOptions::single_thread(1)).unwrap();
         let x = Dense2::<f32>::zeros(10, 4); // message wants 8 cols

@@ -1,11 +1,9 @@
 //! CPU generalized SDDMM template.
 
-use fg_graph::hilbert::EdgeOrder;
-use fg_graph::Graph;
+use fg_graph::{EdgeOrder, Graph};
 use fg_ir::{Fds, KernelPattern, Udf};
 use fg_telemetry::{counter_add, histogram_record, span, Counter, Histogram};
-use fg_tensor::tile::ColTiles;
-use fg_tensor::{Dense2, FeatElem};
+use fg_tensor::{ColTiles, Dense2, FeatElem};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -40,7 +38,7 @@ impl CpuSddmmOptions {
     /// Defaults: Hilbert traversal, all cores.
     ///
     /// When the OS cannot report its core count the thread count falls back
-    /// to 1 — see [`crate::util::detected_threads`] for how that fallback is
+    /// to 1 — see `crate::util::detected_threads` for how that fallback is
     /// surfaced (stderr warning + `parallelism_fallbacks` counter).
     pub fn auto(_graph: &Graph, _udf: &Udf, _fds: &Fds) -> Self {
         Self {
@@ -211,7 +209,6 @@ impl WithMessage for Store<'_> {
 mod tests {
     use super::*;
     use crate::reference::sddmm_reference;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 13 + i * 5) % 17) as f32 * 0.125 - 1.0)
@@ -239,7 +236,7 @@ mod tests {
 
     #[test]
     fn dot_product_attention_all_schedules() {
-        let g = generators::uniform(150, 5, 11);
+        let g = fg_graph::uniform(150, 5, 11);
         let x = features(150, 24);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::dot(24);
@@ -260,7 +257,7 @@ mod tests {
 
     #[test]
     fn multi_head_dot_matches_reference() {
-        let g = generators::uniform(80, 4, 3);
+        let g = fg_graph::uniform(80, 4, 3);
         let x = features(80, 4 * 8);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::multi_head_dot(4, 8);
@@ -279,7 +276,7 @@ mod tests {
     #[test]
     fn generic_edge_function() {
         use fg_ir::ScalarExpr;
-        let g = generators::uniform(60, 3, 8);
+        let g = fg_graph::uniform(60, 3, 8);
         let x = features(60, 6);
         let xe = features(g.num_edges(), 6);
         let inputs = GraphTensors::with_edge(&x, &xe);
@@ -314,7 +311,7 @@ mod tests {
     fn message_ops_match_reference() {
         // The element-wise UDFs run the SpMM template's message ops with a
         // store sink instead of the interpreter.
-        let g = generators::uniform(90, 4, 13);
+        let g = fg_graph::uniform(90, 4, 13);
         let x = features(90, 8);
         let y = features(90, 8);
         let xe = features(g.num_edges(), 8);
@@ -351,9 +348,8 @@ mod tests {
 
     #[test]
     fn half_storage_tracks_the_dequantized_run() {
-        use fg_tensor::half::{dequantize, quantize};
-        use fg_tensor::Bf16;
-        let g = generators::uniform(110, 4, 23);
+        use fg_tensor::{dequantize, quantize, Bf16};
+        let g = fg_graph::uniform(110, 4, 23);
         let x = features(110, 16);
         fn check_half<E: FeatElem>(g: &Graph, x: &Dense2<f32>, udf: &Udf) {
             let k = CpuSddmm::compile(
@@ -395,9 +391,8 @@ mod tests {
         // tensor: the typed twin checked the width against `src_len` only and
         // panicked in the interpreter (index 7 of a 4-wide row).
         use fg_ir::{IdxExpr, ScalarExpr};
-        use fg_tensor::half::quantize;
-        use fg_tensor::Bf16;
-        let g = generators::uniform(20, 3, 2);
+        use fg_tensor::{quantize, Bf16};
+        let g = fg_graph::uniform(20, 3, 2);
         let udf = Udf {
             out_len: 4,
             src_len: 4,
@@ -446,7 +441,7 @@ mod tests {
 
     #[test]
     fn out_shape_is_validated() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let x = features(10, 8);
         let udf = Udf::dot(8);
         let k = CpuSddmm::compile(&g, &udf, &Fds::default(), &CpuSddmmOptions::single_thread(Traversal::Canonical)).unwrap();

@@ -19,8 +19,7 @@ use std::borrow::Cow;
 use fg_graph::{Csr, PartitionedCsr};
 use fg_ir::Reducer;
 use fg_telemetry::{counter_add, histogram_record, span, Counter, Histogram};
-use fg_tensor::tile::ColTiles;
-use fg_tensor::Dense2;
+use fg_tensor::{ColTiles, Dense2};
 use rayon::prelude::*;
 use std::ops::Range;
 

@@ -28,10 +28,10 @@ pub const DEFAULT_LLC_BYTES: usize = 25 * 1024 * 1024;
 
 impl CpuSpmmOptions {
     /// Heuristic defaults: partition count from the cache model
-    /// (`fg_graph::partition::partitions_for_cache`), all cores.
+    /// (`fg_graph::partitions_for_cache`), all cores.
     ///
     /// When the OS cannot report its core count the thread count falls back
-    /// to 1 — see [`crate::util::detected_threads`] for how that fallback is
+    /// to 1 — see `crate::util::detected_threads` for how that fallback is
     /// surfaced (stderr warning + `parallelism_fallbacks` counter).
     pub fn auto(graph: &Graph, udf: &Udf, fds: &Fds) -> Self {
         let parts = Self::cache_partitions(graph.num_vertices(), udf, fds);
@@ -42,7 +42,7 @@ impl CpuSpmmOptions {
     /// partition's feature tile fits in the LLC.
     pub fn cache_partitions(sources: usize, udf: &Udf, fds: &Fds) -> usize {
         let tile_cols = udf.src_len.max(udf.dst_len).max(1) / fds.feature_tiles.max(1);
-        fg_graph::partition::partitions_for_cache(
+        fg_graph::partitions_for_cache(
             sources,
             tile_cols.max(1),
             std::mem::size_of::<f32>(),
@@ -215,7 +215,6 @@ impl WithMessage for Exec<'_, '_> {
 pub(crate) mod tests {
     use super::*;
     use crate::reference::spmm_reference;
-    use fg_graph::generators;
 
     fn check_against_reference(
         g: &Graph,
@@ -244,7 +243,7 @@ pub(crate) mod tests {
 
     #[test]
     fn copy_src_sum_all_schedules() {
-        let g = generators::uniform(200, 6, 5);
+        let g = fg_graph::uniform(200, 6, 5);
         let x = features(200, 32);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);
@@ -266,7 +265,7 @@ pub(crate) mod tests {
 
     #[test]
     fn copy_src_max_and_mean() {
-        let g = generators::uniform(150, 5, 9);
+        let g = fg_graph::uniform(150, 5, 9);
         let x = features(150, 16);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(16);
@@ -297,7 +296,7 @@ pub(crate) mod tests {
 
     #[test]
     fn src_op_dst_and_edge_kernels() {
-        let g = generators::uniform(120, 4, 2);
+        let g = fg_graph::uniform(120, 4, 2);
         let x = features(120, 8);
         let xe = features(g.num_edges(), 8);
         let inputs = GraphTensors {
@@ -324,7 +323,7 @@ pub(crate) mod tests {
 
     #[test]
     fn mlp_aggregation_matches_reference() {
-        let g = generators::uniform(80, 4, 7);
+        let g = fg_graph::uniform(80, 4, 7);
         let x = features(80, 8);
         let w = Dense2::from_fn(8, 12, |r, c| ((r * 5 + c * 3) % 11) as f32 * 0.1 - 0.5);
         let params = [&w];
@@ -345,7 +344,7 @@ pub(crate) mod tests {
     #[test]
     fn generic_fallback_handles_novel_udf() {
         use fg_ir::ScalarExpr;
-        let g = generators::uniform(60, 3, 4);
+        let g = fg_graph::uniform(60, 3, 4);
         let x = features(60, 6);
         let inputs = GraphTensors::vertex_only(&x);
         // exp(src - dst) * 0.5 : not a recognized pattern
@@ -374,7 +373,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rejects_bad_inputs_at_run_time() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let udf = Udf::copy_src(8);
         let k = CpuSpmm::compile(&g, &udf, Reducer::Sum, &Fds::default(), &CpuSpmmOptions::single_thread(1)).unwrap();
         let x = Dense2::<f32>::zeros(10, 4); // too narrow
@@ -384,7 +383,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rejects_zero_partitions_at_compile_time() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let udf = Udf::copy_src(4);
         let opts = CpuSpmmOptions {
             graph_partitions: 0,
@@ -408,7 +407,7 @@ pub(crate) mod tests {
         edge: Option<&Dense2<f32>>,
         params: &[&Dense2<f32>],
     ) {
-        use fg_tensor::half::{dequantize, quantize};
+        use fg_tensor::{dequantize, quantize};
         let k = CpuSpmm::compile(
             g,
             udf,
@@ -447,7 +446,7 @@ pub(crate) mod tests {
     #[test]
     fn half_storage_tracks_the_dequantized_run() {
         use fg_tensor::Bf16;
-        let g = generators::uniform(140, 5, 17);
+        let g = fg_graph::uniform(140, 5, 17);
         let x = features(140, 16);
         let xe = features(g.num_edges(), 16);
         for (udf, edge) in [
@@ -468,7 +467,7 @@ pub(crate) mod tests {
         // The former typed twin rejected parameter matrices and knew no
         // interpreter path; the one `run` takes every UDF on every storage.
         use fg_tensor::Bf16;
-        let g = generators::uniform(60, 4, 3);
+        let g = fg_graph::uniform(60, 4, 3);
         let x = features(60, 8);
         let w = Dense2::from_fn(8, 12, |r, c| ((r * 5 + c * 3) % 11) as f32 * 0.1 - 0.5);
         for udf in [Udf::mlp(8, 12), Udf::dot(8)] {
@@ -499,9 +498,8 @@ pub(crate) mod tests {
         // The typed twin validated the vertex width against `src_len` only
         // and indexed column 7 of a 4-column row (a panic in the
         // interpreter); one validation routine reports it for all storage.
-        use fg_tensor::half::quantize;
-        use fg_tensor::Bf16;
-        let g = generators::uniform(20, 3, 2);
+        use fg_tensor::{quantize, Bf16};
+        let g = fg_graph::uniform(20, 3, 2);
         let k = CpuSpmm::compile(
             &g,
             &wide_dst_udf(),
@@ -546,7 +544,7 @@ pub(crate) mod tests {
         // schedule writes exactly the square plan's rows, whether the
         // sources come as a matrix or as rows gathered from a larger one.
         use crate::inputs::Gathered;
-        let g = generators::uniform(200, 6, 5);
+        let g = fg_graph::uniform(200, 6, 5);
         let dst: Vec<u32> = (0..200).step_by(3).collect();
         let csr = block_of(&g, &dst);
         let x = features(200, 32);
@@ -582,7 +580,7 @@ pub(crate) mod tests {
 
     #[test]
     fn auto_options_pick_more_partitions_for_wider_features() {
-        let g = generators::uniform(50_000, 2, 3);
+        let g = fg_graph::uniform(50_000, 2, 3);
         let narrow = CpuSpmmOptions::auto(&g, &Udf::copy_src(8), &Fds::default());
         let wide = CpuSpmmOptions::auto(&g, &Udf::copy_src(2048), &Fds::default());
         assert!(wide.graph_partitions > narrow.graph_partitions);

@@ -241,7 +241,6 @@ mod tests {
     use super::*;
     use crate::inputs::GraphTensors;
     use crate::reference::fused_reference;
-    use fg_graph::generators;
     use fg_ir::{Reducer, Udf};
 
     fn features(n: usize, d: usize, salt: usize) -> Dense2<f32> {
@@ -267,7 +266,7 @@ mod tests {
 
     #[test]
     fn gpu_gat_attention_matches_reference_and_reports_two_launches() {
-        let g = generators::uniform(150, 6, 5);
+        let g = fg_graph::uniform(150, 6, 5);
         let d = 32;
         let x = features(150, d, 0);
         let sl = features(150, 1, 1);
@@ -284,7 +283,7 @@ mod tests {
 
     #[test]
     fn gpu_plain_weighted_aggregation_is_one_launch() {
-        let g = generators::uniform(80, 4, 9);
+        let g = fg_graph::uniform(80, 4, 9);
         let d = 16;
         let x = features(80, d, 0);
         let p = features(80, d, 5);
@@ -304,7 +303,7 @@ mod tests {
 
     #[test]
     fn gpu_generic_message_udf() {
-        let g = generators::uniform(60, 5, 3);
+        let g = fg_graph::uniform(60, 5, 3);
         let d = 8;
         let x = features(60, d, 0);
         let xe = features(g.num_edges(), d, 4);
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn gpu_schedule_validation() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let op = FusedOp::gat_attention(4, 0.2);
         let bad = GpuFusedOptions {
             rows_per_block: 0,

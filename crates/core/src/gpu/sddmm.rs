@@ -230,7 +230,6 @@ impl WithMessage for Launch<'_> {
 mod tests {
     use super::*;
     use crate::reference::sddmm_reference;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 13 + i * 5) % 17) as f32 * 0.125 - 1.0)
@@ -259,7 +258,7 @@ mod tests {
 
     #[test]
     fn dot_attention_with_and_without_tree_reduction() {
-        let g = generators::uniform(200, 6, 5);
+        let g = fg_graph::uniform(200, 6, 5);
         let x = features(200, 128);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::dot(128);
@@ -278,7 +277,7 @@ mod tests {
 
     #[test]
     fn multi_head_dot_matches_reference() {
-        let g = generators::uniform(100, 4, 3);
+        let g = fg_graph::uniform(100, 4, 3);
         let x = features(100, 4 * 16);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::multi_head_dot(4, 16);
@@ -288,7 +287,7 @@ mod tests {
     #[test]
     fn generic_edge_udf_on_gpu() {
         use fg_ir::ScalarExpr;
-        let g = generators::uniform(50, 3, 8);
+        let g = fg_graph::uniform(50, 3, 8);
         let x = features(50, 6);
         let xe = features(g.num_edges(), 6);
         let inputs = GraphTensors::with_edge(&x, &xe);
@@ -309,7 +308,7 @@ mod tests {
 
     #[test]
     fn schedule_validation() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let udf = Udf::dot(4);
         let bad = GpuSddmmOptions {
             edges_per_block: 0,

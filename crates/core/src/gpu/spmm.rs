@@ -338,7 +338,6 @@ impl WithMessage for Launch<'_> {
 mod tests {
     use super::*;
     use crate::reference::spmm_reference;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 31 + i * 7) % 23) as f32 * 0.25 - 2.0)
@@ -368,7 +367,7 @@ mod tests {
 
     #[test]
     fn gpu_copy_src_matches_reference_and_reports_time() {
-        let g = generators::uniform(300, 6, 5);
+        let g = fg_graph::uniform(300, 6, 5);
         let x = features(300, 32);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);
@@ -386,7 +385,7 @@ mod tests {
 
     #[test]
     fn gpu_mean_and_max_aggregations() {
-        let g = generators::uniform(100, 4, 2);
+        let g = fg_graph::uniform(100, 4, 2);
         let x = features(100, 16);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(16);
@@ -404,7 +403,7 @@ mod tests {
 
     #[test]
     fn gpu_mlp_matches_reference() {
-        let g = generators::uniform(60, 4, 7);
+        let g = fg_graph::uniform(60, 4, 7);
         let x = features(60, 8);
         let w = Dense2::from_fn(8, 12, |r, c| ((r * 5 + c * 3) % 11) as f32 * 0.1 - 0.5);
         let params = [&w];
@@ -423,7 +422,7 @@ mod tests {
     #[test]
     fn gpu_generic_fallback() {
         use fg_ir::ScalarExpr;
-        let g = generators::uniform(40, 3, 4);
+        let g = fg_graph::uniform(40, 3, 4);
         let x = features(40, 6);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf {
@@ -449,7 +448,7 @@ mod tests {
     #[test]
     fn hybrid_partitioning_is_functionally_transparent_and_cuts_traffic() {
         // two-tier graph: high-degree sources dominate reads
-        let g = generators::two_tier(30, 100, 470, 4, 9);
+        let g = fg_graph::two_tier(30, 100, 470, 4, 9);
         let x = features(500, 32);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);
@@ -482,7 +481,7 @@ mod tests {
 
     #[test]
     fn feature_blind_schedule_is_slower() {
-        let g = generators::uniform(200, 8, 3);
+        let g = fg_graph::uniform(200, 8, 3);
         let x = features(200, 64);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(64);
@@ -512,7 +511,7 @@ mod tests {
 
     #[test]
     fn fewer_blocks_is_slower_once_sms_starve() {
-        let g = generators::uniform(4000, 8, 1);
+        let g = fg_graph::uniform(4000, 8, 1);
         let x = features(4000, 32);
         let inputs = GraphTensors::vertex_only(&x);
         let udf = Udf::copy_src(32);
@@ -538,7 +537,7 @@ mod tests {
 
     #[test]
     fn schedule_validation() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let udf = Udf::copy_src(4);
         let bad = GpuSpmmOptions {
             rows_per_block: 0,

@@ -12,10 +12,9 @@
 //!
 //! ```
 //! use featgraph::{spmm, GraphTensors, Reducer, Target, Fds, Udf};
-//! use fg_graph::generators;
 //! use fg_tensor::Dense2;
 //!
-//! let graph = generators::uniform(100, 8, 42);
+//! let graph = fg_graph::uniform(100, 8, 42);
 //! let d = 32;
 //! // message function: copy the source vertex feature (GCN aggregation)
 //! let msgfunc = Udf::copy_src(d);
@@ -42,17 +41,25 @@
 //! "GPU" executions run on [`fg_gpusim`]'s functional V100 cost model — see
 //! DESIGN.md's substitution table.
 
-pub mod autotune;
-pub mod cpu;
-pub mod error;
-pub mod gpu;
-pub mod inputs;
+mod autotune;
+mod cpu;
+mod error;
+mod gpu;
+mod inputs;
 mod ops;
-pub mod reference;
-pub mod util;
+mod reference;
+mod util;
 
+pub use autotune::{tune_spmm_cpu, tune_spmm_cpu_adaptive, tune_spmm_gpu_blocks};
+pub use cpu::fused::CpuFused;
+pub use cpu::sddmm::{CpuSddmm, CpuSddmmOptions, Traversal};
+pub use cpu::spmm::{CpuSpmm, CpuSpmmOptions};
 pub use error::KernelError;
-pub use inputs::{Dims, FusedInputs, Gathered, GraphTensors, Row, VertexRows};
+pub use gpu::fused::GpuFusedOptions;
+pub use gpu::sddmm::GpuSddmmOptions;
+pub use gpu::spmm::{GpuSpmm, GpuSpmmOptions, HybridOptions};
+pub use inputs::{FusedInputs, Gathered, GraphTensors, Row, VertexRows};
+pub use reference::{fused_reference, sddmm_reference, spmm_reference};
 
 // Re-export the IR types a user needs to drive the API, so `featgraph` is a
 // one-stop dependency like the Python package in the paper.
@@ -156,7 +163,7 @@ impl FusedKernel {
     }
 
     /// Backward of a GAT attention run; see
-    /// [`cpu::fused::CpuFused::attention_backward`]. The simulated-GPU plan
+    /// [`CpuFused::attention_backward`]. The simulated-GPU plan
     /// has no backward kernel and reports [`KernelError::Unsupported`].
     pub fn attention_backward(
         &self,

@@ -27,10 +27,8 @@ use std::borrow::Cow;
 use std::mem::size_of;
 use std::ops::Range;
 
-use fg_ir::interp::{eval_udf, EdgeCtx};
-use fg_ir::{FusedOp, FusedPattern, KernelPattern, Udf};
-use fg_tensor::half::dequantize;
-use fg_tensor::{Dense2, FeatElem};
+use fg_ir::{eval_udf, EdgeCtx, FusedOp, FusedPattern, KernelPattern, Udf};
+use fg_tensor::{dequantize, Dense2, FeatElem};
 
 use crate::inputs::{FusedInputs, GraphTensors, Row, VertexRows};
 
@@ -223,14 +221,14 @@ impl<'a> Sink<'a> {
     }
 }
 
-/// Resolve a runtime [`fg_ir::pattern::ElemOp`] to a closure type, once,
+/// Resolve a runtime [`fg_ir::ElemOp`] to a closure type, once,
 /// outside every loop: the continuation `$k` is compiled per operator.
 macro_rules! with_elem_op {
     ($op:expr, $k:expr) => {
         match $op {
-            fg_ir::pattern::ElemOp::Add => ($k)(|a: f32, b: f32| a + b),
-            fg_ir::pattern::ElemOp::Mul => ($k)(|a: f32, b: f32| a * b),
-            fg_ir::pattern::ElemOp::Sub => ($k)(|a: f32, b: f32| a - b),
+            fg_ir::ElemOp::Add => ($k)(|a: f32, b: f32| a + b),
+            fg_ir::ElemOp::Mul => ($k)(|a: f32, b: f32| a * b),
+            fg_ir::ElemOp::Sub => ($k)(|a: f32, b: f32| a - b),
         }
     };
 }

@@ -5,8 +5,7 @@
 //! in the workspace) is tested against these.
 
 use fg_graph::Graph;
-use fg_ir::interp::{eval_udf, EdgeCtx};
-use fg_ir::{FusedOp, Reducer, Udf};
+use fg_ir::{eval_udf, EdgeCtx, FusedOp, Reducer, Udf};
 use fg_tensor::{Dense2, Scalar};
 
 use crate::error::KernelError;
@@ -168,30 +167,29 @@ pub fn fused_reference(
     Ok(())
 }
 
-/// Dense ground truth for vanilla SpMM (`H = A × X`), computed via an
-/// explicit dense adjacency. Quadratic — tests only.
-pub fn dense_spmm_ground_truth<S: Scalar>(graph: &Graph, x: &Dense2<S>) -> Dense2<S> {
-    let n = graph.num_vertices();
-    let d = x.cols();
-    let mut out = Dense2::zeros(n, d);
-    for (src, dst, _) in graph.edges() {
-        let (orow, xrow) = (dst as usize, src as usize);
-        for c in 0..d {
-            let v = out.at(orow, c) + x.at(xrow, c);
-            out.set(orow, c, v);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
+
+    /// Dense ground truth for vanilla SpMM (`H = A × X`), computed via an
+    /// explicit dense adjacency.
+    fn dense_spmm_ground_truth(graph: &Graph, x: &Dense2<f64>) -> Dense2<f64> {
+        let n = graph.num_vertices();
+        let d = x.cols();
+        let mut out = Dense2::zeros(n, d);
+        for (src, dst, _) in graph.edges() {
+            let (orow, xrow) = (dst as usize, src as usize);
+            for c in 0..d {
+                let v = out.at(orow, c) + x.at(xrow, c);
+                out.set(orow, c, v);
+            }
+        }
+        out
+    }
 
     #[test]
     fn spmm_reference_matches_dense_ground_truth() {
-        let g = generators::uniform(60, 5, 3);
+        let g = fg_graph::uniform(60, 5, 3);
         let x = Dense2::<f64>::from_fn(60, 8, |v, i| ((v * 7 + i) % 13) as f64 - 6.0);
         let udf = Udf::copy_src(8);
         let mut out = Dense2::zeros(60, 8);
@@ -225,7 +223,7 @@ mod tests {
 
     #[test]
     fn sddmm_reference_dot_is_rowwise_dot() {
-        let g = generators::uniform(20, 3, 1);
+        let g = fg_graph::uniform(20, 3, 1);
         let x = Dense2::<f64>::from_fn(20, 4, |v, i| (v + i) as f64 * 0.1);
         let udf = Udf::dot(4);
         let mut out = Dense2::zeros(g.num_edges(), 1);
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn reference_validates_inputs() {
-        let g = generators::uniform(10, 2, 0);
+        let g = fg_graph::uniform(10, 2, 0);
         let x = Dense2::<f32>::zeros(10, 4);
         let udf = Udf::copy_src(8); // wants d=8
         let mut out = Dense2::zeros(10, 8);

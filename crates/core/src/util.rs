@@ -22,9 +22,11 @@ pub struct SharedRows<'a, S> {
     cols: usize,
 }
 
-// Safety: access discipline (disjoint rows) is enforced by callers per the
-// contract above; the underlying data is plain `S: Send + Sync` POD.
+// SAFETY: access discipline (disjoint rows) is enforced by callers per the
+// contract above; the underlying data is plain `S: Send` POD.
 unsafe impl<S: Send> Send for SharedRows<'_, S> {}
+// SAFETY: shared use hands out `&mut` rows only through `row_mut`, whose
+// callers guarantee no two threads use the same row index at once.
 unsafe impl<S: Send> Sync for SharedRows<'_, S> {}
 
 impl<'a, S: Scalar> SharedRows<'a, S> {

@@ -9,12 +9,9 @@
 //!
 //! This file is one test in its own process because the counter is global.
 
-use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
-use featgraph::{Fds, GraphTensors, Reducer, Udf};
-use fg_graph::generators;
+use featgraph::{CpuSpmm, CpuSpmmOptions, Fds, GraphTensors, Reducer, Udf};
 use fg_telemetry::{counter_value, Counter};
-use fg_tensor::half::quantize;
-use fg_tensor::{Bf16, Dense2, FeatElem};
+use fg_tensor::{quantize, Bf16, Dense2, FeatElem};
 
 const D: usize = 8;
 
@@ -28,7 +25,7 @@ fn moved<V: FeatElem>(k: &CpuSpmm, x: &Dense2<V>, xe: &Dense2<f32>) -> u64 {
 #[test]
 fn bytes_per_edge_follow_the_message_op() {
     fg_telemetry::set_enabled(true);
-    let g = generators::uniform(40, 3, 1);
+    let g = fg_graph::uniform(40, 3, 1);
     let m = g.num_edges() as u64;
     let x = Dense2::from_fn(40, D, |v, i| (v + i) as f32 * 0.5);
     let xb: Dense2<Bf16> = quantize(&x);

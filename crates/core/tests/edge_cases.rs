@@ -2,9 +2,8 @@
 //! zero feature dimensions must produce `Err` or a well-defined empty
 //! result — never a panic.
 
-use featgraph::reference::{sddmm_reference, spmm_reference};
 use featgraph::{
-    sddmm, spmm, GraphTensors, KernelError, Reducer, Target, Udf,
+    sddmm, sddmm_reference, spmm, spmm_reference, GraphTensors, KernelError, Reducer, Target, Udf,
 };
 use fg_graph::Graph;
 use fg_ir::Fds;
@@ -128,7 +127,7 @@ fn oversized_schedule_parameters_clamp() {
     let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
     let x = Dense2::<f32>::from_fn(3, 2, |v, i| (v * 2 + i) as f32);
     let udf = Udf::copy_src(2);
-    use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
+    use featgraph::{CpuSpmm, CpuSpmmOptions};
     let fds = Fds::cpu_tiled(16); // 16 tiles over 2 columns
     let opts = CpuSpmmOptions::with_threads(64, 1); // 64 partitions over 3 vertices
     let k = CpuSpmm::compile(&g, &udf, Reducer::Sum, &fds, &opts).unwrap();
@@ -284,10 +283,10 @@ fn baselines_agree_on_degenerate_graphs() {
         spmm_reference(g, &udf, Reducer::Sum, &inputs, &mut want).unwrap();
         let lopts = fg_ligra::EdgeMapOptions::default();
         let gopts = fg_gunrock::GunrockOptions::default();
-        let copts = fg_sparselib::cusparse_like::CusparseOptions::default();
+        let copts = fg_sparselib::CusparseOptions::default();
 
         let mut out = Dense2::<f32>::from_fn(n, d, |_, _| -77.25);
-        fg_ligra::kernels::gcn_aggregation(g, &x, &mut out, &lopts);
+        fg_ligra::gcn_aggregation(g, &x, &mut out, &lopts);
         assert_close(want.as_slice(), out.as_slice(), &format!("{what}: ligra gcn"));
 
         out.fill(-77.25);
@@ -295,11 +294,11 @@ fn baselines_agree_on_degenerate_graphs() {
         assert_close(want.as_slice(), out.as_slice(), &format!("{what}: gunrock gcn"));
 
         out.fill(-77.25);
-        fg_sparselib::mkl_like::csrmm(g, &x, &mut out, 2);
+        fg_sparselib::mkl_csrmm(g, &x, &mut out, 2);
         assert_close(want.as_slice(), out.as_slice(), &format!("{what}: mkl csrmm"));
 
         out.fill(-77.25);
-        fg_sparselib::cusparse_like::csrmm(g, &x, &mut out, &copts);
+        fg_sparselib::cusparse_csrmm(g, &x, &mut out, &copts);
         assert_close(want.as_slice(), out.as_slice(), &format!("{what}: cusparse csrmm"));
 
         let dot = Udf::dot(d);
@@ -307,7 +306,7 @@ fn baselines_agree_on_degenerate_graphs() {
         sddmm_reference(g, &dot, &inputs, &mut want_e).unwrap();
 
         let mut out_e = Dense2::<f32>::from_fn(m, 1, |_, _| -77.25);
-        fg_ligra::kernels::dot_attention(g, &x, &mut out_e, &lopts);
+        fg_ligra::dot_attention(g, &x, &mut out_e, &lopts);
         assert_close(want_e.as_slice(), out_e.as_slice(), &format!("{what}: ligra dot"));
 
         out_e.fill(-77.25);
@@ -336,7 +335,7 @@ fn mlp_baselines_agree_on_degenerate_graphs() {
         spmm_reference(g, &udf, Reducer::Max, &inputs, &mut want).unwrap();
 
         let mut out = Dense2::<f32>::from_fn(n, d2, |_, _| -77.25);
-        fg_ligra::kernels::mlp_aggregation(g, &x, &w, &mut out, &fg_ligra::EdgeMapOptions::default());
+        fg_ligra::mlp_aggregation(g, &x, &w, &mut out, &fg_ligra::EdgeMapOptions::default());
         assert_close(want.as_slice(), out.as_slice(), &format!("{what}: ligra mlp"));
 
         out.fill(-77.25);
@@ -347,7 +346,7 @@ fn mlp_baselines_agree_on_degenerate_graphs() {
 
 #[test]
 fn autotune_on_edgeless_graph() {
-    use featgraph::autotune::{tune_spmm_cpu, tune_spmm_cpu_adaptive};
+    use featgraph::{tune_spmm_cpu, tune_spmm_cpu_adaptive};
     let g = edgeless_graph(3);
     let x = Dense2::<f32>::zeros(3, 4);
     let inputs = GraphTensors::vertex_only(&x);
@@ -361,10 +360,10 @@ fn autotune_on_edgeless_graph() {
 /// Compile copy-src (or `udf`) SpMM for the 16 KB-shared-memory `tiny` GPU.
 fn compile_on_tiny(
     udf: &Udf,
-    hybrid: Option<featgraph::gpu::spmm::HybridOptions>,
+    hybrid: Option<featgraph::HybridOptions>,
 ) -> Result<featgraph::SpmmKernel, KernelError> {
-    let g = fg_graph::generators::two_tier(4, 30, 60, 3, 1);
-    let opts = featgraph::gpu::spmm::GpuSpmmOptions {
+    let g = fg_graph::two_tier(4, 30, 60, 3, 1);
+    let opts = featgraph::GpuSpmmOptions {
         device: fg_gpusim::DeviceConfig::tiny(),
         rows_per_block: 8,
         hybrid,
@@ -391,7 +390,7 @@ fn mlp_tile_past_the_sms_shared_memory_is_a_schedule_error() {
 fn hybrid_budget_past_the_sms_shared_memory_is_a_schedule_error() {
     // A 32 KB staging budget on a 16 KB SM used to be priced at occupancy 1
     // and panic once a block staged enough rows.
-    use featgraph::gpu::spmm::HybridOptions;
+    use featgraph::HybridOptions;
     let hybrid = |shared_budget_bytes| {
         Some(HybridOptions {
             degree_threshold: 2,

@@ -10,13 +10,11 @@
 //! Everything goes through the `featgraph` facade, so the test is
 //! independent of how the templates are written underneath.
 
-use featgraph::cpu::sddmm::{CpuSddmmOptions, Traversal};
-use featgraph::cpu::spmm::CpuSpmmOptions;
 use featgraph::{
-    fused_with_options, sddmm_with_options, spmm_with_options, Fds, FusedInputs, FusedOp,
-    GraphTensors, Reducer, Target, Udf,
+    fused_with_options, sddmm_with_options, spmm_with_options, CpuSddmmOptions, CpuSpmmOptions,
+    Fds, FusedInputs, FusedOp, GraphTensors, Reducer, Target, Traversal, Udf,
 };
-use fg_graph::{generators, Graph};
+use fg_graph::Graph;
 use fg_ir::{ReduceSpec, ScalarExpr};
 use fg_tensor::Dense2;
 
@@ -60,7 +58,7 @@ struct Data {
 }
 
 fn data(seed: u64) -> Data {
-    let g = generators::uniform(N, 6, seed);
+    let g = fg_graph::uniform(N, 6, seed);
     let m = g.num_edges();
     Data {
         x: features(N, D, 0),

@@ -13,15 +13,13 @@
 //! collapsed onto one skeleton. Everything goes through the `featgraph`
 //! facade, so the test is independent of how the templates are written.
 
-use featgraph::gpu::fused::GpuFusedOptions;
-use featgraph::gpu::sddmm::GpuSddmmOptions;
-use featgraph::gpu::spmm::{GpuSpmmOptions, HybridOptions};
 use featgraph::{
     fused_with_options, sddmm_with_options, spmm_with_options, Fds, FusedInputs, FusedOp, GpuBind,
-    GraphTensors, Reducer, RunStats, Target, Udf,
+    GpuFusedOptions, GpuSddmmOptions, GpuSpmmOptions, GraphTensors, HybridOptions, Reducer,
+    RunStats, Target, Udf,
 };
 use fg_gpusim::DeviceConfig;
-use fg_graph::{generators, Graph};
+use fg_graph::Graph;
 use fg_ir::ScalarExpr;
 use fg_tensor::Dense2;
 
@@ -102,7 +100,7 @@ struct Data {
 /// A two-tier graph: 20 hub sources of out-degree ≈ 40 over 180 sources of
 /// out-degree ≈ 4, so hybrid staging at threshold 20 has rows to stage.
 fn data() -> Data {
-    let g = generators::two_tier(20, 40, 180, 4, 9);
+    let g = fg_graph::two_tier(20, 40, 180, 4, 9);
     let (n, m) = (g.num_vertices(), g.num_edges());
     Data {
         x: features(n, 128, 0),

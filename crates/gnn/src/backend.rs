@@ -3,11 +3,9 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use featgraph::cpu::sddmm::CpuSddmmOptions;
-use featgraph::cpu::spmm::CpuSpmmOptions;
 use featgraph::{
-    Fds, FusedInputs, FusedKernel, FusedOp, GraphTensors, KernelError, Reducer, RunStats,
-    SddmmKernel, SoftmaxStats, SpmmKernel, Target, Udf,
+    CpuSddmmOptions, CpuSpmmOptions, Fds, FusedInputs, FusedKernel, FusedOp, GraphTensors,
+    KernelError, Reducer, RunStats, SddmmKernel, SoftmaxStats, SpmmKernel, Target, Udf,
 };
 use fg_gpusim::DeviceConfig;
 use fg_tensor::Dense2;
@@ -152,7 +150,7 @@ pub trait GraphBackend: Send + Sync {
 
     /// Gradients of [`Self::attention_forward`] given `grad = ∂L/∂out`.
     ///
-    /// Defaults to [`unfused_attention_backward`], which recomputes the
+    /// Defaults to `unfused_attention_backward`, which recomputes the
     /// unfused chain through this backend's own ops and differentiates it
     /// stage by stage — the oracle a fused override is tested against.
     fn attention_backward(
@@ -177,7 +175,7 @@ pub trait GraphBackend: Send + Sync {
 /// duality), edge-softmax Jacobian, leaky-ReLU mask, and the two edge sums
 /// of the additive score. Seven edge passes and four `|E|` tensors; reads
 /// nothing of `fwd.out` / `fwd.stats`.
-pub fn unfused_attention_backward<B: GraphBackend + ?Sized>(
+fn unfused_attention_backward<B: GraphBackend + ?Sized>(
     b: &B,
     g: &GnnGraph,
     fwd: &AttentionForward<'_>,
@@ -597,7 +595,7 @@ impl FeatgraphBackend {
                 Target::Gpu => Fds::gpu_tree_reduce(256),
             };
             let cpu_opts = CpuSddmmOptions {
-                traversal: featgraph::cpu::sddmm::Traversal::Hilbert,
+                traversal: featgraph::Traversal::Hilbert,
                 threads: self.threads,
             };
             featgraph::sddmm_with_options(graph, udf, &fds, self.target, Some(&cpu_opts), None)
@@ -850,10 +848,9 @@ impl GpuCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     fn graph() -> GnnGraph {
-        GnnGraph::new(generators::uniform(80, 5, 21))
+        GnnGraph::new(fg_graph::uniform(80, 5, 21))
     }
 
     fn feats(n: usize, d: usize, salt: usize) -> Dense2<f32> {

@@ -20,9 +20,9 @@
 //! every vertex's row, through the block's input map, with a small overlay
 //! for rows a request overrides. No `|src| × d` copy is made.
 
-use featgraph::cpu::fused::CpuFused;
-use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
-use featgraph::{Fds, FusedOp, Gathered, Reducer, Udf, VertexRows};
+use featgraph::{
+    CpuFused, CpuSpmm, CpuSpmmOptions, Fds, FusedOp, Gathered, Reducer, Udf, VertexRows,
+};
 use fg_graph::Block;
 use fg_tensor::{Bf16, Dense2};
 

@@ -1,7 +1,6 @@
 //! Vertex-classification task on a stochastic block model — the stand-in
 //! for the paper's reddit classification benchmark (§V-E accuracy check).
 
-use fg_graph::generators;
 use fg_tensor::Dense2;
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
@@ -35,8 +34,8 @@ impl SbmTask {
     /// weak and aggregation over (mostly same-community) neighbors is what
     /// makes the task learnable — i.e. a GNN beats a pointwise classifier.
     pub fn generate(n: usize, classes: usize, avg_deg: usize, noise_dims: usize, seed: u64) -> Self {
-        let (graph, labels) = generators::sbm(n, classes, avg_deg, 0.85, seed);
-        let mut rng = generators::rng(seed ^ 0xfeed);
+        let (graph, labels) = fg_graph::sbm(n, classes, avg_deg, 0.85, seed);
+        let mut rng = fg_graph::rng(seed ^ 0xfeed);
         let in_dim = classes + noise_dims;
         let signal = 0.6f32;
         let sigma = 1.5f32;
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn gaussian_moments_are_sane() {
-        let mut rng = generators::rng(1);
+        let mut rng = fg_graph::rng(1);
         let samples: Vec<f32> = (0..20_000).map(|_| gaussian(&mut rng)).collect();
         let mean: f32 = samples.iter().sum::<f32>() / samples.len() as f32;
         let var: f32 =

@@ -101,27 +101,16 @@ impl GnnGraph {
         }
         out
     }
-
-    /// Permute a reverse-edge-ordered tensor back into forward order.
-    pub fn edge_rows_to_fwd(&self, rev_rows: &Dense2<f32>) -> Dense2<f32> {
-        assert_eq!(rev_rows.rows(), self.num_edges(), "edge tensor rows");
-        let mut out = Dense2::zeros(rev_rows.rows(), rev_rows.cols());
-        for (k, &fid) in self.rev_eids().iter().enumerate() {
-            out.row_mut(fid as usize).copy_from_slice(rev_rows.row(k));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
     use proptest::prelude::*;
 
     #[test]
     fn reverse_graph_is_built_on_first_use_and_counted_from_then_on() {
-        let fwd = generators::uniform(60, 4, 7);
+        let fwd = fg_graph::uniform(60, 4, 7);
         let forward_only = fwd.in_csr().mem_bytes() + 60 * 4;
         let g = GnnGraph::new(fwd);
         assert_eq!(g.mem_bytes(), forward_only, "new() builds no reverse graph");
@@ -177,7 +166,7 @@ mod tests {
 
     #[test]
     fn concurrent_first_calls_build_one_reverse_graph() {
-        let g = GnnGraph::new(generators::uniform(200, 6, 11));
+        let g = GnnGraph::new(fg_graph::uniform(200, 6, 11));
         let start = std::sync::Barrier::new(2);
         let first_call = || {
             start.wait();
@@ -202,7 +191,7 @@ mod tests {
 
     #[test]
     fn rev_eids_map_to_same_underlying_edge() {
-        let g = GnnGraph::new(generators::uniform(80, 4, 3));
+        let g = GnnGraph::new(fg_graph::uniform(80, 4, 3));
         let fwd_edges = g.fwd().edge_list();
         for (k, (rsrc, rdst, _)) in g.rev().edges().enumerate() {
             let fid = g.rev_eids()[k] as usize;
@@ -211,13 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn edge_permutations_round_trip() {
-        let g = GnnGraph::new(generators::uniform(50, 3, 9));
+    fn edge_rows_to_rev_follows_rev_eids() {
+        let g = GnnGraph::new(fg_graph::uniform(50, 3, 9));
         let m = g.num_edges();
         let e = Dense2::from_fn(m, 2, |r, c| (r * 2 + c) as f32);
         let rev = g.edge_rows_to_rev(&e);
-        let back = g.edge_rows_to_fwd(&rev);
-        assert!(back.approx_eq(&e, 0.0));
+        for (k, &fid) in g.rev_eids().iter().enumerate() {
+            assert_eq!(rev.row(k), e.row(fid as usize), "rev row {k}");
+        }
     }
 
     #[test]

@@ -11,28 +11,29 @@
 //!   from the `featgraph` crate; no message materialization.
 //!
 //! The end-to-end experiment of the paper (§V-E, Table VI) is precisely the
-//! swap of these two backends under identical models, which this crate's
-//! [`trainer`] reproduces. Autograd exploits the paper's §II-A observation:
-//! the gradient of a generalized SpMM is a generalized SDDMM and vice versa
-//! — see the `Op::Spmm` backward in [`tape`].
+//! swap of these two backends under identical models, which [`train`] and
+//! [`inference`] reproduce. Autograd ([`Tape`]) exploits the paper's §II-A
+//! observation: the gradient of a generalized SpMM is a generalized SDDMM and
+//! vice versa — see the `Op::Spmm` backward in `tape.rs`.
 //!
 //! Models ([`models`]): 2-layer GCN, GraphSage, and GAT, matching §V-E's
 //! configurations (hidden sizes scaled by the harness).
 
 pub mod backend;
-pub mod block;
+mod block;
 pub mod data;
-pub mod ggraph;
+mod ggraph;
 pub mod loss;
 pub mod models;
 pub mod nn;
-pub mod sampled;
-pub mod tape;
-pub mod trainer;
+mod sampled;
+mod tape;
+mod trainer;
 
 pub use backend::{FeatgraphBackend, GraphBackend, NaiveBackend};
 pub use ggraph::GnnGraph;
-pub use block::InputRows;
-pub use sampled::{gather_rows, infer_seeds, prepare_seeds, Layer0, SampledBlocks};
-pub use tape::{Tape, Var};
-pub use trainer::{infer_batch, InferError};
+pub use sampled::{
+    gather_rows, infer_seeds, prepare_seeds, prepare_seeds_with, Layer0, SampledBlocks,
+};
+pub use tape::Tape;
+pub use trainer::{infer_batch, inference, train, TrainResult};

@@ -75,7 +75,7 @@ pub trait Model: Send + Sync {
 /// 2-layer graph convolutional network (Kipf & Welling): sum aggregation,
 /// `softmax(Â ReLU(Â X W₁) W₂)` (bias terms included; normalization by
 /// degree is folded into the aggregation choice).
-pub struct Gcn {
+struct Gcn {
     w1: Param,
     b1: Param,
     w2: Param,
@@ -132,7 +132,7 @@ impl Model for Gcn {
 }
 
 /// 2-layer GraphSage (Hamilton et al.): self + mean-of-neighbors transforms.
-pub struct GraphSage {
+struct GraphSage {
     ws1: Param,
     wn1: Param,
     b1: Param,
@@ -204,34 +204,20 @@ impl Model for GraphSage {
     }
 }
 
-/// 2-layer graph attention network (Veličković et al.) with `heads`
-/// attention heads per layer (averaged, as GAT's output layer does).
+/// 2-layer single-head graph attention network (Veličković et al.), the
+/// configuration used in the Table VI harness.
 /// Attention scores use the additive form `LeakyReLU(aₗ·h_u + aᵣ·h_v)` —
-/// one SDDMM per head — normalized with edge softmax, then aggregated with
-/// an attention-weighted generalized SpMM. GAT therefore exercises both
+/// one SDDMM — normalized with edge softmax, then aggregated with an
+/// attention-weighted generalized SpMM. GAT therefore exercises both
 /// kernel families, as the paper notes (§V-E).
-pub struct Gat {
-    heads: usize,
-    /// Per-head `(W, a_l, a_r)` for layer 1, then layer 2.
-    layer1: Vec<(Param, Param, Param)>,
-    layer2: Vec<(Param, Param, Param)>,
+struct Gat {
+    /// `(W, a_l, a_r)` for layer 1, then layer 2.
+    layer1: (Param, Param, Param),
+    layer2: (Param, Param, Param),
 }
 
 impl Gat {
-    /// Single-head GAT (the configuration used in the Table VI harness).
     pub fn new(in_dim: usize, hidden: usize, classes: usize, seed: u64) -> Self {
-        Self::with_heads(in_dim, hidden, classes, 1, seed)
-    }
-
-    /// Multi-head GAT; head outputs are averaged per layer.
-    pub fn with_heads(
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        heads: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(heads >= 1, "at least one attention head");
         let mut rng = init_rng(seed);
         let mut mk = |ind: usize, outd: usize| {
             (
@@ -241,15 +227,9 @@ impl Gat {
             )
         };
         Self {
-            heads,
-            layer1: (0..heads).map(|_| mk(in_dim, hidden)).collect(),
-            layer2: (0..heads).map(|_| mk(hidden, classes)).collect(),
+            layer1: mk(in_dim, hidden),
+            layer2: mk(hidden, classes),
         }
-    }
-
-    /// Number of attention heads per layer.
-    pub fn num_heads(&self) -> usize {
-        self.heads
     }
 }
 
@@ -259,11 +239,9 @@ impl Model for Gat {
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
-        self.layer1
-            .iter_mut()
-            .chain(self.layer2.iter_mut())
-            .flat_map(|(w, al, ar)| [w, al, ar])
-            .collect()
+        let (w1, al1, ar1) = &mut self.layer1;
+        let (w2, al2, ar2) = &mut self.layer2;
+        vec![w1, al1, ar1, w2, al2, ar2]
     }
 
     fn num_layers(&self) -> usize {
@@ -271,64 +249,45 @@ impl Model for Gat {
     }
 
     fn forward_layer(&self, tape: &mut Tape<'_>, h: Var, layer: usize) -> (Var, Vec<Var>) {
-        let heads = match layer {
+        let (w, al, ar) = match layer {
             0 => &self.layer1,
             1 => &self.layer2,
             other => panic!("GAT has 2 layers, asked for layer {other}"),
         };
-        let mut pvars = Vec::with_capacity(3 * heads.len());
-        let table = tape.table().to_vec();
-        let summed = {
+        let w = tape.param(w.value.clone());
+        let al = tape.param(al.value.clone());
+        let ar = tape.param(ar.value.clone());
+        let attended = {
             let (written, read) = tape.block_rows();
             let _span = span!(
                 "model/layer",
-                "model=GAT layer={} heads={} rows={written}/{read}",
-                layer + 1,
-                heads.len()
+                "model=GAT layer={} heads=1 rows={written}/{read}",
+                layer + 1
             );
-            let mut acc: Option<Var> = None;
-            for (head, (w, al, ar)) in heads.iter().enumerate() {
-                let w = tape.param(w.value.clone());
-                let al = tape.param(al.value.clone());
-                let ar = tape.param(ar.value.clone());
-                pvars.extend([w, al, ar]);
-                // hw, sl (n×1 source scores) and sr (n×1 destination
-                // scores) over every row the attention reads; it writes
-                // only the rows the tape's graph writes
-                let (hw, sl, sr) = match table.get(3 * head..3 * head + 3) {
-                    Some(&[hw, sl, sr]) => (hw, sl, sr),
-                    _ => {
-                        let hw = tape.matmul(h, w);
-                        (hw, tape.matmul(hw, al), tape.matmul(hw, ar))
-                    }
-                };
-                // SDDMM score → edge softmax → attention-weighted SpMM,
-                // one fused node forward and backward
-                let out = tape.gat_attention(hw, sl, sr, 0.2);
-                acc = Some(match acc {
-                    None => out,
-                    Some(prev) => tape.add(prev, out),
-                });
-            }
-            let summed = acc.expect("at least one head");
-            if heads.len() > 1 {
-                tape.scale(summed, 1.0 / heads.len() as f32)
-            } else {
-                summed
-            }
+            // hw, sl (n×1 source scores) and sr (n×1 destination scores)
+            // over every row the attention reads; it writes only the rows
+            // the tape's graph writes
+            let (hw, sl, sr) = match tape.table().get(0..3) {
+                Some(&[hw, sl, sr]) => (hw, sl, sr),
+                _ => {
+                    let hw = tape.matmul(h, w);
+                    (hw, tape.matmul(hw, al), tape.matmul(hw, ar))
+                }
+            };
+            // SDDMM score → edge softmax → attention-weighted SpMM, one
+            // fused node forward and backward
+            tape.gat_attention(hw, sl, sr, 0.2)
         };
-        let out = if layer == 0 { tape.relu(summed) } else { summed };
-        (out, pvars)
+        let out = if layer == 0 { tape.relu(attended) } else { attended };
+        (out, vec![w, al, ar])
     }
 
     fn layer0_table(&self, x: &Dense2<f32>) -> Option<Vec<Dense2<f32>>> {
         let matmul = |a: &Dense2<f32>, b: &Param| ops::matmul(a, &b.value).expect("layer-0 shapes");
-        let table = self.layer1.iter().flat_map(|(w, al, ar)| {
-            let hw = matmul(x, w);
-            let (sl, sr) = (matmul(&hw, al), matmul(&hw, ar));
-            [hw, sl, sr]
-        });
-        Some(table.collect())
+        let (w, al, ar) = &self.layer1;
+        let hw = matmul(x, w);
+        let (sl, sr) = (matmul(&hw, al), matmul(&hw, ar));
+        Some(vec![hw, sl, sr])
     }
 }
 
@@ -350,12 +309,11 @@ mod tests {
     use super::*;
     use crate::backend::FeatgraphBackend;
     use crate::ggraph::GnnGraph;
-    use fg_graph::generators;
     use fg_tensor::Dense2;
 
     #[test]
     fn forward_shapes() {
-        let g = GnnGraph::new(generators::uniform(40, 4, 3));
+        let g = GnnGraph::new(fg_graph::uniform(40, 4, 3));
         let backend = FeatgraphBackend::cpu(1);
         let x0 = Dense2::from_fn(40, 6, |v, i| ((v + i) % 5) as f32 * 0.1);
         for name in ["gcn", "graphsage", "gat"] {
@@ -370,38 +328,6 @@ mod tests {
                 "{name} produced non-finite logits"
             );
         }
-    }
-
-    #[test]
-    fn multi_head_gat_trains_shapes_and_params() {
-        let g = GnnGraph::new(generators::uniform(30, 4, 5));
-        let backend = FeatgraphBackend::cpu(1);
-        let x0 = Dense2::from_fn(30, 6, |v, i| ((v + i) % 5) as f32 * 0.1);
-        let mut gat = Gat::with_heads(6, 8, 3, 4, 2);
-        assert_eq!(gat.num_heads(), 4);
-        assert_eq!(gat.params().len(), 4 * 3 * 2);
-        let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.leaf(x0);
-        let (logits, pvars) = gat.forward(&mut tape, x);
-        assert_eq!(tape.value(logits).shape(), (30, 3));
-        assert_eq!(pvars.len(), gat.params().len());
-        assert!(tape.value(logits).as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn single_head_gat_equals_multi_head_with_one_head() {
-        let g = GnnGraph::new(generators::uniform(25, 3, 9));
-        let backend = FeatgraphBackend::cpu(1);
-        let x0 = Dense2::from_fn(25, 4, |v, i| ((v * 3 + i) % 7) as f32 * 0.1);
-        let a = Gat::new(4, 6, 2, 11);
-        let b = Gat::with_heads(4, 6, 2, 1, 11);
-        let run = |m: &Gat| {
-            let mut tape = Tape::new(&g, &backend, None);
-            let x = tape.leaf(x0.clone());
-            let (logits, _) = m.forward(&mut tape, x);
-            tape.value(logits).clone()
-        };
-        assert!(run(&a).approx_eq(&run(&b), 0.0));
     }
 
     #[test]

@@ -21,10 +21,9 @@
 use std::borrow::Cow;
 
 use featgraph::Gathered;
-use fg_graph::sampling::{
-    sample_subgraph_with, SampleConfig, SampleError, SampleScratch, SampledSubgraph,
+use fg_graph::{
+    sample_subgraph_with, Block, SampleConfig, SampleError, SampleScratch, SampledSubgraph, VId,
 };
-use fg_graph::{Block, VId};
 use fg_telemetry::{MemCharge, MemComponent};
 use fg_tensor::{Bf16, Dense2};
 
@@ -36,6 +35,10 @@ use crate::trainer::InferError;
 
 /// Gather `locals[i]`-th rows of `features` into a compact matrix whose row
 /// `i` is the feature row of the subgraph's local vertex `i`.
+///
+/// No serve path gathers (a block reads layer 0 in place); this is public
+/// as the whole-subgraph oracle's input for `fgcheck --sampler`,
+/// `serve/tests/serve.rs` and `bench/e2e`.
 pub fn gather_rows(features: &Dense2<f32>, locals: &[VId]) -> Dense2<f32> {
     let mut out = Dense2::zeros(locals.len(), features.cols());
     for (i, &g) in locals.iter().enumerate() {
@@ -60,6 +63,10 @@ pub fn sample_error_to_infer(e: SampleError, vertices: usize) -> InferError {
 /// Returns the subgraph (local→global map, frontier boundaries) plus its
 /// [`GnnGraph`]: what `infer_batch` runs on to give the blocked forward's
 /// bits on the whole subgraph.
+///
+/// Public as that oracle: `fgcheck --sampler`, `serve/tests/serve.rs` and
+/// `bench/e2e` check the served (blocked) answer against it. The engine
+/// samples through [`prepare_seeds_with`].
 pub fn prepare_seeds(
     graph: &GnnGraph,
     seeds: &[usize],
@@ -254,9 +261,9 @@ mod tests {
     use super::*;
     use crate::backend::FeatgraphBackend;
     use crate::data::SbmTask;
-    use fg_tensor::half::{dequantize, quantize};
     use crate::models::build_model;
     use crate::trainer::infer_batch;
+    use fg_tensor::{dequantize, quantize};
 
     fn task() -> SbmTask {
         SbmTask::generate(400, 3, 10, 3, 21)

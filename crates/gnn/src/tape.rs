@@ -41,7 +41,6 @@ enum Op {
     AddBias(Var, Var),
     Relu(Var),
     LeakyRelu(Var, f32),
-    Scale(Var, f32),
     /// `out[v] = Σ_{u→v} w_e · x[u]` (w optional).
     Spmm {
         x: Var,
@@ -291,15 +290,6 @@ impl<'g> Tape<'g> {
         self.push(value, [x], Op::Relu(x))
     }
 
-    /// `x * alpha` (element-wise constant scale; head averaging in
-    /// multi-head attention).
-    pub fn scale(&mut self, x: Var, alpha: f32) -> Var {
-        let value = dops::scale(self.value(x), alpha);
-        let len = value.as_slice().len();
-        self.charge(len as u64, (2 * len * 4) as u64);
-        self.push(value, [x], Op::Scale(x, alpha))
-    }
-
     /// Element-wise leaky ReLU.
     pub fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
         let value = dops::leaky_relu(self.value(x), slope);
@@ -473,12 +463,6 @@ impl<'g> Tape<'g> {
                     }
                     self.accumulate(x, g);
                 }
-                Op::Scale(x, alpha) => {
-                    for gv in g.as_mut_slice() {
-                        *gv *= alpha;
-                    }
-                    self.accumulate(x, g);
-                }
                 Op::LeakyRelu(x, slope) => {
                     let xv = &self.nodes[x.0].value;
                     for (gv, &v) in g.as_mut_slice().iter_mut().zip(xv.as_slice()) {
@@ -621,11 +605,10 @@ pub(crate) fn edge_softmax_backward(
 mod tests {
     use super::*;
     use crate::backend::{FeatgraphBackend, NaiveBackend};
-    use fg_graph::generators;
 
     fn setup() -> (GnnGraph, FeatgraphBackend) {
         (
-            GnnGraph::new(generators::uniform(30, 4, 13)),
+            GnnGraph::new(fg_graph::uniform(30, 4, 13)),
             FeatgraphBackend::cpu(1),
         )
     }
@@ -746,19 +729,6 @@ mod tests {
         let y = tape.relu(h);
         tape.backward(y, target);
         assert!(tape.grad(h).approx_eq(&masked, 0.0));
-    }
-
-    #[test]
-    fn scale_gradient_is_constant_multiple() {
-        let (g, backend) = setup();
-        let x0 = feats(30, 4, 2);
-        let target = feats(30, 4, 7);
-        let mut tape = Tape::new(&g, &backend, None);
-        let x = tape.param(x0);
-        let y = tape.scale(x, 2.5);
-        tape.backward(y, target.clone());
-        let want = dops::scale(&target, 2.5);
-        assert!(tape.grad(x).approx_eq(&want, 1e-5));
     }
 
     #[test]
@@ -974,7 +944,7 @@ mod tests {
 
     #[test]
     fn attention_node_matches_the_unfused_chain_forward_and_backward() {
-        let g = GnnGraph::new(generators::uniform(30, 4, 13));
+        let g = GnnGraph::new(fg_graph::uniform(30, 4, 13));
         let target = feats(30, 4, 5);
         type Build = fn(&mut Tape<'_>, Var, Var, Var, f32) -> Var;
         let run = |backend: &dyn GraphBackend, build: Build| {
@@ -1086,7 +1056,7 @@ mod tests {
         let (g, backend) = setup();
         let mut tape = Tape::new(&g, &backend, None);
         let x = tape.param(feats(30, 4, 1));
-        let y = tape.scale(x, 2.0);
+        let y = tape.relu(x);
         // one row short: zip-and-add would silently drop the tail
         tape.backward(y, feats(29, 4, 2));
     }
@@ -1169,7 +1139,7 @@ mod tests {
 
     #[test]
     fn both_backends_produce_identical_gradients() {
-        let g = GnnGraph::new(generators::uniform(25, 3, 5));
+        let g = GnnGraph::new(fg_graph::uniform(25, 3, 5));
         let x0 = feats(25, 4, 4);
         let target = feats(25, 4, 8);
         let naive = NaiveBackend::cpu();

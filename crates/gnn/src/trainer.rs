@@ -180,7 +180,7 @@ impl std::error::Error for InferError {}
 /// Batched single-node inference: one full-graph forward pass answers every
 /// requested node, returning that node's logits row per request.
 ///
-/// This is the layer-by-layer forward ([`crate::block::forward`]) on one
+/// This is the layer-by-layer forward (`crate::block::forward`) on one
 /// whole-graph tape per layer: every layer writes every row. `fg-serve`
 /// calls it once per registration over every vertex and answers each
 /// full-graph request with a row of the result; a sampled request runs the

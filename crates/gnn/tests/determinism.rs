@@ -6,8 +6,7 @@
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::{build_model, Model};
 use fg_gnn::nn::Optimizer;
-use fg_gnn::trainer::{train, TrainResult};
-use fg_gnn::FeatgraphBackend;
+use fg_gnn::{train, FeatgraphBackend, TrainResult};
 
 /// FNV-1a over every parameter's shape and value bits, in
 /// [`Model::params`] order.

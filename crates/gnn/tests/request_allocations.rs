@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
-use fg_gnn::sampled::prepare_seeds_with;
-use fg_gnn::{Layer0, SampledBlocks};
+use fg_gnn::{prepare_seeds_with, Layer0, SampledBlocks};
 use fg_graph::{SampleConfig, SampleScratch};
 use fg_tensor::Dense2;
 

@@ -1,8 +1,7 @@
 //! Memory-coalescing analysis.
 //!
 //! A warp's global access touches some set of transaction-sized segments;
-//! the memory system issues one transaction per touched segment. These
-//! helpers count segments for the access shapes GNN kernels produce.
+//! the memory system issues one transaction per touched segment.
 
 /// Transactions for a warp reading `lanes` consecutive elements of
 /// `elem_bytes` starting at element offset `start_elem` (a coalesced access).
@@ -20,48 +19,6 @@ pub fn contiguous_transactions(
     (last / transaction_bytes - first + 1) as u64
 }
 
-/// Transactions for a warp where each lane reads one element at an arbitrary
-/// element index (a gather). Counts distinct segments.
-pub fn gather_transactions(
-    elem_indices: impl Iterator<Item = usize>,
-    elem_bytes: usize,
-    transaction_bytes: usize,
-) -> u64 {
-    // GNN gathers touch few distinct segments per warp; a tiny sorted
-    // scratch vector beats a hash set at warp width.
-    let mut segs: Vec<usize> = elem_indices
-        .map(|i| i * elem_bytes / transaction_bytes)
-        .collect();
-    segs.sort_unstable();
-    segs.dedup();
-    segs.len() as u64
-}
-
-/// Transactions for a strided access: `lanes` lanes each reading
-/// `elem_bytes` at stride `stride_elems` elements apart. The degenerate
-/// `stride_elems <= transaction/elem` case collapses toward coalesced.
-pub fn strided_transactions(
-    lanes: usize,
-    stride_elems: usize,
-    elem_bytes: usize,
-    transaction_bytes: usize,
-) -> u64 {
-    if lanes == 0 {
-        return 0;
-    }
-    let stride_bytes = stride_elems * elem_bytes;
-    if stride_bytes >= transaction_bytes {
-        // each lane lands in its own segment
-        lanes as u64
-    } else if stride_bytes == 0 {
-        1
-    } else {
-        // lanes share segments
-        let span = (lanes - 1) * stride_bytes + elem_bytes;
-        span.div_ceil(transaction_bytes) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,31 +32,5 @@ mod tests {
         // 64 lanes -> 2
         assert_eq!(contiguous_transactions(0, 64, 4, 128), 2);
         assert_eq!(contiguous_transactions(0, 0, 4, 128), 0);
-    }
-
-    #[test]
-    fn gather_counts_distinct_segments() {
-        // all lanes hit the same segment
-        assert_eq!(gather_transactions([0usize, 1, 2, 3].into_iter(), 4, 128), 1);
-        // each lane in its own segment
-        let idxs = (0..32usize).map(|i| i * 64); // stride 256B
-        assert_eq!(gather_transactions(idxs, 4, 128), 32);
-        assert_eq!(gather_transactions(std::iter::empty(), 4, 128), 0);
-    }
-
-    #[test]
-    fn strided_access_worst_case_is_one_per_lane() {
-        assert_eq!(strided_transactions(32, 128, 4, 128), 32);
-        assert_eq!(strided_transactions(32, 1, 4, 128), 1);
-        assert_eq!(strided_transactions(32, 0, 4, 128), 1);
-        assert_eq!(strided_transactions(0, 128, 4, 128), 0);
-        // stride of 8 elements (32B): 4 lanes per segment -> 32 lanes span 8 segments
-        assert_eq!(strided_transactions(32, 8, 4, 128), 8);
-    }
-
-    #[test]
-    fn gather_matches_contiguous_when_indices_are_dense() {
-        let dense = gather_transactions(0..32usize, 4, 128);
-        assert_eq!(dense, contiguous_transactions(0, 32, 4, 128));
     }
 }

@@ -50,42 +50,6 @@ impl<'d> BlockCtx<'d> {
         self.tally.global_bytes += (elems * elem_bytes) as u64;
     }
 
-    /// Account a warp-width gather: each lane reads one element at the given
-    /// element index. Call once per warp (chunk your index stream by
-    /// `warp_size`); the helper [`BlockCtx::global_gather`] does the
-    /// chunking for a full block-sized index set.
-    pub fn global_gather_warp(&mut self, elem_indices: impl Iterator<Item = usize>, elem_bytes: usize) {
-        let mut n = 0usize;
-        let tx = coalesce::gather_transactions(
-            elem_indices.inspect(|_| n += 1),
-            elem_bytes,
-            self.device.transaction_bytes,
-        );
-        self.tally.global_transactions += tx;
-        self.tally.global_bytes += (n * elem_bytes) as u64;
-    }
-
-    /// Account a gather of arbitrarily many lanes, chunked into warps.
-    pub fn global_gather(&mut self, elem_indices: &[usize], elem_bytes: usize) {
-        for chunk in elem_indices.chunks(self.device.warp_size) {
-            self.global_gather_warp(chunk.iter().copied(), elem_bytes);
-        }
-    }
-
-    /// Account a strided access (each of `lanes` lanes reads `elem_bytes` at
-    /// a stride of `stride_elems` elements) — the uncoalesced shape produced
-    /// by thread-per-edge feature loops.
-    pub fn global_strided(&mut self, lanes: usize, stride_elems: usize, elem_bytes: usize) {
-        let tx = coalesce::strided_transactions(
-            lanes,
-            stride_elems,
-            elem_bytes,
-            self.device.transaction_bytes,
-        );
-        self.tally.global_transactions += tx;
-        self.tally.global_bytes += (lanes * elem_bytes) as u64;
-    }
-
     /// Account a fully scattered access: `elems` lanes each touching an
     /// unrelated address. Each lane fetches a whole sector, so bandwidth is
     /// amplified by `sector_bytes / elem_bytes` — the shape produced by
@@ -148,33 +112,6 @@ mod tests {
         ctx.global_contiguous(0, 32, 4);
         assert_eq!(ctx.tally().global_transactions, 1);
         assert_eq!(ctx.tally().global_bytes, 128);
-    }
-
-    #[test]
-    fn gather_chunks_by_warp() {
-        let d = DeviceConfig::v100();
-        let mut ctx = BlockCtx::new(&d);
-        // 64 lanes all hitting distinct segments: 2 warps * 32 tx
-        let idxs: Vec<usize> = (0..64).map(|i| i * 64).collect();
-        ctx.global_gather(&idxs, 4);
-        assert_eq!(ctx.tally().global_transactions, 64);
-        // same-segment gather: 2 warps * 1 tx
-        let mut ctx = BlockCtx::new(&d);
-        let idxs = vec![0usize; 64];
-        ctx.global_gather(&idxs, 4);
-        assert_eq!(ctx.tally().global_transactions, 2);
-    }
-
-    #[test]
-    fn strided_is_worse_than_contiguous() {
-        let d = DeviceConfig::v100();
-        let mut a = BlockCtx::new(&d);
-        a.global_contiguous(0, 32, 4);
-        let mut b = BlockCtx::new(&d);
-        b.global_strided(32, 256, 4);
-        assert!(b.tally().global_transactions > 10 * a.tally().global_transactions);
-        // both moved the same useful bytes
-        assert_eq!(a.tally().global_bytes, b.tally().global_bytes);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl DeviceConfig {
     }
 
     /// Peak FP32 throughput in GFLOP/s under this model's accounting (one
-    /// ALU op per lane per cycle — the same unit [`crate::CostTally::alu_ops`]
+    /// ALU op per lane per cycle — the same unit `CostTally::alu_ops`
     /// counts in, so attained/peak ratios are internally consistent).
     pub fn peak_gflops(&self) -> f64 {
         self.num_sms as f64 * self.fp32_lanes_per_sm as f64 * self.clock_ghz

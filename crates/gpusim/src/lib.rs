@@ -22,9 +22,9 @@
 //!    (Hybrid partitioning, Fig. 13.)
 //!
 //! The simulator executes kernels *functionally* on the host (so results are
-//! bit-checkable against CPU references) while a [`tally::CostTally`]
+//! bit-checkable against CPU references) while a `CostTally`
 //! accumulates ALU ops, memory transactions, shared-memory traffic, atomics,
-//! and barriers. [`exec::launch`] then converts tallies into simulated time
+//! and barriers. [`launch`] then converts tallies into simulated time
 //! with a documented throughput/occupancy model.
 //!
 //! The model is deliberately first-order: it is not cycle-accurate, but each
@@ -32,15 +32,14 @@
 //! relative claims (who wins, by roughly what factor, where crossovers fall)
 //! depend on.
 
-pub mod coalesce;
-pub mod ctx;
-pub mod device;
-pub mod exec;
-pub mod kernel;
-pub mod tally;
+mod coalesce;
+mod ctx;
+mod device;
+mod exec;
+mod kernel;
+mod tally;
 
 pub use ctx::BlockCtx;
 pub use device::DeviceConfig;
 pub use exec::{kernel_rollups, launch, reset_kernel_rollups, KernelRollup, LaunchReport};
 pub use kernel::GpuKernel;
-pub use tally::CostTally;

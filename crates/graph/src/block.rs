@@ -10,7 +10,7 @@
 
 use crate::csr::Csr;
 
-/// See the [module docs](self).
+/// See the module docs of `block.rs`.
 #[derive(Debug, Clone)]
 pub struct Block {
     csr: Csr,

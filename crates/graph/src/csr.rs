@@ -311,37 +311,6 @@ impl Csr {
         )
     }
 
-    /// Relabel columns through `perm` (old ID → new ID), re-sorting each row.
-    /// Returns the relabeled matrix and, per position, the original position.
-    pub fn permute_cols(&self, perm: &[VId]) -> (Csr, Vec<u32>) {
-        assert_eq!(perm.len(), self.num_cols, "permutation length mismatch");
-        let mut indptr = self.indptr.clone();
-        let mut entries: Vec<(VId, u32)> = Vec::with_capacity(self.nnz());
-        for r in 0..self.num_rows {
-            let start = self.indptr[r];
-            let end = self.indptr[r + 1];
-            let mut row: Vec<(VId, u32)> = self.indices[start..end]
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (perm[c as usize], (start + i) as u32))
-                .collect();
-            row.sort_unstable();
-            entries.extend(row);
-        }
-        indptr.copy_from_slice(&self.indptr);
-        let indices = entries.iter().map(|&(c, _)| c).collect();
-        let positions = entries.iter().map(|&(_, p)| p).collect();
-        (
-            Csr {
-                num_rows: self.num_rows,
-                num_cols: self.num_cols,
-                indptr,
-                indices,
-            },
-            positions,
-        )
-    }
-
     /// Memory footprint of the index structures in bytes (used by cache cost
     /// models).
     pub fn index_bytes(&self) -> usize {
@@ -528,25 +497,6 @@ mod tests {
         let (s, pos) = m.slice_cols(0, 4);
         assert_eq!(s, m);
         assert_eq!(pos, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn permute_cols_relabels_and_sorts() {
-        let m = sample();
-        // reverse the column labels: 0<->3, 1<->2
-        let perm: Vec<VId> = vec![3, 2, 1, 0];
-        let (p, pos) = m.permute_cols(&perm);
-        assert_eq!(p.row(0), &[0, 2]); // {1,3} -> {2,0} sorted
-        assert_eq!(p.row(2), &[1, 3]); // {0,2} -> {3,1} sorted
-        assert_eq!(pos.len(), m.nnz());
-        // Each new entry must equal perm[old entry]
-        for (r, cols, base) in p.iter_rows() {
-            for (i, &c) in cols.iter().enumerate() {
-                let old = m.indices()[pos[base + i] as usize];
-                assert_eq!(perm[old as usize], c);
-                let _ = r;
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use crate::{Coo, Graph, VId};
+use crate::{Graph, VId};
 
 /// RNG type used by every generator.
 pub type GenRng = Pcg64Mcg;
@@ -140,31 +140,6 @@ pub fn sbm(
     (Graph::from_edges(n, &edges), labels)
 }
 
-/// A tiny deterministic graph (the 8-vertex sample of Fig. 5 is this size)
-/// for documentation examples and smoke tests: a directed ring with chords.
-pub fn ring_with_chords(n: usize, chord: usize) -> Graph {
-    assert!(n >= 2, "ring needs at least 2 vertices");
-    let mut edges = Vec::with_capacity(n * 2);
-    for v in 0..n {
-        edges.push((v as VId, ((v + 1) % n) as VId));
-        if chord > 0 {
-            edges.push((v as VId, ((v + chord) % n) as VId));
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
-/// Sample `count` distinct COO edges uniformly at random (rejection-free
-/// enough for sparse graphs); used by property tests.
-pub fn random_edges(n: usize, count: usize, seed: u64) -> Coo {
-    let mut r = rng(seed);
-    let dist = Uniform::new(0, n as VId);
-    let edges: Vec<(VId, VId)> = (0..count)
-        .map(|_| (dist.sample(&mut r), dist.sample(&mut r)))
-        .collect();
-    Coo::from_edges(n, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,14 +212,6 @@ mod tests {
         let frac = intra as f64 / total as f64;
         assert!(frac > 0.8, "intra-community fraction {frac}");
         assert_eq!(labels.len(), 400);
-    }
-
-    #[test]
-    fn ring_with_chords_structure() {
-        let g = ring_with_chords(8, 3);
-        assert_eq!(g.num_vertices(), 8);
-        assert!(g.in_csr().contains(1, 0)); // 0 -> 1
-        assert!(g.in_csr().contains(3, 0)); // 0 -> 3 chord
     }
 
     #[test]

@@ -35,30 +35,6 @@ pub fn xy_to_d(order: u32, mut x: u64, mut y: u64) -> u64 {
     d
 }
 
-/// Inverse of [`xy_to_d`].
-pub fn d_to_xy(order: u32, mut d: u64) -> (u64, u64) {
-    let side = 1u64 << order;
-    let (mut x, mut y) = (0u64, 0u64);
-    let mut s = 1u64;
-    while s < side {
-        let rx = 1 & (d / 2);
-        let ry = 1 & (d ^ rx);
-        // rotate
-        if ry == 0 {
-            if rx == 1 {
-                x = s - 1 - x;
-                y = s - 1 - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        x += s * rx;
-        y += s * ry;
-        d /= 4;
-        s *= 2;
-    }
-    (x, y)
-}
-
 /// Smallest curve order whose grid covers `n` vertices on each axis.
 pub fn order_for(n: usize) -> u32 {
     let n = n.max(2) as u64;
@@ -131,6 +107,42 @@ pub fn mean_jump(order: &EdgeOrder) -> f64 {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
+
+    /// Inverse of [`xy_to_d`]: the oracle the curve tests check it against.
+    fn d_to_xy(order: u32, mut d: u64) -> (u64, u64) {
+        let side = 1u64 << order;
+        let (mut x, mut y) = (0u64, 0u64);
+        let mut s = 1u64;
+        while s < side {
+            let rx = 1 & (d / 2);
+            let ry = 1 & (d ^ rx);
+            // rotate
+            if ry == 0 {
+                if rx == 1 {
+                    x = s - 1 - x;
+                    y = s - 1 - y;
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            x += s * rx;
+            y += s * ry;
+            d /= 4;
+            s *= 2;
+        }
+        (x, y)
+    }
+
+    proptest! {
+        #[test]
+        fn hilbert_curve_round_trips(order in 1u32..12, d in 0u64..4096) {
+            let side = 1u64 << order;
+            let d = d % (side * side);
+            let (x, y) = d_to_xy(order, d);
+            prop_assert!(x < side && y < side);
+            prop_assert_eq!(xy_to_d(order, x, y), d);
+        }
+    }
 
     #[test]
     fn curve_is_a_bijection_order3() {

@@ -5,51 +5,49 @@
 //! The paper's kernels consume a sparse adjacency matrix; everything those
 //! kernels need from the graph side lives here:
 //!
-//! * [`coo::Coo`] / [`csr::Csr`] — edge-list and compressed-row formats with
+//! * [`Coo`] / [`Csr`] — edge-list and compressed-row formats with
 //!   checked construction and conversions. By convention a [`Graph`] stores
 //!   the adjacency in *destination-major* CSR (row `v` lists the sources
 //!   `u ∈ N_in(v)`), which is the orientation generalized SpMM aggregates
 //!   over; the transposed (source-major) view for push-style traversal is
 //!   built on its first read.
-//! * [`generators`] — deterministic synthetic graphs: uniform, power-law
-//!   (Chung–Lu style), stochastic block model, the paper's `rand-100K`
-//!   two-tier-degree graph, and scaled stand-ins for `ogbn-proteins` and
-//!   `reddit` (Table II).
-//! * [`partition`] — 1D source-vertex partitioning (§III-C1, Fig. 6) used by
-//!   the CPU SpMM template for cache optimization.
-//! * [`hilbert`] — Hilbert-curve edge ordering (§III-C1) used by the CPU
+//! * Generators ([`uniform`], [`power_law`], [`sbm`], [`two_tier`]) —
+//!   deterministic synthetic graphs, including the paper's `rand-100K`
+//!   two-tier-degree graph; [`Dataset`] builds scaled stand-ins for
+//!   `ogbn-proteins` and `reddit` (Table II).
+//! * [`PartitionedCsr`] — 1D source-vertex partitioning (§III-C1, Fig. 6)
+//!   used by the CPU SpMM template for cache optimization.
+//! * [`EdgeOrder`] — Hilbert-curve edge ordering (§III-C1) used by the CPU
 //!   SDDMM template for locality over both source and destination features.
-//! * [`reorder`] — degree-based vertex split for GPU hybrid partitioning
-//!   (§III-C3).
-//! * [`block`] — bipartite message-flow blocks: one layer's `|dst| × |src|`
+//! * [`Block`] — bipartite message-flow blocks: one layer's `|dst| × |src|`
 //!   CSR over a sampled neighborhood.
-//! * [`stats`] — degree/sparsity statistics (drives Table II and the cost
-//!   models).
-//! * [`io`] — edge-list and MatrixMarket loaders for user-supplied graphs.
+//! * [`sample_subgraph`] — seeded fixed-fanout neighborhood sampling.
+//! * [`table2_row`] — the dataset statistics row of Table II.
 
 use std::sync::OnceLock;
 
-pub mod block;
-pub mod coo;
-pub mod csr;
-pub mod datasets;
-pub mod io;
-pub mod generators;
-pub mod hilbert;
-pub mod partition;
-pub mod reorder;
-pub mod sampling;
-pub mod stats;
+mod block;
+mod coo;
+mod csr;
+mod datasets;
+mod generators;
+mod hilbert;
+mod partition;
+mod sampling;
+mod stats;
 
 pub use block::Block;
 pub use coo::Coo;
-pub use csr::{Csr, CsrError};
-pub use datasets::{Dataset, DatasetSpec};
-pub use partition::PartitionedCsr;
+pub use csr::Csr;
+pub use datasets::Dataset;
+pub use generators::{power_law, rng, sbm, two_tier, uniform, uniform_with_sparsity};
+pub use hilbert::{mean_jump, EdgeOrder};
+pub use partition::{partitions_for_cache, PartitionedCsr};
 pub use sampling::{
     sample_subgraph, sample_subgraph_with, SampleConfig, SampleError, SampleScratch,
     SampledSubgraph, FULL_FANOUT,
 };
+pub use stats::table2_row;
 
 /// Vertex identifier. `u32` keeps the index arrays compact — the paper's
 /// largest graph (reddit, 233 K vertices / 114.8 M edges) fits comfortably.
@@ -66,7 +64,7 @@ pub type EId = u32;
 ///   positions in this CSR.
 /// * `out_csr`: source-major — row `u` holds out-neighbors of `u`, and the
 ///   parallel `out_eids` array maps each position to its canonical edge ID.
-///   Only push-style readers (Ligra, out-degrees, reordering) need it, so the
+///   Only push-style readers (Ligra, out-degrees) need it, so the
 ///   first [`out_csr`](Self::out_csr), [`out_eids`](Self::out_eids) or
 ///   [`out_degree`](Self::out_degree) call builds both (concurrent first
 ///   callers block on one build and see the same arrays).

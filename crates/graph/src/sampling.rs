@@ -439,6 +439,10 @@ fn draw_positions(
 /// Each vertex is expanded exactly once, at the hop it is first
 /// discovered; vertices first reached on the final hop become leaves with
 /// empty rows (their features still feed the hop above).
+///
+/// Serving samples through [`sample_subgraph_with`] and a worker's scratch;
+/// this fresh-scratch form is public as the sampler oracle that
+/// `fgcheck --sampler` and `bench/e2e` compare against.
 pub fn sample_subgraph(
     graph: &Graph,
     seeds: &[VId],

@@ -1,64 +1,6 @@
-//! Graph statistics (Table II and cost-model inputs).
+//! The dataset statistics row of Table II.
 
-use crate::{Graph, VId};
-
-/// Summary statistics of a degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Smallest degree.
-    pub min: usize,
-    /// Largest degree.
-    pub max: usize,
-    /// Mean degree.
-    pub avg: f64,
-    /// Median degree.
-    pub p50: usize,
-    /// 99th-percentile degree.
-    pub p99: usize,
-}
-
-impl DegreeStats {
-    fn from_degrees(mut degs: Vec<usize>) -> Self {
-        if degs.is_empty() {
-            return Self {
-                min: 0,
-                max: 0,
-                avg: 0.0,
-                p50: 0,
-                p99: 0,
-            };
-        }
-        degs.sort_unstable();
-        let n = degs.len();
-        let sum: usize = degs.iter().sum();
-        Self {
-            min: degs[0],
-            max: degs[n - 1],
-            avg: sum as f64 / n as f64,
-            p50: degs[n / 2],
-            p99: degs[(n * 99) / 100],
-        }
-    }
-}
-
-/// In-degree statistics.
-pub fn in_degree_stats(g: &Graph) -> DegreeStats {
-    DegreeStats::from_degrees((0..g.num_vertices() as VId).map(|v| g.in_degree(v)).collect())
-}
-
-/// Out-degree statistics.
-pub fn out_degree_stats(g: &Graph) -> DegreeStats {
-    DegreeStats::from_degrees((0..g.num_vertices() as VId).map(|v| g.out_degree(v)).collect())
-}
-
-/// Adjacency-matrix sparsity: fraction of zero entries.
-pub fn sparsity(g: &Graph) -> f64 {
-    let n = g.num_vertices() as f64;
-    if n == 0.0 {
-        return 1.0;
-    }
-    1.0 - g.num_edges() as f64 / (n * n)
-}
+use crate::Graph;
 
 /// A Table II-style row for reports.
 pub fn table2_row(name: &str, g: &Graph) -> String {
@@ -74,38 +16,6 @@ pub fn table2_row(name: &str, g: &Graph) -> String {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn uniform_graph_stats_are_tight() {
-        let g = generators::uniform(1000, 16, 1);
-        let s = in_degree_stats(&g);
-        assert!((s.avg - 16.0).abs() < 1.0);
-        assert!(s.p99 <= 2 * 16 + 4);
-        assert!(s.min <= s.p50 && s.p50 <= s.p99 && s.p99 <= s.max);
-    }
-
-    #[test]
-    fn power_law_p99_far_exceeds_median() {
-        let g = generators::power_law(3000, 20, 0.8, 2);
-        let s = out_degree_stats(&g);
-        assert!(s.p99 > 2 * s.p50.max(1), "p99={} p50={}", s.p99, s.p50);
-    }
-
-    #[test]
-    fn sparsity_matches_definition() {
-        let g = generators::uniform(100, 10, 3);
-        let sp = sparsity(&g);
-        let expect = 1.0 - g.num_edges() as f64 / 10_000.0;
-        assert!((sp - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_distribution() {
-        let g = crate::Graph::from_edges(0, &[]);
-        let s = in_degree_stats(&g);
-        assert_eq!(s.max, 0);
-        assert_eq!(sparsity(&g), 1.0);
-    }
 
     #[test]
     fn table2_row_contains_counts() {

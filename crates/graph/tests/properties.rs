@@ -1,9 +1,7 @@
 //! Property-based tests for the graph substrate: format round-trips,
-//! partitioning/ordering invariants, reorder permutation validity.
+//! partitioning and ordering invariants.
 
-use fg_graph::hilbert::{self, EdgeOrder};
-use fg_graph::reorder::HybridSplit;
-use fg_graph::{Coo, Graph, PartitionedCsr};
+use fg_graph::{Coo, EdgeOrder, Graph, PartitionedCsr};
 use proptest::prelude::*;
 
 fn edge_lists() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -70,35 +68,6 @@ proptest! {
         eids.sort_unstable();
         let expect: Vec<u32> = (0..g.num_edges() as u32).collect();
         prop_assert_eq!(eids, expect);
-    }
-
-    #[test]
-    fn hilbert_curve_round_trips(order in 1u32..12, d in 0u64..4096) {
-        let side = 1u64 << order;
-        let d = d % (side * side);
-        let (x, y) = hilbert::d_to_xy(order, d);
-        prop_assert!(x < side && y < side);
-        prop_assert_eq!(hilbert::xy_to_d(order, x, y), d);
-    }
-
-    #[test]
-    fn hybrid_split_is_a_valid_permutation((n, edges) in edge_lists(), threshold in 0usize..20) {
-        let g = Graph::from_edges(n, &edges);
-        let split = HybridSplit::by_threshold(&g, threshold);
-        let mut seen = vec![false; n];
-        for &p in &split.perm {
-            prop_assert!(!seen[p as usize]);
-            seen[p as usize] = true;
-        }
-        // high prefix is exactly the >= threshold set
-        for new_id in 0..n {
-            let old = split.inverse[new_id];
-            let is_high = g.out_degree(old) >= threshold;
-            prop_assert_eq!(is_high, new_id < split.num_high, "new_id {}", new_id);
-        }
-        // read fraction is a fraction
-        let f = split.high_read_fraction(&g);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&f));
     }
 
     #[test]

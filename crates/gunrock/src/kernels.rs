@@ -291,7 +291,6 @@ impl GpuKernel for DotKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 31 + i * 7) % 23) as f32 * 0.25 - 2.0)
@@ -299,7 +298,7 @@ mod tests {
 
     #[test]
     fn gcn_functional_correctness() {
-        let g = generators::uniform(120, 5, 3);
+        let g = fg_graph::uniform(120, 5, 3);
         let x = features(120, 16);
         let mut out = Dense2::zeros(120, 16);
         let report = gcn_aggregation(&g, &x, &mut out, &GunrockOptions::default());
@@ -318,7 +317,7 @@ mod tests {
     #[test]
     fn dst_grouped_warps_conflict_heavily() {
         // high in-degree graph: whole warps share a destination
-        let g = generators::uniform(50, 64, 7);
+        let g = fg_graph::uniform(50, 64, 7);
         let x = features(50, 32);
         let mut out = Dense2::zeros(50, 32);
         let report = gcn_aggregation(&g, &x, &mut out, &GunrockOptions::default());
@@ -333,7 +332,7 @@ mod tests {
 
     #[test]
     fn mlp_functional_correctness() {
-        let g = generators::uniform(40, 4, 9);
+        let g = fg_graph::uniform(40, 4, 9);
         let x = features(40, 8);
         let w = Dense2::from_fn(8, 6, |r, c| ((r + 2 * c) % 5) as f32 * 0.2 - 0.4);
         let mut out = Dense2::zeros(40, 6);
@@ -359,7 +358,7 @@ mod tests {
 
     #[test]
     fn dot_attention_functional_correctness() {
-        let g = generators::uniform(60, 3, 2);
+        let g = fg_graph::uniform(60, 3, 2);
         let x = features(60, 12);
         let mut out = Dense2::zeros(g.num_edges(), 1);
         dot_attention(&g, &x, &mut out, &GunrockOptions::default());

@@ -24,6 +24,6 @@
 //! per-edge re-reads of shared operands, and scattered single-element
 //! writes.
 
-pub mod kernels;
+mod kernels;
 
 pub use kernels::{dot_attention, gcn_aggregation, mlp_aggregation, GunrockOptions};

@@ -213,17 +213,6 @@ impl ScalarExpr {
         r
     }
 
-    /// Number of parameters referenced (max `p` + 1, or 0).
-    pub fn num_params(&self) -> usize {
-        let mut n = 0usize;
-        self.visit(&mut |e| {
-            if let ScalarExpr::Param { p, .. } = e {
-                n = n.max(p + 1);
-            }
-        });
-        n
-    }
-
     /// Count of arithmetic operations per evaluation point (used by the GPU
     /// simulator's ALU cost accounting).
     pub fn flops(&self) -> usize {
@@ -283,18 +272,6 @@ mod tests {
         assert!(e.reads_src());
         assert!(!e.reads_dst());
         assert!(e.reads_edge());
-    }
-
-    #[test]
-    fn param_count() {
-        let e = ScalarExpr::Param {
-            p: 1,
-            row: IdxExpr::Red,
-            col: IdxExpr::Out,
-        }
-        .mul(ScalarExpr::src_k());
-        assert_eq!(e.num_params(), 2);
-        assert_eq!(ScalarExpr::src_i().num_params(), 0);
     }
 
     #[test]

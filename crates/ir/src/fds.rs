@@ -124,24 +124,11 @@ impl Fds {
             ..Self::default()
         }
     }
-
-    /// True when the schedule leaves every optimization off (the
-    /// "traditional graph system" degenerate mode).
-    pub fn is_trivial(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_is_trivial() {
-        assert!(Fds::default().is_trivial());
-        assert!(!Fds::cpu_tiled(4).is_trivial());
-        assert!(!Fds::gpu_thread_x(128).is_trivial());
-    }
 
     #[test]
     fn builders_clamp_to_one() {

@@ -104,14 +104,6 @@ pub fn eval_udf<S: Scalar>(
     }
 }
 
-/// Evaluate a UDF into a fresh vector (convenience for tests and the
-/// materializing baseline backend).
-pub fn eval_udf_vec<S: Scalar>(udf: &Udf, ctx: &EdgeCtx<'_, S>, params: &[&Dense2<S>]) -> Vec<S> {
-    let mut out = vec![S::ZERO; udf.out_len];
-    eval_udf(udf, ctx, params, &mut out, |slot, v| *slot = v);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +111,13 @@ mod tests {
 
     fn ctx<'a>(src: &'a [f64], dst: &'a [f64], edge: &'a [f64]) -> EdgeCtx<'a, f64> {
         EdgeCtx { src, dst, edge }
+    }
+
+    /// Evaluate a UDF into a fresh vector.
+    fn eval_udf_vec(udf: &Udf, ctx: &EdgeCtx<'_, f64>, params: &[&Dense2<f64>]) -> Vec<f64> {
+        let mut out = vec![0.0; udf.out_len];
+        eval_udf(udf, ctx, params, &mut out, |slot, v| *slot = v);
+        out
     }
 
     #[test]

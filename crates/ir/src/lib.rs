@@ -6,36 +6,38 @@
 //! as TVM tensor expressions (Figs. 3/4) and optimizes them with a *feature
 //! dimension schedule* (FDS). This crate is our TVM substitute:
 //!
-//! * [`expr::ScalarExpr`] — a small expression language over the feature
+//! * [`ScalarExpr`] — a small expression language over the feature
 //!   dimension: leaves are slices of the source/destination/edge feature
 //!   rows, parameter matrices, and constants; operators are arithmetic,
 //!   min/max, and activations.
-//! * [`udf::Udf`] — a user-defined function: an output axis, an optional
+//! * [`Udf`] — a user-defined function: an output axis, an optional
 //!   reduction axis with a commutative reducer, a body expression, and
 //!   parameter shape declarations. This corresponds to the `msgfunc` /
 //!   `edgefunc` definitions in the paper's Figs. 3/4.
-//! * [`fds::Fds`] — the feature dimension schedule: tiling factors for the
+//! * [`Fds`] — the feature dimension schedule: tiling factors for the
 //!   output and reduction axes (CPU, Figs. 3a/8) and thread-binding /
 //!   tree-reduction choices (GPU, Figs. 3a/4a/9).
-//! * [`pattern::KernelPattern`] — "lowering": recognizing a UDF as one of
+//! * [`KernelPattern`] — "lowering": recognizing a UDF as one of
 //!   the hot patterns for which the kernel crates carry fused, monomorphized
 //!   implementations (rustc/LLVM performs the code generation TVM would),
-//!   with [`interp`] as the always-correct generic fallback.
-//! * [`reducer::Reducer`] — the aggregation functions allowed by the SpMM
+//!   with the interpreter ([`eval_udf`]) as the always-correct generic
+//!   fallback.
+//! * [`Reducer`] — the aggregation functions allowed by the SpMM
 //!   template (any commutative reducer; the paper names sum and max).
 
-pub mod display;
-pub mod expr;
-pub mod fds;
-pub mod fused;
-pub mod interp;
-pub mod pattern;
-pub mod reducer;
-pub mod udf;
+mod display;
+mod expr;
+mod fds;
+mod fused;
+mod interp;
+mod pattern;
+mod reducer;
+mod udf;
 
 pub use expr::{IdxExpr, ScalarExpr};
 pub use fds::{Fds, GpuBind, GpuFds};
 pub use fused::{FusedError, FusedOp, FusedPattern};
-pub use pattern::KernelPattern;
+pub use interp::{eval_expr, eval_udf, EdgeCtx};
+pub use pattern::{ElemOp, KernelPattern};
 pub use reducer::Reducer;
-pub use udf::{ParamShape, ReduceSpec, Udf, UdfError};
+pub use udf::{ReduceSpec, Udf, UdfError};

@@ -317,17 +317,6 @@ impl Udf {
             post_relu: true,
         }
     }
-
-    /// Whether this UDF is the MLP pattern whose reduction result passes
-    /// through a ReLU (the templates special-case it; see [`Udf::mlp`]).
-    pub fn is_mlp_shape(&self) -> bool {
-        self.params.len() == 1
-            && self.reduce.map(|r| r.op) == Some(Reducer::Sum)
-            && matches!(
-                &self.body,
-                ScalarExpr::Mul(a, _) if matches!(a.as_ref(), ScalarExpr::Add(..))
-            )
-    }
 }
 
 #[cfg(test)]
@@ -429,11 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn mlp_shape_detection() {
-        assert!(Udf::mlp(8, 32).is_mlp_shape());
+    fn mlp_applies_relu_after_the_reduction() {
         assert!(Udf::mlp(8, 32).post_relu);
-        assert!(!Udf::dot(8).is_mlp_shape());
-        assert!(!Udf::copy_src(8).is_mlp_shape());
+        assert!(!Udf::dot(8).post_relu);
+        assert!(!Udf::copy_src(8).post_relu);
     }
 
     #[test]

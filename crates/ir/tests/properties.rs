@@ -1,8 +1,7 @@
 //! Property-based tests for the IR: interpreter correctness against direct
 //! evaluation, validation soundness, and reducer algebra.
 
-use fg_ir::interp::{eval_expr, EdgeCtx};
-use fg_ir::{IdxExpr, KernelPattern, Reducer, ScalarExpr, Udf};
+use fg_ir::{eval_expr, EdgeCtx, IdxExpr, KernelPattern, Reducer, ScalarExpr, Udf};
 use proptest::prelude::*;
 
 /// Random expression trees over bounded-index leaves.

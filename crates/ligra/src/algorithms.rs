@@ -124,7 +124,6 @@ pub fn connected_components(graph: &Graph, opts: &EdgeMapOptions) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     #[test]
     fn bfs_levels_on_a_chain() {
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn bfs_matches_reference_on_random_graph() {
-        let g = generators::uniform(300, 4, 17);
+        let g = fg_graph::uniform(300, 4, 17);
         let got = bfs(&g, 0, &EdgeMapOptions { threads: 2, ..Default::default() });
         // reference BFS
         let mut want = vec![-1i64; 300];
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn connected_components_on_random_graph_match_union_find() {
-        let g = generators::uniform(200, 2, 29);
+        let g = fg_graph::uniform(200, 2, 29);
         let got = connected_components(&g, &EdgeMapOptions { threads: 2, ..Default::default() });
         // reference union-find over the undirected closure
         let mut parent: Vec<usize> = (0..200).collect();

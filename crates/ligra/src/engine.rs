@@ -18,7 +18,7 @@ pub type EdgeFn<'a> = dyn Fn(u32, u32, u32) -> bool + Sync + 'a;
 /// `false` (Ligra's `cond` for early exit).
 pub type CondFn<'a> = dyn Fn(u32) -> bool + Sync + 'a;
 
-/// Options for [`edge_map`].
+/// Options for `edge_map`.
 #[derive(Clone, Copy)]
 pub struct EdgeMapOptions {
     /// Dense/sparse switch threshold as a fraction of total edges: if the
@@ -118,13 +118,6 @@ pub fn edge_map(
     }
 }
 
-/// Ligra's vertexMap: apply `f` to every vertex of the subset, keeping those
-/// for which it returns `true`.
-pub fn vertex_map(subset: &VertexSubset, f: impl Fn(u32) -> bool + Sync) -> VertexSubset {
-    let ids: Vec<u32> = subset.to_ids().into_iter().filter(|&v| f(v)).collect();
-    VertexSubset::from_ids(subset.universe(), ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +177,9 @@ mod tests {
             &|dst| dst != 2, // refuse vertex 2
             &EdgeMapOptions::default(),
         );
-        assert!(!next.contains(2));
-        assert!(next.contains(1));
-    }
-
-    #[test]
-    fn vertex_map_filters() {
-        let s = VertexSubset::all(6);
-        let evens = vertex_map(&s, |v| v % 2 == 0);
-        assert_eq!(evens.to_ids(), vec![0, 2, 4]);
+        let ids = next.to_ids();
+        assert!(!ids.contains(&2));
+        assert!(ids.contains(&1));
     }
 
     #[test]

@@ -25,6 +25,9 @@ struct RawRows {
     cols: usize,
 }
 
+// SAFETY: shared use writes only through `row`, whose callers hold exclusive
+// access to their row: in the dense (pull) direction each destination row
+// has one worker, and each `eid` row belongs to one edge.
 unsafe impl Sync for RawRows {}
 
 impl RawRows {
@@ -177,7 +180,6 @@ pub fn dot_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 31 + i * 7) % 23) as f32 * 0.25 - 2.0)
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn gcn_aggregation_matches_manual_sum() {
-        let g = generators::uniform(100, 5, 3);
+        let g = fg_graph::uniform(100, 5, 3);
         let x = features(100, 16);
         let mut out = Dense2::zeros(100, 16);
         gcn_aggregation(&g, &x, &mut out, &EdgeMapOptions { threads: 2, ..Default::default() });
@@ -202,7 +204,7 @@ mod tests {
 
     #[test]
     fn mlp_aggregation_matches_manual() {
-        let g = generators::uniform(50, 4, 7);
+        let g = fg_graph::uniform(50, 4, 7);
         let x = features(50, 8);
         let w = Dense2::from_fn(8, 6, |r, c| ((r + 2 * c) % 5) as f32 * 0.2 - 0.4);
         let mut out = Dense2::zeros(50, 6);
@@ -237,7 +239,7 @@ mod tests {
 
     #[test]
     fn dot_attention_matches_manual() {
-        let g = generators::uniform(80, 3, 5);
+        let g = fg_graph::uniform(80, 3, 5);
         let x = features(80, 12);
         let mut out = Dense2::zeros(g.num_edges(), 1);
         dot_attention(&g, &x, &mut out, &EdgeMapOptions { threads: 2, ..Default::default() });
@@ -252,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn gcn_rejects_bad_shapes() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let x = features(10, 4);
         let mut out = Dense2::zeros(10, 8);
         gcn_aggregation(&g, &x, &mut out, &EdgeMapOptions::default());

@@ -3,8 +3,8 @@
 //! A Ligra-style shared-memory graph processing engine (Shun & Blelloch,
 //! PPoPP'13), reproduced as the paper's CPU baseline.
 //!
-//! Ligra's model: a [`VertexSubset`] frontier plus [`edge_map`] /
-//! [`vertex_map`] operators. `edge_map` switches between a *sparse* (push,
+//! Ligra's model: a `VertexSubset` frontier plus the `edge_map` operator
+//! (`engine.rs`). `edge_map` switches between a *sparse* (push,
 //! frontier-driven) and a *dense* (pull, all-destination) traversal based on
 //! frontier size — the optimization that makes Ligra fast on traversal
 //! algorithms like BFS.
@@ -12,16 +12,17 @@
 //! Crucially — and this is what the FeatGraph paper exploits — the per-edge
 //! computation is a **blackbox** to the engine: a `dyn Fn` invoked per edge.
 //! The engine cannot tile the feature dimension, cannot partition for cache,
-//! and cannot vectorize across the UDF boundary. [`kernels`] implements the
-//! three evaluation kernels (GCN aggregation, MLP aggregation, dot-product
-//! attention) in exactly this style, and [`algorithms`] implements BFS and
-//! PageRank to demonstrate the engine is a *bona fide* graph framework, not
-//! a strawman.
+//! and cannot vectorize across the UDF boundary. [`gcn_aggregation`],
+//! [`mlp_aggregation`] and [`dot_attention`] are the three evaluation kernels
+//! in exactly this style, and [`bfs`], [`pagerank`] and
+//! [`connected_components`] demonstrate the engine is a *bona fide* graph
+//! framework, not a strawman.
 
-pub mod algorithms;
-pub mod engine;
-pub mod kernels;
-pub mod subset;
+mod algorithms;
+mod engine;
+mod kernels;
+mod subset;
 
-pub use engine::{edge_map, vertex_map, EdgeMapOptions};
-pub use subset::VertexSubset;
+pub use algorithms::{bfs, connected_components, pagerank};
+pub use engine::EdgeMapOptions;
+pub use kernels::{dot_attention, gcn_aggregation, mlp_aggregation};

@@ -20,11 +20,6 @@ pub enum VertexSubset {
 }
 
 impl VertexSubset {
-    /// The empty subset.
-    pub fn empty(n: usize) -> Self {
-        VertexSubset::Sparse { n, ids: Vec::new() }
-    }
-
     /// The full vertex set (what every GNN layer uses).
     pub fn all(n: usize) -> Self {
         VertexSubset::Dense {
@@ -46,14 +41,6 @@ impl VertexSubset {
         VertexSubset::Sparse { n, ids }
     }
 
-    /// Total vertices in the graph.
-    pub fn universe(&self) -> usize {
-        match self {
-            VertexSubset::Sparse { n, .. } => *n,
-            VertexSubset::Dense { flags } => flags.len(),
-        }
-    }
-
     /// Number of active vertices.
     pub fn len(&self) -> usize {
         match self {
@@ -67,14 +54,6 @@ impl VertexSubset {
         match self {
             VertexSubset::Sparse { ids, .. } => ids.is_empty(),
             VertexSubset::Dense { flags } => !flags.iter().any(|&b| b),
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, v: u32) -> bool {
-        match self {
-            VertexSubset::Sparse { ids, .. } => ids.binary_search(&v).is_ok(),
-            VertexSubset::Dense { flags } => flags[v as usize],
         }
     }
 
@@ -113,15 +92,12 @@ mod tests {
     fn constructors_and_membership() {
         let s = VertexSubset::single(10, 3);
         assert_eq!(s.len(), 1);
-        assert!(s.contains(3));
-        assert!(!s.contains(4));
+        assert_eq!(s.to_ids(), vec![3]);
 
         let a = VertexSubset::all(5);
         assert_eq!(a.len(), 5);
         assert!(!a.is_empty());
-
-        let e = VertexSubset::empty(5);
-        assert!(e.is_empty());
+        assert!(VertexSubset::from_ids(5, Vec::new()).is_empty());
     }
 
     #[test]

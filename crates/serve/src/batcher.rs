@@ -45,23 +45,13 @@ pub struct Batcher<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
     capacity: usize,
-    observer: Option<Arc<dyn QueueObserver>>,
+    observer: Arc<dyn QueueObserver>,
 }
 
 impl<T> Batcher<T> {
     /// Create an empty batcher holding at most `capacity` (clamped to at
-    /// least 1) queued items.
-    pub fn new(capacity: usize) -> Self {
-        Self::build(capacity, None)
-    }
-
-    /// Like [`new`](Self::new), with a [`QueueObserver`] notified on every
-    /// depth change.
-    pub fn with_observer(capacity: usize, observer: Arc<dyn QueueObserver>) -> Self {
-        Self::build(capacity, Some(observer))
-    }
-
-    fn build(capacity: usize, observer: Option<Arc<dyn QueueObserver>>) -> Self {
+    /// least 1) queued items; `observer` is notified on every depth change.
+    pub fn new(capacity: usize, observer: Arc<dyn QueueObserver>) -> Self {
         Batcher {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -106,9 +96,7 @@ impl<T> Batcher<T> {
 
     fn note_depth(&self, st: &State<T>) {
         gauge_set(Gauge::ServeQueueDepth, st.queue.len() as f64);
-        if let Some(obs) = &self.observer {
-            obs.on_depth(st.queue.len());
-        }
+        self.observer.on_depth(st.queue.len());
     }
 
     /// Stop accepting new items and wake every waiter. Already-queued items
@@ -119,14 +107,10 @@ impl<T> Batcher<T> {
         self.ready.notify_all();
     }
 
-    /// Items currently queued (excludes dispatched ones).
-    pub fn len(&self) -> usize {
+    /// Items currently queued (excludes dispatched ones; tests).
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.state.lock().unwrap().queue.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -136,20 +120,24 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Observes nothing.
+    struct Quiet;
+    impl QueueObserver for Quiet {}
+
     #[test]
     fn items_leave_one_at_a_time_in_arrival_order() {
-        let b = Batcher::new(64);
+        let b = Batcher::new(64, Arc::new(Quiet));
         for i in 0..5u32 {
             b.push(i).unwrap();
         }
         let order: Vec<u32> = (0..5).map(|_| b.pop().unwrap()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn shedding_kicks_in_at_capacity() {
-        let b = Batcher::new(3);
+        let b = Batcher::new(3, Arc::new(Quiet));
         for i in 0..3u32 {
             b.push(i).unwrap();
         }
@@ -165,7 +153,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_returns_none() {
-        let b = Batcher::new(64);
+        let b = Batcher::new(64, Arc::new(Quiet));
         for i in 0..5u32 {
             b.push(i).unwrap();
         }
@@ -181,7 +169,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_consumer() {
-        let b = Arc::new(Batcher::<u32>::new(64));
+        let b = Arc::new(Batcher::<u32>::new(64, Arc::new(Quiet)));
         let consumer = {
             let b = Arc::clone(&b);
             thread::spawn(move || b.pop())
@@ -208,7 +196,7 @@ mod tests {
         }
 
         let probe = Arc::new(Probe::default());
-        let b = Batcher::with_observer(64, Arc::clone(&probe) as _);
+        let b = Batcher::new(64, Arc::clone(&probe) as _);
         for i in 0..5u32 {
             b.push(i).unwrap();
         }
@@ -223,7 +211,7 @@ mod tests {
     fn multi_producer_multi_consumer_loses_nothing() {
         const PRODUCERS: usize = 8;
         const PER_PRODUCER: usize = 250;
-        let b = Arc::new(Batcher::new(usize::MAX));
+        let b = Arc::new(Batcher::new(usize::MAX, Arc::new(Quiet)));
         let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let b = Arc::clone(&b);

@@ -22,8 +22,7 @@ use std::time::{Duration, Instant};
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_serve::frame::{self, FrameError, WireReply};
-use fg_serve::stats::LatencyRecorder;
-use fg_serve::{metrics, protocol, Engine, ServeConfig};
+use fg_serve::{parse_exposition, protocol, Engine, LatencyRecorder, MetricSample, ServeConfig};
 use fg_tensor::Dense2;
 
 /// Which wire protocol bench clients speak.
@@ -470,7 +469,7 @@ fn stats_field<T: std::str::FromStr>(stats: &str, key: &str) -> Option<T> {
 /// Per-phase quantile table plus the p99 attribution line, computed from a
 /// scraped exposition. Returns the lines to print (empty when no phase has
 /// samples).
-fn phase_report(samples: &[metrics::Sample]) -> Vec<String> {
+fn phase_report(samples: &[MetricSample]) -> Vec<String> {
     let lookup = |series: &str| -> Option<f64> {
         samples.iter().find(|s| s.series == series).map(|s| s.value)
     };
@@ -524,7 +523,7 @@ fn cmd_metrics(o: &Opts) -> ExitCode {
         eprintln!("fgserve metrics: failed to scrape METRICS from {addr}");
         return ExitCode::FAILURE;
     };
-    let samples = match metrics::parse_exposition(&text) {
+    let samples = match parse_exposition(&text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("fgserve metrics: exposition does not parse: {e}");
@@ -663,7 +662,7 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             println!("  queue depth max {depth_max}");
         }
         if let Some(text) = fetch_text(&addr, "METRICS") {
-            if let Ok(samples) = metrics::parse_exposition(&text) {
+            if let Ok(samples) = parse_exposition(&text) {
                 for line in phase_report(&samples) {
                     println!("{line}");
                 }

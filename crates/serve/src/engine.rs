@@ -70,8 +70,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fg_gnn::models::Model;
-use fg_gnn::sampled::prepare_seeds_with;
-use fg_gnn::{infer_batch, FeatgraphBackend, GnnGraph, Layer0, SampledBlocks};
+use fg_gnn::{infer_batch, prepare_seeds_with, FeatgraphBackend, GnnGraph, Layer0, SampledBlocks};
 use fg_graph::{SampleConfig, SampleScratch, FULL_FANOUT};
 use fg_telemetry::{
     counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
@@ -235,7 +234,7 @@ pub struct InferSeedsRequest {
     pub seeds: Vec<usize>,
     /// Per-hop in-neighbor caps, seed-side first; a list with fewer hops
     /// than the model has layers is rejected. `None` = full fanout over
-    /// [`DEFAULT_SAMPLE_HOPS`] hops, which reproduces full-graph logits for
+    /// `DEFAULT_SAMPLE_HOPS` hops, which reproduces full-graph logits for
     /// the seeds bit-for-bit.
     pub fanouts: Option<Vec<usize>>,
     /// RNG seed for the neighbor sampler (same value + same seeds = same
@@ -394,7 +393,7 @@ struct Shared {
     next_graph_id: AtomicU64,
 }
 
-/// See the [module docs](self).
+/// See the module docs of `engine.rs`.
 pub struct Engine {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -406,7 +405,7 @@ impl Engine {
         let workers = cfg.workers.max(1);
         let stats = Arc::new(ServeStats::default());
         let shared = Arc::new(Shared {
-            batcher: Batcher::with_observer(cfg.queue_capacity, Arc::clone(&stats) as _),
+            batcher: Batcher::new(cfg.queue_capacity, Arc::clone(&stats) as _),
             sampler: TraceSampler::new(cfg.trace_sample),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             cfg,
@@ -505,14 +504,6 @@ impl Engine {
             );
         }
         graph_id
-    }
-
-    /// Registered model names, sorted.
-    pub fn model_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.shared.models.read().unwrap().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Mint a [`TraceContext`] for one incoming request, honoring the

@@ -20,28 +20,28 @@
 //! `Sampled`-view job on its own sampled subgraph. The server does not
 //! shard: that one pass is cheaper than holding a shard split of the graph
 //! for the life of the registration. The job shape and the rule for which
-//! latency phases a request records are stated once, in [`engine`].
+//! latency phases a request records are stated once, in `engine.rs`.
 //!
 //! Layers:
 //!
 //! * [`protocol`] / [`frame`] — the two wire codecs. Both decode to one
 //!   [`protocol::Request`] and encode one [`frame::WireReply`]; a
 //!   connection's first four bytes pick its codec.
-//! * [`server`] — TCP front-end: one blocking thread per admitted
+//! * `server.rs` — TCP front-end: one blocking thread per admitted
 //!   connection, and the single verb dispatcher both codecs share.
-//! * [`engine`] — admission control, per-request deadlines, the worker
-//!   pool's one executor, graceful drain, typed [`engine::ServeError`]s.
-//! * [`batcher`] — bounded FIFO of single jobs with overload shedding.
-//! * [`stats`] — always-on p50/p95/p99 latency, **per-phase** quantiles,
+//! * `engine.rs` — admission control, per-request deadlines, the worker
+//!   pool's one executor, graceful drain, typed [`ServeError`]s.
+//! * `batcher.rs` — bounded FIFO of single jobs with overload shedding.
+//! * `stats.rs` — always-on p50/p95/p99 latency, **per-phase** quantiles,
 //!   the queue-depth gauge, event counters, and the
 //!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
 //!   along while telemetry is enabled at runtime).
-//! * [`metrics`] — Prometheus-style text exposition behind the `METRICS`
+//! * `metrics.rs` — Prometheus-style text exposition behind the `METRICS`
 //!   wire command (always-on `fgserve_*` series plus the telemetry
 //!   registry).
 //!
 //! Observability: every request gets a trace id from a 1-in-N
-//! [`fg_telemetry::TraceSampler`] ([`engine::ServeConfig::trace_sample`]);
+//! [`fg_telemetry::TraceSampler`] ([`ServeConfig::trace_sample`]);
 //! sampled requests thread that id through the front-end, batcher, worker,
 //! and kernel spans, producing one coherent Chrome-trace tree per request.
 //!
@@ -49,25 +49,24 @@
 //! graph topology, features, model params, request scratch, and each
 //! registration's full-graph logits are attributed per component, surfaced
 //! via the `MEMORY` wire command and `fgserve_mem_*` metric series
-//! ([`engine::Engine::memory_report`]), and optionally enforced by the
-//! [`engine::ServeConfig::mem_budget`] admission gate, which sheds with
-//! [`engine::ServeError::OverMemoryBudget`] before allocating.
+//! ([`Engine::memory_report`]), and optionally enforced by the
+//! [`ServeConfig::mem_budget`] admission gate, which sheds with
+//! [`ServeError::OverMemoryBudget`] before allocating.
 
 #![warn(missing_docs)]
 
-pub mod batcher;
-pub mod engine;
+mod batcher;
+mod engine;
 pub mod frame;
-pub mod metrics;
-pub mod oneshot;
+mod metrics;
+mod oneshot;
 pub mod protocol;
-pub mod server;
-pub mod stats;
+mod server;
+mod stats;
 
-pub use batcher::{Batcher, PushError, QueueObserver};
 pub use engine::{
-    Engine, InferRequest, InferResponse, InferSeedsRequest, MemoryReport, Pending, SeedsResponse,
-    SeedsTicket, ServeConfig, ServeError, Ticket, DEFAULT_SAMPLE_HOPS,
+    Engine, InferRequest, InferResponse, InferSeedsRequest, SeedsResponse, ServeConfig, ServeError,
 };
-pub use server::{serve, ServerHandle};
-pub use stats::{ConnSnapshot, ConnStats, LatencySnapshot, Phase, SlowEntry, StatsSnapshot};
+pub use metrics::{metric_value, parse_exposition, MetricSample};
+pub use server::{serve, ServerHandle, PARTIAL_MESSAGE_DEADLINE};
+pub use stats::{LatencyRecorder, Phase};

@@ -21,7 +21,7 @@ use crate::stats::{ConnSnapshot, LatencySnapshot, Phase, StatsSnapshot};
 /// One parsed sample: series identity (`name{labels}` exactly as exposed)
 /// and its value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
+pub struct MetricSample {
     /// Metric name including any label set, e.g.
     /// `fgserve_phase_latency_ms{phase="execute",quantile="0.99"}`.
     pub series: String,
@@ -149,7 +149,7 @@ pub fn render(stats: &StatsSnapshot, mem: &MemoryReport, conn: &ConnSnapshot) ->
 /// Strictly parse a text exposition: every line must be a `#` comment or a
 /// `series value` sample with a finite-or-NaN-free parseable value, and the
 /// last line must be `# EOF`. Returns the samples in exposition order.
-pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
+pub fn parse_exposition(text: &str) -> Result<Vec<MetricSample>, String> {
     let mut samples = Vec::new();
     let mut saw_eof = false;
     for (lineno, line) in text.lines().enumerate() {
@@ -181,7 +181,7 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
         if series.is_empty() || !series.chars().next().unwrap().is_ascii_alphabetic() {
             return Err(format!("line {}: bad series name in {line:?}", lineno + 1));
         }
-        samples.push(Sample {
+        samples.push(MetricSample {
             series: series.to_string(),
             value,
         });
@@ -193,7 +193,7 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
 }
 
 /// First sample whose series identity matches `series` exactly.
-pub fn sample(text: &str, series: &str) -> Option<f64> {
+pub fn metric_value(text: &str, series: &str) -> Option<f64> {
     parse_exposition(text)
         .ok()?
         .into_iter()
@@ -259,14 +259,14 @@ mod tests {
         }
         let text = render(&stats.snapshot(), &empty_mem(), &ConnSnapshot::default());
         assert_eq!(
-            sample(
+            metric_value(
                 &text,
                 "fgserve_phase_latency_ms{phase=\"execute\",quantile=\"0.99\"}"
             ),
             Some(8.0)
         );
         assert_eq!(
-            sample(&text, "fgserve_phase_latency_ms_count{phase=\"execute\"}"),
+            metric_value(&text, "fgserve_phase_latency_ms_count{phase=\"execute\"}"),
             Some(10.0)
         );
     }
@@ -320,7 +320,11 @@ mod tests {
             .map(|s| s.value)
             .collect();
         assert_eq!(dups, vec![1.0, 2.0], "duplicates kept in exposition order");
-        assert_eq!(sample(text, "dup"), Some(1.0), "sample() takes the first");
+        assert_eq!(
+            metric_value(text, "dup"),
+            Some(1.0),
+            "metric_value() takes the first"
+        );
     }
 
     #[test]

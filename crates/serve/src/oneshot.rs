@@ -2,7 +2,6 @@
 //! reply channel from a worker back to the thread that submitted a request.
 
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Single-use reply slot. The first `send` wins; `recv` blocks until a
 /// value arrives.
@@ -48,24 +47,6 @@ impl<T> Oneshot<T> {
             slot = self.filled.wait(slot).unwrap();
         }
     }
-
-    /// Like [`recv`](Self::recv) but gives up after `timeout`, leaving the
-    /// cell intact for a later `recv`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            if let Some(v) = slot.take() {
-                return Some(v);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.filled.wait_timeout(slot, deadline - now).unwrap();
-            slot = guard;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -73,6 +54,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn send_then_recv() {
@@ -92,13 +74,5 @@ mod tests {
         thread::sleep(Duration::from_millis(10));
         cell.send(42);
         assert_eq!(waiter.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn recv_timeout_expires_without_consuming() {
-        let cell = Oneshot::new();
-        assert_eq!(cell.recv_timeout(Duration::from_millis(5)), None::<u32>);
-        cell.send(1);
-        assert_eq!(cell.recv_timeout(Duration::from_millis(5)), Some(1));
     }
 }

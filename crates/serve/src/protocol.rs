@@ -64,7 +64,7 @@
 //! `<id>` is an opaque client token echoed back verbatim (`-` when the
 //! request carried none) — it is how `fgserve bench` proves that no
 //! response was lost, duplicated, or crossed between requests. Error codes
-//! are the stable strings from [`ServeError::code`]: `overloaded`,
+//! are the stable strings from `ServeError::code`: `overloaded`,
 //! `over-memory-budget`, `timeout`, `unknown-model`, `bad-request`,
 //! `shutting-down`, `infer-failed`.
 
@@ -74,7 +74,7 @@ use std::time::Duration;
 
 use fg_tensor::Dense2;
 
-use crate::engine::{InferResponse, SeedsResponse, ServeError};
+use crate::engine::{InferResponse, SeedsResponse};
 use crate::frame::WireReply;
 
 /// Placeholder ID echoed when the client supplied none.
@@ -583,11 +583,6 @@ fn parse_class_logits<'a>(
     Ok(InferResponse { class, logits })
 }
 
-/// Render a typed serving error.
-pub fn format_err(id: Option<&str>, err: &ServeError) -> String {
-    err_line(id.unwrap_or(NO_ID), err.code(), &err.to_string())
-}
-
 fn err_line(id: &str, code: &str, detail: &str) -> String {
     format!("ERR {id} {code} {detail}")
 }
@@ -735,6 +730,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ServeError;
     use proptest::prelude::*;
 
     #[test]
@@ -1217,7 +1213,12 @@ mod tests {
 
     #[test]
     fn err_reply_round_trips_with_stable_code() {
-        let line = format_err(None, &ServeError::Overloaded);
+        let err = ServeError::Overloaded;
+        let line = format_reply(&WireReply::Err {
+            id: NO_ID.into(),
+            code: err.code().into(),
+            detail: err.to_string(),
+        });
         assert!(line.starts_with("ERR - overloaded "), "{line}");
         match parse_reply(&line).unwrap() {
             Reply::Err { id, code } => {

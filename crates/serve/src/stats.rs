@@ -124,7 +124,7 @@ impl LatencyRecorder {
 }
 
 /// One serve-side phase of a request's life. Which phases a request
-/// records is the engine's phase rule (`complete` in [`crate::engine`]):
+/// records is the engine's phase rule (`complete` in `engine.rs`):
 /// queue-wait, batch-form and execute always, sample only when that step
 /// ran; serialize is recorded by the TCP
 /// front-end for inference replies (embedded callers leave it empty).
@@ -394,38 +394,11 @@ impl StatsSnapshot {
         &self.phases[phase as usize]
     }
 
-    /// Tail-latency attribution: each phase's share (0..=1) of the summed
-    /// per-phase p99s — "p99 is 71% queue wait". Empty phases contribute 0.
-    /// Returns an empty vector when no phase has samples yet.
-    pub fn tail_attribution(&self) -> Vec<(Phase, f64)> {
-        let p99 = |p: Phase| finite(self.phase(p).p99_ms).max(0.0);
-        let total: f64 = Phase::ALL.iter().map(|&p| p99(p)).sum();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        Phase::ALL.iter().map(|&p| (p, p99(p) / total)).collect()
-    }
-
-    /// One-line human summary of [`tail_attribution`](Self::tail_attribution).
-    pub fn attribution_line(&self) -> String {
-        let attr = self.tail_attribution();
-        if attr.is_empty() {
-            return "p99 attribution: no phase samples yet".into();
-        }
-        let mut parts: Vec<(Phase, f64)> = attr;
-        parts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        let body: Vec<String> = parts
-            .iter()
-            .map(|(p, share)| format!("{} {:.0}%", p.name(), share * 100.0))
-            .collect();
-        format!("p99 attribution: {}", body.join("  "))
-    }
-
     /// Render as a single `key=value` line for the `STATS` wire command.
     /// Every value is a parseable number: quantiles over an empty window
     /// render as `0.000` with `samples=0` marking the emptiness (naive
     /// consumers choke on literal `NaN`).
-    pub fn to_wire_line(&self) -> String {
+    pub fn to_wire_line(self) -> String {
         use std::fmt::Write;
         let mut line = format!(
             "accepted={} completed={} shed={} mem_shed={} timed_out={} failed={} batches={} \
@@ -594,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_recorders_and_attribution() {
+    fn phase_recorders_feed_the_wire_line() {
         let stats = ServeStats::default();
         for _ in 0..50 {
             stats.record_phase(Phase::QueueWait, Duration::from_millis(70));
@@ -604,16 +577,6 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.phase(Phase::QueueWait).count, 50);
         assert!((snap.phase(Phase::Execute).p99_ms - 20.0).abs() < 1e-9);
-        let attr = snap.tail_attribution();
-        let share: f64 = attr.iter().map(|&(_, s)| s).sum();
-        assert!((share - 1.0).abs() < 1e-9, "shares sum to 1, got {share}");
-        let queue_share = attr
-            .iter()
-            .find(|&&(p, _)| p == Phase::QueueWait)
-            .unwrap()
-            .1;
-        assert!((queue_share - 0.7).abs() < 1e-9, "{queue_share}");
-        assert!(snap.attribution_line().contains("queue_wait 70%"));
         let line = snap.to_wire_line();
         assert!(line.contains("queue_wait_p50_ms=70.000"), "{line}");
         assert!(line.contains("execute_p99_ms=20.000"), "{line}");

@@ -12,7 +12,7 @@
 
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
-use fg_gnn::sampled::prepare_seeds_with;
+use fg_gnn::prepare_seeds_with;
 use fg_graph::{SampleConfig, SampleScratch};
 use fg_serve::{Engine, InferRequest, InferSeedsRequest, ServeConfig};
 use fg_telemetry::{mem_current, mem_peak, MemComponent};

@@ -31,7 +31,7 @@ fn make_engine(cfg: ServeConfig) -> (Arc<Engine>, SbmTask) {
 fn reference_logits(task: &SbmTask) -> Vec<Vec<f32>> {
     let backend = FeatgraphBackend::cpu(1);
     let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 3);
-    let (logits, _, _) = fg_gnn::trainer::inference(&*model, task, &backend, None);
+    let (logits, _, _) = fg_gnn::inference(&*model, task, &backend, None);
     (0..task.graph.num_vertices())
         .map(|v| logits.row(v).to_vec())
         .collect()
@@ -206,7 +206,7 @@ fn replacing_a_model_serves_the_new_registration() {
     engine.register_model("gcn", model, task.graph.clone(), task.features.clone());
     let backend = FeatgraphBackend::cpu(1);
     let model = build_model("gcn", task.in_dim(), 8, task.num_classes, 4);
-    let (want, _, _) = fg_gnn::trainer::inference(&*model, &task, &backend, None);
+    let (want, _, _) = fg_gnn::inference(&*model, &task, &backend, None);
     let after = infer_node(&engine, 5);
     assert_ne!(after, before, "other weights, other logits");
     assert_eq!(after, want.row(5));
@@ -620,8 +620,8 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
             break;
         }
     }
-    let lookup = |series: &str| fg_serve::metrics::sample(&text, series);
-    fg_serve::metrics::parse_exposition(&text).expect("exposition parses");
+    let lookup = |series: &str| fg_serve::metric_value(&text, series);
+    fg_serve::parse_exposition(&text).expect("exposition parses");
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
     assert_eq!(lookup("fgserve_plan_cache_bytes"), None, "removed series");
     let activations = lookup("fgserve_mem_component_bytes{component=\"activations\"}");
@@ -949,8 +949,8 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
             }
         }
         (
-            fg_serve::metrics::sample(&text, "fgserve_requests_timed_out_total").unwrap(),
-            fg_serve::metrics::sample(&text, "fgserve_phase_latency_ms_count{phase=\"queue_wait\"}")
+            fg_serve::metric_value(&text, "fgserve_requests_timed_out_total").unwrap(),
+            fg_serve::metric_value(&text, "fgserve_phase_latency_ms_count{phase=\"queue_wait\"}")
                 .unwrap(),
         )
     };

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use fg_serve::stats::LatencyRecorder;
+use fg_serve::LatencyRecorder;
 
 #[test]
 fn wraparound_past_capacity_keeps_exact_total_and_window_quantiles() {

@@ -15,8 +15,7 @@ use fg_serve::frame::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, reply_type, req_type,
     write_frame, Frame, FrameError, WireReply, HEADER_LEN, MAGIC, MAX_PAYLOAD,
 };
-use fg_serve::server::PARTIAL_MESSAGE_DEADLINE;
-use fg_serve::{protocol, serve, Engine, ServeConfig, ServerHandle};
+use fg_serve::{protocol, serve, Engine, ServeConfig, ServerHandle, PARTIAL_MESSAGE_DEADLINE};
 use fg_tensor::Dense2;
 use proptest::prelude::*;
 

@@ -35,7 +35,7 @@ impl Default for CusparseOptions {
 
 /// `out = A × x` on the simulated GPU; returns the launch report with the
 /// simulated time.
-pub fn csrmm(
+pub fn cusparse_csrmm(
     graph: &Graph,
     x: &Dense2<f32>,
     out: &mut Dense2<f32>,
@@ -100,14 +100,13 @@ impl GpuKernel for CsrmmKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     #[test]
     fn csrmm_is_functionally_correct() {
-        let g = generators::uniform(150, 5, 4);
+        let g = fg_graph::uniform(150, 5, 4);
         let x = Dense2::from_fn(150, 32, |v, i| ((v + i) % 9) as f32 - 4.0);
         let mut out = Dense2::zeros(150, 32);
-        let report = csrmm(&g, &x, &mut out, &CusparseOptions::default());
+        let report = cusparse_csrmm(&g, &x, &mut out, &CusparseOptions::default());
         assert!(report.time_ms > 0.0);
         let mut want = Dense2::zeros(150, 32);
         for (src, dst, _) in g.edges() {
@@ -121,12 +120,12 @@ mod tests {
 
     #[test]
     fn larger_features_take_longer() {
-        let g = generators::uniform(400, 8, 4);
+        let g = fg_graph::uniform(400, 8, 4);
         let mut times = vec![];
         for d in [32, 128] {
             let x = Dense2::from_fn(400, d, |v, i| (v + i) as f32 * 0.01);
             let mut out = Dense2::zeros(400, d);
-            times.push(csrmm(&g, &x, &mut out, &CusparseOptions::default()).time_ms);
+            times.push(cusparse_csrmm(&g, &x, &mut out, &CusparseOptions::default()).time_ms);
         }
         assert!(times[1] > times[0]);
     }

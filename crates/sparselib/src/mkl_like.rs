@@ -16,7 +16,7 @@ use rayon::prelude::*;
 ///
 /// # Panics
 /// Panics on shape mismatch (vendor libraries abort on bad descriptors).
-pub fn csrmm(graph: &Graph, x: &Dense2<f32>, out: &mut Dense2<f32>, threads: usize) {
+pub fn mkl_csrmm(graph: &Graph, x: &Dense2<f32>, out: &mut Dense2<f32>, threads: usize) {
     assert_eq!(
         x.shape(),
         (graph.num_vertices(), x.cols()),
@@ -46,31 +46,9 @@ pub fn csrmm(graph: &Graph, x: &Dense2<f32>, out: &mut Dense2<f32>, threads: usi
     });
 }
 
-/// Single-threaded variant (Table III's setting).
-pub fn csrmm_single_thread(graph: &Graph, x: &Dense2<f32>, out: &mut Dense2<f32>) {
-    csrmm(graph, x, out, 1)
-}
-
-/// CSR sparse–dense matrix-vector product (`SpMV`), the other classic
-/// vendor kernel; used by the PageRank-style comparisons.
-pub fn csrmv(graph: &Graph, x: &[f32], out: &mut [f32]) {
-    let n = graph.num_vertices();
-    assert_eq!(x.len(), n, "x must have |V| entries");
-    assert_eq!(out.len(), n, "out must have |V| entries");
-    let csr = graph.in_csr();
-    for (dst, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for &src in csr.row(dst as u32) {
-            acc += x[src as usize];
-        }
-        *o = acc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::generators;
 
     fn features(n: usize, d: usize) -> Dense2<f32> {
         Dense2::from_fn(n, d, |v, i| ((v * 3 + i) % 7) as f32 - 3.0)
@@ -78,10 +56,10 @@ mod tests {
 
     #[test]
     fn csrmm_matches_manual_sum() {
-        let g = generators::uniform(120, 5, 2);
+        let g = fg_graph::uniform(120, 5, 2);
         let x = features(120, 16);
         let mut out = Dense2::zeros(120, 16);
-        csrmm(&g, &x, &mut out, 2);
+        mkl_csrmm(&g, &x, &mut out, 2);
         let mut want = Dense2::zeros(120, 16);
         for (src, dst, _) in g.edges() {
             for k in 0..16 {
@@ -94,27 +72,13 @@ mod tests {
 
     #[test]
     fn single_and_multi_thread_agree() {
-        let g = generators::uniform(90, 4, 8);
+        let g = fg_graph::uniform(90, 4, 8);
         let x = features(90, 8);
         let mut a = Dense2::zeros(90, 8);
         let mut b = Dense2::zeros(90, 8);
-        csrmm_single_thread(&g, &x, &mut a);
-        csrmm(&g, &x, &mut b, 4);
+        mkl_csrmm(&g, &x, &mut a, 1);
+        mkl_csrmm(&g, &x, &mut b, 4);
         assert!(a.approx_eq(&b, 0.0));
-    }
-
-    #[test]
-    fn csrmv_matches_csrmm_on_one_column() {
-        let g = generators::uniform(60, 3, 5);
-        let x = features(60, 1);
-        let mut mm = Dense2::zeros(60, 1);
-        csrmm_single_thread(&g, &x, &mut mm);
-        let xv: Vec<f32> = (0..60).map(|v| x.at(v, 0)).collect();
-        let mut mv = vec![0.0f32; 60];
-        csrmv(&g, &xv, &mut mv);
-        for (v, &got) in mv.iter().enumerate() {
-            assert!((mm.at(v, 0) - got).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -122,16 +86,16 @@ mod tests {
         let g = fg_graph::Graph::from_edges(5, &[]);
         let x = features(5, 4);
         let mut out = Dense2::full(5, 4, 9.0);
-        csrmm_single_thread(&g, &x, &mut out);
+        mkl_csrmm(&g, &x, &mut out, 1);
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn single_column_features_work() {
-        let g = generators::uniform(30, 3, 4);
+        let g = fg_graph::uniform(30, 3, 4);
         let x = features(30, 1);
         let mut out = Dense2::zeros(30, 1);
-        csrmm_single_thread(&g, &x, &mut out);
+        mkl_csrmm(&g, &x, &mut out, 1);
         let mut want = [0.0f32; 30];
         for (s, d, _) in g.edges() {
             want[d as usize] += x.at(s as usize, 0);
@@ -144,9 +108,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "out must match x")]
     fn shape_mismatch_aborts() {
-        let g = generators::uniform(10, 2, 1);
+        let g = fg_graph::uniform(10, 2, 1);
         let x = features(10, 4);
         let mut out = Dense2::zeros(10, 8);
-        csrmm(&g, &x, &mut out, 1);
+        mkl_csrmm(&g, &x, &mut out, 1);
     }
 }

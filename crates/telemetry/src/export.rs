@@ -50,18 +50,18 @@ pub fn prometheus_write(out: &mut String) {
     }
 }
 
-/// The full telemetry registry as a self-contained exposition, terminated
-/// by the OpenMetrics `# EOF` marker.
-pub fn prometheus_exposition() -> String {
-    let mut out = String::new();
-    prometheus_write(&mut out);
-    out.push_str("# EOF\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full registry as a self-contained exposition, terminated by the
+    /// OpenMetrics `# EOF` marker.
+    fn prometheus_exposition() -> String {
+        let mut out = String::new();
+        prometheus_write(&mut out);
+        out.push_str("# EOF\n");
+        out
+    }
 
     #[test]
     fn exposition_renders_counters_gauges_histograms() {

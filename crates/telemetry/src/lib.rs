@@ -37,8 +37,6 @@
 //!
 //! - [`MemorySink`] aggregates per-span-name count/total/min/max for
 //!   in-process assertions and the `fgbench --metrics` summary table.
-//! - [`JsonLinesSink`] streams one JSON object per record, for ad-hoc
-//!   scripting.
 //! - [`ChromeTraceSink`] buffers everything and writes a Chrome
 //!   `trace_event` JSON file on flush — open it at `chrome://tracing` or
 //!   <https://ui.perfetto.dev>. Spans become complete `"X"` events (one
@@ -86,7 +84,7 @@ pub enum Counter {
     KernelCompiles,
     /// `available_parallelism` probes that errored and fell back to one
     /// thread (recorded at most once per process; see
-    /// `featgraph::cpu`'s `auto` option constructors).
+    /// `featgraph::CpuSpmmOptions::auto` and its SDDMM twin).
     ParallelismFallbacks,
     /// Inference requests accepted by the serving engine.
     ServeRequests,
@@ -304,14 +302,6 @@ pub struct TraceContext {
     /// Whether spans should be attributed to this trace. Unsampled requests
     /// keep their id (useful for logs) but never tag spans.
     pub sampled: bool,
-}
-
-impl TraceContext {
-    /// An unsampled context with no identity.
-    pub const NONE: TraceContext = TraceContext {
-        trace_id: 0,
-        sampled: false,
-    };
 }
 
 /// Deterministic head sampler: every `1/every`-th minted context is
@@ -794,18 +784,18 @@ macro_rules! span {
 
 mod sinks;
 
-pub use sinks::{ChromeTraceSink, JsonLinesSink, MemorySink, SpanStats};
+pub use sinks::{ChromeTraceSink, MemorySink};
 
 mod export;
 
-pub use export::{prometheus_exposition, prometheus_write};
+pub use export::prometheus_write;
 
 mod mem;
 
 pub use mem::{
-    accountant, current_component, mem_charge, mem_credit, mem_current, mem_peak, mem_snapshot,
-    mem_total_current, mem_total_peak, parse_proc_status, read_rss, reset_mem, MemAccountant,
-    MemCharge, MemComponent, MemComponentSnapshot, MemScope, RssReading,
+    current_component, mem_charge, mem_credit, mem_current, mem_peak, mem_snapshot,
+    mem_total_current, mem_total_peak, read_rss, MemCharge, MemComponent, MemComponentSnapshot,
+    MemScope, RssReading,
 };
 
 // Serialize tests (across modules) that touch the global registry/flag.

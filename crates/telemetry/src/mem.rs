@@ -160,16 +160,6 @@ impl MemAccountant {
     pub fn total_peak(&self) -> u64 {
         self.total_peak.load(Ordering::Relaxed)
     }
-
-    /// Zero every watermark. Test-only by convention: live charges keep
-    /// their (now-stale) credits, so only call between balanced states.
-    pub fn reset(&self) {
-        for slot in self.current.iter().chain(&self.peak) {
-            slot.store(0, Ordering::Relaxed);
-        }
-        self.total.store(0, Ordering::Relaxed);
-        self.total_peak.store(0, Ordering::Relaxed);
-    }
 }
 
 /// The process-wide accountant.
@@ -225,12 +215,6 @@ pub fn mem_total_current() -> u64 {
 #[inline]
 pub fn mem_total_peak() -> u64 {
     accountant().total_peak()
-}
-
-/// Zero every watermark (tests / fresh measurement windows only — callers
-/// must be at a balanced state or subsequent credits go stale).
-pub fn reset_mem() {
-    accountant().reset();
 }
 
 /// Every component's watermarks, in [`MemComponent::ALL`] order.
@@ -359,6 +343,17 @@ pub fn parse_proc_status(status: &str) -> Option<RssReading> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Zero every watermark; callers must be at a balanced state or
+    /// subsequent credits go stale.
+    fn reset_mem() {
+        let acc = accountant();
+        for slot in acc.current.iter().chain(&acc.peak) {
+            slot.store(0, Ordering::Relaxed);
+        }
+        acc.total.store(0, Ordering::Relaxed);
+        acc.total_peak.store(0, Ordering::Relaxed);
+    }
 
     #[test]
     fn charge_credit_moves_watermarks() {

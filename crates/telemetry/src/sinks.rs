@@ -4,8 +4,8 @@ use crate::live::{Sink, SpanRecord};
 use crate::Gauge;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 fn escape_json(s: &str, out: &mut String) {
@@ -80,61 +80,6 @@ impl Sink for MemorySink {
 
     fn on_gauge(&self, gauge: Gauge, value: f64, ts_ns: u64) {
         self.gauges.lock().unwrap().push((gauge, value, ts_ns));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JsonLinesSink
-// ---------------------------------------------------------------------------
-
-/// Streams one JSON object per span (and per gauge update) to a file.
-pub struct JsonLinesSink {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonLinesSink {
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self {
-            writer: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-}
-
-impl Sink for JsonLinesSink {
-    fn on_span(&self, record: &SpanRecord) {
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"kind\":\"span\",\"name\":\"");
-        escape_json(record.name, &mut line);
-        line.push('"');
-        if let Some(args) = &record.args {
-            line.push_str(",\"args\":\"");
-            escape_json(args, &mut line);
-            line.push('"');
-        }
-        if record.trace_id != 0 {
-            line.push_str(&format!(",\"trace\":\"{:#x}\"", record.trace_id));
-        }
-        line.push_str(&format!(
-            ",\"tid\":{},\"start_ns\":{},\"dur_ns\":{},\"depth\":{}}}\n",
-            record.tid, record.start_ns, record.dur_ns, record.depth
-        ));
-        let mut w = self.writer.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-    }
-
-    fn on_gauge(&self, gauge: Gauge, value: f64, ts_ns: u64) {
-        let line = format!(
-            "{{\"kind\":\"gauge\",\"name\":\"{}\",\"value\":{},\"ts_ns\":{}}}\n",
-            gauge.name(),
-            value,
-            ts_ns
-        );
-        let mut w = self.writer.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-    }
-
-    fn on_flush(&self) {
-        let _ = self.writer.lock().unwrap().flush();
     }
 }
 

@@ -22,11 +22,11 @@ mod sealed {
     impl Sealed for crate::half::Bf16 {}
 }
 
-/// An element type tensor storage ([`AlignedVec`], and through it
+/// An element type tensor storage (`AlignedVec`, and through it
 /// [`Dense2`](crate::Dense2)) may hold.
 ///
 /// Invariant: every implementor's all-zero bit pattern is a valid value of
-/// the type, and its size is non-zero. [`AlignedVec::zeroed`] relies on both:
+/// the type, and its size is non-zero. `AlignedVec::zeroed` relies on both:
 /// it hands out `alloc_zeroed` memory as initialized `T`, and `alloc_zeroed`
 /// must not be called with a zero-size layout. The trait is sealed, so the
 /// implementors are exactly `f32`, `f64` and [`Bf16`](crate::Bf16), all of
@@ -41,7 +41,7 @@ mod sealed {
 /// Nor is a zero-size type:
 ///
 /// ```compile_fail
-/// let _ = fg_tensor::AlignedVec::<()>::zeroed(3);
+/// let _ = fg_tensor::Dense2::<()>::zeros(3, 1);
 /// ```
 pub trait StorageElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {}
 
@@ -62,8 +62,12 @@ pub struct AlignedVec<T> {
     _marker: PhantomData<T>,
 }
 
-// Safety: AlignedVec owns its allocation exclusively; `T: Send/Sync` carries over.
+// SAFETY: AlignedVec owns its allocation exclusively, so sending it moves
+// the only handle to its elements; `T: Send` carries over.
 unsafe impl<T: Send> Send for AlignedVec<T> {}
+// SAFETY: through `&AlignedVec` only `&T` is reachable (`as_slice`; every
+// mutable accessor takes `&mut self`), so sharing it shares `&T`, which
+// `T: Sync` allows.
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
 impl<T: StorageElem> AlignedVec<T> {
@@ -110,18 +114,6 @@ impl<T: StorageElem> AlignedVec<T> {
             .expect("allocation size overflow");
         let align = CACHE_LINE.max(std::mem::align_of::<T>());
         Layout::from_size_align(size, align).expect("invalid layout")
-    }
-
-    /// Number of elements.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the buffer holds no elements.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Heap bytes held by this buffer (the figure charged to the memory

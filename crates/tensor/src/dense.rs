@@ -1,8 +1,7 @@
 //! Row-major dense tensors.
 //!
 //! [`Dense2`] is the vertex/edge feature matrix of the paper (`|V| × d` or
-//! `|E| × d`); [`Dense3`] models multi-head feature tensors (`|V| × h × d`,
-//! Fig. 4b of the paper).
+//! `|E| × d`).
 
 use crate::aligned::{AlignedVec, StorageElem};
 use crate::error::{ShapeError, TensorResult};
@@ -200,19 +199,6 @@ impl<S: StorageElem> Dense2<S> {
             (hi_row, lo_row)
         }
     }
-
-    /// Split the matrix into consecutive row bands of at most `band_rows`
-    /// rows each, as disjoint mutable slices. Used to hand one band to each
-    /// worker thread.
-    pub fn row_bands_mut(&mut self, band_rows: usize) -> Vec<&mut [S]> {
-        assert!(band_rows > 0, "band_rows must be positive");
-        let cols = self.cols;
-        self.data
-            .as_mut_slice()
-            .chunks_mut(band_rows * cols)
-            .collect()
-    }
-
 }
 
 // Numeric comparisons widen through `f64`, so they stay `Scalar`-bound.
@@ -238,137 +224,6 @@ impl<S: Scalar> Dense2<S> {
             let diff = (a - b).abs();
             diff <= tol || diff <= tol * a.abs().max(b.abs())
         })
-    }
-}
-
-/// A row-major 3D tensor: `d0 × d1 × d2` (e.g. vertices × heads × features).
-pub struct Dense3<S> {
-    d0: usize,
-    d1: usize,
-    d2: usize,
-    data: AlignedVec<S>,
-}
-
-impl<S: Scalar> Clone for Dense3<S> {
-    fn clone(&self) -> Self {
-        Self {
-            d0: self.d0,
-            d1: self.d1,
-            d2: self.d2,
-            data: self.data.clone(),
-        }
-    }
-}
-
-impl<S: Scalar> std::fmt::Debug for Dense3<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dense3")
-            .field("d0", &self.d0)
-            .field("d1", &self.d1)
-            .field("d2", &self.d2)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: Scalar> Dense3<S> {
-    /// All-zeros tensor of the given shape.
-    pub fn zeros(d0: usize, d1: usize, d2: usize) -> Self {
-        let len = d0
-            .checked_mul(d1)
-            .and_then(|x| x.checked_mul(d2))
-            .expect("shape overflow");
-        Self {
-            d0,
-            d1,
-            d2,
-            data: AlignedVec::zeroed(len),
-        }
-    }
-
-    /// Build by evaluating `f(i, j, k)` at every position.
-    pub fn from_fn(d0: usize, d1: usize, d2: usize, mut f: impl FnMut(usize, usize, usize) -> S) -> Self {
-        let mut t = Self::zeros(d0, d1, d2);
-        for i in 0..d0 {
-            for j in 0..d1 {
-                let row = t.lane_mut(i, j);
-                for (k, slot) in row.iter_mut().enumerate() {
-                    *slot = f(i, j, k);
-                }
-            }
-        }
-        t
-    }
-
-    /// `(d0, d1, d2)`.
-    #[inline(always)]
-    pub fn shape(&self) -> (usize, usize, usize) {
-        (self.d0, self.d1, self.d2)
-    }
-
-    /// Extent of the leading axis.
-    #[inline(always)]
-    pub fn d0(&self) -> usize {
-        self.d0
-    }
-
-    /// Extent of the middle axis (e.g. heads).
-    #[inline(always)]
-    pub fn d1(&self) -> usize {
-        self.d1
-    }
-
-    /// Extent of the innermost axis (feature length per head).
-    #[inline(always)]
-    pub fn d2(&self) -> usize {
-        self.d2
-    }
-
-    /// The `(i, j)` lane: a contiguous `d2`-length vector.
-    #[inline(always)]
-    pub fn lane(&self, i: usize, j: usize) -> &[S] {
-        debug_assert!(i < self.d0 && j < self.d1);
-        let start = (i * self.d1 + j) * self.d2;
-        &self.data.as_slice()[start..start + self.d2]
-    }
-
-    /// Mutable `(i, j)` lane.
-    #[inline(always)]
-    pub fn lane_mut(&mut self, i: usize, j: usize) -> &mut [S] {
-        debug_assert!(i < self.d0 && j < self.d1);
-        let start = (i * self.d1 + j) * self.d2;
-        &mut self.data.as_mut_slice()[start..start + self.d2]
-    }
-
-    /// The whole `i` plane (`d1 × d2` row-major).
-    #[inline(always)]
-    pub fn plane(&self, i: usize) -> &[S] {
-        debug_assert!(i < self.d0);
-        let start = i * self.d1 * self.d2;
-        &self.data.as_slice()[start..start + self.d1 * self.d2]
-    }
-
-    /// Flat view.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &[S] {
-        self.data.as_slice()
-    }
-
-    /// Flat mutable view.
-    #[inline(always)]
-    pub fn as_mut_slice(&mut self) -> &mut [S] {
-        self.data.as_mut_slice()
-    }
-
-    /// Heap bytes held by the backing storage.
-    #[inline(always)]
-    pub fn mem_bytes(&self) -> u64 {
-        self.data.mem_bytes()
-    }
-
-    /// Reinterpret as a `(d0, d1*d2)` matrix (copying).
-    pub fn to_dense2(&self) -> Dense2<S> {
-        Dense2::from_vec(self.d0, self.d1 * self.d2, self.data.as_slice().to_vec())
-            .expect("volume preserved")
     }
 }
 
@@ -431,15 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn row_bands_cover_all_rows() {
-        let mut m = Dense2::from_fn(10, 3, |r, c| (r * 3 + c) as f32);
-        let bands = m.row_bands_mut(4);
-        assert_eq!(bands.len(), 3); // 4 + 4 + 2 rows
-        assert_eq!(bands[0].len(), 12);
-        assert_eq!(bands[2].len(), 6);
-    }
-
-    #[test]
     fn approx_eq_tolerates_small_error() {
         let a = Dense2::from_fn(2, 2, |r, c| (r + c) as f64);
         let mut b = a.clone();
@@ -454,22 +300,6 @@ mod tests {
         let a: Dense2<f32> = Dense2::zeros(2, 2);
         let b: Dense2<f32> = Dense2::zeros(2, 3);
         assert!(!a.approx_eq(&b, 1.0));
-    }
-
-    #[test]
-    fn dense3_lane_layout() {
-        let t = Dense3::from_fn(2, 3, 4, |i, j, k| (i * 100 + j * 10 + k) as f32);
-        assert_eq!(t.lane(1, 2), &[120.0, 121.0, 122.0, 123.0]);
-        assert_eq!(t.plane(0).len(), 12);
-        assert_eq!(t.plane(1)[0], 100.0);
-    }
-
-    #[test]
-    fn dense3_flattens_to_dense2() {
-        let t = Dense3::from_fn(2, 2, 2, |i, j, k| (i * 4 + j * 2 + k) as f64);
-        let m = t.to_dense2();
-        assert_eq!(m.shape(), (2, 4));
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -172,15 +172,6 @@ pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// `y += alpha * x` over slices.
-#[inline]
-pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += alpha * xv;
-    }
-}
-
 /// Element-wise `out = a + b`.
 pub fn add<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>> {
     zip_elementwise("add", a, b, |x, y| x + y)
@@ -258,43 +249,6 @@ pub fn map<S: Scalar>(a: &Dense2<S>, f: impl Fn(S) -> S) -> Dense2<S> {
     out
 }
 
-/// Scale every element by `alpha`.
-pub fn scale<S: Scalar>(a: &Dense2<S>, alpha: S) -> Dense2<S> {
-    map(a, |x| alpha * x)
-}
-
-/// Row-wise softmax (numerically stabilized by the row max).
-pub fn softmax_rows<S: Scalar>(a: &Dense2<S>) -> Dense2<S> {
-    let mut out = a.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let mx = row.iter().copied().fold(S::MIN_FINITE, S::maximum);
-        let mut sum = S::ZERO;
-        for v in row.iter_mut() {
-            *v = (*v - mx).exp();
-            sum += *v;
-        }
-        if sum > S::ZERO {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    }
-    out
-}
-
-/// Frobenius norm.
-pub fn frobenius<S: Scalar>(a: &Dense2<S>) -> f64 {
-    a.as_slice()
-        .iter()
-        .map(|&x| {
-            let v = x.to_f64();
-            v * v
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// Transpose (copying).
 pub fn transpose<S: Scalar>(a: &Dense2<S>) -> Dense2<S> {
     let (m, n) = a.shape();
@@ -343,11 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_axpy() {
+    fn dot_known_value() {
         assert_eq!(dot(&[1.0f32, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        let mut y = [1.0f32, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, [7.0, 9.0]);
     }
 
     #[test]
@@ -377,36 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one_and_order_preserved() {
-        let a = m(2, 3, &[1., 2., 3., -1., -1., -1.]);
-        let s = softmax_rows(&a);
-        for r in 0..2 {
-            let sum: f64 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
-        assert!(s.at(0, 2) > s.at(0, 1) && s.at(0, 1) > s.at(0, 0));
-        // uniform row -> uniform distribution
-        assert!((s.at(1, 0) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn softmax_is_stable_for_large_logits() {
-        let a = m(1, 2, &[1000., 1001.]);
-        let s = softmax_rows(&a);
-        assert!(s.as_slice().iter().all(|x| x.is_finite()));
-        assert!((s.row(0).iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let t = transpose(&transpose(&a));
         assert!(a.approx_eq(&t, 0.0));
-    }
-
-    #[test]
-    fn frobenius_known_value() {
-        let a = m(1, 2, &[3., 4.]);
-        assert!((frobenius(&a) - 5.0).abs() < 1e-12);
     }
 }

@@ -63,12 +63,6 @@ impl ColTiles {
         }
     }
 
-    /// Split into tiles of at most `width` columns each.
-    pub fn with_width(cols: usize, width: usize) -> Self {
-        let width = width.max(1);
-        Self::new(cols, cols.div_ceil(width).max(1))
-    }
-
     /// Number of tiles this iterator will produce.
     pub fn num_tiles(&self) -> usize {
         if self.cols == 0 {
@@ -149,13 +143,6 @@ mod tests {
         let tiles: Vec<_> = ColTiles::new(10, 4).collect();
         let widths: Vec<_> = tiles.iter().map(ColTile::len).collect();
         assert_eq!(widths, vec![3, 3, 2, 2]);
-    }
-
-    #[test]
-    fn with_width_bounds_tile_size() {
-        let tiles: Vec<_> = ColTiles::with_width(100, 16).collect();
-        assert!(tiles.iter().all(|t| t.len() <= 16));
-        assert_eq!(tiles.iter().map(ColTile::len).sum::<usize>(), 100);
     }
 
     #[test]

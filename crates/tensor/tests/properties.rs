@@ -1,8 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use fg_tensor::ops;
-use fg_tensor::tile::{split_ranges, ColTiles};
-use fg_tensor::{Dense2, Scalar};
+use fg_tensor::{ops, split_ranges, ColTiles, Dense2, Scalar};
 use proptest::prelude::*;
 
 fn matrices(max_dim: usize) -> impl Strategy<Value = Dense2<f64>> {
@@ -259,16 +257,6 @@ proptest! {
         let ab_t = ops::transpose(&ops::matmul(&a, &b).unwrap());
         let bt_at = ops::matmul(&ops::transpose(&b), &ops::transpose(&a)).unwrap();
         prop_assert!(ab_t.approx_eq(&bt_at, 1e-9));
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions(a in matrices(10)) {
-        let s = ops::softmax_rows(&a);
-        for r in 0..s.rows() {
-            let sum: f64 = s.row(r).iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "row {r} sums to {sum}");
-            prop_assert!(s.row(r).iter().all(|&x| (0.0..=1.0).contains(&x)));
-        }
     }
 
     #[test]

@@ -8,13 +8,13 @@
 
 use featgraph::{sddmm, Fds, GraphTensors, Target, Udf};
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::generators;
+use featgraph_suite::fg_graph;
 use featgraph_suite::fg_tensor::Dense2;
 
 fn main() {
     let n = 2_000;
     let d = 128;
-    let graph = generators::power_law(n, 12, 0.7, 7);
+    let graph = fg_graph::power_law(n, 12, 0.7, 7);
     let m = graph.num_edges();
     println!("graph: {n} vertices, {m} edges");
 

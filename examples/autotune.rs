@@ -6,16 +6,15 @@
 //! cargo run --release --example autotune
 //! ```
 
-use featgraph::autotune::{tune_spmm_cpu, tune_spmm_gpu_blocks};
-use featgraph::{Fds, GraphTensors, Reducer, Udf};
+use featgraph::{tune_spmm_cpu, tune_spmm_gpu_blocks, Fds, GraphTensors, Reducer, Udf};
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::generators;
+use featgraph_suite::fg_graph;
 use featgraph_suite::fg_tensor::Dense2;
 
 fn main() {
     let n = 4_000;
     let d = 128;
-    let graph = generators::power_law(n, 40, 0.6, 3);
+    let graph = fg_graph::power_law(n, 40, 0.6, 3);
     let x = Dense2::<f32>::from_fn(n, d, |v, i| ((v + i) % 13) as f32 * 0.05);
     let inputs = GraphTensors::vertex_only(&x);
     let udf = Udf::copy_src(d);

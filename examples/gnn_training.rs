@@ -10,8 +10,7 @@
 use featgraph_suite::fg_gnn::data::SbmTask;
 use featgraph_suite::fg_gnn::models::build_model;
 use featgraph_suite::fg_gnn::nn::Optimizer;
-use featgraph_suite::fg_gnn::trainer::train;
-use featgraph_suite::fg_gnn::{FeatgraphBackend, GraphBackend, NaiveBackend};
+use featgraph_suite::fg_gnn::{train, FeatgraphBackend, GraphBackend, NaiveBackend};
 
 fn main() {
     let task = SbmTask::generate(3_000, 5, 30, 5, 2026);

@@ -9,14 +9,14 @@
 
 use featgraph::{spmm, Fds, GraphTensors, Reducer, Target, Udf};
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::generators;
+use featgraph_suite::fg_graph;
 use featgraph_suite::fg_gunrock::{gcn_aggregation, GunrockOptions};
 use featgraph_suite::fg_tensor::Dense2;
 
 fn main() {
     let n = 5_000;
     let d = 64;
-    let graph = generators::uniform(n, 32, 11);
+    let graph = fg_graph::uniform(n, 32, 11);
     let x = Dense2::<f32>::from_fn(n, d, |v, i| ((v + i) % 9) as f32 * 0.1);
     println!(
         "graph: {} vertices, {} edges; feature length {d}",

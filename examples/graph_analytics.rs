@@ -8,12 +8,11 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
-use featgraph_suite::fg_ligra::algorithms::{bfs, connected_components, pagerank};
-use featgraph_suite::fg_ligra::EdgeMapOptions;
-use featgraph_suite::fg_graph::generators;
+use featgraph_suite::fg_graph;
+use featgraph_suite::fg_ligra::{bfs, connected_components, pagerank, EdgeMapOptions};
 
 fn main() {
-    let g = generators::power_law(20_000, 8, 0.7, 99);
+    let g = fg_graph::power_law(20_000, 8, 0.7, 99);
     println!(
         "graph: {} vertices, {} edges",
         g.num_vertices(),

@@ -10,14 +10,14 @@
 
 use featgraph::{spmm, Fds, GraphTensors, Reducer, Target, Udf};
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::generators;
+use featgraph_suite::fg_graph;
 use featgraph_suite::fg_tensor::Dense2;
 
 fn main() {
     // A small random graph standing in for `featgraph.spmat(...)`.
     let n = 1_000;
     let d = 64;
-    let graph = generators::uniform(n, 16, 42);
+    let graph = fg_graph::uniform(n, 16, 42);
     println!(
         "graph: {} vertices, {} edges, avg degree {:.1}",
         graph.num_vertices(),
@@ -46,7 +46,7 @@ fn main() {
 
     // sanity: compare to the obviously-correct reference
     let mut want = Dense2::<f32>::zeros(n, d);
-    featgraph::reference::spmm_reference(
+    featgraph::spmm_reference(
         &graph,
         &msgfunc,
         Reducer::Sum,

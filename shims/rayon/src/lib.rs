@@ -372,9 +372,11 @@ impl<T> Clone for SendPtr<T> {
 
 impl<T> Copy for SendPtr<T> {}
 
-// Safety: the pointer is only dereferenced for disjoint chunk ranges, one
+// SAFETY: the pointer is only dereferenced for disjoint chunk ranges, one
 // chunk per band item, so no two threads touch the same elements.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: every thread holding a shared copy dereferences it
+// only for its own chunk ranges, which no other thread touches.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Parallel iterator over mutable sub-slices of fixed size.
@@ -461,9 +463,12 @@ impl<'a, T: Send, U: Send> ParChunksMutZip<'a, T, U> {
                 let (astart, bstart) = (ci * asize, ci * bsize);
                 let aend = (astart + asize).min(alen);
                 let bend = (bstart + bsize).min(blen);
-                // Safety: as in `ParChunksMut::run` — each chunk index is
-                // visited exactly once, so the ranges are disjoint per slice.
+                // SAFETY: as in `ParChunksMut::run` — each chunk index is
+                // visited exactly once, so the ranges are disjoint per slice,
+                // and `aend <= alen` keeps this one inside `a`.
                 let ca = unsafe { std::slice::from_raw_parts_mut(pa.0.add(astart), aend - astart) };
+                // SAFETY: the same chunk index gives `b` a disjoint range, and
+                // `bend <= blen` keeps it inside `b`.
                 let cb = unsafe { std::slice::from_raw_parts_mut(pb.0.add(bstart), bend - bstart) };
                 f(ci, ca, cb);
             }

@@ -5,14 +5,14 @@
 
 use featgraph::{sddmm, spmm, Fds, GraphTensors, Reducer, Target, Udf};
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::{generators, Graph};
+use featgraph_suite::fg_graph::{self, Graph};
 use featgraph_suite::fg_gunrock;
 use featgraph_suite::fg_ligra::{self, EdgeMapOptions};
 use featgraph_suite::fg_sparselib;
 use featgraph_suite::fg_tensor::Dense2;
 
 fn test_graph() -> Graph {
-    generators::power_law(400, 8, 0.6, 33)
+    fg_graph::power_law(400, 8, 0.6, 33)
 }
 
 fn features(n: usize, d: usize) -> Dense2<f32> {
@@ -28,7 +28,7 @@ fn all_six_systems_agree_on_gcn_aggregation() {
 
     // reference
     let mut want = Dense2::zeros(n, d);
-    featgraph::reference::spmm_reference(
+    featgraph::spmm_reference(
         &g,
         &Udf::copy_src(d),
         Reducer::Sum,
@@ -51,21 +51,21 @@ fn all_six_systems_agree_on_gcn_aggregation() {
 
     // ligra
     let mut out = Dense2::zeros(n, d);
-    fg_ligra::kernels::gcn_aggregation(&g, &x, &mut out, &EdgeMapOptions::default());
+    fg_ligra::gcn_aggregation(&g, &x, &mut out, &EdgeMapOptions::default());
     assert!(out.approx_eq(&want, 1e-3), "ligra");
 
     // mkl-like
     let mut out = Dense2::zeros(n, d);
-    fg_sparselib::mkl_like::csrmm(&g, &x, &mut out, 2);
+    fg_sparselib::mkl_csrmm(&g, &x, &mut out, 2);
     assert!(out.approx_eq(&want, 1e-3), "mkl");
 
     // cusparse-like
     let mut out = Dense2::zeros(n, d);
-    fg_sparselib::cusparse_like::csrmm(
+    fg_sparselib::cusparse_csrmm(
         &g,
         &x,
         &mut out,
-        &fg_sparselib::cusparse_like::CusparseOptions::default(),
+        &fg_sparselib::CusparseOptions::default(),
     );
     assert!(out.approx_eq(&want, 1e-3), "cusparse");
 
@@ -87,7 +87,7 @@ fn all_systems_agree_on_mlp_aggregation() {
     let params = [&w];
     let inputs = GraphTensors::with_params(&x, &params);
     let mut want = Dense2::zeros(n, d2);
-    featgraph::reference::spmm_reference(&g, &udf, Reducer::Max, &inputs, &mut want).unwrap();
+    featgraph::spmm_reference(&g, &udf, Reducer::Max, &inputs, &mut want).unwrap();
 
     // featgraph cpu + gpu
     for (target, fds) in [
@@ -102,7 +102,7 @@ fn all_systems_agree_on_mlp_aggregation() {
 
     // ligra
     let mut out = Dense2::zeros(n, d2);
-    fg_ligra::kernels::mlp_aggregation(&g, &x, &w, &mut out, &EdgeMapOptions::default());
+    fg_ligra::mlp_aggregation(&g, &x, &w, &mut out, &EdgeMapOptions::default());
     assert!(out.approx_eq(&want, 1e-3), "ligra mlp");
 
     // gunrock
@@ -122,7 +122,7 @@ fn all_systems_agree_on_dot_attention() {
     let udf = Udf::dot(d);
     let inputs = GraphTensors::vertex_only(&x);
     let mut want = Dense2::zeros(m, 1);
-    featgraph::reference::sddmm_reference(&g, &udf, &inputs, &mut want).unwrap();
+    featgraph::sddmm_reference(&g, &udf, &inputs, &mut want).unwrap();
 
     for (target, fds) in [
         (Target::Cpu, Fds::cpu_tiled(2)),
@@ -135,7 +135,7 @@ fn all_systems_agree_on_dot_attention() {
     }
 
     let mut out = Dense2::zeros(m, 1);
-    fg_ligra::kernels::dot_attention(&g, &x, &mut out, &EdgeMapOptions::default());
+    fg_ligra::dot_attention(&g, &x, &mut out, &EdgeMapOptions::default());
     assert!(out.approx_eq(&want, 1e-3), "ligra attention");
 
     let mut out = Dense2::zeros(m, 1);
@@ -145,8 +145,8 @@ fn all_systems_agree_on_dot_attention() {
 
 #[test]
 fn hybrid_partitioning_changes_cost_not_results() {
-    use featgraph::gpu::spmm::{GpuSpmm, GpuSpmmOptions, HybridOptions};
-    let g = generators::two_tier(40, 150, 760, 5, 5);
+    use featgraph::{GpuSpmm, GpuSpmmOptions, HybridOptions};
+    let g = fg_graph::two_tier(40, 150, 760, 5, 5);
     let n = g.num_vertices();
     let d = 32;
     let x = features(n, d);

@@ -5,8 +5,7 @@ use featgraph_suite::fg_gnn::data::SbmTask;
 use featgraph_suite::fg_gnn::loss::accuracy;
 use featgraph_suite::fg_gnn::models::build_model;
 use featgraph_suite::fg_gnn::nn::Optimizer;
-use featgraph_suite::fg_gnn::trainer::{inference, train};
-use featgraph_suite::fg_gnn::{FeatgraphBackend, NaiveBackend};
+use featgraph_suite::fg_gnn::{inference, train, FeatgraphBackend, NaiveBackend};
 
 #[test]
 fn all_models_learn_with_both_backends_and_match() {

@@ -2,9 +2,10 @@
 //! schedules, the optimized kernels must agree with the reference
 //! implementations — the workspace's core correctness invariant.
 
-use featgraph::cpu::sddmm::{CpuSddmm, CpuSddmmOptions, Traversal};
-use featgraph::cpu::spmm::{CpuSpmm, CpuSpmmOptions};
-use featgraph::{Fds, GraphTensors, Reducer, Target, Udf};
+use featgraph::{
+    CpuSddmm, CpuSddmmOptions, CpuSpmm, CpuSpmmOptions, Fds, GraphTensors, Reducer, Target,
+    Traversal, Udf,
+};
 use featgraph_suite::featgraph;
 use featgraph_suite::fg_graph::{Coo, Graph};
 use featgraph_suite::fg_tensor::Dense2;
@@ -48,7 +49,7 @@ proptest! {
         let inputs = GraphTensors::vertex_only(&x);
 
         let mut want = Dense2::zeros(n, d);
-        featgraph::reference::spmm_reference(&g, &udf, agg, &inputs, &mut want).unwrap();
+        featgraph::spmm_reference(&g, &udf, agg, &inputs, &mut want).unwrap();
 
         let fds = Fds::cpu_tiled(tiles);
         let opts = CpuSpmmOptions::with_threads(parts, threads);
@@ -73,7 +74,7 @@ proptest! {
         let inputs = GraphTensors::vertex_only(&x);
 
         let mut want = Dense2::zeros(m, 1);
-        featgraph::reference::sddmm_reference(&g, &udf, &inputs, &mut want).unwrap();
+        featgraph::sddmm_reference(&g, &udf, &inputs, &mut want).unwrap();
 
         let opts = CpuSddmmOptions {
             traversal: if hilbert { Traversal::Hilbert } else { Traversal::Canonical },
@@ -97,13 +98,13 @@ proptest! {
         let inputs = GraphTensors::vertex_only(&x);
 
         let mut want = Dense2::zeros(n, d);
-        featgraph::reference::spmm_reference(&g, &udf, Reducer::Sum, &inputs, &mut want).unwrap();
+        featgraph::spmm_reference(&g, &udf, Reducer::Sum, &inputs, &mut want).unwrap();
 
-        let opts = featgraph::gpu::spmm::GpuSpmmOptions {
+        let opts = featgraph::GpuSpmmOptions {
             rows_per_block,
             ..Default::default()
         };
-        let k = featgraph::gpu::spmm::GpuSpmm::compile(
+        let k = featgraph::GpuSpmm::compile(
             &g, &udf, Reducer::Sum, &Fds::gpu_thread_x(64), &opts,
         ).unwrap();
         let mut out = Dense2::zeros(n, d);
@@ -128,7 +129,7 @@ proptest! {
         let inputs = GraphTensors::with_params(&x, &params);
 
         let mut want = Dense2::zeros(n, d2);
-        featgraph::reference::spmm_reference(&g, &udf, Reducer::Max, &inputs, &mut want).unwrap();
+        featgraph::spmm_reference(&g, &udf, Reducer::Max, &inputs, &mut want).unwrap();
 
         let k = featgraph::spmm(&g, &udf, Reducer::Max, Target::Cpu, &Fds::cpu_tiled2(ft, rt)).unwrap();
         let mut out = Dense2::zeros(n, d2);

@@ -4,11 +4,12 @@
 //! CI-stable. CPU-side claims involve wall clocks and use generous margins.
 
 use featgraph_suite::featgraph;
-use featgraph_suite::fg_graph::{generators, Dataset};
+use featgraph_suite::fg_graph::{self, Dataset};
 
-use fg_bench::cpu_kernels::{cpu_kernel_secs, featgraph_cpu_secs, CpuSystem, FeatgraphCpuConfig};
-use fg_bench::gpu_kernels::{featgraph_gpu_ms, gpu_kernel_ms, FeatgraphGpuConfig, GpuSystem};
-use fg_bench::runner::KernelKind;
+use fg_bench::{
+    cpu_kernel_secs, featgraph_cpu_secs, featgraph_gpu_ms, gpu_kernel_ms, CpuSystem,
+    FeatgraphCpuConfig, FeatgraphGpuConfig, GpuSystem, KernelKind,
+};
 
 const SCALE: usize = 192;
 
@@ -92,7 +93,7 @@ fn tree_reduction_speedup_grows_with_feature_length() {
 /// (paper: 10–20% over cuSPARSE; stronger at reduced scale).
 #[test]
 fn hybrid_partitioning_beats_plain_on_two_tier_graphs() {
-    use featgraph::gpu::spmm::HybridOptions;
+    use featgraph::HybridOptions;
     let g = Dataset::Rand100K.generate(96);
     let n = g.num_vertices();
     let rows_per_block = (n / 320).clamp(2, 64);
@@ -159,7 +160,7 @@ fn block_count_sensitivity_has_the_fig15_shape() {
 )]
 #[test]
 fn ligra_is_slower_than_featgraph_on_cpu_kernels() {
-    let g = generators::uniform(2000, 60, 3);
+    let g = fg_graph::uniform(2000, 60, 3);
     for kind in [KernelKind::MlpAggregation, KernelKind::GcnAggregation] {
         let ligra = cpu_kernel_secs(CpuSystem::Ligra, kind, &g, 64, 1, 2).unwrap();
         let fg = featgraph_cpu_secs(kind, &g, 64, 1, 2, FeatgraphCpuConfig::default());
@@ -171,7 +172,7 @@ fn ligra_is_slower_than_featgraph_on_cpu_kernels() {
 /// the order's jump metric deterministically.
 #[test]
 fn hilbert_traversal_improves_locality_metric() {
-    use featgraph_suite::fg_graph::hilbert::{mean_jump, EdgeOrder};
+    use featgraph_suite::fg_graph::{mean_jump, EdgeOrder};
     let g = Dataset::Reddit.generate(SCALE);
     let canonical = mean_jump(&EdgeOrder::canonical(&g));
     let hilbert = mean_jump(&EdgeOrder::hilbert(&g));
@@ -185,7 +186,7 @@ fn hilbert_traversal_improves_locality_metric() {
 /// provide the generalized kernels FeatGraph covers.
 #[test]
 fn vendor_libraries_lack_generalized_kernels() {
-    let g = generators::uniform(50, 4, 1);
+    let g = fg_graph::uniform(50, 4, 1);
     for kind in [KernelKind::MlpAggregation, KernelKind::DotAttention] {
         assert!(cpu_kernel_secs(CpuSystem::Mkl, kind, &g, 16, 1, 1).is_none());
         assert!(gpu_kernel_ms(GpuSystem::Cusparse, kind, &g, 16).is_none());
