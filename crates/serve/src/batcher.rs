@@ -242,7 +242,11 @@ mod tests {
         for h in consumers {
             all.extend(h.join().unwrap());
         }
-        assert_eq!(all.len(), PRODUCERS * PER_PRODUCER, "no item lost or duplicated");
+        assert_eq!(
+            all.len(),
+            PRODUCERS * PER_PRODUCER,
+            "no item lost or duplicated"
+        );
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), PRODUCERS * PER_PRODUCER, "no duplicates");

@@ -530,10 +530,7 @@ fn cmd_metrics(o: &Opts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "fgserve metrics: {} samples from {addr}",
-        samples.len()
-    );
+    println!("fgserve metrics: {} samples from {addr}", samples.len());
     let mut failures = Vec::new();
     for series in &o.require {
         let hit = samples
@@ -678,7 +675,10 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             ));
         }
         if o.expect_no_shed && tally.shed > 0 {
-            failures.push(format!("run {run}: expected zero sheds, saw {}", tally.shed));
+            failures.push(format!(
+                "run {run}: expected zero sheds, saw {}",
+                tally.shed
+            ));
         }
     }
     if o.expect_shed && total_shed == 0 {

@@ -1024,7 +1024,10 @@ fn run_sampled(
     // Layer 0 reads rows of the registration's table when its model has
     // one, else feature rows — half-precision storage widens as the kernel
     // reads it.
-    let layer0 = match (entry.table.get_or_init(|| fill_table(entry)), &entry.data.features) {
+    let layer0 = match (
+        entry.table.get_or_init(|| fill_table(entry)),
+        &entry.data.features,
+    ) {
         (Some(table), _) => Layer0::Table(table),
         (None, FeatureTensor::F32(m)) => Layer0::F32(m),
         (None, FeatureTensor::Bf16(m)) => Layer0::Bf16(m),

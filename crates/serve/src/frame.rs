@@ -152,7 +152,9 @@ pub fn parse_header(header: &[u8]) -> Result<(u8, usize), FrameError> {
         ]));
     }
     if header[5..8] != [0; 3] {
-        return Err(FrameError::Malformed("non-zero reserved header bytes".into()));
+        return Err(FrameError::Malformed(
+            "non-zero reserved header bytes".into(),
+        ));
     }
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     if len > MAX_PAYLOAD {
@@ -315,9 +317,11 @@ impl<'a> Cur<'a> {
 
     fn f32s(&mut self, what: &str) -> Result<Vec<f32>, FrameError> {
         let n = self.u32(what)? as usize;
-        let bytes = self.take(n.checked_mul(4).ok_or_else(|| {
-            FrameError::Malformed(format!("{what}: length overflow"))
-        })?, what)?;
+        let bytes = self.take(
+            n.checked_mul(4)
+                .ok_or_else(|| FrameError::Malformed(format!("{what}: length overflow")))?,
+            what,
+        )?;
         Ok(bytes
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -326,9 +330,11 @@ impl<'a> Cur<'a> {
 
     fn u64s(&mut self, what: &str) -> Result<Vec<u64>, FrameError> {
         let n = self.u32(what)? as usize;
-        let bytes = self.take(n.checked_mul(8).ok_or_else(|| {
-            FrameError::Malformed(format!("{what}: length overflow"))
-        })?, what)?;
+        let bytes = self.take(
+            n.checked_mul(8)
+                .ok_or_else(|| FrameError::Malformed(format!("{what}: length overflow")))?,
+            what,
+        )?;
         Ok(bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -343,17 +349,16 @@ impl<'a> Cur<'a> {
         if code == 0 {
             return Ok(None);
         }
-        let dtype = FeatureDtype::from_wire_code(code).ok_or_else(|| {
-            FrameError::Malformed(format!("feats: unknown dtype code {code}"))
-        })?;
+        let dtype = FeatureDtype::from_wire_code(code)
+            .ok_or_else(|| FrameError::Malformed(format!("feats: unknown dtype code {code}")))?;
         let rows = self.u32("feats rows")? as usize;
         let cols = self.u32("feats cols")? as usize;
-        let count = rows.checked_mul(cols).ok_or_else(|| {
-            FrameError::Malformed("feats: rows*cols overflow".into())
-        })?;
-        let nbytes = count.checked_mul(dtype.size_bytes()).ok_or_else(|| {
-            FrameError::Malformed("feats: byte length overflow".into())
-        })?;
+        let count = rows
+            .checked_mul(cols)
+            .ok_or_else(|| FrameError::Malformed("feats: rows*cols overflow".into()))?;
+        let nbytes = count
+            .checked_mul(dtype.size_bytes())
+            .ok_or_else(|| FrameError::Malformed("feats: byte length overflow".into()))?;
         let bytes = self.take(nbytes, "feats data")?;
         let mut out = Dense2::<f32>::zeros(rows, cols);
         let dst = out.as_mut_slice();

@@ -161,7 +161,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "SLOWLOG" => {
             let limit = match parts.next() {
                 None => None,
-                Some(tok) => Some(tok.parse().map_err(|_| format!("bad SLOWLOG limit {tok:?}"))?),
+                Some(tok) => Some(
+                    tok.parse()
+                        .map_err(|_| format!("bad SLOWLOG limit {tok:?}"))?,
+                ),
             };
             Ok(Request::SlowLog { limit })
         }
@@ -1193,9 +1196,13 @@ mod tests {
                 },
             },
             WireReply::Text("STATS accepted=3 completed=3\n".into()),
-            WireReply::Text("MEMORY 2\nMEM component=features current=1 peak=2\nMEM total current=1\n".into()),
+            WireReply::Text(
+                "MEMORY 2\nMEM component=features current=1 peak=2\nMEM total current=1\n".into(),
+            ),
             WireReply::Text("SLOWLOG 1\nSLOW seq=1 model=gcn\n".into()),
-            WireReply::Text("# TYPE fgserve_batches counter\nfgserve_batches_total 3\n# EOF\n".into()),
+            WireReply::Text(
+                "# TYPE fgserve_batches counter\nfgserve_batches_total 3\n# EOF\n".into(),
+            ),
         ];
         // Back to back on one stream: each read stops at its reply's end.
         let wire: String = replies.iter().map(format_reply).collect();

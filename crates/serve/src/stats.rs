@@ -342,7 +342,8 @@ impl ServeStats {
 impl QueueObserver for ServeStats {
     fn on_depth(&self, depth: usize) {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
-        self.queue_depth_max.fetch_max(depth as u64, Ordering::Relaxed);
+        self.queue_depth_max
+            .fetch_max(depth as u64, Ordering::Relaxed);
     }
 }
 

@@ -78,7 +78,11 @@ fn stress_1k_requests_zero_lost_zero_duplicated() {
         })
         .collect();
     let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(total, CLIENTS * PER_CLIENT, "every request answered exactly once");
+    assert_eq!(
+        total,
+        CLIENTS * PER_CLIENT,
+        "every request answered exactly once"
+    );
 
     let stats = engine.stats();
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
@@ -524,9 +528,21 @@ fn tcp_front_end_round_trips() {
         other => panic!("{other:?}"),
     }
     assert!(replies[2].starts_with("OK - "), "{}", replies[2]);
-    assert!(replies[3].starts_with("ERR b unknown-model"), "{}", replies[3]);
-    assert!(replies[4].starts_with("ERR c bad-request"), "{}", replies[4]);
-    assert!(replies[5].starts_with("ERR - bad-request"), "{}", replies[5]);
+    assert!(
+        replies[3].starts_with("ERR b unknown-model"),
+        "{}",
+        replies[3]
+    );
+    assert!(
+        replies[4].starts_with("ERR c bad-request"),
+        "{}",
+        replies[4]
+    );
+    assert!(
+        replies[5].starts_with("ERR - bad-request"),
+        "{}",
+        replies[5]
+    );
     assert!(replies[6].starts_with("STATS "), "{}", replies[6]);
     assert!(replies[6].contains("completed=2"), "{}", replies[6]);
 
@@ -551,8 +567,7 @@ fn tcp_concurrent_clients_ids_never_cross() {
                 let mut seen: HashMap<String, usize> = HashMap::new();
                 for i in 0..PER_CLIENT {
                     let id = format!("c{c}-r{i}");
-                    writeln!(writer, "INFER gcn {} id={id}", (c * 53 + i * 7) % vertices)
-                        .unwrap();
+                    writeln!(writer, "INFER gcn {} id={id}", (c * 53 + i * 7) % vertices).unwrap();
                     let mut reply = String::new();
                     reader.read_line(&mut reply).unwrap();
                     match fg_serve::protocol::parse_reply(reply.trim_end()).unwrap() {
@@ -625,7 +640,10 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
     assert_eq!(lookup("fgserve_plan_cache_bytes"), None, "removed series");
     let activations = lookup("fgserve_mem_component_bytes{component=\"activations\"}");
-    assert!(activations.unwrap() > 0.0, "the first INFER filled the logits");
+    assert!(
+        activations.unwrap() > 0.0,
+        "the first INFER filled the logits"
+    );
     for phase in ["queue_wait", "batch_form", "execute"] {
         assert_eq!(
             lookup(&format!(
@@ -692,7 +710,9 @@ fn slow_log_captures_phase_breakdown_over_wire() {
                 .split_ascii_whitespace()
                 .find_map(|tok| tok.strip_prefix(key))
                 .unwrap_or_else(|| panic!("missing {key} in {entry}"));
-            value.parse::<f64>().unwrap_or_else(|_| panic!("bad {key}{value}"));
+            value
+                .parse::<f64>()
+                .unwrap_or_else(|_| panic!("bad {key}{value}"));
         }
     }
 
@@ -711,7 +731,11 @@ fn memory_wire_command_reports_per_component_breakdown() {
 
     let (mut writer, mut reader) = wire_client(handle.addr());
     for i in 0..8 {
-        let reply = send_recv(&mut writer, &mut reader, &format!("INFER gcn {}", i % vertices));
+        let reply = send_recv(
+            &mut writer,
+            &mut reader,
+            &format!("INFER gcn {}", i % vertices),
+        );
         assert!(reply.starts_with("OK "), "{reply}");
     }
     // A burst of sampled requests: the workers that served them keep their
@@ -743,7 +767,13 @@ fn memory_wire_command_reports_per_component_breakdown() {
         assert!(entry.starts_with("MEM "), "{entry}");
         lines.push(entry);
     }
-    for component in ["graph_topology", "serve_batch", "plan_cache", "activations", "sampling"] {
+    for component in [
+        "graph_topology",
+        "serve_batch",
+        "plan_cache",
+        "activations",
+        "sampling",
+    ] {
         let line = lines
             .iter()
             .find(|l| l.contains(&format!("component={component}")))
@@ -753,7 +783,9 @@ fn memory_wire_command_reports_per_component_breakdown() {
                 .split_ascii_whitespace()
                 .find_map(|tok| tok.strip_prefix(key))
                 .unwrap_or_else(|| panic!("missing {key} in {line}"));
-            value.parse::<u64>().unwrap_or_else(|_| panic!("bad {key}{value}"));
+            value
+                .parse::<u64>()
+                .unwrap_or_else(|_| panic!("bad {key}{value}"));
         }
     }
     let total = lines
@@ -772,7 +804,10 @@ fn memory_wire_command_reports_per_component_breakdown() {
         .iter()
         .find(|c| c.component.name() == "graph_topology")
         .expect("graph_topology snapshot");
-    assert!(topo.current > 0, "registered graph topology must be charged");
+    assert!(
+        topo.current > 0,
+        "registered graph topology must be charged"
+    );
     assert!(report.total_peak >= report.total_current);
     // The accountant is process-wide and other tests run alongside, so this
     // is a floor; `tests/activation_accounting.rs` pins the exact bytes.
@@ -864,12 +899,19 @@ fn seeded_requests_round_trip_and_match_full_graph_over_wire() {
 
     // Capped fanout: still one line per seed, finite logits, smaller
     // subgraph than the full-fanout one.
-    writeln!(writer, "INFER_SEEDS gcn 3,3 fanout=2,2 sample_seed=5 id=sd1").unwrap();
+    writeln!(
+        writer,
+        "INFER_SEEDS gcn 3,3 fanout=2,2 sample_seed=5 id=sd1"
+    )
+    .unwrap();
     let mut capped = String::new();
     reader.read_line(&mut capped).unwrap();
     let capped = fg_serve::protocol::parse_seeds_header(capped.trim_end()).unwrap();
     assert_eq!((capped.id.as_str(), capped.count), ("sd1", 2));
-    assert!(capped.sub_vertices < header.sub_vertices, "fanout cap must shrink the subgraph");
+    assert!(
+        capped.sub_vertices < header.sub_vertices,
+        "fanout cap must shrink the subgraph"
+    );
     let mut rows = Vec::new();
     for _ in 0..2 {
         let mut line = String::new();
@@ -950,8 +992,11 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
         }
         (
             fg_serve::metric_value(&text, "fgserve_requests_timed_out_total").unwrap(),
-            fg_serve::metric_value(&text, "fgserve_phase_latency_ms_count{phase=\"queue_wait\"}")
-                .unwrap(),
+            fg_serve::metric_value(
+                &text,
+                "fgserve_phase_latency_ms_count{phase=\"queue_wait\"}",
+            )
+            .unwrap(),
         )
     };
 
@@ -976,7 +1021,7 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
 
 #[test]
 fn sampled_request_yields_one_coherent_trace_tree() {
-    use fg_telemetry::{SpanRecord, Sink};
+    use fg_telemetry::{Sink, SpanRecord};
     use std::sync::Mutex;
 
     struct Collect(Mutex<Vec<(String, u64)>>);

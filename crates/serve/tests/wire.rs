@@ -67,12 +67,14 @@ fn arb_request() -> impl Strategy<Value = protocol::Request> {
         0usize..3,
         (0usize..2, 0u64..100_000),
     )
-        .prop_map(|(m, node, id_kind, (has_dl, dl))| protocol::Request::Infer {
-            model: model_name(m),
-            node,
-            id: request_id(id_kind),
-            deadline_ms: (has_dl == 1).then_some(dl),
-        });
+        .prop_map(
+            |(m, node, id_kind, (has_dl, dl))| protocol::Request::Infer {
+                model: model_name(m),
+                node,
+                id: request_id(id_kind),
+                deadline_ms: (has_dl == 1).then_some(dl),
+            },
+        );
     let infer_seeds = (
         0usize..4,
         proptest::collection::vec(0usize..10_000, 1..20),
@@ -145,7 +147,11 @@ fn arb_reply() -> impl Strategy<Value = WireReply> {
     let err = (0usize..3).prop_map(|k| WireReply::Err {
         id: "x".to_string(),
         code: ["overloaded", "timeout", "bad-request"][k].to_string(),
-        detail: if k == 2 { "nope".to_string() } else { String::new() },
+        detail: if k == 2 {
+            "nope".to_string()
+        } else {
+            String::new()
+        },
     });
     let seeds = (
         proptest::collection::vec(0usize..10_000, 0..6),
@@ -170,9 +176,8 @@ fn arb_reply() -> impl Strategy<Value = WireReply> {
                 },
             }
         });
-    let text = proptest::collection::vec(0u32..128, 0..200).prop_map(|codes| {
-        WireReply::Text(codes.into_iter().filter_map(char::from_u32).collect())
-    });
+    let text = proptest::collection::vec(0u32..128, 0..200)
+        .prop_map(|codes| WireReply::Text(codes.into_iter().filter_map(char::from_u32).collect()));
     prop_oneof![
         ok,
         err,
@@ -324,17 +329,17 @@ fn text_malformed_lines_keep_connection_alive() {
     let mut line = String::new();
 
     for bad in [
-        "INFER",                          // missing args
-        "INFER gcn notanumber",           // bad node
-        "INFER gcn 5 deadline_ms=abc",    // bad option value
-        "INFER_SEEDS gcn",                // missing seeds
-        "INFER_SEEDS gcn 1,2 fanout=x",   // bad fanout
-        "INFER_SEEDS gcn 1,2 feats=a,b",  // non-numeric feats
-        "INFER_SEEDS gcn 1 feats=NaN",    // non-finite feats
-        "INFER_SEEDS gcn 1 feats=inf",    // non-finite feats
-        "INFER_SEEDS gcn 1,2 feats=0.5",  // feats rows != seeds
-        "INFER_SEEDS gcn 1,2 fanout=4",   // fewer hops than the model has layers
-        "BOGUS_VERB 1 2 3",               // unknown verb
+        "INFER",                         // missing args
+        "INFER gcn notanumber",          // bad node
+        "INFER gcn 5 deadline_ms=abc",   // bad option value
+        "INFER_SEEDS gcn",               // missing seeds
+        "INFER_SEEDS gcn 1,2 fanout=x",  // bad fanout
+        "INFER_SEEDS gcn 1,2 feats=a,b", // non-numeric feats
+        "INFER_SEEDS gcn 1 feats=NaN",   // non-finite feats
+        "INFER_SEEDS gcn 1 feats=inf",   // non-finite feats
+        "INFER_SEEDS gcn 1,2 feats=0.5", // feats rows != seeds
+        "INFER_SEEDS gcn 1,2 fanout=4",  // fewer hops than the model has layers
+        "BOGUS_VERB 1 2 3",              // unknown verb
     ] {
         writeln!(s, "{bad}").unwrap();
         line.clear();
@@ -364,16 +369,15 @@ fn binary_malformed_payloads_keep_connection_alive() {
     let mut s = connect(&h);
 
     // Unknown request type: intact frame, bogus type byte.
-    let reply =
-        binary_call(&mut s, &raw_frame(0x7F, &[])).expect("reply to unknown type");
+    let reply = binary_call(&mut s, &raw_frame(0x7F, &[])).expect("reply to unknown type");
     match reply {
         WireReply::Err { code, .. } => assert_eq!(code, "bad-request"),
         other => panic!("expected ERR, got {other:?}"),
     }
 
     // Truncated INFER payload (empty body, no fields).
-    let reply = binary_call(&mut s, &raw_frame(req_type::INFER, &[]))
-        .expect("reply to truncated payload");
+    let reply =
+        binary_call(&mut s, &raw_frame(req_type::INFER, &[])).expect("reply to truncated payload");
     assert!(matches!(reply, WireReply::Err { .. }));
 
     // NaN client feats: intact frame, rejected at decode with a typed ERR.
@@ -456,7 +460,9 @@ fn binary_malformed_payloads_keep_connection_alive() {
         deadline_ms: None,
     };
     match binary_call(&mut s, &encode_request(&req)).expect("reply to short fanout") {
-        WireReply::Err { id, code, .. } => assert_eq!((id.as_str(), code.as_str()), ("short", "bad-request")),
+        WireReply::Err { id, code, .. } => {
+            assert_eq!((id.as_str(), code.as_str()), ("short", "bad-request"))
+        }
         other => panic!("short fanout list must be rejected, got {other:?}"),
     }
 
@@ -564,7 +570,8 @@ fn binary_framing_breaks_close_connection() {
         hdr.extend_from_slice(&0u32.to_le_bytes());
         s.write_all(&hdr).unwrap();
         let mut buf = Vec::new();
-        s.read_to_end(&mut buf).expect("server closes on reserved bytes");
+        s.read_to_end(&mut buf)
+            .expect("server closes on reserved bytes");
     }
 
     // The server survives all of that and still answers new connections.
@@ -597,7 +604,11 @@ fn masked(reply: &WireReply) -> String {
     };
     let mut out = String::new();
     for c in body.chars() {
-        let c = if c.is_ascii_digit() || c == '.' { '#' } else { c };
+        let c = if c.is_ascii_digit() || c == '.' {
+            '#'
+        } else {
+            c
+        };
         if !(c == '#' && out.ends_with('#')) {
             out.push(c);
         }
@@ -619,17 +630,18 @@ fn mixed_text_and_binary_clients_agree() {
         id: Some(id.into()),
         deadline_ms: None,
     };
-    let seeds = |seeds: &[usize], fanouts: Option<Vec<usize>>, feats: Option<Dense2<f32>>, id: &str| {
-        Request::InferSeeds {
-            model: "gcn".into(),
-            seeds: seeds.to_vec(),
-            fanouts,
-            sample_seed: 5,
-            feats,
-            id: Some(id.into()),
-            deadline_ms: Some(10_000),
-        }
-    };
+    let seeds =
+        |seeds: &[usize], fanouts: Option<Vec<usize>>, feats: Option<Dense2<f32>>, id: &str| {
+            Request::InferSeeds {
+                model: "gcn".into(),
+                seeds: seeds.to_vec(),
+                fanouts,
+                sample_seed: 5,
+                feats,
+                id: Some(id.into()),
+                deadline_ms: Some(10_000),
+            }
+        };
     // Feature width of `spawn_server`'s task (classes + noise dims).
     let width = SbmTask::generate(200, 3, 6, 2, 7).in_dim();
     let mut shutdown_replies = Vec::new();
@@ -654,11 +666,23 @@ fn mixed_text_and_binary_clients_agree() {
             },
             seeds(&[3, 7, 150], None, None, "full"),
             seeds(&[3, 3], Some(vec![2, 2]), None, "capped"),
-            seeds(&[9, 4], Some(vec![3, 3]), Some(Dense2::from_fn(2, width, |r, c| (r * 3 + c) as f32 * 0.125 - 1.0)), "feats"),
+            seeds(
+                &[9, 4],
+                Some(vec![3, 3]),
+                Some(Dense2::from_fn(2, width, |r, c| {
+                    (r * 3 + c) as f32 * 0.125 - 1.0
+                })),
+                "feats",
+            ),
             infer("nope", 0, "unknown-model"),
             infer("gcn", 999_999, "node-range"),
             seeds(&[1, 999_999], None, None, "seed-range"),
-            seeds(&[1, 2], None, Some(Dense2::from_fn(2, width + 1, |_, _| 0.5)), "feats-width"),
+            seeds(
+                &[1, 2],
+                None,
+                Some(Dense2::from_fn(2, width + 1, |_, _| 0.5)),
+                "feats-width",
+            ),
             seeds(&[1], Some(vec![4]), None, "short-fanout"),
             Request::Ping,
             Request::SlowLog { limit: Some(2) },
@@ -668,13 +692,18 @@ fn mixed_text_and_binary_clients_agree() {
             let (over_text, over_binary) = both(req);
             assert_eq!(over_text, over_binary, "{req:?}");
             // The error cases really are errors, with the id echoed.
-            if let Request::Infer { id: Some(id), .. } | Request::InferSeeds { id: Some(id), .. } = req {
+            if let Request::Infer { id: Some(id), .. } | Request::InferSeeds { id: Some(id), .. } =
+                req
+            {
                 let want_err = id.contains('-');
                 match &over_text {
                     WireReply::Err { id: got, code, .. } => {
                         assert!(want_err, "{id}: unexpected ERR {code}");
                         assert_eq!(got, id);
-                        assert!(code == "bad-request" || code == "unknown-model", "{id}: {code}");
+                        assert!(
+                            code == "bad-request" || code == "unknown-model",
+                            "{id}: {code}"
+                        );
                     }
                     other => assert!(!want_err, "{id}: expected ERR, got {other:?}"),
                 }
@@ -691,7 +720,14 @@ fn mixed_text_and_binary_clients_agree() {
             let (single, _) = both(&infer("gcn", node, "n"));
             let (seeded, _) = both(&seeds(&[node], None, None, "s"));
             match (single, seeded) {
-                (WireReply::Ok { resp, .. }, WireReply::Seeds { seeds, resp: seeded, .. }) => {
+                (
+                    WireReply::Ok { resp, .. },
+                    WireReply::Seeds {
+                        seeds,
+                        resp: seeded,
+                        ..
+                    },
+                ) => {
                     assert_eq!(seeds, [node]);
                     assert_eq!(seeded.results, [resp], "node {node}");
                 }
@@ -786,7 +822,11 @@ fn serialize_phase_counts_inference_replies_only() {
     }
     let stats = binary_call(&mut bin, &encode_request(&protocol::Request::Stats)).unwrap();
     assert!(matches!(stats, WireReply::Text(_)));
-    assert_eq!(serialized(), 0, "PING/STATS must not record serialize samples");
+    assert_eq!(
+        serialized(),
+        0,
+        "PING/STATS must not record serialize samples"
+    );
 
     let req = protocol::Request::Infer {
         model: "gcn".into(),
@@ -817,7 +857,8 @@ fn conn_metrics_count_protocols() {
     assert_eq!(line.trim_end(), "PONG");
 
     let mut bin = connect(&h);
-    bin.write_all(&encode_request(&protocol::Request::Ping)).unwrap();
+    bin.write_all(&encode_request(&protocol::Request::Ping))
+        .unwrap();
     let f = read_frame(&mut bin, false).unwrap();
     assert!(matches!(decode_reply(&f).unwrap(), WireReply::Pong));
 

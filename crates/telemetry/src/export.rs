@@ -74,12 +74,18 @@ mod tests {
         let text = prometheus_exposition();
         assert!(text.ends_with("# EOF\n"), "{text}");
         assert!(text.contains("featgraph_autotune_trials_total"), "{text}");
-        assert!(text.contains("featgraph_autotune_best_seconds 1.5"), "{text}");
+        assert!(
+            text.contains("featgraph_autotune_best_seconds 1.5"),
+            "{text}"
+        );
         assert!(
             text.contains("featgraph_spmm_partition_edges_bucket{le=\"7\"}"),
             "{text}"
         );
-        assert!(text.contains("featgraph_spmm_partition_edges_count"), "{text}");
+        assert!(
+            text.contains("featgraph_spmm_partition_edges_count"),
+            "{text}"
+        );
         crate::set_enabled(false);
         crate::reset_metrics();
     }

@@ -697,7 +697,11 @@ pub fn histogram_snapshot(histogram: Histogram) -> Option<HistogramSummary> {
         sum: slot.sum.load(Ordering::Relaxed),
         min: slot.min.load(Ordering::Relaxed),
         max: slot.max.load(Ordering::Relaxed),
-        buckets: slot.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        buckets: slot
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect(),
     })
 }
 
@@ -736,7 +740,12 @@ pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
         .iter()
         .enumerate()
         .filter(|&(i, _)| live::GAUGES_SET[i].load(Ordering::Relaxed) != 0)
-        .map(|(i, &g)| (g.name(), f64::from_bits(live::GAUGES[i].load(Ordering::Relaxed))))
+        .map(|(i, &g)| {
+            (
+                g.name(),
+                f64::from_bits(live::GAUGES[i].load(Ordering::Relaxed)),
+            )
+        })
         .collect();
     out.sort_by_key(|&(name, _)| name);
     out

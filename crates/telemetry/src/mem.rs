@@ -366,7 +366,11 @@ mod tests {
         assert_eq!(mem_total_current(), 1700);
         mem_credit(MemComponent::Features, 1500);
         assert_eq!(mem_current(MemComponent::Features), 0);
-        assert_eq!(mem_peak(MemComponent::Features), 1500, "peak survives credit");
+        assert_eq!(
+            mem_peak(MemComponent::Features),
+            1500,
+            "peak survives credit"
+        );
         assert_eq!(mem_total_current(), 200);
         assert_eq!(mem_total_peak(), 1700);
         // Unbalanced credit saturates instead of wrapping.
@@ -407,7 +411,10 @@ mod tests {
             charge.set_bytes(300);
             assert_eq!(mem_current(MemComponent::Sampling), 300);
             charge.set_bytes(50);
-            assert_eq!((charge.bytes(), mem_current(MemComponent::Sampling)), (50, 50));
+            assert_eq!(
+                (charge.bytes(), mem_current(MemComponent::Sampling)),
+                (50, 50)
+            );
             assert_eq!(mem_peak(MemComponent::Sampling), 300);
         }
         assert_eq!(mem_current(MemComponent::Sampling), 0);

@@ -164,7 +164,11 @@ impl ChromeTraceSink {
         }
         // Final counter registry as one counter event per counter, stamped
         // after the last span so Perfetto plots them at trace end.
-        let end_ts = spans.iter().map(|s| s.start_ns + s.dur_ns).max().unwrap_or(0);
+        let end_ts = spans
+            .iter()
+            .map(|s| s.start_ns + s.dur_ns)
+            .max()
+            .unwrap_or(0);
         for (name, value) in crate::counters_snapshot() {
             sep(&mut out);
             out.push_str(&format!(
@@ -187,8 +191,8 @@ impl Sink for ChromeTraceSink {
     }
 
     fn on_flush(&self) {
-        let result = File::create(&self.path)
-            .and_then(|mut f| f.write_all(self.render().as_bytes()));
+        let result =
+            File::create(&self.path).and_then(|mut f| f.write_all(self.render().as_bytes()));
         *self.write_error.lock().unwrap() = result.err().map(|e| e.to_string());
     }
 }

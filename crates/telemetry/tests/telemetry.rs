@@ -216,7 +216,10 @@ fn memory_sink_aggregates_per_name() {
     assert_eq!(gauges.len(), 2);
     assert_eq!(gauges[0].1, 0.5);
     assert_eq!(gauges[1].1, 0.25);
-    assert!(gauges[1].2 >= gauges[0].2, "gauge timestamps must not go back");
+    assert!(
+        gauges[1].2 >= gauges[0].2,
+        "gauge timestamps must not go back"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -311,12 +314,18 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         let start = self.pos;
         while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            && matches!(
+                self.bytes[self.pos],
+                b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+            )
         {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number {text:?}")),
+        )
     }
 
     fn string(&mut self) -> String {
@@ -339,9 +348,8 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                    .unwrap();
+                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                                .unwrap();
                             let code = u32::from_str_radix(hex, 16).unwrap();
                             out.push(char::from_u32(code).unwrap());
                             self.pos += 4;
@@ -553,9 +561,18 @@ fn sixteen_thread_stress_is_exact_and_sorted() {
     };
     assert_eq!(counter_of("edges_processed"), THREADS * ITERS);
     assert_eq!(counter_of("serve_requests"), THREADS * 3);
-    assert!(counters.windows(2).all(|w| w[0].0 < w[1].0), "counters sorted: {counters:?}");
-    assert!(gauges.windows(2).all(|w| w[0].0 < w[1].0), "gauges sorted: {gauges:?}");
-    assert!(hists.windows(2).all(|w| w[0].0 < w[1].0), "histograms sorted");
+    assert!(
+        counters.windows(2).all(|w| w[0].0 < w[1].0),
+        "counters sorted: {counters:?}"
+    );
+    assert!(
+        gauges.windows(2).all(|w| w[0].0 < w[1].0),
+        "gauges sorted: {gauges:?}"
+    );
+    assert!(
+        hists.windows(2).all(|w| w[0].0 < w[1].0),
+        "histograms sorted"
+    );
     let (_, depth) = gauges
         .iter()
         .find(|(n, _)| *n == "serve_queue_depth")
