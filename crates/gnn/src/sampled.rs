@@ -246,8 +246,8 @@ pub fn infer_seeds(
     let sub = prepare_seeds_with(&mut SampleScratch::new(), graph, seeds, cfg)?;
     let blocks = SampledBlocks::new(&sub, model.num_layers());
     // The subgraph, its blocks and index maps live until the forward pass
-    // is done; account them so MEMORY answers show per-request sampling
-    // footprint.
+    // is done; account them so the `sampling` memory component shows
+    // per-request sampling footprint.
     let _charge = MemCharge::new(MemComponent::Sampling, sub.mem_bytes() + blocks.mem_bytes());
     // Attribute tape traffic to TapeActivations only when no caller set a
     // scope, as `infer_batch` does.

@@ -40,6 +40,7 @@ enum Op {
     Add(Var, Var),
     AddBias(Var, Var),
     Relu(Var),
+    #[cfg(test)]
     LeakyRelu(Var, f32),
     /// `out[v] = Σ_{u→v} w_e · x[u]` (w optional).
     Spmm {
@@ -51,8 +52,10 @@ enum Op {
         x: Var,
     },
     /// `out[e] = a[src] + b[dst]`.
+    #[cfg(test)]
     SddmmAdd(Var, Var),
     /// Per-destination softmax over incoming-edge rows.
+    #[cfg(test)]
     EdgeSoftmax(Var),
     /// GAT attention as one backend call (fused SDDMM → softmax → SpMM on
     /// the FeatGraph backend), with the softmax state its backward reads.
@@ -291,6 +294,7 @@ impl<'g> Tape<'g> {
     }
 
     /// Element-wise leaky ReLU.
+    #[cfg(test)]
     pub fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
         let value = dops::leaky_relu(self.value(x), slope);
         let len = value.as_slice().len();
@@ -321,6 +325,7 @@ impl<'g> Tape<'g> {
     }
 
     /// `out[e] = a[src_e] + b[dst_e]`.
+    #[cfg(test)]
     pub fn sddmm_add(&mut self, a: Var, b: Var) -> Var {
         let (graph, backend) = self.whole();
         let value = backend.sddmm_add(graph, self.value(a), self.value(b));
@@ -329,6 +334,7 @@ impl<'g> Tape<'g> {
 
     /// Per-destination softmax over incoming-edge rows (DGL's
     /// `edge_softmax`; canonical edge order makes segments contiguous).
+    #[cfg(test)]
     pub fn edge_softmax(&mut self, e: Var) -> Var {
         let value = edge_softmax_forward(self.whole().0, self.value(e));
         let len = value.as_slice().len();
@@ -339,9 +345,9 @@ impl<'g> Tape<'g> {
     /// The GAT attention chain: per-destination
     /// `softmax(LeakyReLU(sl[src] + sr[dst]))`-weighted aggregation of
     /// `hw`, as one node over [`GraphBackend::attention_forward`] whose
-    /// backward is [`GraphBackend::attention_backward`]. The same chain
-    /// spelled out stage by stage is [`Tape::sddmm_add`] →
-    /// [`Tape::leaky_relu`] → [`Tape::edge_softmax`] → [`Tape::spmm`].
+    /// backward is [`GraphBackend::attention_backward`]. The tests check it
+    /// against the same chain spelled out stage by stage: the test-only ops
+    /// `sddmm_add` → `leaky_relu` → `edge_softmax`, then [`Tape::spmm`].
     ///
     /// On a block, `hw` and `sl` hold one row per row the block reads (in
     /// place or not) and `sr`'s rows are read at the rows it writes.
@@ -463,6 +469,7 @@ impl<'g> Tape<'g> {
                     }
                     self.accumulate(x, g);
                 }
+                #[cfg(test)]
                 Op::LeakyRelu(x, slope) => {
                     let xv = &self.nodes[x.0].value;
                     for (gv, &v) in g.as_mut_slice().iter_mut().zip(xv.as_slice()) {
@@ -503,6 +510,7 @@ impl<'g> Tape<'g> {
                     let gx = backend.weighted_spmm(graph, Dir::Rev, &g, None);
                     self.accumulate(x, gx);
                 }
+                #[cfg(test)]
                 Op::SddmmAdd(a, b) => {
                     // ∂L/∂a[u] = Σ_{e out of u} g_e ; ∂L/∂b[v] = Σ_{e into v} g_e
                     if self.needs(a) {
@@ -514,6 +522,7 @@ impl<'g> Tape<'g> {
                         self.accumulate(b, gb);
                     }
                 }
+                #[cfg(test)]
                 Op::EdgeSoftmax(e) => {
                     let gx = edge_softmax_backward(graph, &self.nodes[i].value, &g);
                     self.accumulate(e, gx);

@@ -14,8 +14,6 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use fg_telemetry::{gauge_set, Gauge};
-
 /// Observer of queue dynamics, called by the batcher with its lock held —
 /// implementations must be cheap and must not call back into the batcher.
 /// This is how always-on engine stats see the queue depth without the
@@ -95,7 +93,6 @@ impl<T> Batcher<T> {
     }
 
     fn note_depth(&self, st: &State<T>) {
-        gauge_set(Gauge::ServeQueueDepth, st.queue.len() as f64);
         self.observer.on_depth(st.queue.len());
     }
 

@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 use fg_gnn::data::SbmTask;
 use fg_gnn::models::build_model;
 use fg_serve::frame::{self, FrameError, WireReply};
-use fg_serve::{parse_exposition, protocol, Engine, LatencyRecorder, MetricSample, ServeConfig};
+use fg_serve::{
+    metric_value, parse_exposition, protocol, Engine, LatencyRecorder, MetricSample, ServeConfig,
+};
 use fg_tensor::Dense2;
 
 /// Which wire protocol bench clients speak.
@@ -447,7 +449,7 @@ fn bench_client(
 }
 
 /// Send one text `verb` on a fresh connection and return the body of its
-/// text-blob reply (`STATS` line, `METRICS` exposition up to `# EOF`, …).
+/// text-blob reply (`METRICS` exposition up to `# EOF`, …).
 fn fetch_text(addr: &str, verb: &str) -> Option<String> {
     let mut stream = TcpStream::connect(addr).ok()?;
     let _ = stream.set_nodelay(true);
@@ -456,14 +458,6 @@ fn fetch_text(addr: &str, verb: &str) -> Option<String> {
         Ok(Some(WireReply::Text(body))) => Some(body),
         _ => None,
     }
-}
-
-/// Pull `key=<value>` out of a STATS line.
-fn stats_field<T: std::str::FromStr>(stats: &str, key: &str) -> Option<T> {
-    stats
-        .split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Per-phase quantile table plus the p99 attribution line, computed from a
@@ -652,13 +646,10 @@ fn cmd_bench(o: &Opts) -> ExitCode {
             "  latency ms  p50 {:.2}  p95 {:.2}  p99 {:.2}  mean {:.2}  max {:.2}",
             lat.p50_ms, lat.p95_ms, lat.p99_ms, lat.mean_ms, lat.max_ms
         );
-        if let Some(stats) = fetch_text(&addr, "STATS") {
-            println!("  server {}", stats.trim_end());
-            // Queue observability (fed by the batcher's observer).
-            let depth_max: u64 = stats_field(&stats, "queue_depth_max").unwrap_or(0);
-            println!("  queue depth max {depth_max}");
-        }
         if let Some(text) = fetch_text(&addr, "METRICS") {
+            // Queue observability (fed by the batcher's observer).
+            let depth_max = metric_value(&text, "fgserve_queue_depth_max").unwrap_or(0.0);
+            println!("  queue depth max {depth_max}");
             if let Ok(samples) = parse_exposition(&text) {
                 for line in phase_report(&samples) {
                     println!("{line}");

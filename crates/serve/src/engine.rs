@@ -73,8 +73,8 @@ use fg_gnn::models::Model;
 use fg_gnn::{infer_batch, prepare_seeds_with, FeatgraphBackend, GnnGraph, Layer0, SampledBlocks};
 use fg_graph::{SampleConfig, SampleScratch, FULL_FANOUT};
 use fg_telemetry::{
-    counter_add, emit_span, span, timestamp_ns, Counter, MemCharge, MemComponent, MemScope,
-    TraceContext, TraceSampler, TraceScope,
+    emit_span, span, timestamp_ns, MemCharge, MemComponent, MemScope, TraceContext, TraceSampler,
+    TraceScope,
 };
 use fg_tensor::{Dense2, FeatureDtype, FeatureTensor};
 
@@ -582,13 +582,11 @@ impl Engine {
         view: impl FnOnce(&ModelEntry) -> Result<View, ServeError>,
     ) -> Result<Pending<R>, ServeError> {
         let shared = &self.shared;
-        counter_add(Counter::ServeRequests, 1);
         // Memory-budget admission gate: shed before this request allocates
         // anything (no job, no oneshot, no queue slot) while the accounted
         // footprint is over budget.
         let budget = shared.cfg.mem_budget;
         if budget > 0 && fg_telemetry::mem_total_current() > budget {
-            counter_add(Counter::ServeMemShed, 1);
             shared.stats.mem_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::OverMemoryBudget);
         }
@@ -627,7 +625,6 @@ impl Engine {
                 })
             }
             Err(PushError::Overloaded(_)) => {
-                counter_add(Counter::ServeShed, 1);
                 shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::Overloaded)
             }
@@ -703,8 +700,8 @@ impl Engine {
         self.shared.conn.snapshot()
     }
 
-    /// Point-in-time memory breakdown backing the `MEMORY` wire command and
-    /// the `fgserve_mem_*` metric series.
+    /// Point-in-time memory breakdown backing the `fgserve_mem_*` metric
+    /// series.
     pub fn memory_report(&self) -> MemoryReport {
         let models = self.shared.models.read().unwrap();
         MemoryReport {
@@ -712,9 +709,7 @@ impl Engine {
             total_current: fg_telemetry::mem_total_current(),
             total_peak: fg_telemetry::mem_total_peak(),
             mem_budget: self.shared.cfg.mem_budget,
-            mem_shed: self.shared.stats.mem_shed.load(Ordering::Relaxed),
             models_registered: models.len() as u64,
-            models_replaced: self.shared.stats.models_replaced.load(Ordering::Relaxed),
             rss: fg_telemetry::read_rss(),
         }
     }
@@ -737,9 +732,9 @@ impl Drop for Engine {
 }
 
 /// Whole-process memory breakdown: per-component accounted watermarks,
-/// admission-gate state, and the OS resident-set cross-check. Produced by
-/// [`Engine::memory_report`], rendered by the `MEMORY` wire command and the
-/// `fgserve_mem_*` metric series.
+/// the admission-gate budget, and the OS resident-set cross-check. Produced
+/// by [`Engine::memory_report`], rendered as the `fgserve_mem_*` metric
+/// series.
 #[derive(Debug, Clone)]
 pub struct MemoryReport {
     /// Current/peak accounted bytes per component, in
@@ -751,51 +746,10 @@ pub struct MemoryReport {
     pub total_peak: u64,
     /// Admission-gate budget in bytes (`0` = unlimited).
     pub mem_budget: u64,
-    /// Requests shed by the memory-budget gate.
-    pub mem_shed: u64,
     /// Models currently registered.
     pub models_registered: u64,
-    /// Registrations that replaced (and released) a previous entry.
-    pub models_replaced: u64,
     /// OS resident-set reading (`None` off Linux).
     pub rss: Option<fg_telemetry::RssReading>,
-}
-
-impl MemoryReport {
-    /// Render as `key=value ...` payload lines for the `MEMORY` wire reply:
-    /// one `component=<name> current=<b> peak=<b>` line per component, then
-    /// one `total` summary line and (on Linux) one `rss` line.
-    pub fn to_wire_lines(&self) -> Vec<String> {
-        let mut lines: Vec<String> = self
-            .components
-            .iter()
-            .map(|c| {
-                format!(
-                    "component={} current={} peak={}",
-                    c.component.name(),
-                    c.current,
-                    c.peak
-                )
-            })
-            .collect();
-        lines.push(format!(
-            "total current={} peak={} budget={} mem_shed={} models_registered={} \
-             models_replaced={}",
-            self.total_current,
-            self.total_peak,
-            self.mem_budget,
-            self.mem_shed,
-            self.models_registered,
-            self.models_replaced,
-        ));
-        if let Some(rss) = self.rss {
-            lines.push(format!(
-                "rss current={} peak={}",
-                rss.current_bytes, rss.peak_bytes
-            ));
-        }
-        lines
-    }
 }
 
 /// Validate the sampling half of a seeds request against its model and
@@ -865,7 +819,6 @@ fn execute(shared: &Shared, job: Job, scratch: &mut WorkerScratch) {
     let pulled = Instant::now();
     let _scope = TraceScope::enter(job.trace);
     let _span = span!("serve/batch", "rows={}", job.rows.len());
-    counter_add(Counter::ServeBatches, 1);
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     // Queue wait elapsed on another thread; emit it as an externally-timed
     // span so the trace tree covers accept → pull.
@@ -1017,8 +970,8 @@ fn run_sampled(
         (sub, blocks)
     };
     // The subgraph, its blocks and index maps live until the rows are
-    // returned; account them so MEMORY answers show per-request sampling
-    // footprint.
+    // returned; account them so the `sampling` memory series shows
+    // per-request sampling footprint.
     let _sampling_charge =
         MemCharge::new(MemComponent::Sampling, sub.mem_bytes() + blocks.mem_bytes());
     // Layer 0 reads rows of the registration's table when its model has
@@ -1080,7 +1033,6 @@ fn complete(shared: &Shared, job: Job, pulled: Instant, batch_form: Duration, ou
         Ok(done) => done,
         Err(err) => {
             if err == ServeError::Timeout {
-                counter_add(Counter::ServeTimeouts, 1);
                 stats.timed_out.fetch_add(1, Ordering::Relaxed);
                 stats.record_phase(Phase::QueueWait, job.accepted.elapsed());
             } else {

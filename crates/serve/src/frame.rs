@@ -15,7 +15,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FGB1" (protocol version 1)
-//! 4       1     frame type (request 0x01..0x09 but 0x06, reply 0x81..0x86)
+//! 4       1     frame type (request 0x01, 0x02, 0x04, 0x07..0x09; reply 0x81..0x86)
 //! 5       1     flags (reserved, must be 0)
 //! 6       2     reserved (must be 0)
 //! 8       4     payload length, u32 LE (≤ 64 MiB)
@@ -64,13 +64,10 @@ pub mod req_type {
     pub const INFER: u8 = 0x01;
     /// `INFER_SEEDS` equivalent.
     pub const INFER_SEEDS: u8 = 0x02;
-    /// `STATS` equivalent.
-    pub const STATS: u8 = 0x03;
+    // 0x03, 0x05 and 0x06 are unassigned: decoding one is an
+    // unknown-type error.
     /// `METRICS` equivalent.
     pub const METRICS: u8 = 0x04;
-    /// `MEMORY` equivalent.
-    pub const MEMORY: u8 = 0x05;
-    // 0x06 is unassigned: decoding it is an unknown-type error.
     /// `SLOWLOG` equivalent.
     pub const SLOWLOG: u8 = 0x07;
     /// `PING` equivalent.
@@ -87,7 +84,7 @@ pub mod reply_type {
     pub const ERR: u8 = 0x82;
     /// Successful seeded inference.
     pub const SEEDS: u8 = 0x83;
-    /// Text blob (STATS/METRICS/MEMORY/SLOWLOG bodies).
+    /// Text blob (METRICS/SLOWLOG bodies).
     pub const TEXT: u8 = 0x84;
     /// `PONG`.
     pub const PONG: u8 = 0x85;
@@ -455,9 +452,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_opt_u64(&mut p, *deadline_ms);
             frame_bytes(req_type::INFER_SEEDS, p)
         }
-        Request::Stats => frame_bytes(req_type::STATS, Vec::new()),
         Request::Metrics => frame_bytes(req_type::METRICS, Vec::new()),
-        Request::Memory => frame_bytes(req_type::MEMORY, Vec::new()),
         Request::SlowLog { limit } => {
             let mut p = Vec::new();
             put_opt_u64(&mut p, limit.map(|n| n as u64));
@@ -535,9 +530,7 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
                 deadline_ms,
             }
         }
-        req_type::STATS => Request::Stats,
         req_type::METRICS => Request::Metrics,
-        req_type::MEMORY => Request::Memory,
         req_type::SLOWLOG => Request::SlowLog {
             limit: c.opt_u64("SLOWLOG limit")?.map(|n| n as usize),
         },
@@ -580,7 +573,7 @@ pub enum WireReply {
         /// Engine reply.
         resp: SeedsResponse,
     },
-    /// Text blob reply (STATS/METRICS/MEMORY/SLOWLOG bodies, same
+    /// Text blob reply (METRICS/SLOWLOG bodies, same
     /// bytes the text protocol would send).
     Text(String),
     /// `PONG`.
@@ -704,9 +697,7 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         round_trip_req(Request::Ping);
-        round_trip_req(Request::Stats);
         round_trip_req(Request::Metrics);
-        round_trip_req(Request::Memory);
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::SlowLog { limit: None });
         round_trip_req(Request::SlowLog { limit: Some(25) });
@@ -747,7 +738,7 @@ mod tests {
         for reply in [
             WireReply::Pong,
             WireReply::Bye,
-            WireReply::Text("STATS a=1 b=2".into()),
+            WireReply::Text("SLOWLOG 1\nSLOW seq=1\n".into()),
             WireReply::Text(String::new()),
             WireReply::Ok {
                 id: "c0".into(),
@@ -858,7 +849,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_types_and_nonfinite_feats() {
-        for ty in [0x06, 0x7f] {
+        for ty in [0x03, 0x05, 0x06, 0x7f] {
             let frame = Frame {
                 ty,
                 payload: Vec::new(),

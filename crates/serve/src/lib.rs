@@ -32,13 +32,12 @@
 //! * `engine.rs` — admission control, per-request deadlines, the worker
 //!   pool's one executor, graceful drain, typed [`ServeError`]s.
 //! * `batcher.rs` — bounded FIFO of single jobs with overload shedding.
-//! * `stats.rs` — always-on p50/p95/p99 latency, **per-phase** quantiles,
-//!   the queue-depth gauge, event counters, and the
-//!   slow-request log (`fg-telemetry` counters/gauges/histograms ride
-//!   along while telemetry is enabled at runtime).
+//! * `stats.rs` — the one place each serving event is counted: always-on
+//!   p50/p95/p99 latency, **per-phase** quantiles, the queue-depth gauge,
+//!   event counters, and the slow-request log.
 //! * `metrics.rs` — Prometheus-style text exposition behind the `METRICS`
-//!   wire command (always-on `fgserve_*` series plus the telemetry
-//!   registry).
+//!   wire command, the one export of every serving number (always-on
+//!   `fgserve_*` series plus the telemetry registry).
 //!
 //! Observability: every request gets a trace id from a 1-in-N
 //! [`fg_telemetry::TraceSampler`] ([`ServeConfig::trace_sample`]);
@@ -48,8 +47,8 @@
 //! Memory: the engine rides on `fg-telemetry`'s byte-level accountant —
 //! graph topology, features, model params, request scratch, and each
 //! registration's full-graph logits are attributed per component, surfaced
-//! via the `MEMORY` wire command and `fgserve_mem_*` metric series
-//! ([`Engine::memory_report`]), and optionally enforced by the
+//! as the `fgserve_mem_*` metric series ([`Engine::memory_report`]), and
+//! optionally enforced by the
 //! [`ServeConfig::mem_budget`] admission gate, which sheds with
 //! [`ServeError::OverMemoryBudget`] before allocating.
 

@@ -214,9 +214,7 @@ mod tests {
             total_current: 0,
             total_peak: 0,
             mem_budget: 0,
-            mem_shed: 0,
             models_registered: 0,
-            models_replaced: 0,
             rss: fg_telemetry::read_rss(),
         }
     }

@@ -9,9 +9,7 @@
 //! INFER <model> <node> [id=<token>] [deadline_ms=<n>]
 //! INFER_SEEDS <model> <s0,s1,...> [fanout=<f0,f1,...>] [sample_seed=<n>]
 //!             [feats=<r0v0,r0v1;r1v0,r1v1;...>] [id=<token>] [deadline_ms=<n>]
-//! STATS
 //! METRICS
-//! MEMORY
 //! SLOWLOG [<n>]
 //! PING
 //! SHUTDOWN
@@ -24,20 +22,18 @@
 //! OK <id> <class> <logit0> <logit1> ...
 //! ERR <id> <code> [detail ...]
 //! SEEDS <id> <n> <sub_v> <sub_e> (followed by n "SEED <node> <class> <logits...>" lines)
-//! STATS <key>=<value> ...
 //! <prometheus exposition, multi-line, terminated by "# EOF">
-//! MEMORY <n> (followed by n "MEM <key>=<value> ..." lines)
 //! SLOWLOG <n> (followed by n "SLOW <key>=<value> ..." lines)
 //! PONG
 //! BYE
 //! ```
 //!
 //! `METRICS` is the only reply without a fixed line count: clients read
-//! until the OpenMetrics `# EOF` terminator line. `SEEDS`, `MEMORY` and
-//! `SLOWLOG` declare their line counts up front in the header. `MEMORY`
-//! reports the accounted per-component footprint (one `MEM component=...`
-//! line per component, then `MEM total ...` and on Linux `MEM rss ...`
-//! summary lines). Any other verb is a `bad-request`.
+//! until the OpenMetrics `# EOF` terminator line. `SEEDS` and `SLOWLOG`
+//! declare their line counts up front in the header. `METRICS` carries
+//! every serving number: request counts, phase latencies and the accounted
+//! per-component memory footprint (`fgserve_mem_*`). Any other verb is a
+//! `bad-request`.
 //!
 //! `INFER_SEEDS` answers its seed list by sampling a fanout-bounded
 //! neighborhood and running the model over its per-layer blocks; `fanout`
@@ -113,12 +109,8 @@ pub enum Request {
         /// Per-request deadline override.
         deadline_ms: Option<u64>,
     },
-    /// `STATS`
-    Stats,
     /// `METRICS` — Prometheus-style exposition, read until `# EOF`.
     Metrics,
-    /// `MEMORY` — per-component accounted-footprint breakdown.
-    Memory,
     /// `SLOWLOG [<n>]` — newest `n` slow-request entries (all when omitted).
     SlowLog {
         /// Maximum entries to return.
@@ -155,9 +147,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let verb = parts.next().ok_or("empty request")?;
     match verb {
         "PING" => Ok(Request::Ping),
-        "STATS" => Ok(Request::Stats),
         "METRICS" => Ok(Request::Metrics),
-        "MEMORY" => Ok(Request::Memory),
         "SLOWLOG" => {
             let limit = match parts.next() {
                 None => None,
@@ -440,9 +430,7 @@ fn join<T: ToString>(items: &[T], sep: &str) -> String {
 pub fn format_request(req: &Request) -> String {
     let mut line = match req {
         Request::Ping => "PING".to_string(),
-        Request::Stats => "STATS".to_string(),
         Request::Metrics => "METRICS".to_string(),
-        Request::Memory => "MEMORY".to_string(),
         Request::SlowLog { limit: None } => "SLOWLOG".to_string(),
         Request::SlowLog { limit: Some(n) } => format!("SLOWLOG {n}"),
         Request::Shutdown => "SHUTDOWN".to_string(),
@@ -598,7 +586,7 @@ pub fn format_reply(reply: &WireReply) -> String {
     let mut out = match reply {
         WireReply::Ok { id, resp } => format_ok(Some(id), resp),
         WireReply::Err { id, code, detail } => err_line(id, code, detail),
-        // Declared-count multi-line reply, MEMORY-style.
+        // Declared-count multi-line reply, SLOWLOG-style.
         WireReply::Seeds { id, seeds, resp } => format_seeds_ok(Some(id), seeds, resp).join("\n"),
         // Text bodies already carry their line breaks (METRICS ends with
         // the "# EOF" terminator line clients read up to).
@@ -667,9 +655,8 @@ pub fn read_reply(reader: &mut impl BufRead) -> io::Result<Option<WireReply>> {
                 },
             }
         }
-        "STATS" => WireReply::Text(body),
-        // Declared-count bodies: `<VERB> <n>`, then n lines.
-        "MEMORY" | "SLOWLOG" => {
+        // A declared-count body: `SLOWLOG <n>`, then n lines.
+        "SLOWLOG" => {
             let count = head.split(' ').nth(1).and_then(|n| n.parse().ok());
             let count = count.ok_or_else(|| bad(format!("bad line count in {head:?}")))?;
             body.extend(read_lines(reader, count)?);
@@ -763,9 +750,7 @@ mod tests {
             }
         );
         assert_eq!(parse_request("PING").unwrap(), Request::Ping);
-        assert_eq!(parse_request("STATS").unwrap(), Request::Stats);
         assert_eq!(parse_request("METRICS").unwrap(), Request::Metrics);
-        assert_eq!(parse_request("MEMORY").unwrap(), Request::Memory);
         assert_eq!(
             parse_request("SLOWLOG").unwrap(),
             Request::SlowLog { limit: None }
@@ -782,6 +767,8 @@ mod tests {
         assert!(parse_request("").is_err());
         assert!(parse_request("FROB x").is_err());
         assert!(parse_request("SHARDS").is_err(), "no SHARDS verb");
+        assert!(parse_request("STATS").is_err(), "no STATS verb");
+        assert!(parse_request("MEMORY").is_err(), "no MEMORY verb");
         assert!(parse_request("INFER gcn").is_err());
         assert!(parse_request("INFER gcn notanode").is_err());
         assert!(parse_request("INFER gcn 1 id=").is_err());
@@ -1195,10 +1182,6 @@ mod tests {
                     sub_edges: 40,
                 },
             },
-            WireReply::Text("STATS accepted=3 completed=3\n".into()),
-            WireReply::Text(
-                "MEMORY 2\nMEM component=features current=1 peak=2\nMEM total current=1\n".into(),
-            ),
             WireReply::Text("SLOWLOG 1\nSLOW seq=1 model=gcn\n".into()),
             WireReply::Text(
                 "# TYPE fgserve_batches counter\nfgserve_batches_total 3\n# EOF\n".into(),

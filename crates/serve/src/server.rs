@@ -365,18 +365,6 @@ fn write_reply(writer: &mut TcpStream, proto: Proto, reply: &WireReply) -> std::
     writer.flush()
 }
 
-/// Multi-line declared-count body: a `<header> <n>` line, then each of
-/// `lines` behind `tag`.
-fn counted_body(header: &str, tag: &str, lines: &[String]) -> String {
-    let mut out = format!("{header} {}\n", lines.len());
-    for line in lines {
-        out.push_str(tag);
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 /// Turn an inference outcome into its reply, echoing the client's `id`.
 fn infer_reply<R>(
     id: Option<String>,
@@ -402,22 +390,18 @@ fn dispatch(engine: &Engine, req: Request) -> (WireReply, ConnAction) {
     let reply = match req {
         Request::Shutdown => return (WireReply::Bye, ConnAction::Shutdown),
         Request::Ping => WireReply::Pong,
-        Request::Stats => {
-            let _span = span!("serve/request", "verb=STATS");
-            WireReply::Text(format!("STATS {}\n", engine.stats().to_wire_line()))
-        }
         // Multi-line; the exposition ends with the "# EOF" terminator line
         // text clients read up to.
         Request::Metrics => WireReply::Text(engine.metrics_text()),
-        Request::Memory => {
-            let _span = span!("serve/request", "verb=MEMORY");
-            let lines = engine.memory_report().to_wire_lines();
-            WireReply::Text(counted_body("MEMORY", "MEM ", &lines))
-        }
+        // Declared-count body: a `SLOWLOG <n>` line, then n entry lines.
         Request::SlowLog { limit } => {
             let entries = engine.slow_requests(limit);
-            let lines: Vec<String> = entries.iter().map(|e| e.to_wire_line()).collect();
-            WireReply::Text(counted_body("SLOWLOG", "", &lines))
+            let mut body = format!("SLOWLOG {}\n", entries.len());
+            for entry in &entries {
+                body.push_str(&entry.to_wire_line());
+                body.push('\n');
+            }
+            WireReply::Text(body)
         }
         Request::Infer {
             model, node, id, ..
@@ -647,15 +631,15 @@ mod tests {
     #[test]
     fn lines_frame_as_before() {
         let mut stream =
-            b"PING\r\n\n  \r\nSTATS\nINFER gcn \xff\xfe 1\r\nINFER_SEEDS gcn 1 feats=".to_vec();
+            b"PING\r\n\n  \r\nMETRICS\nINFER gcn \xff\xfe 1\r\nINFER_SEEDS gcn 1 feats=".to_vec();
         stream.extend((0..4000).map(|i| b"0123456789,;\r\n\xc3\xa9x"[i % 17]));
-        stream.extend_from_slice(b"\nMEMORY\r\ntail without newline");
+        stream.extend_from_slice(b"\nSLOWLOG\r\ntail without newline");
         for chunk in [1, 2, 3, 7, 8, 9, 64, 1000, stream.len()] {
             let (lines, oracle_lines) = framed(&stream, chunk);
             assert_eq!(lines, oracle_lines, "{chunk}-byte reads");
         }
         let (lines, _) = framed(&stream, 5);
-        assert_eq!(lines[..4], ["PING", "", "  ", "STATS"]);
+        assert_eq!(lines[..4], ["PING", "", "  ", "METRICS"]);
         assert_eq!(
             lines[4], "INFER gcn \u{fffd}\u{fffd} 1",
             "invalid UTF-8 is replaced"

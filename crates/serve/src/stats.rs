@@ -4,10 +4,9 @@
 //! execute / serialize), a queue-depth gauge, and a bounded slow-request
 //! log.
 //!
-//! These are always on and engine-scoped, complementing the process-wide
-//! `fg-telemetry` registry: the `STATS` /
-//! `METRICS` / `SLOWLOG` wire commands and the `fgserve bench` report read
-//! from here.
+//! These are always on and engine-scoped, and they are the one place each
+//! serving event is counted: the `METRICS` / `SLOWLOG` wire commands and
+//! the `fgserve bench` report read from here.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -319,17 +318,14 @@ impl ServeStats {
     /// Consistent-enough point-in-time copy (individual loads are relaxed;
     /// totals may be mid-update by at most one in-flight request).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
         StatsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
-            completed,
+            completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             mem_shed: self.mem_shed.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            batches,
-            avg_batch: completed as f64 / batches as f64,
+            batches: self.batches.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
             phases: std::array::from_fn(|i| self.phases[i].snapshot()),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -347,7 +343,7 @@ impl QueueObserver for ServeStats {
     }
 }
 
-/// Plain-value copy of [`ServeStats`] plus derived rates.
+/// Plain-value copy of [`ServeStats`].
 #[derive(Debug, Clone, Copy)]
 pub struct StatsSnapshot {
     /// See [`ServeStats::accepted`].
@@ -364,8 +360,6 @@ pub struct StatsSnapshot {
     pub failed: u64,
     /// See [`ServeStats::batches`].
     pub batches: u64,
-    /// Mean requests per executed batch (`NaN` before the first batch).
-    pub avg_batch: f64,
     /// Completed-request latency quantiles.
     pub latency: LatencySnapshot,
     /// Per-phase latency quantiles, indexed by [`Phase`] discriminant.
@@ -378,63 +372,10 @@ pub struct StatsSnapshot {
     pub models_replaced: u64,
 }
 
-/// Render a possibly-NaN statistic as a parseable number: `NaN`/`±inf`
-/// (empty windows, zero denominators) become `0`. Emptiness stays
-/// distinguishable via the adjacent `samples=`/count fields.
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
 impl StatsSnapshot {
     /// The snapshot for `phase`.
     pub fn phase(&self, phase: Phase) -> &LatencySnapshot {
         &self.phases[phase as usize]
-    }
-
-    /// Render as a single `key=value` line for the `STATS` wire command.
-    /// Every value is a parseable number: quantiles over an empty window
-    /// render as `0.000` with `samples=0` marking the emptiness (naive
-    /// consumers choke on literal `NaN`).
-    pub fn to_wire_line(self) -> String {
-        use std::fmt::Write;
-        let mut line = format!(
-            "accepted={} completed={} shed={} mem_shed={} timed_out={} failed={} batches={} \
-             avg_batch={:.2} samples={} p50_ms={:.3} p95_ms={:.3} p99_ms={:.3} mean_ms={:.3} max_ms={:.3} \
-             queue_depth={} queue_depth_max={} models_replaced={}",
-            self.accepted,
-            self.completed,
-            self.shed,
-            self.mem_shed,
-            self.timed_out,
-            self.failed,
-            self.batches,
-            finite(self.avg_batch),
-            self.latency.count,
-            finite(self.latency.p50_ms),
-            finite(self.latency.p95_ms),
-            finite(self.latency.p99_ms),
-            finite(self.latency.mean_ms),
-            finite(self.latency.max_ms),
-            self.queue_depth,
-            self.queue_depth_max,
-            self.models_replaced,
-        );
-        for phase in Phase::ALL {
-            let snap = self.phase(phase);
-            let _ = write!(
-                line,
-                " {0}_p50_ms={1:.3} {0}_p95_ms={2:.3} {0}_p99_ms={3:.3}",
-                phase.name(),
-                finite(snap.p50_ms),
-                finite(snap.p95_ms),
-                finite(snap.p99_ms),
-            );
-        }
-        line
     }
 }
 
@@ -534,53 +475,6 @@ mod tests {
         assert!((snap.p99_ms - 99.0).abs() < 1e-9);
         assert!((snap.max_ms - 100.0).abs() < 1e-9);
         assert!((snap.mean_ms - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_snapshot_derives_rates() {
-        let stats = ServeStats::default();
-        stats.completed.store(30, Ordering::Relaxed);
-        stats.batches.store(10, Ordering::Relaxed);
-        let snap = stats.snapshot();
-        assert!((snap.avg_batch - 3.0).abs() < 1e-12);
-        let line = snap.to_wire_line();
-        assert!(line.contains("avg_batch=3.00"), "{line}");
-    }
-
-    #[test]
-    fn empty_window_renders_parseable_zeros_with_sample_count() {
-        let snap = ServeStats::default().snapshot();
-        let line = snap.to_wire_line();
-        // Regression: quantiles over an empty window used to render as
-        // literal `NaN`, which naive `key=<number>` consumers cannot parse.
-        assert!(!line.contains("NaN") && !line.contains("nan"), "{line}");
-        assert!(line.contains("samples=0"), "{line}");
-        assert!(line.contains("p50_ms=0.000"), "{line}");
-        assert!(line.contains("queue_wait_p99_ms=0.000"), "{line}");
-        // Every value must parse as f64.
-        for tok in line.split_ascii_whitespace() {
-            let (key, value) = tok.split_once('=').expect("key=value token");
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "unparseable {key}={value} in {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn phase_recorders_feed_the_wire_line() {
-        let stats = ServeStats::default();
-        for _ in 0..50 {
-            stats.record_phase(Phase::QueueWait, Duration::from_millis(70));
-            stats.record_phase(Phase::Execute, Duration::from_millis(20));
-            stats.record_phase(Phase::Serialize, Duration::from_millis(10));
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.phase(Phase::QueueWait).count, 50);
-        assert!((snap.phase(Phase::Execute).p99_ms - 20.0).abs() < 1e-9);
-        let line = snap.to_wire_line();
-        assert!(line.contains("queue_wait_p50_ms=70.000"), "{line}");
-        assert!(line.contains("execute_p99_ms=20.000"), "{line}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use fg_tensor::{FeatureDtype, FeatureTensor};
 
 const MODELS: [&str; 3] = ["gcn", "graphsage", "gat"];
 
-/// `(graph_topology, features)` as the engine's `MEMORY` report reads them.
+/// `(graph_topology, features)` as the engine's memory report reads them.
 fn charged(engine: &Engine) -> (u64, u64) {
     let report = engine.memory_report();
     let current = |component| {
@@ -88,7 +88,7 @@ fn one_dataset_is_charged_once_however_many_models_serve_it() {
         );
 
         register("graphsage", 4);
-        assert_eq!(engine.memory_report().models_replaced, 1);
+        assert_eq!(engine.stats().models_replaced, 1);
         assert_eq!(
             charged(&engine),
             (topology, held),

@@ -214,7 +214,7 @@ fn replacing_a_model_serves_the_new_registration() {
     let after = infer_node(&engine, 5);
     assert_ne!(after, before, "other weights, other logits");
     assert_eq!(after, want.row(5));
-    assert_eq!(engine.memory_report().models_replaced, 1);
+    assert_eq!(engine.stats().models_replaced, 1);
 }
 
 /// Every route to a full-graph row — a 1- or 2-thread fill, f32 or bf16
@@ -517,7 +517,6 @@ fn tcp_front_end_round_trips() {
         "INFER nope 0 id=b".into(),
         "INFER gcn 999999 id=c".into(),
         "GARBAGE".into(),
-        "STATS".into(),
     ]);
     assert_eq!(replies[0], "PONG");
     match fg_serve::protocol::parse_reply(&replies[1]).unwrap() {
@@ -543,8 +542,12 @@ fn tcp_front_end_round_trips() {
         "{}",
         replies[5]
     );
-    assert!(replies[6].starts_with("STATS "), "{}", replies[6]);
-    assert!(replies[6].contains("completed=2"), "{}", replies[6]);
+    let (mut writer, mut reader) = wire_client(addr);
+    let text = scrape(&mut writer, &mut reader);
+    assert_eq!(
+        fg_serve::metric_value(&text, "fgserve_requests_completed_total"),
+        Some(2.0)
+    );
 
     handle.shutdown();
 }
@@ -606,6 +609,15 @@ fn send_recv(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
     reply.trim_end().to_string()
 }
 
+/// One `METRICS` scrape: the exposition, read up to its `# EOF` line.
+fn scrape(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
+    writeln!(writer, "METRICS").unwrap();
+    match fg_serve::protocol::read_reply(reader).unwrap() {
+        Some(fg_serve::frame::WireReply::Text(text)) => text,
+        other => panic!("METRICS answered {other:?}"),
+    }
+}
+
 #[test]
 fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
     let (engine, task) = make_engine(ServeConfig::default());
@@ -623,18 +635,7 @@ fn metrics_wire_command_exposes_phase_series_that_sum_to_e2e() {
         assert!(reply.starts_with("OK "), "{reply}");
     }
 
-    // METRICS is multi-line: read until the OpenMetrics terminator.
-    writeln!(writer, "METRICS").unwrap();
-    let mut text = String::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        assert_ne!(reader.read_line(&mut line).unwrap(), 0, "EOF before # EOF");
-        text.push_str(&line);
-        if line.trim_end() == "# EOF" {
-            break;
-        }
-    }
+    let text = scrape(&mut writer, &mut reader);
     let lookup = |series: &str| fg_serve::metric_value(&text, series);
     fg_serve::parse_exposition(&text).expect("exposition parses");
     assert_eq!(lookup("fgserve_requests_completed_total"), Some(30.0));
@@ -724,7 +725,7 @@ fn slow_log_captures_phase_breakdown_over_wire() {
 }
 
 #[test]
-fn memory_wire_command_reports_per_component_breakdown() {
+fn metrics_export_the_per_component_memory_breakdown() {
     let (engine, task) = make_engine(ServeConfig::default());
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let vertices = task.graph.num_vertices();
@@ -752,21 +753,8 @@ fn memory_wire_command_reports_per_component_breakdown() {
         handle.engine().infer_seeds(req).expect("sampled");
     }
 
-    let header = send_recv(&mut writer, &mut reader, "MEMORY");
-    let n: usize = header
-        .strip_prefix("MEMORY ")
-        .expect("MEMORY header")
-        .parse()
-        .unwrap();
-    assert!(n > 0, "breakdown must not be empty: {header}");
-    let mut lines = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut entry = String::new();
-        reader.read_line(&mut entry).unwrap();
-        let entry = entry.trim_end().to_string();
-        assert!(entry.starts_with("MEM "), "{entry}");
-        lines.push(entry);
-    }
+    let text = scrape(&mut writer, &mut reader);
+    let lookup = |series: &str| fg_serve::metric_value(&text, series);
     for component in [
         "graph_topology",
         "serve_batch",
@@ -774,29 +762,16 @@ fn memory_wire_command_reports_per_component_breakdown() {
         "activations",
         "sampling",
     ] {
-        let line = lines
-            .iter()
-            .find(|l| l.contains(&format!("component={component}")))
-            .unwrap_or_else(|| panic!("missing component {component}"));
-        for key in ["current=", "peak="] {
-            let value = line
-                .split_ascii_whitespace()
-                .find_map(|tok| tok.strip_prefix(key))
-                .unwrap_or_else(|| panic!("missing {key} in {line}"));
-            value
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("bad {key}{value}"));
+        for series in [
+            "fgserve_mem_component_bytes",
+            "fgserve_mem_component_peak_bytes",
+        ] {
+            let value = lookup(&format!("{series}{{component=\"{component}\"}}"))
+                .unwrap_or_else(|| panic!("missing {series} for {component}"));
+            assert!(value >= 0.0 && value.fract() == 0.0, "{component}: {value}");
         }
     }
-    let total = lines
-        .iter()
-        .find(|l| l.starts_with("MEM total "))
-        .expect("total line");
-    assert!(total.contains("mem_shed=0"), "{total}");
-    assert!(
-        !lines.iter().any(|l| l.starts_with("MEM plan_cache ")),
-        "the plan_cache summary line is gone: {lines:?}"
-    );
+    assert_eq!(lookup("fgserve_requests_mem_shed_total"), Some(0.0));
 
     let report = handle.engine().memory_report();
     let topo = report
@@ -849,20 +824,10 @@ fn memory_budget_sheds_with_typed_error() {
 
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let (mut writer, mut reader) = wire_client(handle.addr());
-    let header = send_recv(&mut writer, &mut reader, "MEMORY");
-    let n: usize = header.strip_prefix("MEMORY ").unwrap().parse().unwrap();
-    let lines: Vec<String> = (0..n)
-        .map(|_| {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        })
-        .collect();
-    let total = lines
-        .iter()
-        .find(|l| l.starts_with("MEM total "))
-        .expect("total line");
-    assert!(total.contains(" budget=1 mem_shed=1 "), "{total}");
+    let text = scrape(&mut writer, &mut reader);
+    let lookup = |series: &str| fg_serve::metric_value(&text, series);
+    assert_eq!(lookup("fgserve_mem_budget_bytes"), Some(1.0));
+    assert_eq!(lookup("fgserve_requests_mem_shed_total"), Some(1.0));
     handle.shutdown();
 
     let (engine, _task) = make_engine(ServeConfig::default());
@@ -978,18 +943,8 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let (mut writer, mut reader) = wire_client(handle.addr());
 
-    let scrape = |writer: &mut TcpStream, reader: &mut BufReader<TcpStream>| -> (f64, f64) {
-        writeln!(writer, "METRICS").unwrap();
-        let mut text = String::new();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            assert_ne!(reader.read_line(&mut line).unwrap(), 0, "EOF before # EOF");
-            text.push_str(&line);
-            if line.trim_end() == "# EOF" {
-                break;
-            }
-        }
+    let counts = |writer: &mut TcpStream, reader: &mut BufReader<TcpStream>| -> (f64, f64) {
+        let text = scrape(writer, reader);
         (
             fg_serve::metric_value(&text, "fgserve_requests_timed_out_total").unwrap(),
             fg_serve::metric_value(
@@ -1000,7 +955,7 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
         )
     };
 
-    let (timeouts0, queue0) = scrape(&mut writer, &mut reader);
+    let (timeouts0, queue0) = counts(&mut writer, &mut reader);
     for i in 0..3 {
         let reply = send_recv(
             &mut writer,
@@ -1009,7 +964,7 @@ fn timed_out_requests_record_queue_wait_phase_over_wire() {
         );
         assert!(reply.starts_with(&format!("ERR to{i} timeout")), "{reply}");
     }
-    let (timeouts1, queue1) = scrape(&mut writer, &mut reader);
+    let (timeouts1, queue1) = counts(&mut writer, &mut reader);
     assert_eq!(timeouts1 - timeouts0, 3.0, "three requests timed out");
     assert!(
         queue1 - queue0 >= 3.0,

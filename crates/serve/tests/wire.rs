@@ -102,13 +102,11 @@ fn arb_request() -> impl Strategy<Value = protocol::Request> {
                 }
             },
         );
-    let plain = (0usize..7, 0usize..500).prop_map(|(k, limit)| match k {
-        0 => protocol::Request::Stats,
-        1 => protocol::Request::Metrics,
-        2 => protocol::Request::Memory,
-        3 => protocol::Request::Ping,
-        4 => protocol::Request::SlowLog { limit: None },
-        5 => protocol::Request::SlowLog { limit: Some(limit) },
+    let plain = (0usize..5, 0usize..500).prop_map(|(k, limit)| match k {
+        0 => protocol::Request::Metrics,
+        1 => protocol::Request::Ping,
+        2 => protocol::Request::SlowLog { limit: None },
+        3 => protocol::Request::SlowLog { limit: Some(limit) },
         _ => protocol::Request::Shutdown,
     });
     prop_oneof![infer, infer_seeds, plain]
@@ -526,6 +524,41 @@ fn shards_verb_and_frame_type_0x06_are_unknown_input() {
     h.shutdown();
 }
 
+/// Every serving number is exported by `METRICS`: `STATS` and `MEMORY` are
+/// unknown verbs, and their old frame types 0x03 and 0x05 are unknown
+/// frame types. Each is a bad-request reply that leaves its connection
+/// serving.
+#[test]
+fn stats_and_memory_verbs_are_gone() {
+    let h = spawn_server(ServeConfig::default());
+    let mut text = connect(&h);
+    let mut reader = BufReader::new(text.try_clone().unwrap());
+    for verb in ["STATS", "MEMORY", "PING"] {
+        writeln!(text, "{verb}").unwrap();
+        let want = match verb {
+            "PING" => "PONG\n".to_string(),
+            _ => format!("ERR - bad-request unknown verb \"{verb}\"\n"),
+        };
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, want);
+    }
+
+    let mut bin = connect(&h);
+    for ty in [0x03u8, 0x05] {
+        let reply = binary_call(&mut bin, &raw_frame(ty, &[])).unwrap();
+        let want = WireReply::Err {
+            id: "-".into(),
+            code: "bad-request".into(),
+            detail: format!("unknown frame type {ty:#04x}"),
+        };
+        assert_eq!(reply, want);
+    }
+    let ping = encode_request(&protocol::Request::Ping);
+    assert_eq!(binary_call(&mut bin, &ping).unwrap(), WireReply::Pong);
+    h.shutdown();
+}
+
 /// Oversized length prefixes and bad magic mid-stream are framing breaks:
 /// the server replies ERR (best effort) and closes the connection.
 #[test]
@@ -709,11 +742,9 @@ fn mixed_text_and_binary_clients_agree() {
                 }
             }
         }
-        // Report bodies carry clocks and gauges: same lines, same keys.
-        for req in [Request::Stats, Request::Metrics, Request::Memory] {
-            let (over_text, over_binary) = both(&req);
-            assert_eq!(masked(&over_text), masked(&over_binary), "{req:?}");
-        }
+        // The METRICS body carries clocks and gauges: same lines, same keys.
+        let (over_text, over_binary) = both(&Request::Metrics);
+        assert_eq!(masked(&over_text), masked(&over_binary));
 
         // Cross-route: INFER n == full-fanout INFER_SEEDS n, bitwise.
         for node in [0usize, 11, 199] {
@@ -820,12 +851,12 @@ fn serialize_phase_counts_inference_replies_only() {
         let pong = binary_call(&mut bin, &encode_request(&protocol::Request::Ping)).unwrap();
         assert_eq!(pong, WireReply::Pong);
     }
-    let stats = binary_call(&mut bin, &encode_request(&protocol::Request::Stats)).unwrap();
-    assert!(matches!(stats, WireReply::Text(_)));
+    let metrics = binary_call(&mut bin, &encode_request(&protocol::Request::Metrics)).unwrap();
+    assert!(matches!(metrics, WireReply::Text(_)));
     assert_eq!(
         serialized(),
         0,
-        "PING/STATS must not record serialize samples"
+        "PING/METRICS must not record serialize samples"
     );
 
     let req = protocol::Request::Infer {

@@ -86,20 +86,10 @@ pub enum Counter {
     /// thread (recorded at most once per process; see
     /// `featgraph::CpuSpmmOptions::auto` and its SDDMM twin).
     ParallelismFallbacks,
-    /// Inference requests accepted by the serving engine.
-    ServeRequests,
-    /// Batches executed by the serving engine.
-    ServeBatches,
-    /// Requests shed because the serving queue was at capacity.
-    ServeShed,
-    /// Requests that expired (deadline passed) before execution.
-    ServeTimeouts,
-    /// Serving requests shed by the memory-budget admission gate.
-    ServeMemShed,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 16] = [
         Counter::BytesMoved,
         Counter::EdgesProcessed,
         Counter::Partitions,
@@ -116,11 +106,6 @@ impl Counter {
         Counter::GpuBarriers,
         Counter::KernelCompiles,
         Counter::ParallelismFallbacks,
-        Counter::ServeRequests,
-        Counter::ServeBatches,
-        Counter::ServeShed,
-        Counter::ServeTimeouts,
-        Counter::ServeMemShed,
     ];
 
     pub fn name(self) -> &'static str {
@@ -141,11 +126,6 @@ impl Counter {
             Counter::GpuBarriers => "gpu_barriers",
             Counter::KernelCompiles => "kernel_compiles",
             Counter::ParallelismFallbacks => "parallelism_fallbacks",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeTimeouts => "serve_timeouts",
-            Counter::ServeMemShed => "serve_mem_shed",
         }
     }
 }
@@ -162,18 +142,14 @@ pub enum Gauge {
     AutotuneBestSeconds,
     /// Global-memory coalescing efficiency of the last GPU launch.
     GpuCoalescingEfficiency,
-    /// Depth of the serving engine's batching queue, updated on every
-    /// enqueue/dequeue.
-    ServeQueueDepth,
 }
 
 impl Gauge {
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::Loss,
         Gauge::ValAccuracy,
         Gauge::AutotuneBestSeconds,
         Gauge::GpuCoalescingEfficiency,
-        Gauge::ServeQueueDepth,
     ];
 
     pub fn name(self) -> &'static str {
@@ -182,7 +158,6 @@ impl Gauge {
             Gauge::ValAccuracy => "val_accuracy",
             Gauge::AutotuneBestSeconds => "autotune_best_seconds",
             Gauge::GpuCoalescingEfficiency => "gpu_coalescing_efficiency",
-            Gauge::ServeQueueDepth => "serve_queue_depth",
         }
     }
 }

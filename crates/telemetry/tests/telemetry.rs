@@ -522,29 +522,29 @@ fn sixteen_thread_stress_is_exact_and_sorted() {
                     counter_add(Counter::EdgesProcessed, 1);
                     counter_add(Counter::BytesMoved, t + 1);
                     histogram_record(Histogram::SpmmPartitionEdges, i + 1);
-                    gauge_set(Gauge::ServeQueueDepth, (t * ITERS + i) as f64);
+                    gauge_set(Gauge::AutotuneBestSeconds, (t * ITERS + i) as f64);
                 }
-                counter_add(Counter::ServeRequests, 3);
+                counter_add(Counter::AutotuneTrials, 3);
             });
         }
     });
     // Gauges are last-write-wins (racy mid-flight but never torn); pin a
     // final value so the assertion below is deterministic.
-    gauge_set(Gauge::ServeQueueDepth, 17.0);
+    gauge_set(Gauge::AutotuneBestSeconds, 17.0);
 
     let counters = counters_snapshot();
     let gauges = gauges_snapshot();
     let hists = histograms_snapshot();
     let edges = counter_value(Counter::EdgesProcessed);
     let bytes = counter_value(Counter::BytesMoved);
-    let reqs = counter_value(Counter::ServeRequests);
+    let trials = counter_value(Counter::AutotuneTrials);
     let summary = histogram_snapshot(Histogram::SpmmPartitionEdges).unwrap();
     teardown();
 
     // Totals: sum of per-thread contributions, exactly.
     assert_eq!(edges, THREADS * ITERS);
     assert_eq!(bytes, ITERS * (THREADS * (THREADS + 1) / 2));
-    assert_eq!(reqs, THREADS * 3);
+    assert_eq!(trials, THREADS * 3);
     assert_eq!(summary.count, THREADS * ITERS);
     assert_eq!(summary.sum, THREADS * (ITERS * (ITERS + 1) / 2));
     assert_eq!(summary.min, 1);
@@ -560,7 +560,7 @@ fn sixteen_thread_stress_is_exact_and_sorted() {
             .1
     };
     assert_eq!(counter_of("edges_processed"), THREADS * ITERS);
-    assert_eq!(counter_of("serve_requests"), THREADS * 3);
+    assert_eq!(counter_of("autotune_trials"), THREADS * 3);
     assert!(
         counters.windows(2).all(|w| w[0].0 < w[1].0),
         "counters sorted: {counters:?}"
@@ -573,9 +573,9 @@ fn sixteen_thread_stress_is_exact_and_sorted() {
         hists.windows(2).all(|w| w[0].0 < w[1].0),
         "histograms sorted"
     );
-    let (_, depth) = gauges
+    let (_, best) = gauges
         .iter()
-        .find(|(n, _)| *n == "serve_queue_depth")
+        .find(|(n, _)| *n == "autotune_best_seconds")
         .expect("gauge in snapshot");
-    assert_eq!(*depth, 17.0);
+    assert_eq!(*best, 17.0);
 }
